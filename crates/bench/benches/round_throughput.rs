@@ -14,7 +14,7 @@
 //! `FlConfig::packed_execution` on, a ratio-`s` client trains a physically
 //! small submodel instead of a masked full model, so wall-clock finally
 //! scales with the sparsity the bandit buys (results stay bit-identical —
-//! CI's determinism gate diffs the two). Floors asserted here: packed is
+//! `tests/determinism_matrix.rs` compares the two). Floors asserted here: packed is
 //! never a pessimisation on a ratio-0.25 fleet and keeps a ≥ 1.1× win on
 //! the 0.5 fleet (see the comment at the assertions for why 0.25 is parity).
 //!

@@ -173,7 +173,6 @@ impl FedLps {
                 MaskCacheEvent::Bypassed => {}
                 MaskCacheEvent::Hit { attach_plan } => {
                     cache.record(true);
-                    cache.mark_served(client);
                     if let Some(plan) = attach_plan {
                         cache.attach_plan(client, plan);
                     }
@@ -260,9 +259,7 @@ impl FlAlgorithm for FedLps {
         self.controller = Some(controller);
         self.staged.clear();
         self.feedback.clear();
-        self.mask_cache = Some(
-            MaskCache::new(units_per_layer).with_refresh_every(self.config.mask_refresh_every),
-        );
+        self.mask_cache = Some(MaskCache::new(units_per_layer));
     }
 
     fn client_step(
@@ -485,59 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fedlps_matches_serial_bit_for_bit() {
-        let run = |parallelism: usize| {
-            let env = FlEnv::from_scenario(
-                &ScenarioConfig::tiny(DatasetKind::MnistLike),
-                HeterogeneityLevel::High,
-                FlConfig::tiny()
-                    .with_rounds(8)
-                    .with_parallelism(parallelism),
-            );
-            let sim = Simulator::new(env);
-            let mut algo = FedLps::for_env(sim.env());
-            sim.run(&mut algo)
-        };
-        let serial = run(1);
-        let sharded = run(4);
-        assert_eq!(serial, sharded);
-    }
-
-    #[test]
-    fn packed_execution_is_bit_identical_in_every_round_mode() {
-        // The acceptance gate of the packed-submodel tentpole: flipping
-        // `FlConfig::packed_execution` must not move a single bit of the
-        // metric trace under any round mode (CI diffs the quickstart JSON
-        // the same way).
-        use fedlps_sim::config::RoundMode;
-        for mode in [
-            RoundMode::Synchronous,
-            RoundMode::deadline(0.5, 2),
-            RoundMode::asynchronous(3, 0.5),
-        ] {
-            let run = |packed: bool| {
-                let env = FlEnv::from_scenario(
-                    &ScenarioConfig::tiny(DatasetKind::MnistLike),
-                    HeterogeneityLevel::High,
-                    FlConfig::tiny()
-                        .with_rounds(8)
-                        .with_round_mode(mode)
-                        .with_packed_execution(packed),
-                );
-                let sim = Simulator::new(env);
-                let mut algo = FedLps::for_env(sim.env());
-                sim.run(&mut algo)
-            };
-            assert_eq!(
-                run(true),
-                run(false),
-                "{} mode diverged between packed and masked-dense execution",
-                mode.name()
-            );
-        }
-    }
-
-    #[test]
     fn mask_cache_serves_repeat_participations() {
         let env = tiny_env();
         let sim = Simulator::new(env);
@@ -632,32 +576,6 @@ mod tests {
         assert!(
             quantized > 0.4,
             "quantized warm hit rate should clear 40% on a 20-round run, got {quantized}"
-        );
-    }
-
-    #[test]
-    fn mask_refresh_period_trades_hits_for_indicator_tracking() {
-        let run = |refresh: Option<u32>| {
-            let env = FlEnv::from_scenario(
-                &ScenarioConfig::tiny(DatasetKind::MnistLike),
-                HeterogeneityLevel::High,
-                FlConfig::tiny().with_rounds(12),
-            );
-            let sim = Simulator::new(env);
-            let mut algo = FedLps::new(FedLpsConfig::rcr().with_mask_refresh_every(refresh));
-            sim.run(&mut algo)
-        };
-        let frozen = run(None).mask_cache_hit_rate_from(3);
-        let refreshed = run(Some(2)).mask_cache_hit_rate_from(3);
-        assert!(
-            refreshed < frozen,
-            "periodic refreshes must cost cache hits ({refreshed} vs {frozen})"
-        );
-        let rebuilt_every_time = run(Some(1));
-        assert_eq!(
-            rebuilt_every_time.mask_cache_hit_rate(),
-            0.0,
-            "period 1 disables reuse entirely"
         );
     }
 

@@ -35,12 +35,6 @@ pub struct FedLpsConfig {
     /// from a stable partition hit the cross-round mask cache. Semantics-
     /// preserving; off only for the continuous-sampling ablation.
     pub quantize_arm_space: bool,
-    /// Rebuild each client's cached mask every `n` participations so the
-    /// pattern keeps tracking the still-training importance indicator
-    /// (`None` = freeze until the bandit moves the ratio to a different
-    /// shape — the default cache contract). Used by the stable-ratio
-    /// ablations (RCR / Fixed), whose ratios never change shape on their own.
-    pub mask_refresh_every: Option<u32>,
 }
 
 impl Default for FedLpsConfig {
@@ -53,7 +47,6 @@ impl Default for FedLpsConfig {
             pattern: PatternStrategy::Importance,
             respect_dynamic_capability: true,
             quantize_arm_space: true,
-            mask_refresh_every: None,
         }
     }
 }
@@ -120,12 +113,6 @@ impl FedLpsConfig {
         self.quantize_arm_space = quantize;
         self
     }
-
-    /// Builder-style override of the mask-cache refresh period.
-    pub fn with_mask_refresh_every(mut self, refresh_every: Option<u32>) -> Self {
-        self.mask_refresh_every = refresh_every;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -169,15 +156,11 @@ mod tests {
         let cfg = FedLpsConfig::default()
             .with_regularisation(0.5, 2.0)
             .with_ratio_policy(RatioPolicy::Dense)
-            .with_quantize_arm_space(false)
-            .with_mask_refresh_every(Some(4));
+            .with_quantize_arm_space(false);
         assert_eq!(cfg.mu, 0.5);
         assert_eq!(cfg.lambda, 2.0);
         assert_eq!(cfg.ratio_policy, RatioPolicy::Dense);
         assert!(!cfg.quantize_arm_space);
-        assert_eq!(cfg.mask_refresh_every, Some(4));
-        // Defaults: quantized arms, frozen-until-shape-change masks.
         assert!(FedLpsConfig::default().quantize_arm_space);
-        assert_eq!(FedLpsConfig::default().mask_refresh_every, None);
     }
 }

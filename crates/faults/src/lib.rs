@@ -95,7 +95,7 @@ pub enum AvailabilityModel {
 }
 
 impl AvailabilityModel {
-    /// Short name used by logs and the `FEDLPS_AVAILABILITY` env knob.
+    /// Short name used in logs and tables.
     pub fn name(&self) -> &'static str {
         match self {
             AvailabilityModel::Iid => "iid",
@@ -104,8 +104,8 @@ impl AvailabilityModel {
         }
     }
 
-    /// Resolves a knob name to its canonical parameterization — the
-    /// demo/CI presets sized for quickstart-scale latencies (round spans of
+    /// Resolves a model name to its canonical parameterization — the
+    /// demo/test presets sized for quickstart-scale latencies (round spans of
     /// a few milliseconds of virtual time). Custom parameters are
     /// constructed directly. Returns `None` for unknown names.
     pub fn from_name(name: &str) -> Option<Self> {

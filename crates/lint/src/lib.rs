@@ -1,10 +1,10 @@
 //! `fedlps_lint` — the workspace determinism auditor.
 //!
 //! Every guarantee this repository ships is a *determinism* contract:
-//! serial == 4-shard, packed == masked-dense, sync/deadline/async all diffed
-//! byte-for-byte in CI. Those contracts are enforced dynamically by
-//! proptests and the CI quickstart-JSON diff gate — but a dynamic gate only
-//! covers the configurations it samples. A single `HashMap` iteration,
+//! serial == 4-shard, packed == masked-dense, in sync/deadline/async alike,
+//! compared byte for byte. Those contracts are enforced dynamically by
+//! proptests and the in-process `tests/determinism_matrix.rs` — but a
+//! dynamic gate only covers the configurations it samples. A single `HashMap` iteration,
 //! ambient `thread_rng()`, wall-clock read or stray `par_iter` outside the
 //! backend seam can break bit-identity in a configuration no gate runs.
 //!

@@ -1,7 +1,7 @@
 //! The determinism rule set (D1–D5) and the per-file checker.
 //!
 //! Every guarantee the workspace ships — serial == 4-shard, packed ==
-//! masked-dense, sync/deadline/async diffed byte-equal in CI — is a
+//! masked-dense, sync/deadline/async compared byte-equal in tests — is a
 //! *determinism* contract. These rules make the contract statically
 //! checkable: each one bans a construct that is known to break bit-identity
 //! in a configuration the dynamic gates might not sample.
@@ -515,8 +515,8 @@ mod tests {
             &lex("v.into_par_iter().map(f).collect()"),
         );
         assert!(in_backend.is_empty());
-        // `BackendKind::ThreadPool` is an enum variant, not rayon.
-        assert!(rules_hit("let k = BackendKind::ThreadPool;").is_empty());
+        // `Backend::ThreadPool` is an enum variant, not rayon.
+        assert!(rules_hit("let k = Backend::ThreadPool;").is_empty());
     }
 
     #[test]

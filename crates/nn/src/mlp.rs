@@ -120,11 +120,14 @@ impl Mlp {
     /// the input batch, which the backward pass re-uses.
     fn forward(&self, params: &[f32], batch: &Matrix, pool: &mut ScratchPool) -> Vec<Matrix> {
         let mut pre_activations = Vec::with_capacity(self.layers.len());
-        let mut activ = batch.clone();
+        // The previous layer's pooled activation; `None` while the borrowed
+        // `batch` still feeds the layer (only pool buffers are recycled).
+        let mut activ: Option<Matrix> = None;
         for (li, layer) in self.layers.iter().enumerate() {
             let w = self.weight_matrix(params, li, pool);
-            let mut z = pool.take(activ.rows(), layer.out_dim);
-            activ.matmul_nt_into(&w, &mut z);
+            let input = activ.as_ref().unwrap_or(batch);
+            let mut z = pool.take(input.rows(), layer.out_dim);
+            input.matmul_nt_into(&w, &mut z);
             pool.recycle(w);
             let b = self.bias(params, li);
             for r in 0..z.rows() {
@@ -138,12 +141,16 @@ impl Mlp {
                 pre.as_mut_slice().copy_from_slice(z.as_slice());
                 pre_activations.push(pre);
                 z.map_inplace(relu);
-                pool.recycle(std::mem::replace(&mut activ, z));
+                if let Some(prev) = activ.replace(z) {
+                    pool.recycle(prev);
+                }
             } else {
                 pre_activations.push(z);
             }
         }
-        pool.recycle(activ);
+        if let Some(last) = activ {
+            pool.recycle(last);
+        }
         pre_activations
     }
 
@@ -220,24 +227,25 @@ impl ModelArch for Mlp {
             let mut delta = d_logits; // d loss / d pre-activation of current layer
             for li in (0..self.layers.len()).rev() {
                 let layer = self.layers[li];
-                // Activation feeding this layer.
-                let input_act = if li == 0 {
-                    batch.clone()
-                } else {
-                    let prev = &pre[li - 1];
+                // Activation feeding this layer: the borrowed batch for layer
+                // 0, a pooled ReLU of the previous pre-activation otherwise.
+                let act = li.checked_sub(1).map(|p| {
+                    let prev = &pre[p];
                     let mut act = pool.take(prev.rows(), prev.cols());
                     for (a, &p) in act.as_mut_slice().iter_mut().zip(prev.as_slice()) {
                         *a = relu(p);
                     }
                     act
-                };
+                });
                 let mut dw = pool.take(layer.out_dim, layer.in_dim); // out x in
-                delta.matmul_tn_into(&input_act, &mut dw);
+                delta.matmul_tn_into(act.as_ref().unwrap_or(&batch), &mut dw);
                 for (i, v) in dw.as_slice().iter().enumerate() {
                     grad[layer.w_start + i] += v;
                 }
                 pool.recycle(dw);
-                pool.recycle(input_act);
+                if let Some(act) = act {
+                    pool.recycle(act);
+                }
                 for r in 0..delta.rows() {
                     let row = delta.row(r);
                     for (j, &v) in row.iter().enumerate() {
@@ -522,6 +530,34 @@ mod tests {
         assert!(half > 0.0);
         let none = mlp.train_flops_per_sample(&[0, 0]);
         assert!(none < half);
+    }
+
+    #[test]
+    fn scratch_pool_stays_flat_across_repeated_calls() {
+        // Only buffers that came from `take` may be recycled: handing the
+        // pool clones of the caller's batch grew it by two buffers per
+        // `loss_and_grad` and one per `evaluate`, without bound.
+        let mlp = toy_mlp();
+        let data = toy_dataset(16, 6, 3);
+        let mut rng = rng_from_seed(6);
+        let params = mlp.init_params(&mut rng);
+        let indices: Vec<usize> = (0..8).collect();
+        let mut grad = vec![0.0f32; params.len()];
+        let idle = || with_pool(|p| p.idle());
+
+        mlp.loss_and_grad(&params, &data, &indices, &mut grad);
+        let warm = idle();
+        for _ in 0..50 {
+            mlp.loss_and_grad(&params, &data, &indices, &mut grad);
+        }
+        assert_eq!(idle(), warm, "loss_and_grad must not grow the pool");
+
+        mlp.evaluate(&params, &data);
+        let warm = idle();
+        for _ in 0..50 {
+            mlp.evaluate(&params, &data);
+        }
+        assert_eq!(idle(), warm, "evaluate must not grow the pool");
     }
 
     #[test]

@@ -141,16 +141,6 @@ impl SelectionKind {
         }
     }
 
-    /// Parses a policy name as used by `FEDLPS_SELECTION` (default knobs).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "uniform" => Some(SelectionKind::Uniform),
-            "utility" | "oort" => Some(Self::utility()),
-            "power" | "power-of-choice" => Some(Self::power_of_choice()),
-            _ => None,
-        }
-    }
-
     /// Instantiates the configured policy.
     pub fn build(&self) -> Box<dyn SelectionPolicy> {
         match *self {

@@ -390,20 +390,7 @@ fn policies_work_against_a_million_client_lazy_tracker() {
 }
 
 #[test]
-fn kind_parses_names_and_roundtrips_serde() {
-    assert_eq!(
-        SelectionKind::from_name("uniform"),
-        Some(SelectionKind::Uniform)
-    );
-    assert_eq!(
-        SelectionKind::from_name("utility"),
-        Some(SelectionKind::utility())
-    );
-    assert_eq!(
-        SelectionKind::from_name("power"),
-        Some(SelectionKind::power_of_choice())
-    );
-    assert_eq!(SelectionKind::from_name("bogus"), None);
+fn kind_builds_its_policy_and_roundtrips_serde() {
     for kind in [
         SelectionKind::Uniform,
         SelectionKind::utility(),

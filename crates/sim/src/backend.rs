@@ -15,30 +15,21 @@
 //! the ROADMAP's multi-backend item asked for: a process pool, a GPU queue or
 //! a remote executor only has to map tasks to outcomes in order.
 //!
-//! Backends are normally resolved from the configuration, not constructed by
-//! hand:
+//! The driver resolves its backend from the configuration — serial at
+//! `effective_parallelism() <= 1`, a pool of that many workers above — so
+//! `parallelism` is the one knob; explicit construction is available when a
+//! caller wants to drive the seam directly:
 //!
 //! ```
-//! use fedlps_sim::backend::{BackendKind, ThreadPoolBackend};
-//! use fedlps_sim::config::FlConfig;
+//! use fedlps_sim::backend::{ExecutionBackend, SerialBackend, ThreadPoolBackend};
 //!
-//! // `Auto` is the default: serial at parallelism 1, a pool above.
-//! let serial = FlConfig::default().with_parallelism(1);
-//! assert_eq!(BackendKind::Auto.build(&serial).name(), "serial");
-//!
-//! let sharded = FlConfig::default().with_parallelism(4);
-//! assert_eq!(BackendKind::Auto.build(&sharded).name(), "thread-pool");
-//!
-//! // Kinds parse from the `FEDLPS_BACKEND` environment knob by name.
-//! assert_eq!(BackendKind::from_name("threadpool"), Some(BackendKind::ThreadPool));
-//!
-//! // Explicit construction is available when a caller wants to pin a size.
-//! assert_eq!(ThreadPoolBackend::new(3).threads(), 3);
+//! assert_eq!(SerialBackend.name(), "serial");
+//! let pool = ThreadPoolBackend::new(3);
+//! assert_eq!((pool.name(), pool.threads()), ("thread-pool", 3));
 //! ```
 
 use fedlps_tensor::{rng_from_seed, split_seed};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::algorithm::{ClientOutcome, FlAlgorithm};
 use crate::config::FlConfig;
@@ -52,51 +43,6 @@ pub struct StepTask {
     pub client: usize,
     /// Stream index mixed with the run seed to derive the step's RNG.
     pub stream: u64,
-}
-
-/// Which execution backend runs the client steps (the `FlConfig::backend`
-/// knob). Results are bit-identical across all settings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum BackendKind {
-    /// Serial when `parallelism <= 1`, a thread pool otherwise (the
-    /// historical behaviour).
-    #[default]
-    Auto,
-    /// Always step clients serially, whatever `parallelism` says.
-    Serial,
-    /// Always build a worker pool of `effective_parallelism()` threads.
-    ThreadPool,
-}
-
-impl BackendKind {
-    /// Short name used in logs and tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BackendKind::Auto => "auto",
-            BackendKind::Serial => "serial",
-            BackendKind::ThreadPool => "thread-pool",
-        }
-    }
-
-    /// Parses a backend name as used by `FEDLPS_BACKEND`.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "auto" => Some(BackendKind::Auto),
-            "serial" => Some(BackendKind::Serial),
-            "threadpool" | "thread-pool" => Some(BackendKind::ThreadPool),
-            _ => None,
-        }
-    }
-
-    /// Instantiates the backend this configuration asks for.
-    pub fn build(&self, config: &FlConfig) -> Box<dyn ExecutionBackend> {
-        let threads = config.effective_parallelism().max(1);
-        match self {
-            BackendKind::Auto if threads > 1 => Box::new(ThreadPoolBackend::new(threads)),
-            BackendKind::Auto | BackendKind::Serial => Box::new(SerialBackend),
-            BackendKind::ThreadPool => Box::new(ThreadPoolBackend::new(threads)),
-        }
-    }
 }
 
 /// Runs batches of pure client steps. Implementations must return outcomes in
@@ -115,6 +61,17 @@ pub trait ExecutionBackend: Send + Sync {
         round: usize,
         tasks: &[StepTask],
     ) -> Vec<ClientOutcome>;
+}
+
+/// The backend a configuration runs on: serial at one effective shard, a
+/// pool of `effective_parallelism()` workers above.
+pub(crate) fn for_config(config: &FlConfig) -> Box<dyn ExecutionBackend> {
+    let threads = config.effective_parallelism();
+    if threads > 1 {
+        Box::new(ThreadPoolBackend::new(threads))
+    } else {
+        Box::new(SerialBackend)
+    }
 }
 
 /// Sample-weighted mean deployed-model accuracy across every client,
@@ -243,32 +200,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_names_parse_and_roundtrip() {
-        for kind in [
-            BackendKind::Auto,
-            BackendKind::Serial,
-            BackendKind::ThreadPool,
-        ] {
-            assert_eq!(BackendKind::from_name(kind.name()), Some(kind));
-            let json = serde_json::to_string(&kind).unwrap();
-            let back: BackendKind = serde_json::from_str(&json).unwrap();
-            assert_eq!(kind, back);
-        }
-        assert_eq!(
-            BackendKind::from_name("threadpool"),
-            Some(BackendKind::ThreadPool)
-        );
-        assert_eq!(BackendKind::from_name("gpu"), None);
-    }
-
-    #[test]
-    fn auto_resolves_by_parallelism() {
+    fn backend_resolves_from_parallelism() {
         let serial = FlConfig::default().with_parallelism(1);
-        assert_eq!(BackendKind::Auto.build(&serial).name(), "serial");
+        assert_eq!(for_config(&serial).name(), "serial");
         let sharded = FlConfig::default().with_parallelism(4);
-        assert_eq!(BackendKind::Auto.build(&sharded).name(), "thread-pool");
-        assert_eq!(BackendKind::Serial.build(&sharded).name(), "serial");
-        assert_eq!(BackendKind::ThreadPool.build(&serial).name(), "thread-pool");
+        assert_eq!(for_config(&sharded).name(), "thread-pool");
     }
 
     #[test]

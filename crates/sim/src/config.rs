@@ -3,7 +3,6 @@
 use fedlps_nn::sgd::SgdConfig;
 use serde::{Deserialize, Serialize};
 
-pub use crate::backend::BackendKind;
 pub use fedlps_faults::{AvailabilityModel, FaultConfig};
 pub use fedlps_runtime::RoundMode;
 pub use fedlps_select::SelectionKind;
@@ -75,17 +74,14 @@ pub struct FlConfig {
     /// The default uniform policy reproduces the paper's sampling bit for
     /// bit.
     pub selection: SelectionKind,
-    /// Which execution backend runs the client steps. The default `Auto`
-    /// resolves from `parallelism` (serial at 1, thread pool above); results
-    /// are bit-identical under every backend.
-    pub backend: BackendKind,
     /// Execute sparse clients as *physically packed* submodels (gather the
     /// kept units into a compact model, train it, scatter the delta back)
     /// instead of masked full models. Purely a wall-clock knob: the packed
     /// path accumulates exactly the nonzero terms of the masked-dense path in
-    /// the same order, so results are bit-identical either way (CI's
-    /// determinism gate diffs the two). On by default; off reproduces the
-    /// historical masked-dense execution for debugging and benchmarking.
+    /// the same order, so results are bit-identical either way (the facade's
+    /// `tests/determinism_matrix.rs` compares the two). On by default; off
+    /// reproduces the historical masked-dense execution for debugging and
+    /// benchmarking.
     pub packed_execution: bool,
     /// The physical aggregation topology: `Flat` (clients upload straight to
     /// the server — the default, byte-identical to the historical traces) or
@@ -133,7 +129,6 @@ impl Default for FlConfig {
             parallelism: 1,
             round_mode: RoundMode::Synchronous,
             selection: SelectionKind::Uniform,
-            backend: BackendKind::Auto,
             packed_execution: true,
             topology: Topology::Flat,
             availability: AvailabilityModel::Iid,
@@ -204,12 +199,6 @@ impl FlConfig {
     /// Builder-style override of the client-selection policy.
     pub fn with_selection(mut self, selection: SelectionKind) -> Self {
         self.selection = selection;
-        self
-    }
-
-    /// Builder-style override of the execution backend.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -372,9 +361,7 @@ mod tests {
             FlConfig::default(),
             FlConfig::default().with_round_mode(RoundMode::deadline(2.0, 3)),
             FlConfig::default().with_round_mode(RoundMode::asynchronous(4, 0.5)),
-            FlConfig::default()
-                .with_selection(SelectionKind::utility())
-                .with_backend(BackendKind::ThreadPool),
+            FlConfig::default().with_selection(SelectionKind::utility()),
             FlConfig::default().with_selection(SelectionKind::power_of_choice()),
             FlConfig::default().with_packed_execution(false),
             FlConfig::default().with_topology(Topology::two_tier().with_zone_deadline(0.25)),
@@ -489,14 +476,10 @@ mod tests {
     }
 
     #[test]
-    fn selection_and_backend_default_to_the_legacy_behaviour() {
+    fn selection_defaults_to_the_legacy_behaviour() {
         let cfg = FlConfig::default();
         assert_eq!(cfg.selection, SelectionKind::Uniform);
-        assert_eq!(cfg.backend, BackendKind::Auto);
-        let cfg = cfg
-            .with_selection(SelectionKind::utility())
-            .with_backend(BackendKind::Serial);
+        let cfg = cfg.with_selection(SelectionKind::utility());
         assert_eq!(cfg.selection.name(), "utility");
-        assert_eq!(cfg.backend.name(), "serial");
     }
 }

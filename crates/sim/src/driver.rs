@@ -25,8 +25,8 @@
 //! the async pipeline runs on the continuous virtual clock. Because every
 //! event time is derived from the same arithmetic in the same order, and
 //! every RNG stream is keyed by configuration rather than thread schedule,
-//! all {mode × policy × backend × parallelism} combinations yield
-//! bit-identical traces.
+//! all {mode × policy × parallelism} combinations yield bit-identical
+//! traces.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -111,7 +111,7 @@ impl<'a> Driver<'a> {
             SelectionTracker::new(env.expected_latencies())
         };
         Self {
-            backend: env.config.backend.build(&env.config),
+            backend: crate::backend::for_config(&env.config),
             policy: env.config.selection.build(),
             tracker,
             selection_rng: rng_from_seed(split_seed(env.config.seed, STREAM_SELECTION)),

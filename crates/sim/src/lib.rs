@@ -46,7 +46,7 @@ mod driver;
 mod topology;
 
 pub use algorithm::{ClientReport, FlAlgorithm};
-pub use backend::{BackendKind, ExecutionBackend, SerialBackend, StepTask, ThreadPoolBackend};
+pub use backend::{ExecutionBackend, SerialBackend, StepTask, ThreadPoolBackend};
 pub use config::{FlConfig, RoundMode, SelectionKind, Topology};
 pub use env::FlEnv;
 pub use metrics::{RoundMetrics, RunResult};

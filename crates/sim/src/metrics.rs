@@ -6,18 +6,17 @@
 //! accuracy/time summaries (Figures 6-8). All of those are derived from the
 //! [`RunResult`] collected by the simulator.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Metrics recorded at the end of one communication round.
 ///
-/// Serde is hand-written rather than derived: the two `zone_*` fields and
-/// the six fault-injection fields (`retry_attempts` through
-/// `unavailable_wait_seconds`) are emitted only when nonzero, so
-/// flat-topology, fault-free traces serialize to exactly the bytes the
-/// pre-topology/pre-fault goldens pinned, while two-tier or fault-injected
-/// traces carry their extra columns. Deserialization tolerates their
-/// absence (defaulting to zero) for the same reason.
-#[derive(Debug, Clone, PartialEq)]
+/// The two `zone_*` fields and the six fault-injection fields
+/// (`retry_attempts` through `unavailable_wait_seconds`) are emitted only
+/// when nonzero, so flat-topology, fault-free traces serialize to exactly
+/// the bytes the pre-topology/pre-fault goldens pinned, while two-tier or
+/// fault-injected traces carry their extra columns. Deserialization
+/// tolerates their absence (defaulting to zero) for the same reason.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoundMetrics {
     /// Round index `r` (in async mode: the server aggregation/version index).
     pub round: usize,
@@ -72,6 +71,7 @@ pub struct RoundMetrics {
     /// Two-tier topology: uploads dropped at their zone aggregator because
     /// the zone's deadline had fired before they landed. Always 0 under the
     /// flat topology (and omitted from the serialized form when 0).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
     pub zone_straggler_drops: u64,
     /// Two-tier topology: bytes the zone tier forwarded to the server this
     /// round — one combined pre-merged upload per active zone in the cohort
@@ -79,191 +79,44 @@ pub struct RoundMetrics {
     /// store-and-forward uploads in async mode. Compare against
     /// `round_upload_bytes` (the client → zone tier) for the uplink saving.
     /// Always 0 under flat (and omitted from the serialized form when 0).
+    #[serde(default, skip_serializing_if = "is_zero_f64")]
     pub zone_upload_bytes: f64,
     /// Upload retransmissions scheduled this round by the fault injector
     /// (each failed attempt that still had retry budget). Always 0 without
     /// fault injection (and omitted from the serialized form when 0).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
     pub retry_attempts: u64,
     /// Updates dropped permanently after exhausting the upload retry cap.
     /// Counted separately from `straggler_drops` (omitted when 0).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
     pub upload_failure_drops: u64,
     /// The subset of `straggler_drops` caused by i.i.d. mid-round offline
     /// churn rather than a deadline (omitted when 0).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
     pub churn_drops: u64,
     /// Cohort rounds closed by the quorum knob before the full cohort
     /// reported — the graceful-degradation path (omitted when 0).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
     pub quorum_closes: u64,
     /// Dispatches that found their client inside an availability window
     /// (diurnal night / burst outage) and had to wait it out (omitted
     /// when 0).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
     pub unavailable_dispatches: u64,
     /// Total seconds those dispatches waited for availability before
     /// computing — the availability occupancy of the round (omitted
     /// when 0).
+    #[serde(default, skip_serializing_if = "is_zero_f64")]
     pub unavailable_wait_seconds: f64,
 }
 
-impl Serialize for RoundMetrics {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("round".to_string(), self.round.to_value()),
-            ("mean_accuracy".to_string(), self.mean_accuracy.to_value()),
-            ("train_accuracy".to_string(), self.train_accuracy.to_value()),
-            ("train_loss".to_string(), self.train_loss.to_value()),
-            ("round_time".to_string(), self.round_time.to_value()),
-            (
-                "round_start_time".to_string(),
-                self.round_start_time.to_value(),
-            ),
-            (
-                "cumulative_time".to_string(),
-                self.cumulative_time.to_value(),
-            ),
-            ("round_flops".to_string(), self.round_flops.to_value()),
-            (
-                "cumulative_flops".to_string(),
-                self.cumulative_flops.to_value(),
-            ),
-            (
-                "round_upload_bytes".to_string(),
-                self.round_upload_bytes.to_value(),
-            ),
-            (
-                "cumulative_upload_bytes".to_string(),
-                self.cumulative_upload_bytes.to_value(),
-            ),
-            (
-                "mean_sparse_ratio".to_string(),
-                self.mean_sparse_ratio.to_value(),
-            ),
-            (
-                "mask_cache_hits".to_string(),
-                self.mask_cache_hits.to_value(),
-            ),
-            (
-                "mask_cache_misses".to_string(),
-                self.mask_cache_misses.to_value(),
-            ),
-            (
-                "straggler_drops".to_string(),
-                self.straggler_drops.to_value(),
-            ),
-            ("stale_discards".to_string(), self.stale_discards.to_value()),
-            ("staleness_hist".to_string(), self.staleness_hist.to_value()),
-            (
-                "mean_selection_utility".to_string(),
-                self.mean_selection_utility.to_value(),
-            ),
-            (
-                "first_time_participants".to_string(),
-                self.first_time_participants.to_value(),
-            ),
-        ];
-        if self.zone_straggler_drops != 0 {
-            fields.push((
-                "zone_straggler_drops".to_string(),
-                self.zone_straggler_drops.to_value(),
-            ));
-        }
-        if self.zone_upload_bytes != 0.0 {
-            fields.push((
-                "zone_upload_bytes".to_string(),
-                self.zone_upload_bytes.to_value(),
-            ));
-        }
-        if self.retry_attempts != 0 {
-            fields.push(("retry_attempts".to_string(), self.retry_attempts.to_value()));
-        }
-        if self.upload_failure_drops != 0 {
-            fields.push((
-                "upload_failure_drops".to_string(),
-                self.upload_failure_drops.to_value(),
-            ));
-        }
-        if self.churn_drops != 0 {
-            fields.push(("churn_drops".to_string(), self.churn_drops.to_value()));
-        }
-        if self.quorum_closes != 0 {
-            fields.push(("quorum_closes".to_string(), self.quorum_closes.to_value()));
-        }
-        if self.unavailable_dispatches != 0 {
-            fields.push((
-                "unavailable_dispatches".to_string(),
-                self.unavailable_dispatches.to_value(),
-            ));
-        }
-        if self.unavailable_wait_seconds != 0.0 {
-            fields.push((
-                "unavailable_wait_seconds".to_string(),
-                self.unavailable_wait_seconds.to_value(),
-            ));
-        }
-        Value::Obj(fields)
-    }
+/// `skip_serializing_if` predicates of the omit-when-zero columns.
+fn is_zero_u64(v: &u64) -> bool {
+    *v == 0
 }
 
-impl<'de> Deserialize<'de> for RoundMetrics {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        Ok(RoundMetrics {
-            round: Deserialize::from_value(value.field("round")?)?,
-            mean_accuracy: Deserialize::from_value(value.field("mean_accuracy")?)?,
-            train_accuracy: Deserialize::from_value(value.field("train_accuracy")?)?,
-            train_loss: Deserialize::from_value(value.field("train_loss")?)?,
-            round_time: Deserialize::from_value(value.field("round_time")?)?,
-            round_start_time: Deserialize::from_value(value.field("round_start_time")?)?,
-            cumulative_time: Deserialize::from_value(value.field("cumulative_time")?)?,
-            round_flops: Deserialize::from_value(value.field("round_flops")?)?,
-            cumulative_flops: Deserialize::from_value(value.field("cumulative_flops")?)?,
-            round_upload_bytes: Deserialize::from_value(value.field("round_upload_bytes")?)?,
-            cumulative_upload_bytes: Deserialize::from_value(
-                value.field("cumulative_upload_bytes")?,
-            )?,
-            mean_sparse_ratio: Deserialize::from_value(value.field("mean_sparse_ratio")?)?,
-            mask_cache_hits: Deserialize::from_value(value.field("mask_cache_hits")?)?,
-            mask_cache_misses: Deserialize::from_value(value.field("mask_cache_misses")?)?,
-            straggler_drops: Deserialize::from_value(value.field("straggler_drops")?)?,
-            stale_discards: Deserialize::from_value(value.field("stale_discards")?)?,
-            staleness_hist: Deserialize::from_value(value.field("staleness_hist")?)?,
-            mean_selection_utility: Deserialize::from_value(
-                value.field("mean_selection_utility")?,
-            )?,
-            first_time_participants: Deserialize::from_value(
-                value.field("first_time_participants")?,
-            )?,
-            zone_straggler_drops: match value.field("zone_straggler_drops") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => 0,
-            },
-            zone_upload_bytes: match value.field("zone_upload_bytes") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => 0.0,
-            },
-            retry_attempts: match value.field("retry_attempts") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => 0,
-            },
-            upload_failure_drops: match value.field("upload_failure_drops") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => 0,
-            },
-            churn_drops: match value.field("churn_drops") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => 0,
-            },
-            quorum_closes: match value.field("quorum_closes") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => 0,
-            },
-            unavailable_dispatches: match value.field("unavailable_dispatches") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => 0,
-            },
-            unavailable_wait_seconds: match value.field("unavailable_wait_seconds") {
-                Ok(v) => Deserialize::from_value(v)?,
-                Err(_) => 0.0,
-            },
-        })
-    }
+fn is_zero_f64(v: &f64) -> bool {
+    *v == 0.0
 }
 
 /// The full trace of one federated run plus its summary statistics.

@@ -4,7 +4,8 @@
 //! same trained parameters, same loss/accuracy statistics.
 //!
 //! This is the property that lets `FlConfig::packed_execution` be a pure
-//! wall-clock knob policed by the CI determinism gate. It rests on three
+//! wall-clock knob (at run level, a column of the facade's
+//! `tests/determinism_matrix.rs`). It rests on three
 //! structural facts pinned by unit tests in `fedlps-nn`: the matmul variants
 //! skip `a == 0.0` operands in ascending order, `relu'(0) = 0` severs dropped
 //! ReLU units, and LSTM cells own their outgoing connections.

@@ -43,9 +43,6 @@ struct CacheEntry {
     /// execution path has compiled it, and shared with parallel client tasks
     /// through the `Arc`.
     plan: Option<Arc<PackedModel>>,
-    /// How many participations this entry has already been served to (drives
-    /// the optional [`refresh_every`](MaskCache::with_refresh_every) rebuild).
-    served: u32,
 }
 
 /// Per-client cross-round mask cache with hit/miss accounting.
@@ -63,9 +60,6 @@ pub struct MaskCache {
     /// Sparsifiable units per layer; fixes the ratio quantization.
     units_per_layer: Vec<usize>,
     entries: BTreeMap<usize, CacheEntry>,
-    /// Rebuild a client's mask every `n` participations (`None` = freeze
-    /// until the ratio moves to a different shape, the default contract).
-    refresh_every: Option<u32>,
     hits: u64,
     misses: u64,
 }
@@ -79,39 +73,8 @@ impl MaskCache {
         Self {
             units_per_layer,
             entries: BTreeMap::new(),
-            refresh_every: None,
             hits: 0,
             misses: 0,
-        }
-    }
-
-    /// Caps how long a mask may be reused: with `Some(n)`, a client's entry
-    /// is rebuilt from the (still-training) importance indicator at every
-    /// `n`-th participation instead of being frozen until its ratio changes
-    /// shape. `Some(1)` disables reuse entirely; `None` restores the default
-    /// freeze-until-ratio-change contract. This is the knob the stable-ratio
-    /// ablations (RCR / Fixed) use to keep tracking the evolving indicator.
-    pub fn with_refresh_every(mut self, refresh_every: Option<u32>) -> Self {
-        assert!(
-            refresh_every.map_or(true, |n| n >= 1),
-            "refresh period must be at least 1 participation"
-        );
-        self.refresh_every = refresh_every;
-        self
-    }
-
-    /// The configured refresh period, if any.
-    pub fn refresh_every(&self) -> Option<u32> {
-        self.refresh_every
-    }
-
-    /// Notes that `client`'s cached entry was served for one participation
-    /// (ages it towards its refresh). Called from the serial absorb phase,
-    /// mirroring [`record`](Self::record) for lookups that ran against a
-    /// parallel snapshot.
-    pub fn mark_served(&mut self, client: usize) {
-        if let Some(entry) = self.entries.get_mut(&client) {
-            entry.served = entry.served.saturating_add(1);
         }
     }
 
@@ -120,21 +83,12 @@ impl MaskCache {
         retained_per_layer(&self.units_per_layer, ratio)
     }
 
-    /// Returns the cached mask for `client` if one exists, was built at a
-    /// ratio retaining the same per-layer unit counts as `ratio`, and is not
-    /// due for a periodic refresh. Pure read: safe to call from parallel
-    /// client tasks; does not touch the counters or the serve ages (call
-    /// [`record`](Self::record) / [`mark_served`](Self::mark_served) from the
-    /// serial phase instead).
+    /// Returns the cached mask for `client` if one exists and was built at a
+    /// ratio retaining the same per-layer unit counts as `ratio`. Pure read:
+    /// safe to call from parallel client tasks; does not touch the counters
+    /// (call [`record`](Self::record) from the serial phase instead).
     pub fn lookup(&self, client: usize, ratio: f64) -> Option<&UnitMask> {
         let entry = self.entries.get(&client)?;
-        if let Some(n) = self.refresh_every {
-            // Built at participation 0, an entry serves participations
-            // 1..n-1 and is rebuilt at the n-th.
-            if entry.served >= n - 1 {
-                return None;
-            }
-        }
         if entry.counts == self.key_for(ratio) {
             Some(&entry.mask)
         } else {
@@ -175,7 +129,6 @@ impl MaskCache {
                 counts,
                 mask,
                 plan: None,
-                served: 0,
             },
         );
     }
@@ -190,7 +143,6 @@ impl MaskCache {
     ) -> (UnitMask, bool) {
         if let Some(mask) = self.lookup(client, ratio).cloned() {
             self.record(true);
-            self.mark_served(client);
             (mask, true)
         } else {
             self.record(false);
@@ -348,63 +300,6 @@ mod tests {
         assert!(c.contains(5) && c.contains(999_999));
         assert!(!c.contains(0));
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn refresh_every_invalidates_after_n_participations() {
-        // Rebuild every 3rd participation: build (miss), serve twice (hits),
-        // then the entry ages out and the next lookup must rebuild.
-        let mut c = cache().with_refresh_every(Some(3));
-        assert_eq!(c.refresh_every(), Some(3));
-        let build = || mask_of(&[true; 12]);
-        let (_, hit) = c.get_or_insert_with(0, 0.5, build);
-        assert!(!hit, "first participation builds");
-        for i in 0..2 {
-            let (_, hit) = c.get_or_insert_with(0, 0.5, build);
-            assert!(hit, "participation {} is served", i + 2);
-        }
-        assert!(
-            c.lookup(0, 0.5).is_none(),
-            "the aged entry must invalidate even at an unchanged ratio"
-        );
-        let (_, hit) = c.get_or_insert_with(0, 0.5, build);
-        assert!(!hit, "the refresh participation rebuilds");
-        // The rebuilt entry starts a fresh serve budget.
-        let (_, hit) = c.get_or_insert_with(0, 0.5, build);
-        assert!(hit);
-        assert_eq!(c.hits(), 3);
-        assert_eq!(c.misses(), 2);
-    }
-
-    #[test]
-    fn refresh_every_one_disables_reuse() {
-        let mut c = cache().with_refresh_every(Some(1));
-        let build = || mask_of(&[true; 12]);
-        for _ in 0..3 {
-            let (_, hit) = c.get_or_insert_with(0, 0.5, build);
-            assert!(!hit, "a period of 1 rebuilds every participation");
-        }
-        assert_eq!(c.misses(), 3);
-    }
-
-    #[test]
-    fn refresh_only_ages_on_serves_and_respects_shape_invalidation() {
-        let mut c = cache().with_refresh_every(Some(2));
-        c.insert(0, 0.5, mask_of(&[true; 12]));
-        // A shape change still invalidates immediately, refresh or not.
-        assert!(c.lookup(0, 0.125).is_none());
-        // Un-served entries never age out: repeated pure lookups keep hitting.
-        for _ in 0..5 {
-            assert!(c.lookup(0, 0.5).is_some());
-        }
-        c.mark_served(0);
-        assert!(c.lookup(0, 0.5).is_none(), "served once, period 2: due");
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_refresh_period_rejected() {
-        cache().with_refresh_every(Some(0));
     }
 
     #[test]

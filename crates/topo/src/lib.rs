@@ -39,11 +39,12 @@
 //! let merged = plan.combine(leaves);
 //! assert_eq!(merged, (0..10).map(|i| (i * i) as f32).collect::<Vec<_>>());
 //!
-//! // Physical topology: the quickstart knob's two names.
-//! assert_eq!(Topology::from_name("flat"), Some(Topology::Flat));
-//! let two_tier = Topology::from_name("two-tier").unwrap();
-//! assert_eq!(two_tier.zone_of(7, 0), Some(two_tier.zone_of(7, 0).unwrap()));
+//! // Physical topology: flat has no zones, two-tier assigns each client a
+//! // seeded one.
+//! assert_eq!(Topology::default(), Topology::Flat);
 //! assert_eq!(Topology::Flat.zone_of(7, 0), None);
+//! let two_tier = Topology::two_tier();
+//! assert!(two_tier.zone_of(7, 0).unwrap() < two_tier.zones());
 //! ```
 
 use std::ops::Range;
@@ -183,16 +184,7 @@ impl Topology {
         }
     }
 
-    /// Parses the `FEDLPS_TOPOLOGY` knob (`"flat"` / `"two-tier"`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "flat" => Some(Topology::Flat),
-            "two-tier" | "two_tier" | "twotier" => Some(Topology::two_tier()),
-            _ => None,
-        }
-    }
-
-    /// The knob name of this topology.
+    /// Short name used in logs and tables.
     pub fn name(&self) -> &'static str {
         match self {
             Topology::Flat => "flat",
@@ -318,12 +310,9 @@ mod tests {
     }
 
     #[test]
-    fn topology_knob_names_round_trip() {
-        for name in ["flat", "two-tier"] {
-            let topo = Topology::from_name(name).unwrap();
-            assert_eq!(topo.name(), name);
-        }
-        assert_eq!(Topology::from_name("mesh"), None);
+    fn topology_names_and_default() {
+        assert_eq!(Topology::Flat.name(), "flat");
+        assert_eq!(Topology::two_tier().name(), "two-tier");
         assert_eq!(Topology::default(), Topology::Flat);
     }
 

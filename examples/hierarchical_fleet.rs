@@ -12,7 +12,8 @@
 //!
 //! The learning trace itself is untouched: the topology overlays timing,
 //! traffic and drops only, and absorption stays the canonical ascending
-//! walk (CI diffs two-tier traces across parallelism levels to prove it).
+//! walk (`tests/determinism_matrix.rs` compares two-tier traces across
+//! parallelism levels to prove it).
 //!
 //! ```text
 //! cargo run --release --example hierarchical_fleet

@@ -16,9 +16,8 @@
 //! between, chasing training loss alone.
 //!
 //! All three policies run through the same event-driven driver and are
-//! bit-identical across `FEDLPS_PARALLELISM` settings (the `FEDLPS_SELECTION`
-//! knob exposes the same policies on `examples/quickstart.rs`, where CI's
-//! determinism gate diffs them).
+//! bit-identical at every `FlConfig::parallelism` setting (rows of
+//! `tests/determinism_matrix.rs` prove it in every round mode).
 
 use fedlps::device::CapabilityTier;
 use fedlps::prelude::*;

@@ -1,0 +1,203 @@
+//! The determinism contract as one in-process matrix.
+//!
+//! Each **row** of [`table`] is a semantic [`FlConfig`] — round mode ×
+//! selection × topology × availability × faults × quorum — on a tiny FedLPS
+//! federation; each **column** is a wall-clock variant (`parallelism` 1 vs 4,
+//! `packed_execution` on vs off). Every cell's serialized [`RunResult`] must
+//! equal the row's serial/packed cell byte for byte: if an event were ever
+//! ordered by the thread schedule instead of virtual time, or packed
+//! execution accumulated one term differently, a cell would diverge.
+//!
+//! The reference cell of every row is also held to the laws that must hold
+//! *inside* any run: cumulative columns are the running sums of their round
+//! columns, clocks are monotone, and per-mode counters stay in their lane.
+
+use fedlps::core::FedLps;
+use fedlps::prelude::*;
+use proptest::prelude::*;
+
+/// One FedLPS federation on the tiny MNIST-like scenario. The MLP is
+/// narrower than the scenario default: it keeps the ~480 federations a run
+/// of this file trains inside the tier-1 time budget in the debug profile,
+/// and puts round spans (2–3 ms of virtual time) where the zone deadline and
+/// the availability presets bite on some seeded fleets and not on others.
+fn run(config: FlConfig) -> RunResult {
+    let data = ScenarioConfig::tiny(DatasetKind::MnistLike).build();
+    let fleet = DeviceFleet::sample(data.num_clients(), HeterogeneityLevel::High, config.seed);
+    let arch = ModelKind::Mlp {
+        hidden: vec![48, 24],
+    }
+    .build(data.input, data.num_classes);
+    let sim = Simulator::new(FlEnv::new(data, fleet, arch.into(), config));
+    let mut algo = FedLps::for_env(sim.env());
+    sim.run(&mut algo)
+}
+
+fn label(c: &FlConfig) -> String {
+    format!(
+        "{}/{}/{}/{}/faults={}/quorum={}",
+        c.round_mode.name(),
+        c.selection.name(),
+        c.topology.name(),
+        c.availability.name(),
+        c.faults.enabled(),
+        c.quorum
+    )
+}
+
+/// The semantic rows for one seed.
+fn table(seed: u64) -> Vec<FlConfig> {
+    let base = FlConfig {
+        rounds: 3,
+        clients_per_round: 3,
+        local_iterations: 2,
+        batch_size: 8,
+        eval_every: 3,
+        ..FlConfig::default()
+    }
+    .with_seed(seed);
+    let sync = RoundMode::Synchronous;
+    let asynchronous = RoundMode::asynchronous(3, 0.6);
+    let modes = [sync, RoundMode::deadline(0.5, 2), asynchronous];
+    let diurnal = AvailabilityModel::from_name("diurnal").expect("shipped preset");
+    let burst = AvailabilityModel::from_name("burst").expect("shipped preset");
+    let faults = FaultConfig {
+        upload_failure_prob: 0.3,
+        max_retries: 2,
+        ..FaultConfig::default()
+    };
+
+    let mut rows = Vec::new();
+    // Selection axis: cohorts, deadline over-selection and async refills all
+    // route through the policy, so mode × policy covers every `select_*`
+    // entry point. The uniform rows double as the flat / iid baselines.
+    for mode in modes {
+        for selection in [
+            SelectionKind::Uniform,
+            SelectionKind::utility(),
+            SelectionKind::power_of_choice(),
+        ] {
+            rows.push(base.with_round_mode(mode).with_selection(selection));
+        }
+    }
+    // A deadline sized from a synchronous probe, so it bites on some seeded
+    // fleets and not on others.
+    let worst = run(base)
+        .rounds
+        .iter()
+        .map(|r| r.round_time)
+        .fold(0.0, f64::max);
+    rows.push(base.with_round_mode(RoundMode::deadline(worst * 0.6, 2)));
+    // Topology axis: the two-tier overlay in barrier and barrier-free modes,
+    // then with a zone deadline in all three (async ignores zone deadlines,
+    // so the same value exercises both semantics).
+    for mode in [sync, asynchronous] {
+        rows.push(
+            base.with_round_mode(mode)
+                .with_topology(Topology::two_tier()),
+        );
+    }
+    for mode in modes {
+        let zoned = Topology::two_tier().with_zone_deadline(0.002);
+        rows.push(base.with_round_mode(mode).with_topology(zoned));
+    }
+    // Availability axis: diurnal waits in barrier and barrier-free modes,
+    // plus the quorum early close riding on the diurnal barrier.
+    for mode in [sync, asynchronous] {
+        rows.push(base.with_round_mode(mode).with_availability(diurnal));
+    }
+    rows.push(base.with_availability(diurnal).with_quorum(0.6));
+    // Fault schedules: correlated availability, upload retries and a quorum
+    // together, in every mode under both topologies.
+    for availability in [diurnal, burst] {
+        for mode in modes {
+            for topology in [Topology::Flat, Topology::two_tier()] {
+                rows.push(
+                    base.with_round_mode(mode)
+                        .with_topology(topology)
+                        .with_availability(availability)
+                        .with_faults(faults)
+                        .with_quorum(0.85),
+                );
+            }
+        }
+    }
+    rows
+}
+
+/// Laws that hold inside any run, whatever the configuration.
+fn assert_laws(config: &FlConfig, result: &RunResult) {
+    let row = label(config);
+    assert_eq!(result.rounds.len(), config.rounds, "{row}: full horizon");
+    let is_async = matches!(config.round_mode, RoundMode::Async { .. });
+    let close = |running: f64, cumulative: f64| {
+        (running - cumulative).abs() <= 1e-9 * running.abs().max(cumulative.abs())
+    };
+    let (mut time, mut flops, mut upload, mut start) = (0.0, 0.0, 0.0, 0.0);
+    for r in &result.rounds {
+        assert!(
+            r.cumulative_time >= time && r.cumulative_flops >= flops,
+            "{row}: round {} cumulative columns went backwards",
+            r.round
+        );
+        assert!(r.cumulative_upload_bytes >= upload, "{row}: upload bytes");
+        time += r.round_time;
+        flops += r.round_flops;
+        upload += r.round_upload_bytes;
+        assert!(
+            close(time, r.cumulative_time)
+                && close(flops, r.cumulative_flops)
+                && close(upload, r.cumulative_upload_bytes),
+            "{row}: round {} cumulative columns are not the running sums",
+            r.round
+        );
+        assert!(
+            r.round_start_time >= start && r.round_start_time <= r.cumulative_time,
+            "{row}: round {} start time out of order",
+            r.round
+        );
+        start = r.round_start_time;
+        assert!(
+            is_async || r.staleness_hist.is_empty(),
+            "{row}: staleness outside async"
+        );
+        assert!(
+            r.churn_drops <= r.straggler_drops,
+            "{row}: churn is a subset of straggler drops"
+        );
+    }
+}
+
+proptest! {
+    // Every case trains ~120 tiny federations, so the case count is pinned
+    // — deliberately NOT scaled by the nightly PROPTEST_CASES crank, which
+    // would turn this file into hours of training. The cheap schedule-level
+    // properties in `crates/runtime/tests/proptest_schedule.rs` take the
+    // crank instead.
+    #![proptest_config(ProptestConfig { cases: 4 })]
+
+    #[test]
+    fn every_row_is_bit_identical_across_wall_clock_variants(seed in 0u64..100_000) {
+        for config in table(seed) {
+            let cell = |parallelism: usize, packed: bool| {
+                run(config.with_parallelism(parallelism).with_packed_execution(packed))
+            };
+            let reference = cell(1, true);
+            assert_laws(&config, &reference);
+            let reference = serde_json::to_string(&reference).expect("RunResult serializes");
+            for (parallelism, packed) in [(4, true), (1, false), (4, false)] {
+                let json = serde_json::to_string(&cell(parallelism, packed))
+                    .expect("RunResult serializes");
+                prop_assert_eq!(
+                    &reference,
+                    &json,
+                    "{} (seed {}) diverged at parallelism {}, packed {}",
+                    label(&config),
+                    seed,
+                    parallelism,
+                    packed
+                );
+            }
+        }
+    }
+}

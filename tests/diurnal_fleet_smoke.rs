@@ -75,7 +75,7 @@ fn diurnal_fleet_code_path_runs_end_to_end() {
             + iid.total_upload_failure_drops()
     );
 
-    // Determinism across parallelism holds on the faulted paths too (the
-    // full matrix lives in proptest_modes.rs and CI's availability gate).
+    // The faulted path replays exactly for a seed (the across-parallelism
+    // matrix lives in tests/determinism_matrix.rs).
     assert_eq!(run_once(diurnal, 0.5), quorum);
 }

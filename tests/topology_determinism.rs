@@ -1,51 +1,30 @@
-//! The topology subsystem's determinism contract, at integration scale:
+//! The topology subsystem's semantic contract, at integration scale (that
+//! two-tier traces are parallelism- and packing-invariant in every round
+//! mode is a set of rows in `tests/determinism_matrix.rs`):
 //!
-//! * two-tier traces are **parallelism-invariant** in every round mode (the
-//!   topology overlays timing/traffic/drops on the same absorbed arithmetic,
-//!   so the shard count must not leak into a single byte);
 //! * without a zone deadline, the two-tier synchronous run carries exactly
 //!   the flat run's *learning* trace — the zone tier only re-times the
-//!   uploads and adds the combined zone → server forwards.
+//!   uploads and adds the combined zone → server forwards;
+//! * async two-tier is store-and-forward: the zone tier re-carries exactly
+//!   the bytes that landed at the server.
 
 use fedlps::prelude::*;
 
-fn env(round_mode: RoundMode, parallelism: usize, topology: Topology) -> FlEnv {
+fn run(round_mode: RoundMode, topology: Topology) -> RunResult {
     let scenario = ScenarioConfig::tiny(DatasetKind::MnistLike);
     let fl_config = FlConfig::tiny()
         .with_round_mode(round_mode)
-        .with_parallelism(parallelism)
         .with_topology(topology);
-    FlEnv::from_scenario(&scenario, HeterogeneityLevel::High, fl_config)
-}
-
-fn run(round_mode: RoundMode, parallelism: usize, topology: Topology) -> RunResult {
-    let sim = Simulator::new(env(round_mode, parallelism, topology));
+    let env = FlEnv::from_scenario(&scenario, HeterogeneityLevel::High, fl_config);
+    let sim = Simulator::new(env);
     let mut fedlps = fedlps::core::FedLps::for_env(sim.env());
     sim.run(&mut fedlps)
 }
 
 #[test]
-fn two_tier_traces_are_parallelism_invariant_in_every_round_mode() {
-    let topology = Topology::two_tier().with_zone_deadline(0.002);
-    for (name, mode) in [
-        ("sync", RoundMode::Synchronous),
-        ("deadline", RoundMode::deadline(0.004, 2)),
-        ("async", RoundMode::asynchronous(4, 0.6)),
-    ] {
-        // Async ignores zone deadlines (no round-relative timeline), so the
-        // same topology value exercises both semantics.
-        let serial = run(mode, 1, topology);
-        let sharded = run(mode, 4, topology);
-        let a = serde_json::to_string(&serial).unwrap();
-        let b = serde_json::to_string(&sharded).unwrap();
-        assert_eq!(a, b, "{name}: two-tier trace depends on parallelism");
-    }
-}
-
-#[test]
 fn two_tier_without_zone_deadline_keeps_the_flat_learning_trace_in_sync() {
-    let flat = run(RoundMode::Synchronous, 1, Topology::Flat);
-    let tiered = run(RoundMode::Synchronous, 1, Topology::two_tier());
+    let flat = run(RoundMode::Synchronous, Topology::Flat);
+    let tiered = run(RoundMode::Synchronous, Topology::two_tier());
 
     // The learning trajectory is untouched: same absorbed arithmetic.
     assert_eq!(flat.final_accuracy, tiered.final_accuracy);
@@ -79,7 +58,7 @@ fn two_tier_without_zone_deadline_keeps_the_flat_learning_trace_in_sync() {
 
 #[test]
 fn async_two_tier_forwards_every_landed_upload_individually() {
-    let result = run(RoundMode::asynchronous(4, 0.6), 1, Topology::two_tier());
+    let result = run(RoundMode::asynchronous(4, 0.6), Topology::two_tier());
     // Store-and-forward: the zone tier re-carries exactly the bytes that
     // landed at the server (no barrier to pre-merge behind).
     for r in &result.rounds {
