@@ -127,10 +127,9 @@ pub fn coverage_aggregate(global: &mut [f32], contributions: &[Contribution], la
 /// baseline client and assembles its [`ClientReport`], so each baseline only
 /// has to describe *what* it trains, not how the accounting works.
 ///
-/// When the federation runs packed execution and the mask/options qualify,
-/// the pass trains the physically packed submodel and scatters the result
-/// back into `params` — bit-identical to the masked-dense pass, minus the
-/// dense wall-clock.
+/// When the mask/options qualify, the pass trains the physically packed
+/// submodel and scatters the result back into `params` — bit-identical to
+/// the masked-dense pass, minus the dense wall-clock.
 #[allow(clippy::too_many_arguments)]
 pub fn baseline_client_round(
     env: &FlEnv,
@@ -152,8 +151,7 @@ pub fn baseline_client_round(
         prox,
         frozen,
     };
-    let packed =
-        mask.and_then(|m| compile_packed(&*env.arch, m, &options, env.config.packed_execution));
+    let packed = mask.and_then(|m| compile_packed(&*env.arch, m, &options));
     let summary = match packed {
         Some(p) => local_sgd_packed(&p, params, env.train_data(client), &options, rng),
         None => local_sgd(&*env.arch, params, env.train_data(client), &options, rng),
@@ -167,8 +165,8 @@ pub fn baseline_client_round(
 /// per task: the packed path gathers the kept values straight out of the
 /// shared snapshot, trains the compact submodel and returns them as a
 /// [`ContribParams::Packed`] upload. Falls back to the dense path (one full
-/// clone, masked training) when the mask is not packable or packing is off —
-/// either way the result aggregates bit-identically.
+/// clone, masked training) when the mask is not packable — either way the
+/// result aggregates bit-identically.
 pub fn baseline_client_round_shared(
     env: &FlEnv,
     client: usize,
@@ -186,7 +184,7 @@ pub fn baseline_client_round_shared(
         prox: None,
         frozen: None,
     };
-    if let Some(packed) = compile_packed(&*env.arch, &mask, &options, env.config.packed_execution) {
+    if let Some(packed) = compile_packed(&*env.arch, &mask, &options) {
         // One exact-size flat allocation; it escapes into the upload, so it
         // cannot come from the scratch pool, but the slice-based gather keeps
         // the hot path free of push-per-element growth.
@@ -227,7 +225,7 @@ pub fn baseline_client_round_shared(
 }
 
 /// Assembles the [`ClientReport`] of one (optionally masked) baseline round.
-fn masked_report(
+pub(crate) fn masked_report(
     env: &FlEnv,
     client: usize,
     device: &DeviceProfile,

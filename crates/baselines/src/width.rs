@@ -246,6 +246,18 @@ mod tests {
     use fedlps_device::HeterogeneityLevel;
     use fedlps_sim::config::FlConfig;
     use fedlps_sim::runner::Simulator;
+    use fedlps_sim::train::{local_sgd, LocalTrainOptions};
+    use fedlps_tensor::rng_from_seed;
+
+    use crate::common::{masked_report, ContribParams};
+
+    const VARIANTS: [WidthVariant; 5] = [
+        WidthVariant::Fjord,
+        WidthVariant::HeteroFl,
+        WidthVariant::FedRolex,
+        WidthVariant::FedMp,
+        WidthVariant::DepthFl,
+    ];
 
     fn sim() -> Simulator {
         Simulator::new(FlEnv::from_scenario(
@@ -257,13 +269,7 @@ mod tests {
 
     #[test]
     fn all_variants_run_and_use_sparsity() {
-        for variant in [
-            WidthVariant::Fjord,
-            WidthVariant::HeteroFl,
-            WidthVariant::FedRolex,
-            WidthVariant::FedMp,
-            WidthVariant::DepthFl,
-        ] {
+        for variant in VARIANTS {
             let s = sim();
             let mut algo = WidthScaling::new(variant);
             let result = s.run(&mut algo);
@@ -282,26 +288,96 @@ mod tests {
     }
 
     #[test]
-    fn packed_execution_is_bit_identical_for_every_width_variant() {
-        // The whole family rides the packed submodel path; flipping the knob
-        // must not move a single bit of the metric trace — the HeteroFL-style
-        // physically-small execution is pure wall-clock.
-        for variant in [
-            WidthVariant::Fjord,
-            WidthVariant::HeteroFl,
-            WidthVariant::FedRolex,
-            WidthVariant::FedMp,
-            WidthVariant::DepthFl,
-        ] {
-            let run = |packed: bool| {
-                let s = Simulator::new(FlEnv::from_scenario(
-                    &ScenarioConfig::tiny(DatasetKind::MnistLike),
-                    HeterogeneityLevel::High,
-                    FlConfig::tiny().with_packed_execution(packed),
-                ));
-                s.run(&mut WidthScaling::new(variant))
+    fn packed_upload_aggregates_like_the_masked_dense_oracle_for_every_width_variant() {
+        // The family always uploads `ContribParams::Packed`; the oracle is an
+        // explicitly masked `local_sgd` staged as a dense contribution. Both
+        // must aggregate to the same bits and report the same round.
+        let sim = sim();
+        let env = sim.env();
+        let layout = env.arch.unit_layout();
+        let global = Arc::new(env.initial_params());
+        // 0.8 leaves DepthFL units in its last layer, so its mask extracts a
+        // connected submodel like the other four.
+        let (client, round, ratio) = (0, 1, 0.8);
+        let device = env.fleet.available_profile(client, round);
+        for variant in VARIANTS {
+            let mask = if matches!(variant, WidthVariant::DepthFl) {
+                WidthScaling::depth_mask(env, ratio)
+            } else {
+                let mut rng = rng_from_seed(3);
+                variant
+                    .pattern()
+                    .build_mask(layout, &global, None, ratio, round, &mut rng)
             };
-            assert_eq!(run(true), run(false), "{variant:?} diverged");
+
+            let (report, _, update) = baseline_client_round_shared(
+                env,
+                client,
+                &device,
+                &global,
+                mask.clone(),
+                ratio,
+                &mut rng_from_seed(11),
+            );
+            assert!(
+                matches!(update, ContribParams::Packed { .. }),
+                "{variant:?}: the family's masks are packable"
+            );
+
+            let pmask = mask.param_mask(layout);
+            let mut params = (*global).clone();
+            let summary = local_sgd(
+                &*env.arch,
+                &mut params,
+                env.train_data(client),
+                &LocalTrainOptions {
+                    iterations: env.config.local_iterations,
+                    batch_size: env.config.batch_size,
+                    sgd: env.config.sgd,
+                    param_mask: Some(&pmask),
+                    prox: None,
+                    frozen: None,
+                },
+                &mut rng_from_seed(11),
+            );
+            let oracle = ContribParams::Dense {
+                params,
+                param_mask: Some(pmask),
+            };
+            assert_eq!(
+                report,
+                masked_report(env, client, &device, Some(&mask), ratio, &summary),
+                "{variant:?}: reports differ"
+            );
+
+            let aggregate = |update: ContribParams| {
+                let mut next = (*global).clone();
+                let staged = [
+                    Contribution {
+                        client_id: client,
+                        weight: 2.0,
+                        update,
+                    },
+                    Contribution {
+                        client_id: 1,
+                        weight: 1.0,
+                        update: ContribParams::Dense {
+                            params: vec![0.25; next.len()],
+                            param_mask: None,
+                        },
+                    },
+                ];
+                coverage_aggregate(&mut next, &staged, layout);
+                next
+            };
+            let (via_packed, via_dense) = (aggregate(update), aggregate(oracle));
+            assert!(
+                via_packed
+                    .iter()
+                    .zip(&via_dense)
+                    .all(|(p, d)| p.to_bits() == d.to_bits()),
+                "{variant:?}: aggregated globals diverge"
+            );
         }
     }
 

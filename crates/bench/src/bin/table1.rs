@@ -2,7 +2,7 @@
 //! method on every dataset scenario.
 //!
 //! ```text
-//! cargo run --release -p fedlps-bench --bin table1 -- \
+//! cargo run --release -p fedlps_bench --bin table1 -- \
 //!     --scale quick --datasets mnist-like,cifar10-like --methods FedAvg,Hermes,FedLPS
 //! ```
 

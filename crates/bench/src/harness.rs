@@ -1,4 +1,4 @@
-//! Experiment execution helpers shared by all harness binaries and benches.
+//! Experiment execution helpers shared by all harness binaries.
 
 use fedlps_baselines::registry::baseline_by_name;
 use fedlps_core::{FedLps, FedLpsConfig};

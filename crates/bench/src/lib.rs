@@ -1,11 +1,8 @@
 //! Benchmark harness regenerating the paper's tables and figures.
 //!
 //! Every table and figure of the evaluation section has a corresponding
-//! binary under `src/bin/` (run them with `cargo run --release -p fedlps-bench
-//! --bin <name>`), and `benches/paper_experiments.rs` exposes reduced versions
-//! of the same experiments as Criterion benchmarks so `cargo bench` exercises
-//! them end-to-end. `EXPERIMENTS.md` records the paper-reported numbers next
-//! to the numbers measured with this harness.
+//! binary under `src/bin/` (run them with `cargo run --release -p fedlps_bench
+//! --bin <name>`).
 //!
 //! | Paper artefact | Binary |
 //! |---|---|

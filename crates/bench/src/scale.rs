@@ -6,11 +6,11 @@ use fedlps_sim::config::FlConfig;
 /// How large an experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// A few rounds on a small federation — seconds per method, used by the
-    /// Criterion benches and for smoke-testing the harness.
+    /// A few rounds on a small federation — seconds per method, for
+    /// smoke-testing the harness.
     Quick,
-    /// The default for regenerating the qualitative results in
-    /// `EXPERIMENTS.md` — tens of seconds per method.
+    /// The default for regenerating the qualitative results — tens of
+    /// seconds per method.
     Small,
     /// The closest configuration to the paper's (still CPU-friendly).
     Full,

@@ -299,7 +299,7 @@ impl FlAlgorithm for FedLps {
             data: env.train_data(client),
             options,
             cached_mask,
-            packed_execution: env.config.packed_execution,
+            packed_execution: true,
             cached_plan,
         };
         let output = task.run(rng);
@@ -532,7 +532,8 @@ mod tests {
         // every participation after a client's first reuses its cached mask,
         // so the warm hit rate must clear the ROADMAP's 80% bar. FedLPS
         // proper trails this because P-UCBV keeps resampling ratios while it
-        // explores (see the round_throughput bench for both numbers).
+        // explores (`perf/` reports its fleet-scale rate as
+        // `sparse.mask_cache_hit_rate`).
         let env = FlEnv::from_scenario(
             &ScenarioConfig::tiny(DatasetKind::MnistLike),
             HeterogeneityLevel::High,
@@ -555,8 +556,7 @@ mod tests {
         // ~90%. Quantizing the arm space at the shape resolution removes all
         // within-class churn without touching the algorithm's semantics; the
         // misses that remain are genuine cross-partition exploration, which
-        // fades as the horizon grows (the round_throughput bench tracks the
-        // same lift at fleet scale).
+        // fades as the horizon grows.
         let run = |quantize: bool| {
             let env = FlEnv::from_scenario(
                 &ScenarioConfig::tiny(DatasetKind::MnistLike),

@@ -2,7 +2,7 @@
 //! (Section IV-C).
 //!
 //! These are not needed to *run* FedLPS; they let tests and the ablation
-//! benches empirically track the terms the theory bounds — the average squared
+//! harness empirically track the terms the theory bounds — the average squared
 //! gap between local and global parameters (Lemma 1) and the average squared
 //! norm of masked local gradients (Assumption 3 / Theorem 1's left-hand side).
 

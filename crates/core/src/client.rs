@@ -95,7 +95,9 @@ pub struct ClientTask<'a> {
     pub cached_mask: Option<&'a UnitMask>,
     /// Run the task forward/backward on the physically packed submodel
     /// instead of the masked full model (bit-identical; see
-    /// [`fedlps_nn::pack`]). Wired from `FlConfig::packed_execution`.
+    /// [`fedlps_nn::pack`]). The round driver always passes `true`; `false`
+    /// is the masked-dense reference oracle the equivalence tests and the
+    /// benchmark's packed-vs-masked probe compare against.
     pub packed_execution: bool,
     /// A compiled plan served from the cache next to `cached_mask`, sparing
     /// the task the per-round compilation. Ignored when `packed_execution`

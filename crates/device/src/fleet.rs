@@ -397,27 +397,6 @@ impl DeviceFleet {
         }
     }
 
-    /// All static profiles as one slice.
-    ///
-    /// Only the dense representation can answer this without materializing
-    /// the whole population, so this method **panics on a lazy fleet** —
-    /// iterate [`static_profile`](Self::static_profile) over the ids you
-    /// actually need instead, which is also why the method is deprecated.
-    #[deprecated(
-        since = "0.1.0",
-        note = "forces full materialization; iterate `static_profile(k)` over the ids you need"
-    )]
-    pub fn profiles(&self) -> &[DeviceProfile] {
-        match &self.repr {
-            FleetRepr::Dense(devices) => devices,
-            FleetRepr::Lazy(_) => panic!(
-                "DeviceFleet::profiles() would materialize a lazy fleet of {} devices; \
-                 iterate static_profile(k) instead",
-                self.len()
-            ),
-        }
-    }
-
     /// The profile of device `k` as available in round `r`: the static profile
     /// scaled by a deterministic pseudo-random availability factor when
     /// dynamics are enabled.

@@ -178,9 +178,9 @@ const D5_ALLOWED_FILES: &[&str] = &[
 const D5_SEAM_METHODS: &[&str] = &["absorb_update", "absorb_update_stale"];
 
 /// Static per-file allowlist: `(rule, path suffix)` pairs exempted without
-/// an inline waiver. Deliberately empty — even `crates/bench` carries inline
-/// waivers (with reasons) instead of a blanket exemption, so every escape
-/// hatch is visible at the use site and audited by W1/W2. The mechanism
+/// an inline waiver. Deliberately empty — an exemption is an inline waiver
+/// (with a reason) instead of a blanket one, so every escape hatch is
+/// visible at the use site and audited by W1/W2. The mechanism
 /// stays so a future, genuinely file-wide exemption has somewhere to live.
 const FILE_ALLOWLIST: &[(RuleId, &str)] = &[];
 

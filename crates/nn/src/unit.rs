@@ -148,20 +148,6 @@ impl UnitLayout {
         &self.layers[li].units[ui]
     }
 
-    /// Iterates over `(global_unit_index, layer_index, &UnitParams)`.
-    pub fn iter_units(&self) -> impl Iterator<Item = (usize, usize, &UnitParams)> {
-        let mut global = 0;
-        self.layers
-            .iter()
-            .enumerate()
-            .flat_map(move |(li, layer)| layer.units.iter().map(move |u| (li, u)))
-            .map(move |(li, u)| {
-                let idx = global;
-                global += 1;
-                (idx, li, u)
-            })
-    }
-
     /// Per-unit magnitude sums `|ω|_J` (Eq. 8 of the paper): the j-th entry is
     /// the sum of absolute parameter values owned by unit j.
     pub fn magnitude_sums(&self, params: &[f32]) -> Vec<f32> {

@@ -74,15 +74,6 @@ pub struct FlConfig {
     /// The default uniform policy reproduces the paper's sampling bit for
     /// bit.
     pub selection: SelectionKind,
-    /// Execute sparse clients as *physically packed* submodels (gather the
-    /// kept units into a compact model, train it, scatter the delta back)
-    /// instead of masked full models. Purely a wall-clock knob: the packed
-    /// path accumulates exactly the nonzero terms of the masked-dense path in
-    /// the same order, so results are bit-identical either way (the facade's
-    /// `tests/determinism_matrix.rs` compares the two). On by default; off
-    /// reproduces the historical masked-dense execution for debugging and
-    /// benchmarking.
-    pub packed_execution: bool,
     /// The physical aggregation topology: `Flat` (clients upload straight to
     /// the server — the default, byte-identical to the historical traces) or
     /// `TwoTier` (clients → zone aggregators → server, with zone-level
@@ -129,7 +120,6 @@ impl Default for FlConfig {
             parallelism: 1,
             round_mode: RoundMode::Synchronous,
             selection: SelectionKind::Uniform,
-            packed_execution: true,
             topology: Topology::Flat,
             availability: AvailabilityModel::Iid,
             faults: FaultConfig::none(),
@@ -172,12 +162,6 @@ impl FlConfig {
         self
     }
 
-    /// Builder-style override of the optimiser.
-    pub fn with_sgd(mut self, sgd: SgdConfig) -> Self {
-        self.sgd = sgd;
-        self
-    }
-
     /// Builder-style override of clients per round.
     pub fn with_clients_per_round(mut self, c: usize) -> Self {
         self.clients_per_round = c.max(1);
@@ -199,12 +183,6 @@ impl FlConfig {
     /// Builder-style override of the client-selection policy.
     pub fn with_selection(mut self, selection: SelectionKind) -> Self {
         self.selection = selection;
-        self
-    }
-
-    /// Builder-style override of the packed-submodel execution switch.
-    pub fn with_packed_execution(mut self, packed: bool) -> Self {
-        self.packed_execution = packed;
         self
     }
 
@@ -363,7 +341,6 @@ mod tests {
             FlConfig::default().with_round_mode(RoundMode::asynchronous(4, 0.5)),
             FlConfig::default().with_selection(SelectionKind::utility()),
             FlConfig::default().with_selection(SelectionKind::power_of_choice()),
-            FlConfig::default().with_packed_execution(false),
             FlConfig::default().with_topology(Topology::two_tier().with_zone_deadline(0.25)),
             FlConfig::default()
                 .with_availability(AvailabilityModel::from_name("diurnal").unwrap())
@@ -386,16 +363,6 @@ mod tests {
         assert_eq!(FlConfig::default().round_mode, RoundMode::Synchronous);
         let cfg = FlConfig::tiny().with_round_mode(RoundMode::asynchronous(2, 0.8));
         assert_eq!(cfg.round_mode.name(), "async");
-    }
-
-    #[test]
-    fn packed_execution_defaults_on() {
-        assert!(FlConfig::default().packed_execution);
-        assert!(
-            !FlConfig::default()
-                .with_packed_execution(false)
-                .packed_execution
-        );
     }
 
     #[test]

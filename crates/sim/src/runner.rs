@@ -59,14 +59,9 @@ impl Simulator {
         Self { env }
     }
 
-    /// Read access to the environment (used by examples and benches).
+    /// Read access to the environment (used by examples and the benchmark).
     pub fn env(&self) -> &FlEnv {
         &self.env
-    }
-
-    /// Consumes the simulator and returns the environment.
-    pub fn into_env(self) -> FlEnv {
-        self.env
     }
 
     /// Runs the full federation under the configured round mode and returns

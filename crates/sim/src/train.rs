@@ -125,16 +125,15 @@ pub fn packed_eligible(options: &LocalTrainOptions<'_>) -> bool {
     options.prox.is_none() && options.frozen.is_none() && options.sgd.weight_decay == 0.0
 }
 
-/// Compiles a client's unit mask into a packed submodel, when packed
-/// execution is on, the options qualify ([`packed_eligible`]) and the mask
-/// extracts a connected submodel. `None` falls back to masked-dense training.
+/// Compiles a client's unit mask into a packed submodel, when the options
+/// qualify ([`packed_eligible`]) and the mask extracts a connected submodel.
+/// `None` falls back to masked-dense training.
 pub fn compile_packed(
     arch: &dyn ModelArch,
     mask: &UnitMask,
     options: &LocalTrainOptions<'_>,
-    packed_execution: bool,
 ) -> Option<PackedModel> {
-    if !packed_execution || !packed_eligible(options) {
+    if !packed_eligible(options) {
         return None;
     }
     SubmodelPlan::from_mask(arch.unit_layout(), mask).compile(arch)
@@ -451,9 +450,7 @@ mod tests {
                 frozen: None,
             };
             assert!(packed_eligible(&options));
-            let packed =
-                compile_packed(&*arch, &mask, &options, true).expect("tiny masks are packable");
-            assert!(compile_packed(&*arch, &mask, &options, false).is_none());
+            let packed = compile_packed(&*arch, &mask, &options).expect("tiny masks are packable");
 
             let mut dense_params = init.clone();
             let mut rng_dense = rng_from_seed(77);

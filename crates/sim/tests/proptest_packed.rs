@@ -3,11 +3,11 @@
 //! physically packed submodel is **bit-identical** to masked-dense training —
 //! same trained parameters, same loss/accuracy statistics.
 //!
-//! This is the property that lets `FlConfig::packed_execution` be a pure
-//! wall-clock knob (at run level, a column of the facade's
-//! `tests/determinism_matrix.rs`). It rests on three
-//! structural facts pinned by unit tests in `fedlps-nn`: the matmul variants
-//! skip `a == 0.0` operands in ascending order, `relu'(0) = 0` severs dropped
+//! This is the property that lets every eligible client train packed with
+//! no run-level switch: masked-dense is the automatic fallback and the
+//! reference oracle, never a second result. It rests on three structural
+//! facts pinned by unit tests in `fedlps-nn`: the matmul variants skip
+//! `a == 0.0` operands in ascending order, `relu'(0) = 0` severs dropped
 //! ReLU units, and LSTM cells own their outgoing connections.
 
 use fedlps_data::dataset::{Dataset, InputKind};
@@ -118,7 +118,7 @@ proptest! {
             prox: None,
             frozen: None,
         };
-        let packed = compile_packed(&*arch, &mask, &options, true)
+        let packed = compile_packed(&*arch, &mask, &options)
             .expect("every layer keeps >= 1 unit at these ratios");
 
         let mut dense_params = init.clone();

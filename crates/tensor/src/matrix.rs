@@ -191,8 +191,7 @@ impl Matrix {
     }
 
     /// The pre-blocking scalar i-k-j kernel, retained as the bit-identity
-    /// reference for property tests and as the benchmark baseline the
-    /// blocked kernels are gated against.
+    /// reference for property tests.
     pub fn matmul_into_reference(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
@@ -257,7 +256,7 @@ impl Matrix {
     }
 
     /// The pre-blocking scalar k-i-j kernel, retained as the bit-identity
-    /// reference and benchmark baseline.
+    /// reference.
     pub fn matmul_tn_into_reference(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_tn dimension mismatch");
         assert_eq!((out.rows, out.cols), (self.cols, other.cols));
@@ -327,7 +326,7 @@ impl Matrix {
     }
 
     /// The pre-blocking scalar i-j-k kernel, retained as the bit-identity
-    /// reference and benchmark baseline.
+    /// reference.
     pub fn matmul_nt_into_reference(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_nt dimension mismatch");
         assert_eq!((out.rows, out.cols), (self.rows, other.rows));
@@ -443,17 +442,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// In-place element-wise addition.
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += b;
         }
     }
 

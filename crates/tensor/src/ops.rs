@@ -24,23 +24,6 @@ pub fn scale(y: &mut [f32], alpha: f32) {
     }
 }
 
-/// Element-wise product written into `out`.
-pub fn hadamard_into(out: &mut [f32], a: &[f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "hadamard length mismatch");
-    assert_eq!(out.len(), a.len(), "hadamard output length mismatch");
-    for ((o, x), y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-        *o = x * y;
-    }
-}
-
-/// In-place element-wise product `a *= b`.
-pub fn hadamard_assign(a: &mut [f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "hadamard length mismatch");
-    for (x, y) in a.iter_mut().zip(b.iter()) {
-        *x *= y;
-    }
-}
-
 /// Dot product of two slices.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");

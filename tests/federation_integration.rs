@@ -180,3 +180,44 @@ fn personalized_models_specialise_to_their_clients() {
         mean(&other)
     );
 }
+
+#[test]
+fn million_client_registry_materializes_only_its_participants() {
+    // The O(active) memory contract, asserted by counting materialized
+    // entries: four rounds of 16 clients touch at most 64 distinct
+    // participants, and every per-client store must be bounded by that — six
+    // orders of magnitude under the registered population. Evaluation is off:
+    // a whole-federation sweep is the one intrinsically O(population) step.
+    const POPULATION: usize = 1_000_000;
+    let scenario = ScenarioConfig::small(DatasetKind::MnistLike).with_clients(64);
+    let data = scenario.build();
+    let fleet = DeviceFleet::lazy(POPULATION, HeterogeneityLevel::High, 7);
+    let arch = ModelKind::for_dataset(scenario.kind).build(data.input, data.num_classes);
+    let config = FlConfig {
+        rounds: 4,
+        clients_per_round: 16,
+        local_iterations: 2,
+        batch_size: 8,
+        eval_every: 0,
+        ..FlConfig::default()
+    };
+    let sim = Simulator::new(FlEnv::new_tiled(data, fleet, arch.into(), config));
+    let mut algo = FedLps::for_env(sim.env());
+    let result = sim.run(&mut algo);
+    assert_eq!(sim.env().num_clients(), POPULATION);
+    assert_eq!(result.rounds.len(), config.rounds);
+    for (name, count) in [
+        ("fleet profiles", sim.env().fleet.materialized_profiles()),
+        ("bandit arms", algo.materialized_arms()),
+        ("client states", algo.materialized_clients()),
+        (
+            "mask-cache entries",
+            algo.mask_cache().map_or(0, |c| c.len()),
+        ),
+    ] {
+        assert!(
+            (1..=config.rounds * config.clients_per_round).contains(&count),
+            "{name} materialized {count} entries: the population leaked into per-client state"
+        );
+    }
+}
