@@ -2,16 +2,9 @@
 
 use std::sync::Arc;
 
-use fedlps_device::DeviceProfile;
 use fedlps_nn::unit::UnitLayout;
-use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
-use fedlps_sim::train::{
-    account_round, compile_packed, local_sgd, local_sgd_packed, local_sgd_packed_values,
-    LocalTrainOptions, LocalTrainSummary,
-};
 use fedlps_sparse::mask::UnitMask;
-use rand::rngs::StdRng;
 
 /// The trained parameters a client hands back for aggregation.
 ///
@@ -120,146 +113,6 @@ pub fn coverage_aggregate(global: &mut [f32], contributions: &[Contribution], la
         if den[i] > 0.0 {
             global[i] = (num[i] / den[i]) as f32;
         }
-    }
-}
-
-/// Runs a plain (optionally masked / proximal) local training pass for a
-/// baseline client and assembles its [`ClientReport`], so each baseline only
-/// has to describe *what* it trains, not how the accounting works.
-///
-/// When the mask/options qualify, the pass trains the physically packed
-/// submodel and scatters the result back into `params` — bit-identical to
-/// the masked-dense pass, minus the dense wall-clock.
-#[allow(clippy::too_many_arguments)]
-pub fn baseline_client_round(
-    env: &FlEnv,
-    client: usize,
-    device: &DeviceProfile,
-    params: &mut [f32],
-    mask: Option<&UnitMask>,
-    prox: Option<(f32, &[f32])>,
-    frozen: Option<&[f32]>,
-    sparse_ratio: f64,
-    rng: &mut StdRng,
-) -> (ClientReport, LocalTrainSummary) {
-    let pmask = mask.map(|m| m.param_mask(env.arch.unit_layout()));
-    let options = LocalTrainOptions {
-        iterations: env.config.local_iterations,
-        batch_size: env.config.batch_size,
-        sgd: env.config.sgd,
-        param_mask: pmask.as_deref(),
-        prox,
-        frozen,
-    };
-    let packed = mask.and_then(|m| compile_packed(&*env.arch, m, &options));
-    let summary = match packed {
-        Some(p) => local_sgd_packed(&p, params, env.train_data(client), &options, rng),
-        None => local_sgd(&*env.arch, params, env.train_data(client), &options, rng),
-    };
-    let report = masked_report(env, client, device, mask, sparse_ratio, &summary);
-    (report, summary)
-}
-
-/// A width-scaling client round that shares the immutable global snapshot
-/// across backend tasks through an `Arc` instead of cloning the full model
-/// per task: the packed path gathers the kept values straight out of the
-/// shared snapshot, trains the compact submodel and returns them as a
-/// [`ContribParams::Packed`] upload. Falls back to the dense path (one full
-/// clone, masked training) when the mask is not packable — either way the
-/// result aggregates bit-identically.
-pub fn baseline_client_round_shared(
-    env: &FlEnv,
-    client: usize,
-    device: &DeviceProfile,
-    global: &Arc<Vec<f32>>,
-    mask: UnitMask,
-    sparse_ratio: f64,
-    rng: &mut StdRng,
-) -> (ClientReport, LocalTrainSummary, ContribParams) {
-    let options = LocalTrainOptions {
-        iterations: env.config.local_iterations,
-        batch_size: env.config.batch_size,
-        sgd: env.config.sgd,
-        param_mask: None,
-        prox: None,
-        frozen: None,
-    };
-    if let Some(packed) = compile_packed(&*env.arch, &mask, &options) {
-        // One exact-size flat allocation; it escapes into the upload, so it
-        // cannot come from the scratch pool, but the slice-based gather keeps
-        // the hot path free of push-per-element growth.
-        let mut values = vec![0.0f32; packed.packed_len()];
-        packed.gather_params_into(global, &mut values);
-        let summary =
-            local_sgd_packed_values(&packed, &mut values, env.train_data(client), &options, rng);
-        let report = masked_report(env, client, device, Some(&mask), sparse_ratio, &summary);
-        let update = ContribParams::Packed {
-            base: Arc::clone(global),
-            coords: packed.gather_arc(),
-            values,
-            mask,
-        };
-        return (report, summary, update);
-    }
-    let mut params = (**global).clone();
-    let (report, summary) = baseline_client_round(
-        env,
-        client,
-        device,
-        &mut params,
-        Some(&mask),
-        None,
-        None,
-        sparse_ratio,
-        rng,
-    );
-    let param_mask = mask.param_mask(env.arch.unit_layout());
-    (
-        report,
-        summary,
-        ContribParams::Dense {
-            params,
-            param_mask: Some(param_mask),
-        },
-    )
-}
-
-/// Assembles the [`ClientReport`] of one (optionally masked) baseline round.
-pub(crate) fn masked_report(
-    env: &FlEnv,
-    client: usize,
-    device: &DeviceProfile,
-    mask: Option<&UnitMask>,
-    sparse_ratio: f64,
-    summary: &LocalTrainSummary,
-) -> ClientReport {
-    let uploaded = match mask {
-        Some(m) => m.retained_params(env.arch.unit_layout()),
-        None => env.arch.param_count(),
-    };
-    let accounting = account_round(
-        &*env.arch,
-        &env.cost,
-        device,
-        mask,
-        env.config.local_iterations,
-        env.config.batch_size,
-        uploaded,
-        env.arch.param_count(),
-    );
-    ClientReport {
-        client_id: client,
-        flops: accounting.flops,
-        upload_bytes: accounting.upload_bytes,
-        download_bytes: accounting.download_bytes,
-        local_cost: accounting.local_cost,
-        train_accuracy: summary.mean_accuracy,
-        train_loss: summary.mean_loss,
-        sparse_ratio,
-        selection_utility: 0.0,
-        participations: 0,
-        mask_cache_hits: 0,
-        mask_cache_misses: 0,
     }
 }
 
@@ -432,28 +285,5 @@ mod tests {
                 assert_eq!(target[i], 0.0);
             }
         }
-    }
-
-    #[test]
-    fn baseline_round_produces_consistent_report() {
-        let env = env();
-        let mut rng = fedlps_tensor::rng_from_seed(1);
-        let mut params = env.initial_params();
-        let device = env.fleet.static_profile(0);
-        let (report, summary) = baseline_client_round(
-            &env,
-            0,
-            &device,
-            &mut params,
-            None,
-            None,
-            None,
-            1.0,
-            &mut rng,
-        );
-        assert_eq!(report.client_id, 0);
-        assert!(report.flops > 0.0);
-        assert!(report.local_cost.total() > 0.0);
-        assert_eq!(summary.iterations, env.config.local_iterations);
     }
 }

@@ -6,20 +6,13 @@
 //! utility-guided selection, REFL's resource-aware staleness-conscious
 //! selection). They deploy the single shared global model on every client.
 
-use fedlps_nn::model::EvalStats;
-use fedlps_sim::algorithm::{ClientOutcome, ClientReport, ClientUpdate, FlAlgorithm};
+use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
 use fedlps_tensor::rng::{sample_weighted, sample_without_replacement};
 use rand::rngs::StdRng;
 
-use crate::common::{baseline_client_round, coverage_aggregate, ContribParams, Contribution};
-
-/// Payload of one dense client step: the staged contribution plus the Oort
-/// utility observed during training.
-struct DenseUpdate {
-    contribution: Contribution,
-    utility: f64,
-}
+use crate::common::ContribParams;
+use crate::driver::{Family, Step};
 
 /// Which conventional baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,12 +39,10 @@ impl DenseVariant {
     }
 }
 
-/// Driver for the conventional dense-FL family.
+/// The conventional dense-FL family.
 #[derive(Debug)]
 pub struct DenseFl {
     variant: DenseVariant,
-    global: Vec<f32>,
-    staged: Vec<Contribution>,
     /// Oort utility per client (statistical utility × system speed).
     utilities: Vec<f64>,
     /// Round at which each client last participated (REFL freshness).
@@ -59,26 +50,25 @@ pub struct DenseFl {
 }
 
 impl DenseFl {
-    /// Creates a driver for the given variant.
+    /// Creates the family for the given variant.
     pub fn new(variant: DenseVariant) -> Self {
         Self {
             variant,
-            global: Vec::new(),
-            staged: Vec::new(),
             utilities: Vec::new(),
             last_selected: Vec::new(),
         }
     }
 }
 
-impl FlAlgorithm for DenseFl {
-    fn name(&self) -> String {
-        self.variant.label().to_string()
+impl Family for DenseFl {
+    /// The Oort statistical utility observed during training.
+    type Side = f64;
+
+    fn label(&self) -> &'static str {
+        self.variant.label()
     }
 
-    fn setup(&mut self, env: &FlEnv) {
-        self.global = env.initial_params();
-        self.staged.clear();
+    fn setup(&mut self, env: &FlEnv, _global: &[f32]) {
         // Optimistic initial utility so every client gets explored.
         self.utilities = vec![f64::MAX / 1e6; env.num_clients()];
         self.last_selected = vec![None; env.num_clients()];
@@ -147,81 +137,25 @@ impl FlAlgorithm for DenseFl {
         }
     }
 
-    fn client_step(
-        &self,
-        env: &FlEnv,
-        round: usize,
-        client: usize,
-        rng: &mut StdRng,
-    ) -> ClientOutcome {
-        let device = env.fleet.available_profile(client, round);
-        let mut params = self.global.clone();
+    fn train(&self, step: &Step<'_>, rng: &mut StdRng) -> (ClientReport, ContribParams, f64) {
+        let mut params = (**step.global).clone();
         let prox = match self.variant {
-            DenseVariant::FedProx { mu } => Some((mu, self.global.as_slice())),
+            DenseVariant::FedProx { mu } => Some((mu, step.global.as_slice())),
             _ => None,
         };
-        let (report, summary) = baseline_client_round(
-            env,
-            client,
-            &device,
-            &mut params,
-            None,
-            prox,
-            None,
-            1.0,
-            rng,
-        );
-
-        // REFL decays stale contributions in aggregation; here staleness is
-        // zero for the clients that just trained, so the weight is their data
-        // size (kept for clarity and future asynchronous extensions).
-        ClientOutcome::new(
-            report,
-            DenseUpdate {
-                contribution: Contribution {
-                    client_id: client,
-                    weight: env.train_size(client).max(1.0),
-                    update: ContribParams::Dense {
-                        params,
-                        param_mask: None,
-                    },
-                },
-                // Oort statistical utility: |D_k| * sqrt(mean loss).
-                utility: env.train_size(client) * summary.mean_loss.max(1e-6).sqrt(),
-            },
-        )
+        let (report, summary) = step.train(&mut params, None, prox, None, 1.0, rng);
+        // Oort statistical utility: |D_k| * sqrt(mean loss).
+        let utility = step.env.train_size(step.client) * summary.mean_loss.max(1e-6).sqrt();
+        let update = ContribParams::Dense {
+            params,
+            param_mask: None,
+        };
+        (report, update, utility)
     }
 
-    fn absorb_update(&mut self, _env: &FlEnv, round: usize, update: ClientUpdate) {
-        let update = *update.downcast::<DenseUpdate>().expect("dense payload");
-        let client = update.contribution.client_id;
-        self.utilities[client] = update.utility;
+    fn absorbed(&mut self, client: usize, round: usize, utility: f64) {
+        self.utilities[client] = utility;
         self.last_selected[client] = Some(round);
-        self.staged.push(update.contribution);
-    }
-
-    fn absorb_update_stale(
-        &mut self,
-        env: &FlEnv,
-        round: usize,
-        update: ClientUpdate,
-        _staleness: u32,
-        weight: f64,
-    ) {
-        // Async absorption: the data-size aggregation weight is discounted by
-        // the server's staleness factor before staging.
-        let mut update = *update.downcast::<DenseUpdate>().expect("dense payload");
-        update.contribution.weight *= weight;
-        self.absorb_update(env, round, Box::new(update));
-    }
-
-    fn aggregate(&mut self, env: &FlEnv, _round: usize, _reports: &[ClientReport]) {
-        coverage_aggregate(&mut self.global, &self.staged, env.arch.unit_layout());
-        self.staged.clear();
-    }
-
-    fn evaluate_client(&self, env: &FlEnv, client: usize) -> EvalStats {
-        env.arch.evaluate(&self.global, env.test_data(client))
     }
 }
 
@@ -230,8 +164,11 @@ mod tests {
     use super::*;
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::HeterogeneityLevel;
+    use fedlps_sim::algorithm::FlAlgorithm;
     use fedlps_sim::config::FlConfig;
     use fedlps_sim::runner::Simulator;
+
+    use crate::driver::Baseline;
 
     fn sim() -> Simulator {
         Simulator::new(FlEnv::from_scenario(
@@ -250,7 +187,7 @@ mod tests {
             DenseVariant::Refl,
         ] {
             let s = sim();
-            let mut algo = DenseFl::new(variant);
+            let mut algo = Baseline::new(DenseFl::new(variant));
             let result = s.run(&mut algo);
             assert_eq!(
                 result.rounds.len(),
@@ -272,7 +209,7 @@ mod tests {
             HeterogeneityLevel::High,
             FlConfig::tiny().with_round_mode(RoundMode::asynchronous(3, 0.5)),
         ));
-        let mut algo = DenseFl::new(DenseVariant::FedAvg);
+        let mut algo = Baseline::new(DenseFl::new(DenseVariant::FedAvg));
         let result = s.run(&mut algo);
         assert_eq!(result.rounds.len(), FlConfig::tiny().rounds);
         assert!(
@@ -289,7 +226,7 @@ mod tests {
             HeterogeneityLevel::High,
             FlConfig::tiny(),
         );
-        let mut algo = DenseFl::new(DenseVariant::Refl);
+        let mut algo = Baseline::new(DenseFl::new(DenseVariant::Refl));
         algo.setup(&env);
         let mut rng = fedlps_tensor::rng_from_seed(1);
         let selected = algo
@@ -310,7 +247,7 @@ mod tests {
             HeterogeneityLevel::High,
             FlConfig::tiny(),
         );
-        let mut algo = DenseFl::new(DenseVariant::Oort);
+        let mut algo = Baseline::new(DenseFl::new(DenseVariant::Oort));
         algo.setup(&env);
         let mut rng = fedlps_tensor::rng_from_seed(2);
         for round in 0..3 {

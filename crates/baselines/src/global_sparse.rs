@@ -10,16 +10,17 @@
 //! * **CS** — complement sparsification prunes updates at a fixed ratio. The
 //!   original method is unstructured; since this reproduction's substrate is
 //!   structured (unit-level), CS is modelled as a unit-level magnitude mask
-//!   recomputed every round (the substitution is documented in `DESIGN.md §1`).
+//!   recomputed every round (see PAPER.md, "Substitutions").
 
 use fedlps_nn::model::EvalStats;
-use fedlps_sim::algorithm::{ClientOutcome, ClientReport, ClientUpdate, FlAlgorithm};
+use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
 use fedlps_sparse::mask::UnitMask;
 use fedlps_sparse::pattern::PatternStrategy;
 use rand::rngs::StdRng;
 
-use crate::common::{baseline_client_round, coverage_aggregate, ContribParams, Contribution};
+use crate::common::ContribParams;
+use crate::driver::{Family, Step};
 
 /// Which globally sparse baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,23 +48,20 @@ impl GlobalSparseVariant {
     }
 }
 
-/// Driver for the globally sparse family.
+/// The globally sparse family.
 #[derive(Debug)]
 pub struct GlobalSparse {
     variant: GlobalSparseVariant,
-    global: Vec<f32>,
+    /// The federation's one shared pattern (`None` until `setup`).
     mask: Option<UnitMask>,
-    staged: Vec<Contribution>,
 }
 
 impl GlobalSparse {
-    /// Creates a driver for the given variant.
+    /// Creates the family for the given variant.
     pub fn new(variant: GlobalSparseVariant) -> Self {
         Self {
             variant,
-            global: Vec::new(),
             mask: None,
-            staged: Vec::new(),
         }
     }
 
@@ -81,10 +79,10 @@ impl GlobalSparse {
         Self::new(GlobalSparseVariant::Cs { ratio: 0.5 })
     }
 
-    fn recompute_mask(&mut self, env: &FlEnv, rng: &mut StdRng) {
+    fn recompute_mask(&mut self, env: &FlEnv, global: &[f32], rng: &mut StdRng) {
         let mask = PatternStrategy::Magnitude.build_mask(
             env.arch.unit_layout(),
-            &self.global,
+            global,
             None,
             self.variant.ratio(),
             0,
@@ -92,105 +90,51 @@ impl GlobalSparse {
         );
         self.mask = Some(mask);
     }
+
+    fn mask(&self) -> &UnitMask {
+        self.mask.as_ref().expect("setup() not called")
+    }
 }
 
-impl FlAlgorithm for GlobalSparse {
-    fn name(&self) -> String {
-        self.variant.label().to_string()
+impl Family for GlobalSparse {
+    type Side = ();
+
+    fn label(&self) -> &'static str {
+        self.variant.label()
     }
 
-    fn setup(&mut self, env: &FlEnv) {
-        self.global = env.initial_params();
+    fn setup(&mut self, env: &FlEnv, global: &[f32]) {
         // The "powerful client" performs the initial magnitude pruning.
         let mut rng = fedlps_tensor::rng_from_seed(env.config.seed ^ 0x9121);
-        self.recompute_mask(env, &mut rng);
-        self.staged.clear();
+        self.recompute_mask(env, global, &mut rng);
     }
 
-    fn begin_round(&mut self, env: &FlEnv, round: usize, _selected: &[usize], rng: &mut StdRng) {
+    fn begin_round(&mut self, env: &FlEnv, global: &[f32], round: usize, rng: &mut StdRng) {
         // CS refreshes its mask every round; PruneFL re-prunes periodically.
         // Round-level shared state belongs here, not in the (parallel,
         // immutable) client steps.
         match self.variant {
-            GlobalSparseVariant::Cs { .. } => self.recompute_mask(env, rng),
+            GlobalSparseVariant::Cs { .. } => self.recompute_mask(env, global, rng),
             GlobalSparseVariant::PruneFl { reprune_every, .. } => {
                 if reprune_every > 0 && round % reprune_every == 0 {
-                    self.recompute_mask(env, rng);
+                    self.recompute_mask(env, global, rng);
                 }
             }
         }
     }
 
-    fn client_step(
-        &self,
-        env: &FlEnv,
-        round: usize,
-        client: usize,
-        rng: &mut StdRng,
-    ) -> ClientOutcome {
-        let mask = self.mask.clone().expect("setup() not called");
-        let device = env.fleet.available_profile(client, round);
-        let mut params = self.global.clone();
-        let (report, _summary) = baseline_client_round(
-            env,
-            client,
-            &device,
-            &mut params,
-            Some(&mask),
-            None,
-            None,
-            self.variant.ratio(),
-            rng,
-        );
-        let contribution = Contribution {
-            client_id: client,
-            weight: env.train_size(client).max(1.0),
-            update: ContribParams::Dense {
-                params,
-                param_mask: Some(mask.param_mask(env.arch.unit_layout())),
-            },
-        };
-        ClientOutcome::new(report, contribution)
+    fn train(&self, step: &Step<'_>, rng: &mut StdRng) -> (ClientReport, ContribParams, ()) {
+        let (report, _, update) =
+            step.train_submodel(self.mask().clone(), self.variant.ratio(), rng);
+        (report, update, ())
     }
 
-    fn absorb_update(&mut self, _env: &FlEnv, _round: usize, update: ClientUpdate) {
-        let contribution = *update
-            .downcast::<Contribution>()
-            .expect("global-sparse payload");
-        self.staged.push(contribution);
-    }
+    fn absorbed(&mut self, _client: usize, _round: usize, _side: ()) {}
 
-    fn absorb_update_stale(
-        &mut self,
-        env: &FlEnv,
-        round: usize,
-        update: ClientUpdate,
-        _staleness: u32,
-        weight: f64,
-    ) {
-        // Async absorption: discount the coverage-aggregation weight by the
-        // server's staleness factor, then stage through the one absorb path.
-        let mut contribution = *update
-            .downcast::<Contribution>()
-            .expect("global-sparse payload");
-        contribution.weight *= weight;
-        self.absorb_update(env, round, Box::new(contribution));
-    }
-
-    fn aggregate(&mut self, env: &FlEnv, _round: usize, _reports: &[ClientReport]) {
-        coverage_aggregate(&mut self.global, &self.staged, env.arch.unit_layout());
-        self.staged.clear();
-    }
-
-    fn evaluate_client(&self, env: &FlEnv, client: usize) -> EvalStats {
+    fn deployed(&self, env: &FlEnv, global: &[f32], client: usize) -> EvalStats {
         // The deployed model is the shared sparse global model.
-        match &self.mask {
-            Some(mask) => {
-                let sparse = mask.apply(env.arch.unit_layout(), &self.global);
-                env.arch.evaluate(&sparse, env.test_data(client))
-            }
-            None => env.arch.evaluate(&self.global, env.test_data(client)),
-        }
+        let sparse = self.mask().apply(env.arch.unit_layout(), global);
+        env.arch.evaluate(&sparse, env.test_data(client))
     }
 }
 
@@ -199,8 +143,12 @@ mod tests {
     use super::*;
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::HeterogeneityLevel;
+    use fedlps_sim::algorithm::FlAlgorithm;
     use fedlps_sim::config::FlConfig;
     use fedlps_sim::runner::Simulator;
+
+    use crate::dense::{DenseFl, DenseVariant};
+    use crate::driver::Baseline;
 
     fn sim() -> Simulator {
         Simulator::new(FlEnv::from_scenario(
@@ -214,7 +162,7 @@ mod tests {
     fn both_variants_run_at_half_ratio() {
         for mk in [GlobalSparse::prunefl, GlobalSparse::cs] {
             let s = sim();
-            let mut algo = mk();
+            let mut algo = Baseline::new(mk());
             let result = s.run(&mut algo);
             assert!(result.rounds.len() == FlConfig::tiny().rounds);
             assert!(
@@ -228,9 +176,9 @@ mod tests {
     #[test]
     fn shared_mask_is_used_for_every_client() {
         let s = sim();
-        let mut algo = GlobalSparse::prunefl();
+        let mut algo = Baseline::new(GlobalSparse::prunefl());
         algo.setup(s.env());
-        let mask = algo.mask.clone().unwrap();
+        let mask = algo.family.mask().clone();
         assert!(mask.retained_units() < s.env().arch.unit_layout().total_units());
         // Evaluation applies the shared mask, so accuracy is well-defined.
         let stats = algo.evaluate_client(s.env(), 0);
@@ -240,10 +188,10 @@ mod tests {
     #[test]
     fn sparse_flops_are_cheaper_than_fedavg() {
         let s = sim();
-        let mut sparse = GlobalSparse::cs();
+        let mut sparse = Baseline::new(GlobalSparse::cs());
         let sparse_result = s.run(&mut sparse);
         let s2 = sim();
-        let mut dense = crate::dense::DenseFl::new(crate::dense::DenseVariant::FedAvg);
+        let mut dense = Baseline::new(DenseFl::new(DenseVariant::FedAvg));
         let dense_result = s2.run(&mut dense);
         assert!(sparse_result.total_flops < dense_result.total_flops);
     }

@@ -1,8 +1,9 @@
 //! The FL frameworks FedLPS is evaluated against (Table I of the paper).
 //!
-//! The nineteen baselines fall into five families, each implemented as one
-//! configurable driver so that their shared mechanics (local SGD, masking,
-//! cost accounting, aggregation) are written — and tested — once:
+//! The nineteen baselines fall into five families. Their shared mechanics
+//! (local SGD, masking, cost accounting, staging, staleness discounting,
+//! aggregation) are written — and tested — once, in [`driver`]; a family
+//! states only what its methods do differently:
 //!
 //! | Family | Module | Methods |
 //! |---|---|---|
@@ -17,6 +18,7 @@
 
 pub mod common;
 pub mod dense;
+pub mod driver;
 pub mod global_sparse;
 pub mod personalized;
 pub mod registry;

@@ -12,24 +12,14 @@
 //!   few steps of local adaptation (the first-order MAML view).
 
 use fedlps_nn::model::EvalStats;
-use fedlps_sim::algorithm::{ClientOutcome, ClientReport, ClientUpdate, FlAlgorithm};
+use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
 use fedlps_sim::train::{local_sgd, LocalTrainOptions};
 use fedlps_tensor::split_seed;
 use rand::rngs::StdRng;
 
-use crate::common::{
-    baseline_client_round, body_indicator, copy_head, coverage_aggregate, head_indicator,
-    ContribParams, Contribution,
-};
-
-/// Payload of one personalized client step: the shared contribution plus the
-/// client's new personal state (Ditto's personal model, FedPer/FedRep's
-/// personal head; `None` for Per-FedAvg, which personalizes at deployment).
-struct PersonalizedUpdate {
-    contribution: Contribution,
-    personal: Option<Vec<f32>>,
-}
+use crate::common::{body_indicator, copy_head, head_indicator, ContribParams};
+use crate::driver::{train_options, Family, Step};
 
 /// Which personalized dense baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,25 +46,27 @@ impl PersonalizedVariant {
     }
 }
 
-/// Driver for the personalized dense family.
+/// The personalized dense family.
 #[derive(Debug)]
 pub struct PersonalizedFl {
     variant: PersonalizedVariant,
-    global: Vec<f32>,
     /// Per-client personal state: Ditto's personal model or FedPer/FedRep's
     /// personal head (stored as a full vector whose head block is meaningful).
     personal: Vec<Option<Vec<f32>>>,
-    staged: Vec<Contribution>,
+    /// 0/1 indicators of the classifier head and of its complement, the
+    /// shared body (FedPer / FedRep).
+    head: Vec<f32>,
+    body: Vec<f32>,
 }
 
 impl PersonalizedFl {
-    /// Creates a driver for the given variant.
+    /// Creates the family for the given variant.
     pub fn new(variant: PersonalizedVariant) -> Self {
         Self {
             variant,
-            global: Vec::new(),
             personal: Vec::new(),
-            staged: Vec::new(),
+            head: Vec::new(),
+            body: Vec::new(),
         }
     }
 
@@ -91,215 +83,87 @@ impl PersonalizedFl {
     }
 }
 
-impl FlAlgorithm for PersonalizedFl {
-    fn name(&self) -> String {
-        self.variant.label().to_string()
+impl Family for PersonalizedFl {
+    /// The client's new personal state (Ditto's personal model, FedPer /
+    /// FedRep's personal head; `None` for Per-FedAvg, which personalizes at
+    /// deployment).
+    type Side = Option<Vec<f32>>;
+
+    fn label(&self) -> &'static str {
+        self.variant.label()
     }
 
-    fn setup(&mut self, env: &FlEnv) {
-        self.global = env.initial_params();
+    fn setup(&mut self, env: &FlEnv, _global: &[f32]) {
         self.personal = vec![None; env.num_clients()];
-        self.staged.clear();
+        self.head = head_indicator(env);
+        self.body = body_indicator(env);
     }
 
-    fn client_step(
+    fn train(
         &self,
-        env: &FlEnv,
-        round: usize,
-        client: usize,
+        step: &Step<'_>,
         rng: &mut StdRng,
-    ) -> ClientOutcome {
-        let device = env.fleet.available_profile(client, round);
-        let global_snapshot = &self.global;
-        let weight = env.train_size(client).max(1.0);
-
-        match self.variant {
+    ) -> (ClientReport, ContribParams, Option<Vec<f32>>) {
+        let stored = self.personal[step.client].as_ref();
+        let mut params = (**step.global).clone();
+        let mut frozen = None;
+        let keeps_head = matches!(
+            self.variant,
+            PersonalizedVariant::FedPer | PersonalizedVariant::FedRep
+        );
+        if let (true, Some(stored)) = (keeps_head, stored) {
+            // Restore the client's personal head if it has one.
+            copy_head(step.env, &mut params, stored);
+        }
+        if matches!(self.variant, PersonalizedVariant::FedRep) {
+            // Phase 1 fits the head with the body frozen; the main phase then
+            // freezes the freshly fitted head while updating the body (FedPer
+            // trains everything jointly).
+            step.fit(&mut params, None, Some(&self.body), rng);
+            frozen = Some(self.head.as_slice());
+        }
+        // The shared-model update: a plain FedAvg step for Ditto / Per-FedAvg.
+        let (mut report, _) = step.train(&mut params, None, None, frozen, 1.0, rng);
+        let (param_mask, personal) = match self.variant {
             PersonalizedVariant::Ditto { lambda } => {
-                // Shared-model update (plain FedAvg step).
-                let mut shared = global_snapshot.clone();
-                let (report, _) = baseline_client_round(
-                    env,
-                    client,
-                    &device,
-                    &mut shared,
-                    None,
-                    None,
-                    None,
-                    1.0,
-                    rng,
-                );
                 // Personal model trained with a pull towards the global model.
-                let mut personal = self.personal[client]
-                    .clone()
-                    .unwrap_or_else(|| global_snapshot.clone());
-                let options = LocalTrainOptions {
-                    iterations: env.config.local_iterations,
-                    batch_size: env.config.batch_size,
-                    sgd: env.config.sgd,
-                    param_mask: None,
-                    prox: Some((lambda, global_snapshot.as_slice())),
-                    frozen: None,
-                };
-                local_sgd(
-                    &*env.arch,
-                    &mut personal,
-                    env.train_data(client),
-                    &options,
-                    rng,
-                );
+                let mut personal = stored.unwrap_or(step.global).clone();
+                step.fit(&mut personal, Some((lambda, step.global)), None, rng);
                 // Ditto's extra personal pass doubles the local compute, which
                 // is exactly why the paper reports it as the most expensive
                 // personalized baseline.
-                let mut doubled = report;
-                doubled.flops *= 2.0;
-                doubled.local_cost.compute_seconds *= 2.0;
-                ClientOutcome::new(
-                    doubled,
-                    PersonalizedUpdate {
-                        contribution: Contribution {
-                            client_id: client,
-                            weight,
-                            update: ContribParams::Dense {
-                                params: shared,
-                                param_mask: None,
-                            },
-                        },
-                        personal: Some(personal),
-                    },
-                )
+                report.flops *= 2.0;
+                report.local_cost.compute_seconds *= 2.0;
+                (None, Some(personal))
             }
+            // The head stays local; the body is shared.
             PersonalizedVariant::FedPer | PersonalizedVariant::FedRep => {
-                let head = head_indicator(env);
-                let body = body_indicator(env);
-                let mut params = global_snapshot.clone();
-                // Restore the client's personal head if it has one.
-                if let Some(stored) = &self.personal[client] {
-                    copy_head(env, &mut params, stored);
-                }
-                if matches!(self.variant, PersonalizedVariant::FedRep) {
-                    // Phase 1: fit the head with the body frozen.
-                    let options = LocalTrainOptions {
-                        iterations: env.config.local_iterations,
-                        batch_size: env.config.batch_size,
-                        sgd: env.config.sgd,
-                        param_mask: None,
-                        prox: None,
-                        frozen: Some(&body),
-                    };
-                    local_sgd(
-                        &*env.arch,
-                        &mut params,
-                        env.train_data(client),
-                        &options,
-                        rng,
-                    );
-                }
-                // Main phase: FedPer trains everything jointly; FedRep freezes
-                // the freshly fitted head while updating the body.
-                let frozen = if matches!(self.variant, PersonalizedVariant::FedRep) {
-                    Some(head.as_slice())
-                } else {
-                    None
-                };
-                let (report, _) = baseline_client_round(
-                    env,
-                    client,
-                    &device,
-                    &mut params,
-                    None,
-                    None,
-                    frozen,
-                    1.0,
-                    rng,
-                );
-                // The head stays local; the body is shared.
-                ClientOutcome::new(
-                    report,
-                    PersonalizedUpdate {
-                        contribution: Contribution {
-                            client_id: client,
-                            weight,
-                            update: ContribParams::Dense {
-                                params: params.clone(),
-                                param_mask: Some(body),
-                            },
-                        },
-                        personal: Some(params),
-                    },
-                )
+                (Some(self.body.clone()), Some(params.clone()))
             }
-            PersonalizedVariant::PerFedAvg { .. } => {
-                let mut params = global_snapshot.clone();
-                let (report, _) = baseline_client_round(
-                    env,
-                    client,
-                    &device,
-                    &mut params,
-                    None,
-                    None,
-                    None,
-                    1.0,
-                    rng,
-                );
-                ClientOutcome::new(
-                    report,
-                    PersonalizedUpdate {
-                        contribution: Contribution {
-                            client_id: client,
-                            weight,
-                            update: ContribParams::Dense {
-                                params,
-                                param_mask: None,
-                            },
-                        },
-                        personal: None,
-                    },
-                )
-            }
+            PersonalizedVariant::PerFedAvg { .. } => (None, None),
+        };
+        (
+            report,
+            ContribParams::Dense { params, param_mask },
+            personal,
+        )
+    }
+
+    fn absorbed(&mut self, client: usize, _round: usize, personal: Option<Vec<f32>>) {
+        if let Some(personal) = personal {
+            self.personal[client] = Some(personal);
         }
     }
 
-    fn absorb_update(&mut self, _env: &FlEnv, _round: usize, update: ClientUpdate) {
-        let update = *update
-            .downcast::<PersonalizedUpdate>()
-            .expect("personalized payload");
-        if let Some(personal) = update.personal {
-            self.personal[update.contribution.client_id] = Some(personal);
-        }
-        self.staged.push(update.contribution);
-    }
-
-    fn absorb_update_stale(
-        &mut self,
-        env: &FlEnv,
-        round: usize,
-        update: ClientUpdate,
-        _staleness: u32,
-        weight: f64,
-    ) {
-        // Async absorption: discount the shared contribution's aggregation
-        // weight; the client's personal state is its own and stays undiluted.
-        let mut update = *update
-            .downcast::<PersonalizedUpdate>()
-            .expect("personalized payload");
-        update.contribution.weight *= weight;
-        self.absorb_update(env, round, Box::new(update));
-    }
-
-    fn aggregate(&mut self, env: &FlEnv, _round: usize, _reports: &[ClientReport]) {
-        coverage_aggregate(&mut self.global, &self.staged, env.arch.unit_layout());
-        self.staged.clear();
-    }
-
-    fn evaluate_client(&self, env: &FlEnv, client: usize) -> EvalStats {
+    fn deployed(&self, env: &FlEnv, global: &[f32], client: usize) -> EvalStats {
+        let stored = self.personal[client].as_deref();
         match self.variant {
-            PersonalizedVariant::Ditto { .. } => match &self.personal[client] {
-                Some(personal) => env.arch.evaluate(personal, env.test_data(client)),
-                None => env.arch.evaluate(&self.global, env.test_data(client)),
-            },
+            PersonalizedVariant::Ditto { .. } => env
+                .arch
+                .evaluate(stored.unwrap_or(global), env.test_data(client)),
             PersonalizedVariant::FedPer | PersonalizedVariant::FedRep => {
-                let mut deployed = self.global.clone();
-                if let Some(stored) = &self.personal[client] {
+                let mut deployed = global.to_vec();
+                if let Some(stored) = stored {
                     copy_head(env, &mut deployed, stored);
                 }
                 env.arch.evaluate(&deployed, env.test_data(client))
@@ -307,18 +171,14 @@ impl FlAlgorithm for PersonalizedFl {
             PersonalizedVariant::PerFedAvg { adaptation_steps } => {
                 // Deploy the meta-model after a brief local adaptation on the
                 // client's training data (first-order Per-FedAvg).
-                let mut adapted = self.global.clone();
+                let mut adapted = global.to_vec();
                 let mut rng = fedlps_tensor::rng_from_seed(split_seed(
                     env.config.seed,
                     0xADA7 ^ client as u64,
                 ));
                 let options = LocalTrainOptions {
                     iterations: adaptation_steps,
-                    batch_size: env.config.batch_size,
-                    sgd: env.config.sgd,
-                    param_mask: None,
-                    prox: None,
-                    frozen: None,
+                    ..train_options(env)
                 };
                 local_sgd(
                     &*env.arch,
@@ -338,8 +198,12 @@ mod tests {
     use super::*;
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::HeterogeneityLevel;
+    use fedlps_sim::algorithm::FlAlgorithm;
     use fedlps_sim::config::FlConfig;
     use fedlps_sim::runner::Simulator;
+
+    use crate::dense::{DenseFl, DenseVariant};
+    use crate::driver::Baseline;
 
     fn sim() -> Simulator {
         Simulator::new(FlEnv::from_scenario(
@@ -360,7 +224,7 @@ mod tests {
             },
         ] {
             let s = sim();
-            let mut algo = PersonalizedFl::new(variant);
+            let mut algo = Baseline::new(PersonalizedFl::new(variant));
             let result = s.run(&mut algo);
             assert_eq!(
                 result.rounds.len(),
@@ -375,11 +239,9 @@ mod tests {
     #[test]
     fn ditto_costs_more_flops_than_fedavg() {
         let s = sim();
-        let ditto_result = s.run(&mut PersonalizedFl::ditto());
+        let ditto_result = s.run(&mut Baseline::new(PersonalizedFl::ditto()));
         let s2 = sim();
-        let fedavg_result = s2.run(&mut crate::dense::DenseFl::new(
-            crate::dense::DenseVariant::FedAvg,
-        ));
+        let fedavg_result = s2.run(&mut Baseline::new(DenseFl::new(DenseVariant::FedAvg)));
         assert!(ditto_result.total_flops > fedavg_result.total_flops * 1.5);
     }
 
@@ -391,11 +253,11 @@ mod tests {
             FlConfig::tiny(),
         );
         let sim = Simulator::new(env);
-        let mut algo = PersonalizedFl::new(PersonalizedVariant::FedPer);
+        let mut algo = Baseline::new(PersonalizedFl::new(PersonalizedVariant::FedPer));
         let _ = sim.run(&mut algo);
         // At least two clients trained; their stored heads differ because
         // their local data differ (pathological non-IID).
-        let stored: Vec<&Vec<f32>> = algo.personal.iter().flatten().collect();
+        let stored: Vec<&Vec<f32>> = algo.family.personal.iter().flatten().collect();
         assert!(stored.len() >= 2);
         let env = sim.env();
         let head_range = env.arch.classifier_params();

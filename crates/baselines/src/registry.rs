@@ -4,6 +4,7 @@
 use fedlps_sim::algorithm::FlAlgorithm;
 
 use crate::dense::{DenseFl, DenseVariant};
+use crate::driver::{Baseline, Family};
 use crate::global_sparse::GlobalSparse;
 use crate::personalized::{PersonalizedFl, PersonalizedVariant};
 use crate::sparse_personalized::SparsePersonalized;
@@ -36,29 +37,31 @@ pub fn baseline_names() -> Vec<&'static str> {
 
 /// Builds a baseline by its Table-I name. Returns `None` for unknown names.
 pub fn baseline_by_name(name: &str) -> Option<Box<dyn FlAlgorithm>> {
-    let algo: Box<dyn FlAlgorithm> = match name {
-        "FedAvg" => Box::new(DenseFl::new(DenseVariant::FedAvg)),
-        "FedProx" => Box::new(DenseFl::new(DenseVariant::FedProx { mu: 0.1 })),
-        "Oort" => Box::new(DenseFl::new(DenseVariant::Oort)),
-        "REFL" => Box::new(DenseFl::new(DenseVariant::Refl)),
-        "PruneFL" => Box::new(GlobalSparse::prunefl()),
-        "CS" => Box::new(GlobalSparse::cs()),
-        "Fjord" => Box::new(WidthScaling::new(WidthVariant::Fjord)),
-        "HeteroFL" => Box::new(WidthScaling::new(WidthVariant::HeteroFl)),
-        "FedRolex" => Box::new(WidthScaling::new(WidthVariant::FedRolex)),
-        "FedMP" => Box::new(WidthScaling::new(WidthVariant::FedMp)),
-        "DepthFL" => Box::new(WidthScaling::new(WidthVariant::DepthFl)),
-        "Ditto" => Box::new(PersonalizedFl::ditto()),
-        "FedPer" => Box::new(PersonalizedFl::new(PersonalizedVariant::FedPer)),
-        "FedRep" => Box::new(PersonalizedFl::new(PersonalizedVariant::FedRep)),
-        "Per-FedAvg" => Box::new(PersonalizedFl::per_fedavg()),
-        "LotteryFL" => Box::new(SparsePersonalized::lotteryfl()),
-        "Hermes" => Box::new(SparsePersonalized::hermes()),
-        "FedSpa" => Box::new(SparsePersonalized::fedspa()),
-        "FedP3" => Box::new(SparsePersonalized::fedp3()),
-        _ => return None,
-    };
-    Some(algo)
+    fn on<F: Family + 'static>(family: F) -> Option<Box<dyn FlAlgorithm>> {
+        Some(Box::new(Baseline::new(family)))
+    }
+    match name {
+        "FedAvg" => on(DenseFl::new(DenseVariant::FedAvg)),
+        "FedProx" => on(DenseFl::new(DenseVariant::FedProx { mu: 0.1 })),
+        "Oort" => on(DenseFl::new(DenseVariant::Oort)),
+        "REFL" => on(DenseFl::new(DenseVariant::Refl)),
+        "PruneFL" => on(GlobalSparse::prunefl()),
+        "CS" => on(GlobalSparse::cs()),
+        "Fjord" => on(WidthScaling::new(WidthVariant::Fjord)),
+        "HeteroFL" => on(WidthScaling::new(WidthVariant::HeteroFl)),
+        "FedRolex" => on(WidthScaling::new(WidthVariant::FedRolex)),
+        "FedMP" => on(WidthScaling::new(WidthVariant::FedMp)),
+        "DepthFL" => on(WidthScaling::new(WidthVariant::DepthFl)),
+        "Ditto" => on(PersonalizedFl::ditto()),
+        "FedPer" => on(PersonalizedFl::new(PersonalizedVariant::FedPer)),
+        "FedRep" => on(PersonalizedFl::new(PersonalizedVariant::FedRep)),
+        "Per-FedAvg" => on(PersonalizedFl::per_fedavg()),
+        "LotteryFL" => on(SparsePersonalized::lotteryfl()),
+        "Hermes" => on(SparsePersonalized::hermes()),
+        "FedSpa" => on(SparsePersonalized::fedspa()),
+        "FedP3" => on(SparsePersonalized::fedp3()),
+        _ => None,
+    }
 }
 
 #[cfg(test)]

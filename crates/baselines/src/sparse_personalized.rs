@@ -7,7 +7,10 @@
 //!   units by a fixed rate whenever its local accuracy crosses a threshold,
 //!   down to a floor ratio; the personal "lottery ticket" is deployed locally.
 //! * **Hermes** — the structured variant of the same idea (channel pruning),
-//!   aggregating only the parameters the retained channels share.
+//!   aggregating only the parameters the retained channels share. On this
+//!   reproduction's unit-level substrate LotteryFL's pruning is structured
+//!   too, so the two are one schedule under two labels (see PAPER.md,
+//!   "Substitutions").
 //! * **FedSpa** — sparse-to-sparse dynamic sparse training with a *uniform
 //!   constant* ratio: every round the personal mask drops its lowest-magnitude
 //!   units and regrows random ones.
@@ -15,37 +18,23 @@
 //!   capability) combined with a personal classifier head.
 
 use fedlps_nn::model::EvalStats;
-use fedlps_sim::algorithm::{ClientOutcome, ClientReport, ClientUpdate, FlAlgorithm};
+use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
 use fedlps_sparse::mask::UnitMask;
 use fedlps_sparse::pattern::PatternStrategy;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::common::{
-    baseline_client_round, body_indicator, copy_head, coverage_aggregate, ContribParams,
-    Contribution,
-};
-
-/// Payload of one personalized-sparse client step: the shared contribution
-/// plus the client's next personal state.
-struct SparsePersonalizedUpdate {
-    contribution: Contribution,
-    state: PersonalState,
-}
+use crate::common::{body_indicator, copy_head, ContribParams};
+use crate::driver::{Family, Step};
 
 /// Which personalized sparse baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SparsePersonalizedVariant {
-    /// LotteryFL: prune by `prune_step` whenever training accuracy exceeds
-    /// `accuracy_threshold`, never below `floor_ratio`.
-    LotteryFl {
-        prune_step: f64,
-        accuracy_threshold: f64,
-        floor_ratio: f64,
-    },
-    /// Hermes: the structured counterpart with the same schedule.
-    Hermes {
+    /// LotteryFL / Hermes: prune by `prune_step` whenever training accuracy
+    /// exceeds `accuracy_threshold`, never below `floor_ratio`.
+    PruneSchedule {
+        label: &'static str,
         prune_step: f64,
         accuracy_threshold: f64,
         floor_ratio: f64,
@@ -59,8 +48,7 @@ pub enum SparsePersonalizedVariant {
 impl SparsePersonalizedVariant {
     fn label(&self) -> &'static str {
         match self {
-            SparsePersonalizedVariant::LotteryFl { .. } => "LotteryFL",
-            SparsePersonalizedVariant::Hermes { .. } => "Hermes",
+            SparsePersonalizedVariant::PruneSchedule { label, .. } => label,
             SparsePersonalizedVariant::FedSpa { .. } => "FedSpa",
             SparsePersonalizedVariant::FedP3 => "FedP3",
         }
@@ -69,49 +57,50 @@ impl SparsePersonalizedVariant {
 
 /// Per-client personalized sparse state.
 #[derive(Debug, Clone)]
-struct PersonalState {
+pub struct PersonalState {
     params: Vec<f32>,
-    mask: Option<UnitMask>,
+    mask: UnitMask,
     ratio: f64,
 }
 
-/// Driver for the personalized sparse family.
+/// The personalized sparse family.
 #[derive(Debug)]
 pub struct SparsePersonalized {
     variant: SparsePersonalizedVariant,
-    global: Vec<f32>,
     states: Vec<Option<PersonalState>>,
-    staged: Vec<Contribution>,
+    /// 0/1 indicator of the shared body (FedP3 withholds the head).
+    body: Vec<f32>,
 }
 
 impl SparsePersonalized {
-    /// Creates a driver for the given variant.
+    /// Creates the family for the given variant.
     pub fn new(variant: SparsePersonalizedVariant) -> Self {
         Self {
             variant,
-            global: Vec::new(),
             states: Vec::new(),
-            staged: Vec::new(),
+            body: Vec::new(),
         }
     }
 
-    /// LotteryFL with its published schedule (prune 10% past 50% accuracy,
-    /// floor at 30% of the model).
-    pub fn lotteryfl() -> Self {
-        Self::new(SparsePersonalizedVariant::LotteryFl {
+    /// The published dense-to-sparse schedule (prune 10% past 50% accuracy,
+    /// floor at 30% of the model) under the given Table-I label.
+    fn published_schedule(label: &'static str) -> Self {
+        Self::new(SparsePersonalizedVariant::PruneSchedule {
+            label,
             prune_step: 0.1,
             accuracy_threshold: 0.5,
             floor_ratio: 0.3,
         })
     }
 
-    /// Hermes with the same schedule as LotteryFL but structured pruning.
+    /// LotteryFL with its published schedule.
+    pub fn lotteryfl() -> Self {
+        Self::published_schedule("LotteryFL")
+    }
+
+    /// Hermes: the same schedule as LotteryFL.
     pub fn hermes() -> Self {
-        Self::new(SparsePersonalizedVariant::Hermes {
-            prune_step: 0.1,
-            accuracy_threshold: 0.5,
-            floor_ratio: 0.3,
-        })
+        Self::published_schedule("Hermes")
     }
 
     /// FedSpa at the paper's uniform 0.5 ratio.
@@ -129,20 +118,16 @@ impl SparsePersonalized {
 
     /// Decides the client's ratio and pattern for this round, based on the
     /// variant's heuristic and the client's previous state.
-    fn next_mask(
-        &self,
-        env: &FlEnv,
-        client: usize,
-        prev: Option<&PersonalState>,
-        round: usize,
-        rng: &mut StdRng,
-    ) -> (UnitMask, f64) {
+    fn next_mask(&self, step: &Step<'_>, rng: &mut StdRng) -> (UnitMask, f64) {
+        let (env, client, round) = (step.env, step.client, step.round);
         let layout = env.arch.unit_layout();
-        let reference = prev.map(|s| s.params.as_slice()).unwrap_or(&self.global);
+        let prev = self.states[client].as_ref();
+        let reference = prev
+            .map(|s| s.params.as_slice())
+            .unwrap_or(step.global.as_slice());
         match self.variant {
-            SparsePersonalizedVariant::LotteryFl { floor_ratio, .. }
-            | SparsePersonalizedVariant::Hermes { floor_ratio, .. } => {
-                // The ratio itself is adjusted in `client_step` (it depends
+            SparsePersonalizedVariant::PruneSchedule { floor_ratio, .. } => {
+                // The ratio itself is adjusted in `train` (it depends
                 // on the achieved accuracy); here we only build the magnitude
                 // mask at the client's current ratio.
                 let ratio = prev.map(|s| s.ratio).unwrap_or(1.0).max(floor_ratio);
@@ -182,137 +167,85 @@ impl SparsePersonalized {
     }
 }
 
-impl FlAlgorithm for SparsePersonalized {
-    fn name(&self) -> String {
-        self.variant.label().to_string()
+impl Family for SparsePersonalized {
+    /// The client's next personal state.
+    type Side = PersonalState;
+
+    fn label(&self) -> &'static str {
+        self.variant.label()
     }
 
-    fn setup(&mut self, env: &FlEnv) {
-        self.global = env.initial_params();
+    fn setup(&mut self, env: &FlEnv, _global: &[f32]) {
         self.states = vec![None; env.num_clients()];
-        self.staged.clear();
+        self.body = body_indicator(env);
     }
 
-    fn client_step(
+    fn train(
         &self,
-        env: &FlEnv,
-        round: usize,
-        client: usize,
+        step: &Step<'_>,
         rng: &mut StdRng,
-    ) -> ClientOutcome {
-        let device = env.fleet.available_profile(client, round);
-        let layout = env.arch.unit_layout();
-        let (mask, mut ratio) =
-            self.next_mask(env, client, self.states[client].as_ref(), round, rng);
+    ) -> (ClientReport, ContribParams, PersonalState) {
+        let env = step.env;
+        let fedp3 = matches!(self.variant, SparsePersonalizedVariant::FedP3);
+        let (mask, mut ratio) = self.next_mask(step, rng);
 
         // Local model: start from the global body, but keep personal pieces
         // where the method defines them.
-        let mut params = self.global.clone();
-        if matches!(self.variant, SparsePersonalizedVariant::FedP3) {
-            if let Some(state) = &self.states[client] {
-                copy_head(env, &mut params, &state.params);
-            }
+        let mut params = (**step.global).clone();
+        if let (true, Some(state)) = (fedp3, &self.states[step.client]) {
+            copy_head(env, &mut params, &state.params);
         }
 
-        let (report, summary) = baseline_client_round(
-            env,
-            client,
-            &device,
-            &mut params,
-            Some(&mask),
-            None,
-            None,
-            ratio,
-            rng,
-        );
+        let (report, summary) = step.train(&mut params, Some(&mask), None, None, ratio, rng);
 
         // LotteryFL / Hermes dense-to-sparse schedule: prune further once the
         // local accuracy clears the threshold.
-        match self.variant {
-            SparsePersonalizedVariant::LotteryFl {
-                prune_step,
-                accuracy_threshold,
-                floor_ratio,
-            }
-            | SparsePersonalizedVariant::Hermes {
-                prune_step,
-                accuracy_threshold,
-                floor_ratio,
-            } if summary.mean_accuracy >= accuracy_threshold => {
+        if let SparsePersonalizedVariant::PruneSchedule {
+            prune_step,
+            accuracy_threshold,
+            floor_ratio,
+            ..
+        } = self.variant
+        {
+            if summary.mean_accuracy >= accuracy_threshold {
                 ratio = (ratio - prune_step).max(floor_ratio);
             }
-            _ => {}
         }
 
         // The body (or the overlapping retained parameters) is shared; FedP3
         // additionally withholds the head from aggregation.
-        let mut shared_mask = mask.param_mask(layout);
-        if matches!(self.variant, SparsePersonalizedVariant::FedP3) {
-            let body = body_indicator(env);
-            for (m, b) in shared_mask.iter_mut().zip(body.iter()) {
+        let mut shared_mask = mask.param_mask(env.arch.unit_layout());
+        if fedp3 {
+            for (m, b) in shared_mask.iter_mut().zip(self.body.iter()) {
                 *m *= b;
             }
         }
-        ClientOutcome::new(
+        let update = ContribParams::Dense {
+            params: params.clone(),
+            param_mask: Some(shared_mask),
+        };
+        (
             report,
-            SparsePersonalizedUpdate {
-                contribution: Contribution {
-                    client_id: client,
-                    weight: env.train_size(client).max(1.0),
-                    update: ContribParams::Dense {
-                        params: params.clone(),
-                        param_mask: Some(shared_mask),
-                    },
-                },
-                state: PersonalState {
-                    params,
-                    mask: Some(mask),
-                    ratio,
-                },
+            update,
+            PersonalState {
+                params,
+                mask,
+                ratio,
             },
         )
     }
 
-    fn absorb_update(&mut self, _env: &FlEnv, _round: usize, update: ClientUpdate) {
-        let update = *update
-            .downcast::<SparsePersonalizedUpdate>()
-            .expect("sparse-personalized payload");
-        self.states[update.contribution.client_id] = Some(update.state);
-        self.staged.push(update.contribution);
+    fn absorbed(&mut self, client: usize, _round: usize, state: PersonalState) {
+        self.states[client] = Some(state);
     }
 
-    fn absorb_update_stale(
-        &mut self,
-        env: &FlEnv,
-        round: usize,
-        update: ClientUpdate,
-        _staleness: u32,
-        weight: f64,
-    ) {
-        // Async absorption: discount the shared contribution's aggregation
-        // weight; the client's personal state is its own and stays undiluted.
-        let mut update = *update
-            .downcast::<SparsePersonalizedUpdate>()
-            .expect("sparse-personalized payload");
-        update.contribution.weight *= weight;
-        self.absorb_update(env, round, Box::new(update));
-    }
-
-    fn aggregate(&mut self, env: &FlEnv, _round: usize, _reports: &[ClientReport]) {
-        coverage_aggregate(&mut self.global, &self.staged, env.arch.unit_layout());
-        self.staged.clear();
-    }
-
-    fn evaluate_client(&self, env: &FlEnv, client: usize) -> EvalStats {
+    fn deployed(&self, env: &FlEnv, global: &[f32], client: usize) -> EvalStats {
         match &self.states[client] {
             Some(state) => {
-                let deployed = match &state.mask {
-                    Some(mask) => mask.apply(env.arch.unit_layout(), &state.params),
-                    None => state.params.clone(),
-                };
+                let deployed = state.mask.apply(env.arch.unit_layout(), &state.params);
                 env.arch.evaluate(&deployed, env.test_data(client))
             }
-            None => env.arch.evaluate(&self.global, env.test_data(client)),
+            None => env.arch.evaluate(global, env.test_data(client)),
         }
     }
 }
@@ -322,8 +255,11 @@ mod tests {
     use super::*;
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::HeterogeneityLevel;
+    use fedlps_sim::algorithm::FlAlgorithm;
     use fedlps_sim::config::FlConfig;
     use fedlps_sim::runner::Simulator;
+
+    use crate::driver::Baseline;
 
     fn sim() -> Simulator {
         Simulator::new(FlEnv::from_scenario(
@@ -342,7 +278,7 @@ mod tests {
             SparsePersonalized::fedp3,
         ] {
             let s = sim();
-            let mut algo = mk();
+            let mut algo = Baseline::new(mk());
             let result = s.run(&mut algo);
             assert_eq!(
                 result.rounds.len(),
@@ -357,7 +293,7 @@ mod tests {
     #[test]
     fn fedspa_keeps_a_constant_ratio() {
         let s = sim();
-        let mut algo = SparsePersonalized::fedspa();
+        let mut algo = Baseline::new(SparsePersonalized::fedspa());
         let result = s.run(&mut algo);
         for r in &result.rounds {
             assert!((r.mean_sparse_ratio - 0.5).abs() < 1e-9);
@@ -368,17 +304,20 @@ mod tests {
     fn lotteryfl_ratio_decays_once_accuracy_clears_threshold() {
         // Use a threshold of zero so pruning triggers immediately.
         let s = sim();
-        let mut algo = SparsePersonalized::new(SparsePersonalizedVariant::LotteryFl {
-            prune_step: 0.2,
-            accuracy_threshold: 0.0,
-            floor_ratio: 0.3,
-        });
+        let mut algo = Baseline::new(SparsePersonalized::new(
+            SparsePersonalizedVariant::PruneSchedule {
+                label: "LotteryFL",
+                prune_step: 0.2,
+                accuracy_threshold: 0.0,
+                floor_ratio: 0.3,
+            },
+        ));
         let result = s.run(&mut algo);
         let first = result.rounds.first().unwrap().mean_sparse_ratio;
         let last = result.rounds.last().unwrap().mean_sparse_ratio;
         assert!(last < first, "ratio should decay: {first} -> {last}");
         // And never below the floor.
-        for state in algo.states.iter().flatten() {
+        for state in algo.family.states.iter().flatten() {
             assert!(state.ratio >= 0.3 - 1e-9);
         }
     }
@@ -387,9 +326,9 @@ mod tests {
     fn fedp3_submodels_track_capability() {
         let s = sim();
         let caps = s.env().capabilities();
-        let mut algo = SparsePersonalized::fedp3();
+        let mut algo = Baseline::new(SparsePersonalized::fedp3());
         let _ = s.run(&mut algo);
-        for (k, state) in algo.states.iter().enumerate() {
+        for (k, state) in algo.family.states.iter().enumerate() {
             if let Some(state) = state {
                 assert!((state.ratio - caps[k]).abs() < 1e-9);
             }
@@ -399,13 +338,14 @@ mod tests {
     #[test]
     fn personalized_masks_differ_across_clients() {
         let s = sim();
-        let mut algo = SparsePersonalized::hermes();
+        let mut algo = Baseline::new(SparsePersonalized::hermes());
         let _ = s.run(&mut algo);
         let masks: Vec<&UnitMask> = algo
+            .family
             .states
             .iter()
             .flatten()
-            .filter_map(|s| s.mask.as_ref())
+            .map(|s| &s.mask)
             .collect();
         assert!(masks.len() >= 2);
         let all_identical = masks.windows(2).all(|w| w[0] == w[1]);

@@ -10,24 +10,15 @@
 //! model, which is what every client deploys for inference.
 
 use fedlps_bandit::ratio_policy::{RatioController, RatioFeedback, RatioPolicy};
-use fedlps_nn::model::EvalStats;
-use fedlps_sim::algorithm::{ClientOutcome, ClientReport, ClientUpdate, FlAlgorithm};
+use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
 use fedlps_sparse::mask::UnitMask;
 use fedlps_sparse::pattern::PatternStrategy;
 use fedlps_sparse::ratio::retained_units;
 use rand::rngs::StdRng;
 
-use std::sync::Arc;
-
-use crate::common::{baseline_client_round_shared, coverage_aggregate, Contribution};
-
-/// Payload of one width-scaling client step: the staged contribution plus the
-/// ratio feedback forwarded to the controller at aggregation time.
-struct WidthUpdate {
-    contribution: Contribution,
-    feedback: RatioFeedback,
-}
+use crate::common::ContribParams;
+use crate::driver::{Family, Step};
 
 /// Which width/depth-scaling baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,26 +66,22 @@ impl WidthVariant {
     }
 }
 
-/// Driver for the width/depth-scaling family.
+/// The width/depth-scaling family.
 #[derive(Debug)]
 pub struct WidthScaling {
     variant: WidthVariant,
-    /// The immutable global snapshot, `Arc`-shared with every in-flight
-    /// client task and packed contribution instead of being cloned per task.
-    global: Arc<Vec<f32>>,
     controller: Option<RatioController>,
-    staged: Vec<Contribution>,
+    /// Ratio feedback absorbed this round, reported to the controller only
+    /// once the round aggregates so in-flight steps see a stable policy.
     feedback: Vec<(usize, RatioFeedback)>,
 }
 
 impl WidthScaling {
-    /// Creates a driver for the given variant.
+    /// Creates the family for the given variant.
     pub fn new(variant: WidthVariant) -> Self {
         Self {
             variant,
-            global: Arc::new(Vec::new()),
             controller: None,
-            staged: Vec::new(),
             feedback: Vec::new(),
         }
     }
@@ -127,13 +114,15 @@ impl WidthScaling {
     }
 }
 
-impl FlAlgorithm for WidthScaling {
-    fn name(&self) -> String {
-        self.variant.label().to_string()
+impl Family for WidthScaling {
+    /// What the client's ratio cost and bought, for the ratio controller.
+    type Side = RatioFeedback;
+
+    fn label(&self) -> &'static str {
+        self.variant.label()
     }
 
-    fn setup(&mut self, env: &FlEnv) {
-        self.global = Arc::new(env.initial_params());
+    fn setup(&mut self, env: &FlEnv, _global: &[f32]) {
         let capabilities = env.capabilities();
         let initial_accuracy = vec![0.0; env.num_clients()];
         self.controller = Some(RatioController::new(
@@ -142,20 +131,17 @@ impl FlAlgorithm for WidthScaling {
             &initial_accuracy,
             env.config.seed,
         ));
-        self.staged.clear();
         self.feedback.clear();
     }
 
-    fn client_step(
+    fn train(
         &self,
-        env: &FlEnv,
-        round: usize,
-        client: usize,
+        step: &Step<'_>,
         rng: &mut StdRng,
-    ) -> ClientOutcome {
-        let device = env.fleet.available_profile(client, round);
+    ) -> (ClientReport, ContribParams, RatioFeedback) {
+        let env = step.env;
         let controller = self.controller.as_ref().expect("setup() not called");
-        let mut ratio = controller.ratio_for(client);
+        let mut ratio = controller.ratio_for(step.client);
         if matches!(self.variant, WidthVariant::Fjord) {
             // Fjord samples the dropout rate uniformly up to the capability.
             ratio *= 0.5 + 0.5 * rand::Rng::gen::<f64>(rng);
@@ -167,10 +153,10 @@ impl FlAlgorithm for WidthScaling {
         } else {
             self.variant.pattern().build_mask(
                 env.arch.unit_layout(),
-                &self.global,
+                step.global,
                 None,
                 ratio,
-                round,
+                step.round,
                 rng,
             )
         };
@@ -178,64 +164,25 @@ impl FlAlgorithm for WidthScaling {
         // The packed path trains the physically small submodel on values
         // gathered straight from the shared snapshot — no full-model clone,
         // no full-size mask expansion inside the parallel task.
-        let (report, summary, update) =
-            baseline_client_round_shared(env, client, &device, &self.global, mask, ratio, rng);
-
-        ClientOutcome::new(
-            report,
-            WidthUpdate {
-                contribution: Contribution {
-                    client_id: client,
-                    weight: env.train_size(client).max(1.0),
-                    update,
-                },
-                feedback: RatioFeedback {
-                    ratio,
-                    local_cost: report.local_cost.total(),
-                    accuracy: summary.mean_accuracy,
-                },
-            },
-        )
+        let (report, summary, update) = step.train_submodel(mask, ratio, rng);
+        let feedback = RatioFeedback {
+            ratio,
+            local_cost: report.local_cost.total(),
+            accuracy: summary.mean_accuracy,
+        };
+        (report, update, feedback)
     }
 
-    fn absorb_update(&mut self, _env: &FlEnv, _round: usize, update: ClientUpdate) {
-        let update = *update.downcast::<WidthUpdate>().expect("width payload");
-        self.feedback
-            .push((update.contribution.client_id, update.feedback));
-        self.staged.push(update.contribution);
+    fn absorbed(&mut self, client: usize, _round: usize, feedback: RatioFeedback) {
+        self.feedback.push((client, feedback));
     }
 
-    fn absorb_update_stale(
-        &mut self,
-        env: &FlEnv,
-        round: usize,
-        update: ClientUpdate,
-        _staleness: u32,
-        weight: f64,
-    ) {
-        // Async absorption: discount the coverage-aggregation weight; the
-        // ratio feedback reports what actually happened and stays untouched.
-        let mut update = *update.downcast::<WidthUpdate>().expect("width payload");
-        update.contribution.weight *= weight;
-        self.absorb_update(env, round, Box::new(update));
-    }
-
-    fn aggregate(&mut self, env: &FlEnv, _round: usize, _reports: &[ClientReport]) {
-        // Staged packed contributions hold clones of the `Arc`, so mutate a
-        // detached copy and republish it as the next shared snapshot.
-        let mut next = (*self.global).clone();
-        coverage_aggregate(&mut next, &self.staged, env.arch.unit_layout());
-        self.global = Arc::new(next);
-        self.staged.clear();
+    fn aggregated(&mut self) {
         if let Some(controller) = self.controller.as_mut() {
             for (client, feedback) in self.feedback.drain(..) {
                 controller.report(client, feedback);
             }
         }
-    }
-
-    fn evaluate_client(&self, env: &FlEnv, client: usize) -> EvalStats {
-        env.arch.evaluate(&self.global, env.test_data(client))
     }
 }
 
@@ -244,12 +191,16 @@ mod tests {
     use super::*;
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::HeterogeneityLevel;
+    use std::sync::Arc;
+
+    use fedlps_sim::algorithm::FlAlgorithm;
     use fedlps_sim::config::FlConfig;
     use fedlps_sim::runner::Simulator;
     use fedlps_sim::train::{local_sgd, LocalTrainOptions};
     use fedlps_tensor::rng_from_seed;
 
-    use crate::common::{masked_report, ContribParams};
+    use crate::common::{coverage_aggregate, Contribution};
+    use crate::driver::{train_options, Baseline};
 
     const VARIANTS: [WidthVariant; 5] = [
         WidthVariant::Fjord,
@@ -271,7 +222,7 @@ mod tests {
     fn all_variants_run_and_use_sparsity() {
         for variant in VARIANTS {
             let s = sim();
-            let mut algo = WidthScaling::new(variant);
+            let mut algo = Baseline::new(WidthScaling::new(variant));
             let result = s.run(&mut algo);
             assert_eq!(
                 result.rounds.len(),
@@ -299,7 +250,7 @@ mod tests {
         // 0.8 leaves DepthFL units in its last layer, so its mask extracts a
         // connected submodel like the other four.
         let (client, round, ratio) = (0, 1, 0.8);
-        let device = env.fleet.available_profile(client, round);
+        let step = Step::new(env, round, client, &global);
         for variant in VARIANTS {
             let mask = if matches!(variant, WidthVariant::DepthFl) {
                 WidthScaling::depth_mask(env, ratio)
@@ -310,15 +261,8 @@ mod tests {
                     .build_mask(layout, &global, None, ratio, round, &mut rng)
             };
 
-            let (report, _, update) = baseline_client_round_shared(
-                env,
-                client,
-                &device,
-                &global,
-                mask.clone(),
-                ratio,
-                &mut rng_from_seed(11),
-            );
+            let (report, _, update) =
+                step.train_submodel(mask.clone(), ratio, &mut rng_from_seed(11));
             assert!(
                 matches!(update, ContribParams::Packed { .. }),
                 "{variant:?}: the family's masks are packable"
@@ -331,12 +275,8 @@ mod tests {
                 &mut params,
                 env.train_data(client),
                 &LocalTrainOptions {
-                    iterations: env.config.local_iterations,
-                    batch_size: env.config.batch_size,
-                    sgd: env.config.sgd,
                     param_mask: Some(&pmask),
-                    prox: None,
-                    frozen: None,
+                    ..train_options(env)
                 },
                 &mut rng_from_seed(11),
             );
@@ -346,7 +286,7 @@ mod tests {
             };
             assert_eq!(
                 report,
-                masked_report(env, client, &device, Some(&mask), ratio, &summary),
+                step.report(Some(&mask), ratio, &summary),
                 "{variant:?}: reports differ"
             );
 
@@ -385,7 +325,7 @@ mod tests {
     fn sparse_ratios_never_exceed_static_capability_for_rcr_variants() {
         let s = sim();
         let caps = s.env().capabilities();
-        let mut algo = WidthScaling::new(WidthVariant::HeteroFl);
+        let mut algo = Baseline::new(WidthScaling::new(WidthVariant::HeteroFl));
         let result = s.run(&mut algo);
         // Every round's mean ratio must be below the best capability.
         let max_cap = caps.iter().cloned().fold(0.0, f64::max);

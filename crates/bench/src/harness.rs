@@ -1,4 +1,4 @@
-//! Experiment execution helpers shared by all harness binaries.
+//! Experiment execution helpers shared by all artefacts.
 
 use fedlps_baselines::registry::baseline_by_name;
 use fedlps_core::{FedLps, FedLpsConfig};
@@ -97,53 +97,6 @@ pub fn figure_methods() -> Vec<&'static str> {
         "FedSpa",
         "FedLPS",
     ]
-}
-
-/// Parses a `--methods a,b,c` style argument list, falling back to `default`.
-pub fn methods_from_args(default: Vec<&'static str>) -> Vec<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--methods" {
-            if let Some(v) = args.get(i + 1) {
-                return v.split(',').map(|s| s.trim().to_string()).collect();
-            }
-        }
-        if let Some(v) = a.strip_prefix("--methods=") {
-            return v.split(',').map(|s| s.trim().to_string()).collect();
-        }
-    }
-    default.into_iter().map(|s| s.to_string()).collect()
-}
-
-/// Parses a `--datasets mnist-like,...` argument, falling back to `default`.
-pub fn datasets_from_args(default: Vec<DatasetKind>) -> Vec<DatasetKind> {
-    let args: Vec<String> = std::env::args().collect();
-    let parse = |v: &str| -> Vec<DatasetKind> {
-        v.split(',')
-            .filter_map(|name| {
-                DatasetKind::all()
-                    .into_iter()
-                    .find(|k| k.name() == name.trim())
-            })
-            .collect()
-    };
-    for (i, a) in args.iter().enumerate() {
-        if a == "--datasets" {
-            if let Some(v) = args.get(i + 1) {
-                let parsed = parse(v);
-                if !parsed.is_empty() {
-                    return parsed;
-                }
-            }
-        }
-        if let Some(v) = a.strip_prefix("--datasets=") {
-            let parsed = parse(v);
-            if !parsed.is_empty() {
-                return parsed;
-            }
-        }
-    }
-    default
 }
 
 #[cfg(test)]

@@ -1,30 +1,33 @@
 //! Benchmark harness regenerating the paper's tables and figures.
 //!
-//! Every table and figure of the evaluation section has a corresponding
-//! binary under `src/bin/` (run them with `cargo run --release -p fedlps_bench
-//! --bin <name>`).
+//! Every table and figure of the evaluation section is one row of
+//! [`artefacts::ARTEFACTS`], run by name through the single `paper` binary:
 //!
-//! | Paper artefact | Binary |
-//! |---|---|
-//! | Table I (accuracy & FLOPs, 20 methods × 5 datasets) | `table1` |
-//! | Table II (ablation: FLST / RCR / P-UCBV, fixed & dynamic) | `table2_ablation` |
-//! | Figure 3 (accuracy vs FLOPs) | `fig3_accuracy_vs_flops` |
-//! | Figure 4 (accuracy vs running time) | `fig4_accuracy_vs_time` |
-//! | Figure 5 (time-to-accuracy) | `fig5_tta` |
-//! | Figure 6 (accuracy vs non-IID level) | `fig6_noniid_levels` |
-//! | Figure 7 (accuracy vs heterogeneity level) | `fig7_heterogeneity_accuracy` |
-//! | Figure 8 (time vs heterogeneity level) | `fig8_heterogeneity_time` |
-//! | Figure 9a (pattern strategies vs sparse ratio) | `fig9a_pattern_sweep` |
-//! | Figure 9b (time breakdown vs sparse ratio) | `fig9b_time_breakdown` |
+//! ```text
+//! cargo run --release -p fedlps_bench --bin paper -- --list
+//! cargo run --release -p fedlps_bench --bin paper -- table1 \
+//!     --scale quick --datasets mnist-like,cifar10-like --methods FedAvg,Hermes,FedLPS
+//! ```
 //!
-//! All binaries accept `--scale quick|small|full` (default `quick`) so the
-//! full sweep can be reproduced when more compute time is available; the
-//! qualitative orderings already emerge at the `quick` scale.
+//! `paper --list` prints the artefact names with what each shows (it is
+//! generated from the same table, so it cannot drift from what runs).
+//! `--scale tiny|quick|small|full` (default `quick`) sizes the sweep, so the
+//! full comparison can be reproduced when more compute time is available
+//! (`tiny` is what the tier-1 claims test can afford in the debug profile);
+//! `--methods` / `--datasets` narrow Table I and Figures 3–4. The arguments
+//! are validated up front ([`cli`]): an unknown artefact, scale, method,
+//! dataset or flag exits with status 2 and the valid values.
+//!
+//! `tests/paper_claims.rs` iterates the same table and asserts the paper's
+//! qualitative orderings that hold at smoke scale.
 
+pub mod artefacts;
+pub mod cli;
 pub mod harness;
 pub mod scale;
 pub mod table;
 
+pub use artefacts::{Artefact, Request, ARTEFACTS};
 pub use harness::{run_fedlps, run_method, ExperimentEnv};
 pub use scale::Scale;
 pub use table::TableBuilder;

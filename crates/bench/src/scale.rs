@@ -1,4 +1,4 @@
-//! Experiment scales: how much compute each harness binary spends.
+//! Experiment scales: how much compute an artefact spends.
 
 use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
 use fedlps_sim::config::FlConfig;
@@ -6,6 +6,9 @@ use fedlps_sim::config::FlConfig;
 /// How large an experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
+    /// [`FlConfig::tiny`] on [`ScenarioConfig::tiny`] — the size the tier-1
+    /// claims test (`tests/paper_claims.rs`) can afford in the debug profile.
+    Tiny,
     /// A few rounds on a small federation — seconds per method, for
     /// smoke-testing the harness.
     Quick,
@@ -17,9 +20,13 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The names [`Scale::parse`] accepts.
+    pub const NAMES: [&'static str; 4] = ["tiny", "quick", "small", "full"];
+
     /// Parses a scale from a command-line argument.
     pub fn parse(value: &str) -> Option<Scale> {
         match value.to_ascii_lowercase().as_str() {
+            "tiny" => Some(Scale::Tiny),
             "quick" => Some(Scale::Quick),
             "small" => Some(Scale::Small),
             "full" => Some(Scale::Full),
@@ -27,26 +34,10 @@ impl Scale {
         }
     }
 
-    /// Reads the scale from the process arguments (`--scale <value>`),
-    /// defaulting to [`Scale::Quick`].
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        for (i, a) in args.iter().enumerate() {
-            if a == "--scale" {
-                if let Some(v) = args.get(i + 1).and_then(|v| Scale::parse(v)) {
-                    return v;
-                }
-            }
-            if let Some(v) = a.strip_prefix("--scale=").and_then(Scale::parse) {
-                return v;
-            }
-        }
-        Scale::Quick
-    }
-
     /// Federation hyper-parameters at this scale.
     pub fn fl_config(&self) -> FlConfig {
         match self {
+            Scale::Tiny => FlConfig::tiny(),
             Scale::Quick => FlConfig {
                 rounds: 12,
                 clients_per_round: 5,
@@ -77,6 +68,7 @@ impl Scale {
     /// Dataset scenario for a given benchmark at this scale.
     pub fn scenario(&self, kind: DatasetKind) -> ScenarioConfig {
         match self {
+            Scale::Tiny => ScenarioConfig::tiny(kind),
             Scale::Quick => ScenarioConfig {
                 num_clients: 10,
                 samples_per_client: 60,
@@ -100,14 +92,17 @@ mod tests {
 
     #[test]
     fn parse_scales() {
+        assert_eq!(Scale::parse("tiny"), Some(Scale::Tiny));
         assert_eq!(Scale::parse("quick"), Some(Scale::Quick));
         assert_eq!(Scale::parse("SMALL"), Some(Scale::Small));
         assert_eq!(Scale::parse("full"), Some(Scale::Full));
         assert_eq!(Scale::parse("bogus"), None);
+        assert!(Scale::NAMES.iter().all(|n| Scale::parse(n).is_some()));
     }
 
     #[test]
     fn configs_grow_with_scale() {
+        assert!(Scale::Tiny.fl_config().rounds < Scale::Quick.fl_config().rounds);
         assert!(Scale::Quick.fl_config().rounds < Scale::Small.fl_config().rounds);
         assert!(Scale::Small.fl_config().rounds < Scale::Full.fl_config().rounds);
         assert!(

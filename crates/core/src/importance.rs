@@ -11,7 +11,7 @@
 //! estimator: the sensitivity of the loss to keeping unit `j` is approximated
 //! by `Σ_{w ∈ unit j} (∂L/∂w) · w` — the first-order change in the loss if the
 //! unit's parameters were removed. The regularisation term `λ‖Q − σ(|ω|_J)‖²`
-//! (Eq. 8) is differentiated exactly. `DESIGN.md §1` documents this
+//! (Eq. 8) is differentiated exactly. PAPER.md ("Substitutions") documents this
 //! substitution.
 
 use fedlps_nn::unit::UnitLayout;

@@ -3,7 +3,7 @@
 //! The paper evaluates on MNIST, CIFAR-10/100, Tiny-ImageNet and the LEAF
 //! Reddit corpus. Those assets are not available in this offline
 //! reproduction, so this crate generates *synthetic equivalents* whose
-//! statistical structure exercises the same code paths (see `DESIGN.md §1`):
+//! statistical structure exercises the same code paths (PAPER.md, "Substitutions"):
 //!
 //! * [`synth_vision`] — Gaussian class-prototype image-like datasets with a
 //!   configurable number of classes and feature dimensionality;

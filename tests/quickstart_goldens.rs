@@ -8,6 +8,12 @@
 //! each of the three round modes, must stay byte-equal to the goldens
 //! captured before either change landed (`tests/goldens/quickstart64_*.json`).
 //!
+//! The same mechanism pins the comparison side: every registered baseline on
+//! a tiny federation, synchronous and asynchronous (so each family's
+//! stale-absorb path is covered), against goldens captured from the
+//! per-family `FlAlgorithm` impls before they were folded into one driver
+//! (`tests/goldens/baseline_tiny_*.json`), serial and at four shards.
+//!
 //! To regenerate after an *intentional* trace change (which must be called out
 //! in the PR description), run:
 //!
@@ -35,11 +41,21 @@ fn quickstart64_env(round_mode: RoundMode) -> FlEnv {
     FlEnv::from_scenario(&scenario, HeterogeneityLevel::High, fl_config)
 }
 
-fn check_golden(name: &str, round_mode: RoundMode) {
-    let sim = Simulator::new(quickstart64_env(round_mode));
-    let mut fedlps = fedlps::core::FedLps::for_env(sim.env());
-    let result = sim.run(&mut fedlps);
-    let json = serde_json::to_string(&result).expect("RunResult serializes");
+fn run_json(env: FlEnv, make: &dyn Fn(&FlEnv) -> Box<dyn FlAlgorithm>) -> String {
+    let sim = Simulator::new(env);
+    let mut algo = make(sim.env());
+    let result = sim.run(&mut *algo);
+    serde_json::to_string(&result).expect("RunResult serializes")
+}
+
+fn fedlps_for(env: &FlEnv) -> Box<dyn FlAlgorithm> {
+    Box::new(FedLps::for_env(env))
+}
+
+/// Byte-compares the run's metrics JSON against `tests/goldens/{name}.json`
+/// (or rewrites the golden under `FEDLPS_UPDATE_GOLDENS`) and returns it.
+fn check_golden(name: &str, env: FlEnv, make: &dyn Fn(&FlEnv) -> Box<dyn FlAlgorithm>) -> String {
+    let json = run_json(env, make);
 
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/goldens")
@@ -47,7 +63,7 @@ fn check_golden(name: &str, round_mode: RoundMode) {
     if std::env::var("FEDLPS_UPDATE_GOLDENS").is_ok() {
         std::fs::create_dir_all(path.parent().expect("goldens dir")).expect("mkdir goldens");
         std::fs::write(&path, &json).expect("golden is writable");
-        return;
+        return json;
     }
     let golden = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
@@ -56,19 +72,67 @@ fn check_golden(name: &str, round_mode: RoundMode) {
         "metrics JSON for {name} diverged from the pre-refactor golden; if the \
          trace change is intentional, regenerate with FEDLPS_UPDATE_GOLDENS=1"
     );
+    json
 }
 
 #[test]
 fn quickstart64_sync_matches_pre_refactor_golden() {
-    check_golden("quickstart64_sync", RoundMode::Synchronous);
+    check_golden(
+        "quickstart64_sync",
+        quickstart64_env(RoundMode::Synchronous),
+        &fedlps_for,
+    );
 }
 
 #[test]
 fn quickstart64_deadline_matches_pre_refactor_golden() {
-    check_golden("quickstart64_deadline", RoundMode::deadline(0.004, 2));
+    check_golden(
+        "quickstart64_deadline",
+        quickstart64_env(RoundMode::deadline(0.004, 2)),
+        &fedlps_for,
+    );
 }
 
 #[test]
 fn quickstart64_async_matches_pre_refactor_golden() {
-    check_golden("quickstart64_async", RoundMode::asynchronous(4, 0.6));
+    check_golden(
+        "quickstart64_async",
+        quickstart64_env(RoundMode::asynchronous(4, 0.6)),
+        &fedlps_for,
+    );
+}
+
+/// Every baseline of the registry on the tiny federation in `round_mode`:
+/// the serial trace must equal its golden, and the four-shard trace the
+/// serial one.
+fn check_baseline_goldens(mode_name: &str, round_mode: RoundMode) {
+    for name in baseline_names() {
+        let env = |parallelism| {
+            FlEnv::from_scenario(
+                &ScenarioConfig::tiny(DatasetKind::MnistLike),
+                HeterogeneityLevel::High,
+                FlConfig::tiny()
+                    .with_round_mode(round_mode)
+                    .with_parallelism(parallelism),
+            )
+        };
+        let make = |_: &FlEnv| baseline_by_name(name).expect("registered baseline");
+        let golden = format!("baseline_tiny_{name}_{mode_name}");
+        let serial = check_golden(&golden, env(1), &make);
+        assert_eq!(
+            serial,
+            run_json(env(4), &make),
+            "{name} ({mode_name}) diverges between parallelism 1 and 4"
+        );
+    }
+}
+
+#[test]
+fn baselines_sync_match_pre_refactor_goldens() {
+    check_baseline_goldens("sync", RoundMode::Synchronous);
+}
+
+#[test]
+fn baselines_async_match_pre_refactor_goldens() {
+    check_baseline_goldens("async", RoundMode::asynchronous(3, 0.5));
 }
