@@ -122,11 +122,6 @@ impl PUcbv {
         self.shape_units = Some(units_per_layer);
     }
 
-    /// Whether the arm space is quantized.
-    pub fn is_quantized(&self) -> bool {
-        self.shape_units.is_some()
-    }
-
     /// The canonical representative of `ratio`'s shape-equivalence class: the
     /// midpoint of the interval of ratios retaining identical per-layer unit
     /// counts (`clamp(⌈s·J_l⌉, 1, J_l)` — the same rounding
@@ -385,7 +380,6 @@ mod tests {
     fn quantized_ratios_are_canonical_and_collapse_shape_classes() {
         let units = vec![10, 8];
         let a = agent().with_shape_resolution(units.clone());
-        assert!(a.is_quantized());
         for r in [0.08, 0.13, 0.27, 0.44, 0.5, 0.61, 0.83, 0.95] {
             let q = a.quantize(r);
             // Canonical representatives are fixed points.

@@ -14,8 +14,8 @@ use fedlps_nn::model::EvalStats;
 use fedlps_sim::algorithm::{ClientOutcome, ClientReport, ClientUpdate, FlAlgorithm};
 use fedlps_sim::env::FlEnv;
 use fedlps_sim::train::{
-    account_round, compile_packed, local_sgd, local_sgd_packed, local_sgd_packed_values,
-    LocalTrainOptions, LocalTrainSummary,
+    account_round, compile_packed, local_sgd, local_sgd_packed, LocalTrainOptions,
+    LocalTrainSummary,
 };
 use fedlps_sparse::mask::UnitMask;
 use rand::rngs::StdRng;
@@ -186,7 +186,7 @@ impl<'a> Step<'a> {
             let mut values = vec![0.0f32; packed.packed_len()];
             packed.gather_params_into(self.global, &mut values);
             let data = env.train_data(self.client);
-            let summary = local_sgd_packed_values(&packed, &mut values, data, &options, rng);
+            let summary = local_sgd(packed.arch(), &mut values, data, &options, rng);
             let report = self.report(Some(&mask), sparse_ratio, &summary);
             let update = ContribParams::Packed {
                 base: Arc::clone(self.global),

@@ -21,14 +21,10 @@ use crate::server::{aggregate_residuals_tree, StagedUpdate};
 enum MaskCacheEvent {
     /// The pattern strategy is not cacheable across rounds; no lookup ran.
     Bypassed,
-    /// The cached mask was served. When the entry predates packed execution
-    /// (or was inserted before its plan compiled), the task's freshly
-    /// compiled plan rides along to be attached.
-    Hit {
-        attach_plan: Option<Arc<PackedModel>>,
-    },
+    /// The cached mask (and the plan compiled from it) was served.
+    Hit,
     /// A fresh mask was built and should be installed at this ratio, along
-    /// with the packed submodel compiled for it (if packing ran).
+    /// with the packed submodel compiled for it (if it packs).
     Miss {
         ratio: f64,
         mask: UnitMask,
@@ -155,42 +151,6 @@ impl FedLps {
         ratio.max(0.01)
     }
 
-    /// The shared serial absorb: persists the client's state, settles its
-    /// mask-cache event and stages its residual with the given server-side
-    /// weight scale (1 for synchronous rounds, the staleness discount
-    /// `alpha^staleness` under asynchronous absorption).
-    fn absorb(&mut self, update: FedLpsUpdate, weight_scale: f64) {
-        let FedLpsUpdate {
-            client,
-            state,
-            mut staged,
-            feedback,
-            cache_event,
-        } = update;
-        self.clients.insert(client, state);
-        if let Some(cache) = self.mask_cache.as_mut() {
-            match cache_event {
-                MaskCacheEvent::Bypassed => {}
-                MaskCacheEvent::Hit { attach_plan } => {
-                    cache.record(true);
-                    if let Some(plan) = attach_plan {
-                        cache.attach_plan(client, plan);
-                    }
-                }
-                MaskCacheEvent::Miss { ratio, mask, plan } => {
-                    cache.record(false);
-                    cache.insert(client, ratio, mask);
-                    if let Some(plan) = plan {
-                        cache.attach_plan(client, plan);
-                    }
-                }
-            }
-        }
-        staged.weight *= weight_scale;
-        self.staged.push(staged);
-        self.feedback.push((client, feedback));
-    }
-
     fn update_options(&self, env: &FlEnv, ratio: f64, round: usize) -> ClientUpdateOptions {
         ClientUpdateOptions {
             iterations: env.config.local_iterations,
@@ -278,18 +238,12 @@ impl FlAlgorithm for FedLps {
         // resampling, rolling windows, live weight magnitudes) bypass the
         // cache entirely — reusing their masks would change their semantics.
         let caching = self.config.pattern.cacheable_across_rounds();
-        let (cached_mask, cached_plan) = if caching {
-            match self.mask_cache.as_ref() {
-                Some(cache) => (
-                    cache.lookup(client, ratio),
-                    cache.lookup_plan(client, ratio),
-                ),
-                None => (None, None),
-            }
-        } else {
-            (None, None)
-        };
-        let had_cached_plan = cached_plan.is_some();
+        let (cached_mask, cached_plan) = self
+            .mask_cache
+            .as_ref()
+            .filter(|_| caching)
+            .and_then(|cache| cache.lookup(client, ratio))
+            .map_or((None, None), |(mask, plan)| (Some(mask), plan.cloned()));
 
         let options = self.update_options(env, ratio, round);
         let task = ClientTask {
@@ -319,18 +273,12 @@ impl FlAlgorithm for FedLps {
         let cache_event = if !caching {
             MaskCacheEvent::Bypassed
         } else if output.mask_cache_hit {
-            MaskCacheEvent::Hit {
-                attach_plan: if had_cached_plan {
-                    None
-                } else {
-                    output.plan.clone()
-                },
-            }
+            MaskCacheEvent::Hit
         } else {
             MaskCacheEvent::Miss {
                 ratio,
                 mask: outcome.mask,
-                plan: output.plan.clone(),
+                plan: output.plan,
             }
         };
         let report = ClientReport {
@@ -344,7 +292,7 @@ impl FlAlgorithm for FedLps {
             sparse_ratio: ratio,
             selection_utility: 0.0,
             participations: 0,
-            mask_cache_hits: matches!(cache_event, MaskCacheEvent::Hit { .. }) as u32,
+            mask_cache_hits: matches!(cache_event, MaskCacheEvent::Hit) as u32,
             mask_cache_misses: matches!(cache_event, MaskCacheEvent::Miss { .. }) as u32,
         };
         ClientOutcome::new(
@@ -366,13 +314,14 @@ impl FlAlgorithm for FedLps {
         )
     }
 
-    fn absorb_update(&mut self, _env: &FlEnv, _round: usize, update: ClientUpdate) {
-        let update = *update
-            .downcast::<FedLpsUpdate>()
-            .expect("FedLPS update payload");
-        self.absorb(update, 1.0);
+    fn absorb_update(&mut self, env: &FlEnv, round: usize, update: ClientUpdate) {
+        self.absorb_update_stale(env, round, update, 0, 1.0);
     }
 
+    /// The serial absorb of every round mode: persists the client's state,
+    /// settles its mask-cache event and stages its residual scaled by the
+    /// server-side `weight` (1 for cohort rounds, the staleness discount
+    /// `alpha^staleness` under asynchronous absorption).
     fn absorb_update_stale(
         &mut self,
         _env: &FlEnv,
@@ -381,20 +330,39 @@ impl FlAlgorithm for FedLps {
         _staleness: u32,
         weight: f64,
     ) {
-        let update = *update
+        let FedLpsUpdate {
+            client,
+            state,
+            mut staged,
+            feedback,
+            cache_event,
+        } = *update
             .downcast::<FedLpsUpdate>()
             .expect("FedLPS update payload");
-        self.absorb(update, weight);
+        self.clients.insert(client, state);
+        if let Some(cache) = self.mask_cache.as_mut() {
+            match cache_event {
+                MaskCacheEvent::Bypassed => {}
+                MaskCacheEvent::Hit => cache.record(true),
+                MaskCacheEvent::Miss { ratio, mask, plan } => {
+                    cache.record(false);
+                    cache.insert(client, ratio, mask, plan);
+                }
+            }
+        }
+        staged.weight *= weight;
+        self.staged.push(staged);
+        self.feedback.push((client, feedback));
     }
 
     fn aggregate(&mut self, env: &FlEnv, _round: usize, _reports: &[ClientReport]) {
-        // The merge tree shards the absorption walk on the coordinate axis,
-        // so following the configured parallelism here is bit-free: every
-        // shard count reproduces the serial walk exactly.
+        // The absorption walk shards on the coordinate axis, so following
+        // the configured parallelism here is bit-free: every shard count
+        // reproduces the serial walk exactly.
         aggregate_residuals_tree(
             &mut self.global,
             &self.staged,
-            env.config.effective_parallelism().max(1),
+            env.config.effective_parallelism(),
         );
         self.staged.clear();
         if let Some(controller) = self.controller.as_mut() {

@@ -116,9 +116,9 @@ pub struct ClientTaskOutput {
     /// Whether the round's mask came from the cache (`false` means the
     /// caller should insert `outcome.mask` into the cache).
     pub mask_cache_hit: bool,
-    /// The packed submodel this round executed, if any — the caller attaches
-    /// it to the mask cache so the next participation at this shape skips
-    /// compilation.
+    /// The packed submodel this round executed, if any — on a miss the
+    /// caller installs it in the mask cache together with `outcome.mask`, so
+    /// the next participation at this shape skips compilation.
     pub plan: Option<Arc<PackedModel>>,
 }
 

@@ -95,19 +95,6 @@ impl FedLpsConfig {
         }
     }
 
-    /// Builder-style override of the regularisation weights.
-    pub fn with_regularisation(mut self, mu: f32, lambda: f32) -> Self {
-        self.mu = mu;
-        self.lambda = lambda;
-        self
-    }
-
-    /// Builder-style override of the ratio policy.
-    pub fn with_ratio_policy(mut self, policy: RatioPolicy) -> Self {
-        self.ratio_policy = policy;
-        self
-    }
-
     /// Builder-style override of the arm-space quantization switch.
     pub fn with_quantize_arm_space(mut self, quantize: bool) -> Self {
         self.quantize_arm_space = quantize;
@@ -153,13 +140,7 @@ mod tests {
 
     #[test]
     fn builders() {
-        let cfg = FedLpsConfig::default()
-            .with_regularisation(0.5, 2.0)
-            .with_ratio_policy(RatioPolicy::Dense)
-            .with_quantize_arm_space(false);
-        assert_eq!(cfg.mu, 0.5);
-        assert_eq!(cfg.lambda, 2.0);
-        assert_eq!(cfg.ratio_policy, RatioPolicy::Dense);
+        let cfg = FedLpsConfig::default().with_quantize_arm_space(false);
         assert!(!cfg.quantize_arm_space);
         assert!(FedLpsConfig::default().quantize_arm_space);
     }

@@ -20,13 +20,10 @@
 //! Module map: [`config`] (hyper-parameters and ablation switches),
 //! [`importance`] (the indicator and its straight-through gradient),
 //! [`loss`] (the three-term objective), [`client`] (Algorithm 1's
-//! `ClientUpdate`), [`server`] (aggregation), [`algorithm`] (the
-//! [`FedLps`] driver implementing [`fedlps_sim::FlAlgorithm`]) and
-//! [`analysis`] (probes for the quantities bounded by the convergence
-//! analysis).
+//! `ClientUpdate`), [`server`] (aggregation) and [`algorithm`] (the
+//! [`FedLps`] driver implementing [`fedlps_sim::FlAlgorithm`]).
 
 pub mod algorithm;
-pub mod analysis;
 pub mod client;
 pub mod config;
 pub mod importance;

@@ -1,9 +1,6 @@
-//! Server-side aggregation (Eq. 13), serial and merge-tree sharded.
+//! Server-side aggregation (Eq. 13), serial and coordinate-range sharded.
 
-use std::ops::Range;
 use std::sync::Arc;
-
-use fedlps_topo::MergePlan;
 
 /// A client's uploaded residual `(ω^r − ω_{k,E}) ⊙ m_{k,E}` (Eq. 12), either
 /// as a dense full-coordinate vector (the masked-dense execution path) or as
@@ -93,16 +90,17 @@ pub fn aggregate_residuals(global: &mut [f32], staged: &[StagedUpdate]) {
     aggregate_residuals_tree(global, staged, 1);
 }
 
-/// Eq. (13) sharded over the [`MergePlan`] merge tree: the parameter vector
-/// is split into `shards` contiguous coordinate ranges, each leaf replays
-/// the full ascending-staged walk restricted to its range via
-/// [`merge_residuals_range`], and the fixed-shape pairwise combine
-/// reassembles the result by exact range concatenation. Leaves execute
-/// through the simulator's backend seam
-/// ([`fedlps_sim::backend::run_merge_shards`]), the one place parallelism is
-/// allowed to live, so the result is **bit-identical** to the serial walk at
-/// every shard count and worker count — sharding on the client axis would
-/// reassociate float additions, sharding on the coordinate axis cannot.
+/// Eq. (13) sharded on the coordinate axis: the next parameter vector is
+/// allocated once and split into at most `shards` disjoint contiguous
+/// chunks, and each chunk replays the full ascending-staged walk restricted
+/// to its own coordinates (`merge_residuals_range`), writing in place.
+/// Chunks execute through the simulator's backend seam
+/// ([`fedlps_sim::backend::for_each_chunk_mut`]), the one place parallelism
+/// is allowed to live. Coordinates never interact in Eq. (13), so *any*
+/// disjoint partition — `shards` of 0, 1, or more than `global.len()`
+/// included — is **bit-identical** to the serial walk at every worker
+/// count: sharding on the client axis would reassociate float additions,
+/// sharding on the coordinate axis cannot.
 pub fn aggregate_residuals_tree(global: &mut [f32], staged: &[StagedUpdate], shards: usize) {
     if staged.is_empty() {
         return;
@@ -112,26 +110,16 @@ pub fn aggregate_residuals_tree(global: &mut [f32], staged: &[StagedUpdate], sha
     }
     let total_weight: f64 = staged.iter().map(|s| s.weight).sum();
     assert!(total_weight > 0.0, "aggregation weights must be positive");
-    let plan = MergePlan::new(global.len(), shards);
-    let segments = if plan.shards() == 1 {
-        vec![merge_residuals_range(
-            global,
-            staged,
-            total_weight,
-            0..global.len(),
-        )]
-    } else {
-        let global = &*global;
-        fedlps_sim::backend::run_merge_shards(plan.shards(), |shard| {
-            merge_residuals_range(global, staged, total_weight, plan.range(shard))
-        })
-    };
-    let next = plan.combine(segments);
+    let mut next = vec![0.0f32; global.len()];
+    let current = &*global;
+    fedlps_sim::backend::for_each_chunk_mut(&mut next, shards, |start, chunk| {
+        merge_residuals_range(current, staged, total_weight, start, chunk)
+    });
     global.copy_from_slice(&next);
 }
 
-/// One merge-tree leaf: the Eq. (13) absorption walk restricted to a
-/// contiguous coordinate `range`, returning the `next[range]` segment.
+/// The Eq. (13) absorption walk restricted to the contiguous coordinates
+/// `start..start + next.len()`, accumulated into the zeroed chunk `next`.
 ///
 /// Per coordinate `i` the walk performs exactly the serial full-vector
 /// sequence — for each staged update in order, `next[i] += coeff * (g[i] -
@@ -140,13 +128,14 @@ pub fn aggregate_residuals_tree(global: &mut [f32], staged: &[StagedUpdate], sha
 /// coordinate it covers. Packed residuals position their ascending-coords
 /// cursor with a binary search and then replay the same peekable scatter
 /// walk as the full-vector case.
-pub fn merge_residuals_range(
+fn merge_residuals_range(
     global: &[f32],
     staged: &[StagedUpdate],
     total_weight: f64,
-    range: Range<usize>,
-) -> Vec<f32> {
-    let mut next = vec![0.0f32; range.len()];
+    start: usize,
+    next: &mut [f32],
+) {
+    let range = start..start + next.len();
     for s in staged {
         let coeff = (s.weight / total_weight) as f32;
         match &s.residual {
@@ -160,14 +149,14 @@ pub fn merge_residuals_range(
                 }
             }
             Residual::Packed { coords, values, .. } => {
-                let skip = coords.partition_point(|&c| (c as usize) < range.start);
+                let skip = coords.partition_point(|&c| (c as usize) < start);
                 let mut sparse = coords[skip..].iter().zip(values[skip..].iter()).peekable();
                 for (i, (n, &g)) in next
                     .iter_mut()
                     .zip(global[range.clone()].iter())
                     .enumerate()
                 {
-                    let coord = range.start + i;
+                    let coord = start + i;
                     let r = match sparse.peek() {
                         Some(&(&c, &v)) if c as usize == coord => {
                             sparse.next();
@@ -180,7 +169,6 @@ pub fn merge_residuals_range(
             }
         }
     }
-    next
 }
 
 #[cfg(test)]
@@ -226,6 +214,36 @@ mod tests {
         let mut global = vec![5.0];
         aggregate_residuals(&mut global, &[]);
         assert_eq!(global, vec![5.0]);
+    }
+
+    #[test]
+    fn sharding_edge_cases_match_the_serial_walk() {
+        let packed = |weight: f64, len: usize| StagedUpdate {
+            weight,
+            residual: Residual::Packed {
+                coords: Arc::new((0..len as u32).step_by(2).collect()),
+                values: (0..len).step_by(2).map(|i| i as f32 * 0.5 - 1.0).collect(),
+                len,
+            },
+        };
+        for len in [0usize, 1, 5] {
+            let base: Vec<f32> = (0..len).map(|i| 0.25 * i as f32 - 0.5).collect();
+            let staged = vec![dense(2.0, vec![0.125; len]), packed(3.0, len)];
+            let mut serial = base.clone();
+            aggregate_residuals(&mut serial, &staged);
+            // 0 and 1 stay on the calling thread; `len` gives one-coordinate
+            // chunks; anything above `len` clamps to that.
+            for shards in [0usize, 1, 2, len, len + 1, 64] {
+                let mut sharded = base.clone();
+                aggregate_residuals_tree(&mut sharded, &staged, shards);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&sharded), bits(&serial), "len {len}, shards {shards}");
+                // Nothing staged is a no-op at every shard count.
+                aggregate_residuals_tree(&mut sharded, &[], shards);
+                assert_eq!(bits(&sharded), bits(&serial));
+            }
+            assert!(len == 0 || serial != base, "the update moved the model");
+        }
     }
 
     #[test]

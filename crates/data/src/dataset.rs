@@ -1,7 +1,6 @@
 //! Core dataset containers shared by every crate in the workspace.
 
 use fedlps_tensor::Matrix;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// How the rows of a [`Dataset`] feature matrix should be interpreted by a
@@ -133,19 +132,6 @@ impl Dataset {
         (self.subset(&train_idx), self.subset(&test_idx))
     }
 
-    /// Draws a minibatch of `batch_size` sample indices uniformly at random
-    /// (with replacement when `batch_size > len`), returning copied rows.
-    pub fn sample_batch(&self, batch_size: usize, rng: &mut impl Rng) -> Dataset {
-        assert!(
-            !self.is_empty(),
-            "cannot sample a batch from an empty dataset"
-        );
-        let indices: Vec<usize> = (0..batch_size)
-            .map(|_| rng.gen_range(0..self.len()))
-            .collect();
-        self.subset(&indices)
-    }
-
     /// Per-class sample counts.
     pub fn class_histogram(&self) -> Vec<usize> {
         let mut hist = vec![0usize; self.num_classes];
@@ -227,38 +213,11 @@ impl FederatedDataset {
     pub fn num_clients(&self) -> usize {
         self.clients.len()
     }
-
-    /// Training-set sizes of every client (the FedAvg aggregation weights).
-    pub fn train_sizes(&self) -> Vec<usize> {
-        self.clients.iter().map(|c| c.train_size()).collect()
-    }
-
-    /// Total number of training samples across the federation.
-    pub fn total_train_samples(&self) -> usize {
-        self.train_sizes().iter().sum()
-    }
-
-    /// Pools every client's *test* data into one dataset — used by baselines
-    /// that deploy a single shared global model.
-    pub fn pooled_test(&self) -> Dataset {
-        let mut pooled = Dataset::empty(self.num_classes, self.input);
-        for c in &self.clients {
-            if !c.test.is_empty() {
-                pooled = if pooled.is_empty() {
-                    c.test.clone()
-                } else {
-                    pooled.concat(&c.test)
-                };
-            }
-        }
-        pooled
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedlps_tensor::rng_from_seed;
 
     fn toy() -> Dataset {
         let features = Matrix::from_fn(6, 3, |r, c| (r * 3 + c) as f32);
@@ -288,15 +247,6 @@ mod tests {
         let d = toy();
         assert_eq!(d.class_histogram(), vec![2, 2, 2]);
         assert_eq!(d.present_classes(), 3);
-    }
-
-    #[test]
-    fn sample_batch_has_requested_size() {
-        let d = toy();
-        let mut rng = rng_from_seed(1);
-        let b = d.sample_batch(10, &mut rng);
-        assert_eq!(b.len(), 10);
-        assert!(b.labels.iter().all(|&l| l < 3));
     }
 
     #[test]
@@ -331,8 +281,7 @@ mod tests {
             input: InputKind::Vector { dim: 3 },
         };
         assert_eq!(fed.num_clients(), 2);
-        assert_eq!(fed.total_train_samples(), 8);
-        assert_eq!(fed.pooled_test().len(), 4);
+        assert_eq!(fed.clients[1].train_size(), 4);
     }
 
     #[test]

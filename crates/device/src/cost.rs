@@ -54,12 +54,6 @@ impl CostModel {
             comm_seconds: self.alpha * upload_bytes / device.bandwidth_bytes_per_sec,
         }
     }
-
-    /// Eq. (18): the synchronous global round cost — the slowest selected
-    /// client determines the round's wall-clock time.
-    pub fn global_round_cost(local_costs: &[LocalCost]) -> f64 {
-        local_costs.iter().map(|c| c.total()).fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -95,26 +89,6 @@ mod tests {
         let dense = model.local_cost(4.0e12, 4.0e6, &device).total();
         let sparse = model.local_cost(1.0e12, 1.0e6, &device).total();
         assert!(sparse < dense / 3.0);
-    }
-
-    #[test]
-    fn global_cost_is_the_straggler() {
-        let costs = vec![
-            LocalCost {
-                compute_seconds: 1.0,
-                comm_seconds: 0.5,
-            },
-            LocalCost {
-                compute_seconds: 4.0,
-                comm_seconds: 1.0,
-            },
-            LocalCost {
-                compute_seconds: 0.2,
-                comm_seconds: 0.1,
-            },
-        ];
-        assert!((CostModel::global_round_cost(&costs) - 5.0).abs() < 1e-12);
-        assert_eq!(CostModel::global_round_cost(&[]), 0.0);
     }
 
     #[test]

@@ -27,22 +27,10 @@ pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// Derivative of the sigmoid expressed in terms of its *output* value.
-#[inline]
-pub fn sigmoid_grad_from_output(y: f32) -> f32 {
-    y * (1.0 - y)
-}
-
 /// Hyperbolic tangent.
 #[inline]
 pub fn tanh(x: f32) -> f32 {
     x.tanh()
-}
-
-/// Derivative of tanh expressed in terms of its *output* value.
-#[inline]
-pub fn tanh_grad_from_output(y: f32) -> f32 {
-    1.0 - y * y
 }
 
 /// Applies softmax followed by cross-entropy against an integer label.
@@ -74,10 +62,11 @@ mod tests {
         assert!(approx_eq(sigmoid(0.0), 0.5, 1e-6));
         assert!(approx_eq(sigmoid(2.0) + sigmoid(-2.0), 1.0, 1e-6));
         let y = sigmoid(0.7);
-        // Finite-difference check of the derivative.
+        // Finite-difference check of the output-form derivative `y(1 − y)`
+        // the LSTM backward pass inlines.
         let eps = 1e-3;
         let num = (sigmoid(0.7 + eps) - sigmoid(0.7 - eps)) / (2.0 * eps);
-        assert!(approx_eq(sigmoid_grad_from_output(y), num, 1e-3));
+        assert!(approx_eq(y * (1.0 - y), num, 1e-3));
     }
 
     #[test]
@@ -86,7 +75,8 @@ mod tests {
         let y = tanh(x);
         let eps = 1e-3;
         let num = (tanh(x + eps) - tanh(x - eps)) / (2.0 * eps);
-        assert!(approx_eq(tanh_grad_from_output(y), num, 1e-3));
+        // The output-form derivative `1 − y²` the LSTM backward pass inlines.
+        assert!(approx_eq(1.0 - y * y, num, 1e-3));
     }
 
     #[test]

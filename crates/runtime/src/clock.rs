@@ -33,13 +33,6 @@ impl VirtualClock {
         );
         self.now = t;
     }
-
-    /// Advances the clock by a non-negative duration and returns the new time.
-    pub fn advance_by(&mut self, seconds: f64) -> f64 {
-        assert!(seconds >= 0.0, "negative duration {seconds}");
-        self.now += seconds;
-        self.now
-    }
 }
 
 #[cfg(test)]
@@ -52,8 +45,7 @@ mod tests {
         assert_eq!(clock.now(), 0.0);
         clock.advance_to(1.5);
         assert_eq!(clock.now(), 1.5);
-        assert_eq!(clock.advance_by(0.5), 2.0);
-        clock.advance_to(2.0); // equal time is fine
+        clock.advance_to(1.5); // equal time is fine
     }
 
     #[test]
@@ -62,11 +54,5 @@ mod tests {
         let mut clock = VirtualClock::new();
         clock.advance_to(3.0);
         clock.advance_to(2.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_negative_durations() {
-        VirtualClock::new().advance_by(-1.0);
     }
 }

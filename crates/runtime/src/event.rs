@@ -1,15 +1,13 @@
 //! Timestamped scheduler events with a total, schedule-independent order.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// What happened at an instant of virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// A client finished its local compute (the `F̂/F` term of Eq. 14).
-    ComputeFinish,
-    /// A client's upload landed at the server (the `α·B̂/B` term): in every
-    /// mode this is the instant the update becomes absorbable.
+    /// A client's upload landed at the server, compute (`F̂/F`) plus upload
+    /// (`α·B̂/B`) seconds of Eq. 14 after its dispatch: in every mode this
+    /// is the instant the update becomes absorbable.
     UploadFinish,
     /// A transient upload fault: the attempt that would have landed at this
     /// instant failed on the wire. The driver either schedules a
@@ -35,32 +33,18 @@ impl EventKind {
     /// Tie-break rank at equal timestamps (see [`Event`]'s ordering).
     fn rank(&self) -> u8 {
         match self {
-            EventKind::ComputeFinish => 0,
-            EventKind::UploadFinish => 1,
+            EventKind::UploadFinish => 0,
             // A failed attempt resolves right after successful arrivals at
             // the same instant, and *before* churn/deadline bookkeeping: the
             // retransmission must be scheduled against the pre-deadline
             // round state it raced.
-            EventKind::UploadRetry => 2,
-            EventKind::Offline => 3,
+            EventKind::UploadRetry => 1,
+            EventKind::Offline => 2,
             // Zone deadlines close *before* the round deadline at an equal
             // timestamp: the edge tier resolves ahead of the server tier.
-            EventKind::ZoneDeadline => 4,
-            EventKind::RoundDeadline => 5,
-            EventKind::Dispatch => 6,
-        }
-    }
-
-    /// Short name used in logs.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::ComputeFinish => "compute-finish",
-            EventKind::UploadFinish => "upload-finish",
-            EventKind::UploadRetry => "upload-retry",
-            EventKind::Offline => "offline",
-            EventKind::ZoneDeadline => "zone-deadline",
-            EventKind::RoundDeadline => "round-deadline",
-            EventKind::Dispatch => "dispatch",
+            EventKind::ZoneDeadline => 3,
+            EventKind::RoundDeadline => 4,
+            EventKind::Dispatch => 5,
         }
     }
 }
@@ -72,7 +56,7 @@ impl EventKind {
 /// [`f64::total_cmp`], so a heap of events pops in the same order on every
 /// machine and at every thread count — the root determinism guarantee of the
 /// runtime. Times must be finite (the queue asserts it).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Virtual time of the occurrence, in simulated seconds.
     pub time: f64,
@@ -124,7 +108,7 @@ mod tests {
     #[test]
     fn orders_by_time_first() {
         let a = ev(1.0, 9, EventKind::Dispatch, 5);
-        let b = ev(2.0, 0, EventKind::ComputeFinish, 0);
+        let b = ev(2.0, 0, EventKind::UploadFinish, 0);
         assert!(a < b);
     }
 

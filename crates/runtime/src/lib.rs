@@ -6,17 +6,17 @@
 //! *execute* the paper's cost model instead of merely reporting it:
 //!
 //! * [`clock`] — a monotone virtual clock measured in simulated seconds;
-//! * [`event`] — timestamped events (`dispatch`, `compute-finish`,
-//!   `upload-finish`, `offline`, `round-deadline`) with a *total* and
-//!   schedule-independent ordering;
-//! * [`queue`] — a binary-heap event queue plus an [`EventLog`]
-//!   used to assert that schedules replay identically;
+//! * [`event`] — timestamped events (`upload-finish`, `upload-retry`,
+//!   `offline`, `zone-deadline`, `round-deadline`, `dispatch`) with a
+//!   *total* and schedule-independent ordering;
+//! * [`queue`] — the binary-heap [`EventQueue`] that pops them in that order;
 //! * [`mode`] — the [`RoundMode`] selector stored in the
 //!   simulator's `FlConfig`: synchronous rounds, deadline rounds with
-//!   over-selection, or staleness-aware asynchronous absorption;
-//! * [`schedule`] — the pure per-round planner mapping client latencies
-//!   (FLOPs ÷ tier compute + upload bytes ÷ tier bandwidth, i.e. the Eq. (14)
-//!   terms) onto arrival/drop times under a round deadline.
+//!   over-selection, or staleness-aware asynchronous absorption.
+//!
+//! The scheduler itself — who is dispatched, what a deadline drops, how long
+//! a round lasts — is the simulator's event-driven driver
+//! (`fedlps_sim::Simulator`), the only consumer of these four pieces.
 //!
 //! Everything here is a pure function of its inputs: no wall-clock reads, no
 //! thread-schedule dependence, no hidden RNG. That is what lets the simulator
@@ -27,10 +27,8 @@ pub mod clock;
 pub mod event;
 pub mod mode;
 pub mod queue;
-pub mod schedule;
 
 pub use clock::VirtualClock;
 pub use event::{Event, EventKind};
 pub use mode::RoundMode;
-pub use queue::{EventLog, EventQueue};
-pub use schedule::{Arrival, DispatchSpec, DropReason, DroppedClient, RoundPlan};
+pub use queue::EventQueue;

@@ -1,9 +1,7 @@
-//! The event queue and the replayable event log.
+//! The event queue.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-use serde::{Deserialize, Serialize};
 
 use crate::event::{Event, EventKind};
 
@@ -48,101 +46,6 @@ impl EventQueue {
     pub fn peek(&self) -> Option<&Event> {
         self.heap.peek().map(|Reverse(e)| e)
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-/// The ordered record of every event a scheduler processed.
-///
-/// Two runs of the same configuration must produce `==` logs; the runtime's
-/// property tests replay schedules and compare logs (and their
-/// [`fingerprint`](Self::fingerprint)s) to pin that contract.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct EventLog {
-    events: Vec<Event>,
-}
-
-impl EventLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a processed event.
-    pub fn record(&mut self, event: Event) {
-        self.events.push(event);
-    }
-
-    /// The recorded events in processing order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Renders the log as a human-readable table, one processed event per
-    /// line: `time  kind  client  seq`. Round-scoped events (deadlines)
-    /// print `-` in the client column. Every [`EventKind`] renders by its
-    /// [`name`](EventKind::name), including the fault-injection kinds
-    /// (`upload-retry`).
-    pub fn render(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 48 + 48);
-        out.push_str(&format!(
-            "{:>12}  {:<15} {:>8} {:>6}\n",
-            "time", "kind", "client", "seq"
-        ));
-        for e in &self.events {
-            let client = if e.client == Event::ROUND_SCOPE {
-                "-".to_string()
-            } else {
-                e.client.to_string()
-            };
-            out.push_str(&format!(
-                "{:>12.6}  {:<15} {:>8} {:>6}\n",
-                e.time,
-                e.kind.name(),
-                client,
-                e.seq
-            ));
-        }
-        out
-    }
-
-    /// An order- and bit-pattern-sensitive digest (FNV-1a over the event
-    /// fields, times hashed by their IEEE-754 bits). Equal logs have equal
-    /// fingerprints; schedule divergence flips it with high probability.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for e in &self.events {
-            mix(e.time.to_bits());
-            mix(e.client as u64);
-            mix(e.kind as u64);
-            mix(e.seq);
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -164,7 +67,7 @@ mod tests {
         assert_eq!(order[1], (2.0, 1, EventKind::UploadFinish, 0));
         assert_eq!(order[2], (2.0, 1, EventKind::UploadFinish, 2));
         assert_eq!(order[3], (2.0, 0, EventKind::Dispatch, 3));
-        assert!(q.is_empty());
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -196,72 +99,8 @@ mod tests {
     }
 
     #[test]
-    fn render_names_every_event_kind() {
-        let mut log = EventLog::new();
-        let mut q = EventQueue::new();
-        q.push(0.5, 7, EventKind::UploadFinish);
-        q.push(0.5, 7, EventKind::UploadRetry);
-        q.push(0.75, Event::ROUND_SCOPE, EventKind::RoundDeadline);
-        while let Some(e) = q.pop() {
-            log.record(e);
-        }
-        let table = log.render();
-        assert!(table.contains("upload-finish"));
-        assert!(table.contains("upload-retry"));
-        assert!(table.contains("round-deadline"));
-        // Round-scoped events render `-` instead of a client id.
-        let deadline_line = table
-            .lines()
-            .find(|l| l.contains("round-deadline"))
-            .unwrap();
-        assert!(deadline_line.contains(" - "));
-        // One header plus one line per event.
-        assert_eq!(table.lines().count(), 1 + log.len());
-    }
-
-    #[test]
     #[should_panic]
     fn rejects_nan_times() {
         EventQueue::new().push(f64::NAN, 0, EventKind::Dispatch);
-    }
-
-    #[test]
-    fn log_equality_and_fingerprint_track_content() {
-        let mut a = EventLog::new();
-        let mut b = EventLog::new();
-        let mut q = EventQueue::new();
-        q.push(1.0, 0, EventKind::Dispatch);
-        q.push(1.5, 0, EventKind::UploadFinish);
-        while let Some(e) = q.pop() {
-            a.record(e);
-            b.record(e);
-        }
-        assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-
-        b.record(Event {
-            time: 2.0,
-            client: 1,
-            kind: EventKind::Offline,
-            seq: 9,
-        });
-        assert_ne!(a, b);
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_eq!(b.len(), 3);
-        assert!(!b.is_empty());
-    }
-
-    #[test]
-    fn log_serde_roundtrip() {
-        let mut log = EventLog::new();
-        log.record(Event {
-            time: 0.25,
-            client: 3,
-            kind: EventKind::ComputeFinish,
-            seq: 0,
-        });
-        let json = serde_json::to_string(&log).unwrap();
-        let back: EventLog = serde_json::from_str(&json).unwrap();
-        assert_eq!(log, back);
     }
 }

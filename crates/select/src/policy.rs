@@ -141,6 +141,31 @@ impl SelectionKind {
         }
     }
 
+    /// Checks a directly constructed (or deserialized) variant;
+    /// `fedlps_sim`'s `FlConfig::validate` reports a violation under the
+    /// `selection` knob. An `exploration` outside `[0, 1]` would be silently
+    /// clamped by the refill coin flip and a NaN would silently disable
+    /// exploration, so both are rejected here instead.
+    pub fn validate(&self) -> Result<(), String> {
+        if let SelectionKind::UtilityBased {
+            exploration,
+            speed_exponent,
+        } = *self
+        {
+            if !(0.0..=1.0).contains(&exploration) {
+                return Err(format!(
+                    "utility exploration must be in [0, 1], got {exploration}"
+                ));
+            }
+            if !(speed_exponent.is_finite() && speed_exponent >= 0.0) {
+                return Err(format!(
+                    "utility speed_exponent must be finite and >= 0, got {speed_exponent}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Instantiates the configured policy.
     pub fn build(&self) -> Box<dyn SelectionPolicy> {
         match *self {

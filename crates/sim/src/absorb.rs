@@ -558,80 +558,135 @@ mod tests {
         assert_eq!(duration, 0.0);
     }
 
-    /// `ModeState` re-expresses the deadline semantics that
-    /// `fedlps_runtime::RoundPlan::schedule` defines (the pure planner the
-    /// pre-driver cohort loop called). This test replays randomized latency
-    /// scenarios through both and compares survivors, drop counts and round
-    /// duration, so the two formulations cannot silently drift apart.
+    /// One dispatched client of a flat, fault-free cohort round: its Eq. 14
+    /// latency and, if it churns offline, when (both relative to the round
+    /// start).
+    #[derive(Debug, Clone, Copy)]
+    struct Flight {
+        client: usize,
+        total: f64,
+        offline_at: Option<f64>,
+    }
+
+    /// The cohort round semantics in closed form — `(survivors ascending,
+    /// drops, duration)`. A client survives iff it never churns and lands
+    /// within the budget (an arrival exactly at the budget survives:
+    /// `UploadFinish` ranks before `RoundDeadline`); everyone else is a drop.
+    /// The server cannot tell a straggler from a dead device, so the round
+    /// lasts the full budget as soon as anyone dropped, else until its last
+    /// arrival. `budget = None` is the synchronous barrier: nothing drops.
+    fn cohort_oracle(flights: &[Flight], budget: Option<f64>) -> (Vec<usize>, usize, f64) {
+        let survives =
+            |f: &&Flight| f.offline_at.is_none() && budget.map_or(true, |b| f.total <= b);
+        let mut survivors: Vec<usize> = flights.iter().filter(survives).map(|f| f.client).collect();
+        survivors.sort_unstable();
+        let drops = flights.len() - survivors.len();
+        let last_arrival = flights
+            .iter()
+            .filter(survives)
+            .fold(0.0f64, |t, f| t.max(f.total));
+        let duration = match budget {
+            Some(budget) if drops > 0 => budget,
+            _ => last_arrival,
+        };
+        (survivors, drops, duration)
+    }
+
+    /// Drives `ModeState` with the events the driver would pop for `flights`
+    /// and returns what it decided, in the oracle's shape.
+    fn drive_cohort(round_mode: RoundMode, flights: &[Flight]) -> (Vec<usize>, usize, f64) {
+        use fedlps_runtime::{Event, EventKind, EventQueue};
+
+        let n = flights.len();
+        let mut mode = ModeState::for_round_mode(round_mode, n, n, 1.0);
+        mode.set_dispatched(n);
+        let mut acc = RoundAccumulator::new(0);
+        let mut queue = EventQueue::new();
+        for f in flights {
+            match f.offline_at {
+                Some(at) => queue.push(at, f.client, EventKind::Offline),
+                None => queue.push(f.total, f.client, EventKind::UploadFinish),
+            };
+        }
+        if let Some(Some(budget)) = mode.cohort_deadline() {
+            queue.push(budget, Event::ROUND_SCOPE, EventKind::RoundDeadline);
+        }
+        while let Some(event) = queue.pop() {
+            match event.kind {
+                EventKind::UploadFinish => {
+                    let fl = InFlight {
+                        dispatched_version: 0,
+                        report: ClientReport::idle(event.client),
+                        update: Box::new(()),
+                    };
+                    mode.buffer_arrival(&mut acc, event.client, fl, event.time);
+                }
+                EventKind::Offline => acc.straggler_drops += 1,
+                EventKind::RoundDeadline => mode.deadline_fired(&acc, event.time),
+                _ => unreachable!(),
+            }
+        }
+        let (arrived, duration) = mode.close_barrier();
+        (
+            arrived.keys().copied().collect(),
+            acc.straggler_drops as usize,
+            duration,
+        )
+    }
+
+    /// Randomized latencies on a 0.1 s grid, so arrivals exactly at the
+    /// budget occur; `churn` is the per-client probability of going offline
+    /// part-way through its own latency.
+    fn random_flights(rng: &mut rand::rngs::StdRng, churn: f64) -> Vec<Flight> {
+        use rand::Rng;
+        (0..rng.gen_range(1..6usize))
+            .map(|client| {
+                let total = rng.gen_range(0..30) as f64 * 0.1 + rng.gen_range(0..10) as f64 * 0.1;
+                let offline_at = rng
+                    .gen_bool(churn)
+                    .then(|| rng.gen_range(0..10) as f64 * 0.099 * total);
+                Flight {
+                    client,
+                    total,
+                    offline_at,
+                }
+            })
+            .collect()
+    }
+
+    /// `ModeState` is the only implementation of the deadline semantics; this
+    /// replays randomized latency scenarios through it and compares
+    /// survivors, drop counts and round duration with [`cohort_oracle`].
     #[test]
     fn cohort_state_machine_matches_round_plan_semantics() {
-        use fedlps_runtime::{DispatchSpec, EventKind, EventQueue, RoundPlan};
-
+        use rand::Rng;
         let mut rng = fedlps_tensor::rng_from_seed(0xD3AD);
         for case in 0..200 {
-            use rand::Rng;
-            let n = rng.gen_range(1..6usize);
             let budget = rng.gen_range(1..40) as f64 * 0.1;
-            let specs: Vec<DispatchSpec> = (0..n)
-                .map(|client| DispatchSpec {
-                    client,
-                    compute_seconds: rng.gen_range(0..30) as f64 * 0.1,
-                    upload_seconds: rng.gen_range(0..10) as f64 * 0.1,
-                    offline_frac: rng
-                        .gen_bool(0.3)
-                        .then(|| rng.gen_range(0..10) as f64 * 0.099),
-                })
-                .collect();
-            let plan = RoundPlan::schedule(&specs, Some(budget));
+            let flights = random_flights(&mut rng, 0.3);
+            assert_eq!(
+                drive_cohort(RoundMode::deadline(budget, 0), &flights),
+                cohort_oracle(&flights, Some(budget)),
+                "case {case}: {flights:?}, budget {budget}"
+            );
+        }
+    }
 
-            // Drive ModeState with the same events the driver would pop.
-            let mut mode = ModeState::for_round_mode(RoundMode::deadline(budget, 0), n, n, 1.0);
-            mode.set_dispatched(n);
-            let mut acc = RoundAccumulator::new(0);
-            let mut queue = EventQueue::new();
-            for spec in &specs {
-                match spec.offline_frac {
-                    Some(frac) => {
-                        queue.push(frac * spec.total_seconds(), spec.client, EventKind::Offline)
-                    }
-                    None => queue.push(spec.total_seconds(), spec.client, EventKind::UploadFinish),
-                };
-            }
-            queue.push(budget, usize::MAX, EventKind::RoundDeadline);
-            while let Some(event) = queue.pop() {
-                match event.kind {
-                    EventKind::UploadFinish => {
-                        let fl = InFlight {
-                            dispatched_version: 0,
-                            report: ClientReport::idle(event.client),
-                            update: Box::new(()),
-                        };
-                        mode.buffer_arrival(&mut acc, event.client, fl, event.time);
-                    }
-                    EventKind::Offline => acc.straggler_drops += 1,
-                    EventKind::RoundDeadline => mode.deadline_fired(&acc, event.time),
-                    _ => unreachable!(),
-                }
-            }
-            let (arrived, duration) = mode.close_barrier();
+    /// The synchronous barrier through the same oracle: everyone survives and
+    /// the round lasts as long as its slowest client (Eq. 18).
+    #[test]
+    fn synchronous_cohort_waits_for_its_slowest_client() {
+        let mut rng = fedlps_tensor::rng_from_seed(0x5CED);
+        for case in 0..200 {
+            let flights = random_flights(&mut rng, 0.0);
+            let outcome = drive_cohort(RoundMode::Synchronous, &flights);
             assert_eq!(
-                arrived.keys().copied().collect::<Vec<_>>(),
-                {
-                    let mut survivors = plan.arrived_clients();
-                    survivors.sort_unstable();
-                    survivors
-                },
-                "case {case}: survivors diverge from RoundPlan ({specs:?}, budget {budget})"
+                outcome,
+                cohort_oracle(&flights, None),
+                "case {case}: {flights:?}"
             );
-            assert_eq!(
-                acc.straggler_drops as usize,
-                plan.dropped(),
-                "case {case}: drop counts diverge from RoundPlan"
-            );
-            assert_eq!(
-                duration, plan.duration,
-                "case {case}: round duration diverges from RoundPlan"
-            );
+            let slowest = flights.iter().map(|f| f.total).fold(0.0, f64::max);
+            assert_eq!(outcome, ((0..flights.len()).collect(), 0, slowest));
         }
     }
 

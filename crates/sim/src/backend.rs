@@ -94,23 +94,28 @@ pub(crate) fn parallel_mean_accuracy(env: &FlEnv, algorithm: &dyn FlAlgorithm) -
     per_client.iter().map(|(a, _)| a).sum::<f64>() / total_samples as f64
 }
 
-/// Executes the leaves of a [`fedlps_topo::MergePlan`]: one closure call per
-/// shard index, collected in index order. This is the merge tree's pass
-/// through the execution-backend seam — the only file where parallelism may
-/// live (lint rule D3). Each leaf is a pure function of its shard index
-/// (a coordinate range of the aggregation walk), and `collect` on an indexed
-/// parallel iterator returns results in index order whatever the thread
-/// schedule, so the output is bit-identical to the serial loop at every
-/// worker count. `shards <= 1` stays on the calling thread.
-pub fn run_merge_shards<T, F>(shards: usize, leaf: F) -> Vec<T>
+/// Runs `leaf(start, chunk)` over at most `shards` disjoint contiguous
+/// chunks of `out`, `start` being the chunk's offset in `out`. This is the
+/// Eq. (13) aggregation walk's pass through the execution-backend seam — the
+/// only file where parallelism may live (lint rule D3). Chunks never alias
+/// and each leaf sees only its own, so whatever the thread schedule the
+/// result is the one the serial call `leaf(0, out)` writes, provided the
+/// leaf treats coordinates independently. `shards <= 1`, and any `out` too
+/// short to split, stay on the calling thread.
+pub fn for_each_chunk_mut<T, F>(out: &mut [T], shards: usize, leaf: F)
 where
     T: Send,
-    F: Fn(usize) -> T + Send + Sync,
+    F: Fn(usize, &mut [T]) + Send + Sync,
 {
-    if shards <= 1 {
-        return (0..shards).map(leaf).collect();
+    if shards <= 1 || out.len() <= 1 {
+        return leaf(0, out);
     }
-    (0..shards).into_par_iter().map(leaf).collect()
+    let width = out.len().div_ceil(shards);
+    let chunks: Vec<(usize, &mut [T])> = out.chunks_mut(width).enumerate().collect();
+    chunks
+        .into_par_iter()
+        .map(|(i, chunk)| leaf(i * width, chunk))
+        .collect()
 }
 
 /// Runs one task on the calling thread (shared by both backends).
@@ -205,6 +210,22 @@ mod tests {
         assert_eq!(for_config(&serial).name(), "serial");
         let sharded = FlConfig::default().with_parallelism(4);
         assert_eq!(for_config(&sharded).name(), "thread-pool");
+    }
+
+    #[test]
+    fn chunks_are_disjoint_cover_the_slice_and_know_their_offset() {
+        for len in [0usize, 1, 2, 7, 64] {
+            for shards in [0usize, 1, 2, 3, 64, 200] {
+                let mut out = vec![0usize; len];
+                for_each_chunk_mut(&mut out, shards, |start, chunk| {
+                    for (i, slot) in chunk.iter_mut().enumerate() {
+                        *slot += start + i + 1;
+                    }
+                });
+                let expected: Vec<usize> = (1..=len).collect();
+                assert_eq!(out, expected, "len {len}, shards {shards}");
+            }
+        }
     }
 
     #[test]

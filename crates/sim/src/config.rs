@@ -265,6 +265,12 @@ impl FlConfig {
                 ),
             );
         }
+        if let Err(message) = self.selection.validate() {
+            return err("selection", message);
+        }
+        if let Err(message) = self.topology.validate() {
+            return err("topology", message);
+        }
         if let Err(message) = self.availability.validate() {
             return err("availability", message);
         }
@@ -384,6 +390,19 @@ mod tests {
 
     #[test]
     fn validate_rejects_each_bad_robustness_knob() {
+        let two_tier = |zones, zone_deadline, zone_uplink| {
+            FlConfig::tiny().with_topology(Topology::TwoTier {
+                zones,
+                zone_deadline,
+                zone_uplink,
+            })
+        };
+        let utility = |exploration, speed_exponent| {
+            FlConfig::tiny().with_selection(SelectionKind::UtilityBased {
+                exploration,
+                speed_exponent,
+            })
+        };
         let cases: Vec<(FlConfig, &str)> = vec![
             (FlConfig::tiny().with_quorum(1.5), "quorum"),
             (FlConfig::tiny().with_quorum(0.0), "quorum"),
@@ -412,6 +431,16 @@ mod tests {
                 "availability",
             ),
             (FlConfig::tiny().with_rounds(0), "rounds"),
+            (two_tier(0, None, 4.0), "topology"),
+            (two_tier(4, Some(-1.0), 4.0), "topology"),
+            (two_tier(4, None, 0.0), "topology"),
+            (two_tier(4, None, -1.0), "topology"),
+            (two_tier(4, None, f64::NAN), "topology"),
+            (utility(7.0, 1.0), "selection"),
+            (utility(-0.1, 1.0), "selection"),
+            (utility(f64::NAN, 1.0), "selection"),
+            (utility(0.2, -1.0), "selection"),
+            (utility(0.2, f64::INFINITY), "selection"),
             (
                 FlConfig {
                     round_mode: RoundMode::Deadline {

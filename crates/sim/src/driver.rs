@@ -20,9 +20,10 @@
 //!   the absorbed arithmetic.
 //!
 //! Cohort rounds run on a round-relative timeline — the queue drains
-//! completely before the next round opens, reproducing the pure
-//! [`RoundPlan`](fedlps_runtime::RoundPlan) semantics event for event — while
-//! the async pipeline runs on the continuous virtual clock. Because every
+//! completely before the next round opens, and a round lasts its budget if
+//! anyone was dropped or is still missing, else until its last arrival
+//! (pinned against a closed form in [`crate::absorb`]'s tests) — while the
+//! async pipeline runs on the continuous virtual clock. Because every
 //! event time is derived from the same arithmetic in the same order, and
 //! every RNG stream is keyed by configuration rather than thread schedule,
 //! all {mode × policy × parallelism} combinations yield bit-identical
@@ -183,9 +184,6 @@ impl<'a> Driver<'a> {
             // id, and later arrivals of that zone drop at the zone tier.
             EventKind::ZoneDeadline => self.topo.zone_deadline_fired(event.client, event.time),
             EventKind::RoundDeadline => self.mode.deadline_fired(&self.acc, event.time),
-            EventKind::ComputeFinish => {
-                unreachable!("the driver never schedules {:?}", event.kind)
-            }
         }
     }
 

@@ -206,17 +206,6 @@ impl RunResult {
         self.rounds.iter().map(|r| r.first_time_participants).sum()
     }
 
-    /// Mean accuracy over the last `n` evaluation points — the paper reports
-    /// "accuracy in the last three rounds" for the convergence comparison.
-    pub fn mean_accuracy_last(&self, n: usize) -> f64 {
-        let accs: Vec<f64> = self.rounds.iter().filter_map(|r| r.mean_accuracy).collect();
-        if accs.is_empty() {
-            return 0.0;
-        }
-        let take = n.min(accs.len());
-        accs[accs.len() - take..].iter().sum::<f64>() / take as f64
-    }
-
     /// Time-To-Accuracy (Figure 5): the simulated time at which the mean
     /// accuracy first reached `target`, or `None` if it never did.
     pub fn time_to_accuracy(&self, target: f64) -> Option<f64> {
@@ -224,15 +213,6 @@ impl RunResult {
             .iter()
             .find(|r| r.mean_accuracy.is_some_and(|a| a >= target))
             .map(|r| r.cumulative_time)
-    }
-
-    /// FLOPs-to-accuracy: cumulative FLOPs at which the mean accuracy first
-    /// reached `target`.
-    pub fn flops_to_accuracy(&self, target: f64) -> Option<f64> {
-        self.rounds
-            .iter()
-            .find(|r| r.mean_accuracy.is_some_and(|a| a >= target))
-            .map(|r| r.cumulative_flops)
     }
 
     /// `(cumulative FLOPs, accuracy)` series for the Figure 3 curves.
@@ -453,10 +433,9 @@ mod tests {
     }
 
     #[test]
-    fn time_and_flops_to_accuracy() {
+    fn time_to_accuracy_is_the_first_crossing() {
         let r = result();
         assert_eq!(r.time_to_accuracy(0.45), Some(6.0));
-        assert_eq!(r.flops_to_accuracy(0.45), Some(300.0));
         assert_eq!(r.time_to_accuracy(0.9), None);
     }
 
@@ -468,18 +447,10 @@ mod tests {
     }
 
     #[test]
-    fn last_n_mean_accuracy() {
-        let r = result();
-        assert!((r.mean_accuracy_last(2) - 0.45).abs() < 1e-12);
-        assert!((r.mean_accuracy_last(10) - (0.2 + 0.5 + 0.4) / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_run_is_safe() {
         let r = RunResult::from_rounds("a".into(), "d".into(), vec![]);
         assert_eq!(r.final_accuracy, 0.0);
         assert_eq!(r.time_to_accuracy(0.1), None);
-        assert_eq!(r.mean_accuracy_last(3), 0.0);
         assert_eq!(r.mean_sparse_ratio(), 1.0);
         assert_eq!(r.mask_cache_hit_rate(), 0.0);
     }

@@ -453,12 +453,35 @@ mod tests {
 
     #[test]
     fn bad_config_knobs_panic_at_construction_with_the_knob_name() {
-        let err = std::panic::catch_unwind(|| {
-            Simulator::new(env_with(FlConfig::tiny().with_quorum(1.5)))
-        })
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().expect("panic payload");
-        assert!(msg.contains("FlConfig.quorum"), "{msg}");
+        use crate::config::{SelectionKind, Topology};
+        let two_tier = |zones, zone_deadline, zone_uplink| {
+            FlConfig::tiny().with_topology(Topology::TwoTier {
+                zones,
+                zone_deadline,
+                zone_uplink,
+            })
+        };
+        let utility = |exploration| {
+            FlConfig::tiny().with_selection(SelectionKind::UtilityBased {
+                exploration,
+                speed_exponent: 1.0,
+            })
+        };
+        // Each of the topology / selection rows used to pass construction
+        // and panic (or silently misbehave) inside `run`.
+        for (config, knob) in [
+            (FlConfig::tiny().with_quorum(1.5), "FlConfig.quorum"),
+            (two_tier(0, None, 4.0), "FlConfig.topology"),
+            (two_tier(4, None, 0.0), "FlConfig.topology"),
+            (two_tier(4, None, f64::NAN), "FlConfig.topology"),
+            (two_tier(4, Some(-1.0), 4.0), "FlConfig.topology"),
+            (utility(7.0), "FlConfig.selection"),
+            (utility(f64::NAN), "FlConfig.selection"),
+        ] {
+            let err = std::panic::catch_unwind(|| Simulator::new(env_with(config))).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("panic payload");
+            assert!(msg.contains(knob), "{msg}");
+        }
 
         let err = std::panic::catch_unwind(|| {
             let mut env = env_with(FlConfig::tiny());

@@ -176,58 +176,17 @@ pub fn local_sgd_packed(
     let mut arena = Arena::from_pool(packed.packed_len());
     let [pp] = arena.views([packed.packed_len()]);
     packed.gather_params_into(params, pp);
-    let summary = local_sgd_packed_values(packed, pp, data, options, rng);
+    // The gradient outside the packed set is exactly zero, so clipping the
+    // packed gradient computes the same norm the dense path clips, and a
+    // plain step equals the masked step on the kept coordinates.
+    let unmasked = LocalTrainOptions {
+        param_mask: None,
+        ..*options
+    };
+    let summary = local_sgd(packed.arch(), pp, data, &unmasked, rng);
     packed.scatter_params(pp, params);
     arena.release();
     summary
-}
-
-/// The core packed training loop on already-gathered packed values — used by
-/// callers that never materialise a full-length buffer at all (the
-/// width-scaling baselines gather straight from the `Arc`-shared global
-/// snapshot and upload the trained values as a sparse contribution).
-pub fn local_sgd_packed_values(
-    packed: &PackedModel,
-    values: &mut [f32],
-    data: &Dataset,
-    options: &LocalTrainOptions<'_>,
-    rng: &mut StdRng,
-) -> LocalTrainSummary {
-    debug_assert!(packed_eligible(options), "options disqualify packing");
-    if data.is_empty() || options.iterations == 0 {
-        return LocalTrainSummary {
-            mean_loss: 0.0,
-            mean_accuracy: 0.0,
-            iterations: 0,
-            samples: 0,
-        };
-    }
-    let batch = options.batch_size.max(1).min(data.len());
-    let arch = packed.arch();
-    let mut arena = Arena::from_pool(packed.packed_len());
-    let [grad] = arena.views([packed.packed_len()]);
-    let mut indices = Vec::with_capacity(batch);
-    let mut loss_sum = 0.0;
-    let mut acc_sum = 0.0;
-    for _ in 0..options.iterations {
-        indices.clear();
-        indices.extend((0..batch).map(|_| rng.gen_range(0..data.len())));
-        grad.fill(0.0);
-        let stats = arch.loss_and_grad(values, data, &indices, grad);
-        // The gradient outside the packed set is exactly zero, so clipping
-        // the packed gradient computes the same norm the dense path clips,
-        // and a plain step equals the masked step on the kept coordinates.
-        options.sgd.step(values, grad);
-        loss_sum += stats.loss;
-        acc_sum += stats.accuracy;
-    }
-    arena.release();
-    LocalTrainSummary {
-        mean_loss: loss_sum / options.iterations as f64,
-        mean_accuracy: acc_sum / options.iterations as f64,
-        iterations: options.iterations,
-        samples: options.iterations * batch,
-    }
 }
 
 /// Resource accounting for one client round.

@@ -13,6 +13,11 @@
 //! pattern at the client's next ratio change, rather than at every
 //! participation.
 //!
+//! An entry is one value — the ratio key, the mask and the packed submodel
+//! compiled from it (`None` when the mask is not executable as a packed
+//! model) — installed by one [`MaskCache::insert`] and read by one
+//! [`MaskCache::lookup`], so a mask and its plan can never disagree.
+//!
 //! Keys are quantized: a mask depends on the sparse ratio only through the
 //! per-layer retained-unit counts `⌈s · J_l⌉` (see
 //! [`retained_per_layer`]), so two ratios
@@ -22,8 +27,8 @@
 //!
 //! The cache is deliberately read-only-friendly: [`MaskCache::lookup`] takes
 //! `&self` so parallel client tasks can consult a shared snapshot, while
-//! inserts, invalidations and hit/miss accounting happen in the serial
-//! absorb phase of the round loop.
+//! inserts and hit/miss accounting happen in the serial absorb phase of the
+//! round loop.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -39,9 +44,8 @@ struct CacheEntry {
     /// Per-layer retained-unit counts implied by the ratio at build time.
     counts: Vec<usize>,
     mask: UnitMask,
-    /// The compiled packed submodel of `mask`, attached lazily once a packed
-    /// execution path has compiled it, and shared with parallel client tasks
-    /// through the `Arc`.
+    /// The compiled packed submodel of `mask` (`None` if it does not pack),
+    /// shared with parallel client tasks through the `Arc`.
     plan: Option<Arc<PackedModel>>,
 }
 
@@ -83,78 +87,33 @@ impl MaskCache {
         retained_per_layer(&self.units_per_layer, ratio)
     }
 
-    /// Returns the cached mask for `client` if one exists and was built at a
-    /// ratio retaining the same per-layer unit counts as `ratio`. Pure read:
-    /// safe to call from parallel client tasks; does not touch the counters
-    /// (call [`record`](Self::record) from the serial phase instead).
-    pub fn lookup(&self, client: usize, ratio: f64) -> Option<&UnitMask> {
+    /// Returns the cached mask for `client`, with the packed submodel
+    /// compiled from it, if an entry exists and was built at a ratio
+    /// retaining the same per-layer unit counts as `ratio`. Pure read: safe
+    /// to call from parallel client tasks; does not touch the counters (call
+    /// [`record`](Self::record) from the serial phase instead).
+    pub fn lookup(
+        &self,
+        client: usize,
+        ratio: f64,
+    ) -> Option<(&UnitMask, Option<&Arc<PackedModel>>)> {
         let entry = self.entries.get(&client)?;
-        if entry.counts == self.key_for(ratio) {
-            Some(&entry.mask)
-        } else {
-            None
-        }
+        (entry.counts == self.key_for(ratio)).then_some((&entry.mask, entry.plan.as_ref()))
     }
 
-    /// The compiled packed submodel cached next to `client`'s mask, under the
-    /// same validity conditions as [`lookup`](Self::lookup). Pure read; the
-    /// `Arc` lets parallel client tasks execute the plan without copying it.
-    pub fn lookup_plan(&self, client: usize, ratio: f64) -> Option<Arc<PackedModel>> {
-        self.lookup(client, ratio)?;
-        self.entries.get(&client)?.plan.clone()
-    }
-
-    /// Attaches a compiled plan to `client`'s current entry (no-op when the
-    /// client holds no entry). Called from the serial absorb phase after a
-    /// task compiled the plan the cache was missing.
-    pub fn attach_plan(&mut self, client: usize, plan: Arc<PackedModel>) {
-        if let Some(entry) = self.entries.get_mut(&client) {
-            entry.plan = Some(plan);
-        }
-    }
-
-    /// Whether `client` currently holds a (possibly stale-keyed) entry.
-    pub fn contains(&self, client: usize) -> bool {
-        self.entries.contains_key(&client)
-    }
-
-    /// Stores `mask` as `client`'s pattern at `ratio`, replacing (and thereby
-    /// invalidating) whatever that client had before. Other clients' entries
-    /// are untouched.
-    pub fn insert(&mut self, client: usize, ratio: f64, mask: UnitMask) {
-        let counts = self.key_for(ratio);
-        self.entries.insert(
-            client,
-            CacheEntry {
-                counts,
-                mask,
-                plan: None,
-            },
-        );
-    }
-
-    /// Convenience used by serial callers: counted lookup-or-build. Returns
-    /// the mask and whether it was served from the cache.
-    pub fn get_or_insert_with(
+    /// Stores `mask` and its compiled `plan` as `client`'s pattern at
+    /// `ratio`, replacing (and thereby invalidating) whatever that client had
+    /// before. Other clients' entries are untouched.
+    pub fn insert(
         &mut self,
         client: usize,
         ratio: f64,
-        build: impl FnOnce() -> UnitMask,
-    ) -> (UnitMask, bool) {
-        if let Some(mask) = self.lookup(client, ratio).cloned() {
-            self.record(true);
-            (mask, true)
-        } else {
-            self.record(false);
-            let mask = build();
-            self.insert(client, ratio, mask.clone());
-            (mask, false)
-        }
-    }
-
-    /// Drops `client`'s entry (e.g. when its persistent state is reset).
-    pub fn invalidate(&mut self, client: usize) {
-        self.entries.remove(&client);
+        mask: UnitMask,
+        plan: Option<Arc<PackedModel>>,
+    ) {
+        let counts = self.key_for(ratio);
+        self.entries
+            .insert(client, CacheEntry { counts, mask, plan });
     }
 
     /// Records the outcome of a lookup performed outside the cache (the
@@ -198,18 +157,14 @@ impl MaskCache {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Drops every entry and resets the counters.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.hits = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::SubmodelPlan;
+    use fedlps_nn::mlp::{Mlp, MlpConfig};
+    use fedlps_nn::model::ModelArch;
 
     fn mask_of(bits: &[bool]) -> UnitMask {
         UnitMask::from_keep(bits.to_vec())
@@ -218,6 +173,11 @@ mod tests {
     fn cache() -> MaskCache {
         // Two layers of 8 and 4 sparsifiable units.
         MaskCache::new(vec![8, 4])
+    }
+
+    /// The cached mask alone, for tests that install no plan.
+    fn mask_at(c: &MaskCache, client: usize, ratio: f64) -> Option<&UnitMask> {
+        c.lookup(client, ratio).map(|(mask, _)| mask)
     }
 
     #[test]
@@ -232,11 +192,11 @@ mod tests {
     fn insert_then_lookup_hits_at_equivalent_ratios() {
         let mut c = cache();
         let m = mask_of(&[true; 12]);
-        c.insert(1, 0.5, m.clone());
-        assert_eq!(c.lookup(1, 0.5), Some(&m));
+        c.insert(1, 0.5, m.clone(), None);
+        assert_eq!(mask_at(&c, 1, 0.5), Some(&m));
         // 0.5 and 0.49 both retain ⌈8s⌉=4 and ⌈4s⌉=2 units.
         assert_eq!(c.key_for(0.5), c.key_for(0.49));
-        assert_eq!(c.lookup(1, 0.49), Some(&m));
+        assert_eq!(mask_at(&c, 1, 0.49), Some(&m));
         // A genuinely different shape misses.
         assert!(c.lookup(1, 0.25).is_none());
         // Other clients are unaffected.
@@ -251,43 +211,26 @@ mod tests {
         keep[0] = true;
         keep[8] = true;
         let m1 = mask_of(&keep);
-        c.insert(0, 0.5, m0.clone());
-        c.insert(2, 0.5, m0.clone());
+        c.insert(0, 0.5, m0.clone(), None);
+        c.insert(2, 0.5, m0.clone(), None);
         // Client 0's ratio changes: the miss + re-insert replaces only its entry.
         assert!(c.lookup(0, 0.125).is_none());
-        c.insert(0, 0.125, m1.clone());
-        assert_eq!(c.lookup(0, 0.125), Some(&m1));
+        c.insert(0, 0.125, m1.clone(), None);
+        assert_eq!(mask_at(&c, 0, 0.125), Some(&m1));
         assert!(c.lookup(0, 0.5).is_none(), "old key is gone");
-        assert_eq!(c.lookup(2, 0.5), Some(&m0), "client 2 is untouched");
+        assert_eq!(mask_at(&c, 2, 0.5), Some(&m0), "client 2 is untouched");
         assert_eq!(c.len(), 2);
     }
 
     #[test]
-    fn get_or_insert_with_counts_hits_and_misses() {
+    fn recorded_outcomes_drive_the_hit_rate() {
         let mut c = cache();
-        let build = || mask_of(&[true; 12]);
-        let (_, hit) = c.get_or_insert_with(0, 0.75, build);
-        assert!(!hit);
-        let (_, hit) = c.get_or_insert_with(0, 0.75, build);
-        assert!(hit);
-        let (_, hit) = c.get_or_insert_with(0, 0.25, build);
-        assert!(!hit, "shape change rebuilds");
+        c.record(false);
+        c.record(true);
+        c.record(false);
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 2);
         assert!((c.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn invalidate_and_clear() {
-        let mut c = cache();
-        c.insert(0, 0.5, mask_of(&[true; 12]));
-        c.record(true);
-        c.invalidate(0);
-        assert!(c.lookup(0, 0.5).is_none());
-        c.insert(1, 0.5, mask_of(&[true; 12]));
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.hits(), 0);
     }
 
     #[test]
@@ -295,49 +238,53 @@ mod tests {
         let mut c = MaskCache::new(vec![4]);
         // Arbitrarily large client ids are fine: storage is per-entry, not
         // per-registered-client.
-        c.insert(999_999, 0.5, mask_of(&[true; 4]));
-        c.insert(5, 0.5, mask_of(&[true; 4]));
-        assert!(c.contains(5) && c.contains(999_999));
-        assert!(!c.contains(0));
+        c.insert(999_999, 0.5, mask_of(&[true; 4]), None);
+        c.insert(5, 0.5, mask_of(&[true; 4]), None);
+        assert!(c.lookup(5, 0.5).is_some() && c.lookup(999_999, 0.5).is_some());
+        assert!(c.lookup(0, 0.5).is_none());
         assert_eq!(c.len(), 2);
     }
 
     #[test]
     fn compiled_plans_ride_their_mask_entries() {
-        use crate::plan::SubmodelPlan;
-        use fedlps_nn::mlp::{Mlp, MlpConfig};
-        use fedlps_nn::model::ModelArch;
-        use std::sync::Arc;
-
         let mlp = Mlp::new(MlpConfig {
             input_dim: 3,
             hidden: vec![4],
             num_classes: 2,
         });
+        let compile = |mask: &UnitMask| {
+            let packed = SubmodelPlan::from_mask(mlp.unit_layout(), mask)
+                .compile(&mlp)
+                .expect("packable");
+            Arc::new(packed)
+        };
         let mut c = MaskCache::new(vec![4]);
-        let mask = mask_of(&[true, true, false, false]);
-        c.insert(0, 0.5, mask.clone());
-        assert!(c.lookup_plan(0, 0.5).is_none(), "no plan compiled yet");
+        let first = mask_of(&[true, true, false, false]);
+        let first_plan = compile(&first);
+        c.insert(0, 0.5, first.clone(), Some(first_plan.clone()));
+        let (mask, plan) = c.lookup(0, 0.5).expect("hit");
+        assert_eq!(mask, &first);
+        assert!(Arc::ptr_eq(
+            plan.expect("plan serves with the mask"),
+            &first_plan
+        ));
 
-        let packed = SubmodelPlan::from_mask(mlp.unit_layout(), &mask)
-            .compile(&mlp)
-            .expect("packable");
-        c.attach_plan(0, Arc::new(packed));
-        assert!(c.lookup_plan(0, 0.5).is_some(), "plan serves with the mask");
-        // The plan obeys the same validity rules as the mask itself.
-        assert!(
-            c.lookup_plan(0, 0.125).is_none(),
-            "shape change invalidates"
-        );
-        assert!(c.lookup_plan(1, 0.5).is_none(), "other clients unaffected");
-        // Replacing the entry drops the stale plan.
-        c.insert(0, 0.5, mask_of(&[false, false, true, true]));
-        assert!(c.lookup_plan(0, 0.5).is_none());
-        // Attaching to a client without an entry is a no-op, not a panic.
-        let other = SubmodelPlan::from_mask(mlp.unit_layout(), &mask)
-            .compile(&mlp)
-            .expect("packable");
-        c.attach_plan(1, Arc::new(other));
-        assert!(c.lookup_plan(1, 0.5).is_none());
+        // A lookup at a different shape returns neither mask nor plan, and
+        // other clients are unaffected.
+        assert!(c.lookup(0, 0.125).is_none(), "shape change invalidates");
+        assert!(c.lookup(1, 0.5).is_none());
+
+        // Insert replaces the mask *and* the plan: no stale plan survives
+        // next to a new mask, whether the new mask packs or not.
+        let second = mask_of(&[false, false, true, true]);
+        let second_plan = compile(&second);
+        c.insert(0, 0.5, second.clone(), Some(second_plan.clone()));
+        let (mask, plan) = c.lookup(0, 0.5).expect("hit");
+        assert_eq!(mask, &second);
+        assert!(Arc::ptr_eq(plan.unwrap(), &second_plan));
+        c.insert(0, 0.5, first.clone(), None);
+        let (mask, plan) = c.lookup(0, 0.5).expect("hit");
+        assert!(mask == &first && plan.is_none());
+        assert_eq!(c.len(), 1);
     }
 }

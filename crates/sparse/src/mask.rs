@@ -48,14 +48,6 @@ impl UnitMask {
         self.keep.iter().filter(|&&k| k).count()
     }
 
-    /// Fraction of retained units (the realised unit-level sparse ratio).
-    pub fn unit_ratio(&self) -> f64 {
-        if self.keep.is_empty() {
-            return 1.0;
-        }
-        self.retained_units() as f64 / self.keep.len() as f64
-    }
-
     /// Expands to a multiplicative parameter mask (1.0 kept / 0.0 dropped).
     pub fn param_mask(&self, layout: &UnitLayout) -> Vec<f32> {
         layout.expand_mask(&self.keep)
@@ -65,12 +57,6 @@ impl UnitMask {
     /// always retained).
     pub fn retained_params(&self, layout: &UnitLayout) -> usize {
         layout.retained_params(&self.keep)
-    }
-
-    /// Fraction of parameters retained — the quantity the paper's
-    /// communication accounting uses.
-    pub fn param_ratio(&self, layout: &UnitLayout) -> f64 {
-        self.retained_params(layout) as f64 / layout.total_params() as f64
     }
 
     /// Retained units per sparsifiable layer (feeds the FLOP model).
@@ -84,14 +70,6 @@ impl UnitMask {
         params.iter().zip(mask.iter()).map(|(p, m)| p * m).collect()
     }
 
-    /// Applies the mask in place: `params[i] = 0` for dropped parameters.
-    pub fn apply_in_place(&self, layout: &UnitLayout, params: &mut [f32]) {
-        let mask = self.param_mask(layout);
-        for (p, m) in params.iter_mut().zip(mask.iter()) {
-            *p *= m;
-        }
-    }
-
     /// Element-wise logical AND of two masks (units kept by both).
     pub fn intersect(&self, other: &UnitMask) -> UnitMask {
         assert_eq!(self.len(), other.len());
@@ -102,32 +80,6 @@ impl UnitMask {
                 .zip(other.keep.iter())
                 .map(|(a, b)| *a && *b)
                 .collect(),
-        }
-    }
-
-    /// Element-wise logical OR of two masks (units kept by either).
-    pub fn union(&self, other: &UnitMask) -> UnitMask {
-        assert_eq!(self.len(), other.len());
-        UnitMask {
-            keep: self
-                .keep
-                .iter()
-                .zip(other.keep.iter())
-                .map(|(a, b)| *a || *b)
-                .collect(),
-        }
-    }
-
-    /// Overlap (Jaccard index) between the retained sets of two masks — used
-    /// in tests and analyses of pattern personalization.
-    pub fn jaccard(&self, other: &UnitMask) -> f64 {
-        assert_eq!(self.len(), other.len());
-        let inter = self.intersect(other).retained_units();
-        let uni = self.union(other).retained_units();
-        if uni == 0 {
-            1.0
-        } else {
-            inter as f64 / uni as f64
         }
     }
 }
@@ -152,9 +104,7 @@ mod tests {
         let mlp = toy_mlp();
         let mask = UnitMask::dense(mlp.unit_layout().total_units());
         assert_eq!(mask.retained_units(), 10);
-        assert_eq!(mask.unit_ratio(), 1.0);
         assert_eq!(mask.retained_params(mlp.unit_layout()), mlp.param_count());
-        assert_eq!(mask.param_ratio(mlp.unit_layout()), 1.0);
     }
 
     #[test]
@@ -183,35 +133,22 @@ mod tests {
     }
 
     #[test]
-    fn set_operations_and_jaccard() {
+    fn intersect_keeps_the_units_kept_by_both() {
         let a = UnitMask::from_keep(vec![true, true, false, false]);
         let b = UnitMask::from_keep(vec![true, false, true, false]);
-        assert_eq!(a.intersect(&b).retained_units(), 1);
-        assert_eq!(a.union(&b).retained_units(), 3);
-        assert!((a.jaccard(&b) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(a.jaccard(&a), 1.0);
-        let empty = UnitMask::from_keep(vec![false; 4]);
-        assert_eq!(empty.jaccard(&empty), 1.0);
-    }
-
-    #[test]
-    fn apply_in_place_matches_apply() {
-        let mlp = toy_mlp();
-        let mut rng = rng_from_seed(2);
-        let params = mlp.init_params(&mut rng);
-        let mask = UnitMask::from_keep((0..10).map(|i| i % 2 == 0).collect());
-        let expect = mask.apply(mlp.unit_layout(), &params);
-        let mut in_place = params.clone();
-        mask.apply_in_place(mlp.unit_layout(), &mut in_place);
-        assert_eq!(expect, in_place);
+        assert_eq!(
+            a.intersect(&b),
+            UnitMask::from_keep(vec![true, false, false, false])
+        );
+        assert_eq!(a.intersect(&a), a);
     }
 
     #[test]
     fn ratios_decrease_with_dropped_units() {
         let mlp = toy_mlp();
         let half = UnitMask::from_keep((0..10).map(|i| i < 5).collect());
-        assert!(half.param_ratio(mlp.unit_layout()) < 1.0);
-        assert!(half.unit_ratio() == 0.5);
+        assert!(half.retained_params(mlp.unit_layout()) < mlp.param_count());
+        assert_eq!(half.retained_units(), 5);
         assert_eq!(half.retained_per_layer(mlp.unit_layout()), vec![5, 0]);
     }
 }

@@ -101,17 +101,16 @@ proptest! {
         let mut cache = MaskCache::new(layout.units_per_layer());
 
         // First participation: a compulsory miss, then the build is cached.
-        let (built, hit) = cache.get_or_insert_with(client, ratio, || {
-            learnable_pattern(layout, &scores, ratio)
-        });
-        prop_assert!(!hit);
-        prop_assert_eq!(&built, &learnable_pattern(layout, &scores, ratio));
+        prop_assert!(cache.lookup(client, ratio).is_none());
+        cache.record(false);
+        cache.insert(client, ratio, learnable_pattern(layout, &scores, ratio), None);
+        prop_assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 1, 1));
 
         // Probing at any ratio: equal submodel shape => hit with the exact
         // mask a fresh build would produce; different shape => miss.
         let same_shape = cache.key_for(probe) == cache.key_for(ratio);
         match cache.lookup(client, probe) {
-            Some(cached) => {
+            Some((cached, _plan)) => {
                 prop_assert!(same_shape);
                 prop_assert_eq!(cached, &learnable_pattern(layout, &scores, probe));
             }

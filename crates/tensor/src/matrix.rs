@@ -460,21 +460,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise (Hadamard) product into a new matrix.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a * b)
-                .collect(),
-        }
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -541,11 +526,8 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_and_scale() {
-        let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let b = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]);
-        assert_eq!(a.hadamard(&b).as_slice(), &[4.0, 10.0, 18.0]);
-        let mut c = a.clone();
+    fn scale_multiplies_in_place() {
+        let mut c = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
         c.scale(2.0);
         assert_eq!(c.as_slice(), &[2.0, 4.0, 6.0]);
     }

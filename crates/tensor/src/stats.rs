@@ -19,11 +19,6 @@ pub fn variance(values: &[f64]) -> f64 {
     values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
 }
 
-/// Standard deviation (population).
-pub fn std_dev(values: &[f64]) -> f64 {
-    variance(values).sqrt()
-}
-
 /// The `q`-quantile (0 ≤ q ≤ 1) of the values using linear interpolation
 /// between order statistics, matching `numpy.quantile`'s default behaviour.
 ///
@@ -112,7 +107,6 @@ mod tests {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&v) - 5.0).abs() < 1e-12);
         assert!((variance(&v) - 4.0).abs() < 1e-12);
-        assert!((std_dev(&v) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,53 +1,27 @@
 //! Aggregation topology: *where* client updates meet the server, made a
 //! first-class layer alongside selection, execution and absorption.
 //!
-//! Two faces of one abstraction:
-//!
-//! * [`MergePlan`] — the **deterministic merge tree**. Eq. (13) aggregation
-//!   is a serial walk over the staged updates in ascending client-id order;
-//!   floating-point addition is not associative, so sharding that walk on
-//!   the *client* axis would change bits with the shard count. The plan
-//!   therefore shards on the **coordinate** axis instead: the parameter
-//!   vector is split into contiguous disjoint ranges, each leaf replays the
-//!   full ascending-client walk restricted to its range (the per-coordinate
-//!   operation sequence is untouched), and parent nodes combine children
-//!   pairwise in a fixed order by range concatenation — which is *exact*.
-//!   The result is bit-identical to the serial walk at every shard count,
-//!   so the shard count can follow the configured parallelism without
-//!   entering the determinism contract.
-//! * [`Topology`] — the **physical topology**. [`Topology::Flat`] is the
-//!   status quo (clients upload straight to the server; bit-identical
-//!   default), while [`Topology::TwoTier`] inserts a zone/edge-aggregator
-//!   tier (hierarchical FedAvg): clients map to zones by a seeded
-//!   assignment, each zone pre-merges its cohort's residuals and forwards
-//!   one combined upload priced by the zone-level uplink bandwidth in the
-//!   Eq. (14) cost model, optionally dropping intra-zone stragglers at a
-//!   per-zone deadline. The two-tier fabric changes *timing, traffic and
-//!   drops* — never the absorbed arithmetic, which stays the canonical
-//!   ascending walk — so two-tier traces remain bit-identical across
-//!   backends and parallelism levels.
+//! [`Topology::Flat`] is the status quo (clients upload straight to the
+//! server; bit-identical default), while [`Topology::TwoTier`] inserts a
+//! zone/edge-aggregator tier (hierarchical FedAvg): clients map to zones by
+//! a seeded assignment, each zone pre-merges its cohort's residuals and
+//! forwards one combined upload priced by the zone-level uplink bandwidth in
+//! the Eq. (14) cost model, optionally dropping intra-zone stragglers at a
+//! per-zone deadline. The two-tier fabric changes *timing, traffic and
+//! drops* — never the absorbed arithmetic, which stays the canonical
+//! ascending walk — so two-tier traces remain bit-identical across backends
+//! and parallelism levels. (The walk itself, and its coordinate-range
+//! sharding, is `fedlps_core::server`.)
 //!
 //! ```
-//! use fedlps_topo::{MergePlan, Topology};
+//! use fedlps_topo::Topology;
 //!
-//! // Merge tree: each leaf computes its coordinate range, the fixed-shape
-//! // pairwise combine reassembles the full vector exactly.
-//! let plan = MergePlan::new(10, 3);
-//! let leaves: Vec<Vec<f32>> = (0..plan.shards())
-//!     .map(|s| plan.range(s).map(|i| (i * i) as f32).collect())
-//!     .collect();
-//! let merged = plan.combine(leaves);
-//! assert_eq!(merged, (0..10).map(|i| (i * i) as f32).collect::<Vec<_>>());
-//!
-//! // Physical topology: flat has no zones, two-tier assigns each client a
-//! // seeded one.
+//! // Flat has no zones, two-tier assigns each client a seeded one.
 //! assert_eq!(Topology::default(), Topology::Flat);
 //! assert_eq!(Topology::Flat.zone_of(7, 0), None);
 //! let two_tier = Topology::two_tier();
 //! assert!(two_tier.zone_of(7, 0).unwrap() < two_tier.zones());
 //! ```
-
-use std::ops::Range;
 
 use fedlps_device::fleet::zone_assignment;
 use serde::{Deserialize, Serialize};
@@ -57,94 +31,6 @@ pub const DEFAULT_ZONES: usize = 4;
 /// Default zone-aggregator uplink factor (× the reference device uplink):
 /// edge aggregators sit on provisioned links, not cellular radios.
 pub const DEFAULT_ZONE_UPLINK: f64 = 4.0;
-
-/// The fixed-shape coordinate-axis merge tree.
-///
-/// Built from `(len, shards)` alone, so every run with the same
-/// configuration produces the same tree regardless of thread schedule. The
-/// shard count is clamped to `1..=len` (an empty vector keeps one empty
-/// shard so the tree always has a root).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MergePlan {
-    len: usize,
-    /// `shards + 1` ascending boundaries; leaf `s` owns
-    /// `bounds[s]..bounds[s + 1]`.
-    bounds: Vec<usize>,
-}
-
-impl MergePlan {
-    /// Plans `shards` contiguous coordinate ranges over a `len`-vector, the
-    /// first `len % shards` leaves one coordinate wider.
-    pub fn new(len: usize, shards: usize) -> Self {
-        let shards = shards.clamp(1, len.max(1));
-        let (base, rem) = (len / shards, len % shards);
-        let mut bounds = Vec::with_capacity(shards + 1);
-        let mut at = 0;
-        bounds.push(at);
-        for s in 0..shards {
-            at += base + usize::from(s < rem);
-            bounds.push(at);
-        }
-        debug_assert_eq!(at, len);
-        Self { len, bounds }
-    }
-
-    /// Total vector length the plan covers.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the plan covers an empty vector.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of leaves (after clamping).
-    pub fn shards(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    /// Coordinate range owned by leaf `shard`.
-    pub fn range(&self, shard: usize) -> Range<usize> {
-        self.bounds[shard]..self.bounds[shard + 1]
-    }
-
-    /// Combines the per-leaf segments pairwise up the fixed-shape binary
-    /// tree into the full vector. Each internal node concatenates its two
-    /// children's contiguous ranges — an exact operation, so the combine
-    /// order affects nothing but is fixed anyway: level by level, left to
-    /// right, an odd tail promoted unchanged.
-    ///
-    /// Panics if the segment count or any segment length disagrees with the
-    /// plan — a leaf that computed the wrong range must not merge silently.
-    pub fn combine(&self, segments: Vec<Vec<f32>>) -> Vec<f32> {
-        assert_eq!(
-            segments.len(),
-            self.shards(),
-            "segment count must match the plan's leaf count"
-        );
-        for (s, seg) in segments.iter().enumerate() {
-            assert_eq!(
-                seg.len(),
-                self.range(s).len(),
-                "segment {s} does not cover its planned coordinate range"
-            );
-        }
-        let mut level = segments;
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            let mut nodes = level.into_iter();
-            while let Some(mut left) = nodes.next() {
-                if let Some(right) = nodes.next() {
-                    left.extend_from_slice(&right);
-                }
-                next.push(left);
-            }
-            level = next;
-        }
-        level.pop().unwrap_or_default()
-    }
-}
 
 /// The physical aggregation topology of a run.
 ///
@@ -251,6 +137,37 @@ impl Topology {
         }
     }
 
+    /// Checks a directly constructed (or deserialized) variant against the
+    /// contracts the `with_*` builders assert; `fedlps_sim`'s
+    /// `FlConfig::validate` reports a violation under the `topology` knob.
+    pub fn validate(&self) -> Result<(), String> {
+        let Topology::TwoTier {
+            zones,
+            zone_deadline,
+            zone_uplink,
+        } = *self
+        else {
+            return Ok(());
+        };
+        if zones < 1 {
+            return Err("a two-tier topology needs at least one zone".to_string());
+        }
+        if let Some(deadline) = zone_deadline {
+            if !(deadline.is_finite() && deadline > 0.0) {
+                return Err(format!(
+                    "zone_deadline must be finite and > 0 — every upload would \
+                     drop at its zone — got {deadline}"
+                ));
+            }
+        }
+        if !(zone_uplink.is_finite() && zone_uplink > 0.0) {
+            return Err(format!(
+                "zone_uplink must be finite and > 0, got {zone_uplink}"
+            ));
+        }
+        Ok(())
+    }
+
     /// Seeded client → zone assignment (`None` under [`Topology::Flat`]).
     /// A pure O(1) function of `(seed, client)`, so population-scale fleets
     /// never materialize an assignment vector.
@@ -265,49 +182,6 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn plan_covers_the_vector_with_disjoint_contiguous_ranges() {
-        for (len, shards) in [(10, 3), (7, 7), (7, 20), (1, 1), (16, 4), (5, 2)] {
-            let plan = MergePlan::new(len, shards);
-            assert!(plan.shards() <= shards.max(1));
-            let mut at = 0;
-            for s in 0..plan.shards() {
-                let r = plan.range(s);
-                assert_eq!(r.start, at, "ranges must be contiguous");
-                assert!(!r.is_empty(), "no leaf may own an empty range");
-                at = r.end;
-            }
-            assert_eq!(at, len);
-        }
-    }
-
-    #[test]
-    fn zero_length_plan_has_one_empty_leaf() {
-        let plan = MergePlan::new(0, 8);
-        assert!(plan.is_empty());
-        assert_eq!(plan.shards(), 1);
-        assert_eq!(plan.range(0), 0..0);
-        assert_eq!(plan.combine(vec![vec![]]), Vec::<f32>::new());
-    }
-
-    #[test]
-    fn combine_reassembles_exactly() {
-        let plan = MergePlan::new(11, 4);
-        let truth: Vec<f32> = (0..11).map(|i| i as f32 * 0.1).collect();
-        let segs = (0..plan.shards())
-            .map(|s| truth[plan.range(s)].to_vec())
-            .collect();
-        assert_eq!(plan.combine(segs), truth);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not cover its planned coordinate range")]
-    fn combine_rejects_misshapen_segments() {
-        let plan = MergePlan::new(8, 2);
-        plan.combine(vec![vec![0.0; 3], vec![0.0; 5]]);
-    }
 
     #[test]
     fn topology_names_and_default() {
@@ -346,24 +220,31 @@ mod tests {
         assert_eq!(Topology::Flat.zone_of(7, 3), None);
     }
 
-    proptest! {
-        /// The tree is shape-stable: any shard count reassembles any vector
-        /// exactly (concatenation is exact, so this is equality, not
-        /// approximation).
-        #[test]
-        fn combine_is_exact_at_every_shard_count(
-            len in 0usize..200,
-            shards in 1usize..32,
-            seed in 1u32..1_000_000,
-        ) {
-            let truth: Vec<f32> = (0..len)
-                .map(|i| ((i as u32).wrapping_mul(seed) as f32).sin())
-                .collect();
-            let plan = MergePlan::new(len, shards);
-            let segs = (0..plan.shards())
-                .map(|s| truth[plan.range(s)].to_vec())
-                .collect();
-            prop_assert_eq!(plan.combine(segs), truth);
+    #[test]
+    fn validate_mirrors_the_builder_contracts() {
+        Topology::Flat.validate().unwrap();
+        Topology::two_tier().validate().unwrap();
+        Topology::two_tier()
+            .with_zones(1)
+            .with_zone_deadline(0.5)
+            .validate()
+            .unwrap();
+        let two_tier = |zones, zone_deadline, zone_uplink| Topology::TwoTier {
+            zones,
+            zone_deadline,
+            zone_uplink,
+        };
+        for (bad, needle) in [
+            (two_tier(0, None, 4.0), "at least one zone"),
+            (two_tier(4, Some(-1.0), 4.0), "zone_deadline"),
+            (two_tier(4, Some(0.0), 4.0), "zone_deadline"),
+            (two_tier(4, Some(f64::INFINITY), 4.0), "zone_deadline"),
+            (two_tier(4, None, 0.0), "zone_uplink"),
+            (two_tier(4, None, -2.0), "zone_uplink"),
+            (two_tier(4, None, f64::NAN), "zone_uplink"),
+        ] {
+            let message = bad.validate().unwrap_err();
+            assert!(message.contains(needle), "{bad:?}: {message}");
         }
     }
 }

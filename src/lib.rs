@@ -33,8 +33,8 @@
 //! * [`select`] — pluggable client-selection policies
 //!   (uniform / Oort-style utility / power-of-choice) and participation
 //!   statistics.
-//! * [`topo`] — aggregation topologies: the deterministic merge tree and
-//!   the flat / two-tier (zone-aggregator) upload paths.
+//! * [`topo`] — aggregation topologies: the flat / two-tier
+//!   (zone-aggregator) upload paths.
 //! * [`sim`] — the federation simulator and metrics.
 //! * [`core`] — the FedLPS algorithm itself.
 //! * [`baselines`] — the 19 comparison FL frameworks.
