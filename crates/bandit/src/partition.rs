@@ -59,11 +59,6 @@ impl Partition {
     pub fn record(&mut self, reward: f64) {
         self.rewards.push(reward);
     }
-
-    /// Midpoint of the interval.
-    pub fn midpoint(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
 }
 
 /// A set of disjoint partitions covering `[floor, ceil)`.
@@ -227,7 +222,6 @@ mod tests {
         assert_eq!(p.pulls(), 2);
         assert!((p.mean_reward() - 2.0).abs() < 1e-12);
         assert!((p.reward_variance() - 1.0).abs() < 1e-12);
-        assert!((p.midpoint() - 0.35).abs() < 1e-12);
     }
 
     #[test]

@@ -26,8 +26,9 @@ pub struct PUcbvConfig {
     pub accuracy_threshold: f64,
     /// Total number of communication rounds `R` (enters `ξ = R / (K·ϵ)`).
     pub total_rounds: usize,
-    /// Expected number of participations per client `K·ϵ` ... i.e. the
-    /// denominator of `ξ`; callers pass `num_clients * selection_fraction`.
+    /// The denominator `K·ϵ` of `ξ`: `K` clients times the selection
+    /// fraction `ϵ`, i.e. the clients selected per round, which is what
+    /// `FedLpsConfig::for_federation` passes.
     pub expected_selections: f64,
     /// Smallest ratio the agent will ever propose (avoids degenerate empty
     /// submodels; the paper's arm space is `[0, 1)`).

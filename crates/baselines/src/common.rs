@@ -1,120 +1,6 @@
 //! Helpers shared across the baseline families.
 
-use std::sync::Arc;
-
-use fedlps_nn::unit::UnitLayout;
 use fedlps_sim::env::FlEnv;
-use fedlps_sparse::mask::UnitMask;
-
-/// The trained parameters a client hands back for aggregation.
-///
-/// `Dense` carries the full local vector (plus, for sparse methods, the
-/// parameter mask naming the coordinates the client actually trained).
-/// `Packed` is what a physically packed client uploads: the trained values of
-/// its kept coordinates, the `Arc`-shared immutable global snapshot it
-/// started from — no per-task full-model clone — and its unit mask. The two
-/// forms aggregate bit-identically: every mask-covered coordinate outside the
-/// packed set is frozen at the base value during packed training.
-#[derive(Debug)]
-pub enum ContribParams {
-    Dense {
-        params: Vec<f32>,
-        param_mask: Option<Vec<f32>>,
-    },
-    Packed {
-        base: Arc<Vec<f32>>,
-        mask: UnitMask,
-        coords: Arc<Vec<u32>>,
-        values: Vec<f32>,
-    },
-}
-
-/// A staged contribution from one client: its aggregation weight and its
-/// trained parameters (dense or packed).
-#[derive(Debug)]
-pub struct Contribution {
-    pub client_id: usize,
-    pub weight: f64,
-    pub update: ContribParams,
-}
-
-/// Coverage-aware weighted aggregation: every parameter is averaged over the
-/// clients whose mask covered it; uncovered parameters keep their previous
-/// global value. With dense contributions this reduces to FedAvg.
-///
-/// This is the aggregation rule of HeteroFL / Fjord / FedRolex / Hermes: each
-/// submodel only updates the slice of the global model it trained. Packed
-/// contributions are walked in the same coordinate order with the same
-/// `weight × value` arithmetic — the value comes from the packed delta where
-/// the submodel trained and from the shared base snapshot on the frozen
-/// remainder of the mask — so dense and packed uploads aggregate
-/// bit-identically.
-pub fn coverage_aggregate(global: &mut [f32], contributions: &[Contribution], layout: &UnitLayout) {
-    if contributions.is_empty() {
-        return;
-    }
-    let dim = global.len();
-    let mut num = vec![0.0f64; dim];
-    let mut den = vec![0.0f64; dim];
-    for c in contributions {
-        match &c.update {
-            ContribParams::Dense {
-                params,
-                param_mask: None,
-            } => {
-                assert_eq!(params.len(), dim);
-                for i in 0..dim {
-                    num[i] += c.weight * params[i] as f64;
-                    den[i] += c.weight;
-                }
-            }
-            ContribParams::Dense {
-                params,
-                param_mask: Some(mask),
-            } => {
-                assert_eq!(params.len(), dim);
-                assert_eq!(mask.len(), dim);
-                for i in 0..dim {
-                    if mask[i] != 0.0 {
-                        num[i] += c.weight * params[i] as f64;
-                        den[i] += c.weight;
-                    }
-                }
-            }
-            ContribParams::Packed {
-                base,
-                mask,
-                coords,
-                values,
-            } => {
-                assert_eq!(base.len(), dim);
-                // Expanding the unit mask is O(dim) *serial server work* per
-                // contribution — the same cost the dense path paid inside the
-                // parallel client task.
-                let pmask = mask.param_mask(layout);
-                let mut sparse = coords.iter().zip(values.iter()).peekable();
-                for i in 0..dim {
-                    let v = match sparse.peek() {
-                        Some(&(&ci, &pv)) if ci as usize == i => {
-                            sparse.next();
-                            pv
-                        }
-                        _ => base[i],
-                    };
-                    if pmask[i] != 0.0 {
-                        num[i] += c.weight * v as f64;
-                        den[i] += c.weight;
-                    }
-                }
-            }
-        }
-    }
-    for i in 0..dim {
-        if den[i] > 0.0 {
-            global[i] = (num[i] / den[i]) as f32;
-        }
-    }
-}
 
 /// A 0/1 vector marking the classifier ("head") parameters of the
 /// architecture — used by FedPer / FedRep / FedP3 to keep heads personal.
@@ -141,9 +27,14 @@ pub fn copy_head(env: &FlEnv, target: &mut [f32], source: &[f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    use fedlps_core::server::{ContribParams, Contribution, Staged};
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::HeterogeneityLevel;
+    use fedlps_nn::unit::UnitLayout;
     use fedlps_sim::config::FlConfig;
+    use fedlps_sparse::mask::UnitMask;
 
     fn env() -> FlEnv {
         FlEnv::from_scenario(
@@ -159,14 +50,14 @@ mod tests {
         UnitLayout::new(Vec::new(), total)
     }
 
-    fn dense(
-        client_id: usize,
-        weight: f64,
-        params: Vec<f32>,
-        mask: Option<Vec<f32>>,
-    ) -> Contribution {
+    /// Per-parameter coverage, the aggregation rule every baseline family
+    /// stages its uploads for, walked serially.
+    fn coverage_aggregate(global: &mut [f32], contributions: &[Contribution], layout: &UnitLayout) {
+        Contribution::aggregate(global, contributions, layout, 1);
+    }
+
+    fn dense(weight: f64, params: Vec<f32>, mask: Option<Vec<f32>>) -> Contribution {
         Contribution {
-            client_id,
             weight,
             update: ContribParams::Dense {
                 params,
@@ -179,8 +70,8 @@ mod tests {
     fn coverage_aggregate_reduces_to_fedavg_for_dense_inputs() {
         let mut global = vec![0.0f32; 3];
         let contributions = vec![
-            dense(0, 1.0, vec![1.0, 1.0, 1.0], None),
-            dense(1, 3.0, vec![5.0, 5.0, 5.0], None),
+            dense(1.0, vec![1.0, 1.0, 1.0], None),
+            dense(3.0, vec![5.0, 5.0, 5.0], None),
         ];
         coverage_aggregate(&mut global, &contributions, &trivial_layout(3));
         for v in global {
@@ -192,8 +83,8 @@ mod tests {
     fn coverage_aggregate_respects_masks() {
         let mut global = vec![10.0f32, 10.0, 10.0];
         let contributions = vec![
-            dense(0, 1.0, vec![2.0, 2.0, 2.0], Some(vec![1.0, 0.0, 0.0])),
-            dense(1, 1.0, vec![4.0, 4.0, 4.0], Some(vec![1.0, 1.0, 0.0])),
+            dense(1.0, vec![2.0, 2.0, 2.0], Some(vec![1.0, 0.0, 0.0])),
+            dense(1.0, vec![4.0, 4.0, 4.0], Some(vec![1.0, 1.0, 0.0])),
         ];
         coverage_aggregate(&mut global, &contributions, &trivial_layout(3));
         assert!((global[0] - 3.0).abs() < 1e-6, "covered by both");
@@ -234,9 +125,8 @@ mod tests {
         // then mask-restrict — exactly what the dense path stages.
         let mut dense_params = (*global0).clone();
         packed.scatter_params(&values, &mut dense_params);
-        let dense_contrib = dense(0, 2.0, dense_params, Some(mask.param_mask(layout)));
+        let dense_contrib = dense(2.0, dense_params, Some(mask.param_mask(layout)));
         let packed_contrib = Contribution {
-            client_id: 0,
             weight: 2.0,
             update: ContribParams::Packed {
                 base: Arc::clone(&global0),
@@ -245,7 +135,7 @@ mod tests {
                 values,
             },
         };
-        let other = || dense(1, 1.0, vec![0.25; layout.total_params()], None);
+        let other = || dense(1.0, vec![0.25; layout.total_params()], None);
 
         let mut via_dense = (*global0).clone();
         coverage_aggregate(&mut via_dense, &[dense_contrib, other()], layout);

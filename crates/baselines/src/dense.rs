@@ -6,13 +6,11 @@
 //! utility-guided selection, REFL's resource-aware staleness-conscious
 //! selection). They deploy the single shared global model on every client.
 
+use fedlps_core::server::{ContribParams, Contribution, Family, Step};
 use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
 use fedlps_tensor::rng::{sample_weighted, sample_without_replacement};
 use rand::rngs::StdRng;
-
-use crate::common::ContribParams;
-use crate::driver::{Family, Step};
 
 /// Which conventional baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,11 +59,12 @@ impl DenseFl {
 }
 
 impl Family for DenseFl {
+    type Upload = Contribution;
     /// The Oort statistical utility observed during training.
     type Side = f64;
 
-    fn label(&self) -> &'static str {
-        self.variant.label()
+    fn label(&self) -> String {
+        self.variant.label().to_string()
     }
 
     fn setup(&mut self, env: &FlEnv, _global: &[f32]) {
@@ -162,13 +161,12 @@ impl Family for DenseFl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedlps_core::server::Server;
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::HeterogeneityLevel;
     use fedlps_sim::algorithm::FlAlgorithm;
     use fedlps_sim::config::FlConfig;
     use fedlps_sim::runner::Simulator;
-
-    use crate::driver::Baseline;
 
     fn sim() -> Simulator {
         Simulator::new(FlEnv::from_scenario(
@@ -187,7 +185,7 @@ mod tests {
             DenseVariant::Refl,
         ] {
             let s = sim();
-            let mut algo = Baseline::new(DenseFl::new(variant));
+            let mut algo = Server::from(DenseFl::new(variant));
             let result = s.run(&mut algo);
             assert_eq!(
                 result.rounds.len(),
@@ -209,7 +207,7 @@ mod tests {
             HeterogeneityLevel::High,
             FlConfig::tiny().with_round_mode(RoundMode::asynchronous(3, 0.5)),
         ));
-        let mut algo = Baseline::new(DenseFl::new(DenseVariant::FedAvg));
+        let mut algo = Server::from(DenseFl::new(DenseVariant::FedAvg));
         let result = s.run(&mut algo);
         assert_eq!(result.rounds.len(), FlConfig::tiny().rounds);
         assert!(
@@ -226,7 +224,7 @@ mod tests {
             HeterogeneityLevel::High,
             FlConfig::tiny(),
         );
-        let mut algo = Baseline::new(DenseFl::new(DenseVariant::Refl));
+        let mut algo = Server::from(DenseFl::new(DenseVariant::Refl));
         algo.setup(&env);
         let mut rng = fedlps_tensor::rng_from_seed(1);
         let selected = algo
@@ -247,7 +245,7 @@ mod tests {
             HeterogeneityLevel::High,
             FlConfig::tiny(),
         );
-        let mut algo = Baseline::new(DenseFl::new(DenseVariant::Oort));
+        let mut algo = Server::from(DenseFl::new(DenseVariant::Oort));
         algo.setup(&env);
         let mut rng = fedlps_tensor::rng_from_seed(2);
         for round in 0..3 {

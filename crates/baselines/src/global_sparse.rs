@@ -12,15 +12,13 @@
 //!   structured (unit-level), CS is modelled as a unit-level magnitude mask
 //!   recomputed every round (see PAPER.md, "Substitutions").
 
+use fedlps_core::server::{ContribParams, Contribution, Family, Step};
 use fedlps_nn::model::EvalStats;
 use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
 use fedlps_sparse::mask::UnitMask;
 use fedlps_sparse::pattern::PatternStrategy;
 use rand::rngs::StdRng;
-
-use crate::common::ContribParams;
-use crate::driver::{Family, Step};
 
 /// Which globally sparse baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,10 +95,11 @@ impl GlobalSparse {
 }
 
 impl Family for GlobalSparse {
+    type Upload = Contribution;
     type Side = ();
 
-    fn label(&self) -> &'static str {
-        self.variant.label()
+    fn label(&self) -> String {
+        self.variant.label().to_string()
     }
 
     fn setup(&mut self, env: &FlEnv, global: &[f32]) {
@@ -141,6 +140,7 @@ impl Family for GlobalSparse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedlps_core::server::Server;
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::HeterogeneityLevel;
     use fedlps_sim::algorithm::FlAlgorithm;
@@ -148,7 +148,6 @@ mod tests {
     use fedlps_sim::runner::Simulator;
 
     use crate::dense::{DenseFl, DenseVariant};
-    use crate::driver::Baseline;
 
     fn sim() -> Simulator {
         Simulator::new(FlEnv::from_scenario(
@@ -162,7 +161,7 @@ mod tests {
     fn both_variants_run_at_half_ratio() {
         for mk in [GlobalSparse::prunefl, GlobalSparse::cs] {
             let s = sim();
-            let mut algo = Baseline::new(mk());
+            let mut algo = Server::from(mk());
             let result = s.run(&mut algo);
             assert!(result.rounds.len() == FlConfig::tiny().rounds);
             assert!(
@@ -176,9 +175,9 @@ mod tests {
     #[test]
     fn shared_mask_is_used_for_every_client() {
         let s = sim();
-        let mut algo = Baseline::new(GlobalSparse::prunefl());
+        let mut algo = Server::from(GlobalSparse::prunefl());
         algo.setup(s.env());
-        let mask = algo.family.mask().clone();
+        let mask = algo.family().mask().clone();
         assert!(mask.retained_units() < s.env().arch.unit_layout().total_units());
         // Evaluation applies the shared mask, so accuracy is well-defined.
         let stats = algo.evaluate_client(s.env(), 0);
@@ -188,10 +187,10 @@ mod tests {
     #[test]
     fn sparse_flops_are_cheaper_than_fedavg() {
         let s = sim();
-        let mut sparse = Baseline::new(GlobalSparse::cs());
+        let mut sparse = Server::from(GlobalSparse::cs());
         let sparse_result = s.run(&mut sparse);
         let s2 = sim();
-        let mut dense = Baseline::new(DenseFl::new(DenseVariant::FedAvg));
+        let mut dense = Server::from(DenseFl::new(DenseVariant::FedAvg));
         let dense_result = s2.run(&mut dense);
         assert!(sparse_result.total_flops < dense_result.total_flops);
     }

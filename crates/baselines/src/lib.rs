@@ -1,9 +1,12 @@
 //! The FL frameworks FedLPS is evaluated against (Table I of the paper).
 //!
-//! The nineteen baselines fall into five families. Their shared mechanics
-//! (local SGD, masking, cost accounting, staging, staleness discounting,
-//! aggregation) are written — and tested — once, in [`driver`]; a family
-//! states only what its methods do differently:
+//! The nineteen baselines fall into five families, each a
+//! [`Family`](fedlps_core::server::Family) on the round skeleton
+//! [`Server`](fedlps_core::server::Server) that FedLPS runs on too. Their
+//! shared mechanics (local SGD, masking, cost accounting, staging, staleness
+//! discounting, sharded per-parameter coverage aggregation) are written — and
+//! tested — once, in [`fedlps_core::server`]; a family states only what its
+//! methods do differently:
 //!
 //! | Family | Module | Methods |
 //! |---|---|---|
@@ -13,12 +16,12 @@
 //! | Personalized dense FL | [`personalized`] | Ditto, FedPer, FedRep, Per-FedAvg |
 //! | Personalized sparse FL | [`sparse_personalized`] | LotteryFL, Hermes, FedSpa, FedP3 |
 //!
-//! [`registry`] exposes them all by the names used in the paper's tables so
-//! the benchmark harness can sweep the full comparison.
+//! [`common`] holds the head/body helpers of the personalized families, and
+//! [`registry`] exposes every baseline by the name used in the paper's tables
+//! so the benchmark harness can sweep the full comparison.
 
 pub mod common;
 pub mod dense;
-pub mod driver;
 pub mod global_sparse;
 pub mod personalized;
 pub mod registry;

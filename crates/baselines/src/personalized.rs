@@ -11,6 +11,7 @@
 //! * **Per-FedAvg** — trains like FedAvg but deploys the global model after a
 //!   few steps of local adaptation (the first-order MAML view).
 
+use fedlps_core::server::{train_options, ContribParams, Contribution, Family, Step};
 use fedlps_nn::model::EvalStats;
 use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
@@ -18,8 +19,7 @@ use fedlps_sim::train::{local_sgd, LocalTrainOptions};
 use fedlps_tensor::split_seed;
 use rand::rngs::StdRng;
 
-use crate::common::{body_indicator, copy_head, head_indicator, ContribParams};
-use crate::driver::{train_options, Family, Step};
+use crate::common::{body_indicator, copy_head, head_indicator};
 
 /// Which personalized dense baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,13 +84,14 @@ impl PersonalizedFl {
 }
 
 impl Family for PersonalizedFl {
+    type Upload = Contribution;
     /// The client's new personal state (Ditto's personal model, FedPer /
     /// FedRep's personal head; `None` for Per-FedAvg, which personalizes at
     /// deployment).
     type Side = Option<Vec<f32>>;
 
-    fn label(&self) -> &'static str {
-        self.variant.label()
+    fn label(&self) -> String {
+        self.variant.label().to_string()
     }
 
     fn setup(&mut self, env: &FlEnv, _global: &[f32]) {
@@ -196,6 +197,7 @@ impl Family for PersonalizedFl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedlps_core::server::Server;
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::HeterogeneityLevel;
     use fedlps_sim::algorithm::FlAlgorithm;
@@ -203,7 +205,6 @@ mod tests {
     use fedlps_sim::runner::Simulator;
 
     use crate::dense::{DenseFl, DenseVariant};
-    use crate::driver::Baseline;
 
     fn sim() -> Simulator {
         Simulator::new(FlEnv::from_scenario(
@@ -224,7 +225,7 @@ mod tests {
             },
         ] {
             let s = sim();
-            let mut algo = Baseline::new(PersonalizedFl::new(variant));
+            let mut algo = Server::from(PersonalizedFl::new(variant));
             let result = s.run(&mut algo);
             assert_eq!(
                 result.rounds.len(),
@@ -239,9 +240,9 @@ mod tests {
     #[test]
     fn ditto_costs_more_flops_than_fedavg() {
         let s = sim();
-        let ditto_result = s.run(&mut Baseline::new(PersonalizedFl::ditto()));
+        let ditto_result = s.run(&mut Server::from(PersonalizedFl::ditto()));
         let s2 = sim();
-        let fedavg_result = s2.run(&mut Baseline::new(DenseFl::new(DenseVariant::FedAvg)));
+        let fedavg_result = s2.run(&mut Server::from(DenseFl::new(DenseVariant::FedAvg)));
         assert!(ditto_result.total_flops > fedavg_result.total_flops * 1.5);
     }
 
@@ -253,11 +254,11 @@ mod tests {
             FlConfig::tiny(),
         );
         let sim = Simulator::new(env);
-        let mut algo = Baseline::new(PersonalizedFl::new(PersonalizedVariant::FedPer));
+        let mut algo = Server::from(PersonalizedFl::new(PersonalizedVariant::FedPer));
         let _ = sim.run(&mut algo);
         // At least two clients trained; their stored heads differ because
         // their local data differ (pathological non-IID).
-        let stored: Vec<&Vec<f32>> = algo.family.personal.iter().flatten().collect();
+        let stored: Vec<&Vec<f32>> = algo.family().personal.iter().flatten().collect();
         assert!(stored.len() >= 2);
         let env = sim.env();
         let head_range = env.arch.classifier_params();

@@ -1,10 +1,10 @@
 //! Name-based registry of every baseline, using the labels of the paper's
 //! Table I so the benchmark harness can sweep the full comparison by name.
 
+use fedlps_core::server::{Family, Server};
 use fedlps_sim::algorithm::FlAlgorithm;
 
 use crate::dense::{DenseFl, DenseVariant};
-use crate::driver::{Baseline, Family};
 use crate::global_sparse::GlobalSparse;
 use crate::personalized::{PersonalizedFl, PersonalizedVariant};
 use crate::sparse_personalized::SparsePersonalized;
@@ -38,7 +38,7 @@ pub fn baseline_names() -> Vec<&'static str> {
 /// Builds a baseline by its Table-I name. Returns `None` for unknown names.
 pub fn baseline_by_name(name: &str) -> Option<Box<dyn FlAlgorithm>> {
     fn on<F: Family + 'static>(family: F) -> Option<Box<dyn FlAlgorithm>> {
-        Some(Box::new(Baseline::new(family)))
+        Some(Box::new(Server::from(family)))
     }
     match name {
         "FedAvg" => on(DenseFl::new(DenseVariant::FedAvg)),

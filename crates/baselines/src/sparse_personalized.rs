@@ -17,6 +17,7 @@
 //! * **FedP3** — resource-based ratios (ordered pattern capped at the client's
 //!   capability) combined with a personal classifier head.
 
+use fedlps_core::server::{ContribParams, Contribution, Family, Step};
 use fedlps_nn::model::EvalStats;
 use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
@@ -25,8 +26,7 @@ use fedlps_sparse::pattern::PatternStrategy;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::common::{body_indicator, copy_head, ContribParams};
-use crate::driver::{Family, Step};
+use crate::common::{body_indicator, copy_head};
 
 /// Which personalized sparse baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -168,11 +168,12 @@ impl SparsePersonalized {
 }
 
 impl Family for SparsePersonalized {
+    type Upload = Contribution;
     /// The client's next personal state.
     type Side = PersonalState;
 
-    fn label(&self) -> &'static str {
-        self.variant.label()
+    fn label(&self) -> String {
+        self.variant.label().to_string()
     }
 
     fn setup(&mut self, env: &FlEnv, _global: &[f32]) {
@@ -253,13 +254,12 @@ impl Family for SparsePersonalized {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedlps_core::server::Server;
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::HeterogeneityLevel;
     use fedlps_sim::algorithm::FlAlgorithm;
     use fedlps_sim::config::FlConfig;
     use fedlps_sim::runner::Simulator;
-
-    use crate::driver::Baseline;
 
     fn sim() -> Simulator {
         Simulator::new(FlEnv::from_scenario(
@@ -278,7 +278,7 @@ mod tests {
             SparsePersonalized::fedp3,
         ] {
             let s = sim();
-            let mut algo = Baseline::new(mk());
+            let mut algo = Server::from(mk());
             let result = s.run(&mut algo);
             assert_eq!(
                 result.rounds.len(),
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn fedspa_keeps_a_constant_ratio() {
         let s = sim();
-        let mut algo = Baseline::new(SparsePersonalized::fedspa());
+        let mut algo = Server::from(SparsePersonalized::fedspa());
         let result = s.run(&mut algo);
         for r in &result.rounds {
             assert!((r.mean_sparse_ratio - 0.5).abs() < 1e-9);
@@ -304,7 +304,7 @@ mod tests {
     fn lotteryfl_ratio_decays_once_accuracy_clears_threshold() {
         // Use a threshold of zero so pruning triggers immediately.
         let s = sim();
-        let mut algo = Baseline::new(SparsePersonalized::new(
+        let mut algo = Server::from(SparsePersonalized::new(
             SparsePersonalizedVariant::PruneSchedule {
                 label: "LotteryFL",
                 prune_step: 0.2,
@@ -317,7 +317,7 @@ mod tests {
         let last = result.rounds.last().unwrap().mean_sparse_ratio;
         assert!(last < first, "ratio should decay: {first} -> {last}");
         // And never below the floor.
-        for state in algo.family.states.iter().flatten() {
+        for state in algo.family().states.iter().flatten() {
             assert!(state.ratio >= 0.3 - 1e-9);
         }
     }
@@ -326,9 +326,9 @@ mod tests {
     fn fedp3_submodels_track_capability() {
         let s = sim();
         let caps = s.env().capabilities();
-        let mut algo = Baseline::new(SparsePersonalized::fedp3());
+        let mut algo = Server::from(SparsePersonalized::fedp3());
         let _ = s.run(&mut algo);
-        for (k, state) in algo.family.states.iter().enumerate() {
+        for (k, state) in algo.family().states.iter().enumerate() {
             if let Some(state) = state {
                 assert!((state.ratio - caps[k]).abs() < 1e-9);
             }
@@ -338,10 +338,10 @@ mod tests {
     #[test]
     fn personalized_masks_differ_across_clients() {
         let s = sim();
-        let mut algo = Baseline::new(SparsePersonalized::hermes());
+        let mut algo = Server::from(SparsePersonalized::hermes());
         let _ = s.run(&mut algo);
         let masks: Vec<&UnitMask> = algo
-            .family
+            .family()
             .states
             .iter()
             .flatten()

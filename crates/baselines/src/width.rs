@@ -10,15 +10,13 @@
 //! model, which is what every client deploys for inference.
 
 use fedlps_bandit::ratio_policy::{RatioController, RatioFeedback, RatioPolicy};
+use fedlps_core::server::{ContribParams, Contribution, Family, Step};
 use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
 use fedlps_sparse::mask::UnitMask;
 use fedlps_sparse::pattern::PatternStrategy;
 use fedlps_sparse::ratio::retained_units;
 use rand::rngs::StdRng;
-
-use crate::common::ContribParams;
-use crate::driver::{Family, Step};
 
 /// Which width/depth-scaling baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,11 +113,12 @@ impl WidthScaling {
 }
 
 impl Family for WidthScaling {
+    type Upload = Contribution;
     /// What the client's ratio cost and bought, for the ratio controller.
     type Side = RatioFeedback;
 
-    fn label(&self) -> &'static str {
-        self.variant.label()
+    fn label(&self) -> String {
+        self.variant.label().to_string()
     }
 
     fn setup(&mut self, env: &FlEnv, _global: &[f32]) {
@@ -189,6 +188,7 @@ impl Family for WidthScaling {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedlps_core::server::{train_options, Server, Staged};
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::HeterogeneityLevel;
     use std::sync::Arc;
@@ -198,9 +198,6 @@ mod tests {
     use fedlps_sim::runner::Simulator;
     use fedlps_sim::train::{local_sgd, LocalTrainOptions};
     use fedlps_tensor::rng_from_seed;
-
-    use crate::common::{coverage_aggregate, Contribution};
-    use crate::driver::{train_options, Baseline};
 
     const VARIANTS: [WidthVariant; 5] = [
         WidthVariant::Fjord,
@@ -222,7 +219,7 @@ mod tests {
     fn all_variants_run_and_use_sparsity() {
         for variant in VARIANTS {
             let s = sim();
-            let mut algo = Baseline::new(WidthScaling::new(variant));
+            let mut algo = Server::from(WidthScaling::new(variant));
             let result = s.run(&mut algo);
             assert_eq!(
                 result.rounds.len(),
@@ -286,7 +283,7 @@ mod tests {
             };
             assert_eq!(
                 report,
-                step.report(Some(&mask), ratio, &summary),
+                step.report(Some(&mask), ratio, summary.mean_accuracy, summary.mean_loss),
                 "{variant:?}: reports differ"
             );
 
@@ -294,12 +291,10 @@ mod tests {
                 let mut next = (*global).clone();
                 let staged = [
                     Contribution {
-                        client_id: client,
                         weight: 2.0,
                         update,
                     },
                     Contribution {
-                        client_id: 1,
                         weight: 1.0,
                         update: ContribParams::Dense {
                             params: vec![0.25; next.len()],
@@ -307,7 +302,7 @@ mod tests {
                         },
                     },
                 ];
-                coverage_aggregate(&mut next, &staged, layout);
+                Contribution::aggregate(&mut next, &staged, layout, 1);
                 next
             };
             let (via_packed, via_dense) = (aggregate(update), aggregate(oracle));
@@ -325,7 +320,7 @@ mod tests {
     fn sparse_ratios_never_exceed_static_capability_for_rcr_variants() {
         let s = sim();
         let caps = s.env().capabilities();
-        let mut algo = Baseline::new(WidthScaling::new(WidthVariant::HeteroFl));
+        let mut algo = Server::from(WidthScaling::new(WidthVariant::HeteroFl));
         let result = s.run(&mut algo);
         // Every round's mean ratio must be below the best capability.
         let max_cap = caps.iter().cloned().fold(0.0, f64::max);

@@ -1,4 +1,5 @@
-//! The FedLPS server/driver implementing [`FlAlgorithm`].
+//! FedLPS as the [`Lps`] family on the shared round skeleton: [`FedLps`] is
+//! [`Server<Lps>`](Server).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -6,18 +7,18 @@ use std::sync::Arc;
 use fedlps_bandit::ratio_policy::{ClientInit, RatioController, RatioFeedback};
 use fedlps_nn::model::EvalStats;
 use fedlps_nn::pack::PackedModel;
-use fedlps_sim::algorithm::{ClientOutcome, ClientReport, ClientUpdate, FlAlgorithm};
+use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
-use fedlps_sim::train::account_round;
 use fedlps_sparse::cache::MaskCache;
 use fedlps_sparse::mask::UnitMask;
 use rand::rngs::StdRng;
 
 use crate::client::{ClientState, ClientTask, ClientUpdateOptions};
 use crate::config::FedLpsConfig;
-use crate::server::{aggregate_residuals_tree, StagedUpdate};
+use crate::server::{Family, Residual, Server, StagedUpdate, Step};
 
 /// How a client step interacted with the cross-round mask cache.
+#[derive(Debug)]
 enum MaskCacheEvent {
     /// The pattern strategy is not cacheable across rounds; no lookup ran.
     Bypassed,
@@ -32,12 +33,11 @@ enum MaskCacheEvent {
     },
 }
 
-/// The payload a FedLPS client step hands back through the round loop's
-/// deterministic reduce: everything `run` used to write into `&mut self`.
-struct FedLpsUpdate {
-    client: usize,
+/// What a FedLPS client step hands to the serial absorb next to its staged
+/// residual.
+#[derive(Debug)]
+pub struct LpsSide {
     state: ClientState,
-    staged: StagedUpdate,
     feedback: RatioFeedback,
     cache_event: MaskCacheEvent,
 }
@@ -47,10 +47,13 @@ struct FedLpsUpdate {
 /// Create it with [`FedLps::new`], hand it to
 /// [`Simulator::run`](fedlps_sim::runner::Simulator::run) and read the
 /// resulting [`RunResult`](fedlps_sim::metrics::RunResult).
+pub type FedLps = Server<Lps>;
+
+/// The FedLPS family: per-client state, the ratio controller and the mask
+/// cache. Its uploads are Eq. (12) residuals, so it aggregates by Eq. (13).
 #[derive(Debug)]
-pub struct FedLps {
+pub struct Lps {
     config: FedLpsConfig,
-    global: Vec<f32>,
     /// Per-client persistent state, materialized on first participation and
     /// stored sparsely: a client that never trained reads as
     /// [`ClientState::default`], exactly as the former dense
@@ -58,29 +61,28 @@ pub struct FedLps {
     /// memory instead of `O(population)`.
     clients: BTreeMap<usize, ClientState>,
     /// The state every untouched client reads as (kept as a field so
-    /// [`client_state`](Self::client_state) can hand out a reference).
+    /// [`FedLps::client_state`] can hand out a reference).
     blank: ClientState,
     controller: Option<RatioController>,
-    staged: Vec<StagedUpdate>,
+    /// Ratio feedback absorbed this round, reported to the controller only
+    /// once the round aggregates so in-flight steps see a stable policy.
     feedback: Vec<(usize, RatioFeedback)>,
     /// Cross-round mask reuse: a client's pattern is rebuilt only when the
     /// bandit moves its ratio to a different submodel shape.
     mask_cache: Option<MaskCache>,
 }
 
-impl FedLps {
+impl Server<Lps> {
     /// Creates a FedLPS driver with the given configuration.
     pub fn new(config: FedLpsConfig) -> Self {
-        Self {
+        Self::from(Lps {
             config,
-            global: Vec::new(),
             clients: BTreeMap::new(),
             blank: ClientState::default(),
             controller: None,
-            staged: Vec::new(),
             feedback: Vec::new(),
             mask_cache: None,
-        }
+        })
     }
 
     /// FedLPS with the paper's default configuration sized for the federation
@@ -95,39 +97,38 @@ impl FedLps {
 
     /// The algorithm configuration.
     pub fn config(&self) -> &FedLpsConfig {
-        &self.config
-    }
-
-    /// Current dense global parameters (empty before `setup`).
-    pub fn global_params(&self) -> &[f32] {
-        &self.global
+        &self.family().config
     }
 
     /// A client's persistent state (indicator, personalized model, last
     /// mask). Clients that never participated read as
     /// [`ClientState::default`] without materializing anything.
     pub fn client_state(&self, client: usize) -> &ClientState {
-        self.clients.get(&client).unwrap_or(&self.blank)
+        self.family().client_state(client)
     }
 
     /// Number of clients whose persistent state has actually materialized —
     /// bounded by the distinct participants, not the registered population.
     pub fn materialized_clients(&self) -> usize {
-        self.clients.len()
+        self.family().clients.len()
     }
 
     /// Number of bandit arms the ratio controller holds: the full population
     /// for a dense controller, only the touched clients for a lazy one
     /// (0 before `setup`).
     pub fn materialized_arms(&self) -> usize {
-        self.controller.as_ref().map_or(0, |c| c.materialized())
+        self.family()
+            .controller
+            .as_ref()
+            .map_or(0, |c| c.materialized())
     }
 
     /// The sparse ratios the controller currently proposes for every client.
     /// `O(population)`: panics on a lazy (population-scale) controller, where
     /// per-client proposals are read through the round flow instead.
     pub fn proposed_ratios(&self) -> Vec<f64> {
-        self.controller
+        self.family()
+            .controller
             .as_ref()
             .map(|c| c.proposals())
             .unwrap_or_default()
@@ -136,7 +137,13 @@ impl FedLps {
     /// The cross-round mask cache and its hit/miss counters (populated after
     /// `setup`).
     pub fn mask_cache(&self) -> Option<&MaskCache> {
-        self.mask_cache.as_ref()
+        self.family().mask_cache.as_ref()
+    }
+}
+
+impl Lps {
+    fn client_state(&self, client: usize) -> &ClientState {
+        self.clients.get(&client).unwrap_or(&self.blank)
     }
 
     /// The sparse ratio a client uses this round given its dynamically
@@ -166,8 +173,11 @@ impl FedLps {
     }
 }
 
-impl FlAlgorithm for FedLps {
-    fn name(&self) -> String {
+impl Family for Lps {
+    type Upload = StagedUpdate;
+    type Side = LpsSide;
+
+    fn label(&self) -> String {
         let ratio = self.config.ratio_policy.name();
         let pattern = self.config.pattern.name();
         if pattern == "learnable-importance" && ratio == "p-ucbv" {
@@ -177,8 +187,7 @@ impl FlAlgorithm for FedLps {
         }
     }
 
-    fn setup(&mut self, env: &FlEnv) {
-        self.global = env.initial_params();
+    fn setup(&mut self, env: &FlEnv, global: &[f32]) {
         self.clients.clear();
         let units_per_layer = env.arch.unit_layout().units_per_layer();
         let mut controller = if env.fleet.is_lazy() {
@@ -190,7 +199,7 @@ impl FlAlgorithm for FedLps {
             let arch = Arc::clone(&env.arch);
             let fleet = env.fleet.clone();
             let data = env.data.clone();
-            let global = self.global.clone();
+            let global = global.to_vec();
             let provider = Box::new(move |k: usize| ClientInit {
                 capability: fleet.static_profile(k).capability,
                 initial_accuracy: arch
@@ -207,7 +216,7 @@ impl FlAlgorithm for FedLps {
             RatioController::new(
                 self.config.ratio_policy.clone(),
                 &env.capabilities(),
-                &env.initial_training_accuracy(&self.global),
+                &env.initial_training_accuracy(global),
                 env.config.seed,
             )
         };
@@ -217,23 +226,16 @@ impl FlAlgorithm for FedLps {
             controller = controller.with_shape_resolution(&units_per_layer);
         }
         self.controller = Some(controller);
-        self.staged.clear();
         self.feedback.clear();
         self.mask_cache = Some(MaskCache::new(units_per_layer));
     }
 
-    fn client_step(
-        &self,
-        env: &FlEnv,
-        round: usize,
-        client: usize,
-        rng: &mut StdRng,
-    ) -> ClientOutcome {
-        let available = env.fleet.available_profile(client, round);
-        let ratio = self.round_ratio(&available, client);
+    fn train(&self, step: &Step<'_>, rng: &mut StdRng) -> (ClientReport, Residual, LpsSide) {
+        let (env, client) = (step.env, step.client);
+        let ratio = self.round_ratio(&step.device, client);
 
         // Pure snapshot lookup against the cache; the hit/miss is accounted
-        // (and a fresh mask installed) in `absorb_update`, serially. Pattern
+        // (and a fresh mask installed) in `absorbed`, serially. Pattern
         // strategies whose masks depend on more than the ratio (random
         // resampling, rolling windows, live weight magnitudes) bypass the
         // cache entirely — reusing their masks would change their semantics.
@@ -245,31 +247,24 @@ impl FlAlgorithm for FedLps {
             .and_then(|cache| cache.lookup(client, ratio))
             .map_or((None, None), |(mask, plan)| (Some(mask), plan.cloned()));
 
-        let options = self.update_options(env, ratio, round);
         let task = ClientTask {
             arch: &*env.arch,
-            global: &self.global,
+            global: step.global,
             state: self.client_state(client),
             data: env.train_data(client),
-            options,
+            options: self.update_options(env, ratio, step.round),
             cached_mask,
             packed_execution: true,
             cached_plan,
         };
         let output = task.run(rng);
         let outcome = output.outcome;
-
-        let accounting = account_round(
-            &*env.arch,
-            &env.cost,
-            &available,
+        let mut report = step.report(
             Some(&outcome.mask),
-            env.config.local_iterations,
-            env.config.batch_size,
-            outcome.uploaded_params,
-            env.arch.param_count(),
+            ratio,
+            outcome.mean_accuracy,
+            outcome.mean_loss,
         );
-
         let cache_event = if !caching {
             MaskCacheEvent::Bypassed
         } else if output.mask_cache_hit {
@@ -281,67 +276,25 @@ impl FlAlgorithm for FedLps {
                 plan: output.plan,
             }
         };
-        let report = ClientReport {
-            client_id: client,
-            flops: accounting.flops,
-            upload_bytes: accounting.upload_bytes,
-            download_bytes: accounting.download_bytes,
-            local_cost: accounting.local_cost,
-            train_accuracy: outcome.mean_accuracy,
-            train_loss: outcome.mean_loss,
-            sparse_ratio: ratio,
-            selection_utility: 0.0,
-            participations: 0,
-            mask_cache_hits: matches!(cache_event, MaskCacheEvent::Hit) as u32,
-            mask_cache_misses: matches!(cache_event, MaskCacheEvent::Miss { .. }) as u32,
-        };
-        ClientOutcome::new(
-            report,
-            FedLpsUpdate {
-                client,
-                state: output.state,
-                staged: StagedUpdate {
-                    weight: env.train_size(client).max(1.0),
-                    residual: outcome.residual,
-                },
-                feedback: RatioFeedback {
-                    ratio,
-                    local_cost: accounting.local_cost.total(),
-                    accuracy: outcome.mean_accuracy,
-                },
-                cache_event,
+        report.mask_cache_hits = matches!(cache_event, MaskCacheEvent::Hit) as u32;
+        report.mask_cache_misses = matches!(cache_event, MaskCacheEvent::Miss { .. }) as u32;
+        let side = LpsSide {
+            state: output.state,
+            feedback: RatioFeedback {
+                ratio,
+                local_cost: report.local_cost.total(),
+                accuracy: outcome.mean_accuracy,
             },
-        )
-    }
-
-    fn absorb_update(&mut self, env: &FlEnv, round: usize, update: ClientUpdate) {
-        self.absorb_update_stale(env, round, update, 0, 1.0);
-    }
-
-    /// The serial absorb of every round mode: persists the client's state,
-    /// settles its mask-cache event and stages its residual scaled by the
-    /// server-side `weight` (1 for cohort rounds, the staleness discount
-    /// `alpha^staleness` under asynchronous absorption).
-    fn absorb_update_stale(
-        &mut self,
-        _env: &FlEnv,
-        _round: usize,
-        update: ClientUpdate,
-        _staleness: u32,
-        weight: f64,
-    ) {
-        let FedLpsUpdate {
-            client,
-            state,
-            mut staged,
-            feedback,
             cache_event,
-        } = *update
-            .downcast::<FedLpsUpdate>()
-            .expect("FedLPS update payload");
-        self.clients.insert(client, state);
+        };
+        (report, outcome.residual, side)
+    }
+
+    /// Persists the client's state and settles its mask-cache event.
+    fn absorbed(&mut self, client: usize, _round: usize, side: LpsSide) {
+        self.clients.insert(client, side.state);
         if let Some(cache) = self.mask_cache.as_mut() {
-            match cache_event {
+            match side.cache_event {
                 MaskCacheEvent::Bypassed => {}
                 MaskCacheEvent::Hit => cache.record(true),
                 MaskCacheEvent::Miss { ratio, mask, plan } => {
@@ -350,21 +303,10 @@ impl FlAlgorithm for FedLps {
                 }
             }
         }
-        staged.weight *= weight;
-        self.staged.push(staged);
-        self.feedback.push((client, feedback));
+        self.feedback.push((client, side.feedback));
     }
 
-    fn aggregate(&mut self, env: &FlEnv, _round: usize, _reports: &[ClientReport]) {
-        // The absorption walk shards on the coordinate axis, so following
-        // the configured parallelism here is bit-free: every shard count
-        // reproduces the serial walk exactly.
-        aggregate_residuals_tree(
-            &mut self.global,
-            &self.staged,
-            env.config.effective_parallelism(),
-        );
-        self.staged.clear();
+    fn aggregated(&mut self) {
         if let Some(controller) = self.controller.as_mut() {
             for (client, feedback) in self.feedback.drain(..) {
                 controller.report(client, feedback);
@@ -372,13 +314,12 @@ impl FlAlgorithm for FedLps {
         }
     }
 
-    fn evaluate_client(&self, env: &FlEnv, client: usize) -> EvalStats {
+    fn deployed(&self, env: &FlEnv, global: &[f32], client: usize) -> EvalStats {
         // Personalized deployment: the client's own sparse model if it has
         // ever trained, otherwise the dense global model.
-        match &self.client_state(client).personal_model {
-            Some(personal) => env.arch.evaluate(personal, env.test_data(client)),
-            None => env.arch.evaluate(&self.global, env.test_data(client)),
-        }
+        let model = self.client_state(client).personal_model.as_deref();
+        env.arch
+            .evaluate(model.unwrap_or(global), env.test_data(client))
     }
 }
 
@@ -387,6 +328,7 @@ mod tests {
     use super::*;
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::HeterogeneityLevel;
+    use fedlps_sim::algorithm::FlAlgorithm;
     use fedlps_sim::config::FlConfig;
     use fedlps_sim::runner::Simulator;
 

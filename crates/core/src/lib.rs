@@ -20,8 +20,11 @@
 //! Module map: [`config`] (hyper-parameters and ablation switches),
 //! [`importance`] (the indicator and its straight-through gradient),
 //! [`loss`] (the three-term objective), [`client`] (Algorithm 1's
-//! `ClientUpdate`), [`server`] (aggregation) and [`algorithm`] (the
-//! [`FedLps`] driver implementing [`fedlps_sim::FlAlgorithm`]).
+//! `ClientUpdate`), [`server`] (the round skeleton [`server::Server`] that
+//! FedLPS and every baseline run on, the workspace's one
+//! [`fedlps_sim::FlAlgorithm`] impl, plus both aggregation rules: Eq. 13
+//! and per-parameter coverage) and [`algorithm`] (FedLPS as the
+//! [`algorithm::Lps`] family; [`FedLps`] = `Server<Lps>`).
 
 pub mod algorithm;
 pub mod client;

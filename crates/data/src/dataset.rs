@@ -145,29 +145,6 @@ impl Dataset {
     pub fn present_classes(&self) -> usize {
         self.class_histogram().iter().filter(|&&c| c > 0).count()
     }
-
-    /// Concatenates two datasets with identical metadata.
-    pub fn concat(&self, other: &Dataset) -> Dataset {
-        assert_eq!(self.num_classes, other.num_classes);
-        assert_eq!(self.input, other.input);
-        let mut features = Matrix::zeros(self.len() + other.len(), self.feature_dim());
-        for i in 0..self.len() {
-            features.row_mut(i).copy_from_slice(self.features.row(i));
-        }
-        for i in 0..other.len() {
-            features
-                .row_mut(self.len() + i)
-                .copy_from_slice(other.features.row(i));
-        }
-        let mut labels = self.labels.clone();
-        labels.extend_from_slice(&other.labels);
-        Dataset {
-            features,
-            labels,
-            num_classes: self.num_classes,
-            input: self.input,
-        }
-    }
 }
 
 /// One client's local data: a train split used for local updates and a test
@@ -247,14 +224,6 @@ mod tests {
         let d = toy();
         assert_eq!(d.class_histogram(), vec![2, 2, 2]);
         assert_eq!(d.present_classes(), 3);
-    }
-
-    #[test]
-    fn concat_appends() {
-        let d = toy();
-        let c = d.concat(&d);
-        assert_eq!(c.len(), 12);
-        assert_eq!(c.features.row(6), d.features.row(0));
     }
 
     #[test]

@@ -141,15 +141,6 @@ impl FlConfig {
         }
     }
 
-    /// The client-selection fraction `ϵ` implied by the configuration for a
-    /// federation of `num_clients` clients.
-    pub fn selection_fraction(&self, num_clients: usize) -> f64 {
-        if num_clients == 0 {
-            return 0.0;
-        }
-        self.clients_per_round.min(num_clients) as f64 / num_clients as f64
-    }
-
     /// Builder-style override of the number of rounds.
     pub fn with_rounds(mut self, rounds: usize) -> Self {
         self.rounds = rounds;
@@ -302,14 +293,6 @@ mod tests {
         let cfg = FlConfig::default();
         assert!(cfg.rounds > 0 && cfg.clients_per_round > 0 && cfg.local_iterations > 0);
         assert!(cfg.eval_every >= 1);
-    }
-
-    #[test]
-    fn selection_fraction() {
-        let cfg = FlConfig::default().with_clients_per_round(10);
-        assert!((cfg.selection_fraction(100) - 0.1).abs() < 1e-12);
-        assert!((cfg.selection_fraction(5) - 1.0).abs() < 1e-12);
-        assert_eq!(cfg.selection_fraction(0), 0.0);
     }
 
     #[test]

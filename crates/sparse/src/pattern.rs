@@ -34,16 +34,6 @@ pub enum PatternStrategy {
 }
 
 impl PatternStrategy {
-    /// All heuristic strategies (everything except the learnable one), in the
-    /// order used by the Figure 9a comparison.
-    pub fn heuristics() -> [PatternStrategy; 3] {
-        [
-            PatternStrategy::Random,
-            PatternStrategy::Ordered,
-            PatternStrategy::Magnitude,
-        ]
-    }
-
     /// Name used in experiment tables.
     pub fn name(&self) -> &'static str {
         match self {

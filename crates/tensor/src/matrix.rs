@@ -453,13 +453,6 @@ impl Matrix {
         }
     }
 
-    /// In-place scalar multiplication.
-    pub fn scale(&mut self, alpha: f32) {
-        for v in &mut self.data {
-            *v *= alpha;
-        }
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -523,13 +516,6 @@ mod tests {
     fn transpose_involution() {
         let a = Matrix::from_fn(5, 2, |r, c| (r * 7 + c * 3) as f32);
         assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn scale_multiplies_in_place() {
-        let mut c = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        c.scale(2.0);
-        assert_eq!(c.as_slice(), &[2.0, 4.0, 6.0]);
     }
 
     #[test]

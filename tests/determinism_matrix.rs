@@ -174,9 +174,11 @@ fn assert_laws(config: &FlConfig, result: &RunResult) {
 proptest! {
     // Every case trains ~60 tiny federations, so the case count is pinned
     // — deliberately NOT scaled by the nightly PROPTEST_CASES crank, which
-    // would turn this file into hours of training. The cheap schedule-level
-    // properties in `crates/runtime/tests/proptest_schedule.rs` take the
-    // crank instead.
+    // would turn this file into hours of training. The cheap bit-identity
+    // properties underneath it take the crank instead: sharded aggregation
+    // in `crates/core/tests/proptest_merge_tree.rs` and
+    // `crates/core/tests/proptest_coverage.rs`, and the lazy fleet in
+    // `crates/device/tests/proptest_lazy_fleet.rs`.
     #![proptest_config(ProptestConfig { cases: 4 })]
 
     #[test]

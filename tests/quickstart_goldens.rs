@@ -1,18 +1,22 @@
-//! Pre-refactor golden traces for the quickstart configuration at 64 clients.
+//! Golden traces: the metrics JSON of whole runs, byte-compared against
+//! `tests/goldens/`, each captured before the refactor it guards.
 //!
-//! The lazy-fleet refactor (ISSUE 7) promises that small-population runs are
-//! bit-identical to the historical dense representation, and the topology
-//! subsystem (ISSUE 8) promises that `Topology::Flat` — spelled explicitly
-//! below — reproduces the same traces byte for byte. These tests pin both
-//! promises: the metrics JSON of a quickstart-shaped run at 64 clients, in
-//! each of the three round modes, must stay byte-equal to the goldens
-//! captured before either change landed (`tests/goldens/quickstart64_*.json`).
+//! * `quickstart64_*` — the quickstart configuration at 64 clients in each
+//!   of the three round modes. They pin that small-population runs on the
+//!   lazy fleet are bit-identical to the historical dense representation,
+//!   and that `Topology::Flat` — spelled explicitly below — is a true
+//!   pass-through.
+//! * `baseline_tiny_*` — every registered baseline on a tiny federation,
+//!   synchronous and asynchronous (so each family's stale-absorb path is
+//!   covered), captured from the per-family `FlAlgorithm` impls before the
+//!   families moved onto one round skeleton.
+//! * `fedlps_tiny_*` — FedLPS on the same tiny federation in both modes: the
+//!   default P-UCBV configuration, the RCR and fixed-ratio controllers and
+//!   the cache-bypassing random pattern, so mask-cache hits, misses and
+//!   bypasses are all covered. Captured before FedLPS became a family on
+//!   that skeleton.
 //!
-//! The same mechanism pins the comparison side: every registered baseline on
-//! a tiny federation, synchronous and asynchronous (so each family's
-//! stale-absorb path is covered), against goldens captured from the
-//! per-family `FlAlgorithm` impls before they were folded into one driver
-//! (`tests/goldens/baseline_tiny_*.json`), serial and at four shards.
+//! Every tiny row also asserts that the four-shard run equals the serial one.
 //!
 //! To regenerate after an *intentional* trace change (which must be called out
 //! in the PR description), run:
@@ -102,29 +106,79 @@ fn quickstart64_async_matches_pre_refactor_golden() {
     );
 }
 
-/// Every baseline of the registry on the tiny federation in `round_mode`:
-/// the serial trace must equal its golden, and the four-shard trace the
-/// serial one.
+/// `make`'s run on the tiny federation in `round_mode`: the serial trace must
+/// equal the golden, and the four-shard trace the serial one.
+fn check_tiny_golden(
+    golden: &str,
+    round_mode: RoundMode,
+    make: &dyn Fn(&FlEnv) -> Box<dyn FlAlgorithm>,
+) {
+    let env = |parallelism| {
+        FlEnv::from_scenario(
+            &ScenarioConfig::tiny(DatasetKind::MnistLike),
+            HeterogeneityLevel::High,
+            FlConfig::tiny()
+                .with_round_mode(round_mode)
+                .with_parallelism(parallelism),
+        )
+    };
+    let serial = check_golden(golden, env(1), make);
+    assert_eq!(
+        serial,
+        run_json(env(4), make),
+        "{golden} diverges between parallelism 1 and 4"
+    );
+}
+
+/// Every baseline of the registry on the tiny federation in `round_mode`.
 fn check_baseline_goldens(mode_name: &str, round_mode: RoundMode) {
     for name in baseline_names() {
-        let env = |parallelism| {
-            FlEnv::from_scenario(
-                &ScenarioConfig::tiny(DatasetKind::MnistLike),
-                HeterogeneityLevel::High,
-                FlConfig::tiny()
-                    .with_round_mode(round_mode)
-                    .with_parallelism(parallelism),
-            )
-        };
         let make = |_: &FlEnv| baseline_by_name(name).expect("registered baseline");
-        let golden = format!("baseline_tiny_{name}_{mode_name}");
-        let serial = check_golden(&golden, env(1), &make);
-        assert_eq!(
-            serial,
-            run_json(env(4), &make),
-            "{name} ({mode_name}) diverges between parallelism 1 and 4"
+        check_tiny_golden(
+            &format!("baseline_tiny_{name}_{mode_name}"),
+            round_mode,
+            &make,
         );
     }
+}
+
+/// FedLPS on the tiny federation in `round_mode`, once per mask-cache path:
+/// P-UCBV ratios (hits and misses), the rigid RCR and fixed-ratio
+/// controllers, and a random pattern that bypasses the cache.
+fn check_fedlps_goldens(mode_name: &str, round_mode: RoundMode) {
+    // `None` is `FedLps::for_env`, the paper's default sized to the run.
+    let variants = [
+        ("default", None),
+        ("rcr", Some(FedLpsConfig::rcr())),
+        ("flst050", Some(FedLpsConfig::flst(0.5))),
+        (
+            "random050",
+            Some(FedLpsConfig::with_pattern(PatternStrategy::Random, 0.5)),
+        ),
+    ];
+    for (variant, config) in variants {
+        let make = |env: &FlEnv| -> Box<dyn FlAlgorithm> {
+            Box::new(match &config {
+                Some(config) => FedLps::new(config.clone()),
+                None => FedLps::for_env(env),
+            })
+        };
+        check_tiny_golden(
+            &format!("fedlps_tiny_{variant}_{mode_name}"),
+            round_mode,
+            &make,
+        );
+    }
+}
+
+#[test]
+fn fedlps_sync_matches_pre_refactor_goldens() {
+    check_fedlps_goldens("sync", RoundMode::Synchronous);
+}
+
+#[test]
+fn fedlps_async_matches_pre_refactor_goldens() {
+    check_fedlps_goldens("async", RoundMode::asynchronous(3, 0.5));
 }
 
 #[test]
