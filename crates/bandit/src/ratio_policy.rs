@@ -8,7 +8,7 @@
 //! both the FedLPS core and the baselines can share the plumbing.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use fedlps_tensor::{rng_from_seed, split_seed};
 use rand::rngs::StdRng;
@@ -64,7 +64,7 @@ enum AgentState {
     Ucb(DiscreteUcb),
 }
 
-/// What a lazily-materialized agent needs to know about its client:
+/// What an agent needs to know about its client when it is built:
 /// capability cap `z_k` and the `a^{-1}` accuracy baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientInit {
@@ -75,73 +75,67 @@ pub struct ClientInit {
     pub initial_accuracy: f64,
 }
 
-/// One lazily-materialized client: its agent, current proposal, capability
-/// cap and a private RNG stream (lazy agents cannot share the dense
-/// controller's sequential stream — that would make each agent's draws
-/// depend on which other clients happened to participate first).
-struct LazyAgent {
+/// One client's agent, its current proposal and capability cap.
+struct Client {
     agent: AgentState,
     proposal: f64,
     capability: f64,
-    rng: StdRng,
+    /// The client's private RNG stream, or `None` to draw from the
+    /// controller's shared stream.
+    rng: Option<StdRng>,
 }
 
-/// The physical representation behind a [`RatioController`].
-enum ControllerStore {
-    /// One pre-built agent per client, all sharing one sequential RNG stream
-    /// — the historical representation, golden-pinned at small populations.
-    Dense {
-        capabilities: Vec<f64>,
-        agents: Vec<AgentState>,
-        /// The next ratio each agent proposes (learning policies update this).
-        proposals: Vec<f64>,
-        rng: StdRng,
-    },
-    /// Agents materialized on first touch and stored sparsely (lint rule
-    /// D1). Each owns an RNG stream keyed by its client id, so the draw
-    /// sequence of one agent is independent of every other client —
-    /// **intentionally not bit-identical** to the dense store, whose agents
-    /// consume a single shared stream in client order.
-    Lazy {
-        num_clients: usize,
-        provider: Box<dyn Fn(usize) -> ClientInit + Send + Sync>,
-        units_per_layer: Option<Vec<usize>>,
-        /// The `Mutex` exists because `ratio_for` takes `&self` but may
-        /// materialize; agents are pure functions of `(seed, id, provider)`
-        /// plus their own feedback, so lock order never influences a value.
-        clients: Mutex<BTreeMap<usize, LazyAgent>>,
-        seed: u64,
-    },
+impl Client {
+    /// The proposal capped at the client's capability (`s_k ≤ z_k`).
+    fn ratio(&self) -> f64 {
+        self.proposal.min(self.capability).max(0.0)
+    }
+}
+
+/// The agents materialized so far, keyed by client id (lint rule D1).
+struct Agents {
+    clients: BTreeMap<usize, Client>,
+    /// The sequential stream every agent built by [`RatioController::new`]
+    /// draws from, in the order the agents are built and advanced.
+    shared_rng: Option<StdRng>,
 }
 
 /// Per-client ratio decision state for a whole federation.
 ///
-/// Built either densely ([`RatioController::new`] — every agent constructed
-/// up front) or lazily ([`RatioController::lazy`] — agents materialize on a
-/// client's first participation, keeping memory `O(participants)` at
-/// registry scale).
+/// One store holds the agents; a client's agent is built from the
+/// `provider`'s [`ClientInit`] on first touch. Which RNG an agent draws from
+/// is data: [`RatioController::new`] builds every agent up front on one
+/// shared sequential stream, while [`RatioController::lazy`] builds an agent
+/// on its client's first participation, on a stream keyed by the client id —
+/// memory stays `O(participants)` at registry scale, and no agent's draws
+/// depend on which other clients participated first.
 pub struct RatioController {
     policy: RatioPolicy,
-    store: ControllerStore,
+    num_clients: usize,
+    provider: Box<dyn Fn(usize) -> ClientInit + Send + Sync>,
+    units_per_layer: Option<Vec<usize>>,
+    /// The `Mutex` exists because `ratio_for` takes `&self` but may
+    /// materialize; agents are pure functions of `(seed, id, provider)` plus
+    /// their own feedback, so lock order never influences a value.
+    agents: Mutex<Agents>,
+    seed: u64,
+    /// Feedback absorbed this round, applied at aggregation so in-flight
+    /// steps see a stable policy.
+    deferred: Vec<(usize, RatioFeedback)>,
 }
 
 impl std::fmt::Debug for RatioController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("RatioController");
-        s.field("policy", &self.policy);
-        match &self.store {
-            ControllerStore::Dense { agents, .. } => s.field("clients", &agents.len()),
-            ControllerStore::Lazy { num_clients, .. } => s
-                .field("registered", num_clients)
-                .field("materialized", &self.materialized()),
-        };
-        s.finish_non_exhaustive()
+        f.debug_struct("RatioController")
+            .field("policy", &self.policy)
+            .field("registered", &self.num_clients)
+            .field("materialized", &self.materialized())
+            .finish_non_exhaustive()
     }
 }
 
-/// Builds one client's agent and initial proposal. The dense constructor
-/// feeds every client through this with one shared sequential RNG; the lazy
-/// store calls it on first touch with the client's private stream.
+/// Builds one client's agent and initial proposal from the stream it draws
+/// on (shared or private).
 fn build_agent(policy: &RatioPolicy, init: ClientInit, rng: &mut StdRng) -> (AgentState, f64) {
     let z = init.capability;
     match policy {
@@ -189,7 +183,7 @@ fn advance_agent(agent: &mut AgentState, feedback: RatioFeedback, rng: &mut StdR
 
 impl RatioController {
     /// Creates the controller for `capabilities.len()` clients, every agent
-    /// built up front.
+    /// built up front, in client order, on one shared sequential RNG stream.
     ///
     /// `initial_accuracy` seeds the bandits' `a^{−1}` baseline (the accuracy of
     /// the initial global model on local data, as Algorithm 2 prescribes).
@@ -200,30 +194,22 @@ impl RatioController {
         seed: u64,
     ) -> Self {
         assert_eq!(capabilities.len(), initial_accuracy.len());
-        let mut rng = rng_from_seed(split_seed(seed, 0xBAD17));
-        let mut agents = Vec::with_capacity(capabilities.len());
-        let mut proposals = Vec::with_capacity(capabilities.len());
-        for (k, &z) in capabilities.iter().enumerate() {
-            let (agent, proposal) = build_agent(
-                &policy,
-                ClientInit {
-                    capability: z,
-                    initial_accuracy: initial_accuracy[k],
-                },
-                &mut rng,
-            );
-            agents.push(agent);
-            proposals.push(proposal);
+        let inits: Vec<ClientInit> = capabilities
+            .iter()
+            .zip(initial_accuracy)
+            .map(|(&capability, &initial_accuracy)| ClientInit {
+                capability,
+                initial_accuracy,
+            })
+            .collect();
+        let controller = Self::lazy(policy, inits.len(), Box::new(move |k| inits[k]), seed);
+        let mut agents = controller.lock();
+        agents.shared_rng = Some(rng_from_seed(split_seed(seed, 0xBAD17)));
+        for k in 0..controller.num_clients {
+            controller.materialize(&mut agents, k);
         }
-        Self {
-            policy,
-            store: ControllerStore::Dense {
-                capabilities: capabilities.to_vec(),
-                agents,
-                proposals,
-                rng,
-            },
-        }
+        drop(agents);
+        controller
     }
 
     /// Creates a controller for `num_clients` registered clients without
@@ -231,11 +217,9 @@ impl RatioController {
     /// [`ratio_for`](Self::ratio_for) / [`report`](Self::report), seeded from
     /// `provider(client)` and a private per-client RNG stream.
     ///
-    /// Draws are **not** bit-identical to [`RatioController::new`] — the
-    /// dense constructor threads one sequential RNG through all clients,
-    /// which has no participation-order-independent lazy equivalent. Only
-    /// small-population dense runs are golden-pinned; population-scale runs
-    /// are their own (deterministic) trace.
+    /// Draws are **not** bit-identical to [`RatioController::new`] — its
+    /// shared sequential stream has no participation-order-independent
+    /// equivalent. Population-scale runs are their own (deterministic) trace.
     pub fn lazy(
         policy: RatioPolicy,
         num_clients: usize,
@@ -244,31 +228,27 @@ impl RatioController {
     ) -> Self {
         Self {
             policy,
-            store: ControllerStore::Lazy {
-                num_clients,
-                provider,
-                units_per_layer: None,
-                clients: Mutex::new(BTreeMap::new()),
-                seed,
-            },
+            num_clients,
+            provider,
+            units_per_layer: None,
+            agents: Mutex::new(Agents {
+                clients: BTreeMap::new(),
+                shared_rng: None,
+            }),
+            seed,
+            deferred: Vec::new(),
         }
     }
 
-    /// The policy this controller implements.
-    pub fn policy(&self) -> &RatioPolicy {
-        &self.policy
+    fn lock(&self) -> MutexGuard<'_, Agents> {
+        self.agents.lock().expect("ratio controller lock")
     }
 
     /// Number of clients holding materialized agent state. The
     /// population-scale bench asserts on this to pin the `O(active
     /// participants)` memory contract.
     pub fn materialized(&self) -> usize {
-        match &self.store {
-            ControllerStore::Dense { agents, .. } => agents.len(),
-            ControllerStore::Lazy { clients, .. } => {
-                clients.lock().expect("ratio controller lock").len()
-            }
-        }
+        self.lock().clients.len()
     }
 
     /// Quantizes every P-UCBV agent's arm space at the model's shape
@@ -276,33 +256,14 @@ impl RatioController {
     /// extracting equal per-layer retained-unit counts collapse to one arm,
     /// and current proposals snap to their canonical representatives. A
     /// no-op for the stateless and discrete policies, whose arm spaces are
-    /// already coarse. On a lazy controller the resolution also applies to
-    /// every agent materialized later.
+    /// already coarse. The resolution also applies to every agent
+    /// materialized later.
     pub fn with_shape_resolution(mut self, units_per_layer: &[usize]) -> Self {
-        match &mut self.store {
-            ControllerStore::Dense {
-                agents, proposals, ..
-            } => {
-                for (k, agent) in agents.iter_mut().enumerate() {
-                    if let AgentState::PUcbv(a) = agent {
-                        a.set_shape_resolution(units_per_layer.to_vec());
-                        proposals[k] = a.quantize(proposals[k]);
-                    }
-                }
-            }
-            ControllerStore::Lazy {
-                units_per_layer: slot,
-                clients,
-                ..
-            } => {
-                *slot = Some(units_per_layer.to_vec());
-                let clients = clients.get_mut().expect("ratio controller lock");
-                for lazy in clients.values_mut() {
-                    if let AgentState::PUcbv(a) = &mut lazy.agent {
-                        a.set_shape_resolution(units_per_layer.to_vec());
-                        lazy.proposal = a.quantize(lazy.proposal);
-                    }
-                }
+        self.units_per_layer = Some(units_per_layer.to_vec());
+        for client in self.lock().clients.values_mut() {
+            if let AgentState::PUcbv(a) = &mut client.agent {
+                a.set_shape_resolution(units_per_layer.to_vec());
+                client.proposal = a.quantize(client.proposal);
             }
         }
         self
@@ -310,97 +271,82 @@ impl RatioController {
 
     /// The sparse ratio to use for `client` this round. Always capped at the
     /// client's capability (`s_k ≤ z_k`), which mirrors the client-side reset
-    /// in the paper's "Client-side Update". First touch of a client on a
-    /// lazy controller materializes its agent.
+    /// in the paper's "Client-side Update". First touch of a client
+    /// materializes its agent.
     pub fn ratio_for(&self, client: usize) -> f64 {
-        match &self.store {
-            ControllerStore::Dense {
-                capabilities,
-                proposals,
-                ..
-            } => proposals[client].min(capabilities[client]).max(0.0),
-            ControllerStore::Lazy { clients, .. } => {
-                let mut clients = clients.lock().expect("ratio controller lock");
-                let lazy = Self::materialize(&self.policy, &self.store, &mut clients, client);
-                lazy.proposal.min(lazy.capability).max(0.0)
-            }
-        }
+        self.materialize(&mut self.lock(), client).0.ratio()
     }
 
-    /// Materializes (or fetches) one lazy agent; callers hold the lock.
+    /// Materializes (or fetches) one agent, next to the shared stream if
+    /// there is one; callers hold the lock. A new agent draws from the shared
+    /// stream, or else from a fresh stream keyed by its client id.
     fn materialize<'m>(
-        policy: &RatioPolicy,
-        store: &ControllerStore,
-        clients: &'m mut BTreeMap<usize, LazyAgent>,
+        &self,
+        agents: &'m mut Agents,
         client: usize,
-    ) -> &'m mut LazyAgent {
-        let ControllerStore::Lazy {
-            num_clients,
-            provider,
-            units_per_layer,
-            seed,
-            ..
-        } = store
-        else {
-            unreachable!("materialize is only called on the lazy store");
-        };
-        assert!(client < *num_clients, "client {client} out of range");
-        clients.entry(client).or_insert_with(|| {
-            let init = provider(client);
-            let mut rng = rng_from_seed(split_seed(*seed, 0xBAD17 ^ ((client as u64) << 16)));
-            let (mut agent, mut proposal) = build_agent(policy, init, &mut rng);
-            if let (Some(units), AgentState::PUcbv(a)) = (units_per_layer, &mut agent) {
+    ) -> (&'m mut Client, Option<&'m mut StdRng>) {
+        assert!(client < self.num_clients, "client {client} out of range");
+        let shared_rng = &mut agents.shared_rng;
+        let c = agents.clients.entry(client).or_insert_with(|| {
+            let init = (self.provider)(client);
+            let mut rng = shared_rng
+                .is_none()
+                .then(|| rng_from_seed(split_seed(self.seed, 0xBAD17 ^ ((client as u64) << 16))));
+            let stream = rng.as_mut().or(shared_rng.as_mut()).expect("a stream");
+            let (mut agent, mut proposal) = build_agent(&self.policy, init, stream);
+            if let (Some(units), AgentState::PUcbv(a)) = (&self.units_per_layer, &mut agent) {
                 a.set_shape_resolution(units.clone());
                 proposal = a.quantize(proposal);
             }
-            LazyAgent {
+            Client {
                 agent,
                 proposal,
                 capability: init.capability,
                 rng,
             }
-        })
+        });
+        (c, shared_rng.as_mut())
     }
 
     /// Reports a finished round for `client`; learning policies use it to
     /// propose the next ratio (Algorithm 1 lines 9-15).
     pub fn report(&mut self, client: usize, feedback: RatioFeedback) {
-        if let ControllerStore::Dense {
-            agents,
-            proposals,
-            rng,
-            ..
-        } = &mut self.store
-        {
-            if let Some(next) = advance_agent(&mut agents[client], feedback, rng) {
-                proposals[client] = next;
-            }
-            return;
+        let mut agents = self.lock();
+        let (c, shared_rng) = self.materialize(&mut agents, client);
+        let stream = c.rng.as_mut().or(shared_rng).expect("a stream");
+        if let Some(next) = advance_agent(&mut c.agent, feedback, stream) {
+            c.proposal = next;
         }
-        let ControllerStore::Lazy { clients, .. } = &self.store else {
-            unreachable!("the store is either dense or lazy");
-        };
-        let mut map = clients.lock().expect("ratio controller lock");
-        let lazy = Self::materialize(&self.policy, &self.store, &mut map, client);
-        if let Some(next) = advance_agent(&mut lazy.agent, feedback, &mut lazy.rng) {
-            lazy.proposal = next;
+    }
+
+    /// Holds a round's feedback for `client` until
+    /// [`apply_deferred`](Self::apply_deferred).
+    pub fn defer(&mut self, client: usize, feedback: RatioFeedback) {
+        self.deferred.push((client, feedback));
+    }
+
+    /// [`report`](Self::report)s every deferred feedback, in the order it was
+    /// deferred.
+    pub fn apply_deferred(&mut self) {
+        for (client, feedback) in std::mem::take(&mut self.deferred) {
+            self.report(client, feedback);
         }
     }
 
     /// Current proposals for every client (used by analyses / examples).
-    /// Allocates `O(population)` and therefore refuses to run on a lazy
-    /// controller — iterate [`ratio_for`](Self::ratio_for) over the ids you
-    /// need instead.
+    /// Refuses to run unless every agent is materialized, as it always is
+    /// after [`RatioController::new`] — iterate
+    /// [`ratio_for`](Self::ratio_for) over the ids you need instead.
     pub fn proposals(&self) -> Vec<f64> {
-        match &self.store {
-            ControllerStore::Dense { proposals, .. } => {
-                (0..proposals.len()).map(|k| self.ratio_for(k)).collect()
-            }
-            ControllerStore::Lazy { num_clients, .. } => panic!(
-                "RatioController::proposals() would materialize {num_clients} agents; \
-                 iterate ratio_for(k) instead"
-            ),
-        }
+        let agents = self.lock();
+        assert_eq!(
+            agents.clients.len(),
+            self.num_clients,
+            "RatioController::proposals() would materialize {} agents; \
+             iterate ratio_for(k) instead",
+            self.num_clients
+        );
+        agents.clients.values().map(Client::ratio).collect()
     }
 }
 
@@ -615,6 +561,43 @@ mod tests {
     #[should_panic]
     fn lazy_proposals_refuse_to_materialize_the_population() {
         RatioController::lazy(RatioPolicy::Dense, 1_000_000, Box::new(tier_init), 1).proposals();
+    }
+
+    #[test]
+    fn deferred_feedback_applies_at_once_in_deferral_order() {
+        let mk = || {
+            RatioController::new(
+                RatioPolicy::PUcbv(PUcbvConfig::default()),
+                &caps(),
+                &[0.1; 4],
+                7,
+            )
+        };
+        let feedback = |accuracy| RatioFeedback {
+            ratio: 0.25,
+            local_cost: 1.0,
+            accuracy,
+        };
+        let reports = [(1, feedback(0.3)), (0, feedback(0.4)), (1, feedback(0.2))];
+        let (mut deferred, mut direct) = (mk(), mk());
+        let before = deferred.proposals();
+        for &(client, fb) in &reports {
+            deferred.defer(client, fb);
+            direct.report(client, fb);
+        }
+        assert_eq!(
+            deferred.proposals(),
+            before,
+            "nothing applies before aggregation"
+        );
+        deferred.apply_deferred();
+        assert_eq!(deferred.proposals(), direct.proposals());
+        deferred.apply_deferred();
+        assert_eq!(
+            deferred.proposals(),
+            direct.proposals(),
+            "applied only once"
+        );
     }
 
     #[test]

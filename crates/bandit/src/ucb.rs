@@ -43,11 +43,6 @@ impl DiscreteUcb {
         }
     }
 
-    /// Candidate arm values.
-    pub fn arms(&self) -> &[f64] {
-        &self.arms
-    }
-
     /// Chooses the next arm: unexplored arms first, then the UCB1 rule.
     pub fn select(&self, rng: &mut impl Rng) -> usize {
         if let Some(idx) = self.counts.iter().position(|&c| c == 0) {

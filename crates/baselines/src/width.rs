@@ -69,9 +69,6 @@ impl WidthVariant {
 pub struct WidthScaling {
     variant: WidthVariant,
     controller: Option<RatioController>,
-    /// Ratio feedback absorbed this round, reported to the controller only
-    /// once the round aggregates so in-flight steps see a stable policy.
-    feedback: Vec<(usize, RatioFeedback)>,
 }
 
 impl WidthScaling {
@@ -80,7 +77,6 @@ impl WidthScaling {
         Self {
             variant,
             controller: None,
-            feedback: Vec::new(),
         }
     }
 
@@ -130,7 +126,6 @@ impl Family for WidthScaling {
             &initial_accuracy,
             env.config.seed,
         ));
-        self.feedback.clear();
     }
 
     fn train(
@@ -173,14 +168,14 @@ impl Family for WidthScaling {
     }
 
     fn absorbed(&mut self, client: usize, _round: usize, feedback: RatioFeedback) {
-        self.feedback.push((client, feedback));
+        if let Some(controller) = self.controller.as_mut() {
+            controller.defer(client, feedback);
+        }
     }
 
     fn aggregated(&mut self) {
         if let Some(controller) = self.controller.as_mut() {
-            for (client, feedback) in self.feedback.drain(..) {
-                controller.report(client, feedback);
-            }
+            controller.apply_deferred();
         }
     }
 }

@@ -64,9 +64,6 @@ pub struct Lps {
     /// [`FedLps::client_state`] can hand out a reference).
     blank: ClientState,
     controller: Option<RatioController>,
-    /// Ratio feedback absorbed this round, reported to the controller only
-    /// once the round aggregates so in-flight steps see a stable policy.
-    feedback: Vec<(usize, RatioFeedback)>,
     /// Cross-round mask reuse: a client's pattern is rebuilt only when the
     /// bandit moves its ratio to a different submodel shape.
     mask_cache: Option<MaskCache>,
@@ -80,7 +77,6 @@ impl Server<Lps> {
             clients: BTreeMap::new(),
             blank: ClientState::default(),
             controller: None,
-            feedback: Vec::new(),
             mask_cache: None,
         })
     }
@@ -114,8 +110,8 @@ impl Server<Lps> {
     }
 
     /// Number of bandit arms the ratio controller holds: the full population
-    /// for a dense controller, only the touched clients for a lazy one
-    /// (0 before `setup`).
+    /// when it was built up front, only the touched clients on a
+    /// population-scale run (0 before `setup`).
     pub fn materialized_arms(&self) -> usize {
         self.family()
             .controller
@@ -124,8 +120,8 @@ impl Server<Lps> {
     }
 
     /// The sparse ratios the controller currently proposes for every client.
-    /// `O(population)`: panics on a lazy (population-scale) controller, where
-    /// per-client proposals are read through the round flow instead.
+    /// `O(population)`: panics on a population-scale run, whose agents are
+    /// built on first participation; read those through the round flow.
     pub fn proposed_ratios(&self) -> Vec<f64> {
         self.family()
             .controller
@@ -226,7 +222,6 @@ impl Family for Lps {
             controller = controller.with_shape_resolution(&units_per_layer);
         }
         self.controller = Some(controller);
-        self.feedback.clear();
         self.mask_cache = Some(MaskCache::new(units_per_layer));
     }
 
@@ -303,14 +298,14 @@ impl Family for Lps {
                 }
             }
         }
-        self.feedback.push((client, side.feedback));
+        if let Some(controller) = self.controller.as_mut() {
+            controller.defer(client, side.feedback);
+        }
     }
 
     fn aggregated(&mut self) {
         if let Some(controller) = self.controller.as_mut() {
-            for (client, feedback) in self.feedback.drain(..) {
-                controller.report(client, feedback);
-            }
+            controller.apply_deferred();
         }
     }
 

@@ -7,26 +7,25 @@
 //! capability can additionally fluctuate because devices run other workloads;
 //! the fleet models this with a per-round availability factor.
 //!
-//! # Population scale: dense vs. lazy fleets
+//! # Population scale: one memoized tier stream
 //!
-//! A fleet has two physical representations behind one API:
+//! A fleet stores its static tiers one way: the seeded tier-draw stream,
+//! evaluated on demand and memoized sparsely by device id. Its two
+//! constructors differ only in when the memo fills:
 //!
-//! * [`DeviceFleet::sample`] pre-builds every [`DeviceProfile`] in a `Vec` —
-//!   the historical representation, right for federations of tens to
-//!   thousands of clients;
 //! * [`DeviceFleet::lazy`] registers a population of any size in `O(1)`
-//!   memory. A client's profile is a pure seeded function of its client-id,
-//!   materialized on first access and memoized sparsely, so resident memory
-//!   stays `O(clients actually touched)` even at millions of registered
-//!   devices — the cross-device regime of Oort (OSDI '21) / REFL
-//!   (EuroSys '23).
+//!   memory. A client's profile is materialized on first access by replaying
+//!   the stream from the nearest checkpoint (see `CHECKPOINT_STRIDE`), so
+//!   resident memory stays `O(clients actually touched)` even at millions of
+//!   registered devices — the cross-device regime of Oort (OSDI '21) / REFL
+//!   (EuroSys '23);
+//! * [`DeviceFleet::sample`] fills the whole memo in one streaming pass at
+//!   construction, right for federations of tens to thousands of clients.
 //!
-//! The two representations are **bit-identical** at equal `(size, level,
-//! seed)`: the lazy fleet replays the exact tier-draw RNG stream of the dense
-//! constructor from cloned checkpoints (see `CHECKPOINT_STRIDE`), rejection
-//! sampling included, which a proptest regression pins for every
-//! heterogeneity level. Per-round availability and churn were already pure
-//! per-id functions and behave identically in both representations.
+//! Both read the same stream, so they are **bit-identical** at equal `(size,
+//! level, seed)` — rejection sampling included, which a proptest regression
+//! pins for every heterogeneity level. Per-round availability and churn are
+//! pure per-id functions of the fleet seed.
 //!
 //! ```
 //! use fedlps_device::fleet::DeviceFleet;
@@ -39,7 +38,7 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use fedlps_tensor::{rng_from_seed, split_seed};
 use rand::rngs::StdRng;
@@ -153,16 +152,16 @@ impl DynamicsConfig {
     }
 }
 
-/// Distance (in device indices) between cloned RNG checkpoints of the lazy
-/// tier stream. First access to an index region replays at most this many
+/// Distance (in device indices) between cloned RNG checkpoints of the tier
+/// stream. First access to an index region replays at most this many
 /// tier draws; checkpoint storage is `O(highest touched index / stride)` —
 /// a few hundred cloned RNG states even at a million registered devices.
 const CHECKPOINT_STRIDE: usize = 4096;
 
-/// Draws one tier exactly as [`DeviceFleet::sample`] does — the shared
-/// primitive that keeps the dense constructor and the lazy replay
-/// bit-identical (including the rejection-sampling behaviour of
-/// `gen_range` on non-power-of-two tier pools).
+/// Draws the next tier of the stream — the one primitive behind both the
+/// streaming fill and the checkpoint replay (including the
+/// rejection-sampling behaviour of `gen_range` on non-power-of-two tier
+/// pools).
 fn draw_tier(tiers: &[CapabilityTier], rng: &mut StdRng) -> CapabilityTier {
     tiers[rng.gen_range(0..tiers.len())]
 }
@@ -182,47 +181,49 @@ pub fn zone_assignment(seed: u64, client: usize, zones: usize) -> usize {
     rng.gen_range(0..zones)
 }
 
-/// The lazily evaluated tier stream backing [`DeviceFleet::lazy`].
+/// The seeded tier stream behind every [`DeviceFleet`].
 ///
-/// Conceptually this *is* the `(0..num_devices)` tier-draw loop of
-/// [`DeviceFleet::sample`], evaluated on demand: `profile(k)` replays the
-/// draw stream from the nearest checkpoint at or below `k`, memoizes the
-/// requested profile in a sparse `BTreeMap` (lint rule D1) and clones an RNG
-/// checkpoint every [`CHECKPOINT_STRIDE`] indices so later accesses in the
-/// same region are cheap. Shared behind an `Arc` so fleet clones see one
-/// cache; the interior `Mutex` only guards memoization — results are a pure
-/// function of `(seed, k)`, so the lock order can never influence a value.
-struct LazyTiers {
+/// Conceptually this *is* the `(0..num_devices)` tier-draw loop, evaluated
+/// on demand: `profile(k)` replays the draw stream from the nearest
+/// checkpoint at or below `k`, memoizes the requested profile in a sparse
+/// `BTreeMap` (lint rule D1) and clones an RNG checkpoint every
+/// [`CHECKPOINT_STRIDE`] indices so later accesses in the same region are
+/// cheap; `fill` memoizes the whole stream in one pass. Shared behind an
+/// `Arc` so fleet clones see one memo; the interior `Mutex` only guards
+/// memoization — results are a pure function of `(seed, k)`, so the lock
+/// order can never influence a value.
+struct TierStream {
     num_devices: usize,
     tiers: Vec<CapabilityTier>,
-    /// The tier stream seed: `split_seed(fleet seed, 0xDE71CE)`.
-    stream_seed: u64,
-    state: Mutex<LazyTiersState>,
+    state: Mutex<TierMemo>,
 }
 
-struct LazyTiersState {
+struct TierMemo {
     /// `checkpoints[i]` is the RNG positioned to draw device `i * STRIDE`.
     checkpoints: Vec<StdRng>,
     /// Profiles materialized so far, keyed by device id.
     profiles: BTreeMap<usize, DeviceProfile>,
 }
 
-impl LazyTiers {
-    fn new(num_devices: usize, tiers: Vec<CapabilityTier>, stream_seed: u64) -> Self {
+impl TierStream {
+    fn new(num_devices: usize, level: HeterogeneityLevel, seed: u64) -> Self {
         Self {
             num_devices,
-            tiers,
-            stream_seed,
-            state: Mutex::new(LazyTiersState {
-                checkpoints: vec![rng_from_seed(stream_seed)],
+            tiers: level.tiers(),
+            state: Mutex::new(TierMemo {
+                checkpoints: vec![rng_from_seed(split_seed(seed, 0xDE71CE))],
                 profiles: BTreeMap::new(),
             }),
         }
     }
 
+    fn memo(&self) -> MutexGuard<'_, TierMemo> {
+        self.state.lock().expect("tier stream lock")
+    }
+
     fn profile(&self, k: usize) -> DeviceProfile {
         assert!(k < self.num_devices, "device {k} out of range");
-        let mut state = self.state.lock().expect("lazy fleet lock");
+        let mut state = self.memo();
         if let Some(p) = state.profiles.get(&k) {
             return *p;
         }
@@ -244,50 +245,35 @@ impl LazyTiers {
         profile
     }
 
-    fn materialized(&self) -> usize {
-        self.state.lock().expect("lazy fleet lock").profiles.len()
-    }
-
-    /// Streams the full tier sequence without memoizing anything:
-    /// `O(num_devices)` time, `O(1)` extra memory.
-    fn mean_capability(&self) -> f64 {
-        if self.num_devices == 0 {
-            return 0.0;
-        }
-        let mut rng = rng_from_seed(self.stream_seed);
-        let mut sum = 0.0;
-        for _ in 0..self.num_devices {
-            sum += DeviceProfile::from_tier(draw_tier(&self.tiers, &mut rng)).capability;
-        }
-        sum / self.num_devices as f64
+    /// Memoizes every profile in one pass over the stream.
+    fn fill(&self) {
+        let mut state = self.memo();
+        let mut rng = state.checkpoints[0].clone();
+        let stream = std::iter::repeat_with(|| draw_tier(&self.tiers, &mut rng));
+        state.profiles = (0..self.num_devices)
+            .zip(stream.map(DeviceProfile::from_tier))
+            .collect();
     }
 }
 
-impl std::fmt::Debug for LazyTiers {
+impl std::fmt::Debug for TierStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LazyTiers")
+        f.debug_struct("TierStream")
             .field("num_devices", &self.num_devices)
-            .field("materialized", &self.materialized())
+            .field("materialized", &self.memo().profiles.len())
             .finish_non_exhaustive()
     }
 }
 
-/// The physical representation behind a [`DeviceFleet`].
-#[derive(Debug, Clone)]
-enum FleetRepr {
-    /// Every profile pre-built (the historical representation).
-    Dense(Vec<DeviceProfile>),
-    /// Profiles materialized on demand; clones share one memo cache.
-    Lazy(Arc<LazyTiers>),
-}
-
 /// A fleet of edge devices with static tiers and optional dynamics.
 ///
-/// See the [module docs](self) for the dense/lazy representation contract.
+/// See the [module docs](self) for the tier-stream contract.
 #[derive(Debug, Clone)]
 pub struct DeviceFleet {
-    repr: FleetRepr,
-    level: HeterogeneityLevel,
+    tiers: Arc<TierStream>,
+    /// Built by [`DeviceFleet::lazy`]: read by the callers that pick a
+    /// population-scale code path.
+    lazy: bool,
     dynamics: DynamicsConfig,
     seed: u64,
 }
@@ -296,18 +282,13 @@ impl DeviceFleet {
     /// Samples a fleet of `num_devices` devices from the given heterogeneity
     /// level, uniformly over its tier pool (the paper's configuration).
     /// Materializes every profile up front; see [`DeviceFleet::lazy`] for the
-    /// `O(touched)`-memory representation of the same fleet.
+    /// `O(touched)`-memory form of the same fleet.
     pub fn sample(num_devices: usize, level: HeterogeneityLevel, seed: u64) -> Self {
-        let tiers = level.tiers();
-        let mut rng = rng_from_seed(split_seed(seed, 0xDE71CE));
-        let devices = (0..num_devices)
-            .map(|_| DeviceProfile::from_tier(draw_tier(&tiers, &mut rng)))
-            .collect();
+        let fleet = Self::lazy(num_devices, level, seed);
+        fleet.tiers.fill();
         Self {
-            repr: FleetRepr::Dense(devices),
-            level,
-            dynamics: DynamicsConfig::default(),
-            seed,
+            lazy: false,
+            ..fleet
         }
     }
 
@@ -317,24 +298,9 @@ impl DeviceFleet {
     /// equal arguments, with resident memory proportional to the number of
     /// *distinct devices touched* rather than the registered population.
     pub fn lazy(num_devices: usize, level: HeterogeneityLevel, seed: u64) -> Self {
-        let tiers = level.tiers();
         Self {
-            repr: FleetRepr::Lazy(Arc::new(LazyTiers::new(
-                num_devices,
-                tiers,
-                split_seed(seed, 0xDE71CE),
-            ))),
-            level,
-            dynamics: DynamicsConfig::default(),
-            seed,
-        }
-    }
-
-    /// Builds a fleet from explicit profiles.
-    pub fn from_profiles(devices: Vec<DeviceProfile>, seed: u64) -> Self {
-        Self {
-            repr: FleetRepr::Dense(devices),
-            level: HeterogeneityLevel::High,
+            tiers: Arc::new(TierStream::new(num_devices, level, seed)),
+            lazy: true,
             dynamics: DynamicsConfig::default(),
             seed,
         }
@@ -354,10 +320,7 @@ impl DeviceFleet {
 
     /// Number of devices in the fleet.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            FleetRepr::Dense(devices) => devices.len(),
-            FleetRepr::Lazy(lazy) => lazy.num_devices,
-        }
+        self.tiers.num_devices
     }
 
     /// Whether the fleet is empty.
@@ -365,36 +328,25 @@ impl DeviceFleet {
         self.len() == 0
     }
 
-    /// Whether this fleet uses the lazy `O(touched)`-memory representation.
+    /// Whether this fleet was built by [`DeviceFleet::lazy`].
     pub fn is_lazy(&self) -> bool {
-        matches!(self.repr, FleetRepr::Lazy(_))
+        self.lazy
     }
 
     /// Number of device profiles currently resident in memory: the full
-    /// population for a dense fleet, the distinct devices touched so far for
-    /// a lazy one. The population-scale bench asserts on this to pin the
+    /// population for a sampled fleet, the distinct devices touched so far
+    /// for a lazy one. The population-scale bench asserts on this to pin the
     /// `O(active participants)` memory contract.
     pub fn materialized_profiles(&self) -> usize {
-        match &self.repr {
-            FleetRepr::Dense(devices) => devices.len(),
-            FleetRepr::Lazy(lazy) => lazy.materialized(),
-        }
+        self.tiers.memo().profiles.len()
     }
 
-    /// The heterogeneity level the fleet was sampled from.
-    pub fn level(&self) -> HeterogeneityLevel {
-        self.level
-    }
-
-    /// The *static* profile of device `k` (its nominal tier). `O(1)` on a
-    /// dense fleet; on a lazy fleet the first access to an index region
+    /// The *static* profile of device `k` (its nominal tier). A memo lookup
+    /// once materialized; otherwise the first access to an index region
     /// replays at most `CHECKPOINT_STRIDE` (4096) tier draws and memoizes the
     /// result.
     pub fn static_profile(&self, k: usize) -> DeviceProfile {
-        match &self.repr {
-            FleetRepr::Dense(devices) => devices[k],
-            FleetRepr::Lazy(lazy) => lazy.profile(k),
-        }
+        self.tiers.profile(k)
     }
 
     /// The profile of device `k` as available in round `r`: the static profile
@@ -434,69 +386,6 @@ impl DeviceFleet {
         // "never dispatched") and never at 1 (that would be an arrival).
         Some((rng.gen::<f64>() * 0.98 + 0.01).clamp(0.01, 0.99))
     }
-
-    /// Mean capability fraction of the fleet (a summary used in logs). On a
-    /// lazy fleet this streams the tier sequence in `O(len)` time but `O(1)`
-    /// extra memory — nothing is materialized.
-    pub fn mean_capability(&self) -> f64 {
-        match &self.repr {
-            FleetRepr::Dense(devices) => {
-                if devices.is_empty() {
-                    return 0.0;
-                }
-                devices.iter().map(|d| d.capability).sum::<f64>() / devices.len() as f64
-            }
-            FleetRepr::Lazy(lazy) => lazy.mean_capability(),
-        }
-    }
-}
-
-// Serialization is manual because the two representations serialize
-// differently: a dense fleet records its profiles verbatim (round-trips any
-// `from_profiles` fleet), while a lazy fleet records only its registered size
-// — its profiles are recomputed from `(seed, level)` on demand, so persisting
-// them would defeat the representation.
-impl Serialize for DeviceFleet {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("level".to_string(), self.level.to_value()),
-            ("dynamics".to_string(), self.dynamics.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-        ];
-        match &self.repr {
-            FleetRepr::Dense(devices) => {
-                fields.push(("devices".to_string(), devices.to_value()));
-            }
-            FleetRepr::Lazy(lazy) => {
-                fields.push(("lazy_devices".to_string(), lazy.num_devices.to_value()));
-            }
-        }
-        serde::Value::Obj(fields)
-    }
-}
-
-impl<'de> Deserialize<'de> for DeviceFleet {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let level = HeterogeneityLevel::from_value(value.field("level")?)?;
-        let dynamics = DynamicsConfig::from_value(value.field("dynamics")?)?;
-        let seed = u64::from_value(value.field("seed")?)?;
-        let repr = if let Ok(devices) = value.field("devices") {
-            FleetRepr::Dense(Vec::<DeviceProfile>::from_value(devices)?)
-        } else {
-            let num_devices = usize::from_value(value.field("lazy_devices")?)?;
-            FleetRepr::Lazy(Arc::new(LazyTiers::new(
-                num_devices,
-                level.tiers(),
-                split_seed(seed, 0xDE71CE),
-            )))
-        };
-        Ok(Self {
-            repr,
-            level,
-            dynamics,
-            seed,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -523,13 +412,6 @@ mod tests {
         for d in all_profiles(&fleet) {
             assert!(d.capability >= 0.5 - 1e-12);
         }
-    }
-
-    #[test]
-    fn higher_heterogeneity_reduces_mean_capability() {
-        let low = DeviceFleet::sample(200, HeterogeneityLevel::Low, 5);
-        let high = DeviceFleet::sample(200, HeterogeneityLevel::High, 5);
-        assert!(low.mean_capability() > high.mean_capability());
     }
 
     #[test]
@@ -593,14 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_fleet_mean_capability_matches_dense_without_materializing() {
-        let dense = DeviceFleet::sample(5000, HeterogeneityLevel::Median, 3);
-        let lazy = DeviceFleet::lazy(5000, HeterogeneityLevel::Median, 3);
-        assert_eq!(lazy.mean_capability(), dense.mean_capability());
-        assert_eq!(lazy.materialized_profiles(), 0);
-    }
-
-    #[test]
     fn lazy_fleet_clones_share_one_memo_cache() {
         let lazy = DeviceFleet::lazy(100, HeterogeneityLevel::High, 7);
         let clone = lazy.clone();
@@ -609,21 +483,16 @@ mod tests {
     }
 
     #[test]
-    fn fleet_serde_round_trips_both_representations() {
-        let dense = DeviceFleet::sample(8, HeterogeneityLevel::Low, 5);
-        let restored = DeviceFleet::from_value(&dense.to_value()).expect("dense round-trip");
-        assert!(!restored.is_lazy());
-        assert_eq!(all_profiles(&restored), all_profiles(&dense));
-
-        let lazy = DeviceFleet::lazy(1_000_000, HeterogeneityLevel::High, 5);
-        let restored = DeviceFleet::from_value(&lazy.to_value()).expect("lazy round-trip");
-        assert!(restored.is_lazy());
-        assert_eq!(restored.len(), 1_000_000);
-        assert_eq!(restored.materialized_profiles(), 0);
-        assert_eq!(
-            restored.static_profile(999_999),
-            lazy.static_profile(999_999)
-        );
+    fn is_lazy_names_the_constructor_and_clones_share_one_memo() {
+        let sampled = DeviceFleet::sample(8, HeterogeneityLevel::Low, 5);
+        let lazy = DeviceFleet::lazy(8, HeterogeneityLevel::Low, 5);
+        assert!(!sampled.is_lazy());
+        assert!(lazy.is_lazy());
+        for fleet in [sampled, lazy] {
+            let clone = fleet.clone();
+            assert_eq!(clone.is_lazy(), fleet.is_lazy());
+            assert!(Arc::ptr_eq(&clone.tiers, &fleet.tiers));
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Property tests pinning the lazy fleet's bit-identity contract (ISSUE 7):
-//! for every heterogeneity level, seed and population size, a profile looked
-//! up by id on a [`DeviceFleet::lazy`] fleet equals the one
-//! [`DeviceFleet::sample`] pre-built — under arbitrary access order — and
-//! resident memory tracks the distinct ids touched, not the population.
+//! Property tests pinning the tier stream's two fill paths to each other: for
+//! every heterogeneity level, seed and population size, a profile a
+//! [`DeviceFleet::lazy`] fleet replays from its checkpoints equals the one
+//! [`DeviceFleet::sample`]'s streaming pass memoized — under arbitrary access
+//! order — and resident memory tracks the distinct ids touched, not the
+//! population.
 
 use std::collections::BTreeSet;
 

@@ -63,25 +63,46 @@ pub trait SelectionPolicy: Send {
     /// Short name used in logs and tables.
     fn name(&self) -> &'static str;
 
-    /// Chooses up to `count` distinct clients for round `round`.
-    fn select_cohort(
+    /// Chooses up to `count` distinct clients from `pool`: the one draw
+    /// behind both [`select_cohort`](Self::select_cohort) and
+    /// [`select_extra`](Self::select_extra).
+    fn pick(
         &mut self,
         tracker: &SelectionTracker,
-        round: usize,
+        pool: &ClientPool,
         count: usize,
         rng: &mut StdRng,
     ) -> Vec<usize>;
 
+    /// Chooses up to `count` distinct clients for round `round`.
+    fn select_cohort(
+        &mut self,
+        tracker: &SelectionTracker,
+        _round: usize,
+        count: usize,
+        rng: &mut StdRng,
+    ) -> Vec<usize> {
+        let pool = ClientPool::full(tracker.num_clients());
+        self.pick(tracker, &pool, count, rng)
+    }
+
     /// Chooses up to `extra` distinct clients not already in `chosen`
-    /// (deadline-mode over-selection). Must not touch `rng` when `extra == 0`.
+    /// (deadline-mode over-selection). Leaves `rng` untouched when
+    /// `extra == 0`.
     fn select_extra(
         &mut self,
         tracker: &SelectionTracker,
-        round: usize,
+        _round: usize,
         chosen: &[usize],
         extra: usize,
         rng: &mut StdRng,
-    ) -> Vec<usize>;
+    ) -> Vec<usize> {
+        if extra == 0 {
+            return Vec::new();
+        }
+        let pool = ClientPool::excluding(tracker.num_clients(), chosen.iter().copied());
+        self.pick(tracker, &pool, extra, rng)
+    }
 
     /// Chooses one client from the `idle` pool to refill a freed async slot,
     /// or `None` when the pool is empty.
@@ -219,32 +240,16 @@ impl SelectionPolicy for Uniform {
         "uniform"
     }
 
-    fn select_cohort(
+    fn pick(
         &mut self,
-        tracker: &SelectionTracker,
-        _round: usize,
+        _tracker: &SelectionTracker,
+        pool: &ClientPool,
         count: usize,
         rng: &mut StdRng,
     ) -> Vec<usize> {
-        sample_without_replacement(tracker.num_clients(), count, rng)
-    }
-
-    fn select_extra(
-        &mut self,
-        tracker: &SelectionTracker,
-        _round: usize,
-        chosen: &[usize],
-        extra: usize,
-        rng: &mut StdRng,
-    ) -> Vec<usize> {
-        if extra == 0 {
-            return Vec::new();
-        }
-        let idle = ClientPool::excluding(tracker.num_clients(), chosen.iter().copied());
-        let take = extra.min(idle.len());
-        sample_without_replacement(idle.len(), take, rng)
+        sample_without_replacement(pool.len(), count, rng)
             .into_iter()
-            .map(|i| idle.nth(i))
+            .map(|i| pool.nth(i))
             .collect()
     }
 
@@ -290,10 +295,15 @@ impl UtilityBased {
             .last_loss
             .map(|loss| loss.max(0.0) * tracker.speed(client).powf(self.speed_exponent))
     }
+}
 
-    /// Shared exploit/explore picker over an arbitrary candidate pool.
+impl SelectionPolicy for UtilityBased {
+    fn name(&self) -> &'static str {
+        "utility"
+    }
+
     fn pick(
-        &self,
+        &mut self,
         tracker: &SelectionTracker,
         pool: &ClientPool,
         count: usize,
@@ -324,42 +334,6 @@ impl UtilityBased {
                 .map(|i| unexplored.nth(i)),
         );
         picked
-    }
-}
-
-impl SelectionPolicy for UtilityBased {
-    fn name(&self) -> &'static str {
-        "utility"
-    }
-
-    fn select_cohort(
-        &mut self,
-        tracker: &SelectionTracker,
-        _round: usize,
-        count: usize,
-        rng: &mut StdRng,
-    ) -> Vec<usize> {
-        self.pick(
-            tracker,
-            &ClientPool::full(tracker.num_clients()),
-            count,
-            rng,
-        )
-    }
-
-    fn select_extra(
-        &mut self,
-        tracker: &SelectionTracker,
-        _round: usize,
-        chosen: &[usize],
-        extra: usize,
-        rng: &mut StdRng,
-    ) -> Vec<usize> {
-        if extra == 0 {
-            return Vec::new();
-        }
-        let pool = ClientPool::excluding(tracker.num_clients(), chosen.iter().copied());
-        self.pick(tracker, &pool, extra, rng)
     }
 
     fn select_refill(
@@ -410,9 +384,15 @@ impl PowerOfChoice {
     fn loss(tracker: &SelectionTracker, client: usize) -> Option<f64> {
         tracker.stats(client).last_loss
     }
+}
+
+impl SelectionPolicy for PowerOfChoice {
+    fn name(&self) -> &'static str {
+        "power-of-choice"
+    }
 
     fn pick(
-        &self,
+        &mut self,
         tracker: &SelectionTracker,
         pool: &ClientPool,
         count: usize,
@@ -431,42 +411,6 @@ impl PowerOfChoice {
             .into_iter()
             .take(count)
             .collect()
-    }
-}
-
-impl SelectionPolicy for PowerOfChoice {
-    fn name(&self) -> &'static str {
-        "power-of-choice"
-    }
-
-    fn select_cohort(
-        &mut self,
-        tracker: &SelectionTracker,
-        _round: usize,
-        count: usize,
-        rng: &mut StdRng,
-    ) -> Vec<usize> {
-        self.pick(
-            tracker,
-            &ClientPool::full(tracker.num_clients()),
-            count,
-            rng,
-        )
-    }
-
-    fn select_extra(
-        &mut self,
-        tracker: &SelectionTracker,
-        _round: usize,
-        chosen: &[usize],
-        extra: usize,
-        rng: &mut StdRng,
-    ) -> Vec<usize> {
-        if extra == 0 {
-            return Vec::new();
-        }
-        let pool = ClientPool::excluding(tracker.num_clients(), chosen.iter().copied());
-        self.pick(tracker, &pool, extra, rng)
     }
 
     fn select_refill(

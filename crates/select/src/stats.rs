@@ -26,71 +26,54 @@ const BLANK_STATS: ClientSelectionStats = ClientSelectionStats {
     last_round: None,
 };
 
-/// Where a tracker's per-client latency prior comes from.
-///
-/// The prior is the Eq. (14) cost of training and uploading the full dense
-/// model on the client's static device tier — a pure function of the
-/// environment, so utilities are well-defined before a client has ever
-/// participated.
-enum LatencyPrior {
-    /// One pre-computed latency per client (the historical representation).
-    Dense(Vec<f64>),
-    /// Latency computed from the client id on demand; nothing per-client is
-    /// stored. Used with lazy fleets, where pre-computing a prior vector
-    /// would itself be `O(population)`.
-    Lazy(Box<dyn Fn(usize) -> f64 + Send + Sync>),
-}
-
-impl std::fmt::Debug for LatencyPrior {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LatencyPrior::Dense(v) => f.debug_tuple("Dense").field(&v.len()).finish(),
-            LatencyPrior::Lazy(_) => f.debug_tuple("Lazy").finish(),
-        }
-    }
-}
-
 /// The statistics store the driver feeds and the policies read.
 ///
 /// Observed statistics are recorded only at event-ordered absorption points,
-/// which keeps every policy bit-identical across thread counts. Storage is
-/// sparse (`BTreeMap` keyed by client id, lint rule D1): a client occupies
-/// memory only once it is dispatched, so the tracker stays `O(participants)`
-/// even when it fronts a million-client registry. Reading an absent client
-/// yields blank default statistics — exactly what the historical
-/// `Vec<ClientSelectionStats>` of defaults held, so the sparse store is
-/// observationally identical to the dense one.
-#[derive(Debug)]
+/// which keeps every policy bit-identical across thread counts. There is one
+/// store: a `BTreeMap` keyed by client id (lint rule D1) in which a client
+/// occupies memory only once it is dispatched, next to a per-id latency
+/// prior, so the tracker stays `O(participants)` even when it fronts a
+/// million-client registry. Reading an absent client yields blank default
+/// statistics. The two constructors differ only in the prior they are handed
+/// and in the speed reference: [`new`](Self::new) takes the fastest given
+/// latency, [`lazy`](Self::lazy) an explicit floor.
 pub struct SelectionTracker {
     num_clients: usize,
     stats: BTreeMap<usize, ClientSelectionStats>,
-    prior: LatencyPrior,
+    /// The Eq. (14) cost of training and uploading the full dense model on a
+    /// client's static device tier, computed per id on demand — a pure
+    /// function of the environment, so utilities are well-defined before a
+    /// client has ever participated, and nothing per-client is stored.
+    prior: Box<dyn Fn(usize) -> f64 + Send + Sync>,
     /// The fastest expected latency: reference for the speed term.
     latency_ref: f64,
 }
 
+impl std::fmt::Debug for SelectionTracker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SelectionTracker")
+            .field("num_clients", &self.num_clients)
+            .field("stats", &self.stats)
+            .field("latency_ref", &self.latency_ref)
+            .finish_non_exhaustive()
+    }
+}
+
 impl SelectionTracker {
-    /// Creates a tracker for `expected_latency.len()` clients with a dense
-    /// per-client latency prior.
+    /// Creates a tracker for `expected_latency.len()` clients whose prior
+    /// reads the given latencies, with the fastest of them as the speed
+    /// reference.
     pub fn new(expected_latency: Vec<f64>) -> Self {
         assert!(
             expected_latency.iter().all(|l| l.is_finite() && *l > 0.0),
             "expected latencies must be positive and finite"
         );
-        let latency_ref = expected_latency
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        Self {
-            num_clients: expected_latency.len(),
-            stats: BTreeMap::new(),
-            prior: LatencyPrior::Dense(expected_latency),
-            latency_ref: if latency_ref.is_finite() {
-                latency_ref
-            } else {
-                1.0
-            },
-        }
+        let latency_ref = expected_latency.iter().copied().reduce(f64::min);
+        Self::lazy(
+            expected_latency.len(),
+            Box::new(move |k| expected_latency[k]),
+            latency_ref.unwrap_or(1.0),
+        )
     }
 
     /// Creates a tracker whose latency prior is computed per client id on
@@ -110,7 +93,7 @@ impl SelectionTracker {
         Self {
             num_clients,
             stats: BTreeMap::new(),
-            prior: LatencyPrior::Lazy(prior),
+            prior,
             latency_ref,
         }
     }
@@ -169,10 +152,7 @@ impl SelectionTracker {
 
     /// The Eq. (14) full-model latency prior of a client.
     pub fn expected_latency(&self, client: usize) -> f64 {
-        match &self.prior {
-            LatencyPrior::Dense(v) => v[client],
-            LatencyPrior::Lazy(f) => f(client),
-        }
+        (self.prior)(client)
     }
 
     /// The pessimistic latency of a client: the Eq. (14) full-model prior,
@@ -214,11 +194,6 @@ impl SelectionTracker {
     pub fn explored(&self, client: usize) -> bool {
         self.stats(client).participations > 0
     }
-
-    /// Number of distinct clients dispatched at least once.
-    pub fn distinct_participants(&self) -> u64 {
-        self.stats.values().filter(|s| s.participations > 0).count() as u64
-    }
 }
 
 #[cfg(test)]
@@ -229,7 +204,7 @@ mod tests {
     fn tracker_records_dispatches_and_reports() {
         let mut t = SelectionTracker::new(vec![1.0, 2.0, 4.0]);
         assert_eq!(t.num_clients(), 3);
-        assert_eq!(t.distinct_participants(), 0);
+        assert!(t.explored_ids().is_empty());
         t.on_dispatch(1, 0);
         t.on_dispatch(1, 3);
         t.on_report(1, 0.5, 2.2);
@@ -237,7 +212,6 @@ mod tests {
         assert_eq!(t.stats(1).last_round, Some(3));
         assert_eq!(t.stats(1).last_loss, Some(0.5));
         assert_eq!(t.stats(1).last_latency, Some(2.2));
-        assert_eq!(t.distinct_participants(), 1);
         assert!(t.explored(1) && !t.explored(0));
         assert_eq!(t.explored_ids(), vec![1]);
         assert_eq!(t.participations(), vec![0, 2, 0]);
@@ -305,7 +279,6 @@ mod tests {
             "reported-but-never-dispatched stays unexplored"
         );
         assert!(t.explored_ids().is_empty());
-        assert_eq!(t.distinct_participants(), 0);
     }
 
     #[test]

@@ -57,16 +57,7 @@ impl FlEnv {
             fleet.len(),
             "fleet size must match the number of clients"
         );
-        let cost = CostModel::new(config.cost_alpha);
-        let num_clients = fleet.len();
-        Self {
-            data,
-            fleet,
-            arch,
-            config,
-            cost,
-            num_clients,
-        }
+        Self::new_tiled(data, fleet, arch, config)
     }
 
     /// Builds a population-scale environment: the fleet registers more
@@ -162,15 +153,6 @@ impl FlEnv {
         self.fleet.static_profile(client).capability
     }
 
-    /// FedAvg aggregation weights `|D_k|` for every client. Allocates
-    /// `O(population)` — population-scale paths read
-    /// [`train_size`](Self::train_size) per participant instead.
-    pub fn train_sizes(&self) -> Vec<f64> {
-        (0..self.num_clients())
-            .map(|k| self.train_size(k))
-            .collect()
-    }
-
     /// FedAvg aggregation weight `|D_k|` of one client.
     pub fn train_size(&self, client: usize) -> f64 {
         self.train_data(client).len() as f64
@@ -234,8 +216,8 @@ impl FlEnv {
 
     /// The per-client latency prior as a self-contained function, for
     /// [`SelectionTracker::lazy`](fedlps_select::SelectionTracker::lazy):
-    /// nothing `O(population)` is captured (the lazy fleet clone shares its
-    /// memo cache through an `Arc`).
+    /// nothing `O(population)` is captured (the fleet clone shares its memo
+    /// through an `Arc`).
     pub fn latency_prior(&self) -> Box<dyn Fn(usize) -> f64 + Send + Sync> {
         let arch = Arc::clone(&self.arch);
         let cost = self.cost;
@@ -294,7 +276,6 @@ mod tests {
         let env = tiny_env();
         assert_eq!(env.num_clients(), 8);
         assert_eq!(env.capabilities().len(), 8);
-        assert_eq!(env.train_sizes().len(), 8);
         assert!(env.arch.param_count() > 0);
     }
 

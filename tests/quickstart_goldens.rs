@@ -2,9 +2,9 @@
 //! `tests/goldens/`, each captured before the refactor it guards.
 //!
 //! * `quickstart64_*` — the quickstart configuration at 64 clients in each
-//!   of the three round modes. They pin that small-population runs on the
-//!   lazy fleet are bit-identical to the historical dense representation,
-//!   and that `Topology::Flat` — spelled explicitly below — is a true
+//!   of the three round modes. They pin that small-population runs over the
+//!   sparse per-client stores are bit-identical to the historical dense
+//!   traces, and that `Topology::Flat` — spelled explicitly below — is a true
 //!   pass-through.
 //! * `baseline_tiny_*` — every registered baseline on a tiny federation,
 //!   synchronous and asynchronous (so each family's stale-absorb path is
@@ -15,8 +15,13 @@
 //!   the cache-bypassing random pattern, so mask-cache hits, misses and
 //!   bypasses are all covered. Captured before FedLPS became a family on
 //!   that skeleton.
+//! * `registry_tiny_*` — FedLPS on a 10 000-client `DeviceFleet::lazy`
+//!   registry tiled over the tiny federation's shards (synchronous with
+//!   uniform selection, asynchronous with utility selection), captured before
+//!   the fleet, the selection latency prior and the ratio controller each
+//!   dropped their second representation.
 //!
-//! Every tiny row also asserts that the four-shard run equals the serial one.
+//! Every tiny and registry row also asserts that the four-shard run equals the serial one.
 //!
 //! To regenerate after an *intentional* trace change (which must be called out
 //! in the PR description), run:
@@ -106,8 +111,22 @@ fn quickstart64_async_matches_pre_refactor_golden() {
     );
 }
 
-/// `make`'s run on the tiny federation in `round_mode`: the serial trace must
-/// equal the golden, and the four-shard trace the serial one.
+/// `make`'s run on `env(parallelism)`: the serial trace must equal the
+/// golden, and the four-shard trace the serial one.
+fn check_parallel_golden(
+    golden: &str,
+    env: &dyn Fn(usize) -> FlEnv,
+    make: &dyn Fn(&FlEnv) -> Box<dyn FlAlgorithm>,
+) {
+    let serial = check_golden(golden, env(1), make);
+    assert_eq!(
+        serial,
+        run_json(env(4), make),
+        "{golden} diverges between parallelism 1 and 4"
+    );
+}
+
+/// `make`'s run on the tiny federation in `round_mode`.
 fn check_tiny_golden(
     golden: &str,
     round_mode: RoundMode,
@@ -122,11 +141,45 @@ fn check_tiny_golden(
                 .with_parallelism(parallelism),
         )
     };
-    let serial = check_golden(golden, env(1), make);
-    assert_eq!(
-        serial,
-        run_json(env(4), make),
-        "{golden} diverges between parallelism 1 and 4"
+    check_parallel_golden(golden, &env, make);
+}
+
+/// FedLPS on a 10 000-client lazy registry tiled over the tiny federation's
+/// shards, with evaluation off: the lazily built fleet, latency prior and
+/// per-client controller streams, pinned bit for bit.
+fn check_registry_golden(golden: &str, round_mode: RoundMode, selection: SelectionKind) {
+    let env = |parallelism| {
+        let config = FlConfig {
+            eval_every: 0,
+            selection,
+            ..FlConfig::tiny()
+        }
+        .with_round_mode(round_mode)
+        .with_parallelism(parallelism);
+        let scenario = ScenarioConfig::tiny(DatasetKind::MnistLike);
+        let data = scenario.build();
+        let fleet = DeviceFleet::lazy(10_000, HeterogeneityLevel::High, config.seed);
+        let arch = ModelKind::for_dataset(scenario.kind).build(data.input, data.num_classes);
+        FlEnv::new_tiled(data, fleet, arch.into(), config)
+    };
+    check_parallel_golden(golden, &env, &fedlps_for);
+}
+
+#[test]
+fn registry_tiny_sync_matches_pre_refactor_golden() {
+    check_registry_golden(
+        "registry_tiny_sync",
+        RoundMode::Synchronous,
+        SelectionKind::Uniform,
+    );
+}
+
+#[test]
+fn registry_tiny_async_matches_pre_refactor_golden() {
+    check_registry_golden(
+        "registry_tiny_async",
+        RoundMode::asynchronous(3, 0.5),
+        SelectionKind::utility(),
     );
 }
 
