@@ -40,8 +40,14 @@ pub fn tanh(x: f32) -> f32 {
 pub fn softmax_cross_entropy(logits: &[f32], label: usize) -> (f32, Vec<f32>) {
     let mut probs = vec![0.0; logits.len()];
     fedlps_tensor::ops::softmax_into(&mut probs, logits);
+    (cross_entropy(&probs, label), probs)
+}
+
+/// Cross-entropy of softmax probabilities against an integer label; the
+/// probability is clamped at `1e-12`, so a vanished class costs a finite loss.
+pub(crate) fn cross_entropy(probs: &[f32], label: usize) -> f32 {
     let p = probs[label].max(1e-12);
-    (-p.ln(), probs)
+    -p.ln()
 }
 
 #[cfg(test)]

@@ -9,11 +9,12 @@
 //! itself.
 
 use fedlps_data::dataset::Dataset;
+use fedlps_tensor::kernels::LANE;
 use fedlps_tensor::Initializer;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-use crate::activation::{relu, relu_grad, softmax_cross_entropy};
+use crate::activation::{cross_entropy, relu, relu_grad, softmax_cross_entropy};
 use crate::flops::{conv_layer_flops, dense_layer_flops, TRAIN_FLOPS_MULTIPLIER};
 use crate::model::{EvalStats, ModelArch, TrainStats};
 use crate::pack::{GatherMap, KeptUnits, PackedModel};
@@ -51,6 +52,23 @@ struct ConvLayerMeta {
     out_h: usize,
     out_w: usize,
     pooled: bool,
+}
+
+impl ConvLayerMeta {
+    /// Length of the block's input, `[ic][y][x]`.
+    fn in_len(&self) -> usize {
+        self.in_channels * self.in_h * self.in_w
+    }
+
+    /// Length of the block's pre-activation, `[oc][y][x]` before pooling.
+    fn pre_len(&self) -> usize {
+        self.out_channels * self.in_h * self.in_w
+    }
+
+    /// Length of the block's output, `[oc][y][x]` after pooling.
+    fn out_len(&self) -> usize {
+        self.out_channels * self.out_h * self.out_w
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -175,45 +193,62 @@ impl ConvNet {
         &self.config
     }
 
-    /// Forward pass for one sample. Returns the per-layer caches needed by the
-    /// backward pass: the input of each conv block, the pre-activation of each
-    /// conv block, the GAP feature vector, the hidden pre-activation and the
-    /// logits.
-    fn forward_sample(&self, params: &[f32], x: &[f32]) -> SampleCache {
-        let mut inputs: Vec<Vec<f32>> = vec![x.to_vec()];
+    /// Training forward pass for one sample, through the same conv kernel as
+    /// [`evaluate`](ModelArch::evaluate). Returns the per-layer caches the
+    /// backward pass needs: the output of each conv block (the sample itself,
+    /// borrowed, is the first block's input), the pre-activation of each conv
+    /// block, the GAP feature vector, the hidden pre-activation and the logits.
+    fn forward_sample<'x>(
+        &self,
+        kernel: &ConvKernel,
+        params: &[f32],
+        x: &'x [f32],
+    ) -> SampleCache<'x> {
+        let mut acts: Vec<Vec<f32>> = Vec::with_capacity(self.convs.len());
         let mut pres: Vec<Vec<f32>> = Vec::with_capacity(self.convs.len());
-        for conv in &self.convs {
-            let input = inputs.last().unwrap();
-            let pre = conv_forward(params, conv, input);
+        for (li, conv) in self.convs.iter().enumerate() {
+            let input = if li == 0 { x } else { &acts[li - 1] };
+            let mut pre = vec![0.0f32; conv.pre_len()];
+            kernel.conv_forward(li, conv, input, &mut pre);
             // ReLU then optional pooling.
             let mut act: Vec<f32> = pre.iter().map(|&v| relu(v)).collect();
             if conv.pooled {
-                act = avg_pool(&act, conv.out_channels, conv.in_h, conv.in_w);
+                let mut pooled = vec![0.0f32; conv.out_len()];
+                avg_pool_into(&act, conv.out_channels, conv.in_h, conv.in_w, &mut pooled);
+                act = pooled;
             }
             pres.push(pre);
-            inputs.push(act);
+            acts.push(act);
         }
-        let last_conv = self.convs.last().unwrap();
-        let spatial = last_conv.out_h * last_conv.out_w;
-        let final_act = inputs.last().unwrap();
-        let mut feat = vec![0.0f32; last_conv.out_channels];
-        for (c, f) in feat.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for s in 0..spatial {
-                acc += final_act[c * spatial + s];
-            }
-            *f = acc / spatial as f32;
-        }
-        let hidden_pre = dense_forward(params, &self.dense_hidden, &feat);
+        let mut feat = vec![0.0f32; self.dense_hidden.in_dim];
+        self.global_avg_pool(acts.last().unwrap(), &mut feat);
+        let mut hidden_pre = vec![0.0f32; self.dense_hidden.out_dim];
+        dense_forward_into(params, &self.dense_hidden, &feat, &mut hidden_pre);
         let hidden_act: Vec<f32> = hidden_pre.iter().map(|&v| relu(v)).collect();
-        let logits = dense_forward(params, &self.dense_out, &hidden_act);
+        let mut logits = vec![0.0f32; self.dense_out.out_dim];
+        dense_forward_into(params, &self.dense_out, &hidden_act, &mut logits);
         SampleCache {
-            inputs,
+            input: x,
+            acts,
             pres,
             feat,
             hidden_pre,
             hidden_act,
             logits,
+        }
+    }
+
+    /// Global average pooling of the last conv block's `[c][y][x]` output
+    /// into one feature per channel.
+    fn global_avg_pool(&self, act: &[f32], feat: &mut [f32]) {
+        let last_conv = self.convs.last().unwrap();
+        let spatial = last_conv.out_h * last_conv.out_w;
+        for (c, f) in feat.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for s in 0..spatial {
+                acc += act[c * spatial + s];
+            }
+            *f = acc / spatial as f32;
         }
     }
 
@@ -268,15 +303,23 @@ impl ConvNet {
             for (d, &pre) in d_prepool.iter_mut().zip(cache.pres[li].iter()) {
                 *d *= relu_grad(pre);
             }
-            let d_input = conv_backward(params, conv, &cache.inputs[li], &d_prepool, grad, li > 0);
+            let d_input = conv_backward(
+                params,
+                conv,
+                cache.block_input(li),
+                &d_prepool,
+                grad,
+                li > 0,
+            );
             d_act = d_input;
         }
         (loss, correct)
     }
 }
 
-struct SampleCache {
-    inputs: Vec<Vec<f32>>,
+struct SampleCache<'x> {
+    input: &'x [f32],
+    acts: Vec<Vec<f32>>,
     pres: Vec<Vec<f32>>,
     feat: Vec<f32>,
     hidden_pre: Vec<f32>,
@@ -284,40 +327,95 @@ struct SampleCache {
     logits: Vec<f32>,
 }
 
-/// 3x3 same-padding convolution forward for one sample.
-fn conv_forward(params: &[f32], conv: &ConvLayerMeta, input: &[f32]) -> Vec<f32> {
-    let (h, w) = (conv.in_h, conv.in_w);
-    let mut out = vec![0.0f32; conv.out_channels * h * w];
-    let per_channel = conv.in_channels * KERNEL * KERNEL;
-    for oc in 0..conv.out_channels {
-        let w_base = conv.w_start + oc * per_channel;
-        let bias = params[conv.b_start + oc];
-        for y in 0..h {
-            for x in 0..w {
-                let mut acc = bias;
-                for ic in 0..conv.in_channels {
-                    let in_base = ic * h * w;
-                    let k_base = w_base + ic * KERNEL * KERNEL;
-                    for ky in 0..KERNEL {
-                        let iy = y as isize + ky as isize - 1;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..KERNEL {
-                            let ix = x as isize + kx as isize - 1;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
+impl SampleCache<'_> {
+    /// The input of conv block `li`: the sample, or the previous block's output.
+    fn block_input(&self, li: usize) -> &[f32] {
+        if li == 0 {
+            self.input
+        } else {
+            &self.acts[li - 1]
+        }
+    }
+}
+
+/// The conv forward kernel's weights, laid out once per `evaluate` /
+/// `loss_and_grad` call. Block `li`'s `[oc][ic][ky][kx]` weights are
+/// transposed so that output channels are innermost, in [`LANE`]-wide
+/// groups: `[group][ic][ky][kx][lane]`, each group closed by its `[lane]`
+/// biases, with the last group's missing channels zero-padded.
+struct ConvKernel {
+    blocks: Vec<Vec<f32>>,
+}
+
+impl ConvKernel {
+    fn new(convs: &[ConvLayerMeta], params: &[f32]) -> Self {
+        let blocks = convs
+            .iter()
+            .map(|conv| {
+                let taps = conv.in_channels * KERNEL * KERNEL;
+                let group_len = (taps + 1) * LANE;
+                let mut layout = vec![0.0f32; conv.out_channels.div_ceil(LANE) * group_len];
+                for oc in 0..conv.out_channels {
+                    let group = &mut layout[oc / LANE * group_len..(oc / LANE + 1) * group_len];
+                    let lane = oc % LANE;
+                    for t in 0..taps {
+                        group[t * LANE + lane] = params[conv.w_start + oc * taps + t];
+                    }
+                    group[taps * LANE + lane] = params[conv.b_start + oc];
+                }
+                layout
+            })
+            .collect();
+        Self { blocks }
+    }
+
+    /// 3x3 same-padding convolution of block `li`'s `[ic][y][x]` input into
+    /// `out`'s `[oc][y][x]` pre-activations.
+    ///
+    /// Every output element accumulates exactly the terms of the scalar
+    /// reference, in its order: the bias first, then `(ic, ky, kx)` ascending
+    /// over the in-image taps only — an out-of-image tap is skipped, never
+    /// added as zero — one product at a time. Only the traversal changed: a
+    /// [`LANE`] of output channels is held in a register accumulator while
+    /// the taps stream through it, so the arithmetic vectorizes across
+    /// channels.
+    fn conv_forward(&self, li: usize, conv: &ConvLayerMeta, input: &[f32], out: &mut [f32]) {
+        let (h, w) = (conv.in_h, conv.in_w);
+        let plane = h * w;
+        let taps = conv.in_channels * KERNEL * KERNEL;
+        let groups = self.blocks[li].chunks_exact((taps + 1) * LANE);
+        for (g, group) in groups.enumerate() {
+            let (weights, bias) = group.split_at(taps * LANE);
+            let lanes = LANE.min(conv.out_channels - g * LANE);
+            for y in 0..h {
+                // Kernel rows (columns) whose input row `y + ky - 1` (column
+                // `x + kx - 1`) lies inside the image.
+                let rows = usize::from(y == 0)..KERNEL.min(h + 1 - y);
+                for x in 0..w {
+                    let cols = usize::from(x == 0)..KERNEL.min(w + 1 - x);
+                    let mut acc = [0.0f32; LANE];
+                    acc.copy_from_slice(bias);
+                    for ic in 0..conv.in_channels {
+                        for ky in rows.clone() {
+                            let first = (ic * KERNEL + ky) * KERNEL;
+                            let at = ic * plane + (y + ky - 1) * w + x + cols.start - 1;
+                            let values = &input[at..at + cols.len()];
+                            let tap_rows =
+                                &weights[(first + cols.start) * LANE..(first + cols.end) * LANE];
+                            for (tap, &v) in tap_rows.chunks_exact(LANE).zip(values) {
+                                for (a, &wv) in acc.iter_mut().zip(tap) {
+                                    *a += wv * v;
+                                }
                             }
-                            acc += params[k_base + ky * KERNEL + kx]
-                                * input[in_base + iy as usize * w + ix as usize];
                         }
                     }
+                    for (lane, &a) in acc[..lanes].iter().enumerate() {
+                        out[(g * LANE + lane) * plane + y * w + x] = a;
+                    }
                 }
-                out[oc * h * w + y * w + x] = acc;
             }
         }
     }
-    out
 }
 
 /// Backward of the 3x3 same-padding convolution: accumulates weight/bias
@@ -378,11 +476,10 @@ fn conv_backward(
     d_input
 }
 
-/// 2x2 average pooling (stride 2, floor semantics).
-fn avg_pool(input: &[f32], channels: usize, h: usize, w: usize) -> Vec<f32> {
+/// 2x2 average pooling (stride 2, floor semantics) into `out`.
+fn avg_pool_into(input: &[f32], channels: usize, h: usize, w: usize, out: &mut [f32]) {
     let oh = h / 2;
     let ow = w / 2;
-    let mut out = vec![0.0f32; channels * oh * ow];
     for c in 0..channels {
         for y in 0..oh {
             for x in 0..ow {
@@ -396,7 +493,6 @@ fn avg_pool(input: &[f32], channels: usize, h: usize, w: usize) -> Vec<f32> {
             }
         }
     }
-    out
 }
 
 /// Backward of 2x2 average pooling.
@@ -419,9 +515,8 @@ fn avg_pool_backward(d_out: &[f32], channels: usize, h: usize, w: usize) -> Vec<
     d_in
 }
 
-/// Dense forward `y = W x + b` for one sample.
-fn dense_forward(params: &[f32], meta: &DenseMeta, input: &[f32]) -> Vec<f32> {
-    let mut out = vec![0.0f32; meta.out_dim];
+/// Dense forward `y = W x + b` for one sample, into `out`.
+fn dense_forward_into(params: &[f32], meta: &DenseMeta, input: &[f32], out: &mut [f32]) {
     for (j, o) in out.iter_mut().enumerate() {
         let row = &params[meta.w_start + j * meta.in_dim..meta.w_start + (j + 1) * meta.in_dim];
         let mut acc = params[meta.b_start + j];
@@ -430,7 +525,6 @@ fn dense_forward(params: &[f32], meta: &DenseMeta, input: &[f32]) -> Vec<f32> {
         }
         *o = acc;
     }
-    out
 }
 
 /// Dense backward: accumulates weight/bias gradients and returns `d input`.
@@ -497,11 +591,12 @@ impl ModelArch for ConvNet {
     ) -> TrainStats {
         assert!(!indices.is_empty(), "empty minibatch");
         let scale = 1.0 / indices.len() as f32;
+        let kernel = ConvKernel::new(&self.convs, params);
         let mut loss = 0.0f64;
         let mut correct = 0usize;
         for &idx in indices {
             let (x, label) = data.sample(idx);
-            let cache = self.forward_sample(params, x);
+            let cache = self.forward_sample(&kernel, params, x);
             let (sample_loss, ok) = self.backward_sample(params, &cache, label, scale, grad);
             loss += sample_loss as f64;
             if ok {
@@ -518,14 +613,50 @@ impl ModelArch for ConvNet {
         if data.is_empty() {
             return EvalStats::empty();
         }
+        // Forward only, with no backward caches: every buffer is allocated
+        // once per call. Each block convolves `cur` into `next`, applies the
+        // ReLU in place and pools back into `cur` (or swaps the two).
+        let kernel = ConvKernel::new(&self.convs, params);
+        let widest = self
+            .convs
+            .iter()
+            .map(ConvLayerMeta::pre_len)
+            .max()
+            .expect("at least one conv block");
+        let mut cur = vec![0.0f32; widest];
+        let mut next = vec![0.0f32; widest];
+        let mut feat = vec![0.0f32; self.dense_hidden.in_dim];
+        let mut hidden = vec![0.0f32; self.dense_hidden.out_dim];
+        let mut logits = vec![0.0f32; self.dense_out.out_dim];
+        let mut probs = vec![0.0f32; self.dense_out.out_dim];
         let mut loss = 0.0f64;
         let mut correct = 0usize;
         for i in 0..data.len() {
             let (x, label) = data.sample(i);
-            let cache = self.forward_sample(params, x);
-            let (sample_loss, _) = softmax_cross_entropy(&cache.logits, label);
-            loss += sample_loss as f64;
-            if fedlps_tensor::ops::argmax(&cache.logits) == label {
+            for (li, conv) in self.convs.iter().enumerate() {
+                let input = if li == 0 { x } else { &cur[..conv.in_len()] };
+                let pre = &mut next[..conv.pre_len()];
+                kernel.conv_forward(li, conv, input, pre);
+                for v in pre.iter_mut() {
+                    *v = relu(*v);
+                }
+                if conv.pooled {
+                    let out = &mut cur[..conv.out_len()];
+                    avg_pool_into(pre, conv.out_channels, conv.in_h, conv.in_w, out);
+                } else {
+                    std::mem::swap(&mut cur, &mut next);
+                }
+            }
+            let last_conv = self.convs.last().unwrap();
+            self.global_avg_pool(&cur[..last_conv.out_len()], &mut feat);
+            dense_forward_into(params, &self.dense_hidden, &feat, &mut hidden);
+            for v in &mut hidden {
+                *v = relu(*v);
+            }
+            dense_forward_into(params, &self.dense_out, &hidden, &mut logits);
+            fedlps_tensor::ops::softmax_into(&mut probs, &logits);
+            loss += cross_entropy(&probs, label) as f64;
+            if fedlps_tensor::ops::argmax(&logits) == label {
                 correct += 1;
             }
         }
@@ -633,6 +764,146 @@ mod tests {
     use crate::gradcheck::assert_gradients_close;
     use fedlps_data::dataset::InputKind;
     use fedlps_tensor::{rng_from_seed, Matrix};
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    /// The scalar 3x3 same-padding convolution the kernel replaced, kept as
+    /// its oracle (as `matmul*_into_reference` is for the matmul kernels):
+    /// one output element at a time, straight off the `[oc][ic][ky][kx]`
+    /// parameter layout.
+    fn conv_forward_reference(params: &[f32], conv: &ConvLayerMeta, input: &[f32]) -> Vec<f32> {
+        let (h, w) = (conv.in_h, conv.in_w);
+        let mut out = vec![0.0f32; conv.out_channels * h * w];
+        let per_channel = conv.in_channels * KERNEL * KERNEL;
+        for oc in 0..conv.out_channels {
+            let w_base = conv.w_start + oc * per_channel;
+            let bias = params[conv.b_start + oc];
+            for y in 0..h {
+                for x in 0..w {
+                    let mut acc = bias;
+                    for ic in 0..conv.in_channels {
+                        let in_base = ic * h * w;
+                        let k_base = w_base + ic * KERNEL * KERNEL;
+                        for ky in 0..KERNEL {
+                            let iy = y as isize + ky as isize - 1;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            for kx in 0..KERNEL {
+                                let ix = x as isize + kx as isize - 1;
+                                if ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                acc += params[k_base + ky * KERNEL + kx]
+                                    * input[in_base + iy as usize * w + ix as usize];
+                            }
+                        }
+                    }
+                    out[oc * h * w + y * w + x] = acc;
+                }
+            }
+        }
+        out
+    }
+
+    /// `v`, or `+0.0` / `-0.0` with probability `zeros / 2` each.
+    fn with_signed_zeros(v: f32, zeros: f64, rng: &mut StdRng) -> f32 {
+        let u = rng.gen_range(0.0f64..1.0);
+        if u < zeros / 2.0 {
+            0.0
+        } else if u < zeros {
+            -0.0
+        } else {
+            v
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The vectorized kernel's pre-activations equal the scalar reference
+        /// bit for bit, block by block, and `evaluate`'s forward-only loop
+        /// equals the cached training forward pass plus
+        /// `softmax_cross_entropy`. Shapes cover output-channel lane tails,
+        /// odd and non-square images, pooled and unpooled blocks (down to
+        /// 2x2 inputs); parameters and inputs carry signed zeros, and whole
+        /// units are masked the way masked-dense training masks them.
+        #[test]
+        fn kernel_matches_scalar_reference_bitwise(
+            in_channels in 1usize..=5,
+            blocks in 1usize..=3,
+            c0 in 1usize..=19,
+            c1 in 1usize..=19,
+            c2 in 1usize..=19,
+            height in 3usize..=9,
+            width in 3usize..=9,
+            hidden in 1usize..=6,
+            num_classes in 2usize..=4,
+            samples in 1usize..=5,
+            zeros in 0.0f64..0.5,
+            seed in 0u64..1_000_000,
+        ) {
+            let net = ConvNet::new(ConvNetConfig {
+                in_channels,
+                height,
+                width,
+                channels: [c0, c1, c2][..blocks].to_vec(),
+                hidden,
+                num_classes,
+            });
+            let mut rng = rng_from_seed(seed);
+            let mut params = net.init_params(&mut rng);
+            for p in params.iter_mut() {
+                *p = with_signed_zeros(*p, zeros, &mut rng);
+            }
+            // `p * 0.0` keeps the sign of `p`, as a masked-dense step does.
+            let keep: Vec<bool> = (0..net.unit_layout().total_units())
+                .map(|_| rng.gen_range(0.0f64..1.0) >= 0.25)
+                .collect();
+            let mask = net.unit_layout().expand_mask(&keep);
+            for (p, m) in params.iter_mut().zip(mask.iter()) {
+                *p *= m;
+            }
+            let features = Matrix::from_fn(samples, in_channels * height * width, |_, _| {
+                let v = rng.gen_range(-2.0f32..2.0);
+                with_signed_zeros(v, zeros, &mut rng)
+            });
+            let labels = (0..samples).map(|i| i % num_classes).collect();
+            let input = InputKind::Image { channels: in_channels, height, width };
+            let data = Dataset::new(features, labels, num_classes, input);
+
+            let kernel = ConvKernel::new(&net.convs, &params);
+            let mut loss = 0.0f64;
+            let mut correct = 0usize;
+            for i in 0..data.len() {
+                let (x, label) = data.sample(i);
+                let cache = net.forward_sample(&kernel, &params, x);
+                for (li, conv) in net.convs.iter().enumerate() {
+                    let reference = conv_forward_reference(&params, conv, cache.block_input(li));
+                    prop_assert_eq!(
+                        bits(&cache.pres[li]),
+                        bits(&reference),
+                        "block {} of sample {}",
+                        li,
+                        i
+                    );
+                }
+                let (sample_loss, _) = softmax_cross_entropy(&cache.logits, label);
+                loss += sample_loss as f64;
+                if fedlps_tensor::ops::argmax(&cache.logits) == label {
+                    correct += 1;
+                }
+            }
+            let eval = net.evaluate(&params, &data);
+            prop_assert_eq!(eval.loss.to_bits(), (loss / data.len() as f64).to_bits());
+            prop_assert_eq!(eval.accuracy, correct as f64 / data.len() as f64);
+            prop_assert_eq!(eval.samples, data.len());
+        }
+    }
 
     fn toy_convnet() -> ConvNet {
         ConvNet::new(ConvNetConfig {
@@ -789,8 +1060,8 @@ mod tests {
     #[test]
     fn avg_pool_roundtrip_shapes() {
         let input: Vec<f32> = (0..16).map(|v| v as f32).collect();
-        let pooled = avg_pool(&input, 1, 4, 4);
-        assert_eq!(pooled.len(), 4);
+        let mut pooled = vec![0.0f32; 4];
+        avg_pool_into(&input, 1, 4, 4, &mut pooled);
         assert!((pooled[0] - (0.0 + 1.0 + 4.0 + 5.0) / 4.0).abs() < 1e-6);
         let back = avg_pool_backward(&pooled, 1, 4, 4);
         assert_eq!(back.len(), 16);

@@ -20,8 +20,11 @@
 //!   uniform selection, asynchronous with utility selection), captured before
 //!   the fleet, the selection latency prior and the ratio controller each
 //!   dropped their second representation.
+//! * `cnn_tiny_*` — FedLPS and HeteroFL on the tiny cifar10-like federation
+//!   (a two-block ConvNet, packed training, evaluation every second round) in
+//!   both modes, captured before the ConvNet forward pass was rewritten.
 //!
-//! Every tiny and registry row also asserts that the four-shard run equals the serial one.
+//! Every tiny, registry and CNN row also asserts that the four-shard run equals the serial one.
 //!
 //! To regenerate after an *intentional* trace change (which must be called out
 //! in the PR description), run:
@@ -126,15 +129,16 @@ fn check_parallel_golden(
     );
 }
 
-/// `make`'s run on the tiny federation in `round_mode`.
+/// `make`'s run on the tiny `dataset` federation in `round_mode`.
 fn check_tiny_golden(
     golden: &str,
+    dataset: DatasetKind,
     round_mode: RoundMode,
     make: &dyn Fn(&FlEnv) -> Box<dyn FlAlgorithm>,
 ) {
     let env = |parallelism| {
         FlEnv::from_scenario(
-            &ScenarioConfig::tiny(DatasetKind::MnistLike),
+            &ScenarioConfig::tiny(dataset),
             HeterogeneityLevel::High,
             FlConfig::tiny()
                 .with_round_mode(round_mode)
@@ -189,6 +193,7 @@ fn check_baseline_goldens(mode_name: &str, round_mode: RoundMode) {
         let make = |_: &FlEnv| baseline_by_name(name).expect("registered baseline");
         check_tiny_golden(
             &format!("baseline_tiny_{name}_{mode_name}"),
+            DatasetKind::MnistLike,
             round_mode,
             &make,
         );
@@ -218,10 +223,38 @@ fn check_fedlps_goldens(mode_name: &str, round_mode: RoundMode) {
         };
         check_tiny_golden(
             &format!("fedlps_tiny_{variant}_{mode_name}"),
+            DatasetKind::MnistLike,
             round_mode,
             &make,
         );
     }
+}
+
+/// FedLPS and HeteroFL (packed ConvNet training) on the tiny cifar10-like
+/// federation in `round_mode`, evaluating every second round.
+fn check_cnn_goldens(mode_name: &str, round_mode: RoundMode) {
+    check_tiny_golden(
+        &format!("cnn_tiny_fedlps_{mode_name}"),
+        DatasetKind::Cifar10Like,
+        round_mode,
+        &fedlps_for,
+    );
+    check_tiny_golden(
+        &format!("cnn_tiny_HeteroFL_{mode_name}"),
+        DatasetKind::Cifar10Like,
+        round_mode,
+        &|_: &FlEnv| baseline_by_name("HeteroFL").expect("registered baseline"),
+    );
+}
+
+#[test]
+fn cnn_tiny_sync_matches_pre_refactor_goldens() {
+    check_cnn_goldens("sync", RoundMode::Synchronous);
+}
+
+#[test]
+fn cnn_tiny_async_matches_pre_refactor_goldens() {
+    check_cnn_goldens("async", RoundMode::asynchronous(3, 0.5));
 }
 
 #[test]
