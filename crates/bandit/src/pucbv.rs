@@ -27,8 +27,9 @@ pub struct PUcbvConfig {
     /// Total number of communication rounds `R` (enters `ξ = R / (K·ϵ)`).
     pub total_rounds: usize,
     /// The denominator `K·ϵ` of `ξ`: `K` clients times the selection
-    /// fraction `ϵ`, i.e. the clients selected per round, which is what
-    /// `FedLpsConfig::for_federation` passes.
+    /// fraction `ϵ`, i.e. the clients selected per round:
+    /// `FedLpsConfig::for_federation(rounds, clients_per_round)` passes its
+    /// second argument.
     pub expected_selections: f64,
     /// Smallest ratio the agent will ever propose (avoids degenerate empty
     /// submodels; the paper's arm space is `[0, 1)`).

@@ -28,9 +28,6 @@ pub enum RatioPolicy {
     PUcbv(PUcbvConfig),
     /// FedMP-style discrete UCB over a fixed ratio grid.
     DiscreteUcb { exploration: f64 },
-    /// Dense training: ratio 1 for everyone regardless of capability (used by
-    /// the conventional-FL baselines).
-    Dense,
 }
 
 impl RatioPolicy {
@@ -41,7 +38,6 @@ impl RatioPolicy {
             RatioPolicy::ResourceControlled => "rcr".to_string(),
             RatioPolicy::PUcbv(_) => "p-ucbv".to_string(),
             RatioPolicy::DiscreteUcb { .. } => "ucb".to_string(),
-            RatioPolicy::Dense => "dense".to_string(),
         }
     }
 }
@@ -141,7 +137,6 @@ fn build_agent(policy: &RatioPolicy, init: ClientInit, rng: &mut StdRng) -> (Age
     match policy {
         RatioPolicy::Fixed(r) => (AgentState::Stateless, r.min(z)),
         RatioPolicy::ResourceControlled => (AgentState::Stateless, z),
-        RatioPolicy::Dense => (AgentState::Stateless, 1.0),
         RatioPolicy::PUcbv(cfg) => {
             let agent = PUcbv::new(*cfg, z, init.initial_accuracy);
             let ratio = agent.initial_ratio(rng);
@@ -377,13 +372,17 @@ mod tests {
 
     #[test]
     fn dense_policy_ignores_capability_cap_only_via_explicit_one() {
-        let ctrl = RatioController::new(RatioPolicy::Dense, &caps(), &[0.0; 4], 1);
-        // Dense baselines train the full model even on weak devices (that is
-        // exactly why they straggle), but the controller still reports the
-        // capability-capped value used for submodel extraction — which for the
-        // dense policy is the capability itself on weak clients.
+        // No policy escapes the capability cap: a dense ratio must be asked
+        // for explicitly (`Fixed(1.0)`), and even then the controller reports
+        // the capability-capped value used for submodel extraction — which on
+        // weak clients is the capability itself, exactly what RCR proposes.
+        let ctrl = RatioController::new(RatioPolicy::Fixed(1.0), &caps(), &[0.0; 4], 1);
+        let rcr = RatioController::new(RatioPolicy::ResourceControlled, &caps(), &[0.0; 4], 1);
         assert_eq!(ctrl.ratio_for(0), 1.0);
         assert_eq!(ctrl.ratio_for(3), 0.0625);
+        for k in 0..4 {
+            assert_eq!(ctrl.ratio_for(k), rcr.ratio_for(k), "client {k}");
+        }
     }
 
     #[test]
@@ -541,8 +540,8 @@ mod tests {
         };
         for policy in [
             RatioPolicy::Fixed(0.5),
+            RatioPolicy::Fixed(1.0),
             RatioPolicy::ResourceControlled,
-            RatioPolicy::Dense,
         ] {
             let dense = RatioController::new(policy.clone(), &caps, &[0.0; 4], 1);
             let lazy = RatioController::lazy(policy.clone(), 4, Box::new(init), 1);
@@ -560,7 +559,13 @@ mod tests {
     #[test]
     #[should_panic]
     fn lazy_proposals_refuse_to_materialize_the_population() {
-        RatioController::lazy(RatioPolicy::Dense, 1_000_000, Box::new(tier_init), 1).proposals();
+        RatioController::lazy(
+            RatioPolicy::ResourceControlled,
+            1_000_000,
+            Box::new(tier_init),
+            1,
+        )
+        .proposals();
     }
 
     #[test]
@@ -603,7 +608,7 @@ mod tests {
     #[test]
     fn policy_names() {
         assert_eq!(RatioPolicy::ResourceControlled.name(), "rcr");
-        assert_eq!(RatioPolicy::Dense.name(), "dense");
+        assert_eq!(RatioPolicy::Fixed(1.0).name(), "fixed(1)");
         assert!(RatioPolicy::Fixed(0.5).name().starts_with("fixed"));
     }
 }

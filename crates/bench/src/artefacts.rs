@@ -186,7 +186,7 @@ fn table2_ablation(req: &Request, emit: Emit<'_>) {
         dynamic_env.dynamic_capability = true;
 
         let fl_cfg = scale.fl_config();
-        let pucbv = || FedLpsConfig::for_federation(fl_cfg.rounds, 0, fl_cfg.clients_per_round);
+        let pucbv = || FedLpsConfig::for_federation(fl_cfg.rounds, fl_cfg.clients_per_round);
 
         let mut table = TableBuilder::new(
             &format!(

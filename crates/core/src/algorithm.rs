@@ -86,7 +86,6 @@ impl Server<Lps> {
     pub fn for_env(env: &FlEnv) -> Self {
         Self::new(FedLpsConfig::for_federation(
             env.config.rounds,
-            env.num_clients(),
             env.config.clients_per_round,
         ))
     }
@@ -147,11 +146,10 @@ impl Lps {
     /// tier, then by what the device can actually spare.
     fn round_ratio(&self, available: &fedlps_device::DeviceProfile, client: usize) -> f64 {
         let controller = self.controller.as_ref().expect("setup() not called");
-        let mut ratio = controller.ratio_for(client);
-        if self.config.respect_dynamic_capability {
-            ratio = ratio.min(available.max_sparse_ratio());
-        }
-        ratio.max(0.01)
+        controller
+            .ratio_for(client)
+            .min(available.max_sparse_ratio())
+            .max(0.01)
     }
 
     fn update_options(&self, env: &FlEnv, ratio: f64, round: usize) -> ClientUpdateOptions {

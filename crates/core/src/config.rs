@@ -26,9 +26,6 @@ pub struct FedLpsConfig {
     /// heuristics through this switch while keeping the rest of the pipeline
     /// identical.
     pub pattern: PatternStrategy,
-    /// Whether the per-round *available* capability (dynamic heterogeneity) is
-    /// used to cap ratios, in addition to the static tier.
-    pub respect_dynamic_capability: bool,
     /// Quantize P-UCBV's arm space at the model's shape resolution: ratios
     /// extracting equal per-layer retained-unit counts are indistinguishable
     /// to the environment, so they collapse to one arm and repeat proposals
@@ -45,22 +42,19 @@ impl Default for FedLpsConfig {
             importance_lr: None,
             ratio_policy: RatioPolicy::PUcbv(PUcbvConfig::default()),
             pattern: PatternStrategy::Importance,
-            respect_dynamic_capability: true,
             quantize_arm_space: true,
         }
     }
 }
 
 impl FedLpsConfig {
-    /// FedLPS with P-UCBV configured for a given federation size (`ξ = R/(K·ϵ)`
-    /// depends on the round budget and selection fraction).
-    pub fn for_federation(rounds: usize, num_clients: usize, clients_per_round: usize) -> Self {
-        let expected = clients_per_round.max(1) as f64;
-        let _ = num_clients;
+    /// FedLPS with P-UCBV configured for a given federation (`ξ = R/(K·ϵ)`
+    /// depends on the round budget and the clients selected per round).
+    pub fn for_federation(rounds: usize, clients_per_round: usize) -> Self {
         Self {
             ratio_policy: RatioPolicy::PUcbv(PUcbvConfig {
                 total_rounds: rounds.max(1),
-                expected_selections: expected,
+                expected_selections: clients_per_round.max(1) as f64,
                 ..PUcbvConfig::default()
             }),
             ..Self::default()
@@ -128,7 +122,7 @@ mod tests {
 
     #[test]
     fn federation_constructor_wires_bandit_horizon() {
-        let cfg = FedLpsConfig::for_federation(200, 100, 10);
+        let cfg = FedLpsConfig::for_federation(200, 10);
         match cfg.ratio_policy {
             RatioPolicy::PUcbv(c) => {
                 assert_eq!(c.total_rounds, 200);

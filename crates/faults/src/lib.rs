@@ -19,7 +19,7 @@
 //! * [`FaultConfig`] / [`FaultInjector`] — transient upload failures. Each
 //!   attempt's fate is a pure seeded function of
 //!   `(seed, client, tick, attempt)`, so retry schedules replay
-//!   bit-identically at every parallelism/backend/topology setting.
+//!   bit-identically at every parallelism/topology setting.
 //! * [`FaultPlan`] — the closed-form outcome of one upload under the
 //!   injector (how many failures, whether it was ultimately delivered, and
 //!   the total backoff it paid), used by tests to cross-check the driver's

@@ -10,7 +10,7 @@
 //! |------|------|-----|
 //! | D1 | `HashMap`/`HashSet` (and friends) | iteration order is seeded per-process |
 //! | D2 | `Instant::now`, `SystemTime`, `thread_rng`, `rand::random`, `thread::spawn` | ambient nondeterminism |
-//! | D3 | `rayon`/`par_iter`/`ThreadPoolBuilder` outside the backend seam | parallelism must stay confined |
+//! | D3 | `thread::scope`, `rayon`/`par_iter`/`ThreadPoolBuilder` outside the backend seam | parallelism must stay confined |
 //! | D4 | float `sum`/`fold`/`product` over unordered or parallel sources | reassociation invalidates packed-vs-dense proofs |
 //! | D5 | `absorb_update{,_stale}` calls outside the absorption seam | absorption order is the bit-identity linchpin |
 //!
@@ -79,9 +79,9 @@ impl RuleId {
                  break replayability; use the virtual clock and seeded streams"
             }
             RuleId::D3 => {
-                "parallelism outside the backend seam: rayon/par_iter/ThreadPoolBuilder \
-                 may appear only in crates/sim/src/backend.rs so every other layer stays \
-                 provably serial-deterministic"
+                "parallelism outside the backend seam: thread::scope (and rayon/par_iter/\
+                 ThreadPoolBuilder) may appear only in crates/sim/src/backend.rs so every \
+                 other layer stays provably serial-deterministic"
             }
             RuleId::D4 => {
                 "float accumulation over an unordered or parallel source: reassociated \
@@ -139,7 +139,12 @@ const D2_BANNED_PATHS: &[&[&str]] = &[
 /// Bare identifiers banned by D2 wherever they appear.
 const D2_BANNED_IDENTS: &[&str] = &["thread_rng", "SystemTime", "ThreadRng"];
 
-/// Identifiers banned by D3 outside the backend seam.
+/// Identifier sequences banned by D3 outside the backend seam (matched
+/// across `::` / `.`): the std primitive the seam's `par_map` is built on.
+const D3_BANNED_PATHS: &[&[&str]] = &[&["thread", "scope"]];
+
+/// Identifiers banned by D3 outside the backend seam: the rayon-style API
+/// stays banned although nothing in the workspace provides it.
 const D3_BANNED_IDENTS: &[&str] = &[
     "rayon",
     "par_iter",
@@ -300,20 +305,27 @@ fn check_d3(file: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
     if path_matches(file, D3_ALLOWED_FILES) || allowlisted(RuleId::D3, file) {
         return;
     }
-    for tok in tokens {
-        if let Some(name) = tok.ident() {
-            if D3_BANNED_IDENTS.contains(&name) {
-                push(
-                    findings,
-                    RuleId::D3,
-                    file,
-                    tok,
-                    format!(
-                        "`{name}` outside the backend seam; parallelism lives only in crates/sim/src/backend.rs"
-                    ),
-                );
-            }
-        }
+    for (i, tok) in tokens.iter().enumerate() {
+        let Some(name) = tok.ident() else { continue };
+        let banned = if D3_BANNED_IDENTS.contains(&name) {
+            name.to_string()
+        } else if let Some(path) = D3_BANNED_PATHS
+            .iter()
+            .find(|path| path_matches_at(tokens, i, path))
+        {
+            path.join("::")
+        } else {
+            continue;
+        };
+        push(
+            findings,
+            RuleId::D3,
+            file,
+            tok,
+            format!(
+                "`{banned}` outside the backend seam; parallelism lives only in crates/sim/src/backend.rs"
+            ),
+        );
     }
 }
 
@@ -510,11 +522,19 @@ mod tests {
             rules_hit("v.into_par_iter().map(f).collect()"),
             vec![RuleId::D3]
         );
+        assert_eq!(
+            rules_hit("std::thread::scope(|s| { s.spawn(work); });"),
+            vec![RuleId::D3]
+        );
+        assert_eq!(rules_hit("thread::scope(run);"), vec![RuleId::D3]);
         let in_backend = check_file(
             "crates/sim/src/backend.rs",
-            &lex("v.into_par_iter().map(f).collect()"),
+            &lex("v.into_par_iter().map(f).collect(); std::thread::scope(|s| {});"),
         );
         assert!(in_backend.is_empty());
+        // Other `thread` items and a local named `scope` are not scoped threads.
+        assert!(rules_hit("let id = std::thread::current().id();").is_empty());
+        assert!(rules_hit("let scope = 3; thread.len();").is_empty());
         // `Backend::ThreadPool` is an enum variant, not rayon.
         assert!(rules_hit("let k = Backend::ThreadPool;").is_empty());
     }

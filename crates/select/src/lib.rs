@@ -22,8 +22,8 @@
 //!   candidate set, keep the highest-loss members.
 //!
 //! Every policy is a deterministic function of `(tracker state, rng stream)`,
-//! so runs remain bit-identical across `parallelism` settings and execution
-//! backends: the tracker is only mutated at event-ordered points of the
+//! so runs remain bit-identical across `parallelism` settings: the tracker
+//! is only mutated at event-ordered points of the
 //! driver, never from worker threads.
 
 pub mod policy;

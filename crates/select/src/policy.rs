@@ -55,8 +55,8 @@ use crate::stats::SelectionTracker;
 ///
 /// Implementations must be pure functions of `(tracker, arguments, rng)`: no
 /// interior clocks, no thread-dependent state. That contract is what lets
-/// every policy stay bit-identical across `parallelism` settings and
-/// execution backends. Implementations should also avoid `O(population)`
+/// every policy stay bit-identical across `parallelism` settings.
+/// Implementations should also avoid `O(population)`
 /// work and memory — draw positionally against the given [`ClientPool`] /
 /// tracker instead of enumerating all clients.
 pub trait SelectionPolicy: Send {

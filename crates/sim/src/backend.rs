@@ -1,92 +1,86 @@
-//! The execution-backend layer: *where* the pure client steps run.
+//! The one place the simulator runs work on more than one thread.
 //!
-//! The driver hands a batch of [`StepTask`]s — clients scheduled to dispatch
-//! at the same virtual instant, in event order — to an [`ExecutionBackend`]
-//! and gets their [`ClientOutcome`]s back in input order. Because
-//! [`FlAlgorithm::client_step`] is pure (`&self` plus a per-client RNG stream
-//! derived only from the configuration), the backend choice is purely a
-//! wall-clock knob: every backend produces bit-identical outcomes, and the
-//! deterministic event schedule (never the thread schedule) fixes the order
-//! in which they are absorbed.
+//! [`FlAlgorithm::client_step`] is pure (`&self` plus a per-client RNG
+//! stream derived only from the configuration), evaluation only reads the
+//! algorithm, and the Eq. (13) aggregation walk treats coordinates
+//! independently. So every parallel pass in the simulator is an ordered map
+//! over independent items, and `par_map` is the only primitive: the thread
+//! count is a wall-clock knob, never a result knob. Lint rule D3 confines
+//! `thread::scope` (and any rayon-style API) to this file.
 //!
-//! Two backends ship today: [`SerialBackend`] (plain in-thread loop) and
-//! [`ThreadPoolBackend`] (a dedicated worker pool sized by
-//! [`FlConfig::parallelism`](crate::config::FlConfig)). The trait is the seam
-//! the ROADMAP's multi-backend item asked for: a process pool, a GPU queue or
-//! a remote executor only has to map tasks to outcomes in order.
+//! Each call site passes its own thread count:
 //!
-//! The driver resolves its backend from the configuration — serial at
-//! `effective_parallelism() <= 1`, a pool of that many workers above — so
-//! `parallelism` is the one knob; explicit construction is available when a
-//! caller wants to drive the seam directly:
+//! * client steps (the driver's dispatch batches) use
+//!   [`FlConfig::effective_parallelism`](crate::config::FlConfig::effective_parallelism);
+//! * the evaluation sweep (`parallel_mean_accuracy`) uses every available
+//!   core, whatever `parallelism` says;
+//! * [`for_each_chunk_mut`] splits its slice into `shards` chunks and runs
+//!   them over every available core.
 //!
 //! ```
-//! use fedlps_sim::backend::{ExecutionBackend, SerialBackend, ThreadPoolBackend};
+//! use fedlps_sim::backend::for_each_chunk_mut;
 //!
-//! assert_eq!(SerialBackend.name(), "serial");
-//! let pool = ThreadPoolBackend::new(3);
-//! assert_eq!((pool.name(), pool.threads()), ("thread-pool", 3));
+//! let mut out = vec![0usize; 10];
+//! for_each_chunk_mut(&mut out, 3, |start, chunk| {
+//!     for (i, slot) in chunk.iter_mut().enumerate() {
+//!         *slot = start + i;
+//!     }
+//! });
+//! assert_eq!(out, (0..10).collect::<Vec<_>>());
 //! ```
 
-use fedlps_tensor::{rng_from_seed, split_seed};
-use rayon::prelude::*;
+use std::panic::resume_unwind;
 
-use crate::algorithm::{ClientOutcome, FlAlgorithm};
-use crate::config::FlConfig;
+use crate::algorithm::FlAlgorithm;
 use crate::env::FlEnv;
 
-/// One client step scheduled by the driver: the client plus the RNG stream
-/// index its step draws from (a pure function of the event schedule).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepTask {
-    /// The client to step.
-    pub client: usize,
-    /// Stream index mixed with the run seed to derive the step's RNG.
-    pub stream: u64,
-}
-
-/// Runs batches of pure client steps. Implementations must return outcomes in
-/// input order and must not reorder, drop or duplicate tasks; all scheduling
-/// freedom lives *inside* a batch, which is exactly the freedom purity grants.
-pub trait ExecutionBackend: Send + Sync {
-    /// Short name used in logs.
-    fn name(&self) -> &'static str;
-
-    /// Executes every task's `client_step` and returns the outcomes in task
-    /// order.
-    fn run_steps(
-        &self,
-        env: &FlEnv,
-        algorithm: &dyn FlAlgorithm,
-        round: usize,
-        tasks: &[StepTask],
-    ) -> Vec<ClientOutcome>;
-}
-
-/// The backend a configuration runs on: serial at one effective shard, a
-/// pool of `effective_parallelism()` workers above.
-pub(crate) fn for_config(config: &FlConfig) -> Box<dyn ExecutionBackend> {
-    let threads = config.effective_parallelism();
-    if threads > 1 {
-        Box::new(ThreadPoolBackend::new(threads))
-    } else {
-        Box::new(SerialBackend)
+/// Maps `f` over `items` on up to `threads` scoped threads and returns the
+/// results in input order. The items are cut into contiguous chunks of
+/// `ceil(n / min(threads, n))`, one thread per chunk; at `threads <= 1` or
+/// `n <= 1` everything runs inline on the calling thread. A panicking item
+/// propagates its panic to the caller.
+pub(crate) fn par_map<T: Send, R: Send>(
+    threads: usize,
+    items: Vec<T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let n = items.len();
+    if threads <= 1 || n <= 1 {
+        return items.into_iter().map(f).collect();
     }
+    let width = n.div_ceil(threads.min(n));
+    let f = &f;
+    let mut items = items.into_iter();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..n.div_ceil(width))
+            .map(|_| {
+                let chunk: Vec<T> = items.by_ref().take(width).collect();
+                scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>())
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    })
+}
+
+/// The machine's core count (1 when it cannot be queried).
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Sample-weighted mean deployed-model accuracy across every client,
-/// evaluated on the global worker pool (evaluation dominates the simulator's
+/// evaluated on every available core (evaluation dominates the simulator's
 /// wall-clock cost, and unlike training it only needs `&` access to the
-/// algorithm; the collected order is index order, so the reduction is
+/// algorithm; the results come back in client order, so the reduction is
 /// schedule-independent).
 pub(crate) fn parallel_mean_accuracy(env: &FlEnv, algorithm: &dyn FlAlgorithm) -> f64 {
-    let per_client: Vec<(f64, usize)> = (0..env.num_clients())
-        .into_par_iter()
-        .map(|k| {
-            let stats = algorithm.evaluate_client(env, k);
-            (stats.accuracy * stats.samples as f64, stats.samples)
-        })
-        .collect();
+    let clients: Vec<usize> = (0..env.num_clients()).collect();
+    let per_client = par_map(available_cores(), clients, |k| {
+        let stats = algorithm.evaluate_client(env, k);
+        (stats.accuracy * stats.samples as f64, stats.samples)
+    });
     let total_samples: usize = per_client.iter().map(|(_, n)| n).sum();
     if total_samples == 0 {
         return 0.0;
@@ -95,13 +89,13 @@ pub(crate) fn parallel_mean_accuracy(env: &FlEnv, algorithm: &dyn FlAlgorithm) -
 }
 
 /// Runs `leaf(start, chunk)` over at most `shards` disjoint contiguous
-/// chunks of `out`, `start` being the chunk's offset in `out`. This is the
-/// Eq. (13) aggregation walk's pass through the execution-backend seam — the
-/// only file where parallelism may live (lint rule D3). Chunks never alias
-/// and each leaf sees only its own, so whatever the thread schedule the
-/// result is the one the serial call `leaf(0, out)` writes, provided the
-/// leaf treats coordinates independently. `shards <= 1`, and any `out` too
-/// short to split, stay on the calling thread.
+/// chunks of `out`, `start` being the chunk's offset in `out`, on every
+/// available core. This is the Eq. (13) aggregation walk's way onto
+/// `par_map`. Chunks never alias and each leaf sees only its own, so
+/// whatever the thread schedule the result is the one the serial call
+/// `leaf(0, out)` writes, provided the leaf treats coordinates
+/// independently. `shards <= 1`, and any `out` too short to split, stay on
+/// the calling thread.
 pub fn for_each_chunk_mut<T, F>(out: &mut [T], shards: usize, leaf: F)
 where
     T: Send,
@@ -112,104 +106,59 @@ where
     }
     let width = out.len().div_ceil(shards);
     let chunks: Vec<(usize, &mut [T])> = out.chunks_mut(width).enumerate().collect();
-    chunks
-        .into_par_iter()
-        .map(|(i, chunk)| leaf(i * width, chunk))
-        .collect()
-}
-
-/// Runs one task on the calling thread (shared by both backends).
-fn run_one(
-    env: &FlEnv,
-    algorithm: &dyn FlAlgorithm,
-    round: usize,
-    task: StepTask,
-) -> ClientOutcome {
-    let mut rng = rng_from_seed(split_seed(env.config.seed, task.stream));
-    algorithm.client_step(env, round, task.client, &mut rng)
-}
-
-/// The trivial backend: steps run serially on the driver thread.
-#[derive(Debug, Default)]
-pub struct SerialBackend;
-
-impl ExecutionBackend for SerialBackend {
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-
-    fn run_steps(
-        &self,
-        env: &FlEnv,
-        algorithm: &dyn FlAlgorithm,
-        round: usize,
-        tasks: &[StepTask],
-    ) -> Vec<ClientOutcome> {
-        tasks
-            .iter()
-            .map(|&t| run_one(env, algorithm, round, t))
-            .collect()
-    }
-}
-
-/// Shards each batch across a dedicated worker pool.
-#[derive(Debug)]
-pub struct ThreadPoolBackend {
-    pool: rayon::ThreadPool,
-    threads: usize,
-}
-
-impl ThreadPoolBackend {
-    /// Builds a pool of exactly `threads` workers.
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        Self {
-            pool: rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("rayon pool construction is infallible"),
-            threads,
-        }
-    }
-
-    /// Number of worker threads in the pool.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl ExecutionBackend for ThreadPoolBackend {
-    fn name(&self) -> &'static str {
-        "thread-pool"
-    }
-
-    fn run_steps(
-        &self,
-        env: &FlEnv,
-        algorithm: &dyn FlAlgorithm,
-        round: usize,
-        tasks: &[StepTask],
-    ) -> Vec<ClientOutcome> {
-        self.pool.install(|| {
-            tasks
-                .to_vec()
-                .into_par_iter()
-                .map(|t| run_one(env, algorithm, round, t))
-                .collect()
-        })
-    }
+    par_map(available_cores(), chunks, |(i, chunk)| {
+        leaf(i * width, chunk)
+    });
 }
 
 #[cfg(test)]
 mod tests {
+    use std::thread::{self, ThreadId};
+
     use super::*;
 
+    // Order preservation is pinned by the crate-level tests in `lib.rs`.
+
     #[test]
-    fn backend_resolves_from_parallelism() {
-        let serial = FlConfig::default().with_parallelism(1);
-        assert_eq!(for_config(&serial).name(), "serial");
-        let sharded = FlConfig::default().with_parallelism(4);
-        assert_eq!(for_config(&sharded).name(), "thread-pool");
+    fn par_map_runs_inline_below_two_threads_or_items() {
+        let caller = thread::current().id();
+        for (threads, n) in [(0usize, 5usize), (1, 5), (4, 0), (4, 1), (64, 1)] {
+            let ids = par_map(threads, vec![(); n], |()| thread::current().id());
+            assert!(
+                ids.iter().all(|&id| id == caller),
+                "threads {threads}, n {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn par_map_runs_one_thread_per_contiguous_chunk() {
+        let caller = thread::current().id();
+        for (threads, n) in [(2usize, 2usize), (3, 7), (3, 1000), (64, 7)] {
+            let ids: Vec<ThreadId> = par_map(threads, vec![(); n], |()| thread::current().id());
+            assert!(!ids.contains(&caller), "the caller only waits");
+            // One run of equal ids per chunk; a thread id showing up in two
+            // runs would mean a non-contiguous chunk.
+            let mut runs = ids;
+            runs.dedup();
+            for (i, id) in runs.iter().enumerate() {
+                assert!(!runs[..i].contains(id), "threads {threads}, n {n}");
+            }
+            assert!(
+                runs.len() > 1 && runs.len() <= threads.min(n),
+                "threads {threads}, n {n}: {} workers",
+                runs.len()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 fails")]
+    fn par_map_propagates_a_panicking_item() {
+        par_map(3, (0..9).collect(), |x: usize| {
+            assert_ne!(x, 5, "item 5 fails");
+            x
+        });
     }
 
     #[test]
@@ -226,11 +175,5 @@ mod tests {
                 assert_eq!(out, expected, "len {len}, shards {shards}");
             }
         }
-    }
-
-    #[test]
-    fn thread_pool_reports_its_size() {
-        assert_eq!(ThreadPoolBackend::new(3).threads(), 3);
-        assert_eq!(ThreadPoolBackend::new(0).threads(), 1, "clamps to one");
     }
 }

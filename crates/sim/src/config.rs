@@ -55,11 +55,15 @@ pub struct FlConfig {
     pub cost_alpha: f64,
     /// Base RNG seed for client selection / minibatch sampling.
     pub seed: u64,
-    /// Number of worker shards the round loop spreads the selected clients
-    /// over: 1 = serial (the default), `n > 1` = at most `n` threads, 0 = one
-    /// shard per available core. Results are bit-identical at every setting —
-    /// client steps are pure and updates are absorbed in client-id order —
-    /// so this is purely a wall-clock knob.
+    /// Threads for the two parallel passes that follow this knob (0 = one
+    /// per available core, see [`effective_parallelism`](Self::effective_parallelism)):
+    /// each dispatch batch's client steps run on at most that many threads
+    /// (1, the default, keeps them on the driver thread), and the server's
+    /// Eq. (13) / coverage aggregation splits the parameter vector into that
+    /// many chunks, run over every available core. The evaluation sweep
+    /// ignores this knob and always uses every core. Results are
+    /// bit-identical at every setting — client steps are pure and updates
+    /// are absorbed in client-id order — so this is purely a wall-clock knob.
     pub parallelism: usize,
     /// How rounds execute on the virtual clock: the paper's synchronous
     /// barrier (the default), deadline rounds with over-selection, or
@@ -79,8 +83,8 @@ pub struct FlConfig {
     /// `TwoTier` (clients → zone aggregators → server, with zone-level
     /// deadlines and uplink pricing). The topology overlays *timing, traffic
     /// and drops*; the absorbed arithmetic is the canonical ascending walk
-    /// either way, so every topology stays bit-identical across backends and
-    /// parallelism settings.
+    /// either way, so every topology stays bit-identical across parallelism
+    /// settings.
     pub topology: Topology,
     /// When (and how correlatedly) clients are unavailable. The default
     /// [`AvailabilityModel::Iid`] reproduces the historical
@@ -93,8 +97,7 @@ pub struct FlConfig {
     /// Transient upload faults with retry + exponential backoff (see
     /// [`FaultConfig`]); the default injects nothing. Failed attempts are
     /// replayed as `UploadRetry` events through the event queue, so retry
-    /// schedules stay bit-identical at every parallelism/backend/topology
-    /// setting.
+    /// schedules stay bit-identical at every parallelism/topology setting.
     pub faults: FaultConfig,
     /// Barrier quorum in `(0, 1]`: a sync/deadline round closes as soon as
     /// this fraction of the dispatched cohort has been buffered, instead of

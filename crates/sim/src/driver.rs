@@ -7,7 +7,8 @@
 //!   base cohort at a round boundary, extra clients under deadline
 //!   over-selection, one replacement per freed async slot;
 //! * **execution** ([`crate::backend`]) runs the pure client steps of every
-//!   dispatch batch, serially or on a worker pool, in event order;
+//!   dispatch batch, inline or on `effective_parallelism()` scoped threads,
+//!   in event order;
 //! * **absorption** ([`crate::absorb`]) books the outcomes: cohort modes
 //!   buffer arrivals and absorb them at the barrier in ascending client-id
 //!   order, async mode absorbs immediately with an `alpha^staleness`
@@ -39,7 +40,7 @@ use rand::rngs::StdRng;
 
 use crate::absorb::{InFlight, ModeState, RoundAccumulator};
 use crate::algorithm::FlAlgorithm;
-use crate::backend::{parallel_mean_accuracy, ExecutionBackend, StepTask};
+use crate::backend::{par_map, parallel_mean_accuracy};
 use crate::env::FlEnv;
 use crate::metrics::{RoundMetrics, RunResult};
 use crate::topology::{absorb_arrivals, TopologyState};
@@ -72,7 +73,9 @@ struct RetryState {
 /// [`Simulator::run`](crate::runner::Simulator::run) call.
 pub(crate) struct Driver<'a> {
     env: &'a FlEnv,
-    backend: Box<dyn ExecutionBackend>,
+    /// Threads each dispatch batch's client steps spread over
+    /// (`effective_parallelism()`; 1 = inline on the driver thread).
+    threads: usize,
     policy: Box<dyn SelectionPolicy>,
     tracker: SelectionTracker,
     selection_rng: StdRng,
@@ -112,7 +115,7 @@ impl<'a> Driver<'a> {
             SelectionTracker::new(env.expected_latencies())
         };
         Self {
-            backend: crate::backend::for_config(&env.config),
+            threads: env.config.effective_parallelism(),
             policy: env.config.selection.build(),
             tracker,
             selection_rng: rng_from_seed(split_seed(env.config.seed, STREAM_SELECTION)),
@@ -250,8 +253,8 @@ impl<'a> Driver<'a> {
 
     /// Execution layer: coalesces every dispatch scheduled for this exact
     /// instant into one batch (they all see the same server state, so
-    /// batching is semantics-free), steps it on the backend and schedules
-    /// each outcome's arrival — or its mid-round disconnect.
+    /// batching is semantics-free), steps it on `self.threads` threads and
+    /// schedules each outcome's arrival — or its mid-round disconnect.
     fn on_dispatch(&mut self, algorithm: &mut dyn FlAlgorithm, event: Event) {
         let env = self.env;
         let round = self.version;
@@ -270,18 +273,15 @@ impl<'a> Driver<'a> {
         }
         // Each task owns an RNG stream keyed by the configuration (cohort:
         // round and client; async: dispatch sequence and client), so neither
-        // the thread schedule nor the backend can leak into the results.
-        let tasks: Vec<StepTask> = batch
-            .iter()
-            .map(|&(c, s)| StepTask {
-                client: c,
-                stream: match cohort_deadline {
-                    Some(_) => STREAM_COHORT_STEP ^ ((c as u64) << 24) ^ round as u64,
-                    None => STREAM_ASYNC_STEP ^ (s << 20) ^ c as u64,
-                },
-            })
-            .collect();
-        let outcomes = self.backend.run_steps(env, &*algorithm, round, &tasks);
+        // the thread schedule nor the thread count can leak into the results.
+        let outcomes = par_map(self.threads, batch.clone(), |(c, s)| {
+            let stream = match cohort_deadline {
+                Some(_) => STREAM_COHORT_STEP ^ ((c as u64) << 24) ^ round as u64,
+                None => STREAM_ASYNC_STEP ^ (s << 20) ^ c as u64,
+            };
+            let mut rng = rng_from_seed(split_seed(env.config.seed, stream));
+            algorithm.client_step(env, round, c, &mut rng)
+        });
 
         for ((client, seq), mut outcome) in batch.into_iter().zip(outcomes) {
             debug_assert_eq!(client, outcome.report.client_id);

@@ -12,13 +12,14 @@
 //! Module map:
 //!
 //! * [`config`] — federation hyper-parameters (rounds, selection policy,
-//!   execution backend, local iterations, batch size, …);
+//!   parallelism, local iterations, batch size, …);
 //! * [`env`](mod@env) — the immutable environment handed to algorithms:
 //!   dataset, device fleet, model architecture, cost model;
 //! * [`algorithm`] — the [`FlAlgorithm`] trait and the per-round
 //!   [`ClientReport`];
-//! * [`backend`] — the [`ExecutionBackend`] seam:
-//!   where the pure client steps run (serial / thread pool);
+//! * [`backend`] — the one parallel primitive, an ordered map over scoped
+//!   threads: client steps, the evaluation sweep and the sharded
+//!   aggregation walk run on it;
 //! * `driver` (private) — the single event-driven loop all three round
 //!   modes share, wiring selection → execution → absorption;
 //! * `absorb` (private) — mode-agnostic absorption/metrics accounting;
@@ -46,8 +47,38 @@ mod driver;
 mod topology;
 
 pub use algorithm::{ClientReport, FlAlgorithm};
-pub use backend::{ExecutionBackend, SerialBackend, StepTask, ThreadPoolBackend};
 pub use config::{FlConfig, RoundMode, SelectionKind, Topology};
 pub use env::FlEnv;
 pub use metrics::{RoundMetrics, RunResult};
 pub use runner::Simulator;
+
+#[cfg(test)]
+mod tests {
+    use crate::backend::par_map;
+
+    const THREADS: [usize; 5] = [0, 1, 2, 3, 64];
+
+    #[test]
+    fn parallel_map_preserves_order() {
+        for n in [7usize, 1000] {
+            for threads in THREADS {
+                let out = par_map(threads, (0..n).collect(), |x| x * 2 + 1);
+                let expected: Vec<usize> = (0..n).map(|x| x * 2 + 1).collect();
+                assert_eq!(out, expected, "n {n}, threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn works_on_vecs_and_tiny_inputs() {
+        for threads in THREADS {
+            assert_eq!(
+                par_map(threads, vec![3, 1, 2], |x: i32| x + 1),
+                vec![4, 2, 3]
+            );
+            assert!(par_map(threads, Vec::<i32>::new(), |x| x).is_empty());
+            assert_eq!(par_map(threads, vec![7], |x: i32| x), vec![7]);
+            assert_eq!(par_map(threads, vec![5, 9], |x: i32| -x), vec![-5, -9]);
+        }
+    }
+}

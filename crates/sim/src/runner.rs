@@ -10,8 +10,8 @@
 //! * `fedlps_select` (via [`FlConfig::selection`](crate::config::FlConfig)) —
 //!   pluggable client-selection policies consulted for cohorts, deadline
 //!   over-selection and async refills;
-//! * [`crate::backend`] — pluggable execution backends running the pure
-//!   client steps, serial or thread-pool;
+//! * [`crate::backend`] — the ordered parallel map the pure client steps
+//!   run on, inline or over `effective_parallelism()` threads;
 //! * `crate::absorb` (private) — the mode-agnostic absorption/metrics
 //!   accounting.
 //!
@@ -405,8 +405,8 @@ mod tests {
     }
 
     /// Every {mode × policy} combination runs the full horizon and is
-    /// bit-identical on the serial backend and on thread pools of 2, 4 and
-    /// all-cores workers (the sim-crate-level check, on `MiniFedAvg`; the
+    /// bit-identical serially and on 2, 4 and all-cores threads (the
+    /// sim-crate-level check, on `MiniFedAvg`; the
     /// facade's `tests/determinism_matrix.rs` covers FedLPS and the
     /// topology / availability / fault axes).
     #[test]

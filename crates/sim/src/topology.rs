@@ -26,8 +26,8 @@
 //! walks the surviving updates in ascending client-id order whatever the
 //! topology — zone pre-merging is algebraically a partial sum of the same
 //! Eq. (13) linear combination, and simulating the arithmetic in the
-//! canonical order keeps every topology bit-identical across backends and
-//! parallelism settings (the facade's `tests/determinism_matrix.rs` compares
+//! canonical order keeps every topology bit-identical across parallelism
+//! settings (the facade's `tests/determinism_matrix.rs` compares
 //! two-tier traces at parallelism 1 vs 4).
 
 use std::collections::BTreeMap;

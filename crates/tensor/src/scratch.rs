@@ -8,7 +8,7 @@
 //! the backing buffers instead. [`with_pool`] exposes one pool per thread so
 //! the pure, `&self` model code can borrow scratch space without threading a
 //! pool parameter through every call — and without any cross-thread sharing
-//! that could perturb the deterministic execution backends.
+//! that could perturb the deterministic parallel passes.
 //!
 //! Buffers handed out by [`take`](ScratchPool::take) are always zero-filled,
 //! so pooled and freshly-allocated matrices are interchangeable bit for bit.

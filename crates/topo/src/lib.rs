@@ -9,8 +9,8 @@
 //! the Eq. (14) cost model, optionally dropping intra-zone stragglers at a
 //! per-zone deadline. The two-tier fabric changes *timing, traffic and
 //! drops* — never the absorbed arithmetic, which stays the canonical
-//! ascending walk — so two-tier traces remain bit-identical across backends
-//! and parallelism levels. (The walk itself, and its coordinate-range
+//! ascending walk — so two-tier traces remain bit-identical across
+//! parallelism levels. (The walk itself, and its coordinate-range
 //! sharding, is `fedlps_core::server`.)
 //!
 //! ```

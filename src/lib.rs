@@ -71,7 +71,6 @@ pub mod prelude {
     pub use fedlps_select::{SelectionKind, SelectionPolicy, SelectionTracker};
     pub use fedlps_sim::{
         algorithm::FlAlgorithm,
-        backend::ExecutionBackend,
         config::{FlConfig, RoundMode},
         env::FlEnv,
         metrics::RunResult,
