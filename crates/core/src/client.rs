@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::importance::ImportanceIndicator;
 use crate::loss::ImportanceLoss;
+use crate::packed_step::PackedStep;
 use crate::server::Residual;
 use fedlps_tensor::Arena;
 
@@ -137,6 +138,19 @@ impl std::fmt::Debug for ClientTask<'_> {
 
 impl ClientTask<'_> {
     /// Runs Algorithm 1 lines 17-27 for this client.
+    ///
+    /// With a packed plan every local iteration runs at packed length: the
+    /// task pass on the compact model, then the proximal gradient, the
+    /// indicator update and the masked SGD step on the packed coordinates
+    /// and the kept units only (the crate-private `packed_step` module holds
+    /// the invariant and the per-sum exactness argument). Per iteration, only
+    /// the ordered proximal-loss sum still visits the dropped units'
+    /// coordinates; per task, the prologue (local copy, parameter mask,
+    /// round-constant gradient and dropped-unit sums) and the epilogue
+    /// (personal model) are O(model). Without a plan (packing off, weight
+    /// decay, a non-executable mask) every iteration walks the full model:
+    /// that masked-dense branch is the oracle the packed one matches bit for
+    /// bit.
     pub fn run(&self, rng: &mut StdRng) -> ClientTaskOutput {
         let arch = self.arch;
         let options = &self.options;
@@ -192,6 +206,10 @@ impl ClientTask<'_> {
         let data = self.data;
         if !data.is_empty() {
             let batch = options.batch_size.max(1).min(data.len());
+            let mut draw = |indices: &mut Vec<usize>| {
+                indices.clear();
+                indices.extend((0..batch).map(|_| rng.gen_range(0..data.len())));
+            };
             // One flat arena per client step: the masked snapshot, the
             // full-length gradient and the packed model's parameter/gradient
             // views all live in a single pooled backing vector instead of
@@ -199,48 +217,66 @@ impl ClientTask<'_> {
             let n = arch.param_count();
             let p = plan.as_deref().map_or(0, PackedModel::packed_len);
             let mut arena = Arena::from_pool(2 * n + 2 * p);
-            let [masked, grad, packed_params, packed_grad] = arena.views([n, n, p, p]);
+            let views = arena.views([n, n, p, p]);
             let mut indices = Vec::with_capacity(batch);
-            for _ in 0..options.iterations {
-                for ((slot, &pv), &m) in masked.iter_mut().zip(local.iter()).zip(pmask.iter()) {
-                    *slot = pv * m;
-                }
-                indices.clear();
-                indices.extend((0..batch).map(|_| rng.gen_range(0..data.len())));
-                grad.fill(0.0);
-                let breakdown = match plan.as_deref() {
-                    Some(packed) => objective.evaluate_packed(
-                        arch,
+            match plan.as_deref() {
+                // Lines 18-21 at packed length: see `packed_step` for the
+                // invariant and the per-sum exactness argument.
+                Some(packed) => {
+                    let mut step = PackedStep::new(
+                        layout,
                         packed,
-                        packed_params,
-                        packed_grad,
-                        masked,
+                        &mask,
+                        &pmask,
                         global_params,
-                        &indicator,
-                        data,
-                        &indices,
-                        grad,
-                    ),
-                    None => objective.evaluate(
-                        arch,
-                        masked,
-                        global_params,
-                        &indicator,
-                        data,
-                        &indices,
-                        grad,
-                    ),
-                };
+                        &local,
+                        objective,
+                        options.sgd,
+                        views,
+                    );
+                    for _ in 0..options.iterations {
+                        draw(&mut indices);
+                        let (breakdown, q_grad) =
+                            step.iterate(&mut local, &indicator, data, &indices);
+                        indicator.step(q_grad, options.importance_lr);
+                        loss_sum += breakdown.total;
+                        acc_sum += breakdown.accuracy;
+                        executed += 1;
+                    }
+                }
+                // The masked-dense oracle: every pass over the full model.
+                None => {
+                    let [masked, grad, _, _] = views;
+                    for _ in 0..options.iterations {
+                        for ((slot, &pv), &m) in
+                            masked.iter_mut().zip(local.iter()).zip(pmask.iter())
+                        {
+                            *slot = pv * m;
+                        }
+                        draw(&mut indices);
+                        grad.fill(0.0);
+                        let breakdown = objective.evaluate(
+                            arch,
+                            masked,
+                            global_params,
+                            &indicator,
+                            data,
+                            &indices,
+                            grad,
+                        );
 
-                // Line 21: importance-indicator update (uses the same gradient buffer).
-                let q_grad = indicator.gradient(layout, &local, grad, options.lambda);
-                // Line 20: masked SGD step on the retained parameters only.
-                options.sgd.step_masked(&mut local, grad, &pmask);
-                indicator.step(&q_grad, options.importance_lr);
+                        // Line 21: importance-indicator update (uses the same
+                        // gradient buffer).
+                        let q_grad = indicator.gradient(layout, &local, grad, options.lambda);
+                        // Line 20: masked SGD step on the retained parameters only.
+                        options.sgd.step_masked(&mut local, grad, &pmask);
+                        indicator.step(&q_grad, options.importance_lr);
 
-                loss_sum += breakdown.total;
-                acc_sum += breakdown.accuracy;
-                executed += 1;
+                        loss_sum += breakdown.total;
+                        acc_sum += breakdown.accuracy;
+                        executed += 1;
+                    }
+                }
             }
             arena.release();
         }
@@ -270,7 +306,9 @@ impl ClientTask<'_> {
                     .collect(),
             ),
         };
-        let uploaded_params = mask.retained_params(layout);
+        // `mask.retained_params(layout)`, counted off the parameter mask this
+        // task already expanded.
+        let uploaded_params = pmask.iter().filter(|&&m| m != 0.0).count();
 
         let state = ClientState {
             indicator: Some(indicator.scores().to_vec()),

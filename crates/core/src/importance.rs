@@ -14,8 +14,45 @@
 //! (Eq. 8) is differentiated exactly. PAPER.md ("Substitutions") documents this
 //! substitution.
 
-use fedlps_nn::unit::UnitLayout;
+use fedlps_nn::unit::{UnitLayout, UnitParams};
 use serde::{Deserialize, Serialize};
+
+/// The three per-unit sums one indicator update reads, from one walk over
+/// the unit's ranges.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct UnitSums {
+    /// `|ω|_j` of the masked parameters: the argument of the Eq. (8) loss
+    /// value.
+    pub masked_magnitude: f32,
+    /// `|ω|_j` of the local parameters: the argument of the Eq. (8)
+    /// gradient.
+    pub magnitude: f32,
+    /// The raw straight-through sum `Σ g_w · w`, not yet normalised.
+    pub straight_through: f32,
+}
+
+impl UnitSums {
+    /// Walks `unit` once. Both magnitudes follow
+    /// [`UnitParams::range_sums`], the order of
+    /// [`UnitParams::magnitude_sum`] (which the masked-dense loss value
+    /// uses), and the straight-through sum is one running sum from `+0.0`
+    /// over the same coordinates in the same order. Both branches of the
+    /// client step compute the indicator gradient's sums here, so they agree
+    /// bit for bit whenever their inputs do.
+    #[inline]
+    pub(crate) fn walk(unit: &UnitParams, masked: &[f32], params: &[f32], grad: &[f32]) -> Self {
+        let mut straight_through = 0.0f32;
+        let [masked_magnitude, magnitude] = unit.range_sums(|i| {
+            straight_through += grad[i] * params[i];
+            [masked[i].abs(), params[i].abs()]
+        });
+        Self {
+            masked_magnitude,
+            magnitude,
+            straight_through,
+        }
+    }
+}
 
 /// A client's importance indicator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -70,28 +107,35 @@ impl ImportanceIndicator {
         lambda: f32,
     ) -> Vec<f32> {
         assert_eq!(self.scores.len(), layout.total_units());
-        let magnitudes = layout.magnitude_sums(params);
         let mut grad = Vec::with_capacity(self.scores.len());
         let mut j = 0;
         for layer in layout.layers() {
             for unit in &layer.units {
-                // Straight-through task sensitivity: Σ g_w · w over the unit,
-                // normalised by the unit's size so large conv channels and
-                // small neurons update their scores at comparable speed.
-                let mut ste = 0.0f32;
-                for r in &unit.ranges {
-                    for i in r.start..r.end() {
-                        ste += param_grad[i] * params[i];
-                    }
-                }
-                ste /= unit.param_count().max(1) as f32;
-                // Exact gradient of λ (q_j − σ(|ω|_j))².
-                let reg = 2.0 * lambda * (self.scores[j] - sigmoid(magnitudes[j]));
-                grad.push(ste + reg);
+                let sums = UnitSums::walk(unit, params, params, param_grad);
+                grad.push(self.unit_gradient(j, unit, &sums, lambda));
                 j += 1;
             }
         }
         grad
+    }
+
+    /// `∂L/∂q_j` of unit `j` from its walked sums — the per-unit tail both
+    /// branches of the client step share.
+    #[inline]
+    pub(crate) fn unit_gradient(
+        &self,
+        j: usize,
+        unit: &UnitParams,
+        sums: &UnitSums,
+        lambda: f32,
+    ) -> f32 {
+        // Straight-through task sensitivity: Σ g_w · w over the unit,
+        // normalised by the unit's size so large conv channels and small
+        // neurons update their scores at comparable speed.
+        let ste = sums.straight_through / unit.param_count().max(1) as f32;
+        // Exact gradient of λ (q_j − σ(|ω|_j))².
+        let reg = 2.0 * lambda * (self.scores[j] - sigmoid(sums.magnitude));
+        ste + reg
     }
 
     /// Applies one SGD step `Q ← Q − η ∇_Q L` (Eq. 11), clamping the scores to

@@ -31,6 +31,7 @@ pub mod client;
 pub mod config;
 pub mod importance;
 pub mod loss;
+mod packed_step;
 pub mod server;
 
 pub use algorithm::FedLps;

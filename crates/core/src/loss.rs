@@ -7,10 +7,18 @@
 //!   global model (Eq. 7);
 //! * `L_ir = ‖Q − σ(|ω|_J)‖²` — importance regulariser preventing the
 //!   indicator from drifting or over-sharpening (Eq. 8).
+//!
+//! Two paths evaluate it. [`ImportanceLoss::evaluate`] is the masked-dense
+//! oracle: the full model's forward/backward, then full-length proximal and
+//! magnitude passes. The packed client step (`ClientTask::run` on a packed
+//! submodel) runs the task pass on the compact model, keeps the proximal
+//! gradient on the packed coordinates and walks only the kept units per
+//! iteration; only its ordered proximal-loss sum still visits the dropped
+//! units' coordinates. Both paths end in the same importance sum and total
+//! assembly, so their breakdowns agree bit for bit.
 
 use fedlps_data::dataset::Dataset;
 use fedlps_nn::model::{ModelArch, TrainStats};
-use fedlps_nn::pack::PackedModel;
 
 use crate::importance::ImportanceIndicator;
 
@@ -47,7 +55,7 @@ impl ImportanceLoss {
     /// Evaluates the objective on a minibatch and *accumulates* the gradient
     /// with respect to the (masked) model parameters into `grad` — the task
     /// gradient from the model's backward pass plus the proximal gradient
-    /// `2μ(ω − ω^r)`. The gradient with respect to `Q` is obtained separately
+    /// `μ·(ω − ω^r)`. The gradient with respect to `Q` is obtained separately
     /// via [`ImportanceIndicator::gradient`] using the same `grad` buffer.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate(
@@ -61,57 +69,7 @@ impl ImportanceLoss {
         grad: &mut [f32],
     ) -> LossBreakdown {
         let stats = arch.loss_and_grad(masked_params, data, indices, grad);
-        self.regularize(arch, stats, masked_params, global_params, indicator, grad)
-    }
 
-    /// [`evaluate`](Self::evaluate) with the task forward/backward running on
-    /// the physically packed submodel: the kept parameters are gathered from
-    /// `masked_params` into `packed_params`, the compact model computes the
-    /// minibatch loss and gradient in `packed_grad`, and the packed gradient
-    /// is scattered back into `grad` (which must arrive zeroed, exactly as
-    /// `loss_and_grad` expects). Both packed buffers are caller-provided
-    /// `packed_len()` slices — the client step carves them out of its
-    /// per-step [`Arena`](fedlps_tensor::Arena) — and are fully overwritten
-    /// here, so their prior contents never matter.
-    ///
-    /// Bit-identical to the masked-dense evaluation: the packed task pass
-    /// accumulates the same nonzero terms in the same order, the masked-dense
-    /// task gradient is exactly zero outside the packed set, and the
-    /// regularisation tail below runs the identical full-coordinate loops.
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_packed(
-        &self,
-        arch: &dyn ModelArch,
-        packed: &PackedModel,
-        packed_params: &mut [f32],
-        packed_grad: &mut [f32],
-        masked_params: &[f32],
-        global_params: &[f32],
-        indicator: &ImportanceIndicator,
-        data: &Dataset,
-        indices: &[usize],
-        grad: &mut [f32],
-    ) -> LossBreakdown {
-        packed.gather_params_into(masked_params, packed_params);
-        packed_grad.fill(0.0);
-        let stats = packed
-            .arch()
-            .loss_and_grad(packed_params, data, indices, packed_grad);
-        packed.scatter_add(packed_grad, grad);
-        self.regularize(arch, stats, masked_params, global_params, indicator, grad)
-    }
-
-    /// The shared full-coordinate tail of both evaluation paths: proximal
-    /// term + gradient, importance-regulariser value, total assembly.
-    fn regularize(
-        &self,
-        arch: &dyn ModelArch,
-        stats: TrainStats,
-        masked_params: &[f32],
-        global_params: &[f32],
-        indicator: &ImportanceIndicator,
-        grad: &mut [f32],
-    ) -> LossBreakdown {
         // Proximal term and its gradient (evaluated at the masked/effective
         // parameters, which coincide with the dense ones on retained entries).
         let mut proximal = 0.0f64;
@@ -125,18 +83,19 @@ impl ImportanceLoss {
             *g += self.mu * diff;
         }
 
-        // Importance regulariser value (its Q-gradient lives in `importance`).
         let magnitudes = arch.unit_layout().magnitude_sums(masked_params);
-        let importance: f64 = indicator
-            .scores()
-            .iter()
-            .zip(magnitudes.iter())
-            .map(|(&q, &m)| {
-                let d = q - 1.0 / (1.0 + (-m).exp());
-                (d * d) as f64
-            })
-            .sum();
+        let importance = importance_term(indicator, magnitudes);
+        self.breakdown(stats, proximal, importance)
+    }
 
+    /// Assembles the breakdown from the task statistics and the two
+    /// unweighted regularisers; both evaluation paths end here.
+    pub(crate) fn breakdown(
+        &self,
+        stats: TrainStats,
+        proximal: f64,
+        importance: f64,
+    ) -> LossBreakdown {
         let total = stats.loss + self.mu as f64 * proximal + self.lambda as f64 * importance;
         LossBreakdown {
             task: stats.loss,
@@ -146,6 +105,25 @@ impl ImportanceLoss {
             accuracy: stats.accuracy,
         }
     }
+}
+
+/// The importance-regulariser value `‖Q − σ(|ω|_J)‖²` (Eq. 8) from the
+/// per-unit magnitudes of the masked parameters; its `Q`-gradient lives in
+/// [`ImportanceIndicator`]. One ascending `f64` sum over the `J` units,
+/// shared by both evaluation paths.
+pub(crate) fn importance_term(
+    indicator: &ImportanceIndicator,
+    magnitudes: impl IntoIterator<Item = f32>,
+) -> f64 {
+    indicator
+        .scores()
+        .iter()
+        .zip(magnitudes)
+        .map(|(&q, m)| {
+            let d = q - 1.0 / (1.0 + (-m).exp());
+            (d * d) as f64
+        })
+        .sum()
 }
 
 #[cfg(test)]

@@ -1,0 +1,304 @@
+//! The packed-length FedLPS local iteration: Algorithm 1 lines 18-21 on a
+//! physically packed submodel, bit-identical to the masked-dense oracle
+//! (`ImportanceLoss::evaluate`, `ImportanceIndicator::gradient`,
+//! `SgdConfig::step_masked` over the full model) while each iteration
+//! touches only the packed coordinates, the kept units' ranges and one
+//! ordered proximal pass.
+//!
+//! For one task on unit mask `m` (parameter mask `pmask`) and packed
+//! submodel with gather map `P` ([`PackedModel::gather_map`]):
+//!
+//! * `K` — the mask-kept coordinates (`pmask == 1`). `P ⊆ K` is asserted
+//!   once per task;
+//! * `D` — the coordinates of dropped units (`pmask == 0`). Unit ranges may
+//!   overlap (an LSTM cell owns columns inside the other cells' rows), so
+//!   `D` is read off `pmask`, never off the ranges;
+//! * `F = K \ P` — mask-kept coordinates the packed model omits: a kept
+//!   unit's weights from dropped inputs, the classifier's columns of dropped
+//!   units.
+//!
+//! **The invariant**, for finite parameters and gradients and weight decay 0
+//! (the only configuration that packs): the task gradient is exactly `+0.0`
+//! outside `P` (the packed pass scatters into a zeroed buffer, which the
+//! equivalence tests pin to the masked-dense backward pass). `step_masked`
+//! never moves `D`. On `F` the parameter equals the global one, so the
+//! gradient is `0.0 + μ·(+0.0) = +0.0`, clipping scales it to `+0.0`, the
+//! update `+0.0 + 0·p` is `+0.0` and `p − lr·(+0.0)` is `p`: `F` never moves
+//! either. Hence during a round `local` and `masked` never change on
+//! `D ∪ F`, the gradient `0.0 + μ·(masked − global)` is constant on `D`,
+//! and it is exactly `+0.0` on `F`.
+//!
+//! **Once per task** ([`PackedStep::new`]) one branch-free pass over the
+//! model writes `masked` and that constant gradient, a scan of `pmask`'s
+//! zero runs against the gather map records the ascending `P`/`D` run list
+//! and checks `P ⊆ K`, and one walk over the dropped units stores their
+//! magnitude and straight-through sums, which are round constants. (A single
+//! pass that also classified every coordinate was branchier and measured
+//! twice as slow.)
+//!
+//! **Per iteration** ([`PackedStep::iterate`]) `masked`, the packed
+//! parameters, the gradient, the clip scaling and the SGD update are written
+//! on `P` only, the kept units' full ranges are walked for their sums, and
+//! one ascending pass over `P ∪ D` accumulates the proximal loss (and the
+//! clip norm). Each sum keeps the oracle's terms in the oracle's order:
+//!
+//! * proximal `Σ (masked − global)²` (`f64`, from `+0.0`, coordinates
+//!   ascending): the `D` terms are constants but sit between `P` terms, and
+//!   `f64` addition does not reassociate, so they are re-added every
+//!   iteration; the `F` terms are exact `+0.0` and adding `+0.0` to a
+//!   non-negative sum is the identity, so they are skipped. This pass is
+//!   O(n − |F|) and it is the floor;
+//! * clip norm `Σ g²` (`f32`, same walk): as above; the accumulator starts at
+//!   `+0.0`, and since every term is a square (never `−0.0`) the sum equals
+//!   `ops::norm_sq`'s whatever the sign of `f32: Sum`'s neutral element
+//!   (with no terms at all both zeros skip clipping);
+//! * `|masked|_j`, `|local|_j` and the straight-through `Σ g·w` of a unit:
+//!   one [`UnitSums::walk`] over the unit's ranges in range order — the same
+//!   helper the oracle's `ImportanceIndicator::gradient` calls, whose
+//!   magnitudes follow `UnitParams::magnitude_sum`'s order;
+//! * importance `Σ_j (q_j − σ(|masked|_j))²` and the total: the shared
+//!   [`importance_term`] and [`ImportanceLoss::breakdown`].
+//!
+//! The per-coordinate expressions are the oracle's: the gradient is
+//! `(0.0 + g_task) + μ·diff` (the scatter into a zeroed buffer, then the
+//! proximal gradient), the clip scales it by `max / ‖g‖`, and the update is
+//! [`SgdConfig::update`].
+
+use std::ops::Range;
+
+use fedlps_data::dataset::Dataset;
+use fedlps_nn::pack::PackedModel;
+use fedlps_nn::sgd::SgdConfig;
+use fedlps_nn::unit::{UnitLayout, UnitParams};
+use fedlps_sparse::mask::UnitMask;
+use fedlps_tensor::ops::clip_factor;
+
+use crate::importance::{ImportanceIndicator, UnitSums};
+use crate::loss::{importance_term, ImportanceLoss, LossBreakdown};
+
+/// `packed` gather coordinates, then the dropped run `dropped`: one step of
+/// the ascending walk over `P ∪ D` (the `F` coordinates between are skipped).
+#[derive(Debug)]
+struct Segment {
+    packed: usize,
+    dropped: Range<usize>,
+}
+
+/// The round-constant state of one packed client task plus its borrowed
+/// working buffers (carved from the task's arena).
+pub(crate) struct PackedStep<'a> {
+    packed: &'a PackedModel,
+    global: &'a [f32],
+    objective: ImportanceLoss,
+    sgd: SgdConfig,
+    /// Every unit in layout order, with its keep bit.
+    units: Vec<(&'a UnitParams, bool)>,
+    /// The ascending `P`/`D` walk.
+    segments: Vec<Segment>,
+    /// Per-unit sums: constants for dropped units, rewritten per iteration
+    /// for kept ones.
+    sums: Vec<UnitSums>,
+    q_grad: Vec<f32>,
+    masked: &'a mut [f32],
+    grad: &'a mut [f32],
+    packed_params: &'a mut [f32],
+    packed_grad: &'a mut [f32],
+}
+
+impl<'a> PackedStep<'a> {
+    /// The per-task prologue: one pass over the model, the run scan, then
+    /// one walk over the dropped units. `local` must still equal `global`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        layout: &'a UnitLayout,
+        packed: &'a PackedModel,
+        mask: &UnitMask,
+        pmask: &[f32],
+        global: &'a [f32],
+        local: &[f32],
+        objective: ImportanceLoss,
+        sgd: SgdConfig,
+        [masked, grad, packed_params, packed_grad]: [&'a mut [f32]; 4],
+    ) -> Self {
+        let mu = objective.mu;
+        // The oracle's masked copy `pv · m` and its gradient outside `P`: the
+        // zeroed buffer, the task's exact zero, then `+= μ·diff`. Written on
+        // `P` too, where every iteration overwrites it before it is read.
+        for ((((slot, g), &pv), &m), &gp) in masked
+            .iter_mut()
+            .zip(grad.iter_mut())
+            .zip(local.iter())
+            .zip(pmask.iter())
+            .zip(global.iter())
+        {
+            *slot = pv * m;
+            *g = 0.0 + mu * (*slot - gp);
+        }
+        let segments = segments(packed.gather_map(), pmask);
+        let units: Vec<(&UnitParams, bool)> = layout
+            .layers()
+            .iter()
+            .flat_map(|layer| layer.units.iter())
+            .zip(mask.keep_flags().iter().copied())
+            .collect();
+        let sums = units
+            .iter()
+            .map(|&(unit, kept)| {
+                if kept {
+                    UnitSums::default()
+                } else {
+                    UnitSums::walk(unit, masked, local, grad)
+                }
+            })
+            .collect();
+        Self {
+            packed,
+            global,
+            objective,
+            sgd,
+            q_grad: Vec::with_capacity(units.len()),
+            units,
+            segments,
+            sums,
+            masked,
+            grad,
+            packed_params,
+            packed_grad,
+        }
+    }
+
+    /// One local iteration on minibatch `indices`: evaluates the objective,
+    /// updates `local` on `P` by the (clipped) masked SGD step and returns
+    /// the breakdown together with `∂L/∂Q`, which the caller applies.
+    pub(crate) fn iterate(
+        &mut self,
+        local: &mut [f32],
+        indicator: &ImportanceIndicator,
+        data: &Dataset,
+        indices: &[usize],
+    ) -> (LossBreakdown, &[f32]) {
+        let gather = self.packed.gather_map();
+        // `masked = local · 1.0 = local` on `P` (asserted mask-kept).
+        for (slot, &c) in self.packed_params.iter_mut().zip(gather.iter()) {
+            let v = local[c as usize];
+            self.masked[c as usize] = v;
+            *slot = v;
+        }
+        self.packed_grad.fill(0.0);
+        let stats =
+            self.packed
+                .arch()
+                .loss_and_grad(self.packed_params, data, indices, self.packed_grad);
+
+        let (proximal, norm_sq) = match self.sgd.clip_norm {
+            Some(_) => self.ordered_pass::<true>(),
+            None => self.ordered_pass::<false>(),
+        };
+
+        // The kept units' sums read the gradient before clipping and the
+        // parameters before the step, as the oracle's indicator update does.
+        for ((unit, kept), sums) in self.units.iter().zip(self.sums.iter_mut()) {
+            if *kept {
+                *sums = UnitSums::walk(unit, self.masked, local, self.grad);
+            }
+        }
+        let importance = importance_term(indicator, self.sums.iter().map(|s| s.masked_magnitude));
+        let breakdown = self.objective.breakdown(stats, proximal, importance);
+        let lambda = self.objective.lambda;
+        self.q_grad.clear();
+        self.q_grad.extend(
+            self.units
+                .iter()
+                .zip(self.sums.iter())
+                .enumerate()
+                .map(|(j, ((unit, _), sums))| indicator.unit_gradient(j, unit, sums, lambda)),
+        );
+
+        // Eq. 10 on `P`; `D` is frozen by the mask and `F` by the invariant.
+        let factor = self
+            .sgd
+            .clip_norm
+            .and_then(|max_norm| clip_factor(norm_sq, max_norm));
+        for &c in gather {
+            let mut g = self.grad[c as usize];
+            if let Some(factor) = factor {
+                g *= factor;
+            }
+            self.sgd.update(&mut local[c as usize], g);
+        }
+        (breakdown, &self.q_grad)
+    }
+
+    /// The ascending pass over `P ∪ D`: writes the gradient on `P` and
+    /// returns the proximal sum and, when `CLIP`, the squared gradient norm
+    /// (the order argument is in the module doc).
+    fn ordered_pass<const CLIP: bool>(&mut self) -> (f64, f32) {
+        let mu = self.objective.mu;
+        let (gather, masked, global) = (self.packed.gather_map(), &*self.masked, self.global);
+        let grad = &mut *self.grad;
+        let (mut proximal, mut norm_sq) = (0.0f64, 0.0f32);
+        let mut k = 0;
+        for segment in &self.segments {
+            let packed = k..k + segment.packed;
+            for (&c, &task) in gather[packed.clone()].iter().zip(&self.packed_grad[packed]) {
+                let i = c as usize;
+                let diff = masked[i] - global[i];
+                proximal += (diff * diff) as f64;
+                let g = (0.0 + task) + mu * diff;
+                grad[i] = g;
+                if CLIP {
+                    norm_sq += g * g;
+                }
+            }
+            k += segment.packed;
+            let run = segment.dropped.clone();
+            for ((&p, &gp), &g) in masked[run.clone()]
+                .iter()
+                .zip(&global[run.clone()])
+                .zip(&grad[run])
+            {
+                let diff = p - gp;
+                proximal += (diff * diff) as f64;
+                if CLIP {
+                    norm_sq += g * g;
+                }
+            }
+        }
+        (proximal, norm_sq)
+    }
+}
+
+/// The ascending `P`/`D` walk: `pmask`'s zero runs in order, each after
+/// the gather coordinates that precede it, then the remaining gather
+/// coordinates with an empty run.
+///
+/// # Panics
+/// Panics if a gather coordinate falls in a zero run, i.e. unless `P ⊆ K`.
+fn segments(gather: &[u32], pmask: &[f32]) -> Vec<Segment> {
+    let mut segments = Vec::new();
+    let (mut i, mut k) = (0, 0);
+    while let Some(offset) = pmask[i..].iter().position(|&m| m == 0.0) {
+        let start = i + offset;
+        let end = pmask[start..]
+            .iter()
+            .position(|&m| m != 0.0)
+            .map_or(pmask.len(), |len| start + len);
+        let before = k;
+        while k < gather.len() && (gather[k] as usize) < start {
+            k += 1;
+        }
+        if let Some(&c) = gather.get(k) {
+            assert!(c as usize >= end, "packed coordinate {c} is not mask-kept");
+        }
+        segments.push(Segment {
+            packed: k - before,
+            dropped: start..end,
+        });
+        i = end;
+    }
+    segments.push(Segment {
+        packed: gather.len() - k,
+        dropped: pmask.len()..pmask.len(),
+    });
+    segments
+}

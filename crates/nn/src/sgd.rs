@@ -55,10 +55,18 @@ impl SgdConfig {
         if let Some(max_norm) = self.clip_norm {
             fedlps_tensor::ops::clip_norm(grad, max_norm);
         }
-        for (p, g) in params.iter_mut().zip(grad.iter()) {
-            let update = g + self.weight_decay * *p;
-            *p -= self.lr * update;
+        for (p, &g) in params.iter_mut().zip(grad.iter()) {
+            self.update(p, g);
         }
+    }
+
+    /// One coordinate's step, `p -= lr * (g + wd * p)`: the update every
+    /// step variant applies (the packed FedLPS step calls it per packed
+    /// coordinate).
+    #[inline]
+    pub fn update(&self, p: &mut f32, g: f32) {
+        let update = g + self.weight_decay * *p;
+        *p -= self.lr * update;
     }
 
     /// Applies a masked SGD step: only parameters with `mask[i] != 0` move,
@@ -70,10 +78,9 @@ impl SgdConfig {
         if let Some(max_norm) = self.clip_norm {
             fedlps_tensor::ops::clip_norm(grad, max_norm);
         }
-        for ((p, g), m) in params.iter_mut().zip(grad.iter()).zip(mask.iter()) {
+        for ((p, &g), m) in params.iter_mut().zip(grad.iter()).zip(mask.iter()) {
             if *m != 0.0 {
-                let update = g + self.weight_decay * *p;
-                *p -= self.lr * update;
+                self.update(p, g);
             }
         }
     }

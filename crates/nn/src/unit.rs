@@ -3,9 +3,16 @@
 //! A *unit* is the paper's "network topology element at the sparse
 //! granularity level": a hidden neuron, a convolution output channel or an
 //! LSTM hidden cell. Each unit owns a set of parameter index ranges in the
-//! flat parameter vector — typically its outgoing weight row, its bias and
-//! the incoming columns of the next layer. Masking a unit zeroes all of those
-//! parameters.
+//! flat parameter vector, and masking a unit zeroes all of them:
+//!
+//! * an MLP neuron or a ConvNet channel / dense neuron owns its *incoming*
+//!   weight row or filter plus its bias (`Mlp::new`, `ConvNet::new`); the
+//!   next layer's columns that read it belong to the next layer's units (or
+//!   to the never-masked classifier), so these units own disjoint ranges;
+//! * an LSTM cell owns its four gate rows and biases *and* its outgoing
+//!   columns — column `j` of every other cell's recurrent rows and of the
+//!   classifier (`LstmLm::new`) — so LSTM ranges overlap: a kept cell's gate
+//!   row contains the recurrent weights that a dropped cell owns.
 //!
 //! [`UnitLayout`] is produced once per architecture and consumed by
 //! `fedlps-sparse` (to expand unit masks into parameter masks and to compute
@@ -45,17 +52,37 @@ impl UnitParams {
         self.ranges.iter().map(|r| r.len).sum()
     }
 
-    /// Sum of `|params[i]|` over the unit's parameters.
+    /// Sum of `|params[i]|` over the unit's parameters, in
+    /// [`range_sums`](Self::range_sums) order.
     pub fn magnitude_sum(&self, params: &[f32]) -> f32 {
-        self.ranges
-            .iter()
-            .map(|r| {
-                params[r.start..r.end()]
-                    .iter()
-                    .map(|v| v.abs())
-                    .sum::<f32>()
-            })
-            .sum()
+        let [sum] = self.range_sums(|i| [params[i].abs()]);
+        sum
+    }
+
+    /// `K` sums over the unit's coordinates in one walk, in the term order of
+    /// every magnitude sum: range by range, each coordinate `i` ascending,
+    /// `term(i)[k]` is added one at a time into a per-range partial that
+    /// starts at `+0.0`, and each partial is then added into a total that
+    /// starts at `+0.0`. `term` runs exactly once per coordinate in that
+    /// order, so a caller may fold a running sum of its own alongside.
+    ///
+    /// The explicit `+0.0` starts keep the order independent of the neutral
+    /// element of `f32: Sum` (which has changed sign across toolchains).
+    #[inline]
+    pub fn range_sums<const K: usize>(&self, mut term: impl FnMut(usize) -> [f32; K]) -> [f32; K] {
+        let mut total = [0.0f32; K];
+        for r in &self.ranges {
+            let mut partial = [0.0f32; K];
+            for i in r.start..r.end() {
+                for (p, t) in partial.iter_mut().zip(term(i)) {
+                    *p += t;
+                }
+            }
+            for (t, p) in total.iter_mut().zip(partial) {
+                *t += p;
+            }
+        }
+        total
     }
 }
 

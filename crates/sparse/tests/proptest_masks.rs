@@ -1,13 +1,18 @@
 //! Property-based tests of the mask / pattern / ratio invariants that the
 //! whole sparsification pipeline rests on.
 
+use fedlps_nn::convnet::{ConvNet, ConvNetConfig};
+use fedlps_nn::lstm::{LstmLm, LstmLmConfig};
 use fedlps_nn::mlp::{Mlp, MlpConfig};
 use fedlps_nn::model::ModelArch;
 use fedlps_sparse::cache::MaskCache;
+use fedlps_sparse::mask::UnitMask;
 use fedlps_sparse::pattern::{learnable_pattern, PatternStrategy};
+use fedlps_sparse::plan::SubmodelPlan;
 use fedlps_sparse::ratio::{realised_ratio, retained_per_layer, retained_units};
 use fedlps_tensor::rng_from_seed;
 use proptest::prelude::*;
+use rand::Rng;
 
 fn mlp(h0: usize, h1: usize) -> Mlp {
     Mlp::new(MlpConfig {
@@ -17,8 +22,58 @@ fn mlp(h0: usize, h1: usize) -> Mlp {
     })
 }
 
+/// A small instance of architecture `kind % 3`: MLP, ConvNet or LSTM.
+fn arch_of(kind: usize, width: usize) -> Box<dyn ModelArch> {
+    match kind % 3 {
+        0 => Box::new(mlp(width, width / 2 + 1)),
+        1 => Box::new(ConvNet::new(ConvNetConfig {
+            in_channels: 2,
+            height: 4,
+            width: 4,
+            channels: vec![width, width / 2 + 1],
+            hidden: width,
+            num_classes: 3,
+        })),
+        _ => Box::new(LstmLm::new(LstmLmConfig {
+            vocab: 6,
+            seq_len: 3,
+            embed: 3,
+            hidden: width,
+            num_classes: 6,
+        })),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every coordinate a compiled submodel gathers is kept by the mask it
+    /// was compiled from (`P ⊆ K`), on every architecture and for arbitrary
+    /// masks — including the LSTM, whose unit ranges overlap. The packed
+    /// FedLPS step treats the dropped units' coordinates as round constants
+    /// on the strength of this property.
+    #[test]
+    fn packed_coordinates_are_mask_kept(kind in 0usize..3, width in 2usize..9,
+                                        keep_prob in 0.0f64..1.0, seed in 0u64..500) {
+        let arch = arch_of(kind, width);
+        let layout = arch.unit_layout();
+        let mut rng = rng_from_seed(seed);
+        let mut keep: Vec<bool> = (0..layout.total_units()).map(|_| rng.gen_bool(keep_prob)).collect();
+        // One random survivor per layer keeps the plan executable.
+        let mut first = 0;
+        for layer in layout.layers() {
+            keep[first + rng.gen_range(0..layer.len())] = true;
+            first += layer.len();
+        }
+        let mask = UnitMask::from_keep(keep);
+        let packed = SubmodelPlan::from_mask(layout, &mask)
+            .compile(&*arch)
+            .expect("an executable plan compiles");
+        let pmask = mask.param_mask(layout);
+        for &c in packed.gather_map() {
+            prop_assert_eq!(pmask[c as usize], 1.0, "packed coordinate {} is masked", c);
+        }
+    }
 
     /// Every pattern strategy retains exactly ⌈s·J_l⌉ units per layer (≥ 1).
     #[test]

@@ -78,13 +78,26 @@ pub fn weighted_mean_into(out: &mut [f32], inputs: &[&[f32]], weights: &[f64]) {
 /// The paper's Reddit/LSTM configuration uses gradient clipping (following
 /// LEAF); returns the scaling factor applied (1.0 when no clipping happened).
 pub fn clip_norm(grad: &mut [f32], max_norm: f32) -> f32 {
-    let n = norm(grad);
-    if n <= max_norm || n == 0.0 {
-        return 1.0;
+    match clip_factor(norm_sq(grad), max_norm) {
+        Some(factor) => {
+            scale(grad, factor);
+            factor
+        }
+        None => 1.0,
     }
-    let factor = max_norm / n;
-    scale(grad, factor);
-    factor
+}
+
+/// The factor [`clip_norm`] scales a gradient of squared norm `norm_sq` by,
+/// or `None` when the norm is within `max_norm` (or zero) and the gradient
+/// stays as it is. Shared with callers that accumulate the squared norm
+/// themselves.
+pub fn clip_factor(norm_sq: f32, max_norm: f32) -> Option<f32> {
+    let n = norm_sq.sqrt();
+    if n <= max_norm || n == 0.0 {
+        None
+    } else {
+        Some(max_norm / n)
+    }
 }
 
 /// Numerically stable softmax of `logits` written into `out`.

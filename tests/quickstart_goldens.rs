@@ -23,8 +23,12 @@
 //! * `cnn_tiny_*` — FedLPS and HeteroFL on the tiny cifar10-like federation
 //!   (a two-block ConvNet, packed training, evaluation every second round) in
 //!   both modes, captured before the ConvNet forward pass was rewritten.
+//! * `reddit_tiny_*` — FedLPS and FedAvg on the tiny reddit-like federation
+//!   (an LSTM language model, whose unit ranges overlap, trained by SGD with
+//!   gradient-norm clipping) in both modes, captured before FedLPS's packed
+//!   local step stopped walking the full model every iteration.
 //!
-//! Every tiny, registry and CNN row also asserts that the four-shard run equals the serial one.
+//! Every tiny, registry, CNN and reddit row also asserts that the four-shard run equals the serial one.
 //!
 //! To regenerate after an *intentional* trace change (which must be called out
 //! in the PR description), run:
@@ -245,6 +249,33 @@ fn check_cnn_goldens(mode_name: &str, round_mode: RoundMode) {
         round_mode,
         &|_: &FlEnv| baseline_by_name("HeteroFL").expect("registered baseline"),
     );
+}
+
+/// FedLPS and FedAvg on the tiny reddit-like federation (LSTM, clipped
+/// SGD) in `round_mode`.
+fn check_reddit_goldens(mode_name: &str, round_mode: RoundMode) {
+    check_tiny_golden(
+        &format!("reddit_tiny_fedlps_{mode_name}"),
+        DatasetKind::RedditLike,
+        round_mode,
+        &fedlps_for,
+    );
+    check_tiny_golden(
+        &format!("reddit_tiny_FedAvg_{mode_name}"),
+        DatasetKind::RedditLike,
+        round_mode,
+        &|_: &FlEnv| baseline_by_name("FedAvg").expect("registered baseline"),
+    );
+}
+
+#[test]
+fn reddit_tiny_sync_matches_pre_refactor_goldens() {
+    check_reddit_goldens("sync", RoundMode::Synchronous);
+}
+
+#[test]
+fn reddit_tiny_async_matches_pre_refactor_goldens() {
+    check_reddit_goldens("async", RoundMode::asynchronous(3, 0.5));
 }
 
 #[test]
