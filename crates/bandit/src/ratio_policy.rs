@@ -62,12 +62,18 @@ enum AgentState {
 
 /// What an agent needs to know about its client when it is built:
 /// capability cap `z_k` and the `a^{-1}` accuracy baseline.
+///
+/// A lazy controller's provider builds it under the controller lock on the
+/// client's first touch, so the provider must be pure and cheap: memoize
+/// anything expensive, such as the baseline's evaluation pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientInit {
     /// Capability fraction `z_k` of the client's device tier.
     pub capability: f64,
     /// Accuracy of the initial global model on the client's local training
-    /// data (Algorithm 2's bandit baseline).
+    /// data (Algorithm 2's bandit baseline). Only policies whose
+    /// [`RatioPolicy::reads_initial_accuracy`] is true read it; callers pass
+    /// `0.0` for the rest.
     pub initial_accuracy: f64,
 }
 
@@ -127,6 +133,16 @@ impl std::fmt::Debug for RatioController {
             .field("registered", &self.num_clients)
             .field("materialized", &self.materialized())
             .finish_non_exhaustive()
+    }
+}
+
+impl RatioPolicy {
+    /// Whether an agent of this policy reads
+    /// [`ClientInit::initial_accuracy`]: only P-UCBV seeds its `a^{-1}`
+    /// baseline with it. For every other policy the value is dead, so callers
+    /// skip the evaluation pass behind it.
+    pub fn reads_initial_accuracy(&self) -> bool {
+        matches!(self, RatioPolicy::PUcbv(_))
     }
 }
 
@@ -211,6 +227,10 @@ impl RatioController {
     /// building any agent: a client's agent materializes on its first
     /// [`ratio_for`](Self::ratio_for) / [`report`](Self::report), seeded from
     /// `provider(client)` and a private per-client RNG stream.
+    ///
+    /// `provider` runs under the controller lock, once per materialized
+    /// agent, so it must be pure (agents must not depend on touch order) and
+    /// cheap (every concurrent first touch waits on it).
     ///
     /// Draws are **not** bit-identical to [`RatioController::new`] — its
     /// shared sequential stream has no participation-order-independent
@@ -552,6 +572,57 @@ mod tests {
                     "{} client {k}",
                     policy.name()
                 );
+            }
+        }
+    }
+
+    /// Every proposal a controller makes over a fixed `ratio_for` /
+    /// `report` sequence on four clients, as bit patterns.
+    fn proposal_trace(mut ctrl: RatioController) -> Vec<u64> {
+        let mut trace = Vec::new();
+        for round in 0..12 {
+            for k in 0..4 {
+                let ratio = ctrl.ratio_for(k);
+                trace.push(ratio.to_bits());
+                ctrl.report(
+                    k,
+                    RatioFeedback {
+                        ratio,
+                        local_cost: 1.0 + ratio,
+                        accuracy: 0.2 + 0.04 * ((round + k) % 7) as f64,
+                    },
+                );
+            }
+        }
+        trace
+    }
+
+    #[test]
+    fn only_policies_that_read_the_baseline_depend_on_it() {
+        let policies = [
+            RatioPolicy::Fixed(0.5),
+            RatioPolicy::Fixed(1.0),
+            RatioPolicy::ResourceControlled,
+            RatioPolicy::DiscreteUcb { exploration: 2.0 },
+            RatioPolicy::PUcbv(PUcbvConfig::default()),
+        ];
+        for policy in policies {
+            let dense =
+                |accuracy: f64| RatioController::new(policy.clone(), &caps(), &[accuracy; 4], 7);
+            let lazy = |accuracy: f64| {
+                let init = move |k: usize| ClientInit {
+                    capability: caps()[k],
+                    initial_accuracy: accuracy,
+                };
+                RatioController::lazy(policy.clone(), 4, Box::new(init), 7)
+            };
+            for (ctor, build) in [("new", &dense as &dyn Fn(f64) -> _), ("lazy", &lazy)] {
+                let (zero, seeded) = (proposal_trace(build(0.0)), proposal_trace(build(0.7)));
+                if policy.reads_initial_accuracy() {
+                    assert_ne!(zero, seeded, "{} via {ctor} ignores it", policy.name());
+                } else {
+                    assert_eq!(zero, seeded, "{} via {ctor} reads it", policy.name());
+                }
             }
         }
     }

@@ -2,7 +2,7 @@
 //! [`Server<Lps>`](Server).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use fedlps_bandit::ratio_policy::{ClientInit, RatioController, RatioFeedback};
 use fedlps_nn::model::EvalStats;
@@ -167,6 +167,38 @@ impl Lps {
     }
 }
 
+/// The lazy controller's per-client initializer. The `a^{-1}` baseline
+/// depends only on the initial global and the client's data shard, so it is
+/// evaluated at most once per shard (`k % S` on a tiled registry) and read
+/// from a table of `S` cells afterwards; a policy that does not read it gets
+/// `0.0` and no evaluation. The provider runs under the controller lock,
+/// which is why the evaluation must not repeat per client.
+fn lazy_client_init(
+    env: &FlEnv,
+    global: &[f32],
+    reads_accuracy: bool,
+) -> Box<dyn Fn(usize) -> ClientInit + Send + Sync> {
+    let fleet = env.fleet.clone();
+    if !reads_accuracy {
+        return Box::new(move |k| ClientInit {
+            capability: fleet.static_profile(k).capability,
+            initial_accuracy: 0.0,
+        });
+    }
+    let arch = Arc::clone(&env.arch);
+    let data = env.data.clone();
+    let global = global.to_vec();
+    let baselines: Vec<OnceLock<f64>> = (0..data.num_clients()).map(|_| OnceLock::new()).collect();
+    Box::new(move |k| {
+        let shard = k % data.num_clients();
+        ClientInit {
+            capability: fleet.static_profile(k).capability,
+            initial_accuracy: *baselines[shard]
+                .get_or_init(|| arch.evaluate(&global, &data.clients[shard].train).accuracy),
+        }
+    })
+}
+
 impl Family for Lps {
     type Upload = StagedUpdate;
     type Side = LpsSide;
@@ -184,33 +216,30 @@ impl Family for Lps {
     fn setup(&mut self, env: &FlEnv, global: &[f32]) {
         self.clients.clear();
         let units_per_layer = env.arch.unit_layout().units_per_layer();
+        let policy = &self.config.ratio_policy;
         let mut controller = if env.fleet.is_lazy() {
-            // Population-scale path: seeding the bandits with capabilities and
-            // initial accuracies for every registered client would be an
-            // `O(population)` sweep (each accuracy is a full evaluation pass).
-            // Hand the controller a pure per-client initializer instead; it
-            // materializes an arm the first time a client is actually touched.
-            let arch = Arc::clone(&env.arch);
-            let fleet = env.fleet.clone();
-            let data = env.data.clone();
-            let global = global.to_vec();
-            let provider = Box::new(move |k: usize| ClientInit {
-                capability: fleet.static_profile(k).capability,
-                initial_accuracy: arch
-                    .evaluate(&global, &data.clients[k % data.num_clients()].train)
-                    .accuracy,
-            });
+            // Population-scale path: seeding the bandits for every registered
+            // client would be an `O(population)` sweep. Hand the controller a
+            // per-client initializer instead; it materializes an arm the
+            // first time a client is actually touched.
             RatioController::lazy(
-                self.config.ratio_policy.clone(),
+                policy.clone(),
                 env.num_clients(),
-                provider,
+                lazy_client_init(env, global, policy.reads_initial_accuracy()),
                 env.config.seed,
             )
         } else {
+            // Each baseline is a full evaluation pass; policies that never
+            // read it get `0.0`.
+            let initial_accuracy = if policy.reads_initial_accuracy() {
+                env.initial_training_accuracy(global)
+            } else {
+                vec![0.0; env.num_clients()]
+            };
             RatioController::new(
-                self.config.ratio_policy.clone(),
+                policy.clone(),
                 &env.capabilities(),
-                &env.initial_training_accuracy(global),
+                &initial_accuracy,
                 env.config.seed,
             )
         };
@@ -319,11 +348,16 @@ impl Family for Lps {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedlps_data::dataset::Dataset;
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
-    use fedlps_device::HeterogeneityLevel;
+    use fedlps_device::{DeviceFleet, HeterogeneityLevel};
+    use fedlps_nn::model::{ModelArch, ModelKind, TrainStats};
+    use fedlps_nn::pack::KeptUnits;
+    use fedlps_nn::unit::UnitLayout;
     use fedlps_sim::algorithm::FlAlgorithm;
     use fedlps_sim::config::FlConfig;
     use fedlps_sim::runner::Simulator;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tiny_env() -> FlEnv {
         FlEnv::from_scenario(
@@ -511,6 +545,117 @@ mod tests {
             "async FedLPS must absorb updates (staleness-discounted)"
         );
         assert!((0.0..=1.0).contains(&async_run.final_accuracy));
+    }
+
+    /// A model that counts its `evaluate` calls and delegates everything to
+    /// the wrapped architecture.
+    struct CountingArch {
+        inner: Arc<dyn ModelArch>,
+        evaluations: AtomicUsize,
+    }
+
+    impl ModelArch for CountingArch {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn param_count(&self) -> usize {
+            self.inner.param_count()
+        }
+        fn unit_layout(&self) -> &UnitLayout {
+            self.inner.unit_layout()
+        }
+        fn init_params(&self, rng: &mut StdRng) -> Vec<f32> {
+            self.inner.init_params(rng)
+        }
+        fn loss_and_grad(
+            &self,
+            params: &[f32],
+            data: &Dataset,
+            indices: &[usize],
+            grad: &mut [f32],
+        ) -> TrainStats {
+            self.inner.loss_and_grad(params, data, indices, grad)
+        }
+        fn evaluate(&self, params: &[f32], data: &Dataset) -> EvalStats {
+            self.evaluations.fetch_add(1, Ordering::Relaxed);
+            self.inner.evaluate(params, data)
+        }
+        fn train_flops_per_sample(&self, retained_per_layer: &[usize]) -> f64 {
+            self.inner.train_flops_per_sample(retained_per_layer)
+        }
+        fn classifier_params(&self) -> std::ops::Range<usize> {
+            self.inner.classifier_params()
+        }
+        fn pack(&self, kept: &KeptUnits) -> Option<PackedModel> {
+            self.inner.pack(kept)
+        }
+    }
+
+    /// A tiny federation's shards tiled over a lazy registry three laps
+    /// long, on a counting MLP.
+    fn counted_tiled_env() -> (FlEnv, Arc<CountingArch>) {
+        let scenario = ScenarioConfig::tiny(DatasetKind::MnistLike);
+        let data = scenario.build();
+        let config = FlConfig::tiny();
+        let fleet = DeviceFleet::lazy(3 * data.num_clients(), HeterogeneityLevel::High, 5);
+        let arch = Arc::new(CountingArch {
+            inner: ModelKind::for_dataset(scenario.kind)
+                .build(data.input, data.num_classes)
+                .into(),
+            evaluations: AtomicUsize::new(0),
+        });
+        let env = FlEnv::new_tiled(data, fleet, arch.clone(), config);
+        (env, arch)
+    }
+
+    #[test]
+    fn registry_baselines_are_evaluated_once_per_shard() {
+        let (env, arch) = counted_tiled_env();
+        let shards = env.data.num_clients();
+        let global = env.initial_params();
+        let provider = lazy_client_init(&env, &global, true);
+        for lap in 0..3 {
+            for shard in 0..shards {
+                let k = lap * shards + shard;
+                let direct = arch.inner.evaluate(&global, env.train_data(k)).accuracy;
+                assert_eq!(provider(k).initial_accuracy.to_bits(), direct.to_bits());
+            }
+        }
+        assert_eq!(arch.evaluations.load(Ordering::Relaxed), shards);
+
+        // The same bound through `setup` and first touches of every client.
+        arch.evaluations.store(0, Ordering::Relaxed);
+        let mut algo = FedLps::for_env(&env);
+        FlAlgorithm::setup(&mut algo, &env);
+        assert_eq!(arch.evaluations.load(Ordering::Relaxed), 0);
+        let controller = algo.family().controller.as_ref().expect("set up");
+        for k in 0..env.num_clients() {
+            controller.ratio_for(k);
+        }
+        assert_eq!(controller.materialized(), env.num_clients());
+        assert!(arch.evaluations.load(Ordering::Relaxed) <= shards);
+    }
+
+    #[test]
+    fn fixed_ratio_policies_never_evaluate_the_baseline() {
+        let (registry, arch) = counted_tiled_env();
+        let dense = FlEnv::new(
+            registry.data.clone(),
+            DeviceFleet::sample(registry.data.num_clients(), HeterogeneityLevel::High, 5),
+            arch.clone(),
+            FlConfig::tiny(),
+        );
+        for env in [&registry, &dense] {
+            for config in [FedLpsConfig::flst(0.25), FedLpsConfig::rcr()] {
+                let mut algo = FedLps::new(config);
+                FlAlgorithm::setup(&mut algo, env);
+                let controller = algo.family().controller.as_ref().expect("set up");
+                for k in 0..env.num_clients() {
+                    controller.ratio_for(k);
+                }
+            }
+        }
+        assert_eq!(arch.evaluations.load(Ordering::Relaxed), 0);
     }
 
     #[test]

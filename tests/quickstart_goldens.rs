@@ -19,7 +19,12 @@
 //!   registry tiled over the tiny federation's shards (synchronous with
 //!   uniform selection, asynchronous with utility selection), captured before
 //!   the fleet, the selection latency prior and the ratio controller each
-//!   dropped their second representation.
+//!   dropped their second representation. `registry_tiny_faulted` runs the
+//!   registry under `registry_1m_cold`'s axes (asynchronous, utility
+//!   selection, two-tier topology, diurnal availability, 20 % upload
+//!   failures) and `registry_tiny_flst025` runs `FedLpsConfig::flst(0.25)`
+//!   on it; both were captured before the bandit's initial-accuracy
+//!   baseline became a once-per-shard value that fixed-ratio policies skip.
 //! * `cnn_tiny_*` — FedLPS and HeteroFL on the tiny cifar10-like federation
 //!   (a two-block ConvNet, packed training, evaluation every second round) in
 //!   both modes, captured before the ConvNet forward pass was rewritten.
@@ -152,17 +157,20 @@ fn check_tiny_golden(
     check_parallel_golden(golden, &env, make);
 }
 
-/// FedLPS on a 10 000-client lazy registry tiled over the tiny federation's
-/// shards, with evaluation off: the lazily built fleet, latency prior and
-/// per-client controller streams, pinned bit for bit.
-fn check_registry_golden(golden: &str, round_mode: RoundMode, selection: SelectionKind) {
+/// `make`'s run on a 10 000-client lazy registry tiled over the tiny
+/// federation's shards under `config`, with evaluation off: the lazily built
+/// fleet, latency prior and per-client controller streams, pinned bit for
+/// bit.
+fn check_registry_golden(
+    golden: &str,
+    config: FlConfig,
+    make: &dyn Fn(&FlEnv) -> Box<dyn FlAlgorithm>,
+) {
     let env = |parallelism| {
         let config = FlConfig {
             eval_every: 0,
-            selection,
-            ..FlConfig::tiny()
+            ..config
         }
-        .with_round_mode(round_mode)
         .with_parallelism(parallelism);
         let scenario = ScenarioConfig::tiny(DatasetKind::MnistLike);
         let data = scenario.build();
@@ -170,15 +178,17 @@ fn check_registry_golden(golden: &str, round_mode: RoundMode, selection: Selecti
         let arch = ModelKind::for_dataset(scenario.kind).build(data.input, data.num_classes);
         FlEnv::new_tiled(data, fleet, arch.into(), config)
     };
-    check_parallel_golden(golden, &env, &fedlps_for);
+    check_parallel_golden(golden, &env, make);
 }
 
 #[test]
 fn registry_tiny_sync_matches_pre_refactor_golden() {
     check_registry_golden(
         "registry_tiny_sync",
-        RoundMode::Synchronous,
-        SelectionKind::Uniform,
+        FlConfig::tiny()
+            .with_round_mode(RoundMode::Synchronous)
+            .with_selection(SelectionKind::Uniform),
+        &fedlps_for,
     );
 }
 
@@ -186,8 +196,37 @@ fn registry_tiny_sync_matches_pre_refactor_golden() {
 fn registry_tiny_async_matches_pre_refactor_golden() {
     check_registry_golden(
         "registry_tiny_async",
-        RoundMode::asynchronous(3, 0.5),
-        SelectionKind::utility(),
+        FlConfig::tiny()
+            .with_round_mode(RoundMode::asynchronous(3, 0.5))
+            .with_selection(SelectionKind::utility()),
+        &fedlps_for,
+    );
+}
+
+#[test]
+fn registry_tiny_faulted_matches_pre_refactor_golden() {
+    let config = FlConfig {
+        topology: Topology::two_tier(),
+        availability: AvailabilityModel::from_name("diurnal").expect("shipped preset"),
+        faults: FaultConfig {
+            upload_failure_prob: 0.2,
+            ..FaultConfig::none()
+        },
+        ..FlConfig::tiny()
+    }
+    .with_round_mode(RoundMode::asynchronous(3, 0.5))
+    .with_selection(SelectionKind::utility());
+    check_registry_golden("registry_tiny_faulted", config, &fedlps_for);
+}
+
+#[test]
+fn registry_tiny_flst025_matches_pre_refactor_golden() {
+    check_registry_golden(
+        "registry_tiny_flst025",
+        FlConfig::tiny()
+            .with_round_mode(RoundMode::Synchronous)
+            .with_selection(SelectionKind::Uniform),
+        &|_: &FlEnv| Box::new(FedLps::new(FedLpsConfig::flst(0.25))),
     );
 }
 
