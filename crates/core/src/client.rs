@@ -340,34 +340,6 @@ impl ClientTask<'_> {
     }
 }
 
-/// Runs Algorithm 1 lines 17-27 for one client and updates its persistent
-/// state in place — the serial convenience wrapper around [`ClientTask`]
-/// (always builds a fresh mask and trains masked-dense; the simulator's round
-/// loop uses the task directly so it can consult the cross-round mask cache
-/// and the packed execution path).
-pub fn client_update(
-    arch: &dyn ModelArch,
-    global_params: &[f32],
-    state: &mut ClientState,
-    data: &Dataset,
-    options: &ClientUpdateOptions,
-    rng: &mut StdRng,
-) -> ClientUpdateOutcome {
-    let task = ClientTask {
-        arch,
-        global: global_params,
-        state,
-        data,
-        options: *options,
-        cached_mask: None,
-        packed_execution: false,
-        cached_plan: None,
-    };
-    let output = task.run(rng);
-    *state = output.state;
-    output.outcome
-}
-
 fn build_mask(
     arch: &dyn ModelArch,
     local: &[f32],
@@ -420,12 +392,37 @@ mod tests {
         }
     }
 
+    /// One masked-dense participation with a freshly built mask, its new
+    /// state written back in place as the round loop's absorb phase does.
+    fn participate(
+        mlp: &Mlp,
+        global: &[f32],
+        state: &mut ClientState,
+        data: &Dataset,
+        options: &ClientUpdateOptions,
+        rng: &mut StdRng,
+    ) -> ClientUpdateOutcome {
+        let output = ClientTask {
+            arch: mlp,
+            global,
+            state,
+            data,
+            options: *options,
+            cached_mask: None,
+            packed_execution: false,
+            cached_plan: None,
+        }
+        .run(rng);
+        *state = output.state;
+        output.outcome
+    }
+
     #[test]
     fn residual_respects_the_mask_and_ratio() {
         let (mlp, data, global) = setup();
         let mut state = ClientState::default();
         let mut rng = rng_from_seed(5);
-        let outcome = client_update(&mlp, &global, &mut state, &data, &options(0.5), &mut rng);
+        let outcome = participate(&mlp, &global, &mut state, &data, &options(0.5), &mut rng);
 
         assert_eq!(outcome.residual.len(), mlp.param_count());
         let layout = mlp.unit_layout();
@@ -449,12 +446,12 @@ mod tests {
         let (mlp, data, global) = setup();
         let mut state = ClientState::default();
         let mut rng = rng_from_seed(6);
-        client_update(&mlp, &global, &mut state, &data, &options(0.5), &mut rng);
+        participate(&mlp, &global, &mut state, &data, &options(0.5), &mut rng);
         let q1 = state.indicator.clone().unwrap();
         assert!(state.personal_model.is_some());
         assert_eq!(state.last_ratio, 0.5);
         // Second round re-uses (and further updates) the stored indicator.
-        client_update(&mlp, &global, &mut state, &data, &options(0.5), &mut rng);
+        participate(&mlp, &global, &mut state, &data, &options(0.5), &mut rng);
         let q2 = state.indicator.clone().unwrap();
         assert_eq!(q1.len(), q2.len());
         assert_ne!(q1, q2, "the indicator keeps learning across rounds");
@@ -468,7 +465,7 @@ mod tests {
         let mut opts = options(0.7);
         opts.iterations = 60;
         opts.mu = 0.1;
-        client_update(&mlp, &global, &mut state, &data, &opts, &mut rng);
+        participate(&mlp, &global, &mut state, &data, &opts, &mut rng);
         let personal = state.personal_model.as_ref().unwrap();
         let before = mlp.evaluate(&global, &data);
         let after = mlp.evaluate(personal, &data);
@@ -485,7 +482,7 @@ mod tests {
         let (mlp, data, global) = setup();
         let mut state = ClientState::default();
         let mut rng = rng_from_seed(8);
-        let outcome = client_update(&mlp, &global, &mut state, &data, &options(1.0), &mut rng);
+        let outcome = participate(&mlp, &global, &mut state, &data, &options(1.0), &mut rng);
         assert!(outcome.mean_accuracy >= 0.0 && outcome.mean_accuracy <= 1.0);
         assert!(outcome.mean_loss.is_finite());
     }
@@ -496,7 +493,7 @@ mod tests {
         let empty = Dataset::empty(3, InputKind::Vector { dim: 6 });
         let mut state = ClientState::default();
         let mut rng = rng_from_seed(9);
-        let outcome = client_update(&mlp, &global, &mut state, &empty, &options(0.5), &mut rng);
+        let outcome = participate(&mlp, &global, &mut state, &empty, &options(0.5), &mut rng);
         assert_eq!(outcome.mean_accuracy, 0.0);
         // The residual is all zeros because no training happened.
         assert!(outcome.residual.to_dense().iter().all(|&v| v == 0.0));
@@ -509,8 +506,8 @@ mod tests {
         opts.pattern = PatternStrategy::Random;
         let mut state = ClientState::default();
         let mut rng = rng_from_seed(21);
-        let first = client_update(&mlp, &global, &mut state, &data, &opts, &mut rng);
-        let second = client_update(&mlp, &global, &mut state, &data, &opts, &mut rng);
+        let first = participate(&mlp, &global, &mut state, &data, &opts, &mut rng);
+        let second = participate(&mlp, &global, &mut state, &data, &opts, &mut rng);
         assert_ne!(
             first.mask, second.mask,
             "random dropout must resample its units each round"
@@ -673,8 +670,8 @@ mod tests {
         let mut rng = rng_from_seed(10);
         let mut s1 = ClientState::default();
         let mut s2 = ClientState::default();
-        let big = client_update(&mlp, &global, &mut s1, &data, &options(0.9), &mut rng);
-        let small = client_update(&mlp, &global, &mut s2, &data, &options(0.2), &mut rng);
+        let big = participate(&mlp, &global, &mut s1, &data, &options(0.9), &mut rng);
+        let small = participate(&mlp, &global, &mut s2, &data, &options(0.2), &mut rng);
         assert!(small.uploaded_params < big.uploaded_params);
     }
 }

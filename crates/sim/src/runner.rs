@@ -21,7 +21,10 @@
 //! fixed by the event schedule — never by the thread schedule. The matrix
 //! test at the bottom of this file pins that contract at the sim-crate
 //! level; `tests/determinism_matrix.rs` in the facade pins it for FedLPS
-//! across every topology, availability model and fault schedule.
+//! across every topology, availability model and fault schedule. The other
+//! tests here are the tier-1 checks of the round-mode, availability, fault
+//! and quorum mechanisms, on a minimal FedAvg; the `straggler_rounds` and
+//! `diurnal_fleet` examples assert the same effects on FedLPS at 64 clients.
 
 use crate::algorithm::FlAlgorithm;
 use crate::driver::Driver;

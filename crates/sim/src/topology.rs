@@ -27,8 +27,10 @@
 //! topology — zone pre-merging is algebraically a partial sum of the same
 //! Eq. (13) linear combination, and simulating the arithmetic in the
 //! canonical order keeps every topology bit-identical across parallelism
-//! settings (the facade's `tests/determinism_matrix.rs` compares
-//! two-tier traces at parallelism 1 vs 4).
+//! settings. In the facade, `tests/virtual_time_claims.rs` pins that the
+//! patient two-tier barrier keeps the flat learning trace, and
+//! `tests/determinism_matrix.rs` compares two-tier traces at parallelism 1
+//! vs 4 and holds every row to the zone-traffic laws.
 
 use std::collections::BTreeMap;
 

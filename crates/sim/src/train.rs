@@ -121,6 +121,13 @@ pub fn local_sgd(
 /// proximal gradient `μ(ω − ω^r)` and weight decay are nonzero on frozen
 /// coordinates, and a frozen-head mask cuts across unit boundaries — any of
 /// those forces the masked-dense path.
+///
+/// Across the 61 golden configurations of `tests/quickstart_goldens.rs`,
+/// masked-dense [`local_sgd`] with a `param_mask` runs only for DepthFL
+/// (`baseline_tiny_DepthFL_{sync,async}`, 15 and 18 calls in the serial
+/// run): a low ratio empties its last layer, so the mask does not compile.
+/// Every golden pass that sets prox, a frozen head or weight decay trains
+/// unmasked, so this check never diverts a masked pass there.
 pub fn packed_eligible(options: &LocalTrainOptions<'_>) -> bool {
     options.prox.is_none() && options.frozen.is_none() && options.sgd.weight_decay == 0.0
 }

@@ -90,6 +90,7 @@ fn main() {
         "{:<22} {:>9} {:>11} {:>9} {:>8} {:>8} {:>8}",
         "config", "acc (%)", "time (s)", "waits (s)", "retries", "drops", "quorum"
     );
+    let mut total_time = Vec::new();
     for (name, availability, mode, quorum) in configs {
         let mode = if name.ends_with("deadline") {
             deadline
@@ -97,6 +98,7 @@ fn main() {
             mode
         };
         let result = run_once(availability, mode, quorum);
+        total_time.push(result.total_time);
         println!(
             "{:<22} {:>9.2} {:>11.3} {:>9.3} {:>8} {:>8} {:>8}",
             name,
@@ -123,5 +125,12 @@ fn main() {
          variants close rounds without the night-bound tail — far less \
          virtual time at comparable accuracy. Every run, i.i.d. or diurnal, \
          is bit-identical across parallelism, backend and topology settings."
+    );
+    let [_, wave, wave_quorum, wave_deadline] = total_time[..] else {
+        unreachable!("one time per config")
+    };
+    assert!(
+        wave_quorum < wave && wave_deadline < wave,
+        "quorum and deadline closes must beat the diurnal barrier on virtual time"
     );
 }

@@ -98,4 +98,9 @@ fn main() {
          cost their zone, not the whole round.",
         strict.total_zone_straggler_drops()
     );
+    assert_eq!(flat.final_accuracy, tiered.final_accuracy);
+    assert!(
+        saving > 1.0,
+        "zone pre-merging must shrink the server ingress"
+    );
 }

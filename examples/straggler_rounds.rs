@@ -89,4 +89,12 @@ fn main() {
          synchronous virtual time because no round waits for a 1/16-tier \
          straggler to finish."
     );
+    let tta = |r: &RunResult| {
+        r.time_to_accuracy(target)
+            .expect("every mode reaches the target")
+    };
+    assert!(
+        tta(&deadline) < tta(&sync) && tta(&async_run) < tta(&sync),
+        "deadline and async rounds must cross the target before the barrier"
+    );
 }

@@ -121,9 +121,17 @@ fn main() {
             })
             .unwrap_or(0.0)
     };
+    let (uniform, utility) = (
+        share_of("uniform", CapabilityTier::Full),
+        share_of("utility", CapabilityTier::Full),
+    );
     println!(
         "full-tier share: uniform {:.1}% -> utility {:.1}% (the Eq. 14 speed term at work)",
-        share_of("uniform", CapabilityTier::Full) * 100.0,
-        share_of("utility", CapabilityTier::Full) * 100.0,
+        uniform * 100.0,
+        utility * 100.0,
+    );
+    assert!(
+        utility > uniform,
+        "utility selection must favour the full tier"
     );
 }

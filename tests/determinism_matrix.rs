@@ -13,25 +13,31 @@
 //!
 //! The reference cell of every row is also held to the laws that must hold
 //! *inside* any run: cumulative columns are the running sums of their round
-//! columns, clocks are monotone, and per-mode counters stay in their lane.
+//! columns, clocks are monotone, per-mode and per-topology counters stay in
+//! their lane, headline metrics stay in their domains, and the participation
+//! census covers the fleet.
 
 use fedlps::core::FedLps;
 use fedlps::prelude::*;
 use proptest::prelude::*;
 
-/// One FedLPS federation on the tiny MNIST-like scenario. The MLP is
+/// A federation on the tiny MNIST-like scenario. The MLP is
 /// narrower than the scenario default: it keeps the ~240 federations a run
 /// of this file trains inside the tier-1 time budget in the debug profile,
 /// and puts round spans (2–3 ms of virtual time) where the zone deadline and
 /// the availability presets bite on some seeded fleets and not on others.
-fn run(config: FlConfig) -> RunResult {
+fn simulator(config: FlConfig) -> Simulator {
     let data = ScenarioConfig::tiny(DatasetKind::MnistLike).build();
     let fleet = DeviceFleet::sample(data.num_clients(), HeterogeneityLevel::High, config.seed);
     let arch = ModelKind::Mlp {
         hidden: vec![48, 24],
     }
     .build(data.input, data.num_classes);
-    let sim = Simulator::new(FlEnv::new(data, fleet, arch.into(), config));
+    Simulator::new(FlEnv::new(data, fleet, arch.into(), config))
+}
+
+/// FedLPS on `sim`.
+fn run(sim: &Simulator) -> RunResult {
     let mut algo = FedLps::for_env(sim.env());
     sim.run(&mut algo)
 }
@@ -85,7 +91,7 @@ fn table(seed: u64) -> Vec<FlConfig> {
     }
     // A deadline sized from a synchronous probe, so it bites on some seeded
     // fleets and not on others.
-    let worst = run(base)
+    let worst = run(&simulator(base))
         .rounds
         .iter()
         .map(|r| r.round_time)
@@ -129,10 +135,13 @@ fn table(seed: u64) -> Vec<FlConfig> {
 }
 
 /// Laws that hold inside any run, whatever the configuration.
-fn assert_laws(config: &FlConfig, result: &RunResult) {
+fn assert_laws(env: &FlEnv, result: &RunResult) {
+    let config = &env.config;
     let row = label(config);
     assert_eq!(result.rounds.len(), config.rounds, "{row}: full horizon");
     let is_async = matches!(config.round_mode, RoundMode::Async { .. });
+    let is_sync = matches!(config.round_mode, RoundMode::Synchronous);
+    let model_bytes = 4.0 * env.arch.param_count() as f64;
     let close = |running: f64, cumulative: f64| {
         (running - cumulative).abs() <= 1e-9 * running.abs().max(cumulative.abs())
     };
@@ -164,11 +173,81 @@ fn assert_laws(config: &FlConfig, result: &RunResult) {
             is_async || r.staleness_hist.is_empty(),
             "{row}: staleness outside async"
         );
+        // The drop histogram's causes add up to the totals exactly when
+        // churn is a subset of the straggler drops.
         assert!(
             r.churn_drops <= r.straggler_drops,
             "{row}: churn is a subset of straggler drops"
         );
+        assert!(
+            !is_sync || config.quorum < 1.0 || r.straggler_drops == 0,
+            "{row}: a full barrier drops nobody (zone drops are zone accounting)"
+        );
+        match config.topology {
+            Topology::Flat => assert!(
+                r.zone_upload_bytes == 0.0 && r.zone_straggler_drops == 0,
+                "{row}: zone traffic under the flat topology"
+            ),
+            Topology::TwoTier {
+                zones,
+                zone_deadline,
+                ..
+            } => {
+                if is_async {
+                    // Store-and-forward: the zone tier re-carries exactly the
+                    // bytes that landed; failed attempts burn client airtime
+                    // only.
+                    assert!(
+                        r.zone_upload_bytes <= r.round_upload_bytes
+                            && (config.faults.enabled()
+                                || r.zone_upload_bytes.to_bits() == r.round_upload_bytes.to_bits()),
+                        "{row}: round {} async zone forwards differ from the landed uploads",
+                        r.round
+                    );
+                } else {
+                    assert!(
+                        r.zone_upload_bytes <= zones as f64 * model_bytes,
+                        "{row}: round {} zone pre-merging must cap ingress at one dense \
+                         forward per zone",
+                        r.round
+                    );
+                }
+                assert!(
+                    r.zone_straggler_drops == 0 || (!is_async && zone_deadline.is_some()),
+                    "{row}: zone drops without a cohort-mode zone deadline"
+                );
+            }
+        }
     }
+
+    // Headline metrics stay in their domains.
+    assert!(
+        (0.0..=1.0).contains(&result.final_accuracy)
+            && (result.final_accuracy..=1.0).contains(&result.best_accuracy),
+        "{row}: accuracies out of range"
+    );
+    assert!(
+        result.total_time > 0.0 && result.total_flops > 0.0,
+        "{row}: nobody trained"
+    );
+    let ratio = result.mean_sparse_ratio();
+    assert!(
+        ratio > 0.0 && ratio <= 1.0,
+        "{row}: mean sparse ratio {ratio}"
+    );
+    assert!(
+        config.eval_every == 0 || result.rounds.last().unwrap().mean_accuracy.is_some(),
+        "{row}: the last round is evaluated"
+    );
+
+    // The participation census covers the fleet; a barrier dispatches
+    // exactly its cohort every round.
+    let census = &result.client_participations;
+    assert_eq!(census.len(), env.num_clients(), "{row}: census length");
+    assert!(
+        !is_sync || census.iter().sum::<u64>() == (config.rounds * config.clients_per_round) as u64,
+        "{row}: synchronous dispatch count"
+    );
 }
 
 proptest! {
@@ -184,10 +263,11 @@ proptest! {
     #[test]
     fn every_row_is_bit_identical_across_wall_clock_variants(seed in 0u64..100_000) {
         for config in table(seed) {
-            let reference = run(config);
-            assert_laws(&config, &reference);
+            let sim = simulator(config);
+            let reference = run(&sim);
+            assert_laws(sim.env(), &reference);
             let reference = serde_json::to_string(&reference).expect("RunResult serializes");
-            let sharded = serde_json::to_string(&run(config.with_parallelism(4)))
+            let sharded = serde_json::to_string(&run(&simulator(config.with_parallelism(4))))
                 .expect("RunResult serializes");
             prop_assert_eq!(
                 &reference,

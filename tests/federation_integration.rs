@@ -1,8 +1,11 @@
 //! Cross-crate integration tests: full federations driven end-to-end through
-//! the facade crate, checking the qualitative claims the paper's evaluation
-//! rests on.
+//! the facade crate. Each test is the only tier-1 check of its claim — the
+//! run laws live in `tests/determinism_matrix.rs`, the virtual-time orderings
+//! in `tests/virtual_time_claims.rs`, the paper's table orderings in
+//! `tests/paper_claims.rs` and every registered method's trace in
+//! `tests/quickstart_goldens.rs`.
 
-use fedlps::baselines::registry::{baseline_by_name, baseline_names};
+use fedlps::baselines::registry::baseline_by_name;
 use fedlps::core::{FedLps, FedLpsConfig};
 use fedlps::prelude::*;
 
@@ -19,6 +22,8 @@ fn tiny_env(kind: DatasetKind, level: HeterogeneityLevel, rounds: usize) -> FlEn
     FlEnv::from_scenario(&scenario, level, config)
 }
 
+/// The only tier-1 training run on the cifar100-like and tiny-imagenet-like
+/// scenarios.
 #[test]
 fn fedlps_trains_on_every_dataset_scenario() {
     for kind in DatasetKind::all() {
@@ -32,86 +37,7 @@ fn fedlps_trains_on_every_dataset_scenario() {
     }
 }
 
-#[test]
-fn fedlps_beats_fedavg_under_pathological_noniid() {
-    // cifar10-like is the scenario whose label skew hurts a shared global
-    // model the most; the accuracy gap is decisive there even at tiny scale.
-    let env = tiny_env(DatasetKind::Cifar10Like, HeterogeneityLevel::High, 10);
-    let sim = Simulator::new(env);
-    let mut fedlps = FedLps::for_env(sim.env());
-    let fedlps_result = sim.run(&mut fedlps);
-
-    let env2 = tiny_env(DatasetKind::Cifar10Like, HeterogeneityLevel::High, 10);
-    let sim2 = Simulator::new(env2);
-    let mut fedavg = baseline_by_name("FedAvg").unwrap();
-    let fedavg_result = sim2.run(&mut *fedavg);
-
-    assert!(
-        fedlps_result.final_accuracy > fedavg_result.final_accuracy,
-        "FedLPS {} should beat FedAvg {} on pathological non-IID data",
-        fedlps_result.final_accuracy,
-        fedavg_result.final_accuracy
-    );
-    assert!(
-        fedlps_result.total_flops < fedavg_result.total_flops,
-        "sparse training must cost fewer FLOPs than dense training"
-    );
-}
-
-#[test]
-fn every_registered_baseline_completes_a_federation() {
-    for name in baseline_names() {
-        let env = tiny_env(DatasetKind::MnistLike, HeterogeneityLevel::High, 3);
-        let sim = Simulator::new(env);
-        let mut algo = baseline_by_name(name).unwrap();
-        let result = sim.run(&mut *algo);
-        assert_eq!(result.rounds.len(), 3, "{name}");
-        assert!(
-            result.final_accuracy >= 0.0 && result.final_accuracy <= 1.0,
-            "{name}"
-        );
-        assert!(result.total_time > 0.0, "{name}");
-    }
-}
-
-#[test]
-fn sparse_ratios_never_exceed_client_capability() {
-    let env = tiny_env(DatasetKind::MnistLike, HeterogeneityLevel::High, 6);
-    let caps = env.capabilities();
-    let sim = Simulator::new(env);
-    let mut algo = FedLps::for_env(sim.env());
-    let _ = sim.run(&mut algo);
-    for (k, ratio) in algo.proposed_ratios().iter().enumerate() {
-        assert!(
-            *ratio <= caps[k] + 1e-9,
-            "client {k}: ratio {ratio} > capability {}",
-            caps[k]
-        );
-    }
-}
-
-#[test]
-fn run_results_serialize_and_round_trip() {
-    let env = tiny_env(DatasetKind::MnistLike, HeterogeneityLevel::Low, 3);
-    let sim = Simulator::new(env);
-    let mut algo = FedLps::for_env(sim.env());
-    let result = sim.run(&mut algo);
-    let json = serde_json::to_string(&result).expect("serialize");
-    let back: RunResult = serde_json::from_str(&json).expect("deserialize");
-    // serde_json's default float parsing may be off by one ULP, so compare
-    // structurally with a tolerance instead of bit-for-bit.
-    assert_eq!(back.algorithm, result.algorithm);
-    assert_eq!(back.dataset, result.dataset);
-    assert_eq!(back.rounds.len(), result.rounds.len());
-    assert!((back.final_accuracy - result.final_accuracy).abs() < 1e-9);
-    assert!((back.total_flops - result.total_flops).abs() < 1.0);
-    for (a, b) in back.rounds.iter().zip(result.rounds.iter()) {
-        assert_eq!(a.round, b.round);
-        assert!((a.cumulative_time - b.cumulative_time).abs() < 1e-9);
-        assert_eq!(a.mean_accuracy.is_some(), b.mean_accuracy.is_some());
-    }
-}
-
+/// The only tier-1 ordering of the fixed-ratio ablation against RCR.
 #[test]
 fn ablation_variants_run_and_differ_in_cost_profile() {
     // FLST at a small fixed ratio must spend fewer FLOPs than the RCR rule on
@@ -129,6 +55,26 @@ fn ablation_variants_run_and_differ_in_cost_profile() {
     assert!(flst_result.total_flops < rcr_result.total_flops);
 }
 
+/// The capability bound on learned ratios, checked through the facade on a
+/// high-heterogeneity fleet (the crate-level twin is
+/// `algorithm::tests::ratios_respect_capabilities`).
+#[test]
+fn sparse_ratios_never_exceed_client_capability() {
+    let env = tiny_env(DatasetKind::MnistLike, HeterogeneityLevel::High, 6);
+    let caps = env.capabilities();
+    let sim = Simulator::new(env);
+    let mut algo = FedLps::for_env(sim.env());
+    let _ = sim.run(&mut algo);
+    for (k, ratio) in algo.proposed_ratios().iter().enumerate() {
+        assert!(
+            *ratio <= caps[k] + 1e-9,
+            "client {k}: ratio {ratio} > capability {}",
+            caps[k]
+        );
+    }
+}
+
+/// Figure 8's claim (`tests/paper_claims.rs` prints that artefact only).
 #[test]
 fn higher_heterogeneity_slows_dense_fl_more_than_fedlps() {
     let run_time = |name: &str, level: HeterogeneityLevel| -> f64 {
@@ -152,6 +98,8 @@ fn higher_heterogeneity_slows_dense_fl_more_than_fedlps() {
     );
 }
 
+/// The client-level tests show a personal model fits its own data; this is
+/// the only check that it fits its own data better than a neighbour's.
 #[test]
 fn personalized_models_specialise_to_their_clients() {
     // A personalized FedLPS model evaluated on its own client's test data
@@ -181,6 +129,7 @@ fn personalized_models_specialise_to_their_clients() {
     );
 }
 
+/// The only tier-1 run at a million registered clients.
 #[test]
 fn million_client_registry_materializes_only_its_participants() {
     // The O(active) memory contract, asserted by counting materialized

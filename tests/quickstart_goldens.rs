@@ -75,8 +75,15 @@ fn fedlps_for(env: &FlEnv) -> Box<dyn FlAlgorithm> {
 
 /// Byte-compares the run's metrics JSON against `tests/goldens/{name}.json`
 /// (or rewrites the golden under `FEDLPS_UPDATE_GOLDENS`) and returns it.
+/// Either way the JSON must survive a `RunResult` round trip byte for byte.
 fn check_golden(name: &str, env: FlEnv, make: &dyn Fn(&FlEnv) -> Box<dyn FlAlgorithm>) -> String {
     let json = run_json(env, make);
+    let back: RunResult = serde_json::from_str(&json).expect("RunResult deserializes");
+    assert_eq!(
+        serde_json::to_string(&back).expect("RunResult serializes"),
+        json,
+        "{name}: the metrics JSON does not round-trip through RunResult"
+    );
 
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/goldens")

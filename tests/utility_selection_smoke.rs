@@ -1,7 +1,7 @@
-//! Smoke test mirroring `examples/utility_selection.rs` at reduced scale, so
-//! the example's code path (three selection policies over the same
-//! heterogeneous fleet → per-tier participation shares) is exercised by
-//! `cargo test` and cannot silently rot.
+//! The Eq. 14 speed term's participation shift on a 10-client fleet, the
+//! scale of `examples/utility_selection.rs`. The same claim on the 64-client
+//! fleet is `tests/virtual_time_claims.rs`'s
+//! `utility_selection_shifts_participation_toward_fast_tiers`.
 
 use fedlps::core::FedLps;
 use fedlps::device::CapabilityTier;
@@ -23,47 +23,6 @@ fn run_once(selection: SelectionKind) -> (RunResult, Vec<f64>) {
     let sim = Simulator::new(env);
     let mut algo = FedLps::for_env(sim.env());
     (sim.run(&mut algo), capabilities)
-}
-
-#[test]
-fn selection_policies_run_end_to_end_and_report_participation() {
-    for kind in [
-        SelectionKind::Uniform,
-        SelectionKind::utility(),
-        SelectionKind::power_of_choice(),
-    ] {
-        let (result, capabilities) = run_once(kind);
-        assert_eq!(result.rounds.len(), 5, "{}", kind.name());
-        assert!(
-            (0.0..=1.0).contains(&result.final_accuracy),
-            "{}",
-            kind.name()
-        );
-
-        // The participation census covers the fleet and adds up to the
-        // dispatch count (synchronous rounds dispatch exactly the cohort).
-        assert_eq!(result.client_participations.len(), capabilities.len());
-        let dispatches: u64 = result.client_participations.iter().sum();
-        assert_eq!(dispatches, 5 * 3, "{}", kind.name());
-        let shares = result.participation_shares();
-        assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-
-        // Selection-layer observability reaches the per-round metrics.
-        assert!(
-            result.total_first_time_participants() > 0,
-            "{}: somebody participated for the first time",
-            kind.name()
-        );
-        assert!(
-            result
-                .rounds
-                .iter()
-                .skip(1)
-                .any(|r| r.mean_selection_utility > 0.0),
-            "{}: utilities become observable after the first absorbed round",
-            kind.name()
-        );
-    }
 }
 
 #[test]
@@ -91,27 +50,4 @@ fn utility_selection_shifts_share_toward_fast_tiers() {
         fast_share(&utility, &caps_t),
         fast_share(&uniform, &caps_u)
     );
-}
-
-#[test]
-fn policies_are_deterministic_and_parallelism_independent() {
-    for kind in [SelectionKind::utility(), SelectionKind::power_of_choice()] {
-        let run = |parallelism: usize| {
-            let scenario = ScenarioConfig::tiny(DatasetKind::MnistLike).with_clients(8);
-            let config = FlConfig::tiny()
-                .with_selection(kind)
-                .with_parallelism(parallelism);
-            let env = FlEnv::from_scenario(&scenario, HeterogeneityLevel::High, config);
-            let sim = Simulator::new(env);
-            let mut algo = FedLps::for_env(sim.env());
-            sim.run(&mut algo)
-        };
-        assert_eq!(run(1), run(1), "{}: same seed, same trace", kind.name());
-        assert_eq!(
-            run(1),
-            run(4),
-            "{}: bit-identical at parallelism 1 vs 4",
-            kind.name()
-        );
-    }
 }

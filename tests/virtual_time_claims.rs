@@ -6,8 +6,9 @@
 //! accuracy? Every number here is simulated time, so the orderings are
 //! deterministic on any machine: deadline and async rounds reach a shared
 //! accuracy target sooner than the barrier, utility selection shifts
-//! participation toward fast tiers, and under a day/night availability wave
-//! utility selection finishes the horizon before uniform does.
+//! participation toward fast tiers, under a day/night availability wave
+//! utility selection finishes the horizon before uniform does, and zone
+//! aggregators re-time rounds without changing the learned model.
 
 use std::sync::OnceLock;
 
@@ -15,13 +16,10 @@ use fedlps::prelude::*;
 
 const ROUNDS: usize = 12;
 
-fn fleet_sim(
-    mode: RoundMode,
-    selection: SelectionKind,
-    availability: AvailabilityModel,
-) -> Simulator {
-    let scenario = ScenarioConfig::small(DatasetKind::MnistLike).with_clients(64);
-    let config = FlConfig {
+/// The fleet's baseline configuration: synchronous rounds, uniform
+/// selection, i.i.d. availability, flat topology.
+fn fleet_config() -> FlConfig {
+    FlConfig {
         rounds: ROUNDS,
         clients_per_round: 8,
         local_iterations: 3,
@@ -29,9 +27,10 @@ fn fleet_sim(
         eval_every: 2,
         ..FlConfig::default()
     }
-    .with_round_mode(mode)
-    .with_selection(selection)
-    .with_availability(availability);
+}
+
+fn fleet_sim(config: FlConfig) -> Simulator {
+    let scenario = ScenarioConfig::small(DatasetKind::MnistLike).with_clients(64);
     Simulator::new(FlEnv::from_scenario(
         &scenario,
         HeterogeneityLevel::High,
@@ -39,8 +38,8 @@ fn fleet_sim(
     ))
 }
 
-fn run(mode: RoundMode, selection: SelectionKind, availability: AvailabilityModel) -> RunResult {
-    let sim = fleet_sim(mode, selection, availability);
+fn run(config: FlConfig) -> RunResult {
+    let sim = fleet_sim(config);
     let mut algo = FedLps::for_env(sim.env());
     sim.run(&mut algo)
 }
@@ -49,40 +48,20 @@ fn run(mode: RoundMode, selection: SelectionKind, availability: AvailabilityMode
 /// per policy and shared by the tests of this file.
 fn sync_uniform() -> &'static RunResult {
     static RUN: OnceLock<RunResult> = OnceLock::new();
-    RUN.get_or_init(|| {
-        run(
-            RoundMode::Synchronous,
-            SelectionKind::Uniform,
-            AvailabilityModel::Iid,
-        )
-    })
+    RUN.get_or_init(|| run(fleet_config()))
 }
 
 fn sync_utility() -> &'static RunResult {
     static RUN: OnceLock<RunResult> = OnceLock::new();
-    RUN.get_or_init(|| {
-        run(
-            RoundMode::Synchronous,
-            SelectionKind::utility(),
-            AvailabilityModel::Iid,
-        )
-    })
+    RUN.get_or_init(|| run(fleet_config().with_selection(SelectionKind::utility())))
 }
 
 #[test]
 fn deadline_and_async_rounds_reach_the_target_before_the_barrier() {
     let sync = sync_uniform();
     let worst_round = sync.rounds.iter().map(|r| r.round_time).fold(0.0, f64::max);
-    let deadline = run(
-        RoundMode::deadline(worst_round * 0.5, 8),
-        SelectionKind::Uniform,
-        AvailabilityModel::Iid,
-    );
-    let async_run = run(
-        RoundMode::asynchronous(4, 0.6),
-        SelectionKind::Uniform,
-        AvailabilityModel::Iid,
-    );
+    let deadline = run(fleet_config().with_round_mode(RoundMode::deadline(worst_round * 0.5, 8)));
+    let async_run = run(fleet_config().with_round_mode(RoundMode::asynchronous(4, 0.6)));
 
     let target = 0.95
         * sync
@@ -112,13 +91,7 @@ fn deadline_and_async_rounds_reach_the_target_before_the_barrier() {
 
 #[test]
 fn utility_selection_shifts_participation_toward_fast_tiers() {
-    let caps = fleet_sim(
-        RoundMode::Synchronous,
-        SelectionKind::Uniform,
-        AvailabilityModel::Iid,
-    )
-    .env()
-    .capabilities();
+    let caps = fleet_sim(fleet_config()).env().capabilities();
     let fast_share = |r: &RunResult| {
         r.participation_shares()
             .iter()
@@ -149,8 +122,10 @@ fn utility_selection_beats_uniform_under_a_diurnal_wave() {
         phase_spread: 1.0,
         night_offline: 0.5,
     };
-    let wave_uniform = run(RoundMode::Synchronous, SelectionKind::Uniform, diurnal);
-    let wave_utility = run(RoundMode::Synchronous, SelectionKind::utility(), diurnal);
+    let wave_uniform = run(fleet_config().with_availability(diurnal));
+    let wave_utility = run(fleet_config()
+        .with_selection(SelectionKind::utility())
+        .with_availability(diurnal));
     for (name, wave, iid) in [
         ("uniform", &wave_uniform, sync_uniform()),
         ("utility", &wave_utility, sync_utility()),
@@ -169,5 +144,48 @@ fn utility_selection_beats_uniform_under_a_diurnal_wave() {
         "utility selection must beat uniform under the day/night wave ({} vs {})",
         wave_utility.total_time,
         wave_uniform.total_time
+    );
+}
+
+/// Zone aggregators change where the bytes go and when rounds close, never
+/// the math: without a zone deadline the two-tier barrier absorbs the flat
+/// run's arithmetic round for round and only adds the combined zone →
+/// server forwards; a zone deadline then cuts stragglers at their zone and
+/// buys virtual time back.
+#[test]
+fn two_tier_zones_retime_rounds_without_changing_the_learned_model() {
+    let flat = sync_uniform();
+    let patient = run(fleet_config().with_topology(Topology::two_tier()));
+    assert_eq!(flat.final_accuracy, patient.final_accuracy);
+    for (f, t) in flat.rounds.iter().zip(&patient.rounds) {
+        assert_eq!(f.mean_accuracy, t.mean_accuracy, "round {}", f.round);
+        assert_eq!(f.train_loss.to_bits(), t.train_loss.to_bits());
+        assert_eq!(f.round_flops.to_bits(), t.round_flops.to_bits());
+        assert_eq!(
+            f.round_upload_bytes.to_bits(),
+            t.round_upload_bytes.to_bits()
+        );
+        assert_eq!(f.straggler_drops, t.straggler_drops);
+        assert!(
+            t.zone_upload_bytes > 0.0,
+            "round {} forwarded nothing",
+            t.round
+        );
+    }
+    assert!(patient.total_time >= flat.total_time);
+
+    let worst_round = flat.rounds.iter().map(|r| r.round_time).fold(0.0, f64::max);
+    let strict =
+        run(fleet_config()
+            .with_topology(Topology::two_tier().with_zone_deadline(worst_round * 0.6)));
+    assert!(
+        strict.total_zone_straggler_drops() > 0,
+        "a sub-worst-round zone deadline must cut someone on a High fleet"
+    );
+    assert!(
+        strict.total_time < patient.total_time,
+        "zone deadlines must buy virtual time ({} vs {})",
+        strict.total_time,
+        patient.total_time
     );
 }
