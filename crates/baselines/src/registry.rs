@@ -10,58 +10,53 @@ use crate::personalized::{PersonalizedFl, PersonalizedVariant};
 use crate::sparse_personalized::SparsePersonalized;
 use crate::width::{WidthScaling, WidthVariant};
 
+/// Builds one baseline.
+type Constructor = fn() -> Box<dyn FlAlgorithm>;
+
+fn on<F: Family + 'static>(family: F) -> Box<dyn FlAlgorithm> {
+    Box::new(Server::from(family))
+}
+
+/// Every baseline by its Table-I name, in the order of the paper's Table I.
+const BASELINES: [(&str, Constructor); 19] = [
+    ("FedAvg", || on(DenseFl::new(DenseVariant::FedAvg))),
+    ("FedProx", || {
+        on(DenseFl::new(DenseVariant::FedProx { mu: 0.1 }))
+    }),
+    ("Oort", || on(DenseFl::new(DenseVariant::Oort))),
+    ("REFL", || on(DenseFl::new(DenseVariant::Refl))),
+    ("PruneFL", || on(GlobalSparse::prunefl())),
+    ("CS", || on(GlobalSparse::cs())),
+    ("Fjord", || on(WidthScaling::new(WidthVariant::Fjord))),
+    ("HeteroFL", || on(WidthScaling::new(WidthVariant::HeteroFl))),
+    ("FedRolex", || on(WidthScaling::new(WidthVariant::FedRolex))),
+    ("FedMP", || on(WidthScaling::new(WidthVariant::FedMp))),
+    ("DepthFL", || on(WidthScaling::new(WidthVariant::DepthFl))),
+    ("Ditto", || on(PersonalizedFl::ditto())),
+    ("FedPer", || {
+        on(PersonalizedFl::new(PersonalizedVariant::FedPer))
+    }),
+    ("FedRep", || {
+        on(PersonalizedFl::new(PersonalizedVariant::FedRep))
+    }),
+    ("Per-FedAvg", || on(PersonalizedFl::per_fedavg())),
+    ("LotteryFL", || on(SparsePersonalized::lotteryfl())),
+    ("Hermes", || on(SparsePersonalized::hermes())),
+    ("FedSpa", || on(SparsePersonalized::fedspa())),
+    ("FedP3", || on(SparsePersonalized::fedp3())),
+];
+
 /// The baseline names in the order of the paper's Table I.
 pub fn baseline_names() -> Vec<&'static str> {
-    vec![
-        "FedAvg",
-        "FedProx",
-        "Oort",
-        "REFL",
-        "PruneFL",
-        "CS",
-        "Fjord",
-        "HeteroFL",
-        "FedRolex",
-        "FedMP",
-        "DepthFL",
-        "Ditto",
-        "FedPer",
-        "FedRep",
-        "Per-FedAvg",
-        "LotteryFL",
-        "Hermes",
-        "FedSpa",
-        "FedP3",
-    ]
+    BASELINES.iter().map(|&(name, _)| name).collect()
 }
 
 /// Builds a baseline by its Table-I name. Returns `None` for unknown names.
 pub fn baseline_by_name(name: &str) -> Option<Box<dyn FlAlgorithm>> {
-    fn on<F: Family + 'static>(family: F) -> Option<Box<dyn FlAlgorithm>> {
-        Some(Box::new(Server::from(family)))
-    }
-    match name {
-        "FedAvg" => on(DenseFl::new(DenseVariant::FedAvg)),
-        "FedProx" => on(DenseFl::new(DenseVariant::FedProx { mu: 0.1 })),
-        "Oort" => on(DenseFl::new(DenseVariant::Oort)),
-        "REFL" => on(DenseFl::new(DenseVariant::Refl)),
-        "PruneFL" => on(GlobalSparse::prunefl()),
-        "CS" => on(GlobalSparse::cs()),
-        "Fjord" => on(WidthScaling::new(WidthVariant::Fjord)),
-        "HeteroFL" => on(WidthScaling::new(WidthVariant::HeteroFl)),
-        "FedRolex" => on(WidthScaling::new(WidthVariant::FedRolex)),
-        "FedMP" => on(WidthScaling::new(WidthVariant::FedMp)),
-        "DepthFL" => on(WidthScaling::new(WidthVariant::DepthFl)),
-        "Ditto" => on(PersonalizedFl::ditto()),
-        "FedPer" => on(PersonalizedFl::new(PersonalizedVariant::FedPer)),
-        "FedRep" => on(PersonalizedFl::new(PersonalizedVariant::FedRep)),
-        "Per-FedAvg" => on(PersonalizedFl::per_fedavg()),
-        "LotteryFL" => on(SparsePersonalized::lotteryfl()),
-        "Hermes" => on(SparsePersonalized::hermes()),
-        "FedSpa" => on(SparsePersonalized::fedspa()),
-        "FedP3" => on(SparsePersonalized::fedp3()),
-        _ => None,
-    }
+    BASELINES
+        .iter()
+        .find(|&&(n, _)| n == name)
+        .map(|&(_, build)| build())
 }
 
 #[cfg(test)]

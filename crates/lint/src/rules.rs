@@ -89,7 +89,7 @@ impl RuleId {
             }
             RuleId::D5 => {
                 "absorption seam violation: absorb_update/absorb_update_stale may be \
-                 driven only from crates/sim/src/{absorb,driver,topology}.rs \
+                 driven only from crates/sim/src/absorb.rs \
                  (self-delegation inside an algorithm impl is fine)"
             }
             RuleId::W1 => "fedlps-lint waiver without a reason: the reason is mandatory",
@@ -169,34 +169,14 @@ const D4_UNORDERED_SOURCES: &[&str] = &[
     "HashSet",
 ];
 
-/// Files (path suffixes) allowed to *drive* absorption (D5). `topology.rs`
-/// joined the seam when the barrier absorption walk moved there: the
-/// topology layer owns where uploads meet the server, so it hosts the one
-/// ascending-client-order loop cohort rounds absorb through, and the walk's
-/// determinism obligations travelled with the code.
-const D5_ALLOWED_FILES: &[&str] = &[
-    "crates/sim/src/absorb.rs",
-    "crates/sim/src/driver.rs",
-    "crates/sim/src/topology.rs",
-];
+/// Files (path suffixes) allowed to *drive* absorption (D5): the absorption
+/// layer, home of both the barrier walk and the async absorb.
+const D5_ALLOWED_FILES: &[&str] = &["crates/sim/src/absorb.rs"];
 
 const D5_SEAM_METHODS: &[&str] = &["absorb_update", "absorb_update_stale"];
 
-/// Static per-file allowlist: `(rule, path suffix)` pairs exempted without
-/// an inline waiver. Deliberately empty — an exemption is an inline waiver
-/// (with a reason) instead of a blanket one, so every escape hatch is
-/// visible at the use site and audited by W1/W2. The mechanism
-/// stays so a future, genuinely file-wide exemption has somewhere to live.
-const FILE_ALLOWLIST: &[(RuleId, &str)] = &[];
-
 fn path_matches(file: &str, suffixes: &[&str]) -> bool {
     suffixes.iter().any(|s| file.ends_with(s))
-}
-
-fn allowlisted(rule: RuleId, file: &str) -> bool {
-    FILE_ALLOWLIST
-        .iter()
-        .any(|(r, suffix)| *r == rule && file.ends_with(suffix))
 }
 
 /// Runs every rule over one lexed file. `file` is the workspace-relative
@@ -225,9 +205,6 @@ fn push(findings: &mut Vec<Finding>, rule: RuleId, file: &str, tok: &Token, mess
 }
 
 fn check_d1(file: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
-    if allowlisted(RuleId::D1, file) {
-        return;
-    }
     for tok in tokens {
         if let Some(name) = tok.ident() {
             if D1_BANNED.contains(&name) {
@@ -268,9 +245,6 @@ fn path_matches_at(tokens: &[Token], i: usize, path: &[&str]) -> bool {
 }
 
 fn check_d2(file: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
-    if allowlisted(RuleId::D2, file) {
-        return;
-    }
     for (i, tok) in tokens.iter().enumerate() {
         let Some(name) = tok.ident() else { continue };
         if D2_BANNED_IDENTS.contains(&name) {
@@ -302,7 +276,7 @@ fn check_d2(file: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
 }
 
 fn check_d3(file: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
-    if path_matches(file, D3_ALLOWED_FILES) || allowlisted(RuleId::D3, file) {
+    if path_matches(file, D3_ALLOWED_FILES) {
         return;
     }
     for (i, tok) in tokens.iter().enumerate() {
@@ -330,9 +304,6 @@ fn check_d3(file: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
 }
 
 fn check_d4(file: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
-    if allowlisted(RuleId::D4, file) {
-        return;
-    }
     for (i, tok) in tokens.iter().enumerate() {
         let Some(name) = tok.ident() else { continue };
         let is_accumulator = matches!(name, "sum" | "fold" | "product");
@@ -412,7 +383,7 @@ fn turbofish_is_integer(tokens: &[Token], i: usize) -> bool {
 }
 
 fn check_d5(file: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
-    if path_matches(file, D5_ALLOWED_FILES) || allowlisted(RuleId::D5, file) {
+    if path_matches(file, D5_ALLOWED_FILES) {
         return;
     }
     for (i, tok) in tokens.iter().enumerate() {
@@ -441,8 +412,7 @@ fn check_d5(file: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
             tok,
             format!(
                 "`{name}` driven outside the absorption seam; only \
-                 crates/sim/src/{{absorb,driver,topology}}.rs may invoke it \
-                 (self-delegation excepted)"
+                 crates/sim/src/absorb.rs may invoke it (self-delegation excepted)"
             ),
         );
     }
@@ -563,11 +533,14 @@ mod tests {
         assert!(rules_hit("self.absorb_update(env, round, update);").is_empty());
         assert!(rules_hit("self.inner.absorb_update(env, round, update);").is_empty());
         assert!(rules_hit("fn absorb_update(&mut self) {}").is_empty());
-        let in_driver = check_file(
-            "crates/sim/src/driver.rs",
-            &lex("algorithm.absorb_update(env, round, update);"),
-        );
-        assert!(in_driver.is_empty());
+        // The seam is exactly one file: the driver and the topology layer
+        // are outside it like any other module.
+        let call = lex("algorithm.absorb_update(env, round, update);");
+        for file in ["crates/sim/src/driver.rs", "crates/sim/src/topology.rs"] {
+            let rules: Vec<_> = check_file(file, &call).iter().map(|f| f.rule).collect();
+            assert_eq!(rules, vec![RuleId::D5], "{file}");
+        }
+        assert!(check_file("crates/sim/src/absorb.rs", &call).is_empty());
     }
 
     #[test]

@@ -23,7 +23,7 @@ fn audit_fixture(dir: &str, name: &str) -> AuditReport {
     let src = fs::read_to_string(&path).unwrap();
     let mut report = AuditReport::default();
     // Audited under a neutral simulated path so file-scoped exemptions
-    // (backend seam, absorb/driver) do not apply.
+    // (the backend and absorption seams) do not apply.
     audit_source(&format!("crates/sim/src/{name}"), &src, &mut report);
     report
 }

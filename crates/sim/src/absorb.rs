@@ -5,11 +5,16 @@
 //! (their FLOPs always count, their uploads only when they land), surviving
 //! reports are absorbed, and a [`RoundMetrics`] entry summarizes the round
 //! when it closes. This module owns that accounting — the
-//! [`RoundAccumulator`] totals plus the [`ModeState`] machine deciding *when*
+//! [`RoundAccumulator`], whose one [`RoundMetrics`] record every per-round
+//! counter accumulates into, plus the [`ModeState`] machine deciding *when*
 //! a round closes and *who* drops — so the driver's event handlers stay pure
 //! orchestration. Deadline straggler drops, post-deadline arrivals and async
 //! staleness discards are just different calls on the same state machine,
 //! not separate per-mode loops.
+//!
+//! It is also the one module that hands updates to the algorithm (lint rule
+//! D5): the cohort barrier walk and the async staleness-discounted absorb
+//! are both accumulator methods.
 //!
 //! The layer is private; its behaviour is observable through the metric
 //! trace. Under a deadline, rounds close at the budget instead of waiting
@@ -65,8 +70,10 @@
 use std::collections::BTreeMap;
 
 use fedlps_runtime::RoundMode;
+use fedlps_select::SelectionTracker;
 
-use crate::algorithm::{ClientReport, ClientUpdate};
+use crate::algorithm::{ClientReport, ClientUpdate, FlAlgorithm};
+use crate::env::FlEnv;
 use crate::metrics::RoundMetrics;
 
 /// A dispatched client whose update is still travelling (or, in the cohort
@@ -128,41 +135,34 @@ impl ModeState {
         clients_per_round: usize,
         quorum: f64,
     ) -> Self {
-        match mode {
-            RoundMode::Synchronous => ModeState::Cohort {
-                deadline: None,
-                over_select: 0,
-                dispatched: 0,
-                arrived: BTreeMap::new(),
-                duration: 0.0,
-                deadline_fired: false,
-                quorum,
-                quorum_target: usize::MAX,
-                quorum_fired: false,
-            },
+        let (deadline, over_select) = match mode {
+            RoundMode::Synchronous => (None, 0),
             RoundMode::Deadline {
                 budget,
                 over_select,
-            } => ModeState::Cohort {
-                deadline: Some(budget),
-                over_select,
-                dispatched: 0,
-                arrived: BTreeMap::new(),
-                duration: 0.0,
-                deadline_fired: false,
-                quorum,
-                quorum_target: usize::MAX,
-                quorum_fired: false,
-            },
+            } => (Some(budget), over_select),
             RoundMode::Async {
                 max_staleness,
                 alpha,
-            } => ModeState::Async {
-                max_staleness,
-                alpha,
-                buffer_target: clients_per_round.min(num_clients).max(1),
-                round_start: 0.0,
-            },
+            } => {
+                return ModeState::Async {
+                    max_staleness,
+                    alpha,
+                    buffer_target: clients_per_round.min(num_clients).max(1),
+                    round_start: 0.0,
+                }
+            }
+        };
+        ModeState::Cohort {
+            deadline,
+            over_select,
+            dispatched: 0,
+            arrived: BTreeMap::new(),
+            duration: 0.0,
+            deadline_fired: false,
+            quorum,
+            quorum_target: usize::MAX,
+            quorum_fired: false,
         }
     }
 
@@ -260,7 +260,7 @@ impl ModeState {
             unreachable!("cohort arrival outside a cohort round");
         };
         if *deadline_fired {
-            acc.straggler_drops += 1;
+            acc.metrics.straggler_drops += 1;
             false
         } else {
             *duration = duration.max(time);
@@ -268,7 +268,7 @@ impl ModeState {
             if arrived.len() >= *quorum_target {
                 *deadline_fired = true;
                 *quorum_fired = true;
-                acc.quorum_closes += 1;
+                acc.metrics.quorum_closes += 1;
             }
             true
         }
@@ -281,7 +281,8 @@ impl ModeState {
         // Zone-deadline and upload-failure drops count against the arrival
         // reckoning too: a client dropped at its zone (or whose retries ran
         // out) will never reach the server barrier.
-        let drops = acc.straggler_drops + acc.zone_straggler_drops + acc.upload_failure_drops;
+        let m = &acc.metrics;
+        let drops = m.straggler_drops + m.zone_straggler_drops + m.upload_failure_drops;
         let ModeState::Cohort {
             dispatched,
             arrived,
@@ -340,46 +341,18 @@ impl ModeState {
     }
 }
 
-/// Running totals of the currently open round.
-#[derive(Debug, Clone, Default)]
+/// The currently open round: the reports absorbed so far plus the
+/// [`RoundMetrics`] record its counters and totals accumulate into.
+#[derive(Debug, Clone)]
 pub(crate) struct RoundAccumulator {
     /// Reports of the updates absorbed this round, in absorption order.
     pub reports: Vec<ClientReport>,
-    /// FLOPs spent by every dispatched client (dropped work still costs).
-    pub round_flops: f64,
-    /// Bytes uploaded by the updates that actually landed.
-    pub round_upload: f64,
-    /// Dispatched clients whose updates were lost (deadline stragglers plus
-    /// offline churn).
-    pub straggler_drops: u64,
-    /// Async updates discarded for exceeding the staleness bound.
-    pub stale_discards: u64,
-    /// Per-staleness absorption counts (empty outside async mode).
-    pub staleness_hist: Vec<u64>,
-    /// Two-tier topology: uploads dropped at their zone aggregator because
-    /// the zone's deadline had fired (0 under the flat topology).
-    pub zone_straggler_drops: u64,
-    /// Two-tier topology: bytes the zone tier forwarded to the server this
-    /// round — combined pre-merged uploads in the cohort modes, individual
-    /// store-and-forward uploads in async mode (0 under flat).
-    pub zone_upload: f64,
-    /// Upload attempts that failed transiently and were retried.
-    pub retry_attempts: u64,
-    /// Dispatched clients permanently lost after exhausting their upload
-    /// retry budget.
-    pub upload_failure_drops: u64,
-    /// The subset of `straggler_drops` caused by mid-round offline churn
-    /// (rather than the deadline catching a slow-but-alive client).
-    pub churn_drops: u64,
-    /// Cohort rounds this metrics entry closed via the quorum knob instead
-    /// of the full barrier / deadline (0 or 1 in the cohort modes).
-    pub quorum_closes: u64,
-    /// Dispatches that found the device unavailable under the configured
-    /// availability model and had to wait the outage out.
-    pub unavailable_dispatches: u64,
-    /// Total virtual seconds those dispatches spent waiting for the device
-    /// to come back.
-    pub unavailable_wait: f64,
+    /// The round's record, filled as the round runs: FLOPs of every
+    /// dispatched client (dropped work still costs), bytes of every upload
+    /// attempt, drops by cause, staleness, availability waits. The
+    /// per-report means and clock facts are stamped by
+    /// [`close`](Self::close).
+    pub metrics: RoundMetrics,
 }
 
 impl RoundAccumulator {
@@ -387,88 +360,97 @@ impl RoundAccumulator {
     /// (0 for the cohort modes, `max_staleness + 1` for async).
     pub(crate) fn new(hist_len: usize) -> Self {
         Self {
-            staleness_hist: vec![0; hist_len],
-            ..Self::default()
+            reports: Vec::new(),
+            metrics: RoundMetrics {
+                staleness_hist: vec![0; hist_len],
+                ..RoundMetrics::default()
+            },
         }
     }
 
-    /// Clears the round-scoped totals for the next round, keeping the
-    /// histogram shape.
-    pub(crate) fn reset(&mut self) {
-        self.reports.clear();
-        self.round_flops = 0.0;
-        self.round_upload = 0.0;
-        self.straggler_drops = 0;
-        self.stale_discards = 0;
-        self.staleness_hist.iter_mut().for_each(|v| *v = 0);
-        self.zone_straggler_drops = 0;
-        self.zone_upload = 0.0;
-        self.retry_attempts = 0;
-        self.upload_failure_drops = 0;
-        self.churn_drops = 0;
-        self.quorum_closes = 0;
-        self.unavailable_dispatches = 0;
-        self.unavailable_wait = 0.0;
+    /// Barrier absorption: hands the buffered survivors to the algorithm in
+    /// ascending client-id order (fixed by the `BTreeMap` iteration order,
+    /// never the thread schedule) and books their reports.
+    pub(crate) fn absorb_arrivals(
+        &mut self,
+        algorithm: &mut dyn FlAlgorithm,
+        env: &FlEnv,
+        round: usize,
+        arrived: BTreeMap<usize, InFlight>,
+        tracker: &mut SelectionTracker,
+    ) {
+        for (client, fl) in arrived {
+            self.metrics.round_upload_bytes += fl.report.upload_bytes;
+            tracker.on_report(client, fl.report.train_loss, fl.report.local_cost.total());
+            self.reports.push(fl.report);
+            algorithm.absorb_update(env, round, fl.update);
+        }
     }
 
-    /// Closes the round: folds the accumulated totals into one
-    /// [`RoundMetrics`] entry. The caller supplies the clock facts (round
-    /// boundaries and cumulative totals) because those are mode-specific;
-    /// every mean here is computed over `reports` in absorption order, which
-    /// the event schedule fixes independently of the thread schedule.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish(
-        &self,
+    /// Async arrival at server `version`: absorbs the update at once with
+    /// weight `alpha^staleness`, or discards it when it is staler than
+    /// `max_staleness`.
+    pub(crate) fn absorb_async(
+        &mut self,
+        algorithm: &mut dyn FlAlgorithm,
+        env: &FlEnv,
+        version: usize,
+        fl: InFlight,
+        tracker: &mut SelectionTracker,
+        (max_staleness, alpha): (u32, f64),
+    ) {
+        let staleness = (version - fl.dispatched_version) as u32;
+        if staleness > max_staleness {
+            self.metrics.stale_discards += 1;
+            return;
+        }
+        // Selection stats track *absorbed* reports only — an update the
+        // server discards must not steer future cohorts.
+        let r = &fl.report;
+        tracker.on_report(r.client_id, r.train_loss, r.local_cost.total());
+        self.metrics.staleness_hist[staleness as usize] += 1;
+        let weight = alpha.powi(staleness as i32);
+        algorithm.absorb_update_stale(env, version, fl.update, staleness, weight);
+        self.reports.push(fl.report);
+    }
+
+    /// Closes the round and leaves a fresh record with the same histogram
+    /// shape. The caller supplies the clock facts because round boundaries
+    /// are mode-specific; the cumulative totals carry on from `previous`.
+    /// Every mean is computed over `reports` in absorption order, which the
+    /// event schedule fixes independently of the thread schedule.
+    pub(crate) fn close(
+        &mut self,
         round: usize,
         mean_accuracy: Option<f64>,
         round_time: f64,
         round_start_time: f64,
         cumulative_time: f64,
-        cumulative_flops: f64,
-        cumulative_upload: f64,
+        previous: Option<&RoundMetrics>,
     ) -> RoundMetrics {
-        let absorbed = self.reports.len().max(1) as f64;
+        let fresh = Self::new(self.metrics.staleness_hist.len());
+        let Self { reports, metrics } = std::mem::replace(self, fresh);
+        let absorbed = reports.len().max(1) as f64;
+        let mean = |of: fn(&ClientReport) -> f64| reports.iter().map(of).sum::<f64>() / absorbed;
+        let carried = |of: fn(&RoundMetrics) -> f64| previous.map_or(0.0, of);
         RoundMetrics {
             round,
             mean_accuracy,
-            train_accuracy: self.reports.iter().map(|r| r.train_accuracy).sum::<f64>() / absorbed,
-            train_loss: self.reports.iter().map(|r| r.train_loss).sum::<f64>() / absorbed,
+            train_accuracy: mean(|r| r.train_accuracy),
+            train_loss: mean(|r| r.train_loss),
             round_time,
             round_start_time,
             cumulative_time,
-            round_flops: self.round_flops,
-            cumulative_flops,
-            round_upload_bytes: self.round_upload,
-            cumulative_upload_bytes: cumulative_upload,
-            mean_sparse_ratio: self.reports.iter().map(|r| r.sparse_ratio).sum::<f64>() / absorbed,
-            mask_cache_hits: self.reports.iter().map(|r| r.mask_cache_hits as u64).sum(),
-            mask_cache_misses: self
-                .reports
-                .iter()
-                .map(|r| r.mask_cache_misses as u64)
-                .sum(),
-            straggler_drops: self.straggler_drops,
-            stale_discards: self.stale_discards,
-            staleness_hist: self.staleness_hist.clone(),
-            mean_selection_utility: self
-                .reports
-                .iter()
-                .map(|r| r.selection_utility)
-                .sum::<f64>()
-                / absorbed,
-            first_time_participants: self
-                .reports
-                .iter()
-                .filter(|r| r.participations == 1)
-                .count() as u64,
-            zone_straggler_drops: self.zone_straggler_drops,
-            zone_upload_bytes: self.zone_upload,
-            retry_attempts: self.retry_attempts,
-            upload_failure_drops: self.upload_failure_drops,
-            churn_drops: self.churn_drops,
-            quorum_closes: self.quorum_closes,
-            unavailable_dispatches: self.unavailable_dispatches,
-            unavailable_wait_seconds: self.unavailable_wait,
+            cumulative_flops: carried(|p| p.cumulative_flops) + metrics.round_flops,
+            cumulative_upload_bytes: carried(|p| p.cumulative_upload_bytes)
+                + metrics.round_upload_bytes,
+            mean_sparse_ratio: mean(|r| r.sparse_ratio),
+            mask_cache_hits: reports.iter().map(|r| r.mask_cache_hits as u64).sum(),
+            mask_cache_misses: reports.iter().map(|r| r.mask_cache_misses as u64).sum(),
+            mean_selection_utility: mean(|r| r.selection_utility),
+            first_time_participants: reports.iter().filter(|r| r.participations == 1).count()
+                as u64,
+            ..metrics
         }
     }
 }
@@ -494,36 +476,48 @@ mod tests {
         let mut acc = RoundAccumulator::new(0);
         acc.reports.push(report(0, 1.0, 1));
         acc.reports.push(report(1, 3.0, 2));
-        acc.round_flops = 20.0;
-        acc.round_upload = 8.0;
-        let m = acc.finish(4, Some(0.7), 1.5, 3.0, 4.5, 100.0, 40.0);
+        acc.metrics.round_flops = 20.0;
+        acc.metrics.round_upload_bytes = 8.0;
+        let previous = RoundMetrics {
+            cumulative_flops: 80.0,
+            cumulative_upload_bytes: 32.0,
+            ..RoundMetrics::default()
+        };
+        let m = acc.close(4, Some(0.7), 1.5, 3.0, 4.5, Some(&previous));
         assert_eq!(m.round, 4);
         assert_eq!(m.train_loss, 2.0);
         assert_eq!(m.mean_selection_utility, 2.0);
         assert_eq!(m.first_time_participants, 1);
         assert_eq!(m.round_flops, 20.0);
+        assert_eq!(
+            (m.cumulative_flops, m.cumulative_upload_bytes),
+            (100.0, 40.0)
+        );
         assert_eq!(m.cumulative_time, 4.5);
         assert!(m.staleness_hist.is_empty());
     }
 
     #[test]
     fn empty_round_divides_by_one_not_zero() {
-        let acc = RoundAccumulator::new(0);
-        let m = acc.finish(0, None, 1.0, 0.0, 1.0, 0.0, 0.0);
+        let mut acc = RoundAccumulator::new(0);
+        let m = acc.close(0, None, 1.0, 0.0, 1.0, None);
         assert_eq!(m.train_loss, 0.0);
         assert_eq!(m.mean_selection_utility, 0.0);
         assert_eq!(m.first_time_participants, 0);
+        assert_eq!(m.cumulative_flops, 0.0);
     }
 
+    /// `close` hands back the filled record and leaves a fresh one behind.
     #[test]
     fn reset_keeps_the_histogram_shape() {
         let mut acc = RoundAccumulator::new(3);
-        acc.staleness_hist[1] = 5;
-        acc.stale_discards = 2;
+        acc.metrics.staleness_hist[1] = 5;
+        acc.metrics.stale_discards = 2;
         acc.reports.push(report(0, 1.0, 1));
-        acc.reset();
-        assert_eq!(acc.staleness_hist, vec![0, 0, 0]);
-        assert_eq!(acc.stale_discards, 0);
+        let m = acc.close(0, None, 1.0, 0.0, 1.0, None);
+        assert_eq!((m.staleness_hist, m.stale_discards), (vec![0, 5, 0], 2));
+        assert_eq!(acc.metrics.staleness_hist, vec![0, 0, 0]);
+        assert_eq!(acc.metrics.stale_discards, 0);
         assert!(acc.reports.is_empty());
     }
 
@@ -548,7 +542,7 @@ mod tests {
         // and the late arrival is a straggler drop.
         mode.deadline_fired(&acc, 2.0);
         mode.buffer_arrival(&mut acc, 0, fl(0), 2.5);
-        assert_eq!(acc.straggler_drops, 1);
+        assert_eq!(acc.metrics.straggler_drops, 1);
         let (arrived, duration) = mode.close_barrier();
         assert_eq!(arrived.keys().copied().collect::<Vec<_>>(), vec![1]);
         assert_eq!(duration, 2.0);
@@ -621,7 +615,7 @@ mod tests {
                     };
                     mode.buffer_arrival(&mut acc, event.client, fl, event.time);
                 }
-                EventKind::Offline => acc.straggler_drops += 1,
+                EventKind::Offline => acc.metrics.straggler_drops += 1,
                 EventKind::RoundDeadline => mode.deadline_fired(&acc, event.time),
                 _ => unreachable!(),
             }
@@ -629,7 +623,7 @@ mod tests {
         let (arrived, duration) = mode.close_barrier();
         (
             arrived.keys().copied().collect(),
-            acc.straggler_drops as usize,
+            acc.metrics.straggler_drops as usize,
             duration,
         )
     }
@@ -703,13 +697,13 @@ mod tests {
         let mut acc = RoundAccumulator::new(0);
         assert!(mode.buffer_arrival(&mut acc, 0, fl(0), 1.0));
         assert!(mode.buffer_arrival(&mut acc, 1, fl(1), 2.0));
-        assert_eq!(acc.quorum_closes, 0);
+        assert_eq!(acc.metrics.quorum_closes, 0);
         assert!(mode.buffer_arrival(&mut acc, 2, fl(2), 3.0));
-        assert_eq!(acc.quorum_closes, 1);
+        assert_eq!(acc.metrics.quorum_closes, 1);
         // The fourth client is now a straggler, and the budget firing later
         // must not stretch the round back out to 10.0.
         assert!(!mode.buffer_arrival(&mut acc, 3, fl(3), 4.0));
-        assert_eq!(acc.straggler_drops, 1);
+        assert_eq!(acc.metrics.straggler_drops, 1);
         mode.deadline_fired(&acc, 10.0);
         let (arrived, duration) = mode.close_barrier();
         assert_eq!(arrived.keys().copied().collect::<Vec<_>>(), vec![0, 1, 2]);
@@ -728,7 +722,7 @@ mod tests {
         let mut acc = RoundAccumulator::new(0);
         assert!(mode.buffer_arrival(&mut acc, 0, fl(0), 1.0));
         assert!(mode.buffer_arrival(&mut acc, 1, fl(1), 5.0));
-        assert_eq!(acc.quorum_closes, 0);
+        assert_eq!(acc.metrics.quorum_closes, 0);
         let (arrived, duration) = mode.close_barrier();
         assert_eq!(arrived.len(), 2);
         assert_eq!(duration, 5.0);
@@ -745,7 +739,7 @@ mod tests {
             update: Box::new(()),
         };
         assert!(mode.buffer_arrival(&mut acc, 0, fl, 0.5));
-        assert_eq!(acc.quorum_closes, 1);
+        assert_eq!(acc.metrics.quorum_closes, 1);
         let (_, duration) = mode.close_barrier();
         assert_eq!(duration, 0.5);
         // The next round starts with a fresh quorum state.
@@ -756,7 +750,7 @@ mod tests {
             update: Box::new(()),
         };
         assert!(mode.buffer_arrival(&mut acc, 3, fl, 0.25));
-        assert_eq!(acc.quorum_closes, 2);
+        assert_eq!(acc.metrics.quorum_closes, 2);
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! * **execution** ([`crate::backend`]) runs the pure client steps of every
 //!   dispatch batch, inline or on `effective_parallelism()` scoped threads,
 //!   in event order;
-//! * **absorption** ([`crate::absorb`]) books the outcomes: cohort modes
-//!   buffer arrivals and absorb them at the barrier in ascending client-id
-//!   order, async mode absorbs immediately with an `alpha^staleness`
-//!   discount; deadline drops and staleness discards are event-handler
-//!   cases of the shared [`ModeState`] machine, not separate loops;
+//! * **absorption** ([`crate::absorb`]) books the outcomes into one
+//!   per-round record and is the only layer that hands updates to the
+//!   algorithm: cohort modes buffer arrivals and absorb them at the barrier
+//!   in ascending client-id order, async mode absorbs immediately with an
+//!   `alpha^staleness` discount; deadline drops and staleness discards are
+//!   event-handler cases of the shared [`ModeState`] machine, not separate
+//!   loops;
 //! * **topology** ([`crate::topology`]) overlays the physical aggregation
 //!   path: flat is a pass-through, the two-tier zone tier adds zone-deadline
 //!   drops (more event-handler cases), combined zone → server forwards and
@@ -43,7 +45,7 @@ use crate::algorithm::FlAlgorithm;
 use crate::backend::{par_map, parallel_mean_accuracy};
 use crate::env::FlEnv;
 use crate::metrics::{RoundMetrics, RunResult};
-use crate::topology::{absorb_arrivals, TopologyState};
+use crate::topology::TopologyState;
 
 /// RNG stream of the selection layer (cohorts, over-selection, refills).
 const STREAM_SELECTION: u64 = 0x5E1E;
@@ -88,8 +90,6 @@ pub(crate) struct Driver<'a> {
     /// Current round (cohort) / server version (async).
     version: usize,
     cumulative_time: f64,
-    cumulative_flops: f64,
-    cumulative_upload: f64,
     dispatch_seq: u64,
     mode: ModeState,
     topo: TopologyState,
@@ -127,8 +127,6 @@ impl<'a> Driver<'a> {
             rounds: Vec::with_capacity(env.config.rounds),
             version: 0,
             cumulative_time: 0.0,
-            cumulative_flops: 0.0,
-            cumulative_upload: 0.0,
             dispatch_seq: 0,
             mode,
             topo: TopologyState::new(env),
@@ -258,9 +256,16 @@ impl<'a> Driver<'a> {
     fn on_dispatch(&mut self, algorithm: &mut dyn FlAlgorithm, event: Event) {
         let env = self.env;
         let round = self.version;
-        let cohort_deadline = self.mode.cohort_deadline();
+        let cohort = !self.mode.is_async();
+        // Synchronous servers wait churn out (legacy Eq. 18), so only
+        // deadline rounds and the async pipeline consult the churn model.
+        let churns = self.mode.cohort_deadline() != Some(None);
+        // A dispatch's scheduling tick keys its step stream, its churn draw
+        // and its upload-fault draws: the round in the cohort modes, the
+        // dispatch sequence in async.
+        let tick = |seq: u64| if cohort { round as u64 } else { seq };
 
-        let mut batch = vec![(event.client, self.dispatch_seq)];
+        let mut batch = vec![(event.client, tick(self.dispatch_seq))];
         self.dispatch_seq += 1;
         while self
             .queue
@@ -268,22 +273,23 @@ impl<'a> Driver<'a> {
             .is_some_and(|e| e.kind == EventKind::Dispatch && e.time == event.time)
         {
             let next = self.queue.pop().expect("peeked event exists");
-            batch.push((next.client, self.dispatch_seq));
+            batch.push((next.client, tick(self.dispatch_seq)));
             self.dispatch_seq += 1;
         }
         // Each task owns an RNG stream keyed by the configuration (cohort:
         // round and client; async: dispatch sequence and client), so neither
         // the thread schedule nor the thread count can leak into the results.
-        let outcomes = par_map(self.threads, batch.clone(), |(c, s)| {
-            let stream = match cohort_deadline {
-                Some(_) => STREAM_COHORT_STEP ^ ((c as u64) << 24) ^ round as u64,
-                None => STREAM_ASYNC_STEP ^ (s << 20) ^ c as u64,
+        let outcomes = par_map(self.threads, batch.clone(), |(c, tick)| {
+            let stream = if cohort {
+                STREAM_COHORT_STEP ^ ((c as u64) << 24) ^ tick
+            } else {
+                STREAM_ASYNC_STEP ^ (tick << 20) ^ c as u64
             };
             let mut rng = rng_from_seed(split_seed(env.config.seed, stream));
             algorithm.client_step(env, round, c, &mut rng)
         });
 
-        for ((client, seq), mut outcome) in batch.into_iter().zip(outcomes) {
+        for ((client, tick), mut outcome) in batch.into_iter().zip(outcomes) {
             debug_assert_eq!(client, outcome.report.client_id);
             self.pending.remove(&client);
             self.tracker.on_dispatch(client, round);
@@ -291,23 +297,16 @@ impl<'a> Driver<'a> {
             outcome.report.participations = self.tracker.stats(client).participations;
 
             let total = outcome.report.local_cost.total();
-            let churn = match cohort_deadline {
-                // Dropped work still costs: cohort FLOPs are booked at
-                // dispatch, in ascending client order (the batch order).
-                // Synchronous servers wait churn out (legacy Eq. 18), so only
-                // deadline rounds consult the fleet's churn model, keyed by
-                // the round; the async pipeline keys churn by the dispatch
-                // sequence.
-                Some(deadline) => {
-                    self.acc.round_flops += outcome.report.flops;
-                    deadline
-                        .is_some()
-                        .then(|| env.fleet.offline_churn(client, round as u64))
-                        .flatten()
-                }
-                None => env.fleet.offline_churn(client, seq),
-            };
-            match churn {
+            // Dropped work still costs: cohort FLOPs are booked at dispatch,
+            // in ascending client order (the batch order); async FLOPs when
+            // the update lands or is lost.
+            if cohort {
+                self.acc.metrics.round_flops += outcome.report.flops;
+            }
+            match churns
+                .then(|| env.fleet.offline_churn(client, tick))
+                .flatten()
+            {
                 Some(frac) => {
                     self.queue
                         .push(event.time + frac * total, client, EventKind::Offline)
@@ -317,9 +316,10 @@ impl<'a> Driver<'a> {
                     // the zone → server leg re-prices the payload over the
                     // zone uplink. Cohort zones buffer instead — their cost
                     // is the combined forward at the barrier.
-                    let hop = match cohort_deadline {
-                        Some(_) => 0.0,
-                        None => self.topo.async_zone_hop(outcome.report.upload_bytes),
+                    let hop = if cohort {
+                        0.0
+                    } else {
+                        self.topo.async_zone_hop(outcome.report.upload_bytes)
                     };
                     // A retransmission replays only the wire legs — capture
                     // their cost before availability waits land in the report.
@@ -332,9 +332,10 @@ impl<'a> Driver<'a> {
                     // selection policies can learn to route around it.
                     // Cohort rounds run on a round-relative timeline; the
                     // model is sampled on the absolute virtual clock.
-                    let abs_time = match cohort_deadline {
-                        Some(_) => self.cumulative_time + event.time,
-                        None => event.time,
+                    let abs_time = if cohort {
+                        self.cumulative_time + event.time
+                    } else {
+                        event.time
                     };
                     let wait = env
                         .config
@@ -342,15 +343,11 @@ impl<'a> Driver<'a> {
                         .offline_until(env.config.seed, client, abs_time)
                         .map_or(0.0, |until| until - abs_time);
                     if wait > 0.0 {
-                        self.acc.unavailable_dispatches += 1;
-                        self.acc.unavailable_wait += wait;
+                        self.acc.metrics.unavailable_dispatches += 1;
+                        self.acc.metrics.unavailable_wait_seconds += wait;
                         outcome.report.local_cost.comm_seconds += wait;
                     }
                     let arrival = event.time + wait + total + hop;
-                    let tick = match cohort_deadline {
-                        Some(_) => round as u64,
-                        None => seq,
-                    };
                     if self.injector.upload_attempt_fails(client, tick, 0) {
                         self.retry.insert(
                             client,
@@ -392,7 +389,7 @@ impl<'a> Driver<'a> {
             // An upload landing after its zone's deadline fired drops at the
             // zone aggregator — the server barrier never sees it.
             if self.topo.zone_dropped(event.client) {
-                self.acc.zone_straggler_drops += 1;
+                self.acc.metrics.zone_straggler_drops += 1;
                 self.topo.on_resolved(event.client);
                 return;
             }
@@ -407,25 +404,18 @@ impl<'a> Driver<'a> {
             return;
         };
 
-        self.acc.round_flops += fl.report.flops;
-        self.acc.round_upload += fl.report.upload_bytes;
-        self.acc.zone_upload += self.topo.async_forward_bytes(fl.report.upload_bytes);
-        let staleness = (self.version - fl.dispatched_version) as u32;
-        if staleness > max_staleness {
-            self.acc.stale_discards += 1;
-        } else {
-            // Selection stats track *absorbed* reports only — an update the
-            // server discards must not steer future cohorts.
-            self.tracker.on_report(
-                event.client,
-                fl.report.train_loss,
-                fl.report.local_cost.total(),
-            );
-            self.acc.staleness_hist[staleness as usize] += 1;
-            let weight = alpha.powi(staleness as i32);
-            algorithm.absorb_update_stale(self.env, self.version, fl.update, staleness, weight);
-            self.acc.reports.push(fl.report);
-        }
+        let m = &mut self.acc.metrics;
+        m.round_flops += fl.report.flops;
+        m.round_upload_bytes += fl.report.upload_bytes;
+        m.zone_upload_bytes += self.topo.async_forward_bytes(fl.report.upload_bytes);
+        self.acc.absorb_async(
+            algorithm,
+            self.env,
+            self.version,
+            fl,
+            &mut self.tracker,
+            (max_staleness, alpha),
+        );
         // Refill the freed slot immediately.
         self.refill(event.time);
 
@@ -449,7 +439,7 @@ impl<'a> Driver<'a> {
             .expect("retry event without a matching dispatch");
         // The failed attempt still burned its airtime: the bytes crossed the
         // uplink even though the server never saw a usable update.
-        self.acc.round_upload += fl.report.upload_bytes;
+        self.acc.metrics.round_upload_bytes += fl.report.upload_bytes;
         if state.failures > self.injector.config().max_retries {
             // Retry budget exhausted: the update is permanently lost. Like
             // churn, spent FLOPs still count against the federation.
@@ -458,9 +448,9 @@ impl<'a> Driver<'a> {
                 .remove(&event.client)
                 .expect("checked in flight above");
             self.retry.remove(&event.client);
-            self.acc.upload_failure_drops += 1;
+            self.acc.metrics.upload_failure_drops += 1;
             if self.mode.is_async() {
-                self.acc.round_flops += fl.report.flops;
+                self.acc.metrics.round_flops += fl.report.flops;
                 self.refill(event.time);
             } else {
                 // The client's zone stops waiting for it.
@@ -473,7 +463,7 @@ impl<'a> Driver<'a> {
         let delay = self.injector.backoff_delay(state.failures);
         let arrival = event.time + delay + state.resend_seconds;
         fl.report.local_cost.comm_seconds += delay + state.resend_seconds;
-        self.acc.retry_attempts += 1;
+        self.acc.metrics.retry_attempts += 1;
         if self
             .injector
             .upload_attempt_fails(event.client, state.tick, state.failures)
@@ -500,10 +490,10 @@ impl<'a> Driver<'a> {
         // Pre-deadline churn and post-deadline stragglers both count as
         // drops (the server cannot tell them apart); `churn_drops` keeps the
         // cause attribution for the drop histogram.
-        self.acc.straggler_drops += 1;
-        self.acc.churn_drops += 1;
+        self.acc.metrics.straggler_drops += 1;
+        self.acc.metrics.churn_drops += 1;
         if self.mode.is_async() {
-            self.acc.round_flops += fl.report.flops;
+            self.acc.metrics.round_flops += fl.report.flops;
             self.refill(event.time);
         } else {
             // The client's zone stops waiting for it.
@@ -539,23 +529,16 @@ impl<'a> Driver<'a> {
         let env = self.env;
         let round = self.version;
         let (arrived, duration) = self.mode.close_barrier();
-        let tracker = &mut self.tracker;
-        absorb_arrivals(
-            algorithm,
-            env,
-            round,
-            arrived,
-            &mut self.acc,
-            |c, loss, cost| {
-                tracker.on_report(c, loss, cost);
-            },
-        );
+        self.acc
+            .absorb_arrivals(algorithm, env, round, arrived, &mut self.tracker);
         algorithm.aggregate(env, round, &self.acc.reports);
 
         // Cost accounting: the round duration *is* Eq. (18) in synchronous
         // mode and min(budget, last arrival) under a deadline; an active
         // zone tier extends it by the latest combined zone → server forward.
-        let duration = self.topo.close_cohort_round(duration, &mut self.acc);
+        let duration = self
+            .topo
+            .close_cohort_round(duration, &mut self.acc.metrics);
         let round_start_time = self.cumulative_time;
         self.cumulative_time += duration;
         self.close_round(
@@ -592,8 +575,8 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Shared round close: cumulative accounting, periodic whole-federation
-    /// evaluation, one [`RoundMetrics`] entry, version bump.
+    /// Shared round close: periodic whole-federation evaluation, one
+    /// [`RoundMetrics`] entry, version bump.
     fn close_round(
         &mut self,
         algorithm: &mut dyn FlAlgorithm,
@@ -602,24 +585,21 @@ impl<'a> Driver<'a> {
         round_start_time: f64,
         cumulative_time: f64,
     ) {
-        self.cumulative_flops += self.acc.round_flops;
-        self.cumulative_upload += self.acc.round_upload;
         // `eval_every == 0` disables whole-federation evaluation entirely —
         // at population scale it is an O(population × eval) sweep.
         let eval_every = self.env.config.eval_every;
         let evaluate_now =
             eval_every != 0 && (round % eval_every == 0 || round + 1 == self.env.config.rounds);
         let mean_accuracy = evaluate_now.then(|| parallel_mean_accuracy(self.env, algorithm));
-        self.rounds.push(self.acc.finish(
+        let metrics = self.acc.close(
             round,
             mean_accuracy,
             round_time,
             round_start_time,
             cumulative_time,
-            self.cumulative_flops,
-            self.cumulative_upload,
-        ));
-        self.acc.reset();
+            self.rounds.last(),
+        );
+        self.rounds.push(metrics);
         self.version += 1;
     }
 }

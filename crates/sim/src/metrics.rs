@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// the bytes the pre-topology/pre-fault goldens pinned, while two-tier or
 /// fault-injected traces carry their extra columns. Deserialization
 /// tolerates their absence (defaulting to zero) for the same reason.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RoundMetrics {
     /// Round index `r` (in async mode: the server aggregation/version index).
     pub round: usize,

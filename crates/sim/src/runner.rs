@@ -2,8 +2,8 @@
 //!
 //! [`Simulator::run`] drives an [`FlAlgorithm`] through the event-driven
 //! round loop of the configured [`RoundMode`](crate::config::RoundMode) and
-//! collects the per-round metric trace. The loop itself lives in three
-//! layered modules behind this facade:
+//! collects the per-round metric trace. The loop itself lives in layered
+//! modules behind this facade:
 //!
 //! * `crate::driver` (private) — the single scheduler-driven loop all three
 //!   round modes share;
@@ -13,7 +13,10 @@
 //! * [`crate::backend`] — the ordered parallel map the pure client steps
 //!   run on, inline or over `effective_parallelism()` threads;
 //! * `crate::absorb` (private) — the mode-agnostic absorption/metrics
-//!   accounting.
+//!   accounting, and the one module that calls `absorb_update` /
+//!   `absorb_update_stale`;
+//! * `crate::topology` (private) — the zone-tier overlay: timing, traffic
+//!   and drops, never the absorbed arithmetic.
 //!
 //! Every combination of {round mode × selection policy × parallelism}
 //! produces bit-identical metric traces for a given seed: client steps are
@@ -23,8 +26,10 @@
 //! level; `tests/determinism_matrix.rs` in the facade pins it for FedLPS
 //! across every topology, availability model and fault schedule. The other
 //! tests here are the tier-1 checks of the round-mode, availability, fault
-//! and quorum mechanisms, on a minimal FedAvg; the `straggler_rounds` and
-//! `diurnal_fleet` examples assert the same effects on FedLPS at 64 clients.
+//! and quorum mechanisms, on a minimal FedAvg (the retry accounting is
+//! cross-checked against the closed-form `FaultPlan`); the
+//! `straggler_rounds` and `diurnal_fleet` examples assert the same effects
+//! on FedLPS at 64 clients.
 
 use crate::algorithm::FlAlgorithm;
 use crate::driver::Driver;
@@ -555,6 +560,84 @@ mod tests {
                 .1,
             harsh.total_upload_failure_drops()
         );
+    }
+
+    /// The driver's event-driven retry accounting agrees with the closed
+    /// form: replaying every synchronous dispatch through
+    /// [`FaultInjector::plan`](fedlps_faults::FaultInjector::plan) predicts
+    /// the run's retry and upload-failure totals exactly.
+    #[test]
+    fn retry_accounting_matches_the_fault_plan() {
+        use crate::config::FaultConfig;
+        use fedlps_faults::FaultInjector;
+        use std::sync::Mutex;
+
+        /// `MiniFedAvg` that records every `(client, round)` it steps.
+        struct Recording {
+            inner: MiniFedAvg,
+            steps: Mutex<Vec<(usize, usize)>>,
+        }
+        impl FlAlgorithm for Recording {
+            fn name(&self) -> String {
+                self.inner.name()
+            }
+            fn setup(&mut self, env: &FlEnv) {
+                self.inner.setup(env)
+            }
+            fn client_step(
+                &self,
+                env: &FlEnv,
+                round: usize,
+                client: usize,
+                rng: &mut StdRng,
+            ) -> ClientOutcome {
+                self.steps.lock().unwrap().push((client, round));
+                self.inner.client_step(env, round, client, rng)
+            }
+            fn absorb_update(&mut self, env: &FlEnv, round: usize, update: ClientUpdate) {
+                self.inner.absorb_update(env, round, update)
+            }
+            fn aggregate(&mut self, env: &FlEnv, round: usize, reports: &[ClientReport]) {
+                self.inner.aggregate(env, round, reports)
+            }
+            fn evaluate_client(&self, env: &FlEnv, client: usize) -> EvalStats {
+                self.inner.evaluate_client(env, client)
+            }
+        }
+
+        let faults = FaultConfig {
+            upload_failure_prob: 0.4,
+            max_retries: 1,
+            ..FaultConfig::default()
+        };
+        let config = FlConfig::tiny().with_faults(faults);
+        let injector = FaultInjector::new(config.seed, faults);
+        let mut algo = Recording {
+            inner: MiniFedAvg::new(),
+            steps: Mutex::new(Vec::new()),
+        };
+        let result = Simulator::new(env_with(config)).run(&mut algo);
+
+        // Synchronous rounds key every upload's fault draws by its round.
+        let plans: Vec<_> = algo
+            .steps
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .map(|(client, round)| injector.plan(client, round as u64))
+            .collect();
+        assert_eq!(plans.len(), config.rounds * config.clients_per_round);
+        let retries: u64 = plans
+            .iter()
+            .map(|p| p.failures.min(faults.max_retries) as u64)
+            .sum();
+        let drops = plans.iter().filter(|p| !p.delivered).count() as u64;
+        assert!(
+            retries > 0 && drops > 0,
+            "the schedule exercises both paths"
+        );
+        assert_eq!(result.total_retry_attempts(), retries);
+        assert_eq!(result.total_upload_failure_drops(), drops);
     }
 
     /// Diurnal availability: dispatches into an outage wait it out (billed

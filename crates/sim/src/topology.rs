@@ -1,11 +1,10 @@
 //! The physical-topology overlay of the driver: where client uploads meet
 //! the server, and what the journey costs.
 //!
-//! Under [`Topology::Flat`] this module is a transparent pass-through — the
-//! barrier absorption walk lives here (see [`absorb_arrivals`]) but behaves
-//! exactly as the historical driver loop, so flat traces stay byte-identical
-//! to the pre-topology goldens. Under [`Topology::TwoTier`] the module
-//! overlays the zone tier on the same absorbed arithmetic:
+//! Under [`Topology::Flat`] this module is a transparent pass-through, so
+//! flat traces stay byte-identical to the pre-topology goldens. Under
+//! [`Topology::TwoTier`] the module overlays the zone tier on the same
+//! absorbed arithmetic:
 //!
 //! * every client maps to a zone aggregator by the seeded assignment of
 //!   [`Topology::zone_of`];
@@ -22,9 +21,9 @@
 //!   over the zone uplink on its way to the server, and zone deadlines do
 //!   not apply (there is no round-relative timeline to anchor them to).
 //!
-//! The overlay changes *timing, traffic and drops* only. Absorption still
-//! walks the surviving updates in ascending client-id order whatever the
-//! topology — zone pre-merging is algebraically a partial sum of the same
+//! The overlay changes *timing, traffic and drops* only; it never drives
+//! absorption. `crate::absorb` still walks the surviving updates in
+//! ascending client-id order whatever the topology — zone pre-merging is algebraically a partial sum of the same
 //! Eq. (13) linear combination, and simulating the arithmetic in the
 //! canonical order keeps every topology bit-identical across parallelism
 //! settings. In the facade, `tests/virtual_time_claims.rs` pins that the
@@ -37,32 +36,8 @@ use std::collections::BTreeMap;
 use fedlps_device::{CostModel, DeviceProfile};
 use fedlps_topo::Topology;
 
-use crate::absorb::{InFlight, RoundAccumulator};
-use crate::algorithm::FlAlgorithm;
 use crate::env::FlEnv;
-
-/// Barrier absorption: hands the buffered survivors to the algorithm in
-/// ascending client-id order (fixed by the `BTreeMap` iteration order, never
-/// the thread schedule) and books their reports.
-///
-/// This walk is the absorption seam of the topology layer — the one place a
-/// cohort round drives `absorb_update` — which is why lint rule D5's
-/// allowlist names this module alongside `absorb.rs` and `driver.rs`.
-pub(crate) fn absorb_arrivals(
-    algorithm: &mut dyn FlAlgorithm,
-    env: &FlEnv,
-    round: usize,
-    arrived: BTreeMap<usize, InFlight>,
-    acc: &mut RoundAccumulator,
-    mut on_report: impl FnMut(usize, f64, f64),
-) {
-    for (client, fl) in arrived {
-        acc.round_upload += fl.report.upload_bytes;
-        on_report(client, fl.report.train_loss, fl.report.local_cost.total());
-        acc.reports.push(fl.report);
-        algorithm.absorb_update(env, round, fl.update);
-    }
-}
+use crate::metrics::RoundMetrics;
 
 /// Per-round state of one zone aggregator (two-tier cohort rounds only).
 #[derive(Debug, Default, Clone)]
@@ -223,13 +198,13 @@ impl TopologyState {
     }
 
     /// Barrier close: prices each active zone's combined forward over the
-    /// zone uplink, books the zone-tier traffic into the accumulator and
+    /// zone uplink, books the zone-tier traffic into the round's record and
     /// returns the round duration extended by the latest-landing forward.
     /// Under flat this is the identity on `base_duration`.
     pub(crate) fn close_cohort_round(
         &mut self,
         base_duration: f64,
-        acc: &mut RoundAccumulator,
+        metrics: &mut RoundMetrics,
     ) -> f64 {
         let TopologyState::TwoTier {
             topology,
@@ -259,7 +234,7 @@ impl TopologyState {
                 z.last_arrival
             };
             duration = duration.max(flush + *forward_seconds);
-            acc.zone_upload += *forward_bytes;
+            metrics.zone_upload_bytes += *forward_bytes;
         }
         rounds.clear();
         duration

@@ -27,8 +27,9 @@
 //!
 //! The cache is deliberately read-only-friendly: [`MaskCache::lookup`] takes
 //! `&self` so parallel client tasks can consult a shared snapshot, while
-//! inserts and hit/miss accounting happen in the serial absorb phase of the
-//! round loop.
+//! inserts happen in the serial absorb phase of the round loop. The cache
+//! keeps no hit/miss count: each client report carries its lookup outcome,
+//! and the simulator's per-round metrics sum them.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -49,7 +50,7 @@ struct CacheEntry {
     plan: Option<Arc<PackedModel>>,
 }
 
-/// Per-client cross-round mask cache with hit/miss accounting.
+/// Per-client cross-round mask cache.
 ///
 /// Each client owns at most one entry (its latest pattern); a lookup at a
 /// ratio that retains different per-layer unit counts misses, and the
@@ -64,8 +65,6 @@ pub struct MaskCache {
     /// Sparsifiable units per layer; fixes the ratio quantization.
     units_per_layer: Vec<usize>,
     entries: BTreeMap<usize, CacheEntry>,
-    hits: u64,
-    misses: u64,
 }
 
 impl MaskCache {
@@ -77,8 +76,6 @@ impl MaskCache {
         Self {
             units_per_layer,
             entries: BTreeMap::new(),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -90,8 +87,7 @@ impl MaskCache {
     /// Returns the cached mask for `client`, with the packed submodel
     /// compiled from it, if an entry exists and was built at a ratio
     /// retaining the same per-layer unit counts as `ratio`. Pure read: safe
-    /// to call from parallel client tasks; does not touch the counters (call
-    /// [`record`](Self::record) from the serial phase instead).
+    /// to call from parallel client tasks.
     pub fn lookup(
         &self,
         client: usize,
@@ -114,37 +110,6 @@ impl MaskCache {
         let counts = self.key_for(ratio);
         self.entries
             .insert(client, CacheEntry { counts, mask, plan });
-    }
-
-    /// Records the outcome of a lookup performed outside the cache (the
-    /// parallel round loop looks up against a snapshot and reports back in
-    /// the deterministic reduce).
-    pub fn record(&mut self, hit: bool) {
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-    }
-
-    /// Number of lookups served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of lookups that required a rebuild.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// `hits / (hits + misses)`, or 0 before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 
     /// Number of clients currently holding an entry — the materialized
@@ -185,7 +150,6 @@ mod tests {
         let c = cache();
         assert!(c.is_empty());
         assert!(c.lookup(0, 0.5).is_none());
-        assert_eq!(c.hit_rate(), 0.0);
     }
 
     #[test]
@@ -220,17 +184,6 @@ mod tests {
         assert!(c.lookup(0, 0.5).is_none(), "old key is gone");
         assert_eq!(mask_at(&c, 2, 0.5), Some(&m0), "client 2 is untouched");
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn recorded_outcomes_drive_the_hit_rate() {
-        let mut c = cache();
-        c.record(false);
-        c.record(true);
-        c.record(false);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 2);
-        assert!((c.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

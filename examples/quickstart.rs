@@ -83,15 +83,13 @@ fn main() {
         "round-loop parallelism:           {} shard(s)",
         sim.env().config.effective_parallelism()
     );
-    if let Some(cache) = fedlps.mask_cache() {
-        println!(
-            "mask cache:                       {} hits / {} misses ({:.0}% hit rate, {:.0}% after round 3)",
-            cache.hits(),
-            cache.misses(),
-            cache.hit_rate() * 100.0,
-            result.mask_cache_hit_rate_from(3) * 100.0
-        );
-    }
+    let hits: u64 = result.rounds.iter().map(|r| r.mask_cache_hits).sum();
+    let misses: u64 = result.rounds.iter().map(|r| r.mask_cache_misses).sum();
+    println!(
+        "mask cache:                       {hits} hits / {misses} misses ({:.0}% hit rate, {:.0}% after round 3)",
+        result.mask_cache_hit_rate() * 100.0,
+        result.mask_cache_hit_rate_from(3) * 100.0
+    );
 
     println!("\nper-client sparse ratios proposed by P-UCBV after training:");
     for (k, ratio) in fedlps.proposed_ratios().iter().enumerate() {
