@@ -16,6 +16,7 @@ use fedlps_core::server::{ContribParams, Contribution, Family, Step};
 use fedlps_nn::model::EvalStats;
 use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
+use fedlps_sim::train::evaluate_masked;
 use fedlps_sparse::mask::UnitMask;
 use fedlps_sparse::pattern::PatternStrategy;
 use rand::rngs::StdRng;
@@ -130,10 +131,10 @@ impl Family for GlobalSparse {
 
     fn absorbed(&mut self, _client: usize, _round: usize, _side: ()) {}
 
+    /// The shared sparse global model `global ⊙ mask`, evaluated on its
+    /// packed submodel.
     fn deployed(&self, env: &FlEnv, global: &[f32], client: usize) -> EvalStats {
-        // The deployed model is the shared sparse global model.
-        let sparse = self.mask().apply(env.arch.unit_layout(), global);
-        env.arch.evaluate(&sparse, env.test_data(client))
+        evaluate_masked(&*env.arch, self.mask(), global, env.test_data(client))
     }
 }
 

@@ -21,6 +21,7 @@ use fedlps_core::server::{ContribParams, Contribution, Family, Step};
 use fedlps_nn::model::EvalStats;
 use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
+use fedlps_sim::train::evaluate_masked;
 use fedlps_sparse::mask::UnitMask;
 use fedlps_sparse::pattern::PatternStrategy;
 use rand::rngs::StdRng;
@@ -240,12 +241,17 @@ impl Family for SparsePersonalized {
         self.states[client] = Some(state);
     }
 
+    /// The client's personal sparse model `params ⊙ mask`, evaluated on its
+    /// packed submodel; a client that never trained gets the dense global
+    /// model.
     fn deployed(&self, env: &FlEnv, global: &[f32], client: usize) -> EvalStats {
         match &self.states[client] {
-            Some(state) => {
-                let deployed = state.mask.apply(env.arch.unit_layout(), &state.params);
-                env.arch.evaluate(&deployed, env.test_data(client))
-            }
+            Some(state) => evaluate_masked(
+                &*env.arch,
+                &state.mask,
+                &state.params,
+                env.test_data(client),
+            ),
             None => env.arch.evaluate(global, env.test_data(client)),
         }
     }

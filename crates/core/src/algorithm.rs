@@ -9,6 +9,7 @@ use fedlps_nn::model::EvalStats;
 use fedlps_nn::pack::PackedModel;
 use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
+use fedlps_sim::train::evaluate_masked;
 use fedlps_sparse::cache::MaskCache;
 use fedlps_sparse::mask::UnitMask;
 use rand::rngs::StdRng;
@@ -129,8 +130,7 @@ impl Server<Lps> {
             .unwrap_or_default()
     }
 
-    /// The cross-round mask cache and its hit/miss counters (populated after
-    /// `setup`).
+    /// The cross-round mask cache (populated after `setup`).
     pub fn mask_cache(&self) -> Option<&MaskCache> {
         self.family().mask_cache.as_ref()
     }
@@ -332,12 +332,17 @@ impl Family for Lps {
         }
     }
 
+    /// Personalized deployment (Algorithm 1, line 24): the client's own
+    /// sparse model, evaluated on its packed submodel under the mask it was
+    /// trained with; a client that never trained gets the dense global model.
     fn deployed(&self, env: &FlEnv, global: &[f32], client: usize) -> EvalStats {
-        // Personalized deployment: the client's own sparse model if it has
-        // ever trained, otherwise the dense global model.
-        let model = self.client_state(client).personal_model.as_deref();
-        env.arch
-            .evaluate(model.unwrap_or(global), env.test_data(client))
+        let state = self.client_state(client);
+        match (&state.personal_model, &state.last_mask) {
+            (Some(model), Some(mask)) => {
+                evaluate_masked(&*env.arch, mask, model, env.test_data(client))
+            }
+            _ => env.arch.evaluate(global, env.test_data(client)),
+        }
     }
 }
 
@@ -539,6 +544,43 @@ mod tests {
             "async FedLPS must absorb updates (staleness-discounted)"
         );
         assert!((0.0..=1.0).contains(&async_run.final_accuracy));
+    }
+
+    #[test]
+    fn deployment_matches_dense_evaluation_of_the_personal_model() {
+        // `deployed` evaluates `personal_model` packed under `last_mask`;
+        // the personal model is `ω ⊙ m` for that same mask, so the dense
+        // evaluation of the stored vector is the bit-exact reference.
+        for kind in [
+            DatasetKind::MnistLike,
+            DatasetKind::Cifar10Like,
+            DatasetKind::RedditLike,
+        ] {
+            let env = FlEnv::from_scenario(
+                &ScenarioConfig::tiny(kind),
+                HeterogeneityLevel::High,
+                FlConfig::tiny().with_rounds(3),
+            );
+            let sim = Simulator::new(env);
+            let env = sim.env();
+            let mut algo = FedLps::for_env(env);
+            let _ = sim.run(&mut algo);
+            let global = algo.global_params();
+            let mut personalized = 0;
+            for k in 0..env.num_clients() {
+                let model = algo.client_state(k).personal_model.as_deref();
+                personalized += model.is_some() as usize;
+                let expected = env.arch.evaluate(model.unwrap_or(global), env.test_data(k));
+                let deployed = algo.evaluate_client(env, k);
+                assert_eq!(
+                    (deployed.loss.to_bits(), deployed.accuracy.to_bits()),
+                    (expected.loss.to_bits(), expected.accuracy.to_bits()),
+                    "{kind:?}: client {k} deploys a different model"
+                );
+                assert_eq!(deployed.samples, expected.samples);
+            }
+            assert!(personalized > 0, "{kind:?}: no client trained");
+        }
     }
 
     /// A model that counts its `evaluate` calls and delegates everything to

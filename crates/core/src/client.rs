@@ -28,7 +28,8 @@ pub struct ClientState {
     pub indicator: Option<Vec<f32>>,
     /// The personalized sparse model `ω_{k,E} ⊙ m_{k,E}` kept locally.
     pub personal_model: Option<Vec<f32>>,
-    /// The most recent sparse pattern, kept for analyses and ablations.
+    /// The sparse pattern `personal_model` was trained under; deployment
+    /// evaluates the personal model on this mask's packed submodel.
     pub last_mask: Option<UnitMask>,
     /// The sparse ratio used in the client's last participation.
     pub last_ratio: f64,

@@ -49,7 +49,10 @@ pub struct FlConfig {
     /// Evaluate every client's model every `eval_every` rounds (1 = every
     /// round, matching the paper's accuracy-vs-round curves; 0 = never —
     /// whole-federation evaluation is an `O(population)` sweep, so
-    /// population-scale runs disable it).
+    /// population-scale runs disable it). Rounds count from 0, and the
+    /// driver evaluates on every round with `round % eval_every == 0` plus
+    /// the last round, so `eval_every == rounds` evaluates twice: after
+    /// round 0 and after the last.
     pub eval_every: usize,
     /// Weight `α` of the communication term in the Eq. (14) cost model.
     pub cost_alpha: f64,

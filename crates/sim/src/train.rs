@@ -1,4 +1,4 @@
-//! Shared local-training helpers.
+//! Shared local-training and sparse-deployment helpers.
 //!
 //! Every FL algorithm in the workspace performs some variant of "run `E`
 //! minibatch SGD iterations on the client's data", optionally restricted to a
@@ -6,11 +6,17 @@
 //! model (proximal term). Centralising that loop here keeps the nineteen
 //! baseline implementations small and guarantees they all account FLOPs,
 //! bytes and costs identically.
+//!
+//! A sparse model runs on its physically packed submodel wherever that is
+//! bit-identical to the masked-dense reference: training through
+//! [`compile_packed`] and [`local_sgd_packed`], deployment through
+//! [`evaluate_masked`]. Masked-dense execution stays as the fallback and as
+//! the reference the equivalence tests compare against.
 
 use fedlps_data::dataset::Dataset;
 use fedlps_device::{CostModel, DeviceProfile, LocalCost};
 use fedlps_nn::flops::params_to_bytes;
-use fedlps_nn::model::ModelArch;
+use fedlps_nn::model::{EvalStats, ModelArch};
 use fedlps_nn::pack::PackedModel;
 use fedlps_nn::sgd::SgdConfig;
 use fedlps_sparse::mask::UnitMask;
@@ -144,6 +150,37 @@ pub fn compile_packed(
         return None;
     }
     SubmodelPlan::from_mask(arch.unit_layout(), mask).compile(arch)
+}
+
+/// Evaluates the sparse model `params ⊙ mask` on `data`, on the physically
+/// packed submodel when the mask compiles to one.
+///
+/// This is the deployment half of packed execution. The packed network reads
+/// only the packed coordinates `P ⊆ K` (`K` the mask-kept set) and
+/// accumulates its terms in the same ascending order as the dense network;
+/// every other term of the masked-dense forward pass is an exact-zero
+/// product — a masked weight, or a dropped unit's zero activation. So the
+/// result is **bit-identical** to
+/// `arch.evaluate(&mask.apply(layout, params), data)`, which stays as the
+/// fallback for a mask that does not pack (an emptied layer, or an
+/// architecture without packing).
+pub fn evaluate_masked(
+    arch: &dyn ModelArch,
+    mask: &UnitMask,
+    params: &[f32],
+    data: &Dataset,
+) -> EvalStats {
+    let Some(packed) = SubmodelPlan::from_mask(arch.unit_layout(), mask).compile(arch) else {
+        return arch.evaluate(&mask.apply(arch.unit_layout(), params), data);
+    };
+    // `p · 1.0 == p` bit for bit, so gathering the kept coordinates of the
+    // unmasked vector is gathering those of `params ⊙ mask`.
+    let mut arena = Arena::from_pool(packed.packed_len());
+    let [pp] = arena.views([packed.packed_len()]);
+    packed.gather_params_into(params, pp);
+    let stats = packed.arch().evaluate(pp, data);
+    arena.release();
+    stats
 }
 
 /// Runs [`local_sgd`] on the physically packed submodel: gather the kept

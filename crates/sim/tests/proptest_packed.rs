@@ -1,7 +1,8 @@
 //! The packed-execution equivalence contract, property-tested: for every
 //! model family (MLP / CNN / LSTM), sparse ratio and seed, training the
 //! physically packed submodel is **bit-identical** to masked-dense training —
-//! same trained parameters, same loss/accuracy statistics.
+//! same trained parameters, same loss/accuracy statistics — and so is
+//! evaluating a deployed sparse model on it.
 //!
 //! This is the property that lets every eligible client train packed with
 //! no run-level switch: masked-dense is the automatic fallback and the
@@ -16,8 +17,12 @@ use fedlps_nn::lstm::{LstmLm, LstmLmConfig};
 use fedlps_nn::mlp::{Mlp, MlpConfig};
 use fedlps_nn::model::ModelArch;
 use fedlps_nn::sgd::SgdConfig;
-use fedlps_sim::train::{compile_packed, local_sgd, local_sgd_packed, LocalTrainOptions};
+use fedlps_sim::train::{
+    compile_packed, evaluate_masked, local_sgd, local_sgd_packed, LocalTrainOptions,
+};
+use fedlps_sparse::mask::UnitMask;
 use fedlps_sparse::pattern::PatternStrategy;
+use fedlps_sparse::plan::SubmodelPlan;
 use fedlps_tensor::{rng_from_seed, Matrix};
 use proptest::prelude::*;
 use rand::Rng;
@@ -89,8 +94,8 @@ fn model_and_data(kind: usize, seed: u64) -> (Box<dyn ModelArch>, Dataset, SgdCo
 }
 
 proptest! {
-    // Each case trains two (tiny) models; the case count is pinned rather
-    // than scaled by the nightly PROPTEST_CASES crank.
+    // Each case trains two (tiny) models, hence the small default case
+    // count; `PROPTEST_CASES` still overrides it.
     #![proptest_config(ProptestConfig::with_cases(18))]
 
     #[test]
@@ -134,5 +139,68 @@ proptest! {
         for (i, (d, p)) in dense_params.iter().zip(packed_params.iter()).enumerate() {
             prop_assert_eq!(d.to_bits(), p.to_bits(), "parameter {} diverges", i);
         }
+    }
+}
+
+/// `mask` with every unit of one layer dropped: a submodel that does not
+/// compile, so evaluation takes the masked-dense fallback.
+fn empty_one_layer(arch: &dyn ModelArch, mask: &UnitMask, pick: usize) -> UnitMask {
+    let layers = arch.unit_layout().layers();
+    let emptied = pick % layers.len();
+    let start: usize = layers[..emptied].iter().map(|l| l.len()).sum();
+    let dropped = start..start + layers[emptied].len();
+    UnitMask::from_keep(
+        (0..mask.len())
+            .map(|j| mask.is_kept(j) && !dropped.contains(&j))
+            .collect(),
+    )
+}
+
+proptest! {
+    // Forward-only and cheap: the default case count, cranked by the
+    // nightly `PROPTEST_CASES` job.
+
+    #[test]
+    fn packed_evaluation_is_bit_identical_to_masked_dense(
+        kind in 0usize..3,
+        ratio in 0.15f64..1.0,
+        seed in 0u64..10_000,
+        pattern_pick in 0usize..3,
+        fallback in 0usize..3,
+        layer_pick in 0usize..8,
+    ) {
+        let (arch, data, _) = model_and_data(kind, seed);
+        let mut rng = rng_from_seed(seed ^ 0xE7A1);
+        let mut params = arch.init_params(&mut rng);
+        // Signed zeros among the parameters: `-0.0 · 1.0` must reach the
+        // packed model as `-0.0`, and `p · 0.0` yields `-0.0` on the dropped
+        // units of the masked-dense reference whenever `p` is negative.
+        for p in params.iter_mut() {
+            match rng.gen_range(0..8) {
+                0 => *p = 0.0,
+                1 => *p = -0.0,
+                _ => {}
+            }
+        }
+        let pattern = [
+            PatternStrategy::Ordered,
+            PatternStrategy::Magnitude,
+            PatternStrategy::Random,
+        ][pattern_pick];
+        let mut mask = pattern.build_mask(arch.unit_layout(), &params, None, ratio, 0, &mut rng);
+        let packs = fallback != 0;
+        if !packs {
+            mask = empty_one_layer(&*arch, &mask, layer_pick);
+        }
+        prop_assert_eq!(
+            SubmodelPlan::from_mask(arch.unit_layout(), &mask).compile(&*arch).is_some(),
+            packs
+        );
+
+        let dense = arch.evaluate(&mask.apply(arch.unit_layout(), &params), &data);
+        let packed = evaluate_masked(&*arch, &mask, &params, &data);
+        prop_assert_eq!(dense.loss.to_bits(), packed.loss.to_bits());
+        prop_assert_eq!(dense.accuracy.to_bits(), packed.accuracy.to_bits());
+        prop_assert_eq!(dense.samples, packed.samples);
     }
 }
