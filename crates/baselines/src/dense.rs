@@ -20,9 +20,14 @@ pub enum DenseVariant {
     /// FedProx with proximal weight `mu`.
     FedProx { mu: f32 },
     /// Oort: utility-guided client selection (statistical utility × speed).
+    /// The rule picks each round's opening cohort only; deadline
+    /// over-selection and async refills follow the run-level policy, so an
+    /// async run applies it at round 0 alone.
     Oort,
     /// REFL: resource-efficient FL — prefers fresh, capable clients and decays
-    /// the contribution of clients whose last participation is stale.
+    /// the contribution of clients whose last participation is stale. Its
+    /// freshness ranking, like Oort's rule, picks each round's opening
+    /// cohort only.
     Refl,
 }
 

@@ -6,33 +6,15 @@ use std::sync::{Arc, OnceLock};
 
 use fedlps_bandit::ratio_policy::{ClientInit, RatioController, RatioFeedback};
 use fedlps_nn::model::EvalStats;
-use fedlps_nn::pack::PackedModel;
 use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
 use fedlps_sim::train::evaluate_masked;
-use fedlps_sparse::cache::MaskCache;
-use fedlps_sparse::mask::UnitMask;
+use fedlps_sparse::ratio::retained_per_layer;
 use rand::rngs::StdRng;
 
 use crate::client::{ClientState, ClientTask, ClientUpdateOptions};
 use crate::config::FedLpsConfig;
 use crate::server::{Family, Residual, Server, StagedUpdate, Step};
-
-/// How a client step interacted with the cross-round mask cache.
-#[derive(Debug)]
-enum MaskCacheEvent {
-    /// The pattern strategy is not cacheable across rounds; no lookup ran.
-    Bypassed,
-    /// The cached mask (and the plan compiled from it) was served.
-    Hit,
-    /// A fresh mask was built and should be installed at this ratio, along
-    /// with the packed submodel compiled for it (if it packs).
-    Miss {
-        ratio: f64,
-        mask: UnitMask,
-        plan: Option<Arc<PackedModel>>,
-    },
-}
 
 /// What a FedLPS client step hands to the serial absorb next to its staged
 /// residual.
@@ -40,7 +22,6 @@ enum MaskCacheEvent {
 pub struct LpsSide {
     state: ClientState,
     feedback: RatioFeedback,
-    cache_event: MaskCacheEvent,
 }
 
 /// FedLPS: learnable personalized sparsification with P-UCBV ratio decisions.
@@ -50,8 +31,8 @@ pub struct LpsSide {
 /// resulting [`RunResult`](fedlps_sim::metrics::RunResult).
 pub type FedLps = Server<Lps>;
 
-/// The FedLPS family: per-client state, the ratio controller and the mask
-/// cache. Its uploads are Eq. (12) residuals, so it aggregates by Eq. (13).
+/// The FedLPS family: per-client records and the ratio controller. Its
+/// uploads are Eq. (12) residuals, so it aggregates by Eq. (13).
 #[derive(Debug)]
 pub struct Lps {
     config: FedLpsConfig,
@@ -59,15 +40,14 @@ pub struct Lps {
     /// stored sparsely: a client that never trained reads as
     /// [`ClientState::default`], exactly as the former dense
     /// `Vec<ClientState>` of defaults did, but the map costs `O(participants)`
-    /// memory instead of `O(population)`.
+    /// memory instead of `O(population)`. A record's mask and plan are also
+    /// the cross-round mask reuse: a client's pattern is rebuilt only when
+    /// the bandit moves its ratio to a different submodel shape.
     clients: BTreeMap<usize, ClientState>,
     /// The state every untouched client reads as (kept as a field so
     /// [`FedLps::client_state`] can hand out a reference).
     blank: ClientState,
     controller: Option<RatioController>,
-    /// Cross-round mask reuse: a client's pattern is rebuilt only when the
-    /// bandit moves its ratio to a different submodel shape.
-    mask_cache: Option<MaskCache>,
 }
 
 impl Server<Lps> {
@@ -78,7 +58,6 @@ impl Server<Lps> {
             clients: BTreeMap::new(),
             blank: ClientState::default(),
             controller: None,
-            mask_cache: None,
         })
     }
 
@@ -97,7 +76,7 @@ impl Server<Lps> {
     }
 
     /// A client's persistent state (indicator, personalized model, last
-    /// mask). Clients that never participated read as
+    /// mask and plan). Clients that never participated read as
     /// [`ClientState::default`] without materializing anything.
     pub fn client_state(&self, client: usize) -> &ClientState {
         self.family().client_state(client)
@@ -130,9 +109,12 @@ impl Server<Lps> {
             .unwrap_or_default()
     }
 
-    /// The cross-round mask cache (populated after `setup`).
-    pub fn mask_cache(&self) -> Option<&MaskCache> {
-        self.family().mask_cache.as_ref()
+    /// The per-client records, which hold every reused mask. It exists only
+    /// for the benchmark's `sparse.mask_cache_entries` (hence the `Option`,
+    /// always `Some`); its length is
+    /// [`materialized_clients`](Self::materialized_clients).
+    pub fn mask_cache(&self) -> Option<&BTreeMap<usize, ClientState>> {
+        Some(&self.family().clients)
     }
 }
 
@@ -249,36 +231,34 @@ impl Family for Lps {
             controller = controller.with_shape_resolution(&units_per_layer);
         }
         self.controller = Some(controller);
-        self.mask_cache = Some(MaskCache::new(units_per_layer));
     }
 
     fn train(&self, step: &Step<'_>, rng: &mut StdRng) -> (ClientReport, Residual, LpsSide) {
         let (env, client) = (step.env, step.client);
         let ratio = self.round_ratio(&step.device, client);
 
-        // Pure snapshot lookup against the cache; the hit/miss rides the
-        // report into the round metrics, and a fresh mask is installed in
-        // `absorbed`, serially. Pattern
-        // strategies whose masks depend on more than the ratio (random
-        // resampling, rolling windows, live weight magnitudes) bypass the
-        // cache entirely — reusing their masks would change their semantics.
+        // The client's record reuses its last mask and plan while the ratio
+        // extracts the same per-layer retained-unit counts; the hit/miss
+        // rides the report into the round metrics, and the new record is
+        // written in `absorbed`, serially. Pattern strategies whose masks
+        // depend on more than the ratio (random resampling, rolling windows,
+        // live weight magnitudes) never reuse — that would change their
+        // semantics.
+        let state = self.client_state(client);
         let caching = self.config.pattern.cacheable_across_rounds();
-        let (cached_mask, cached_plan) = self
-            .mask_cache
-            .as_ref()
-            .filter(|_| caching)
-            .and_then(|cache| cache.lookup(client, ratio))
-            .map_or((None, None), |(mask, plan)| (Some(mask), plan.cloned()));
-
+        let hit = caching && state.last_mask.is_some() && {
+            let units = env.arch.unit_layout().units_per_layer();
+            retained_per_layer(&units, state.last_ratio) == retained_per_layer(&units, ratio)
+        };
         let task = ClientTask {
             arch: &*env.arch,
             global: step.global,
-            state: self.client_state(client),
+            state,
             data: env.train_data(client),
             options: self.update_options(env, ratio, step.round),
-            cached_mask,
+            cached_mask: state.last_mask.as_ref().filter(|_| hit),
             packed_execution: true,
-            cached_plan,
+            cached_plan: state.plan.as_ref().filter(|_| hit).cloned(),
         };
         let output = task.run(rng);
         let outcome = output.outcome;
@@ -288,19 +268,8 @@ impl Family for Lps {
             outcome.mean_accuracy,
             outcome.mean_loss,
         );
-        let cache_event = if !caching {
-            MaskCacheEvent::Bypassed
-        } else if output.mask_cache_hit {
-            MaskCacheEvent::Hit
-        } else {
-            MaskCacheEvent::Miss {
-                ratio,
-                mask: outcome.mask,
-                plan: output.plan,
-            }
-        };
-        report.mask_cache_hits = matches!(cache_event, MaskCacheEvent::Hit) as u32;
-        report.mask_cache_misses = matches!(cache_event, MaskCacheEvent::Miss { .. }) as u32;
+        report.mask_cache_hits = hit as u32;
+        report.mask_cache_misses = (caching && !hit) as u32;
         let side = LpsSide {
             state: output.state,
             feedback: RatioFeedback {
@@ -308,19 +277,13 @@ impl Family for Lps {
                 local_cost: report.local_cost.total(),
                 accuracy: outcome.mean_accuracy,
             },
-            cache_event,
         };
         (report, outcome.residual, side)
     }
 
-    /// Persists the client's state and settles its mask-cache event.
+    /// Persists the client's record.
     fn absorbed(&mut self, client: usize, _round: usize, side: LpsSide) {
         self.clients.insert(client, side.state);
-        if let (Some(cache), MaskCacheEvent::Miss { ratio, mask, plan }) =
-            (self.mask_cache.as_mut(), side.cache_event)
-        {
-            cache.insert(client, ratio, mask, plan);
-        }
         if let Some(controller) = self.controller.as_mut() {
             controller.defer(client, side.feedback);
         }
@@ -353,7 +316,7 @@ mod tests {
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::{DeviceFleet, HeterogeneityLevel};
     use fedlps_nn::model::{ModelArch, ModelKind, TrainStats};
-    use fedlps_nn::pack::KeptUnits;
+    use fedlps_nn::pack::{KeptUnits, PackedModel};
     use fedlps_nn::unit::UnitLayout;
     use fedlps_sim::algorithm::FlAlgorithm;
     use fedlps_sim::config::FlConfig;
@@ -427,10 +390,12 @@ mod tests {
         let result = sim.run(&mut algo);
         let misses: u64 = result.rounds.iter().map(|r| r.mask_cache_misses).sum();
         assert!(misses > 0, "first participations are misses");
-        // Every miss installs (or replaces) its client's entry, and every
-        // first participation misses: one entry per distinct participant.
-        let cache = algo.mask_cache().expect("cache exists after setup");
-        assert_eq!(cache.len() as u64, result.total_first_time_participants());
+        // Every first participation misses and writes its client's record:
+        // one record, holding the reusable mask, per distinct participant.
+        assert_eq!(
+            algo.materialized_clients() as u64,
+            result.total_first_time_participants()
+        );
         // The per-round counters flow into the metrics trace.
         assert!(result.rounds.iter().all(|r| {
             r.mask_cache_hits + r.mask_cache_misses
@@ -445,14 +410,12 @@ mod tests {
     #[test]
     fn non_cacheable_patterns_bypass_the_cache() {
         use fedlps_sparse::pattern::PatternStrategy;
-        // Random dropout must be resampled every participation; the cache
+        // Random dropout must be resampled every participation; reuse
         // records no traffic at all for it (bypass, not a stream of misses).
         let env = tiny_env();
         let sim = Simulator::new(env);
         let mut algo = FedLps::new(FedLpsConfig::with_pattern(PatternStrategy::Random, 0.5));
         let result = sim.run(&mut algo);
-        let cache = algo.mask_cache().expect("cache exists after setup");
-        assert!(cache.is_empty());
         assert!(result
             .rounds
             .iter()
@@ -580,6 +543,51 @@ mod tests {
                 assert_eq!(deployed.samples, expected.samples);
             }
             assert!(personalized > 0, "{kind:?}: no client trained");
+        }
+    }
+
+    #[test]
+    fn every_client_record_holds_the_plan_of_its_mask() {
+        use fedlps_sparse::pattern::PatternStrategy;
+        use fedlps_sparse::plan::SubmodelPlan;
+        // A reused plan must be the one compiled from the reused mask: for
+        // every record, `plan` gathers exactly what `last_mask` compiles to,
+        // and is `None` exactly when that mask does not compile.
+        for kind in [
+            DatasetKind::MnistLike,
+            DatasetKind::Cifar10Like,
+            DatasetKind::RedditLike,
+        ] {
+            for config in [
+                FedLpsConfig::default(),
+                FedLpsConfig::with_pattern(PatternStrategy::Random, 0.5),
+            ] {
+                let env = FlEnv::from_scenario(
+                    &ScenarioConfig::tiny(kind),
+                    HeterogeneityLevel::High,
+                    FlConfig::tiny().with_rounds(4),
+                );
+                let sim = Simulator::new(env);
+                let env = sim.env();
+                let mut algo = FedLps::new(config);
+                let _ = sim.run(&mut algo);
+                assert!(
+                    algo.materialized_clients() > 0,
+                    "{kind:?}: no client trained"
+                );
+                for k in 0..env.num_clients() {
+                    let state = algo.client_state(k);
+                    let compiled = state.last_mask.as_ref().and_then(|mask| {
+                        SubmodelPlan::from_mask(env.arch.unit_layout(), mask).compile(&*env.arch)
+                    });
+                    assert_eq!(
+                        state.plan.as_deref().map(PackedModel::gather_map),
+                        compiled.as_ref().map(PackedModel::gather_map),
+                        "{kind:?} {}: client {k}'s plan is not its mask's",
+                        algo.name()
+                    );
+                }
+            }
         }
     }
 

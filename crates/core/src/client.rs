@@ -11,7 +11,6 @@ use fedlps_sparse::pattern::PatternStrategy;
 use fedlps_sparse::plan::SubmodelPlan;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::importance::ImportanceIndicator;
 use crate::loss::ImportanceLoss;
@@ -20,9 +19,11 @@ use crate::server::Residual;
 use fedlps_tensor::Arena;
 
 /// State a FedLPS client keeps across rounds: its importance indicator
-/// (`Record Q^s_k ← Q^r_{k,E}`, Algorithm 1 line 23) and its personalized
-/// sparse model (line 24), which is what the client deploys for inference.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// (`Record Q^s_k ← Q^r_{k,E}`, Algorithm 1 line 23), its personalized
+/// sparse model (line 24), which is what the client deploys for inference,
+/// and the mask and packed submodel it trained under, which its next
+/// participation reuses while the ratio extracts the same submodel shape.
+#[derive(Debug, Clone, Default)]
 pub struct ClientState {
     /// The persisted importance indicator scores.
     pub indicator: Option<Vec<f32>>,
@@ -33,6 +34,10 @@ pub struct ClientState {
     pub last_mask: Option<UnitMask>,
     /// The sparse ratio used in the client's last participation.
     pub last_ratio: f64,
+    /// The packed submodel the last participation executed, compiled from
+    /// `last_mask` (`None` when that mask does not pack or the round ran
+    /// masked-dense: packing off, or weight decay).
+    pub plan: Option<Arc<PackedModel>>,
 }
 
 /// Hyper-parameters of one local update pass.
@@ -91,9 +96,9 @@ pub struct ClientTask<'a> {
     pub data: &'a Dataset,
     /// Hyper-parameters of the local pass (ratio already capability-capped).
     pub options: ClientUpdateOptions,
-    /// A mask served from the cross-round [`MaskCache`](fedlps_sparse::MaskCache),
-    /// if the server found one for this client at this ratio. `None` makes
-    /// the task derive a fresh pattern from the indicator (Eq. 4).
+    /// The client's previous mask, if the server reuses it at this ratio
+    /// (see [`ClientState`]). `None` makes the task derive a fresh pattern
+    /// from the indicator (Eq. 4).
     pub cached_mask: Option<&'a UnitMask>,
     /// Run the task forward/backward on the physically packed submodel
     /// instead of the masked full model (bit-identical; see
@@ -101,9 +106,8 @@ pub struct ClientTask<'a> {
     /// is the masked-dense reference oracle the equivalence tests and the
     /// benchmark's packed-vs-masked probe compare against.
     pub packed_execution: bool,
-    /// A compiled plan served from the cache next to `cached_mask`, sparing
-    /// the task the per-round compilation. Ignored when `packed_execution`
-    /// is off.
+    /// The compiled plan of `cached_mask`, sparing the task the per-round
+    /// compilation. Ignored when `packed_execution` is off.
     pub cached_plan: Option<Arc<PackedModel>>,
 }
 
@@ -113,15 +117,9 @@ pub struct ClientTask<'a> {
 pub struct ClientTaskOutput {
     /// Residual, mask and training statistics (Algorithm 1 lines 23-27).
     pub outcome: ClientUpdateOutcome,
-    /// The client's next persistent state (`Q^s_k`, personal model, mask).
+    /// The client's next persistent state (`Q^s_k`, personal model, mask
+    /// and the packed submodel this round executed).
     pub state: ClientState,
-    /// Whether the round's mask came from the cache (`false` means the
-    /// caller should insert `outcome.mask` into the cache).
-    pub mask_cache_hit: bool,
-    /// The packed submodel this round executed, if any — on a miss the
-    /// caller installs it in the mask cache together with `outcome.mask`, so
-    /// the next participation at this shape skips compilation.
-    pub plan: Option<Arc<PackedModel>>,
 }
 
 impl std::fmt::Debug for ClientTask<'_> {
@@ -176,11 +174,10 @@ impl ClientTask<'_> {
         // reproduction's small local-iteration budgets that churn prevents any
         // unit subset from accumulating training, so the round's mask is frozen
         // from the indicator the client starts the round with, while Q itself
-        // keeps learning and shapes the mask of the *next* participation. The
-        // cross-round cache extends the same freeze across participations at
-        // an unchanged ratio. The personalized model and the uploaded residual
-        // use this trained mask.
-        let mask_cache_hit = self.cached_mask.is_some();
+        // keeps learning and shapes the mask of the *next* participation. A
+        // reused mask extends the same freeze across participations at an
+        // unchanged submodel shape. The personalized model and the uploaded
+        // residual use this trained mask.
         let mask = match self.cached_mask {
             Some(cached) => cached.clone(),
             None => build_mask(arch, &local, &indicator, options, rng),
@@ -316,6 +313,7 @@ impl ClientTask<'_> {
             personal_model: Some(personal),
             last_mask: Some(mask.clone()),
             last_ratio: options.ratio,
+            plan,
         };
 
         ClientTaskOutput {
@@ -335,8 +333,6 @@ impl ClientTask<'_> {
                 },
             },
             state,
-            mask_cache_hit,
-            plan,
         }
     }
 }
@@ -531,7 +527,6 @@ mod tests {
         };
         let mut rng1 = rng_from_seed(11);
         let fresh = task.run(&mut rng1);
-        assert!(!fresh.mask_cache_hit);
         assert!(
             state.indicator.is_none(),
             "the task must not mutate its input state"
@@ -546,7 +541,6 @@ mod tests {
         };
         let mut rng2 = rng_from_seed(11);
         let cached = cached_task.run(&mut rng2);
-        assert!(cached.mask_cache_hit);
         assert_eq!(cached.outcome.mask, fresh.outcome.mask);
         assert_eq!(cached.outcome.residual, fresh.outcome.residual);
         assert_eq!(cached.state.indicator, fresh.state.indicator);
@@ -580,8 +574,8 @@ mod tests {
             let mut rng_p = rng_from_seed(45);
             let packed = packed_task.run(&mut rng_p);
 
-            assert!(packed.plan.is_some(), "ratio {ratio} should compile");
-            assert!(dense.plan.is_none());
+            assert!(packed.state.plan.is_some(), "ratio {ratio} should compile");
+            assert!(dense.state.plan.is_none());
             assert_eq!(dense.outcome.mask, packed.outcome.mask);
             let dr = dense.outcome.residual.to_dense();
             let pr = packed.outcome.residual.to_dense();
@@ -630,7 +624,7 @@ mod tests {
         };
         let mut rng_p = rng_from_seed(61);
         let packed = packed_task.run(&mut rng_p);
-        assert!(packed.plan.is_none(), "decayed rounds must not pack");
+        assert!(packed.state.plan.is_none(), "decayed rounds must not pack");
         assert_eq!(dense.outcome.residual, packed.outcome.residual);
         assert_eq!(dense.state.personal_model, packed.state.personal_model);
     }
@@ -651,8 +645,8 @@ mod tests {
         };
         let mut rng1 = rng_from_seed(52);
         let fresh = task.run(&mut rng1);
-        let plan = fresh.plan.clone().expect("compiled");
-        // Re-run with the mask and plan served from the "cache".
+        let plan = fresh.state.plan.clone().expect("compiled");
+        // Re-run with the mask and plan reused from the fresh record.
         let cached_task = ClientTask {
             cached_mask: Some(&fresh.outcome.mask),
             cached_plan: Some(plan),
@@ -660,7 +654,10 @@ mod tests {
         };
         let mut rng2 = rng_from_seed(52);
         let cached = cached_task.run(&mut rng2);
-        assert!(cached.mask_cache_hit);
+        assert!(Arc::ptr_eq(
+            cached.state.plan.as_ref().expect("reused"),
+            fresh.state.plan.as_ref().expect("compiled")
+        ));
         assert_eq!(cached.outcome.residual, fresh.outcome.residual);
         assert_eq!(cached.state.indicator, fresh.state.indicator);
     }

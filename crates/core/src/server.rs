@@ -354,7 +354,9 @@ pub trait Family: Send + Sync {
     }
 
     /// The method's own selection rule, when selection *is* the method
-    /// (see [`FlAlgorithm::select_clients`]).
+    /// (see [`FlAlgorithm::select_clients`]). It picks only the cohort a
+    /// round opens with: deadline over-selection and async refills follow
+    /// the run-level policy.
     fn select_clients(
         &mut self,
         env: &FlEnv,

@@ -117,7 +117,10 @@ fn assert_bits_eq(what: &str, dense: &[f32], packed: &[f32]) {
 
 /// Every output of the two runs, bit for bit.
 fn assert_same_output(dense: &ClientTaskOutput, packed: &ClientTaskOutput) {
-    prop_assert!(packed.plan.is_some(), "the packed run compiled no plan");
+    prop_assert!(
+        packed.state.plan.is_some(),
+        "the packed run compiled no plan"
+    );
     prop_assert_eq!(&dense.outcome.mask, &packed.outcome.mask);
     prop_assert_eq!(
         dense.outcome.mean_loss.to_bits(),
@@ -187,7 +190,7 @@ proptest! {
             ratio,
             round: 0,
         };
-        // One run of the task; `plan` is `Some` for the packed side only.
+        // One run of the task; `state.plan` is `Some` for the packed side only.
         let run = |global: &[f32],
                    state: &ClientState,
                    cached_mask: Option<&UnitMask>,
@@ -213,7 +216,7 @@ proptest! {
 
         // A second participation against the aggregated model: each side
         // carries its own first state and is served its mask (and the
-        // packed side its plan) as cache hits.
+        // packed side its plan) from that state, as a reuse would.
         let next_global: Vec<f32> = global
             .iter()
             .zip(dense.outcome.residual.to_dense())
@@ -222,7 +225,7 @@ proptest! {
         let dense_again = run(
             &next_global,
             &dense.state,
-            Some(&dense.outcome.mask),
+            dense.state.last_mask.as_ref(),
             false,
             None,
             0xBEEF,
@@ -230,12 +233,11 @@ proptest! {
         let packed_again = run(
             &next_global,
             &packed.state,
-            Some(&packed.outcome.mask),
+            packed.state.last_mask.as_ref(),
             true,
-            packed.plan.clone(),
+            packed.state.plan.clone(),
             0xBEEF,
         );
-        prop_assert!(dense_again.mask_cache_hit && packed_again.mask_cache_hit);
         assert_same_output(&dense_again, &packed_again);
     }
 }

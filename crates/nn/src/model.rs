@@ -96,12 +96,6 @@ pub trait ModelArch: Send + Sync {
     /// given number of units is retained in each sparsifiable layer.
     fn train_flops_per_sample(&self, retained_per_layer: &[usize]) -> f64;
 
-    /// Analytic FLOPs of one *inference* sample; by convention a third of the
-    /// training cost (forward only), matching the accounting in \[45\].
-    fn inference_flops_per_sample(&self, retained_per_layer: &[usize]) -> f64 {
-        self.train_flops_per_sample(retained_per_layer) / 3.0
-    }
-
     /// Dense-model training FLOPs per sample (all units retained).
     fn dense_train_flops_per_sample(&self) -> f64 {
         let all = self.unit_layout().units_per_layer();

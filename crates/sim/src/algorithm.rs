@@ -133,6 +133,11 @@ pub trait FlAlgorithm: Send + Sync {
     /// everything else inherits the run-level policy, so uniform,
     /// utility-based and power-of-choice selection compose with any
     /// algorithm.
+    ///
+    /// The hook chooses only the cohort a round opens with. Deadline
+    /// over-selection and every async refill come from the run-level policy,
+    /// and an async run opens one round, so there a method's own rule picks
+    /// only the initial in-flight set.
     fn select_clients(
         &mut self,
         env: &FlEnv,
@@ -195,23 +200,6 @@ pub trait FlAlgorithm: Send + Sync {
     /// personal (possibly sparse) model; conventional methods evaluate the
     /// shared global model.
     fn evaluate_client(&self, env: &FlEnv, client: usize) -> EvalStats;
-
-    /// Mean deployed-model accuracy across every client in the federation —
-    /// the headline metric of the paper's Table I.
-    fn mean_accuracy(&self, env: &FlEnv) -> f64 {
-        let mut acc = 0.0;
-        let mut samples = 0usize;
-        for k in 0..env.num_clients() {
-            let stats = self.evaluate_client(env, k);
-            acc += stats.accuracy * stats.samples as f64;
-            samples += stats.samples;
-        }
-        if samples == 0 {
-            0.0
-        } else {
-            acc / samples as f64
-        }
-    }
 }
 
 #[cfg(test)]

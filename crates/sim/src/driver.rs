@@ -183,7 +183,7 @@ impl<'a> Driver<'a> {
             EventKind::Offline => self.on_offline(event),
             // A zone aggregator's budget expired: the event carries the zone
             // id, and later arrivals of that zone drop at the zone tier.
-            EventKind::ZoneDeadline => self.topo.zone_deadline_fired(event.client, event.time),
+            EventKind::ZoneDeadline => self.topo.zone_deadline_fired(event.client),
             EventKind::RoundDeadline => self.mode.deadline_fired(&self.acc, event.time),
         }
     }

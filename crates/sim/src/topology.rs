@@ -186,7 +186,7 @@ impl TopologyState {
     /// A zone's deadline fired: later arrivals of that zone drop at the
     /// zone, and if anyone was still outstanding the aggregator is deemed
     /// to have waited out the full deadline before forwarding.
-    pub(crate) fn zone_deadline_fired(&mut self, zone: usize, _time: f64) {
+    pub(crate) fn zone_deadline_fired(&mut self, zone: usize) {
         let TopologyState::TwoTier { rounds, .. } = self else {
             unreachable!("flat topologies never schedule zone deadlines");
         };

@@ -12,16 +12,14 @@
 //!   importance-driven *learnable* pattern of FedLPS (Eq. 4);
 //! * [`ratio`] — helpers for turning a sparse ratio into per-layer retained
 //!   unit counts under the paper's layer-wise uniform-ratio convention;
-//! * [`cache::MaskCache`] — cross-round per-client mask reuse with hit/miss
-//!   accounting, keyed by the submodel shape a ratio extracts.
+//! * [`plan::SubmodelPlan`] — the kept-unit index lists that compile a mask
+//!   into a physically packed submodel.
 
-pub mod cache;
 pub mod mask;
 pub mod pattern;
 pub mod plan;
 pub mod ratio;
 
-pub use cache::MaskCache;
 pub use mask::UnitMask;
 pub use pattern::PatternStrategy;
 pub use plan::SubmodelPlan;

@@ -46,16 +46,16 @@ impl PatternStrategy {
     }
 
     /// Whether a mask built by this strategy may be reused across rounds at
-    /// an unchanged ratio (the [`MaskCache`](crate::cache::MaskCache)
-    /// contract). `Ordered` masks are a pure function of the ratio, and
-    /// `Importance` masks are a function of the ratio and the client's
-    /// *persistent* indicator (FedLPS deliberately freezes the round's
-    /// pattern while the indicator keeps learning, so serving the previous
-    /// pattern extends that freeze across participations). The other
-    /// strategies must be rebuilt every round: `Random` resamples its units,
-    /// `RollingOrdered` advances its window with the round index, and
-    /// `Magnitude` tracks the evolving weights — caching them would silently
-    /// change their semantics.
+    /// a ratio that retains the same per-layer unit counts (see
+    /// [`retained_per_layer`](crate::ratio::retained_per_layer)). `Ordered`
+    /// masks are a pure function of the ratio, and `Importance` masks are a
+    /// function of the ratio and the client's *persistent* indicator (FedLPS
+    /// deliberately freezes the round's pattern while the indicator keeps
+    /// learning, so serving the previous pattern extends that freeze across
+    /// participations). The other strategies must be rebuilt every round:
+    /// `Random` resamples its units, `RollingOrdered` advances its window
+    /// with the round index, and `Magnitude` tracks the evolving weights —
+    /// caching them would silently change their semantics.
     pub fn cacheable_across_rounds(&self) -> bool {
         matches!(self, PatternStrategy::Ordered | PatternStrategy::Importance)
     }

@@ -8,9 +8,9 @@
 //! so deriving a plan costs two allocations however deep the model is.
 //! [`SubmodelPlan::compile`] hands it to
 //! [`ModelArch::pack`] to obtain the
-//! compact executable. Compiled plans are cached per client alongside the
-//! masks in [`MaskCache`](crate::cache::MaskCache), so a client whose ratio
-//! keeps extracting the same submodel shape pays the compilation once.
+//! compact executable. FedLPS keeps each client's compiled plan in that
+//! client's record next to its mask, so a client whose ratio keeps
+//! extracting the same submodel shape pays the compilation once.
 
 use fedlps_nn::model::ModelArch;
 use fedlps_nn::pack::{KeptUnits, PackedModel};

@@ -95,10 +95,6 @@ fn main() {
         "  client training states:    {:>6} of {POPULATION}",
         fedlps.materialized_clients()
     );
-    println!(
-        "  cached masks:              {:>6} of {POPULATION}",
-        fedlps.mask_cache().map_or(0, |c| c.len())
-    );
 
     assert!(sim.env().fleet.materialized_profiles() <= active_bound);
     assert!(fedlps.materialized_clients() <= active_bound);

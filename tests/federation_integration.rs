@@ -159,10 +159,6 @@ fn million_client_registry_materializes_only_its_participants() {
         ("fleet profiles", sim.env().fleet.materialized_profiles()),
         ("bandit arms", algo.materialized_arms()),
         ("client states", algo.materialized_clients()),
-        (
-            "mask-cache entries",
-            algo.mask_cache().map_or(0, |c| c.len()),
-        ),
     ] {
         assert!(
             (1..=config.rounds * config.clients_per_round).contains(&count),
