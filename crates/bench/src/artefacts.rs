@@ -459,17 +459,17 @@ fn run_availability_cell(
 }
 
 /// Figure 10 (repro extension): round modes × selection policies under
-/// correlated (diurnal) availability vs i.i.d. churn.
+/// correlated (diurnal) availability vs always-on clients.
 ///
 /// The paper's experiments assume clients are available whenever selected
 /// (§IV). This measures what that assumption hides, by running the same
 /// federation grid — {sync, sync+quorum, deadline, async} × {uniform,
 /// utility} — under two availability models and comparing each cell's
 /// *diurnal tax*: total virtual time under a correlated day/night wave
-/// divided by total time under the i.i.d. coin flip.
+/// divided by total time with every client always on.
 ///
-/// Under i.i.d. churn no dispatch ever blocks, so the waits column is zero
-/// and the modes differ only in how they schedule compute. Under a diurnal
+/// With always-on clients no dispatch ever blocks, so the waits column is
+/// zero and the modes differ only in how they schedule compute. Under a diurnal
 /// wave the synchronous barrier pays the full outage bill — every round
 /// waits for whichever cohort member dispatched into the night — while the
 /// deadline hard-caps what any outage can cost (its tax stays near 1) and
@@ -482,7 +482,7 @@ fn fig10_availability(req: &Request, emit: Emit<'_>) {
     // Remove device heterogeneity entirely: under the paper's five-tier
     // fleet the straggler variance alone separates the round modes, masking
     // the availability axis this figure isolates. With identical devices the
-    // cohort modes tie exactly under i.i.d. churn, so any separation in the
+    // cohort modes tie exactly when always on, so any separation in the
     // diurnal half of the table is attributable to correlated availability.
     let mut base = ExperimentEnv::paper_default(req.scale, DatasetKind::MnistLike);
     base.heterogeneity = HeterogeneityLevel::None;
@@ -498,7 +498,7 @@ fn fig10_availability(req: &Request, emit: Emit<'_>) {
     // offline and per-client phases.
     let probe = run_availability_cell(
         &base,
-        AvailabilityModel::Iid,
+        AvailabilityModel::AlwaysOn,
         RoundMode::Synchronous,
         1.0,
         SelectionKind::Uniform,
@@ -543,7 +543,8 @@ fn fig10_availability(req: &Request, emit: Emit<'_>) {
             "Retries",
         ],
     );
-    for (avail_name, availability) in [("iid", AvailabilityModel::Iid), ("diurnal", diurnal)] {
+    for availability in [AvailabilityModel::AlwaysOn, diurnal] {
+        let avail_name = availability.name();
         for (mode_name, mode, quorum) in modes {
             for selection in [SelectionKind::Uniform, SelectionKind::utility()] {
                 let result =
@@ -571,9 +572,8 @@ fn fig10_availability(req: &Request, emit: Emit<'_>) {
     }
 
     // The headline: each configuration's diurnal tax (time under the wave
-    // relative to the same configuration under i.i.d. churn).
-    let mut notes =
-        String::from("\ndiurnal tax (total time under the wave / under i.i.d. churn):\n");
+    // relative to the same configuration with every client always on).
+    let mut notes = String::from("\ndiurnal tax (total time under the wave / always on):\n");
     for (mode_name, _, _) in modes {
         for selection in ["uniform", "utility"] {
             let time = |avail| table.value(&[avail, mode_name, selection], "Time (s)");
@@ -581,13 +581,13 @@ fn fig10_availability(req: &Request, emit: Emit<'_>) {
                 "  {:<12} {:<8} {:>5.2}x\n",
                 mode_name,
                 selection,
-                time("diurnal") / time("iid")
+                time("diurnal") / time("always-on")
             ));
         }
     }
     notes.push_str(
         "\nExpected shape: only the diurnal half pays availability waits — \
-         i.i.d. churn never blocks a dispatch. Under the wave the \
+         an always-on client never blocks a dispatch. Under the wave the \
          synchronous barrier is the slowest configuration — it pays the \
          full outage bill — the deadline round degrades most \
          gracefully (a budget caps what any outage can cost, so its tax \

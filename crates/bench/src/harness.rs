@@ -52,7 +52,6 @@ impl ExperimentEnv {
             env.fleet = env.fleet.clone().with_dynamics(DynamicsConfig {
                 enabled: true,
                 min_availability: 0.5,
-                ..DynamicsConfig::default()
             });
         }
         env

@@ -24,8 +24,8 @@
 //!
 //! Both read the same stream, so they are **bit-identical** at equal `(size,
 //! level, seed)` — rejection sampling included, which a proptest regression
-//! pins for every heterogeneity level. Per-round availability and churn are
-//! pure per-id functions of the fleet seed.
+//! pins for every heterogeneity level. Per-round availability is a pure
+//! per-id function of the fleet seed.
 //!
 //! ```
 //! use fedlps_device::fleet::DeviceFleet;
@@ -103,11 +103,6 @@ pub struct DynamicsConfig {
     pub enabled: bool,
     /// Minimum availability factor (1.0 = full capability available).
     pub min_availability: f64,
-    /// Probability that a participating device churns offline mid-round and
-    /// its update is lost. Only the event-driven round modes observe this
-    /// (a synchronous server waits for the device to come back); 0 disables
-    /// churn entirely.
-    pub offline_prob: f64,
 }
 
 impl Default for DynamicsConfig {
@@ -115,33 +110,14 @@ impl Default for DynamicsConfig {
         Self {
             enabled: false,
             min_availability: 0.5,
-            offline_prob: 0.0,
         }
     }
 }
 
 impl DynamicsConfig {
-    /// Builder-style override of the mid-round offline-churn probability.
-    /// Range errors surface through [`validate`](DynamicsConfig::validate)
-    /// (run once by the simulator's entry point), not here — builders stay
-    /// infallible so configs can be assembled in any order.
-    pub fn with_offline_prob(mut self, prob: f64) -> Self {
-        self.offline_prob = prob;
-        self
-    }
-
     /// Checks the knobs, returning an actionable message on the first bad
-    /// one. `offline_prob` must stay strictly below 1: certain churn would
-    /// mean no update ever completes, which starves the async pipeline
-    /// (every slot refills forever and no aggregation can happen).
+    /// one (run once by the simulator's entry point).
     pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..1.0).contains(&self.offline_prob) {
-            return Err(format!(
-                "offline_prob must be in [0, 1) — certain churn starves the \
-                 async pipeline — got {}",
-                self.offline_prob
-            ));
-        }
         if !(0.0..=1.0).contains(&self.min_availability) {
             return Err(format!(
                 "min_availability must be in [0, 1], got {}",
@@ -167,12 +143,12 @@ fn draw_tier(tiers: &[CapabilityTier], rng: &mut StdRng) -> CapabilityTier {
 }
 
 /// RNG stream of the client → zone-aggregator assignment of a two-tier
-/// topology (disjoint from the tier/availability/churn streams above).
+/// topology (disjoint from the tier and availability streams above).
 const STREAM_ZONE: u64 = 0x20E5A5;
 
 /// Seeded zone assignment of a hierarchical (two-tier) topology: which of
 /// the `zones` edge aggregators client `client` uploads through. A pure
-/// `O(1)` function of `(seed, client)` — like churn and availability, it
+/// `O(1)` function of `(seed, client)` — like availability, it
 /// never materializes a per-population vector, so registered-population
 /// scale is preserved.
 pub fn zone_assignment(seed: u64, client: usize, zones: usize) -> usize {
@@ -365,27 +341,6 @@ impl DeviceFleet {
         let factor = self.dynamics.min_availability + span * rng.gen::<f64>();
         base.with_availability(factor)
     }
-
-    /// Whether device `k` churns offline during scheduling tick `tick` (a
-    /// round index for cohort modes, a dispatch sequence number for the async
-    /// pipeline), and if so, the fraction of its own latency it completes
-    /// before disconnecting.
-    ///
-    /// Deterministic in `(fleet seed, k, tick)` and independent of everything
-    /// else, so event-driven schedules replay bit-identically. Returns `None`
-    /// unless dynamics are enabled with a positive `offline_prob`.
-    pub fn offline_churn(&self, k: usize, tick: u64) -> Option<f64> {
-        if !self.dynamics.enabled || self.dynamics.offline_prob <= 0.0 {
-            return None;
-        }
-        let mut rng = rng_from_seed(split_seed(self.seed, 0x0FF11E ^ ((k as u64) << 24) ^ tick));
-        if rng.gen::<f64>() >= self.dynamics.offline_prob {
-            return None;
-        }
-        // Died somewhere strictly inside the round: never at 0 (that would be
-        // "never dispatched") and never at 1 (that would be an arrival).
-        Some((rng.gen::<f64>() * 0.98 + 0.01).clamp(0.01, 0.99))
-    }
 }
 
 #[cfg(test)]
@@ -509,7 +464,6 @@ mod tests {
             DeviceFleet::sample(5, HeterogeneityLevel::High, 1).with_dynamics(DynamicsConfig {
                 enabled: true,
                 min_availability: 0.5,
-                ..DynamicsConfig::default()
             });
         let base = fleet.static_profile(0);
         let mut saw_change = false;
@@ -530,78 +484,30 @@ mod tests {
             DeviceFleet::sample(3, HeterogeneityLevel::High, 9).with_dynamics(DynamicsConfig {
                 enabled: true,
                 min_availability: 0.3,
-                ..DynamicsConfig::default()
             })
         };
         assert_eq!(mk().available_profile(1, 4), mk().available_profile(1, 4));
     }
 
     #[test]
-    fn offline_churn_is_off_by_default_and_deterministic_when_on() {
-        let quiet =
-            DeviceFleet::sample(4, HeterogeneityLevel::High, 2).with_dynamics(DynamicsConfig {
-                enabled: true,
-                min_availability: 0.5,
-                ..DynamicsConfig::default()
-            });
-        for k in 0..4 {
-            for tick in 0..10 {
-                assert_eq!(quiet.offline_churn(k, tick), None, "offline_prob 0");
-            }
-        }
-
-        let mk = || {
-            DeviceFleet::sample(4, HeterogeneityLevel::High, 2).with_dynamics(
-                DynamicsConfig {
-                    enabled: true,
-                    min_availability: 0.5,
-                    ..DynamicsConfig::default()
-                }
-                .with_offline_prob(0.5),
-            )
-        };
-        let churny = mk();
-        let mut saw_some = false;
-        let mut saw_none = false;
-        for k in 0..4 {
-            for tick in 0..20 {
-                let churn = churny.offline_churn(k, tick);
-                assert_eq!(churn, mk().offline_churn(k, tick), "deterministic");
-                match churn {
-                    Some(frac) => {
-                        assert!((0.01..=0.99).contains(&frac), "{frac}");
-                        saw_some = true;
-                    }
-                    None => saw_none = true,
-                }
-            }
-        }
-        assert!(saw_some && saw_none, "p=0.5 churn should mix outcomes");
-    }
-
-    #[test]
     fn dynamics_validation_rejects_bad_knobs_with_actionable_messages() {
         assert!(DynamicsConfig::default().validate().is_ok());
-        assert!(DynamicsConfig::default()
-            .with_offline_prob(0.99)
+        for ok in [0.0, 1.0] {
+            let cfg = DynamicsConfig {
+                min_availability: ok,
+                ..DynamicsConfig::default()
+            };
+            assert!(cfg.validate().is_ok(), "{ok}");
+        }
+        for bad in [1.5, -0.2] {
+            let err = DynamicsConfig {
+                min_availability: bad,
+                ..DynamicsConfig::default()
+            }
             .validate()
-            .is_ok());
-        // Out-of-range probability, and prob = 1.0 specifically: certain
-        // churn would starve the async pipeline (no update ever lands).
-        for bad in [1.5, 1.0, -0.1] {
-            let err = DynamicsConfig::default()
-                .with_offline_prob(bad)
-                .validate()
-                .unwrap_err();
-            assert!(err.contains("offline_prob"), "{err}");
+            .unwrap_err();
+            assert!(err.contains("min_availability"), "{err}");
             assert!(err.contains(&bad.to_string()), "{err}");
         }
-        let err = DynamicsConfig {
-            min_availability: -0.2,
-            ..DynamicsConfig::default()
-        }
-        .validate()
-        .unwrap_err();
-        assert!(err.contains("min_availability"), "{err}");
     }
 }

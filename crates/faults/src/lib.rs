@@ -1,18 +1,16 @@
 //! Deterministic fault injection for the FedLPS simulator.
 //!
-//! The only failure the seed simulator could express was an i.i.d. coin
-//! flip per dispatch ([`DynamicsConfig::offline_prob`]). REFL's core
+//! The paper assumes every selected client is online. REFL's core
 //! observation — the reason availability-aware selection exists at all —
 //! is that real cross-device availability is *correlated*: devices charge
 //! at night in timezone waves, and infrastructure outages take whole
 //! regions offline at once. This crate supplies the deterministic fault
 //! vocabulary the driver replays through its event queue:
 //!
-//! * [`AvailabilityModel`] — the seam replacing the bare coin flip.
-//!   [`Iid`](AvailabilityModel::Iid) delegates to the historical
-//!   [`DeviceFleet::offline_churn`] semantics bit for bit (and is the
-//!   default), [`Diurnal`](AvailabilityModel::Diurnal) gives every client
-//!   a seeded phase over a shared day/night period, and
+//! * [`AvailabilityModel`] — when clients are unavailable.
+//!   [`AlwaysOn`](AvailabilityModel::AlwaysOn) (the default) is the
+//!   paper's assumption, [`Diurnal`](AvailabilityModel::Diurnal) gives
+//!   every client a seeded phase over a shared day/night period, and
 //!   [`Burst`](AvailabilityModel::Burst) takes whole seeded zones (the
 //!   same [`zone_assignment`] the two-tier topology uses) offline in
 //!   correlated outage windows.
@@ -27,9 +25,6 @@
 //!
 //! Everything here is a pure function of the run seed: no wall clocks, no
 //! shared state, no thread-schedule dependence.
-//!
-//! [`DynamicsConfig::offline_prob`]: fedlps_device::fleet::DynamicsConfig::offline_prob
-//! [`DeviceFleet::offline_churn`]: fedlps_device::DeviceFleet::offline_churn
 
 use fedlps_device::fleet::zone_assignment;
 use fedlps_tensor::rng::{rng_from_seed, split_seed};
@@ -47,20 +42,15 @@ const STREAM_UPLOAD_FAULT: u64 = 0xFA017;
 /// When (and how correlatedly) clients are unavailable.
 ///
 /// The driver consults the model once per dispatch, at the dispatch's
-/// absolute virtual time. `Iid` reproduces the historical mid-round churn
-/// coin flip; the correlated models instead answer "offline until when?" —
-/// the device waits out its unavailability window before computing, so a
-/// synchronous barrier genuinely stalls on a night wave while deadline /
-/// async / quorum configurations degrade gracefully around it.
+/// absolute virtual time: "offline until when?" — the device waits out its
+/// unavailability window before computing, so a synchronous barrier
+/// genuinely stalls on a night wave while deadline / async / quorum
+/// configurations degrade gracefully around it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum AvailabilityModel {
-    /// The historical semantics, bit for bit: an i.i.d. per-dispatch coin
-    /// flip from [`DeviceFleet::offline_churn`], observed only by the
-    /// event-driven round modes (a synchronous server waits churn out).
-    ///
-    /// [`DeviceFleet::offline_churn`]: fedlps_device::DeviceFleet::offline_churn
+    /// Every client is online at every instant — the paper's assumption.
     #[default]
-    Iid,
+    AlwaysOn,
     /// Day/night waves: client `k` is offline whenever
     /// `(t + phase_k) mod period` falls in the first `night_offline`
     /// fraction of the period, with `phase_k` a seeded per-client offset
@@ -98,7 +88,7 @@ impl AvailabilityModel {
     /// Short name used in logs and tables.
     pub fn name(&self) -> &'static str {
         match self {
-            AvailabilityModel::Iid => "iid",
+            AvailabilityModel::AlwaysOn => "always-on",
             AvailabilityModel::Diurnal { .. } => "diurnal",
             AvailabilityModel::Burst { .. } => "burst",
         }
@@ -110,7 +100,7 @@ impl AvailabilityModel {
     /// constructed directly. Returns `None` for unknown names.
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
-            "iid" => Some(AvailabilityModel::Iid),
+            "always-on" => Some(AvailabilityModel::AlwaysOn),
             "diurnal" => Some(AvailabilityModel::Diurnal {
                 period: 0.02,
                 phase_spread: 1.0,
@@ -128,12 +118,11 @@ impl AvailabilityModel {
     /// If `client` is unavailable at virtual time `now`, the absolute time
     /// its current offline window ends; `None` when it is available.
     ///
-    /// A pure function of `(model, seed, client, now)`. `Iid` always
-    /// returns `None`: its churn is a per-dispatch coin flip the driver
-    /// draws from the fleet, not a time window.
+    /// A pure function of `(model, seed, client, now)`; `AlwaysOn` always
+    /// returns `None`.
     pub fn offline_until(&self, seed: u64, client: usize, now: f64) -> Option<f64> {
         match *self {
-            AvailabilityModel::Iid => None,
+            AvailabilityModel::AlwaysOn => None,
             AvailabilityModel::Diurnal {
                 period,
                 phase_spread,
@@ -163,16 +152,11 @@ impl AvailabilityModel {
         }
     }
 
-    /// Whether `client` is unavailable at virtual time `now`.
-    pub fn is_offline(&self, seed: u64, client: usize, now: f64) -> bool {
-        self.offline_until(seed, client, now).is_some()
-    }
-
     /// Checks the model's parameters, returning an actionable message on
     /// the first bad knob.
     pub fn validate(&self) -> Result<(), String> {
         match *self {
-            AvailabilityModel::Iid => Ok(()),
+            AvailabilityModel::AlwaysOn => Ok(()),
             AvailabilityModel::Diurnal {
                 period,
                 phase_spread,
@@ -387,8 +371,8 @@ mod tests {
     const SEED: u64 = 1234;
 
     #[test]
-    fn iid_is_always_online() {
-        let m = AvailabilityModel::Iid;
+    fn always_on_is_never_offline() {
+        let m = AvailabilityModel::AlwaysOn;
         for client in 0..32 {
             for t in [0.0, 0.37, 123.4] {
                 assert_eq!(m.offline_until(SEED, client, t), None);
@@ -420,7 +404,7 @@ mod tests {
         // Available the instant the window ends, offline again one period
         // before the probe (the wave is periodic).
         assert_eq!(m.offline_until(SEED, client, until), None);
-        assert!(m.is_offline(SEED, client, t + 1.0));
+        assert!(m.offline_until(SEED, client, t + 1.0).is_some());
         // Same window one period later (up to `rem_euclid` float rounding).
         let next = m.offline_until(SEED, client, t + 1.0).unwrap();
         assert!(((next - 1.0 - t) - (until - t)).abs() < 1e-9);
@@ -435,7 +419,9 @@ mod tests {
         };
         // At one instant, a spread fleet is partially — not uniformly —
         // offline, and the occupancy is near the configured fraction.
-        let offline = (0..512).filter(|&k| m.is_offline(SEED, k, 0.25)).count();
+        let offline = (0..512)
+            .filter(|&k| m.offline_until(SEED, k, 0.25).is_some())
+            .count();
         assert!(offline > 0 && offline < 512);
         let frac = offline as f64 / 512.0;
         assert!((frac - 0.4).abs() < 0.1, "occupancy {frac} far from 0.4");
@@ -451,8 +437,8 @@ mod tests {
         // Everyone shares phase 0: the whole fleet is offline at 0.1 and
         // online at 0.5.
         for k in 0..32 {
-            assert!(m.is_offline(SEED, k, 0.1));
-            assert!(!m.is_offline(SEED, k, 0.5));
+            assert!(m.offline_until(SEED, k, 0.1).is_some());
+            assert_eq!(m.offline_until(SEED, k, 0.5), None);
         }
     }
 
@@ -469,7 +455,7 @@ mod tests {
         'scan: for w in 0..8 {
             for i in 0..20 {
                 let t = w as f64 + i as f64 * 0.05;
-                if let Some(k) = (0..64).find(|&k| m.is_offline(SEED, k, t)) {
+                if let Some(k) = (0..64).find(|&k| m.offline_until(SEED, k, t).is_some()) {
                     hit = Some((t, zone_assignment(SEED, k, zones)));
                     break 'scan;
                 }
@@ -478,7 +464,7 @@ mod tests {
         let (t, hit_zone) = hit.expect("a 50%-duty burst strikes within 8 windows");
         for k in 0..64 {
             assert_eq!(
-                m.is_offline(SEED, k, t),
+                m.offline_until(SEED, k, t).is_some(),
                 zone_assignment(SEED, k, zones) == hit_zone,
                 "burst offline state must equal zone membership"
             );
@@ -506,13 +492,13 @@ mod tests {
 
     #[test]
     fn names_round_trip_and_presets_validate() {
-        for name in ["iid", "diurnal", "burst"] {
+        for name in ["always-on", "diurnal", "burst"] {
             let m = AvailabilityModel::from_name(name).unwrap();
             assert_eq!(m.name(), name);
             m.validate().unwrap();
         }
         assert_eq!(AvailabilityModel::from_name("weibull"), None);
-        assert_eq!(AvailabilityModel::default(), AvailabilityModel::Iid);
+        assert_eq!(AvailabilityModel::default(), AvailabilityModel::AlwaysOn);
     }
 
     #[test]

@@ -14,9 +14,6 @@ pub enum EventKind {
     /// retransmission after an exponential backoff or, once the retry cap is
     /// exhausted, drops the update permanently.
     UploadRetry,
-    /// The device went offline mid-round (availability churn); its update is
-    /// lost.
-    Offline,
     /// A zone aggregator's per-zone deadline fired (two-tier topology);
     /// the zone's outstanding clients are dropped at the zone.
     ZoneDeadline,
@@ -35,16 +32,15 @@ impl EventKind {
         match self {
             EventKind::UploadFinish => 0,
             // A failed attempt resolves right after successful arrivals at
-            // the same instant, and *before* churn/deadline bookkeeping: the
+            // the same instant, and *before* deadline bookkeeping: the
             // retransmission must be scheduled against the pre-deadline
             // round state it raced.
             EventKind::UploadRetry => 1,
-            EventKind::Offline => 2,
             // Zone deadlines close *before* the round deadline at an equal
             // timestamp: the edge tier resolves ahead of the server tier.
-            EventKind::ZoneDeadline => 3,
-            EventKind::RoundDeadline => 4,
-            EventKind::Dispatch => 5,
+            EventKind::ZoneDeadline => 2,
+            EventKind::RoundDeadline => 3,
+            EventKind::Dispatch => 4,
         }
     }
 }
@@ -134,16 +130,14 @@ mod tests {
     }
 
     #[test]
-    fn upload_retries_resolve_between_arrivals_and_churn() {
+    fn upload_retries_resolve_between_arrivals_and_deadlines() {
         // At one instant: landed uploads buffer first, then failed attempts
-        // schedule their retransmissions, then churn and the deadlines
-        // resolve, then new dispatches run.
+        // schedule their retransmissions, then the deadlines resolve, then
+        // new dispatches run.
         let arrive = ev(4.0, 2, EventKind::UploadFinish, 0);
         let retry = ev(4.0, 5, EventKind::UploadRetry, 1);
-        let offline = ev(4.0, 1, EventKind::Offline, 2);
-        let deadline = ev(4.0, Event::ROUND_SCOPE, EventKind::RoundDeadline, 3);
-        assert!(arrive < retry && retry < offline);
-        assert!(offline < deadline);
+        let deadline = ev(4.0, Event::ROUND_SCOPE, EventKind::RoundDeadline, 2);
+        assert!(arrive < retry && retry < deadline);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * [`clock`] — a monotone virtual clock measured in simulated seconds;
 //! * [`event`] — timestamped events (`upload-finish`, `upload-retry`,
-//!   `offline`, `zone-deadline`, `round-deadline`, `dispatch`) with a
+//!   `zone-deadline`, `round-deadline`, `dispatch`) with a
 //!   *total* and schedule-independent ordering;
 //! * [`queue`] — the binary-heap [`EventQueue`] that pops them in that order;
 //! * [`mode`] — the [`RoundMode`] selector stored in the

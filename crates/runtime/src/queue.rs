@@ -74,12 +74,11 @@ mod tests {
     fn upload_retry_total_order_is_pinned_in_the_queue() {
         // Pin the full tie-break rank chain at one instant, with the new
         // fault kind in place: arrivals, then failed-attempt retries, then
-        // churn, then the zone and round deadlines, then dispatches —
+        // the zone and round deadlines, then dispatches —
         // regardless of insertion order.
         let mut q = EventQueue::new();
         q.push(1.0, 0, EventKind::Dispatch);
         q.push(1.0, Event::ROUND_SCOPE, EventKind::RoundDeadline);
-        q.push(1.0, 3, EventKind::Offline);
         q.push(1.0, 2, EventKind::UploadRetry);
         q.push(1.0, 1, EventKind::ZoneDeadline);
         q.push(1.0, 4, EventKind::UploadFinish);
@@ -90,7 +89,6 @@ mod tests {
             vec![
                 EventKind::UploadFinish,
                 EventKind::UploadRetry,
-                EventKind::Offline,
                 EventKind::ZoneDeadline,
                 EventKind::RoundDeadline,
                 EventKind::Dispatch,

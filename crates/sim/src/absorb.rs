@@ -552,26 +552,25 @@ mod tests {
         assert_eq!(duration, 0.0);
     }
 
-    /// One dispatched client of a flat, fault-free cohort round: its Eq. 14
-    /// latency and, if it churns offline, when (both relative to the round
-    /// start).
+    /// One dispatched client of a flat cohort round: its Eq. 14 latency
+    /// and, if its update is lost to an exhausted upload retry, when (both
+    /// relative to the round start).
     #[derive(Debug, Clone, Copy)]
     struct Flight {
         client: usize,
         total: f64,
-        offline_at: Option<f64>,
+        lost_at: Option<f64>,
     }
 
     /// The cohort round semantics in closed form — `(survivors ascending,
-    /// drops, duration)`. A client survives iff it never churns and lands
-    /// within the budget (an arrival exactly at the budget survives:
+    /// drops, duration)`. A client survives iff its update is never lost and
+    /// lands within the budget (an arrival exactly at the budget survives:
     /// `UploadFinish` ranks before `RoundDeadline`); everyone else is a drop.
-    /// The server cannot tell a straggler from a dead device, so the round
-    /// lasts the full budget as soon as anyone dropped, else until its last
-    /// arrival. `budget = None` is the synchronous barrier: nothing drops.
+    /// The round lasts the full budget as soon as anyone dropped, else until
+    /// its last arrival. `budget = None` with no losses is the synchronous
+    /// barrier: nothing drops.
     fn cohort_oracle(flights: &[Flight], budget: Option<f64>) -> (Vec<usize>, usize, f64) {
-        let survives =
-            |f: &&Flight| f.offline_at.is_none() && budget.map_or(true, |b| f.total <= b);
+        let survives = |f: &&Flight| f.lost_at.is_none() && budget.map_or(true, |b| f.total <= b);
         let mut survivors: Vec<usize> = flights.iter().filter(survives).map(|f| f.client).collect();
         survivors.sort_unstable();
         let drops = flights.len() - survivors.len();
@@ -597,8 +596,8 @@ mod tests {
         let mut acc = RoundAccumulator::new(0);
         let mut queue = EventQueue::new();
         for f in flights {
-            match f.offline_at {
-                Some(at) => queue.push(at, f.client, EventKind::Offline),
+            match f.lost_at {
+                Some(at) => queue.push(at, f.client, EventKind::UploadRetry),
                 None => queue.push(f.total, f.client, EventKind::UploadFinish),
             };
         }
@@ -615,7 +614,8 @@ mod tests {
                     };
                     mode.buffer_arrival(&mut acc, event.client, fl, event.time);
                 }
-                EventKind::Offline => acc.metrics.straggler_drops += 1,
+                // The retry budget ran out: the update is permanently lost.
+                EventKind::UploadRetry => acc.metrics.upload_failure_drops += 1,
                 EventKind::RoundDeadline => mode.deadline_fired(&acc, event.time),
                 _ => unreachable!(),
             }
@@ -623,26 +623,26 @@ mod tests {
         let (arrived, duration) = mode.close_barrier();
         (
             arrived.keys().copied().collect(),
-            acc.metrics.straggler_drops as usize,
+            (acc.metrics.straggler_drops + acc.metrics.upload_failure_drops) as usize,
             duration,
         )
     }
 
     /// Randomized latencies on a 0.1 s grid, so arrivals exactly at the
-    /// budget occur; `churn` is the per-client probability of going offline
-    /// part-way through its own latency.
-    fn random_flights(rng: &mut rand::rngs::StdRng, churn: f64) -> Vec<Flight> {
+    /// budget occur; `loss` is the per-client probability that the update is
+    /// lost part-way through its own latency.
+    fn random_flights(rng: &mut rand::rngs::StdRng, loss: f64) -> Vec<Flight> {
         use rand::Rng;
         (0..rng.gen_range(1..6usize))
             .map(|client| {
                 let total = rng.gen_range(0..30) as f64 * 0.1 + rng.gen_range(0..10) as f64 * 0.1;
-                let offline_at = rng
-                    .gen_bool(churn)
+                let lost_at = rng
+                    .gen_bool(loss)
                     .then(|| rng.gen_range(0..10) as f64 * 0.099 * total);
                 Flight {
                     client,
                     total,
-                    offline_at,
+                    lost_at,
                 }
             })
             .collect()

@@ -90,12 +90,11 @@ pub struct FlConfig {
     /// settings.
     pub topology: Topology,
     /// When (and how correlatedly) clients are unavailable. The default
-    /// [`AvailabilityModel::Iid`] reproduces the historical
-    /// `DynamicsConfig::offline_prob` coin flip bit for bit; the `Diurnal`
-    /// and `Burst` models instead make dispatched clients *wait out* their
-    /// seeded offline windows before computing — in every round mode,
-    /// including synchronous, so a barrier genuinely stalls on a night
-    /// wave.
+    /// [`AvailabilityModel::AlwaysOn`] keeps every client online (the
+    /// paper's assumption); the `Diurnal` and `Burst` models make
+    /// dispatched clients *wait out* their seeded offline windows before
+    /// computing — in every round mode, including synchronous, so a barrier
+    /// genuinely stalls on a night wave.
     pub availability: AvailabilityModel,
     /// Transient upload faults with retry + exponential backoff (see
     /// [`FaultConfig`]); the default injects nothing. Failed attempts are
@@ -127,7 +126,7 @@ impl Default for FlConfig {
             round_mode: RoundMode::Synchronous,
             selection: SelectionKind::Uniform,
             topology: Topology::Flat,
-            availability: AvailabilityModel::Iid,
+            availability: AvailabilityModel::AlwaysOn,
             faults: FaultConfig::none(),
             quorum: 1.0,
         }
@@ -371,7 +370,7 @@ mod tests {
     #[test]
     fn fault_knobs_default_to_the_legacy_behaviour() {
         let cfg = FlConfig::default();
-        assert_eq!(cfg.availability, AvailabilityModel::Iid);
+        assert_eq!(cfg.availability, AvailabilityModel::AlwaysOn);
         assert!(!cfg.faults.enabled());
         assert_eq!(cfg.quorum, 1.0);
         cfg.validate().unwrap();

@@ -180,7 +180,6 @@ impl<'a> Driver<'a> {
             EventKind::Dispatch => self.on_dispatch(algorithm, event),
             EventKind::UploadFinish => self.on_upload(algorithm, event),
             EventKind::UploadRetry => self.on_upload_retry(event),
-            EventKind::Offline => self.on_offline(event),
             // A zone aggregator's budget expired: the event carries the zone
             // id, and later arrivals of that zone drop at the zone tier.
             EventKind::ZoneDeadline => self.topo.zone_deadline_fired(event.client),
@@ -252,17 +251,14 @@ impl<'a> Driver<'a> {
     /// Execution layer: coalesces every dispatch scheduled for this exact
     /// instant into one batch (they all see the same server state, so
     /// batching is semantics-free), steps it on `self.threads` threads and
-    /// schedules each outcome's arrival — or its mid-round disconnect.
+    /// schedules each outcome's arrival.
     fn on_dispatch(&mut self, algorithm: &mut dyn FlAlgorithm, event: Event) {
         let env = self.env;
         let round = self.version;
         let cohort = !self.mode.is_async();
-        // Synchronous servers wait churn out (legacy Eq. 18), so only
-        // deadline rounds and the async pipeline consult the churn model.
-        let churns = self.mode.cohort_deadline() != Some(None);
-        // A dispatch's scheduling tick keys its step stream, its churn draw
-        // and its upload-fault draws: the round in the cohort modes, the
-        // dispatch sequence in async.
+        // A dispatch's scheduling tick keys its step stream and its
+        // upload-fault draws: the round in the cohort modes, the dispatch
+        // sequence in async.
         let tick = |seq: u64| if cohort { round as u64 } else { seq };
 
         let mut batch = vec![(event.client, tick(self.dispatch_seq))];
@@ -303,66 +299,54 @@ impl<'a> Driver<'a> {
             if cohort {
                 self.acc.metrics.round_flops += outcome.report.flops;
             }
-            match churns
-                .then(|| env.fleet.offline_churn(client, tick))
-                .flatten()
-            {
-                Some(frac) => {
-                    self.queue
-                        .push(event.time + frac * total, client, EventKind::Offline)
-                }
-                None => {
-                    // Async uploads traverse the zone tier store-and-forward:
-                    // the zone → server leg re-prices the payload over the
-                    // zone uplink. Cohort zones buffer instead — their cost
-                    // is the combined forward at the barrier.
-                    let hop = if cohort {
-                        0.0
-                    } else {
-                        self.topo.async_zone_hop(outcome.report.upload_bytes)
-                    };
-                    // A retransmission replays only the wire legs — capture
-                    // their cost before availability waits land in the report.
-                    let resend_seconds = outcome.report.local_cost.comm_seconds + hop;
-                    // Correlated availability: a device inside an outage
-                    // window waits it out before starting. Unlike i.i.d.
-                    // churn this binds in *every* mode — a synchronous server
-                    // waits the outage out (the quorum knob exists to bound
-                    // exactly that) — and the wait is billed as latency so
-                    // selection policies can learn to route around it.
-                    // Cohort rounds run on a round-relative timeline; the
-                    // model is sampled on the absolute virtual clock.
-                    let abs_time = if cohort {
-                        self.cumulative_time + event.time
-                    } else {
-                        event.time
-                    };
-                    let wait = env
-                        .config
-                        .availability
-                        .offline_until(env.config.seed, client, abs_time)
-                        .map_or(0.0, |until| until - abs_time);
-                    if wait > 0.0 {
-                        self.acc.metrics.unavailable_dispatches += 1;
-                        self.acc.metrics.unavailable_wait_seconds += wait;
-                        outcome.report.local_cost.comm_seconds += wait;
-                    }
-                    let arrival = event.time + wait + total + hop;
-                    if self.injector.upload_attempt_fails(client, tick, 0) {
-                        self.retry.insert(
-                            client,
-                            RetryState {
-                                tick,
-                                failures: 1,
-                                resend_seconds,
-                            },
-                        );
-                        self.queue.push(arrival, client, EventKind::UploadRetry)
-                    } else {
-                        self.queue.push(arrival, client, EventKind::UploadFinish)
-                    }
-                }
+            // Async uploads traverse the zone tier store-and-forward: the
+            // zone → server leg re-prices the payload over the zone uplink.
+            // Cohort zones buffer instead — their cost is the combined
+            // forward at the barrier.
+            let hop = if cohort {
+                0.0
+            } else {
+                self.topo.async_zone_hop(outcome.report.upload_bytes)
             };
+            // A retransmission replays only the wire legs — capture their
+            // cost before availability waits land in the report.
+            let resend_seconds = outcome.report.local_cost.comm_seconds + hop;
+            // Correlated availability: a device inside an outage window
+            // waits it out before starting. This binds in *every* mode — a
+            // synchronous server waits the outage out (the quorum knob
+            // exists to bound exactly that) — and the wait is billed as
+            // latency so selection policies can learn to route around it.
+            // Cohort rounds run on a round-relative timeline; the model is
+            // sampled on the absolute virtual clock.
+            let abs_time = if cohort {
+                self.cumulative_time + event.time
+            } else {
+                event.time
+            };
+            let wait = env
+                .config
+                .availability
+                .offline_until(env.config.seed, client, abs_time)
+                .map_or(0.0, |until| until - abs_time);
+            if wait > 0.0 {
+                self.acc.metrics.unavailable_dispatches += 1;
+                self.acc.metrics.unavailable_wait_seconds += wait;
+                outcome.report.local_cost.comm_seconds += wait;
+            }
+            let arrival = event.time + wait + total + hop;
+            if self.injector.upload_attempt_fails(client, tick, 0) {
+                self.retry.insert(
+                    client,
+                    RetryState {
+                        tick,
+                        failures: 1,
+                        resend_seconds,
+                    },
+                );
+                self.queue.push(arrival, client, EventKind::UploadRetry);
+            } else {
+                self.queue.push(arrival, client, EventKind::UploadFinish);
+            }
             let evicted = self.in_flight.insert(
                 client,
                 InFlight {
@@ -441,8 +425,8 @@ impl<'a> Driver<'a> {
         // uplink even though the server never saw a usable update.
         self.acc.metrics.round_upload_bytes += fl.report.upload_bytes;
         if state.failures > self.injector.config().max_retries {
-            // Retry budget exhausted: the update is permanently lost. Like
-            // churn, spent FLOPs still count against the federation.
+            // Retry budget exhausted: the update is permanently lost; its
+            // spent FLOPs still count against the federation.
             let fl = self
                 .in_flight
                 .remove(&event.client)
@@ -477,27 +461,6 @@ impl<'a> Driver<'a> {
         } else {
             self.queue
                 .push(arrival, event.client, EventKind::UploadFinish);
-        }
-    }
-
-    /// Absorption layer, disconnect case: the device died mid-round. Its work
-    /// is spent, its update is lost; async slots refill now.
-    fn on_offline(&mut self, event: Event) {
-        let fl = self
-            .in_flight
-            .remove(&event.client)
-            .expect("offline event without a matching dispatch");
-        // Pre-deadline churn and post-deadline stragglers both count as
-        // drops (the server cannot tell them apart); `churn_drops` keeps the
-        // cause attribution for the drop histogram.
-        self.acc.metrics.straggler_drops += 1;
-        self.acc.metrics.churn_drops += 1;
-        if self.mode.is_async() {
-            self.acc.metrics.round_flops += fl.report.flops;
-            self.refill(event.time);
-        } else {
-            // The client's zone stops waiting for it.
-            self.topo.on_resolved(event.client);
         }
     }
 

@@ -51,9 +51,8 @@ pub struct RoundMetrics {
     pub mask_cache_hits: u64,
     /// Mask-cache lookups that required a rebuild this round.
     pub mask_cache_misses: u64,
-    /// Dispatched clients whose updates were lost this round: deadline-mode
-    /// stragglers plus devices that churned offline mid-round. Always 0 in
-    /// synchronous mode.
+    /// Deadline-mode stragglers: dispatched clients whose updates landed
+    /// after the round deadline fired. Always 0 in synchronous mode.
     pub straggler_drops: u64,
     /// Async-mode updates discarded for exceeding the staleness bound.
     pub stale_discards: u64,
@@ -90,10 +89,6 @@ pub struct RoundMetrics {
     /// Counted separately from `straggler_drops` (omitted when 0).
     #[serde(default, skip_serializing_if = "is_zero_u64")]
     pub upload_failure_drops: u64,
-    /// The subset of `straggler_drops` caused by i.i.d. mid-round offline
-    /// churn rather than a deadline (omitted when 0).
-    #[serde(default, skip_serializing_if = "is_zero_u64")]
-    pub churn_drops: u64,
     /// Cohort rounds closed by the quorum knob before the full cohort
     /// reported — the graceful-degradation path (omitted when 0).
     #[serde(default, skip_serializing_if = "is_zero_u64")]
@@ -245,8 +240,7 @@ impl RunResult {
         self.mask_cache_hit_rate_from(0)
     }
 
-    /// Total dropped clients (deadline stragglers + offline churn) over the
-    /// whole run.
+    /// Total deadline stragglers over the whole run.
     pub fn total_straggler_drops(&self) -> u64 {
         self.rounds.iter().map(|r| r.straggler_drops).sum()
     }
@@ -267,12 +261,6 @@ impl RunResult {
         self.rounds.iter().map(|r| r.upload_failure_drops).sum()
     }
 
-    /// Total drops caused by i.i.d. mid-round offline churn (the churn
-    /// subset of `total_straggler_drops`).
-    pub fn total_churn_drops(&self) -> u64 {
-        self.rounds.iter().map(|r| r.churn_drops).sum()
-    }
-
     /// Total cohort rounds the quorum knob closed before the full cohort
     /// reported.
     pub fn total_quorum_closes(&self) -> u64 {
@@ -290,19 +278,13 @@ impl RunResult {
     }
 
     /// The per-cause drop histogram of the whole run, as
-    /// `(cause, count)` pairs in a fixed order: `churn` (i.i.d. mid-round
-    /// disconnects), `deadline-straggler` (non-churn barrier drops),
-    /// `zone-deadline`, `stale` (async staleness discards) and
+    /// `(cause, count)` pairs in a fixed order: `deadline-straggler`
+    /// (barrier drops), `zone-deadline`, `stale` (async staleness discards) and
     /// `upload-failure` (retry cap exhausted). Causes are disjoint; zero
     /// counts are kept so rows line up across configurations.
     pub fn drop_causes(&self) -> Vec<(&'static str, u64)> {
-        let churn = self.total_churn_drops();
         vec![
-            ("churn", churn),
-            (
-                "deadline-straggler",
-                self.total_straggler_drops().saturating_sub(churn),
-            ),
+            ("deadline-straggler", self.total_straggler_drops()),
             ("zone-deadline", self.total_zone_straggler_drops()),
             ("stale", self.total_stale_discards()),
             ("upload-failure", self.total_upload_failure_drops()),
@@ -402,7 +384,6 @@ mod tests {
             zone_upload_bytes: 0.0,
             retry_attempts: 0,
             upload_failure_drops: 0,
-            churn_drops: 0,
             quorum_closes: 0,
             unavailable_dispatches: 0,
             unavailable_wait_seconds: 0.0,
@@ -486,7 +467,6 @@ mod tests {
         for key in [
             "retry_attempts",
             "upload_failure_drops",
-            "churn_drops",
             "quorum_closes",
             "unavailable",
         ] {
@@ -514,7 +494,6 @@ mod tests {
         let mut faulty = round(0, Some(0.2), 100.0, 2.0);
         faulty.retry_attempts = 5;
         faulty.upload_failure_drops = 2;
-        faulty.churn_drops = 1; // of this round's 0 straggler_drops below
         faulty.straggler_drops = 3;
         faulty.quorum_closes = 1;
         faulty.unavailable_dispatches = 4;
@@ -523,7 +502,6 @@ mod tests {
         for key in [
             "retry_attempts",
             "upload_failure_drops",
-            "churn_drops",
             "quorum_closes",
             "unavailable_dispatches",
             "unavailable_wait_seconds",
@@ -536,15 +514,13 @@ mod tests {
         let r = RunResult::from_rounds("a".into(), "d".into(), vec![faulty]);
         assert_eq!(r.total_retry_attempts(), 5);
         assert_eq!(r.total_upload_failure_drops(), 2);
-        assert_eq!(r.total_churn_drops(), 1);
         assert_eq!(r.total_quorum_closes(), 1);
         assert_eq!(r.total_unavailable_dispatches(), 4);
         assert!((r.total_unavailable_wait_seconds() - 0.75).abs() < 1e-12);
         assert_eq!(
             r.drop_causes(),
             vec![
-                ("churn", 1),
-                ("deadline-straggler", 2),
+                ("deadline-straggler", 3),
                 ("zone-deadline", 0),
                 ("stale", 0),
                 ("upload-failure", 2),

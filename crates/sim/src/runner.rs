@@ -291,25 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn offline_churn_drops_clients_under_a_roomy_deadline() {
-        let mut env = env_with(FlConfig::tiny().with_round_mode(RoundMode::deadline(1e9, 0)));
-        env.fleet = env.fleet.clone().with_dynamics(
-            DynamicsConfig {
-                enabled: true,
-                min_availability: 0.9,
-                ..DynamicsConfig::default()
-            }
-            .with_offline_prob(0.5),
-        );
-        let result = Simulator::new(env).run(&mut MiniFedAvg::new());
-        assert!(
-            result.total_straggler_drops() > 0,
-            "p=0.5 churn over 6 rounds x 3 clients should drop someone"
-        );
-        assert_eq!(result.rounds.len(), FlConfig::tiny().rounds);
-    }
-
-    #[test]
     fn async_pipeline_completes_with_staleness_accounting() {
         let result = Simulator::new(env_with(
             FlConfig::tiny().with_round_mode(RoundMode::asynchronous(3, 0.6)),
@@ -493,15 +474,15 @@ mod tests {
 
         let err = std::panic::catch_unwind(|| {
             let mut env = env_with(FlConfig::tiny());
-            env.fleet = env
-                .fleet
-                .clone()
-                .with_dynamics(DynamicsConfig::default().with_offline_prob(1.0));
+            env.fleet = env.fleet.clone().with_dynamics(DynamicsConfig {
+                enabled: true,
+                min_availability: 1.5,
+            });
             Simulator::new(env)
         })
         .unwrap_err();
         let msg = err.downcast_ref::<String>().expect("panic payload");
-        assert!(msg.contains("offline_prob"), "{msg}");
+        assert!(msg.contains("min_availability"), "{msg}");
     }
 
     /// Transient upload faults: retries surface in the metrics, permanent
@@ -649,9 +630,9 @@ mod tests {
             Simulator::new(env_with(FlConfig::tiny().with_availability(availability)))
                 .run(&mut MiniFedAvg::new())
         };
-        let iid = run(AvailabilityModel::Iid);
+        let always_on = run(AvailabilityModel::AlwaysOn);
         let diurnal = run(AvailabilityModel::Diurnal {
-            period: iid.total_time / 3.0,
+            period: always_on.total_time / 3.0,
             phase_spread: 1.0,
             night_offline: 0.5,
         });
@@ -661,12 +642,12 @@ mod tests {
         );
         assert!(diurnal.total_unavailable_wait_seconds() > 0.0);
         assert!(
-            diurnal.total_time > iid.total_time,
+            diurnal.total_time > always_on.total_time,
             "waiting out outages must cost virtual time ({} vs {})",
             diurnal.total_time,
-            iid.total_time
+            always_on.total_time
         );
-        assert_eq!(iid.total_unavailable_dispatches(), 0);
+        assert_eq!(always_on.total_unavailable_dispatches(), 0);
     }
 
     /// The quorum knob closes barrier rounds early: same round count, less

@@ -170,8 +170,8 @@ impl TopologyState {
         z.last_arrival = z.last_arrival.max(time);
     }
 
-    /// Books a cohort client resolving *without* contributing (offline
-    /// churn, post-round-deadline straggler, zone-deadline drop).
+    /// Books a cohort client resolving *without* contributing (exhausted
+    /// upload retries, post-round-deadline straggler, zone-deadline drop).
     pub(crate) fn on_resolved(&mut self, client: usize) {
         let Some(zone) = self.zone_of(client) else {
             return;

@@ -1,9 +1,9 @@
-//! Correlated availability: the same federation under i.i.d. churn and
+//! Correlated availability: the same federation with always-on clients and
 //! under a diurnal (day/night) availability wave, with transient upload
 //! faults and quorum-based graceful degradation.
 //!
-//! An i.i.d. coin flip per dispatch is the classic simulator simplification;
-//! real fleets go offline in *correlated* waves — devices share time zones,
+//! Always-on clients are the classic simulator simplification; real fleets
+//! go offline in *correlated* waves — devices share time zones,
 //! charging habits and network outages. Under a wave, a synchronous barrier
 //! keeps dispatching into the night and waits entire outages out. This
 //! example shows the two mitigation knobs the fault subsystem adds:
@@ -14,7 +14,7 @@
 //!
 //! On top of the availability axis, every upload here has a transient
 //! failure probability with retry + exponential backoff, so the drop
-//! histogram separates churn, deadline stragglers and exhausted retries.
+//! histogram separates deadline stragglers from exhausted retries.
 //!
 //! ```text
 //! cargo run --release --example diurnal_fleet
@@ -48,16 +48,16 @@ fn run_once(availability: AvailabilityModel, mode: RoundMode, quorum: f64) -> Ru
 }
 
 fn main() {
-    // Probe under always-on i.i.d. availability to size the diurnal period:
+    // Probe with always-on clients to size the diurnal period:
     // roughly four day/night cycles over the whole run, 40% of each spent
     // offline, phases spread across the fleet (not one shared time zone).
-    let iid_sync = run_once(AvailabilityModel::Iid, RoundMode::Synchronous, 1.0);
+    let always_on_sync = run_once(AvailabilityModel::AlwaysOn, RoundMode::Synchronous, 1.0);
     let diurnal = AvailabilityModel::Diurnal {
-        period: iid_sync.total_time / 4.0,
+        period: always_on_sync.total_time / 4.0,
         phase_spread: 1.0,
         night_offline: 0.4,
     };
-    let worst_round = iid_sync
+    let worst_round = always_on_sync
         .rounds
         .iter()
         .map(|r| r.round_time)
@@ -66,8 +66,8 @@ fn main() {
 
     let configs = [
         (
-            "iid / sync",
-            AvailabilityModel::Iid,
+            "always-on / sync",
+            AvailabilityModel::AlwaysOn,
             RoundMode::Synchronous,
             1.0,
         ),
@@ -84,7 +84,7 @@ fn main() {
     println!("FedLPS, 64 clients, transient upload faults (p=0.15, 2 retries)");
     println!(
         "diurnal wave: period {:.3}s, 40% night, phases spread over the fleet\n",
-        iid_sync.total_time / 4.0
+        always_on_sync.total_time / 4.0
     );
     println!(
         "{:<22} {:>9} {:>11} {:>9} {:>8} {:>8} {:>8}",
@@ -123,7 +123,7 @@ fn main() {
         "\nExpected shape: the diurnal synchronous run pays for every outage \
          it dispatches into (the waits column), while the quorum and deadline \
          variants close rounds without the night-bound tail — far less \
-         virtual time at comparable accuracy. Every run, i.i.d. or diurnal, \
+         virtual time at comparable accuracy. Every run, always-on or diurnal, \
          is bit-identical across parallelism, backend and topology settings."
     );
     let [_, wave, wave_quorum, wave_deadline] = total_time[..] else {

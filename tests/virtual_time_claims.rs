@@ -17,7 +17,7 @@ use fedlps::prelude::*;
 const ROUNDS: usize = 12;
 
 /// The fleet's baseline configuration: synchronous rounds, uniform
-/// selection, i.i.d. availability, flat topology.
+/// selection, always-on availability, flat topology.
 fn fleet_config() -> FlConfig {
     FlConfig {
         rounds: ROUNDS,
@@ -44,7 +44,7 @@ fn run(config: FlConfig) -> RunResult {
     sim.run(&mut algo)
 }
 
-/// The synchronous i.i.d. runs every claim is measured against, trained once
+/// The synchronous always-on runs every claim is measured against, trained once
 /// per policy and shared by the tests of this file.
 fn sync_uniform() -> &'static RunResult {
     static RUN: OnceLock<RunResult> = OnceLock::new();
@@ -108,7 +108,7 @@ fn utility_selection_shifts_participation_toward_fast_tiers() {
     );
 }
 
-/// Two slow day/night cycles over the i.i.d. horizon, half of each period
+/// Two slow day/night cycles over the always-on horizon, half of each period
 /// offline, per-client phases. The barrier waits out every outage its cohort
 /// dispatches into; a slow wave is *predictable* — a client observed waiting
 /// last round is probably still near its night, its inflated observed
@@ -126,7 +126,7 @@ fn utility_selection_beats_uniform_under_a_diurnal_wave() {
     let wave_utility = run(fleet_config()
         .with_selection(SelectionKind::utility())
         .with_availability(diurnal));
-    for (name, wave, iid) in [
+    for (name, wave, always_on) in [
         ("uniform", &wave_uniform, sync_uniform()),
         ("utility", &wave_utility, sync_utility()),
     ] {
@@ -135,7 +135,7 @@ fn utility_selection_beats_uniform_under_a_diurnal_wave() {
             "the wave must catch some {name} dispatches"
         );
         assert!(
-            wave.total_time > iid.total_time,
+            wave.total_time > always_on.total_time,
             "the wave must cost {name} selection virtual time"
         );
     }
