@@ -192,6 +192,12 @@ impl Family for PersonalizedFl {
             }
         }
     }
+
+    /// Only Ditto's personal model stands alone: FedPer / FedRep splice the
+    /// global body under their head, and Per-FedAvg adapts the global model.
+    fn deploys_own_record(&self, client: usize) -> bool {
+        matches!(self.variant, PersonalizedVariant::Ditto { .. }) && self.personal[client].is_some()
+    }
 }
 
 #[cfg(test)]

@@ -255,6 +255,11 @@ impl Family for SparsePersonalized {
             None => env.arch.evaluate(global, env.test_data(client)),
         }
     }
+
+    /// A client that trained deploys its own personal state alone.
+    fn deploys_own_record(&self, client: usize) -> bool {
+        self.states[client].is_some()
+    }
 }
 
 #[cfg(test)]

@@ -307,6 +307,13 @@ impl Family for Lps {
             _ => env.arch.evaluate(global, env.test_data(client)),
         }
     }
+
+    /// A client that trained deploys its own record; one that never did
+    /// deploys the global model.
+    fn deploys_own_record(&self, client: usize) -> bool {
+        let state = self.client_state(client);
+        state.personal_model.is_some() && state.last_mask.is_some()
+    }
 }
 
 #[cfg(test)]

@@ -5,8 +5,9 @@
 //! rules are sharded on the coordinate axis over one chunk walk.
 
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt::Debug;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use fedlps_device::DeviceProfile;
 use fedlps_nn::model::EvalStats;
@@ -29,8 +30,9 @@ use rand::rngs::StdRng;
 /// The two are interchangeable bit for bit: every coordinate the packed form
 /// omits carries an exact `0.0` in the dense form, because masked parameters
 /// are frozen at the global value and cross-connections into dropped units
-/// receive no gradient. [`aggregate_residuals`] exploits this by scattering
-/// the packed delta back into full coordinates during the absorption walk.
+/// receive no gradient. [`aggregate_residuals_tree`] exploits this by
+/// scattering the packed delta back into full coordinates during the
+/// absorption walk.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Residual {
     /// Full-length residual vector; zeros outside the client's mask.
@@ -257,7 +259,8 @@ fn packed_chunk<'a>(
     })
 }
 
-/// Eq. (13): `ω^{r+1} = Σ_k |D_k| (ω^r − ω̂_k) / Σ_k |D_k|`.
+/// Eq. (13), `ω^{r+1} = Σ_k |D_k| (ω^r − ω̂_k) / Σ_k |D_k|`, sharded on the
+/// coordinate axis.
 ///
 /// Because each client's residual is masked with its own personalized pattern
 /// while `ω^r` is dense, the aggregate remains a relatively dense update of
@@ -266,21 +269,18 @@ fn packed_chunk<'a>(
 /// walk performs the same `coeff * (g - r)` arithmetic in the same coordinate
 /// order as the dense case with `r = 0` off-pattern, so packed and dense
 /// uploads aggregate bit-identically.
-pub fn aggregate_residuals(global: &mut [f32], staged: &[StagedUpdate]) {
-    aggregate_residuals_tree(global, staged, 1);
-}
-
-/// Eq. (13) sharded on the coordinate axis: the next parameter vector is
-/// allocated once and split into at most `shards` disjoint contiguous
-/// chunks, and each chunk replays the full ascending-staged walk restricted
-/// to its own coordinates (`merge_residuals_range`), writing in place.
-/// Chunks execute through the simulator's backend seam
-/// ([`fedlps_sim::backend::for_each_chunk_mut`]), the one place parallelism
-/// is allowed to live. Coordinates never interact in Eq. (13), so *any*
-/// disjoint partition — `shards` of 0, 1, or more than `global.len()`
-/// included — is **bit-identical** to the serial walk at every worker
-/// count: sharding on the client axis would reassociate float additions,
-/// sharding on the coordinate axis cannot.
+///
+/// The next parameter vector is allocated once and split into at most
+/// `shards` disjoint contiguous chunks, and each chunk replays the full
+/// ascending-staged walk restricted to its own coordinates
+/// (`merge_residuals_range`), writing in place. Chunks execute through the
+/// simulator's backend seam ([`fedlps_sim::backend::for_each_chunk_mut`]),
+/// the one place parallelism is allowed to live. Coordinates never interact
+/// in Eq. (13), so *any* disjoint partition — `shards` of 0, 1, or more
+/// than `global.len()` included — is **bit-identical** to the serial walk
+/// at every worker count: sharding on the client axis would reassociate
+/// float additions, sharding on the coordinate axis cannot. The unit tests
+/// use one shard as the serial oracle.
 pub fn aggregate_residuals_tree(global: &mut [f32], staged: &[StagedUpdate], shards: usize) {
     if staged.is_empty() {
         return;
@@ -392,8 +392,23 @@ pub trait Family: Send + Sync {
 
     /// Evaluates the model `client` would deploy on its local test data: the
     /// shared global model unless the method personalizes or sparsifies it.
+    /// Evaluation draws no ambient randomness, so the result is a pure
+    /// function of the family's state, `global` and the environment; while
+    /// [`deploys_own_record`](Family::deploys_own_record) holds, it depends
+    /// on `client`'s record alone.
     fn deployed(&self, env: &FlEnv, global: &[f32], client: usize) -> EvalStats {
         env.arch.evaluate(global, env.test_data(client))
+    }
+
+    /// Whether `client`'s [`deployed`](Family::deployed) reads only that
+    /// client's own record, never `global` nor another client's state. The
+    /// record must change only in [`absorbed`](Family::absorbed) for that
+    /// client and in [`setup`](Family::setup): [`Server`] then reuses the
+    /// client's last deployment statistics until one of the two runs. The
+    /// default, `false`, re-evaluates every time.
+    fn deploys_own_record(&self, client: usize) -> bool {
+        let _ = client;
+        false
     }
 }
 
@@ -572,8 +587,8 @@ impl<'a> Step<'a> {
 
 /// A method: one [`Family`] on the shared round skeleton, the workspace's
 /// only [`FlAlgorithm`] impl. The payload downcast, the async staleness
-/// discount, staging, the sharded aggregation and the snapshot republish
-/// exist here once.
+/// discount, staging, the sharded aggregation, the snapshot republish and
+/// the deployment memo exist here once.
 #[derive(Debug)]
 pub struct Server<F: Family> {
     family: F,
@@ -581,6 +596,13 @@ pub struct Server<F: Family> {
     /// client task and packed contribution instead of being cloned per task.
     global: Arc<Vec<f32>>,
     staged: Vec<F::Upload>,
+    /// The last deployment statistics of every evaluated client whose
+    /// deployment reads only its own record
+    /// ([`Family::deploys_own_record`]), dropped when that client's update
+    /// is absorbed and emptied by `setup`. The evaluation sweep fills it
+    /// through `&self` on many threads, so it sits behind a lock held only
+    /// for the lookup and the insert.
+    deployed: Mutex<BTreeMap<usize, EvalStats>>,
 }
 
 impl<F: Family> From<F> for Server<F> {
@@ -590,6 +612,7 @@ impl<F: Family> From<F> for Server<F> {
             family,
             global: Arc::new(Vec::new()),
             staged: Vec::new(),
+            deployed: Mutex::default(),
         }
     }
 }
@@ -604,6 +627,12 @@ impl<F: Family> Server<F> {
     pub fn global_params(&self) -> &[f32] {
         &self.global
     }
+
+    /// The deployment memo. Its critical sections cannot panic, so a
+    /// poisoned lock still holds a consistent map.
+    fn memo(&self) -> MutexGuard<'_, BTreeMap<usize, EvalStats>> {
+        self.deployed.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl<F: Family> FlAlgorithm for Server<F> {
@@ -614,6 +643,7 @@ impl<F: Family> FlAlgorithm for Server<F> {
     fn setup(&mut self, env: &FlEnv) {
         self.global = Arc::new(env.initial_params());
         self.staged.clear();
+        self.memo().clear();
         self.family.setup(env, &self.global);
     }
 
@@ -662,6 +692,7 @@ impl<F: Family> FlAlgorithm for Server<F> {
             .expect("a payload of this method's own client_step");
         let weight = env.train_size(client).max(1.0) * weight;
         self.family.absorbed(client, round, side);
+        self.memo().remove(&client);
         self.staged.push(F::Upload::new(weight, payload));
     }
 
@@ -682,17 +713,29 @@ impl<F: Family> FlAlgorithm for Server<F> {
         self.family.aggregated();
     }
 
+    /// The client's deployment statistics, reused from the memo while its
+    /// deployment reads only its own record and no update of it has been
+    /// absorbed since; bit-identical to a fresh evaluation either way.
     fn evaluate_client(&self, env: &FlEnv, client: usize) -> EvalStats {
-        self.family.deployed(env, &self.global, client)
+        if let Some(stats) = self.memo().get(&client).copied() {
+            return stats;
+        }
+        let stats = self.family.deployed(env, &self.global, client);
+        if self.family.deploys_own_record(client) {
+            self.memo().insert(client, stats);
+        }
+        stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::{FedLps, Lps};
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::HeterogeneityLevel;
     use fedlps_sim::config::FlConfig;
+    use fedlps_sim::runner::Simulator;
 
     fn dense(weight: f64, residual: Vec<f32>) -> StagedUpdate {
         StagedUpdate {
@@ -709,7 +752,7 @@ mod tests {
     fn aggregation_with_zero_residuals_is_identity() {
         let mut global = vec![1.0, -2.0, 3.0];
         let staged = vec![dense(3.0, vec![0.0; 3]), dense(1.0, vec![0.0; 3])];
-        aggregate_residuals(&mut global, &staged);
+        aggregate_residuals_tree(&mut global, &staged, 1);
         assert_eq!(global, vec![1.0, -2.0, 3.0]);
     }
 
@@ -720,7 +763,7 @@ mod tests {
         // halfway when the other client reports no change.
         let mut global = vec![0.0, 0.0];
         let staged = vec![dense(1.0, vec![1.0, 1.0]), dense(1.0, vec![0.0, 0.0])];
-        aggregate_residuals(&mut global, &staged);
+        aggregate_residuals_tree(&mut global, &staged, 1);
         assert_eq!(global, vec![-0.5, -0.5]);
     }
 
@@ -728,14 +771,14 @@ mod tests {
     fn weights_bias_the_average() {
         let mut global = vec![0.0];
         let staged = vec![dense(3.0, vec![4.0]), dense(1.0, vec![0.0])];
-        aggregate_residuals(&mut global, &staged);
+        aggregate_residuals_tree(&mut global, &staged, 1);
         assert!((global[0] + 3.0).abs() < 1e-6);
     }
 
     #[test]
     fn empty_staging_is_a_noop() {
         let mut global = vec![5.0];
-        aggregate_residuals(&mut global, &[]);
+        aggregate_residuals_tree(&mut global, &[], 1);
         assert_eq!(global, vec![5.0]);
     }
 
@@ -753,7 +796,7 @@ mod tests {
             let base: Vec<f32> = (0..len).map(|i| 0.25 * i as f32 - 0.5).collect();
             let staged = vec![dense(2.0, vec![0.125; len]), packed(3.0, len)];
             let mut serial = base.clone();
-            aggregate_residuals(&mut serial, &staged);
+            aggregate_residuals_tree(&mut serial, &staged, 1);
             // 0 and 1 stay on the calling thread; `len` gives one-coordinate
             // chunks; anything above `len` clamps to that.
             for shards in [0usize, 1, 2, len, len + 1, 64] {
@@ -811,7 +854,7 @@ mod tests {
     #[should_panic]
     fn zero_weights_panic() {
         let mut global = vec![0.0];
-        aggregate_residuals(&mut global, &[dense(0.0, vec![0.0])]);
+        aggregate_residuals_tree(&mut global, &[dense(0.0, vec![0.0])], 1);
     }
 
     #[test]
@@ -820,7 +863,7 @@ mod tests {
         // coordinates at the weighted mean of ω^r itself (i.e. unchanged).
         let mut global = vec![2.0, 2.0];
         let staged = vec![dense(1.0, vec![1.0, 0.0])];
-        aggregate_residuals(&mut global, &staged);
+        aggregate_residuals_tree(&mut global, &staged, 1);
         assert_eq!(global, vec![1.0, 2.0]);
     }
 
@@ -844,9 +887,9 @@ mod tests {
 
         let base: Vec<f32> = vec![0.1, -0.2, 0.3, -0.4, 0.5, -0.6];
         let mut via_packed = base.clone();
-        aggregate_residuals(&mut via_packed, &[packed, other.clone()]);
+        aggregate_residuals_tree(&mut via_packed, &[packed, other.clone()], 1);
         let mut via_dense = base.clone();
-        aggregate_residuals(&mut via_dense, &[expanded, other]);
+        aggregate_residuals_tree(&mut via_dense, &[expanded, other], 1);
         assert_eq!(bits(&via_packed), bits(&via_dense));
         assert_ne!(via_packed, base, "the update moved the model");
     }
@@ -883,5 +926,96 @@ mod tests {
         assert!(report.flops > 0.0);
         assert!(report.local_cost.total() > 0.0);
         assert_eq!(summary.iterations, env.config.local_iterations);
+    }
+
+    /// FedLPS on the skeleton, checking the deployment memo around every
+    /// absorption: exactly the absorbed client's entry goes.
+    struct MemoWatch {
+        inner: Server<Lps>,
+        invalidated: usize,
+    }
+
+    impl MemoWatch {
+        fn memo_keys(&self) -> Vec<usize> {
+            self.inner.memo().keys().copied().collect()
+        }
+    }
+
+    impl FlAlgorithm for MemoWatch {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn setup(&mut self, env: &FlEnv) {
+            self.inner.setup(env)
+        }
+        fn begin_round(&mut self, env: &FlEnv, round: usize, selected: &[usize], rng: &mut StdRng) {
+            self.inner.begin_round(env, round, selected, rng)
+        }
+        fn client_step(
+            &self,
+            env: &FlEnv,
+            round: usize,
+            client: usize,
+            rng: &mut StdRng,
+        ) -> ClientOutcome {
+            self.inner.client_step(env, round, client, rng)
+        }
+        fn absorb_update(&mut self, env: &FlEnv, round: usize, update: ClientUpdate) {
+            self.absorb_update_stale(env, round, update, 0, 1.0)
+        }
+        fn absorb_update_stale(
+            &mut self,
+            env: &FlEnv,
+            round: usize,
+            update: ClientUpdate,
+            staleness: u32,
+            weight: f64,
+        ) {
+            let client = update
+                .downcast_ref::<(usize, Residual, crate::algorithm::LpsSide)>()
+                .expect("a FedLPS payload")
+                .0;
+            let mut expected = self.memo_keys();
+            expected.retain(|&k| k != client);
+            let held = self.inner.memo().contains_key(&client);
+            self.inner
+                .absorb_update_stale(env, round, update, staleness, weight);
+            assert_eq!(self.memo_keys(), expected, "absorbing client {client}");
+            self.invalidated += held as usize;
+        }
+        fn aggregate(&mut self, env: &FlEnv, round: usize, reports: &[ClientReport]) {
+            self.inner.aggregate(env, round, reports)
+        }
+        fn evaluate_client(&self, env: &FlEnv, client: usize) -> EvalStats {
+            self.inner.evaluate_client(env, client)
+        }
+    }
+
+    #[test]
+    fn deployment_memo_fills_on_evaluation_and_drops_only_absorbed_clients() {
+        let env = FlEnv::from_scenario(
+            &ScenarioConfig::tiny(DatasetKind::MnistLike),
+            HeterogeneityLevel::High,
+            FlConfig {
+                eval_every: 1,
+                ..FlConfig::tiny().with_rounds(8)
+            },
+        );
+        let sim = Simulator::new(env);
+        let mut algo = MemoWatch {
+            inner: FedLps::for_env(sim.env()),
+            invalidated: 0,
+        };
+        sim.run(&mut algo);
+        // The last round was evaluated: every client that trained holds an
+        // entry, and no never-trained client does.
+        let trained: Vec<usize> = (0..sim.env().num_clients())
+            .filter(|&k| algo.inner.family().deploys_own_record(k))
+            .collect();
+        assert!(!trained.is_empty());
+        assert_eq!(algo.memo_keys(), trained);
+        assert!(algo.invalidated > 0, "a re-participation dropped an entry");
+        algo.setup(sim.env());
+        assert!(algo.memo_keys().is_empty(), "setup empties the memo");
     }
 }

@@ -199,6 +199,10 @@ pub trait FlAlgorithm: Send + Sync {
     /// client's local test data. Personalized methods evaluate the client's
     /// personal (possibly sparse) model; conventional methods evaluate the
     /// shared global model.
+    ///
+    /// The result must be a pure function of the algorithm's state and the
+    /// environment — evaluation draws no ambient randomness — so an
+    /// implementation may memoise it until that state changes.
     fn evaluate_client(&self, env: &FlEnv, client: usize) -> EvalStats;
 }
 

@@ -71,10 +71,14 @@ fn available_cores() -> usize {
 }
 
 /// Sample-weighted mean deployed-model accuracy across every client,
-/// evaluated on every available core (evaluation dominates the simulator's
-/// wall-clock cost, and unlike training it only needs `&` access to the
-/// algorithm; the results come back in client order, so the reduction is
-/// schedule-independent).
+/// evaluated on every available core (unlike training it only needs `&`
+/// access to the algorithm; the results come back in client order, so the
+/// reduction is schedule-independent). Personal deployments unchanged since
+/// the last sweep are served from the round skeleton's memo, so on the
+/// every-round ConvNet workload (`perf`'s `curves_cnn_eval`) a sweep costs
+/// about as much as the round's client steps, and on the training-heavy
+/// workloads a small fraction of them; `perf` reports the split as
+/// `core.evaluate_busy_s` against `core.client_step_busy_s`.
 pub(crate) fn parallel_mean_accuracy(env: &FlEnv, algorithm: &dyn FlAlgorithm) -> f64 {
     let clients: Vec<usize> = (0..env.num_clients()).collect();
     let per_client = par_map(available_cores(), clients, |k| {
