@@ -94,7 +94,7 @@ impl Client {
     }
 }
 
-/// The agents materialized so far, keyed by client id (lint rule D1).
+/// The agents materialized so far, keyed by client id (`clippy.toml` rule D1).
 struct Agents {
     clients: BTreeMap<usize, Client>,
     /// The sequential stream every agent built by [`RatioController::new`]

@@ -57,7 +57,10 @@ impl ImportanceLoss {
     /// gradient from the model's backward pass plus the proximal gradient
     /// `μ·(ω − ω^r)`. The gradient with respect to `Q` is obtained separately
     /// via [`ImportanceIndicator::gradient`] using the same `grad` buffer.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the Eq. (6) objective reads the model, both parameter vectors, the indicator and the minibatch, each a distinct input"
+    )]
     pub fn evaluate(
         &self,
         arch: &dyn ModelArch,

@@ -108,7 +108,10 @@ pub(crate) struct PackedStep<'a> {
 impl<'a> PackedStep<'a> {
     /// The per-task prologue: one pass over the model, the run scan, then
     /// one walk over the dropped units. `local` must still equal `global`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the prologue borrows every buffer the step keeps for its lifetime; bundling them would move the same list into a struct"
+    )]
     pub(crate) fn new(
         layout: &'a UnitLayout,
         packed: &'a PackedModel,

@@ -162,7 +162,7 @@ pub fn zone_assignment(seed: u64, client: usize, zones: usize) -> usize {
 /// Conceptually this *is* the `(0..num_devices)` tier-draw loop, evaluated
 /// on demand: `profile(k)` replays the draw stream from the nearest
 /// checkpoint at or below `k`, memoizes the requested profile in a sparse
-/// `BTreeMap` (lint rule D1) and clones an RNG checkpoint every
+/// `BTreeMap` (`clippy.toml` rule D1) and clones an RNG checkpoint every
 /// [`CHECKPOINT_STRIDE`] indices so later accesses in the same region are
 /// cheap; `fill` memoizes the whole stream in one pass. Shared behind an
 /// `Arc` so fleet clones see one memo; the interior `Mutex` only guards

@@ -192,7 +192,6 @@ impl LstmLm {
         cache
     }
 
-    #[allow(clippy::too_many_lines)]
     fn backward_sample(
         &self,
         params: &[f32],

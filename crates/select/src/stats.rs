@@ -30,10 +30,10 @@ const BLANK_STATS: ClientSelectionStats = ClientSelectionStats {
 ///
 /// Observed statistics are recorded only at event-ordered absorption points,
 /// which keeps every policy bit-identical across thread counts. There is one
-/// store: a `BTreeMap` keyed by client id (lint rule D1) in which a client
-/// occupies memory only once it is dispatched, next to a per-id latency
-/// prior, so the tracker stays `O(participants)` even when it fronts a
-/// million-client registry. Reading an absent client yields blank default
+/// store: a `BTreeMap` keyed by client id (`clippy.toml` rule D1) in which a
+/// client occupies memory only once it is dispatched, next to a per-id
+/// latency prior, so the tracker stays `O(participants)` even when it fronts
+/// a million-client registry. Reading an absent client yields blank default
 /// statistics. The two constructors differ only in the prior they are handed
 /// and in the speed reference: [`new`](Self::new) takes the fastest given
 /// latency, [`lazy`](Self::lazy) an explicit floor.

@@ -12,9 +12,9 @@
 //! staleness discards are just different calls on the same state machine,
 //! not separate per-mode loops.
 //!
-//! It is also the one module that hands updates to the algorithm (lint rule
-//! D5): the cohort barrier walk and the async staleness-discounted absorb
-//! are both accumulator methods.
+//! It is also the one module that hands updates to the algorithm (rule D5,
+//! pinned by `tests/absorb_seam.rs`): the cohort barrier walk and the async
+//! staleness-discounted absorb are both accumulator methods.
 //!
 //! The layer is private; its behaviour is observable through the metric
 //! trace. Under a deadline, rounds close at the budget instead of waiting

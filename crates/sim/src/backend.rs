@@ -5,8 +5,8 @@
 //! algorithm, and the Eq. (13) aggregation walk treats coordinates
 //! independently. So every parallel pass in the simulator is an ordered map
 //! over independent items, and `par_map` is the only primitive: the thread
-//! count is a wall-clock knob, never a result knob. Lint rule D3 confines
-//! `thread::scope` (and any rayon-style API) to this file.
+//! count is a wall-clock knob, never a result knob. Rule D3 in `clippy.toml`
+//! bans `thread::scope` everywhere; `par_map` holds its one `#[expect]`.
 //!
 //! Each call site passes its own thread count:
 //!
@@ -39,6 +39,10 @@ use crate::env::FlEnv;
 /// `ceil(n / min(threads, n))`, one thread per chunk; at `threads <= 1` or
 /// `n <= 1` everything runs inline on the calling thread. A panicking item
 /// propagates its panic to the caller.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the execution-backend seam: the one place the simulator spawns scoped threads (rule D3)"
+)]
 pub(crate) fn par_map<T: Send, R: Send>(
     threads: usize,
     items: Vec<T>,

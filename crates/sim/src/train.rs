@@ -249,7 +249,10 @@ pub struct RoundAccounting {
 /// Computes a client's round accounting from the structural facts of its local
 /// work: which units it retained, how many parameters it uploaded/downloaded
 /// and how many samples it touched.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is an independent structural fact of the round; a struct would only rename them at every call site"
+)]
 pub fn account_round(
     arch: &dyn ModelArch,
     cost: &CostModel,

@@ -9,7 +9,8 @@
 //! * `baseline_tiny_*` — every registered baseline on a tiny federation,
 //!   synchronous and asynchronous (so each family's stale-absorb path is
 //!   covered), captured from the per-family `FlAlgorithm` impls before the
-//!   families moved onto one round skeleton.
+//!   families moved onto one round skeleton. Hermes shares LotteryFL's
+//!   schedule and so its golden, up to the `algorithm` field.
 //! * `fedlps_tiny_*` — FedLPS on the same tiny federation in both modes: the
 //!   default P-UCBV configuration, the RCR and fixed-ratio controllers and
 //!   the cache-bypassing random pattern, so mask-cache hits, misses and
@@ -131,18 +132,30 @@ fn quickstart64_async_matches_pre_refactor_golden() {
 }
 
 /// `make`'s run on `env(parallelism)`: the serial trace must equal the
-/// golden, and the four-shard trace the serial one.
+/// golden, and the four-shard trace the serial one. Returns the trace.
 fn check_parallel_golden(
     golden: &str,
     env: &dyn Fn(usize) -> FlEnv,
     make: &dyn Fn(&FlEnv) -> Box<dyn FlAlgorithm>,
-) {
+) -> String {
     let serial = check_golden(golden, env(1), make);
     assert_eq!(
         serial,
         run_json(env(4), make),
         "{golden} diverges between parallelism 1 and 4"
     );
+    serial
+}
+
+/// The tiny `dataset` federation in `round_mode`.
+fn tiny_env(dataset: DatasetKind, round_mode: RoundMode, parallelism: usize) -> FlEnv {
+    FlEnv::from_scenario(
+        &ScenarioConfig::tiny(dataset),
+        HeterogeneityLevel::High,
+        FlConfig::tiny()
+            .with_round_mode(round_mode)
+            .with_parallelism(parallelism),
+    )
 }
 
 /// `make`'s run on the tiny `dataset` federation in `round_mode`.
@@ -151,17 +164,8 @@ fn check_tiny_golden(
     dataset: DatasetKind,
     round_mode: RoundMode,
     make: &dyn Fn(&FlEnv) -> Box<dyn FlAlgorithm>,
-) {
-    let env = |parallelism| {
-        FlEnv::from_scenario(
-            &ScenarioConfig::tiny(dataset),
-            HeterogeneityLevel::High,
-            FlConfig::tiny()
-                .with_round_mode(round_mode)
-                .with_parallelism(parallelism),
-        )
-    };
-    check_parallel_golden(golden, &env, make);
+) -> String {
+    check_parallel_golden(golden, &|p| tiny_env(dataset, round_mode, p), make)
 }
 
 /// `make`'s run on a 10 000-client lazy registry tiled over the tiny
@@ -238,14 +242,35 @@ fn registry_tiny_flst025_matches_pre_refactor_golden() {
 }
 
 /// Every baseline of the registry on the tiny federation in `round_mode`.
+/// Hermes runs LotteryFL's published schedule under its own name, so it has
+/// no golden of its own: at parallelism 1 and 4 its trace must be
+/// LotteryFL's with the `algorithm` field renamed.
 fn check_baseline_goldens(mode_name: &str, round_mode: RoundMode) {
-    for name in baseline_names() {
+    let mut lottery_fl = String::new();
+    for name in baseline_names().into_iter().filter(|&n| n != "Hermes") {
         let make = |_: &FlEnv| baseline_by_name(name).expect("registered baseline");
-        check_tiny_golden(
+        let json = check_tiny_golden(
             &format!("baseline_tiny_{name}_{mode_name}"),
             DatasetKind::MnistLike,
             round_mode,
             &make,
+        );
+        if name == "LotteryFL" {
+            lottery_fl = json;
+        }
+    }
+    let lottery_name = "\"algorithm\":\"LotteryFL\"";
+    assert_eq!(lottery_fl.matches(lottery_name).count(), 1, "{mode_name}");
+    let hermes_golden = lottery_fl.replace(lottery_name, "\"algorithm\":\"Hermes\"");
+    let hermes = |_: &FlEnv| baseline_by_name("Hermes").expect("registered baseline");
+    for parallelism in [1, 4] {
+        assert_eq!(
+            run_json(
+                tiny_env(DatasetKind::MnistLike, round_mode, parallelism),
+                &hermes
+            ),
+            hermes_golden,
+            "Hermes {mode_name} at parallelism {parallelism} is not LotteryFL's trace"
         );
     }
 }
