@@ -26,8 +26,8 @@ pub enum RatioPolicy {
     ResourceControlled,
     /// FedLPS's P-UCBV bandit.
     PUcbv(PUcbvConfig),
-    /// FedMP-style discrete UCB over a fixed ratio grid.
-    DiscreteUcb { exploration: f64 },
+    /// FedMP-style discrete UCB1 over a fixed ratio grid.
+    DiscreteUcb,
 }
 
 impl RatioPolicy {
@@ -37,7 +37,7 @@ impl RatioPolicy {
             RatioPolicy::Fixed(r) => format!("fixed({r})"),
             RatioPolicy::ResourceControlled => "rcr".to_string(),
             RatioPolicy::PUcbv(_) => "p-ucbv".to_string(),
-            RatioPolicy::DiscreteUcb { .. } => "ucb".to_string(),
+            RatioPolicy::DiscreteUcb => "ucb".to_string(),
         }
     }
 }
@@ -158,8 +158,8 @@ fn build_agent(policy: &RatioPolicy, init: ClientInit, rng: &mut StdRng) -> (Age
             let ratio = agent.initial_ratio(rng);
             (AgentState::PUcbv(Box::new(agent)), ratio.min(z))
         }
-        RatioPolicy::DiscreteUcb { exploration } => {
-            let ucb = DiscreteUcb::new(DiscreteUcb::default_grid(z), *exploration);
+        RatioPolicy::DiscreteUcb => {
+            let ucb = DiscreteUcb::new(DiscreteUcb::default_grid(z));
             let arm = ucb.select(rng);
             let ratio = ucb.ratio_of(arm);
             (AgentState::Ucb(ucb), ratio.min(z))
@@ -431,12 +431,7 @@ mod tests {
 
     #[test]
     fn ucb_policy_stays_on_grid_and_under_cap() {
-        let mut ctrl = RatioController::new(
-            RatioPolicy::DiscreteUcb { exploration: 2.0 },
-            &caps(),
-            &[0.1; 4],
-            9,
-        );
+        let mut ctrl = RatioController::new(RatioPolicy::DiscreteUcb, &caps(), &[0.1; 4], 9);
         for _ in 0..10 {
             let r = ctrl.ratio_for(2);
             assert!(r <= 0.25 + 1e-9);
@@ -603,7 +598,7 @@ mod tests {
             RatioPolicy::Fixed(0.5),
             RatioPolicy::Fixed(1.0),
             RatioPolicy::ResourceControlled,
-            RatioPolicy::DiscreteUcb { exploration: 2.0 },
+            RatioPolicy::DiscreteUcb,
             RatioPolicy::PUcbv(PUcbvConfig::default()),
         ];
         for policy in policies {

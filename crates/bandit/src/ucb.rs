@@ -4,6 +4,9 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+/// UCB1's exploration weight `c` in the bonus `sqrt(c · ln t / n_i)`.
+const EXPLORATION: f64 = 2.0;
+
 /// UCB1 agent over a fixed, discrete arm set.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DiscreteUcb {
@@ -11,12 +14,11 @@ pub struct DiscreteUcb {
     counts: Vec<usize>,
     sums: Vec<f64>,
     total_pulls: usize,
-    exploration: f64,
 }
 
 impl DiscreteUcb {
     /// Creates an agent with the given candidate ratios.
-    pub fn new(arms: Vec<f64>, exploration: f64) -> Self {
+    pub fn new(arms: Vec<f64>) -> Self {
         assert!(!arms.is_empty(), "UCB needs at least one arm");
         let n = arms.len();
         Self {
@@ -24,7 +26,6 @@ impl DiscreteUcb {
             counts: vec![0; n],
             sums: vec![0.0; n],
             total_pulls: 0,
-            exploration,
         }
     }
 
@@ -53,7 +54,7 @@ impl DiscreteUcb {
         let mut best_score = f64::NEG_INFINITY;
         for i in 0..self.arms.len() {
             let mean = self.sums[i] / self.counts[i] as f64;
-            let bonus = (self.exploration * total.ln() / self.counts[i] as f64).sqrt();
+            let bonus = (EXPLORATION * total.ln() / self.counts[i] as f64).sqrt();
             let score = mean + bonus;
             if score > best_score || (score == best_score && rng.gen::<bool>()) {
                 best_score = score;
@@ -97,7 +98,7 @@ mod tests {
 
     #[test]
     fn explores_every_arm_first() {
-        let mut ucb = DiscreteUcb::new(vec![0.25, 0.5, 1.0], 2.0);
+        let mut ucb = DiscreteUcb::new(vec![0.25, 0.5, 1.0]);
         let mut rng = rng_from_seed(1);
         let mut seen = [false; 3];
         for _ in 0..3 {
@@ -110,7 +111,7 @@ mod tests {
 
     #[test]
     fn converges_to_the_best_arm() {
-        let mut ucb = DiscreteUcb::new(vec![0.25, 0.5, 1.0], 2.0);
+        let mut ucb = DiscreteUcb::new(vec![0.25, 0.5, 1.0]);
         let mut rng = rng_from_seed(2);
         let true_rewards = [0.2, 1.0, 0.4];
         let mut picks = vec![0usize; 3];
@@ -132,7 +133,7 @@ mod tests {
 
     #[test]
     fn nearest_arm_lookup() {
-        let ucb = DiscreteUcb::new(vec![0.25, 0.5, 1.0], 2.0);
+        let ucb = DiscreteUcb::new(vec![0.25, 0.5, 1.0]);
         assert_eq!(ucb.nearest_arm(0.26), 0);
         assert_eq!(ucb.nearest_arm(0.8), 2);
         assert_eq!(ucb.ratio_of(1), 0.5);

@@ -58,7 +58,7 @@ impl WidthVariant {
 
     fn ratio_policy(&self) -> RatioPolicy {
         match self {
-            WidthVariant::FedMp => RatioPolicy::DiscreteUcb { exploration: 2.0 },
+            WidthVariant::FedMp => RatioPolicy::DiscreteUcb,
             _ => RatioPolicy::ResourceControlled,
         }
     }

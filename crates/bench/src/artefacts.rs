@@ -513,7 +513,6 @@ fn fig10_availability(req: &Request, emit: Emit<'_>) {
         upload_failure_prob: 0.1,
         max_retries: 2,
         retry_backoff: worst_round * 0.25,
-        ..FaultConfig::default()
     };
     let diurnal = AvailabilityModel::Diurnal {
         period: probe.total_time / 4.0,

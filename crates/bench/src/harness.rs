@@ -4,7 +4,6 @@ use fedlps_baselines::registry::baseline_by_name;
 use fedlps_core::{FedLps, FedLpsConfig};
 use fedlps_data::partition::PartitionStrategy;
 use fedlps_data::scenario::DatasetKind;
-use fedlps_device::fleet::DynamicsConfig;
 use fedlps_device::HeterogeneityLevel;
 use fedlps_sim::env::FlEnv;
 use fedlps_sim::metrics::RunResult;
@@ -49,10 +48,7 @@ impl ExperimentEnv {
         let config = self.scale.fl_config().with_seed(self.seed);
         let mut env = FlEnv::from_scenario(&scenario, self.heterogeneity, config);
         if self.dynamic_capability {
-            env.fleet = env.fleet.clone().with_dynamics(DynamicsConfig {
-                enabled: true,
-                min_availability: 0.5,
-            });
+            env.fleet = env.fleet.clone().with_dynamics();
         }
         env
     }

@@ -36,7 +36,7 @@ pub struct ClientState {
     pub last_ratio: f64,
     /// The packed submodel the last participation executed, compiled from
     /// `last_mask` (`None` when that mask does not pack or the round ran
-    /// masked-dense: packing off, or weight decay).
+    /// with packing off).
     pub plan: Option<Arc<PackedModel>>,
 }
 
@@ -146,10 +146,9 @@ impl ClientTask<'_> {
     /// the ordered proximal-loss sum still visits the dropped units'
     /// coordinates; per task, the prologue (local copy, parameter mask,
     /// round-constant gradient and dropped-unit sums) and the epilogue
-    /// (personal model) are O(model). Without a plan (packing off, weight
-    /// decay, a non-executable mask) every iteration walks the full model:
-    /// that masked-dense branch is the oracle the packed one matches bit for
-    /// bit.
+    /// (personal model) are O(model). Without a plan (packing off or a
+    /// non-executable mask) every iteration walks the full model: that
+    /// masked-dense branch is the oracle the packed one matches bit for bit.
     pub fn run(&self, rng: &mut StdRng) -> ClientTaskOutput {
         let arch = self.arch;
         let options = &self.options;
@@ -187,12 +186,8 @@ impl ClientTask<'_> {
         // Compile (or reuse) the physically packed submodel of this round's
         // mask. The packed task pass is bit-identical to the masked-dense one,
         // so falling back (plan not executable, packing off) changes nothing
-        // but wall-clock. Weight decay disqualifies packing: it moves
-        // mask-kept cross-connections into dropped units (their task gradient
-        // is zero but `wd * p` is not), and those coordinates live outside
-        // the packed residual.
-        let packable = self.packed_execution && options.sgd.weight_decay == 0.0;
-        let plan: Option<Arc<PackedModel>> = if packable {
+        // but wall-clock.
+        let plan: Option<Arc<PackedModel>> = if self.packed_execution {
             self.cached_plan.clone().or_else(|| {
                 SubmodelPlan::from_mask(layout, &mask)
                     .compile(arch)
@@ -594,39 +589,6 @@ mod tests {
             assert_eq!(dense.state.indicator, packed.state.indicator);
             assert_eq!(dense.state.personal_model, packed.state.personal_model);
         }
-    }
-
-    #[test]
-    fn weight_decay_falls_back_to_masked_dense() {
-        // Decay moves mask-kept cross-connections into dropped units (task
-        // gradient zero, `wd * p` not), which the packed residual cannot
-        // carry — so a decayed configuration must not pack, and the results
-        // must still agree with the masked-dense reference bit for bit.
-        let (mlp, data, global) = setup();
-        let state = ClientState::default();
-        let mut opts = options(0.5);
-        opts.sgd.weight_decay = 0.1;
-        let dense_task = ClientTask {
-            arch: &mlp,
-            global: &global,
-            state: &state,
-            data: &data,
-            options: opts,
-            cached_mask: None,
-            packed_execution: false,
-            cached_plan: None,
-        };
-        let mut rng_d = rng_from_seed(61);
-        let dense = dense_task.run(&mut rng_d);
-        let packed_task = ClientTask {
-            packed_execution: true,
-            ..dense_task
-        };
-        let mut rng_p = rng_from_seed(61);
-        let packed = packed_task.run(&mut rng_p);
-        assert!(packed.state.plan.is_none(), "decayed rounds must not pack");
-        assert_eq!(dense.outcome.residual, packed.outcome.residual);
-        assert_eq!(dense.state.personal_model, packed.state.personal_model);
     }
 
     #[test]

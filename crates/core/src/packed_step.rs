@@ -17,13 +17,12 @@
 //!   unit's weights from dropped inputs, the classifier's columns of dropped
 //!   units.
 //!
-//! **The invariant**, for finite parameters and gradients and weight decay 0
-//! (the only configuration that packs): the task gradient is exactly `+0.0`
-//! outside `P` (the packed pass scatters into a zeroed buffer, which the
-//! equivalence tests pin to the masked-dense backward pass). `step_masked`
-//! never moves `D`. On `F` the parameter equals the global one, so the
-//! gradient is `0.0 + μ·(+0.0) = +0.0`, clipping scales it to `+0.0`, the
-//! update `+0.0 + 0·p` is `+0.0` and `p − lr·(+0.0)` is `p`: `F` never moves
+//! **The invariant**, for finite parameters and gradients: the task
+//! gradient is exactly `+0.0` outside `P` (the packed pass scatters into a
+//! zeroed buffer, which the equivalence tests pin to the masked-dense
+//! backward pass). `step_masked` never moves `D`. On `F` the parameter
+//! equals the global one, so the gradient is `0.0 + μ·(+0.0) = +0.0`,
+//! clipping scales it to `+0.0` and `p − lr·(+0.0)` is `p`: `F` never moves
 //! either. Hence during a round `local` and `masked` never change on
 //! `D ∪ F`, the gradient `0.0 + μ·(masked − global)` is constant on `D`,
 //! and it is exactly `+0.0` on `F`.

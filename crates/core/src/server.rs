@@ -560,7 +560,6 @@ impl<'a> Step<'a> {
         };
         let accounting = account_round(
             &*env.arch,
-            &env.cost,
             &self.device,
             mask,
             env.config.local_iterations,

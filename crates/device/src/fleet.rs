@@ -96,37 +96,9 @@ impl HeterogeneityLevel {
     }
 }
 
-/// Configuration of per-round availability dynamics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DynamicsConfig {
-    /// Whether availability fluctuates at all.
-    pub enabled: bool,
-    /// Minimum availability factor (1.0 = full capability available).
-    pub min_availability: f64,
-}
-
-impl Default for DynamicsConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            min_availability: 0.5,
-        }
-    }
-}
-
-impl DynamicsConfig {
-    /// Checks the knobs, returning an actionable message on the first bad
-    /// one (run once by the simulator's entry point).
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&self.min_availability) {
-            return Err(format!(
-                "min_availability must be in [0, 1], got {}",
-                self.min_availability
-            ));
-        }
-        Ok(())
-    }
-}
+/// Floor of the per-round availability factor under
+/// [`DeviceFleet::with_dynamics`].
+const MIN_AVAILABILITY: f64 = 0.5;
 
 /// Distance (in device indices) between cloned RNG checkpoints of the tier
 /// stream. First access to an index region replays at most this many
@@ -250,7 +222,8 @@ pub struct DeviceFleet {
     /// Built by [`DeviceFleet::lazy`]: read by the callers that pick a
     /// population-scale code path.
     lazy: bool,
-    dynamics: DynamicsConfig,
+    /// Set by [`DeviceFleet::with_dynamics`].
+    dynamics: bool,
     seed: u64,
 }
 
@@ -277,21 +250,17 @@ impl DeviceFleet {
         Self {
             tiers: Arc::new(TierStream::new(num_devices, level, seed)),
             lazy: true,
-            dynamics: DynamicsConfig::default(),
+            dynamics: false,
             seed,
         }
     }
 
     /// Enables per-round availability dynamics (the "Dyn" configurations of
-    /// the paper's Table II ablation).
-    pub fn with_dynamics(mut self, dynamics: DynamicsConfig) -> Self {
-        self.dynamics = dynamics;
+    /// the paper's Table II ablation): each round a device's capability is
+    /// scaled by a seeded factor drawn uniformly from `[0.5, 1)`.
+    pub fn with_dynamics(mut self) -> Self {
+        self.dynamics = true;
         self
-    }
-
-    /// The fleet's availability-dynamics configuration.
-    pub fn dynamics(&self) -> DynamicsConfig {
-        self.dynamics
     }
 
     /// Number of devices in the fleet.
@@ -330,15 +299,15 @@ impl DeviceFleet {
     /// dynamics are enabled.
     pub fn available_profile(&self, k: usize, round: usize) -> DeviceProfile {
         let base = self.static_profile(k);
-        if !self.dynamics.enabled {
+        if !self.dynamics {
             return base;
         }
         let mut rng = rng_from_seed(split_seed(
             self.seed,
             0xD1A1 ^ ((k as u64) << 20) ^ round as u64,
         ));
-        let span = 1.0 - self.dynamics.min_availability;
-        let factor = self.dynamics.min_availability + span * rng.gen::<f64>();
+        let span = 1.0 - MIN_AVAILABILITY;
+        let factor = MIN_AVAILABILITY + span * rng.gen::<f64>();
         base.with_availability(factor)
     }
 }
@@ -460,11 +429,7 @@ mod tests {
 
     #[test]
     fn dynamics_vary_but_respect_floor() {
-        let fleet =
-            DeviceFleet::sample(5, HeterogeneityLevel::High, 1).with_dynamics(DynamicsConfig {
-                enabled: true,
-                min_availability: 0.5,
-            });
+        let fleet = DeviceFleet::sample(5, HeterogeneityLevel::High, 1).with_dynamics();
         let base = fleet.static_profile(0);
         let mut saw_change = false;
         for r in 0..20 {
@@ -480,34 +445,7 @@ mod tests {
 
     #[test]
     fn dynamics_are_deterministic() {
-        let mk = || {
-            DeviceFleet::sample(3, HeterogeneityLevel::High, 9).with_dynamics(DynamicsConfig {
-                enabled: true,
-                min_availability: 0.3,
-            })
-        };
+        let mk = || DeviceFleet::sample(3, HeterogeneityLevel::High, 9).with_dynamics();
         assert_eq!(mk().available_profile(1, 4), mk().available_profile(1, 4));
-    }
-
-    #[test]
-    fn dynamics_validation_rejects_bad_knobs_with_actionable_messages() {
-        assert!(DynamicsConfig::default().validate().is_ok());
-        for ok in [0.0, 1.0] {
-            let cfg = DynamicsConfig {
-                min_availability: ok,
-                ..DynamicsConfig::default()
-            };
-            assert!(cfg.validate().is_ok(), "{ok}");
-        }
-        for bad in [1.5, -0.2] {
-            let err = DynamicsConfig {
-                min_availability: bad,
-                ..DynamicsConfig::default()
-            }
-            .validate()
-            .unwrap_err();
-            assert!(err.contains("min_availability"), "{err}");
-            assert!(err.contains(&bad.to_string()), "{err}");
-        }
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's experimental fleet has five capability tiers
 //! `z ∈ {1, 1/2, 1/4, 1/8, 1/16}`, anchored to an Adreno-630-class device
 //! (727 GFLOPS), with local wall-clock cost modelled analytically as
-//! `T = F̂/F + α · B̂/B` (Eq. 14) — compute FLOPs over compute capacity plus
+//! `T = F̂/F + B̂/B` (Eq. 14) — compute FLOPs over compute capacity plus
 //! communication volume over bandwidth. This crate implements:
 //!
 //! * [`capability`] — the capability tiers and per-device profiles;
@@ -17,5 +17,5 @@ pub mod cost;
 pub mod fleet;
 
 pub use capability::{CapabilityTier, DeviceProfile};
-pub use cost::{CostModel, LocalCost};
+pub use cost::LocalCost;
 pub use fleet::{DeviceFleet, HeterogeneityLevel};

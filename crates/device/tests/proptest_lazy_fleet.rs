@@ -57,16 +57,9 @@ proptest! {
         k in 0usize..200,
         round in 0usize..50,
     ) {
-        use fedlps_device::fleet::DynamicsConfig;
         let k = k % num_devices;
-        let dynamics = DynamicsConfig {
-            enabled: true,
-            min_availability: 0.4,
-        };
-        let dense = DeviceFleet::sample(num_devices, HeterogeneityLevel::High, seed)
-            .with_dynamics(dynamics);
-        let lazy = DeviceFleet::lazy(num_devices, HeterogeneityLevel::High, seed)
-            .with_dynamics(dynamics);
+        let dense = DeviceFleet::sample(num_devices, HeterogeneityLevel::High, seed).with_dynamics();
+        let lazy = DeviceFleet::lazy(num_devices, HeterogeneityLevel::High, seed).with_dynamics();
         prop_assert_eq!(lazy.available_profile(k, round), dense.available_profile(k, round));
     }
 }

@@ -214,11 +214,9 @@ pub struct FaultConfig {
     /// `max_retries + 1` attempts have failed the update drops permanently.
     pub max_retries: u32,
     /// Backoff before the first retransmission, in simulated seconds
-    /// (> 0).
+    /// (> 0). The backoff doubles per retry: the `r`-th retransmission
+    /// waits `retry_backoff × 2^(r-1)` seconds.
     pub retry_backoff: f64,
-    /// Exponential backoff base (> 1): the `r`-th retransmission waits
-    /// `retry_backoff × backoff_base^(r-1)` seconds.
-    pub backoff_base: f64,
 }
 
 impl Default for FaultConfig {
@@ -227,7 +225,6 @@ impl Default for FaultConfig {
             upload_failure_prob: 0.0,
             max_retries: 3,
             retry_backoff: 0.01,
-            backoff_base: 2.0,
         }
     }
 }
@@ -260,10 +257,15 @@ impl FaultConfig {
                 self.retry_backoff
             ));
         }
-        if !(self.backoff_base.is_finite() && self.backoff_base > 1.0) {
+        // The schedule's clock must stay finite: 2^max_retries overflows
+        // f64 from 1024 retries on.
+        let doublings = i32::try_from(self.max_retries).unwrap_or(i32::MAX);
+        let worst_backoff = self.retry_backoff * (2f64.powi(doublings) - 1.0);
+        if !worst_backoff.is_finite() {
             return Err(format!(
-                "backoff_base must be > 1 (exponential backoff must grow), got {}",
-                self.backoff_base
+                "max_retries must keep the worst-case total backoff \
+                 retry_backoff × (2^max_retries − 1) finite, got {} retries",
+                self.max_retries
             ));
         }
         Ok(())
@@ -310,10 +312,10 @@ impl FaultInjector {
     }
 
     /// Backoff before retransmission `retry` (1-based):
-    /// `retry_backoff × backoff_base^(retry-1)`.
+    /// `retry_backoff × 2^(retry-1)`.
     pub fn backoff_delay(&self, retry: u32) -> f64 {
         debug_assert!(retry >= 1, "retransmissions are 1-based");
-        self.config.retry_backoff * self.config.backoff_base.powi(retry as i32 - 1)
+        self.config.retry_backoff * 2f64.powi(retry as i32 - 1)
     }
 
     /// The closed-form [`FaultPlan`] of the upload keyed by
@@ -550,7 +552,7 @@ mod tests {
                 ..FaultConfig::default()
             },
             FaultConfig {
-                backoff_base: 1.0,
+                max_retries: 1100,
                 ..FaultConfig::default()
             },
             FaultConfig {
@@ -561,6 +563,17 @@ mod tests {
         for c in bad {
             assert!(c.validate().is_err(), "{c:?} must be rejected");
         }
+        // 2^1023 is the largest finite doubling.
+        let longest = FaultConfig {
+            max_retries: 1023,
+            ..FaultConfig::default()
+        };
+        assert!(longest.validate().is_ok());
+        let overflowing = FaultConfig {
+            max_retries: 1024,
+            ..longest
+        };
+        assert!(overflowing.validate().unwrap_err().contains("max_retries"));
     }
 
     #[test]
@@ -611,7 +624,6 @@ mod tests {
             FaultConfig {
                 upload_failure_prob: 0.5,
                 retry_backoff: 0.01,
-                backoff_base: 2.0,
                 max_retries: 3,
             },
         );
@@ -628,7 +640,6 @@ mod tests {
                 upload_failure_prob: 0.45,
                 max_retries: 2,
                 retry_backoff: 0.01,
-                backoff_base: 2.0,
             },
         );
         let mut saw_drop = false;

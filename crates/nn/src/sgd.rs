@@ -1,5 +1,8 @@
-//! Plain stochastic gradient descent with optional gradient clipping, weight
-//! decay and parameter-mask support.
+//! Plain stochastic gradient descent with optional gradient clipping and
+//! parameter-mask support. There is no weight decay: no experiment of the
+//! paper uses it, and without it a coordinate whose gradient is zero does
+//! not move, which is what lets a sparse round run on its physically packed
+//! submodel.
 //!
 //! The paper trains every model with SGD (learning rate 0.1 for the vision
 //! tasks, 8 with gradient clipping for the LSTM); local sparse training only
@@ -13,8 +16,6 @@ use serde::{Deserialize, Serialize};
 pub struct SgdConfig {
     /// Learning rate `η`.
     pub lr: f32,
-    /// L2 weight decay coefficient (0 disables it).
-    pub weight_decay: f32,
     /// Optional gradient-norm clipping threshold.
     pub clip_norm: Option<f32>,
 }
@@ -23,7 +24,6 @@ impl Default for SgdConfig {
     fn default() -> Self {
         Self {
             lr: 0.1,
-            weight_decay: 0.0,
             clip_norm: None,
         }
     }
@@ -34,7 +34,6 @@ impl SgdConfig {
     pub fn vision() -> Self {
         Self {
             lr: 0.1,
-            weight_decay: 0.0,
             clip_norm: None,
         }
     }
@@ -44,12 +43,11 @@ impl SgdConfig {
     pub fn text() -> Self {
         Self {
             lr: 1.0,
-            weight_decay: 0.0,
             clip_norm: Some(5.0),
         }
     }
 
-    /// Applies one dense SGD step: `params -= lr * (grad + wd * params)`.
+    /// Applies one dense SGD step: `params -= lr * grad`.
     pub fn step(&self, params: &mut [f32], grad: &mut [f32]) {
         assert_eq!(params.len(), grad.len());
         if let Some(max_norm) = self.clip_norm {
@@ -60,13 +58,11 @@ impl SgdConfig {
         }
     }
 
-    /// One coordinate's step, `p -= lr * (g + wd * p)`: the update every
-    /// step variant applies (the packed FedLPS step calls it per packed
-    /// coordinate).
+    /// One coordinate's step, `p -= lr * g`: the update every step variant
+    /// applies (the packed FedLPS step calls it per packed coordinate).
     #[inline]
     pub fn update(&self, p: &mut f32, g: f32) {
-        let update = g + self.weight_decay * *p;
-        *p -= self.lr * update;
+        *p -= self.lr * g;
     }
 
     /// Applies a masked SGD step: only parameters with `mask[i] != 0` move,
@@ -94,7 +90,6 @@ mod tests {
     fn step_moves_against_gradient() {
         let cfg = SgdConfig {
             lr: 0.5,
-            weight_decay: 0.0,
             clip_norm: None,
         };
         let mut p = vec![1.0, -1.0];
@@ -104,23 +99,9 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_shrinks_params() {
-        let cfg = SgdConfig {
-            lr: 0.1,
-            weight_decay: 1.0,
-            clip_norm: None,
-        };
-        let mut p = vec![1.0];
-        let mut g = vec![0.0];
-        cfg.step(&mut p, &mut g);
-        assert!((p[0] - 0.9).abs() < 1e-6);
-    }
-
-    #[test]
     fn clipping_limits_step_size() {
         let cfg = SgdConfig {
             lr: 1.0,
-            weight_decay: 0.0,
             clip_norm: Some(1.0),
         };
         let mut p = vec![0.0, 0.0];
@@ -134,7 +115,6 @@ mod tests {
     fn masked_step_freezes_masked_params() {
         let cfg = SgdConfig {
             lr: 0.1,
-            weight_decay: 0.0,
             clip_norm: None,
         };
         let mut p = vec![1.0, 1.0];

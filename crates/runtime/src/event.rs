@@ -6,7 +6,7 @@ use std::cmp::Ordering;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A client's upload landed at the server, compute (`F̂/F`) plus upload
-    /// (`α·B̂/B`) seconds of Eq. 14 after its dispatch: in every mode this
+    /// (`B̂/B`) seconds of Eq. 14 after its dispatch: in every mode this
     /// is the instant the update becomes absorbable.
     UploadFinish,
     /// A transient upload fault: the attempt that would have landed at this

@@ -19,7 +19,7 @@
 //!   from the Eq. (14) latency model, while an exploration fraction keeps
 //!   sampling unexplored clients.
 //! * [`PowerOfChoice`] — loss-biased power-of-`d`-choices: draw a random
-//!   candidate set, keep the highest-loss members.
+//!   candidate set twice the requested size, keep the highest-loss members.
 //!
 //! Every policy is a deterministic function of `(tracker state, rng stream)`,
 //! so runs remain bit-identical across `parallelism` settings: the tracker

@@ -128,29 +128,16 @@ pub enum SelectionKind {
     UtilityBased {
         /// Fraction of each cohort reserved for exploring unexplored clients.
         exploration: f64,
-        /// Exponent on the speed term (0 = pure statistical utility).
-        speed_exponent: f64,
     },
-    /// Power-of-`d`-choices: draw a random candidate set, keep the
-    /// highest-loss members.
-    PowerOfChoice {
-        /// Candidate-set size `d` (0 = auto: twice the requested count).
-        candidates: usize,
-    },
+    /// Power-of-`d`-choices: draw a random candidate set of twice the
+    /// requested count, keep the highest-loss members.
+    PowerOfChoice,
 }
 
 impl SelectionKind {
     /// The Oort-style utility policy with default knobs.
     pub fn utility() -> Self {
-        SelectionKind::UtilityBased {
-            exploration: 0.2,
-            speed_exponent: 1.0,
-        }
-    }
-
-    /// The power-of-choice policy with an auto-sized candidate set.
-    pub fn power_of_choice() -> Self {
-        SelectionKind::PowerOfChoice { candidates: 0 }
+        SelectionKind::UtilityBased { exploration: 0.2 }
     }
 
     /// Short name used in logs and tables.
@@ -158,7 +145,7 @@ impl SelectionKind {
         match self {
             SelectionKind::Uniform => "uniform",
             SelectionKind::UtilityBased { .. } => "utility",
-            SelectionKind::PowerOfChoice { .. } => "power-of-choice",
+            SelectionKind::PowerOfChoice => "power-of-choice",
         }
     }
 
@@ -168,19 +155,10 @@ impl SelectionKind {
     /// clamped by the refill coin flip and a NaN would silently disable
     /// exploration, so both are rejected here instead.
     pub fn validate(&self) -> Result<(), String> {
-        if let SelectionKind::UtilityBased {
-            exploration,
-            speed_exponent,
-        } = *self
-        {
+        if let SelectionKind::UtilityBased { exploration } = *self {
             if !(0.0..=1.0).contains(&exploration) {
                 return Err(format!(
                     "utility exploration must be in [0, 1], got {exploration}"
-                ));
-            }
-            if !(speed_exponent.is_finite() && speed_exponent >= 0.0) {
-                return Err(format!(
-                    "utility speed_exponent must be finite and >= 0, got {speed_exponent}"
                 ));
             }
         }
@@ -191,14 +169,8 @@ impl SelectionKind {
     pub fn build(&self) -> Box<dyn SelectionPolicy> {
         match *self {
             SelectionKind::Uniform => Box::new(Uniform),
-            SelectionKind::UtilityBased {
-                exploration,
-                speed_exponent,
-            } => Box::new(UtilityBased {
-                exploration,
-                speed_exponent,
-            }),
-            SelectionKind::PowerOfChoice { candidates } => Box::new(PowerOfChoice { candidates }),
+            SelectionKind::UtilityBased { exploration } => Box::new(UtilityBased { exploration }),
+            SelectionKind::PowerOfChoice => Box::new(PowerOfChoice),
         }
     }
 }
@@ -270,7 +242,7 @@ impl SelectionPolicy for Uniform {
 
 /// Oort-style utility selection.
 ///
-/// Exploit: rank the candidate pool by `loss × speed^speed_exponent` (the
+/// Exploit: rank the candidate pool by `loss × speed` (the
 /// statistical utility of the client's most recent absorbed report times the
 /// Eq. (14) system-speed term) and keep the top. Explore: reserve
 /// `ceil(exploration × count)` slots for clients that never participated,
@@ -284,8 +256,6 @@ impl SelectionPolicy for Uniform {
 pub struct UtilityBased {
     /// Fraction of each cohort reserved for exploration.
     pub exploration: f64,
-    /// Exponent on the speed term.
-    pub speed_exponent: f64,
 }
 
 impl UtilityBased {
@@ -293,7 +263,7 @@ impl UtilityBased {
         tracker
             .stats(client)
             .last_loss
-            .map(|loss| loss.max(0.0) * tracker.speed(client).powf(self.speed_exponent))
+            .map(|loss| loss.max(0.0) * tracker.speed(client))
     }
 }
 
@@ -363,24 +333,14 @@ impl SelectionPolicy for UtilityBased {
 
 /// Power-of-`d`-choices selection, biased toward high-loss clients.
 ///
-/// Only the `d` drawn candidates are ever examined, so decisions cost
-/// `O(d log d)` independent of the population size.
+/// A cohort of `count` is the best `count` of `d = 2 × count` drawn
+/// candidates (fewer when the pool is smaller). Only those `d` are ever
+/// examined, so decisions cost `O(d log d)` independent of the population
+/// size.
 #[derive(Debug, Clone, Copy)]
-pub struct PowerOfChoice {
-    /// Candidate-set size `d` (0 = auto: twice the requested count).
-    pub candidates: usize,
-}
+pub struct PowerOfChoice;
 
 impl PowerOfChoice {
-    fn candidate_count(&self, want: usize, pool: usize) -> usize {
-        let d = if self.candidates == 0 {
-            want.saturating_mul(2)
-        } else {
-            self.candidates
-        };
-        d.max(want).min(pool)
-    }
-
     fn loss(tracker: &SelectionTracker, client: usize) -> Option<f64> {
         tracker.stats(client).last_loss
     }
@@ -402,7 +362,7 @@ impl SelectionPolicy for PowerOfChoice {
         if count == 0 {
             return Vec::new();
         }
-        let d = self.candidate_count(count, pool.len());
+        let d = count.saturating_mul(2).min(pool.len());
         let cands: Vec<usize> = sample_without_replacement(pool.len(), d, rng)
             .into_iter()
             .map(|i| pool.nth(i))

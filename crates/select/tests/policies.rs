@@ -84,10 +84,7 @@ fn utility_exploits_high_loss_fast_clients() {
     for (k, loss) in [(0, 0.1), (1, 2.0), (2, 0.2), (3, 0.3), (4, 0.2), (5, 2.5)] {
         t.on_report(k, loss, 1.0);
     }
-    let mut policy = UtilityBased {
-        exploration: 0.0,
-        speed_exponent: 1.0,
-    };
+    let mut policy = UtilityBased { exploration: 0.0 };
     let mut rng = rng_from_seed(1);
     let cohort = policy.select_cohort(&t, 1, 2, &mut rng);
     assert!(
@@ -105,10 +102,7 @@ fn utility_reserves_exploration_slots_for_unexplored_clients() {
         t.on_dispatch(k, 0);
         t.on_report(k, 1.0, 1.0);
     }
-    let mut policy = UtilityBased {
-        exploration: 0.5,
-        speed_exponent: 1.0,
-    };
+    let mut policy = UtilityBased { exploration: 0.5 };
     let mut rng = rng_from_seed(5);
     let cohort = policy.select_cohort(&t, 1, 4, &mut rng);
     let fresh = cohort.iter().filter(|&&k| k >= 4).count();
@@ -119,16 +113,17 @@ fn utility_reserves_exploration_slots_for_unexplored_clients() {
 
 #[test]
 fn power_of_choice_prefers_lossy_candidates_and_stays_distinct() {
-    let mut t = tracker(10);
-    for k in 0..10 {
+    // Six clients and a cohort of three: the 2 × 3 candidates are everyone.
+    let mut t = tracker(6);
+    for k in 0..6 {
         t.on_dispatch(k, 0);
-        t.on_report(k, if k == 9 { 5.0 } else { 0.1 }, 1.0);
+        t.on_report(k, if k == 5 { 5.0 } else { 0.1 }, 1.0);
     }
-    let mut policy = PowerOfChoice { candidates: 10 };
+    let mut policy = PowerOfChoice;
     let mut rng = rng_from_seed(2);
     let cohort = policy.select_cohort(&t, 0, 3, &mut rng);
     assert!(
-        cohort.contains(&9),
+        cohort.contains(&5),
         "with a full candidate set the lossiest client must win: {cohort:?}"
     );
     let unique: BTreeSet<usize> = cohort.iter().copied().collect();
@@ -145,7 +140,7 @@ fn policies_are_deterministic_given_the_seed() {
     for kind in [
         SelectionKind::Uniform,
         SelectionKind::utility(),
-        SelectionKind::power_of_choice(),
+        SelectionKind::PowerOfChoice,
     ] {
         let run = |seed: u64| {
             let mut policy = kind.build();
@@ -197,7 +192,7 @@ mod dense_reference {
             tracker
                 .stats(k)
                 .last_loss
-                .map(|loss| loss.max(0.0) * tracker.speed(k).powf(p.speed_exponent))
+                .map(|loss| loss.max(0.0) * tracker.speed(k))
         };
         let count = count.min(pool.len());
         if count == 0 {
@@ -233,7 +228,7 @@ mod dense_reference {
             tracker
                 .stats(k)
                 .last_loss
-                .map(|loss| loss.max(0.0) * tracker.speed(k).powf(p.speed_exponent))
+                .map(|loss| loss.max(0.0) * tracker.speed(k))
         };
         if idle.is_empty() {
             return None;
@@ -253,7 +248,6 @@ mod dense_reference {
     }
 
     pub(crate) fn poc_pick(
-        p: &PowerOfChoice,
         tracker: &SelectionTracker,
         pool: Vec<usize>,
         count: usize,
@@ -263,13 +257,7 @@ mod dense_reference {
         if count == 0 {
             return Vec::new();
         }
-        let d = if p.candidates == 0 {
-            count.saturating_mul(2)
-        } else {
-            p.candidates
-        }
-        .max(count)
-        .min(pool.len());
+        let d = (2 * count).min(pool.len());
         let cands: Vec<usize> = sample_without_replacement(pool.len(), d, rng)
             .into_iter()
             .map(|i| pool[i])
@@ -302,10 +290,7 @@ fn mixed_tracker(n: usize, reported: usize) -> SelectionTracker {
 fn utility_is_bit_identical_to_the_dense_full_scan() {
     for reported in [0, 3, 7, 11] {
         let t = mixed_tracker(12, reported);
-        let p = UtilityBased {
-            exploration: 0.25,
-            speed_exponent: 1.0,
-        };
+        let p = UtilityBased { exploration: 0.25 };
         for seed in 0..10 {
             let mut policy = p;
             let mut a = rng_from_seed(seed);
@@ -332,21 +317,18 @@ fn utility_is_bit_identical_to_the_dense_full_scan() {
 fn power_of_choice_is_bit_identical_to_the_dense_full_scan() {
     for reported in [0, 5, 12] {
         let t = mixed_tracker(12, reported);
-        for candidates in [0, 6] {
-            let p = PowerOfChoice { candidates };
-            for seed in 0..10 {
-                let mut policy = p;
-                let mut a = rng_from_seed(seed);
-                let mut b = rng_from_seed(seed);
-                let cohort = policy.select_cohort(&t, 0, 4, &mut a);
-                let expect = dense_reference::poc_pick(&p, &t, (0..12).collect(), 4, &mut b);
-                assert_eq!(cohort, expect, "cohort d={candidates} seed={seed}");
+        for seed in 0..10 {
+            let mut policy = PowerOfChoice;
+            let mut a = rng_from_seed(seed);
+            let mut b = rng_from_seed(seed);
+            let cohort = policy.select_cohort(&t, 0, 4, &mut a);
+            let expect = dense_reference::poc_pick(&t, (0..12).collect(), 4, &mut b);
+            assert_eq!(cohort, expect, "cohort, reported={reported} seed={seed}");
 
-                let extra = policy.select_extra(&t, 0, &cohort, 2, &mut a);
-                let pool: Vec<usize> = (0..12).filter(|k| !cohort.contains(k)).collect();
-                let expect = dense_reference::poc_pick(&p, &t, pool, 2, &mut b);
-                assert_eq!(extra, expect, "extra d={candidates} seed={seed}");
-            }
+            let extra = policy.select_extra(&t, 0, &cohort, 2, &mut a);
+            let pool: Vec<usize> = (0..12).filter(|k| !cohort.contains(k)).collect();
+            let expect = dense_reference::poc_pick(&t, pool, 2, &mut b);
+            assert_eq!(extra, expect, "extra, reported={reported} seed={seed}");
         }
     }
 }
@@ -359,7 +341,7 @@ fn policies_work_against_a_million_client_lazy_tracker() {
     for kind in [
         SelectionKind::Uniform,
         SelectionKind::utility(),
-        SelectionKind::power_of_choice(),
+        SelectionKind::PowerOfChoice,
     ] {
         let mut policy = kind.build();
         let mut rng = rng_from_seed(13);
@@ -394,7 +376,7 @@ fn kind_builds_its_policy_and_roundtrips_serde() {
     for kind in [
         SelectionKind::Uniform,
         SelectionKind::utility(),
-        SelectionKind::power_of_choice(),
+        SelectionKind::PowerOfChoice,
     ] {
         let json = serde_json::to_string(&kind).unwrap();
         let back: SelectionKind = serde_json::from_str(&json).unwrap();

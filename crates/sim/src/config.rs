@@ -11,7 +11,8 @@ pub use fedlps_topo::Topology;
 /// One actionable rejection from [`FlConfig::validate`]: which knob is bad
 /// and what it must satisfy. [`Simulator`](crate::runner::Simulator) runs
 /// the validation pass once at construction, so a bad robustness knob
-/// (quorum > 1, backoff base ≤ 1, diurnal period ≤ 0, …) fails up front
+/// (quorum > 1, a retry cap whose backoff overflows, diurnal period ≤ 0, …)
+/// fails up front
 /// with one readable message instead of a panic mid-run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
@@ -54,8 +55,6 @@ pub struct FlConfig {
     /// the last round, so `eval_every == rounds` evaluates twice: after
     /// round 0 and after the last.
     pub eval_every: usize,
-    /// Weight `α` of the communication term in the Eq. (14) cost model.
-    pub cost_alpha: f64,
     /// Base RNG seed for client selection / minibatch sampling.
     pub seed: u64,
     /// Threads for the two parallel passes that follow this knob (0 = one
@@ -120,7 +119,6 @@ impl Default for FlConfig {
             batch_size: 20,
             sgd: SgdConfig::vision(),
             eval_every: 1,
-            cost_alpha: 1.0,
             seed: 7,
             parallelism: 1,
             round_mode: RoundMode::Synchronous,
@@ -155,12 +153,6 @@ impl FlConfig {
     /// Builder-style override of the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style override of clients per round.
-    pub fn with_clients_per_round(mut self, c: usize) -> Self {
-        self.clients_per_round = c.max(1);
         self
     }
 
@@ -224,11 +216,22 @@ impl FlConfig {
         if self.batch_size == 0 {
             return err("batch_size", "must be at least 1".to_string());
         }
-        if !(self.cost_alpha.is_finite() && self.cost_alpha >= 0.0) {
+        if !(self.sgd.lr.is_finite() && self.sgd.lr > 0.0) {
             return err(
-                "cost_alpha",
-                format!("must be finite and >= 0, got {}", self.cost_alpha),
+                "sgd",
+                format!("lr must be finite and > 0, got {}", self.sgd.lr),
             );
+        }
+        if let Some(clip) = self.sgd.clip_norm {
+            if !(clip.is_finite() && clip > 0.0) {
+                return err(
+                    "sgd",
+                    format!(
+                        "clip_norm must be finite and > 0 when set — a negative \
+                         clip factor turns the step into gradient ascent — got {clip}"
+                    ),
+                );
+            }
         }
         // Mirror the RoundMode constructor contracts for directly
         // constructed variants.
@@ -305,11 +308,9 @@ mod tests {
         let cfg = FlConfig::tiny()
             .with_rounds(3)
             .with_seed(99)
-            .with_clients_per_round(0)
             .with_parallelism(4);
         assert_eq!(cfg.rounds, 3);
         assert_eq!(cfg.seed, 99);
-        assert_eq!(cfg.clients_per_round, 1, "clamps to at least one client");
         assert_eq!(cfg.parallelism, 4);
     }
 
@@ -334,7 +335,7 @@ mod tests {
             FlConfig::default().with_round_mode(RoundMode::deadline(2.0, 3)),
             FlConfig::default().with_round_mode(RoundMode::asynchronous(4, 0.5)),
             FlConfig::default().with_selection(SelectionKind::utility()),
-            FlConfig::default().with_selection(SelectionKind::power_of_choice()),
+            FlConfig::default().with_selection(SelectionKind::PowerOfChoice),
             FlConfig::default().with_topology(Topology::two_tier().with_zone_deadline(0.25)),
             FlConfig::default()
                 .with_availability(AvailabilityModel::from_name("diurnal").unwrap())
@@ -385,20 +386,21 @@ mod tests {
                 zone_uplink,
             })
         };
-        let utility = |exploration, speed_exponent| {
-            FlConfig::tiny().with_selection(SelectionKind::UtilityBased {
-                exploration,
-                speed_exponent,
-            })
+        let utility = |exploration| {
+            FlConfig::tiny().with_selection(SelectionKind::UtilityBased { exploration })
+        };
+        let sgd = |lr, clip_norm| FlConfig {
+            sgd: SgdConfig { lr, clip_norm },
+            ..FlConfig::tiny()
         };
         let cases: Vec<(FlConfig, &str)> = vec![
             (FlConfig::tiny().with_quorum(1.5), "quorum"),
             (FlConfig::tiny().with_quorum(0.0), "quorum"),
             (
                 FlConfig::tiny().with_faults(FaultConfig {
-                    upload_failure_prob: 0.1,
-                    backoff_base: 1.0,
-                    ..FaultConfig::default()
+                    upload_failure_prob: 0.999,
+                    max_retries: 1100,
+                    ..FaultConfig::none()
                 }),
                 "faults",
             ),
@@ -424,11 +426,17 @@ mod tests {
             (two_tier(4, None, 0.0), "topology"),
             (two_tier(4, None, -1.0), "topology"),
             (two_tier(4, None, f64::NAN), "topology"),
-            (utility(7.0, 1.0), "selection"),
-            (utility(-0.1, 1.0), "selection"),
-            (utility(f64::NAN, 1.0), "selection"),
-            (utility(0.2, -1.0), "selection"),
-            (utility(0.2, f64::INFINITY), "selection"),
+            (utility(7.0), "selection"),
+            (utility(-0.1), "selection"),
+            (utility(f64::NAN), "selection"),
+            (sgd(0.0, None), "sgd"),
+            (sgd(-0.1, None), "sgd"),
+            (sgd(f32::NAN, None), "sgd"),
+            (sgd(f32::INFINITY, None), "sgd"),
+            (sgd(0.1, Some(-1.0)), "sgd"),
+            (sgd(0.1, Some(0.0)), "sgd"),
+            (sgd(0.1, Some(f32::NAN)), "sgd"),
+            (sgd(0.1, Some(f32::INFINITY)), "sgd"),
             (
                 FlConfig {
                     round_mode: RoundMode::Deadline {

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use fedlps_data::dataset::{Dataset, FederatedDataset};
 use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
-use fedlps_device::{CostModel, DeviceFleet, HeterogeneityLevel};
+use fedlps_device::{DeviceFleet, HeterogeneityLevel};
 use fedlps_nn::model::{ModelArch, ModelKind};
 use fedlps_nn::sgd::SgdConfig;
 use fedlps_tensor::rng_from_seed;
@@ -13,8 +13,9 @@ use crate::config::FlConfig;
 
 /// Everything an [`FlAlgorithm`](crate::algorithm::FlAlgorithm) needs to read
 /// about the world: the federated dataset, the device fleet, the model
-/// architecture and the cost model. Algorithms keep their own mutable state
-/// (global parameters, personalized models, bandit agents, …).
+/// architecture and the federation hyper-parameters. Algorithms keep their
+/// own mutable state (global parameters, personalized models, bandit
+/// agents, …).
 pub struct FlEnv {
     /// The federated dataset.
     pub data: FederatedDataset,
@@ -24,8 +25,6 @@ pub struct FlEnv {
     pub arch: Arc<dyn ModelArch>,
     /// Federation hyper-parameters.
     pub config: FlConfig,
-    /// Eq. (14) cost model.
-    pub cost: CostModel,
     /// Registered population size (= `fleet.len()`). Equals
     /// `data.num_clients()` for standard environments; population-scale
     /// environments built with [`FlEnv::new_tiled`] register more clients
@@ -39,7 +38,6 @@ impl std::fmt::Debug for FlEnv {
             .field("clients", &self.data.num_clients())
             .field("arch", &self.arch.name())
             .field("config", &self.config)
-            .field("cost", &self.cost)
             .finish_non_exhaustive()
     }
 }
@@ -84,14 +82,12 @@ impl FlEnv {
             fleet.len(),
             data.num_clients()
         );
-        let cost = CostModel::new(config.cost_alpha);
         let num_clients = fleet.len();
         Self {
             data,
             fleet,
             arch,
             config,
-            cost,
             num_clients,
         }
     }
@@ -166,7 +162,6 @@ impl FlEnv {
     pub fn expected_latency(&self, client: usize) -> f64 {
         Self::latency_of(
             &*self.arch,
-            &self.cost,
             &self.config,
             &self.fleet.static_profile(client),
         )
@@ -174,13 +169,11 @@ impl FlEnv {
 
     fn latency_of(
         arch: &dyn ModelArch,
-        cost: &CostModel,
         config: &FlConfig,
         profile: &fedlps_device::DeviceProfile,
     ) -> f64 {
         crate::train::account_round(
             arch,
-            cost,
             profile,
             None,
             config.local_iterations,
@@ -208,7 +201,6 @@ impl FlEnv {
     pub fn latency_floor(&self) -> f64 {
         Self::latency_of(
             &*self.arch,
-            &self.cost,
             &self.config,
             &fedlps_device::DeviceProfile::from_tier(fedlps_device::CapabilityTier::Full),
         )
@@ -220,10 +212,9 @@ impl FlEnv {
     /// through an `Arc`).
     pub fn latency_prior(&self) -> Box<dyn Fn(usize) -> f64 + Send + Sync> {
         let arch = Arc::clone(&self.arch);
-        let cost = self.cost;
         let config = self.config;
         let fleet = self.fleet.clone();
-        Box::new(move |k| Self::latency_of(&*arch, &cost, &config, &fleet.static_profile(k)))
+        Box::new(move |k| Self::latency_of(&*arch, &config, &fleet.static_profile(k)))
     }
 
     /// Draws initial global parameters deterministically from the run seed.

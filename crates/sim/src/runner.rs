@@ -56,13 +56,10 @@ impl Simulator {
     ///
     /// Panics with the offending knob's name and an explanation if
     /// [`FlConfig::validate`](crate::config::FlConfig::validate) rejects the
-    /// configuration, or if the fleet's `DynamicsConfig` is out of range.
+    /// configuration.
     pub fn new(env: FlEnv) -> Self {
         if let Err(e) = env.config.validate() {
             panic!("{e}");
-        }
-        if let Err(e) = env.fleet.dynamics().validate() {
-            panic!("invalid `DynamicsConfig`: {e}");
         }
         Self { env }
     }
@@ -86,7 +83,6 @@ mod tests {
     use crate::config::{FlConfig, RoundMode, SelectionKind};
     use crate::train::{account_round, local_sgd, LocalTrainOptions};
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
-    use fedlps_device::fleet::DynamicsConfig;
     use fedlps_device::HeterogeneityLevel;
     use fedlps_nn::model::EvalStats;
     use fedlps_tensor::ops::weighted_mean_into;
@@ -142,7 +138,6 @@ mod tests {
             );
             let accounting = account_round(
                 &*env.arch,
-                &env.cost,
                 &env.fleet.static_profile(client),
                 None,
                 env.config.local_iterations,
@@ -417,7 +412,7 @@ mod tests {
             for selection in [
                 SelectionKind::Uniform,
                 SelectionKind::utility(),
-                SelectionKind::power_of_choice(),
+                SelectionKind::PowerOfChoice,
             ] {
                 let reference = run(mode, selection, 1);
                 assert_eq!(
@@ -451,10 +446,7 @@ mod tests {
             })
         };
         let utility = |exploration| {
-            FlConfig::tiny().with_selection(SelectionKind::UtilityBased {
-                exploration,
-                speed_exponent: 1.0,
-            })
+            FlConfig::tiny().with_selection(SelectionKind::UtilityBased { exploration })
         };
         // Each of the topology / selection rows used to pass construction
         // and panic (or silently misbehave) inside `run`.
@@ -471,18 +463,6 @@ mod tests {
             let msg = err.downcast_ref::<String>().expect("panic payload");
             assert!(msg.contains(knob), "{msg}");
         }
-
-        let err = std::panic::catch_unwind(|| {
-            let mut env = env_with(FlConfig::tiny());
-            env.fleet = env.fleet.clone().with_dynamics(DynamicsConfig {
-                enabled: true,
-                min_availability: 1.5,
-            });
-            Simulator::new(env)
-        })
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().expect("panic payload");
-        assert!(msg.contains("min_availability"), "{msg}");
     }
 
     /// Transient upload faults: retries surface in the metrics, permanent

@@ -14,7 +14,7 @@
 //!   driver routes here), and at the barrier forwards **one combined
 //!   upload** — the pre-merged residual is dense, so `param_count × 4`
 //!   bytes — priced by the zone aggregator's uplink in the Eq. (14) cost
-//!   model ([`CostModel::local_cost`] with zero FLOPs against
+//!   model ([`local_cost`] with zero FLOPs against
 //!   [`DeviceProfile::zone_aggregator`]);
 //! * in async mode there is no barrier to pre-merge behind, so the zone
 //!   tier degenerates to a store-and-forward hop: each upload is re-priced
@@ -33,7 +33,8 @@
 
 use std::collections::BTreeMap;
 
-use fedlps_device::{CostModel, DeviceProfile};
+use fedlps_device::cost::local_cost;
+use fedlps_device::DeviceProfile;
 use fedlps_topo::Topology;
 
 use crate::env::FlEnv;
@@ -87,16 +88,13 @@ impl TopologyState {
             Topology::Flat => TopologyState::Flat,
             topology @ Topology::TwoTier { zone_uplink, .. } => {
                 let aggregator = DeviceProfile::zone_aggregator(zone_uplink);
-                let cost = CostModel::new(env.config.cost_alpha);
                 let forward_bytes = (env.arch.param_count() * 4) as f64;
                 TopologyState::TwoTier {
                     topology,
                     seed: env.config.seed,
-                    forward_seconds: cost
-                        .local_cost(0.0, forward_bytes, &aggregator)
-                        .comm_seconds,
+                    forward_seconds: local_cost(0.0, forward_bytes, &aggregator).comm_seconds,
                     forward_bytes,
-                    per_byte_seconds: cost.local_cost(0.0, 1.0, &aggregator).comm_seconds,
+                    per_byte_seconds: local_cost(0.0, 1.0, &aggregator).comm_seconds,
                     rounds: BTreeMap::new(),
                 }
             }

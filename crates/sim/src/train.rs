@@ -14,7 +14,8 @@
 //! the reference the equivalence tests compare against.
 
 use fedlps_data::dataset::Dataset;
-use fedlps_device::{CostModel, DeviceProfile, LocalCost};
+use fedlps_device::cost::local_cost;
+use fedlps_device::{DeviceProfile, LocalCost};
 use fedlps_nn::flops::params_to_bytes;
 use fedlps_nn::model::{EvalStats, ModelArch};
 use fedlps_nn::pack::PackedModel;
@@ -124,18 +125,19 @@ pub fn local_sgd(
 ///
 /// The packed model carries only unit-owned parameters, so every full-vector
 /// term the optimiser could read must vanish outside the packed set: the
-/// proximal gradient `μ(ω − ω^r)` and weight decay are nonzero on frozen
-/// coordinates, and a frozen-head mask cuts across unit boundaries — any of
-/// those forces the masked-dense path.
+/// proximal gradient `μ(ω − ω^r)` is nonzero on frozen coordinates, and a
+/// frozen-head mask cuts across unit boundaries — either forces the
+/// masked-dense path.
 ///
-/// Across the 61 golden configurations of `tests/quickstart_goldens.rs`,
-/// masked-dense [`local_sgd`] with a `param_mask` runs only for DepthFL
-/// (`baseline_tiny_DepthFL_{sync,async}`, 15 and 18 calls in the serial
-/// run): a low ratio empties its last layer, so the mask does not compile.
-/// Every golden pass that sets prox, a frozen head or weight decay trains
-/// unmasked, so this check never diverts a masked pass there.
+/// Across the golden configurations of `tests/quickstart_goldens.rs` (59
+/// files; Hermes replays LotteryFL's), masked-dense [`local_sgd`] with a
+/// `param_mask` runs only for DepthFL (`baseline_tiny_DepthFL_{sync,async}`,
+/// 15 and 18 calls in the serial run): a low ratio empties its last layer,
+/// so the mask does not compile. Every golden pass that sets prox or a
+/// frozen head trains unmasked, so this check never diverts a masked pass
+/// there.
 pub fn packed_eligible(options: &LocalTrainOptions<'_>) -> bool {
-    options.prox.is_none() && options.frozen.is_none() && options.sgd.weight_decay == 0.0
+    options.prox.is_none() && options.frozen.is_none()
 }
 
 /// Compiles a client's unit mask into a packed submodel, when the options
@@ -249,13 +251,8 @@ pub struct RoundAccounting {
 /// Computes a client's round accounting from the structural facts of its local
 /// work: which units it retained, how many parameters it uploaded/downloaded
 /// and how many samples it touched.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "each argument is an independent structural fact of the round; a struct would only rename them at every call site"
-)]
 pub fn account_round(
     arch: &dyn ModelArch,
-    cost: &CostModel,
     device: &DeviceProfile,
     mask: Option<&UnitMask>,
     iterations: usize,
@@ -271,7 +268,7 @@ pub fn account_round(
     let flops = arch.train_flops_per_sample(&retained) * samples;
     let upload_bytes = params_to_bytes(uploaded_params);
     let download_bytes = params_to_bytes(downloaded_params);
-    let local_cost = cost.local_cost(flops, upload_bytes, device);
+    let local_cost = local_cost(flops, upload_bytes, device);
     RoundAccounting {
         flops,
         upload_bytes,
@@ -491,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn prox_and_decay_disqualify_packing() {
+    fn prox_and_frozen_head_disqualify_packing() {
         let (mlp, _) = toy();
         let global = vec![0.0f32; mlp.param_count()];
         let base = LocalTrainOptions {
@@ -511,19 +508,14 @@ mod tests {
             frozen: Some(&global),
             ..base
         }));
-        let mut decayed = base;
-        decayed.sgd.weight_decay = 0.1;
-        assert!(!packed_eligible(&decayed));
     }
 
     #[test]
     fn accounting_reflects_sparsity() {
         let (mlp, _) = toy();
-        let cost = CostModel::default();
         let device = DeviceProfile::from_tier(CapabilityTier::Quarter);
         let dense = account_round(
             &mlp,
-            &cost,
             &device,
             None,
             5,
@@ -533,16 +525,7 @@ mod tests {
         );
         let mask = UnitMask::from_keep((0..8).map(|i| i < 2).collect());
         let kept = mask.retained_params(mlp.unit_layout());
-        let sparse = account_round(
-            &mlp,
-            &cost,
-            &device,
-            Some(&mask),
-            5,
-            20,
-            kept,
-            mlp.param_count(),
-        );
+        let sparse = account_round(&mlp, &device, Some(&mask), 5, 20, kept, mlp.param_count());
         assert!(sparse.flops < dense.flops);
         assert!(sparse.upload_bytes < dense.upload_bytes);
         assert!(sparse.local_cost.total() < dense.local_cost.total());

@@ -62,7 +62,7 @@ fn main() {
     let policies = [
         SelectionKind::Uniform,
         SelectionKind::utility(),
-        SelectionKind::power_of_choice(),
+        SelectionKind::PowerOfChoice,
     ];
     let runs: Vec<(SelectionKind, RunResult, Vec<f64>)> = policies
         .into_iter()

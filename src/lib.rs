@@ -62,10 +62,7 @@ pub mod prelude {
         dataset::{Dataset, FederatedDataset},
         scenario::{DatasetKind, ScenarioConfig},
     };
-    pub use fedlps_device::{
-        cost::CostModel,
-        fleet::{DeviceFleet, HeterogeneityLevel},
-    };
+    pub use fedlps_device::fleet::{DeviceFleet, HeterogeneityLevel};
     pub use fedlps_faults::{AvailabilityModel, FaultConfig};
     pub use fedlps_nn::model::{ModelArch, ModelKind};
     pub use fedlps_select::{SelectionKind, SelectionPolicy, SelectionTracker};

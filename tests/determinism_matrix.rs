@@ -16,6 +16,9 @@
 //! columns, clocks are monotone, per-mode and per-topology counters stay in
 //! their lane, headline metrics stay in their domains, and the participation
 //! census covers the fleet.
+//!
+//! The matrix runs on a static fleet; the Table II "Dyn" fleet (per-round
+//! availability factors) has its own parallelism check below.
 
 use fedlps::core::FedLps;
 use fedlps::prelude::*;
@@ -26,14 +29,18 @@ use proptest::prelude::*;
 /// of this file trains inside the tier-1 time budget in the debug profile,
 /// and puts round spans (2–3 ms of virtual time) where the zone deadline and
 /// the availability presets bite on some seeded fleets and not on others.
-fn simulator(config: FlConfig) -> Simulator {
+fn environment(config: FlConfig) -> FlEnv {
     let data = ScenarioConfig::tiny(DatasetKind::MnistLike).build();
     let fleet = DeviceFleet::sample(data.num_clients(), HeterogeneityLevel::High, config.seed);
     let arch = ModelKind::Mlp {
         hidden: vec![48, 24],
     }
     .build(data.input, data.num_classes);
-    Simulator::new(FlEnv::new(data, fleet, arch.into(), config))
+    FlEnv::new(data, fleet, arch.into(), config)
+}
+
+fn simulator(config: FlConfig) -> Simulator {
+    Simulator::new(environment(config))
 }
 
 /// FedLPS on `sim`.
@@ -84,7 +91,7 @@ fn table(seed: u64) -> Vec<FlConfig> {
         for selection in [
             SelectionKind::Uniform,
             SelectionKind::utility(),
-            SelectionKind::power_of_choice(),
+            SelectionKind::PowerOfChoice,
         ] {
             rows.push(base.with_round_mode(mode).with_selection(selection));
         }
@@ -271,5 +278,44 @@ proptest! {
                 seed
             );
         }
+    }
+}
+
+/// The Table II "Dyn" fleet through the driver: its per-round availability
+/// factors are pure draws keyed by `(seed, client, round)`, so the trace is
+/// bit-identical at parallelism 1 and 4, and they reach the run: the trace
+/// differs from the same run on the static fleet.
+#[test]
+fn dynamic_fleet_is_bit_identical_across_parallelism_and_moves_the_trace() {
+    let trace = |config: FlConfig, dynamic: bool| {
+        let mut env = environment(config);
+        if dynamic {
+            env.fleet = env.fleet.clone().with_dynamics();
+        }
+        serde_json::to_string(&run(&Simulator::new(env))).expect("RunResult serializes")
+    };
+    let base = FlConfig {
+        rounds: 3,
+        clients_per_round: 3,
+        local_iterations: 2,
+        batch_size: 8,
+        eval_every: 3,
+        ..FlConfig::default()
+    };
+    for mode in [RoundMode::Synchronous, RoundMode::asynchronous(3, 0.6)] {
+        let config = base.with_round_mode(mode);
+        let dynamic = trace(config, true);
+        assert_eq!(
+            dynamic,
+            trace(config.with_parallelism(4), true),
+            "{}: the dynamic fleet diverged at parallelism 4",
+            mode.name()
+        );
+        assert_ne!(
+            dynamic,
+            trace(config, false),
+            "{}: availability dynamics left the trace unchanged",
+            mode.name()
+        );
     }
 }
