@@ -8,7 +8,6 @@ use fedlps_bandit::ratio_policy::{ClientInit, RatioController, RatioFeedback};
 use fedlps_nn::model::EvalStats;
 use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
-use fedlps_sim::train::evaluate_masked;
 use fedlps_sparse::ratio::retained_per_layer;
 use rand::rngs::StdRng;
 
@@ -88,6 +87,16 @@ impl Server<Lps> {
         self.family().clients.len()
     }
 
+    /// Floats the materialized personal models hold: each record's kept
+    /// coordinates when its mask packs, the full model otherwise.
+    pub fn personal_model_floats(&self) -> usize {
+        let records = self.family().clients.values();
+        records
+            .filter_map(|state| state.personal.as_ref())
+            .map(|model| model.params().len())
+            .sum()
+    }
+
     /// Number of bandit arms the ratio controller holds: the full population
     /// when it was built up front, only the touched clients on a
     /// population-scale run (0 before `setup`).
@@ -109,9 +118,9 @@ impl Server<Lps> {
             .unwrap_or_default()
     }
 
-    /// The per-client records, which hold every reused mask. It exists only
-    /// for the benchmark's `sparse.mask_cache_entries` (hence the `Option`,
-    /// always `Some`); its length is
+    /// The per-client records, which hold every reused mask. It exists for
+    /// the benchmark's `sparse.mask_cache_entries` (hence the `Option`,
+    /// always `Some`) and for tests that inspect every record; its length is
     /// [`materialized_clients`](Self::materialized_clients).
     pub fn mask_cache(&self) -> Option<&BTreeMap<usize, ClientState>> {
         Some(&self.family().clients)
@@ -258,7 +267,7 @@ impl Family for Lps {
             options: self.update_options(env, ratio, step.round),
             cached_mask: state.last_mask.as_ref().filter(|_| hit),
             packed_execution: true,
-            cached_plan: state.plan.as_ref().filter(|_| hit).cloned(),
+            cached_plan: state.plan().filter(|_| hit).cloned(),
         };
         let output = task.run(rng);
         let outcome = output.outcome;
@@ -296,29 +305,29 @@ impl Family for Lps {
     }
 
     /// Personalized deployment (Algorithm 1, line 24): the client's own
-    /// sparse model, evaluated on its packed submodel under the mask it was
-    /// trained with; a client that never trained gets the dense global model.
+    /// sparse model, evaluated straight on the packed submodel it is stored
+    /// on (no mask compilation, no gather), or at full length when its mask
+    /// does not pack; a client that never trained gets the dense global
+    /// model.
     fn deployed(&self, env: &FlEnv, global: &[f32], client: usize) -> EvalStats {
-        let state = self.client_state(client);
-        match (&state.personal_model, &state.last_mask) {
-            (Some(model), Some(mask)) => {
-                evaluate_masked(&*env.arch, mask, model, env.test_data(client))
-            }
-            _ => env.arch.evaluate(global, env.test_data(client)),
+        let test = env.test_data(client);
+        match &self.client_state(client).personal {
+            Some(model) => model.evaluate(&*env.arch, test),
+            None => env.arch.evaluate(global, test),
         }
     }
 
     /// A client that trained deploys its own record; one that never did
     /// deploys the global model.
     fn deploys_own_record(&self, client: usize) -> bool {
-        let state = self.client_state(client);
-        state.personal_model.is_some() && state.last_mask.is_some()
+        self.client_state(client).personal.is_some()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::PersonalModel;
     use fedlps_data::dataset::Dataset;
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::{DeviceFleet, HeterogeneityLevel};
@@ -379,7 +388,7 @@ mod tests {
         let mut algo = FedLps::for_env(sim.env());
         let _ = sim.run(&mut algo);
         let trained = (0..sim.env().num_clients())
-            .filter(|&k| algo.client_state(k).personal_model.is_some())
+            .filter(|&k| algo.client_state(k).personal.is_some())
             .count();
         assert!(trained > 0);
         for k in 0..sim.env().num_clients() {
@@ -518,9 +527,10 @@ mod tests {
 
     #[test]
     fn deployment_matches_dense_evaluation_of_the_personal_model() {
-        // `deployed` evaluates `personal_model` packed under `last_mask`;
-        // the personal model is `ω ⊙ m` for that same mask, so the dense
-        // evaluation of the stored vector is the bit-exact reference.
+        // `deployed` evaluates the packed record on its plan's submodel;
+        // the dense evaluation of that record scattered to full length
+        // (zero off the packed coordinates) is the bit-exact reference. A
+        // packed record holds its plan's coordinates only.
         for kind in [
             DatasetKind::MnistLike,
             DatasetKind::Cifar10Like,
@@ -538,9 +548,20 @@ mod tests {
             let global = algo.global_params();
             let mut personalized = 0;
             for k in 0..env.num_clients() {
-                let model = algo.client_state(k).personal_model.as_deref();
+                let state = algo.client_state(k);
+                let model = state.personal.as_ref().map(|model| match model {
+                    PersonalModel::Packed { plan, params } => {
+                        assert_eq!(params.len(), plan.packed_len());
+                        assert!(params.len() < env.arch.param_count());
+                        let mut full = vec![0.0; plan.full_len()];
+                        plan.scatter_params(params, &mut full);
+                        full
+                    }
+                    PersonalModel::Dense(params) => params.clone(),
+                });
                 personalized += model.is_some() as usize;
-                let expected = env.arch.evaluate(model.unwrap_or(global), env.test_data(k));
+                let model = model.as_deref().unwrap_or(global);
+                let expected = env.arch.evaluate(model, env.test_data(k));
                 let deployed = algo.evaluate_client(env, k);
                 assert_eq!(
                     (deployed.loss.to_bits(), deployed.accuracy.to_bits()),
@@ -588,7 +609,7 @@ mod tests {
                         SubmodelPlan::from_mask(env.arch.unit_layout(), mask).compile(&*env.arch)
                     });
                     assert_eq!(
-                        state.plan.as_deref().map(PackedModel::gather_map),
+                        state.plan().map(|plan| plan.gather_map()),
                         compiled.as_ref().map(PackedModel::gather_map),
                         "{kind:?} {}: client {k}'s plan is not its mask's",
                         algo.name()

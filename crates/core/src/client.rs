@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use fedlps_data::dataset::Dataset;
-use fedlps_nn::model::ModelArch;
+use fedlps_nn::model::{EvalStats, ModelArch};
 use fedlps_nn::pack::PackedModel;
 use fedlps_nn::sgd::SgdConfig;
 use fedlps_sparse::mask::UnitMask;
@@ -21,23 +21,71 @@ use fedlps_tensor::Arena;
 /// State a FedLPS client keeps across rounds: its importance indicator
 /// (`Record Q^s_k ← Q^r_{k,E}`, Algorithm 1 line 23), its personalized
 /// sparse model (line 24), which is what the client deploys for inference,
-/// and the mask and packed submodel it trained under, which its next
-/// participation reuses while the ratio extracts the same submodel shape.
+/// and the mask it trained under, which its next participation reuses (with
+/// the personal model's plan) while the ratio extracts the same submodel
+/// shape. A record is `O(kept + units)` whenever its mask packs: the
+/// personal model then holds only the kept coordinates.
 #[derive(Debug, Clone, Default)]
 pub struct ClientState {
     /// The persisted importance indicator scores.
     pub indicator: Option<Vec<f32>>,
     /// The personalized sparse model `ω_{k,E} ⊙ m_{k,E}` kept locally.
-    pub personal_model: Option<Vec<f32>>,
-    /// The sparse pattern `personal_model` was trained under; deployment
-    /// evaluates the personal model on this mask's packed submodel.
+    pub personal: Option<PersonalModel>,
+    /// The sparse pattern `personal` was trained under.
     pub last_mask: Option<UnitMask>,
     /// The sparse ratio used in the client's last participation.
     pub last_ratio: f64,
+}
+
+impl ClientState {
     /// The packed submodel the last participation executed, compiled from
     /// `last_mask` (`None` when that mask does not pack or the round ran
     /// with packing off).
-    pub plan: Option<Arc<PackedModel>>,
+    pub fn plan(&self) -> Option<&Arc<PackedModel>> {
+        match &self.personal {
+            Some(PersonalModel::Packed { plan, .. }) => Some(plan),
+            _ => None,
+        }
+    }
+}
+
+/// A personalized sparse model `ω ⊙ m`, stored on the submodel it runs on.
+#[derive(Debug, Clone)]
+pub enum PersonalModel {
+    /// `ω[P]` on the gather map `P` of `plan`, the packed submodel of `m`:
+    /// bit-equal to `(ω ⊙ m)[P]` because `p · 1.0 == p`, and every
+    /// coordinate outside `P` only ever meets a dropped unit's zero
+    /// activation, so `plan.arch()` evaluates it exactly as the full model
+    /// evaluates `ω ⊙ m`.
+    Packed {
+        /// The packed submodel of the mask the model was trained under.
+        plan: Arc<PackedModel>,
+        /// The kept coordinates, `plan.packed_len()` of them.
+        params: Vec<f32>,
+    },
+    /// The full-length `ω ⊙ m`, for a mask that does not pack (or a round
+    /// run masked-dense).
+    Dense(Vec<f32>),
+}
+
+impl PersonalModel {
+    /// The stored parameters: the packed coordinates, or the full vector.
+    pub fn params(&self) -> &[f32] {
+        match self {
+            Self::Packed { params, .. } => params,
+            Self::Dense(params) => params,
+        }
+    }
+
+    /// Evaluates the model on `data`; `arch` is the full architecture,
+    /// which a packed model does not need. Bit-identical to evaluating the
+    /// full-length `ω ⊙ m` with `arch`.
+    pub fn evaluate(&self, arch: &dyn ModelArch, data: &Dataset) -> EvalStats {
+        match self {
+            Self::Packed { plan, params } => plan.arch().evaluate(params, data),
+            Self::Dense(params) => arch.evaluate(params, data),
+        }
+    }
 }
 
 /// Hyper-parameters of one local update pass.
@@ -117,8 +165,8 @@ pub struct ClientTask<'a> {
 pub struct ClientTaskOutput {
     /// Residual, mask and training statistics (Algorithm 1 lines 23-27).
     pub outcome: ClientUpdateOutcome,
-    /// The client's next persistent state (`Q^s_k`, personal model, mask
-    /// and the packed submodel this round executed).
+    /// The client's next persistent state (`Q^s_k`, the personal model on
+    /// the packed submodel this round executed, and the mask).
     pub state: ClientState,
 }
 
@@ -145,8 +193,9 @@ impl ClientTask<'_> {
     /// the invariant and the per-sum exactness argument). Per iteration, only
     /// the ordered proximal-loss sum still visits the dropped units'
     /// coordinates; per task, the prologue (local copy, parameter mask,
-    /// round-constant gradient and dropped-unit sums) and the epilogue
-    /// (personal model) are O(model). Without a plan (packing off or a
+    /// round-constant gradient and dropped-unit sums) is O(model), while the
+    /// epilogue writes the personal model and the residual on the packed
+    /// coordinates only. Without a plan (packing off or a
     /// non-executable mask) every iteration walks the full model: that
     /// masked-dense branch is the oracle the packed one matches bit for bit.
     pub fn run(&self, rng: &mut StdRng) -> ClientTaskOutput {
@@ -276,39 +325,42 @@ impl ClientTask<'_> {
 
         // Lines 23-25: persist Q, store the personalized sparse model and
         // compute the masked residual to upload (masked with the pattern that
-        // was trained). A packed round uploads only the delta on the packed
-        // coordinates — every other masked-in coordinate is frozen at the
-        // global value, so its residual entry is an exact zero.
-        let personal: Vec<f32> = local.iter().zip(pmask.iter()).map(|(p, m)| p * m).collect();
-        let residual = match plan.as_deref() {
-            Some(packed) => Residual::Packed {
-                values: packed
-                    .gather_map()
+        // was trained). A packed round writes both on the packed coordinates
+        // `P` only: the personal model is `local[P]` (`p · 1.0 == p`), and
+        // every other masked-in coordinate is frozen at the global value, so
+        // its residual entry is an exact zero.
+        let (personal, residual) = match plan {
+            Some(plan) => {
+                let gather = plan.gather_map();
+                let params = gather.iter().map(|&i| local[i as usize]).collect();
+                let residual = Residual::Packed {
+                    values: gather
+                        .iter()
+                        .map(|&i| global_params[i as usize] - local[i as usize])
+                        .collect(),
+                    coords: plan.gather_arc(),
+                    len: arch.param_count(),
+                };
+                (PersonalModel::Packed { plan, params }, residual)
+            }
+            None => {
+                let personal = local.iter().zip(&pmask).map(|(p, m)| p * m).collect();
+                let residual = global_params
                     .iter()
-                    .map(|&i| global_params[i as usize] - local[i as usize])
-                    .collect(),
-                coords: packed.gather_arc(),
-                len: arch.param_count(),
-            },
-            None => Residual::Dense(
-                global_params
-                    .iter()
-                    .zip(local.iter())
-                    .zip(pmask.iter())
+                    .zip(&local)
+                    .zip(&pmask)
                     .map(|((g, l), m)| (g - l) * m)
-                    .collect(),
-            ),
+                    .collect();
+                (PersonalModel::Dense(personal), Residual::Dense(residual))
+            }
         };
-        // `mask.retained_params(layout)`, counted off the parameter mask this
-        // task already expanded.
-        let uploaded_params = pmask.iter().filter(|&&m| m != 0.0).count();
+        let uploaded_params = mask.retained_params(layout);
 
         let state = ClientState {
             indicator: Some(indicator.scores().to_vec()),
-            personal_model: Some(personal),
+            personal: Some(personal),
             last_mask: Some(mask.clone()),
             last_ratio: options.ratio,
-            plan,
         };
 
         ClientTaskOutput {
@@ -440,7 +492,7 @@ mod tests {
         let mut rng = rng_from_seed(6);
         participate(&mlp, &global, &mut state, &data, &options(0.5), &mut rng);
         let q1 = state.indicator.clone().unwrap();
-        assert!(state.personal_model.is_some());
+        assert!(state.personal.is_some());
         assert_eq!(state.last_ratio, 0.5);
         // Second round re-uses (and further updates) the stored indicator.
         participate(&mlp, &global, &mut state, &data, &options(0.5), &mut rng);
@@ -458,9 +510,9 @@ mod tests {
         opts.iterations = 60;
         opts.mu = 0.1;
         participate(&mlp, &global, &mut state, &data, &opts, &mut rng);
-        let personal = state.personal_model.as_ref().unwrap();
+        let personal = state.personal.as_ref().unwrap();
         let before = mlp.evaluate(&global, &data);
-        let after = mlp.evaluate(personal, &data);
+        let after = personal.evaluate(&mlp, &data);
         assert!(
             after.loss < before.loss,
             "personal sparse model should fit local data better ({} vs {})",
@@ -569,8 +621,8 @@ mod tests {
             let mut rng_p = rng_from_seed(45);
             let packed = packed_task.run(&mut rng_p);
 
-            assert!(packed.state.plan.is_some(), "ratio {ratio} should compile");
-            assert!(dense.state.plan.is_none());
+            let plan = packed.state.plan().expect("ratio {ratio} should compile");
+            assert!(dense.state.plan().is_none());
             assert_eq!(dense.outcome.mask, packed.outcome.mask);
             let dr = dense.outcome.residual.to_dense();
             let pr = packed.outcome.residual.to_dense();
@@ -587,8 +639,57 @@ mod tests {
             );
             assert_eq!(dense.outcome.mean_accuracy, packed.outcome.mean_accuracy);
             assert_eq!(dense.state.indicator, packed.state.indicator);
-            assert_eq!(dense.state.personal_model, packed.state.personal_model);
+            // The packed record holds the oracle's `ω ⊙ m` gathered through
+            // the plan, and nothing else.
+            let mut oracle = Vec::new();
+            plan.gather_params(dense.state.personal.as_ref().unwrap().params(), &mut oracle);
+            let stored = packed.state.personal.as_ref().unwrap().params();
+            assert_eq!(stored.len(), plan.packed_len());
+            assert!(stored.len() < mlp.param_count());
+            for (i, (d, p)) in oracle.iter().zip(stored).enumerate() {
+                assert_eq!(d.to_bits(), p.to_bits(), "personal model diverges at {i}");
+            }
         }
+    }
+
+    #[test]
+    fn a_mask_that_does_not_pack_keeps_the_full_length_model() {
+        // Emptying the second hidden layer leaves no executable submodel, so
+        // the packed task falls back to masked-dense and the record keeps
+        // the full-length `ω ⊙ m`, exactly as the masked-dense task does.
+        let (mlp, data, global) = setup();
+        let layout = mlp.unit_layout();
+        let mut keep = vec![true; layout.total_units()];
+        for k in &mut keep[10..] {
+            *k = false;
+        }
+        let mask = UnitMask::from_keep(keep);
+        let state = ClientState::default();
+        let run = |packed_execution: bool| {
+            ClientTask {
+                arch: &mlp,
+                global: &global,
+                state: &state,
+                data: &data,
+                options: options(0.5),
+                cached_mask: Some(&mask),
+                packed_execution,
+                cached_plan: None,
+            }
+            .run(&mut rng_from_seed(61))
+        };
+        let (packed, dense) = (run(true), run(false));
+        assert!(packed.state.plan().is_none());
+        let model = |output: &ClientTaskOutput| match output.state.personal.clone() {
+            Some(PersonalModel::Dense(model)) => model,
+            other => panic!("expected a full-length model, got {other:?}"),
+        };
+        let (stored, oracle) = (model(&packed), model(&dense));
+        assert_eq!(stored.len(), mlp.param_count());
+        for (i, (d, p)) in oracle.iter().zip(&stored).enumerate() {
+            assert_eq!(d.to_bits(), p.to_bits(), "personal model diverges at {i}");
+        }
+        assert_eq!(packed.outcome.residual, dense.outcome.residual);
     }
 
     #[test]
@@ -607,7 +708,7 @@ mod tests {
         };
         let mut rng1 = rng_from_seed(52);
         let fresh = task.run(&mut rng1);
-        let plan = fresh.state.plan.clone().expect("compiled");
+        let plan = fresh.state.plan().cloned().expect("compiled");
         // Re-run with the mask and plan reused from the fresh record.
         let cached_task = ClientTask {
             cached_mask: Some(&fresh.outcome.mask),
@@ -617,8 +718,8 @@ mod tests {
         let mut rng2 = rng_from_seed(52);
         let cached = cached_task.run(&mut rng2);
         assert!(Arc::ptr_eq(
-            cached.state.plan.as_ref().expect("reused"),
-            fresh.state.plan.as_ref().expect("compiled")
+            cached.state.plan().expect("reused"),
+            fresh.state.plan().expect("compiled")
         ));
         assert_eq!(cached.outcome.residual, fresh.outcome.residual);
         assert_eq!(cached.state.indicator, fresh.state.indicator);

@@ -237,7 +237,7 @@ impl Staged for Contribution {
     }
 }
 
-/// The one chunk walk both aggregation rules share: the packed upload
+/// The coverage rule's chunk walk: the packed upload
 /// `(coords, values)` restricted to the coordinates `start..start + len`,
 /// one item per coordinate — `Some(value)` where the upload carries one,
 /// `None` elsewhere. A binary search positions the ascending cursor, so a
@@ -305,8 +305,8 @@ pub fn aggregate_residuals_tree(global: &mut [f32], staged: &[StagedUpdate], sha
 /// sequence — for each staged update in order, `next[i] += coeff * (g[i] -
 /// r[i])` with `coeff = (weight / total_weight) as f32` — and coordinates
 /// never interact, so restricting the walk to a range changes no bit of any
-/// coordinate it covers. Packed residuals read through [`packed_chunk`],
-/// with `r = 0` off their coordinates.
+/// coordinate it covers. Packed residuals are walked by their coordinate
+/// runs, with `r = 0` off their coordinates.
 fn merge_residuals_range(
     global: &[f32],
     staged: &[StagedUpdate],
@@ -317,16 +317,32 @@ fn merge_residuals_range(
     let (len, range) = (next.len(), start..start + next.len());
     for s in staged {
         let coeff = (s.weight / total_weight) as f32;
-        let pairs = next.iter_mut().zip(global[range.clone()].iter());
         match &s.residual {
             Residual::Dense(residual) => {
-                for ((n, &g), &r) in pairs.zip(residual[range.clone()].iter()) {
+                let pairs = next.iter_mut().zip(&global[range.clone()]);
+                for ((n, &g), &r) in pairs.zip(&residual[range.clone()]) {
                     *n += coeff * (g - r);
                 }
             }
+            // Run by run: the off-pattern coordinates between two packed
+            // ones take `r = 0.0` in a tight loop, each packed coordinate its
+            // value — the dense expression at every coordinate.
             Residual::Packed { coords, values, .. } => {
-                for ((n, &g), r) in pairs.zip(packed_chunk(coords, values, start, len)) {
-                    *n += coeff * (g - r.unwrap_or(0.0));
+                let skip = coords.partition_point(|&c| (c as usize) < start);
+                let mut at = 0;
+                for (&c, &r) in coords[skip..].iter().zip(&values[skip..]) {
+                    let c = c as usize - start;
+                    if c >= len {
+                        break;
+                    }
+                    for (n, &g) in next[at..c].iter_mut().zip(&global[start + at..start + c]) {
+                        *n += coeff * (g - 0.0);
+                    }
+                    next[c] += coeff * (global[start + c] - r);
+                    at = c + 1;
+                }
+                for (n, &g) in next[at..].iter_mut().zip(&global[start + at..start + len]) {
+                    *n += coeff * (g - 0.0);
                 }
             }
         }

@@ -115,12 +115,13 @@ fn assert_bits_eq(what: &str, dense: &[f32], packed: &[f32]) {
     }
 }
 
-/// Every output of the two runs, bit for bit.
+/// Every output of the two runs, bit for bit; the packed personal model is
+/// the masked-dense one gathered through the packed run's plan.
 fn assert_same_output(dense: &ClientTaskOutput, packed: &ClientTaskOutput) {
-    prop_assert!(
-        packed.state.plan.is_some(),
-        "the packed run compiled no plan"
-    );
+    let plan = packed
+        .state
+        .plan()
+        .expect("the packed run compiled no plan");
     prop_assert_eq!(&dense.outcome.mask, &packed.outcome.mask);
     prop_assert_eq!(
         dense.outcome.mean_loss.to_bits(),
@@ -144,10 +145,15 @@ fn assert_same_output(dense: &ClientTaskOutput, packed: &ClientTaskOutput) {
         dense.state.indicator.as_ref().expect("trained"),
         packed.state.indicator.as_ref().expect("trained"),
     );
+    let mut oracle = Vec::new();
+    plan.gather_params(
+        dense.state.personal.as_ref().expect("trained").params(),
+        &mut oracle,
+    );
     assert_bits_eq(
         "personal model",
-        dense.state.personal_model.as_ref().expect("trained"),
-        packed.state.personal_model.as_ref().expect("trained"),
+        &oracle,
+        packed.state.personal.as_ref().expect("trained").params(),
     );
 }
 
@@ -190,7 +196,7 @@ proptest! {
             ratio,
             round: 0,
         };
-        // One run of the task; `state.plan` is `Some` for the packed side only.
+        // One run of the task; `state.plan()` is `Some` for the packed side only.
         let run = |global: &[f32],
                    state: &ClientState,
                    cached_mask: Option<&UnitMask>,
@@ -235,7 +241,7 @@ proptest! {
             &packed.state,
             packed.state.last_mask.as_ref(),
             true,
-            packed.state.plan.clone(),
+            packed.state.plan().cloned(),
             0xBEEF,
         );
         assert_same_output(&dense_again, &packed_again);

@@ -236,10 +236,32 @@ impl UnitLayout {
 
     /// Number of *parameters* kept by a unit-level mask (counting always-kept
     /// non-unit parameters too). This is the quantity behind the paper's
-    /// communication-volume accounting.
+    /// communication-volume accounting: the nonzeros of
+    /// [`expand_mask`](Self::expand_mask), counted as the model size minus
+    /// the union of the dropped units' ranges (which overlap on the LSTM)
+    /// without expanding the mask.
     pub fn retained_params(&self, unit_keep: &[bool]) -> usize {
-        let mask = self.expand_mask(unit_keep);
-        mask.iter().filter(|&&m| m != 0.0).count()
+        assert_eq!(
+            unit_keep.len(),
+            self.total_units(),
+            "unit mask length mismatch"
+        );
+        let units = self.layers.iter().flat_map(|layer| &layer.units);
+        let mut dropped: Vec<(usize, usize)> = units
+            .zip(unit_keep)
+            .filter(|&(_, &keep)| !keep)
+            .flat_map(|(unit, _)| unit.ranges.iter().map(|r| (r.start, r.end())))
+            .collect();
+        dropped.sort_unstable();
+        let (mut covered, mut reach) = (0, 0);
+        for (start, end) in dropped {
+            let start = start.max(reach);
+            if end > start {
+                covered += end - start;
+                reach = end;
+            }
+        }
+        self.total_params - covered
     }
 }
 
@@ -315,6 +337,34 @@ mod tests {
         assert_eq!(layout.retained_per_layer(&keep), vec![1, 2]);
         // 20 total - 3 (unit1) - 2 (unit4) = 15.
         assert_eq!(layout.retained_params(&keep), 15);
+    }
+
+    #[test]
+    fn retained_params_counts_the_expanded_mask_under_overlap() {
+        // LSTM-style ownership: unit 2's range covers parts of units 0 and
+        // 1, unit 3 owns a zero-length range and a range nested in unit 2's.
+        let layer = |ranges: Vec<Vec<(usize, usize)>>| LayerUnits {
+            name: "cells".into(),
+            units: ranges
+                .into_iter()
+                .map(|r| UnitParams {
+                    ranges: r.into_iter().map(|(s, l)| ParamRange::new(s, l)).collect(),
+                })
+                .collect(),
+        };
+        let layout = UnitLayout::new(
+            vec![
+                layer(vec![vec![(0, 4), (12, 1)], vec![(4, 4)]]),
+                layer(vec![vec![(2, 4), (13, 2)], vec![(9, 0), (3, 2), (14, 3)]]),
+            ],
+            20,
+        );
+        for bits in 0u32..16 {
+            let keep: Vec<bool> = (0..4).map(|j| bits >> j & 1 == 1).collect();
+            let expanded = layout.expand_mask(&keep);
+            let nonzeros = expanded.iter().filter(|&&m| m != 0.0).count();
+            assert_eq!(layout.retained_params(&keep), nonzeros, "keep {keep:?}");
+        }
     }
 
     #[test]

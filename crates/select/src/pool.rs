@@ -22,15 +22,13 @@
 //! assert!(!pool.contains(5) && pool.contains(6));
 //! ```
 
-use std::collections::BTreeSet;
-
 /// The ascending id set `0..num_clients` minus an exclusion set, in
 /// `O(|excluded|)` memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientPool {
     num_clients: usize,
-    /// Excluded ids, all `< num_clients`.
-    excluded: BTreeSet<usize>,
+    /// Excluded ids, strictly ascending, all `< num_clients`.
+    excluded: Vec<usize>,
 }
 
 impl ClientPool {
@@ -38,7 +36,7 @@ impl ClientPool {
     pub fn full(num_clients: usize) -> Self {
         Self {
             num_clients,
-            excluded: BTreeSet::new(),
+            excluded: Vec::new(),
         }
     }
 
@@ -46,18 +44,15 @@ impl ClientPool {
     pub fn excluding(num_clients: usize, excluded: impl IntoIterator<Item = usize>) -> Self {
         Self {
             num_clients,
-            excluded: excluded.into_iter().filter(|&k| k < num_clients).collect(),
+            excluded: ascending(num_clients, excluded),
         }
     }
 
-    /// This pool minus additionally-excluded ids.
+    /// This pool minus additionally-excluded ids. When `ids` ascend (the
+    /// policies pass an ascending explored set) the two exclusion lists are
+    /// two sorted runs, which the stable sort merges in linear time.
     pub fn without(&self, ids: impl IntoIterator<Item = usize>) -> Self {
-        let mut excluded = self.excluded.clone();
-        excluded.extend(ids.into_iter().filter(|&k| k < self.num_clients));
-        Self {
-            num_clients: self.num_clients,
-            excluded,
-        }
+        Self::excluding(self.num_clients, self.excluded.iter().copied().chain(ids))
     }
 
     /// Number of members.
@@ -72,30 +67,48 @@ impl ClientPool {
 
     /// Whether `client` is a member.
     pub fn contains(&self, client: usize) -> bool {
-        client < self.num_clients && !self.excluded.contains(&client)
+        client < self.num_clients && self.excluded.binary_search(&client).is_err()
     }
 
     /// The `i`-th member in ascending id order (the id a dense
-    /// `Vec<usize>` of the members would hold at position `i`). Runs in
-    /// `O(|excluded|)`, independent of the population size.
+    /// `Vec<usize>` of the members would hold at position `i`). A binary
+    /// search, `O(log |excluded|)`, independent of the population size.
     pub fn nth(&self, i: usize) -> usize {
         assert!(
             i < self.len(),
             "position {i} out of range for pool of {}",
             self.len()
         );
-        // Each excluded id at or below the running candidate shifts it up by
-        // one; the exclusion set is sorted, so one forward walk settles it.
-        let mut id = i;
-        for &e in &self.excluded {
-            if e <= id {
-                id += 1;
-            } else {
-                break;
-            }
-        }
-        id
+        // `excluded[k] - k` members lie below the `k`-th excluded id, a count
+        // that never decreases in `k`; the member at position `i` lies above
+        // exactly the excluded ids with at most `i` members below them.
+        let shift = partition_point(self.excluded.len(), |k| self.excluded[k] - k <= i);
+        i + shift
     }
+}
+
+/// The in-range ids of `ids`, strictly ascending. The stable sort is
+/// adaptive: it merges already-ascending runs instead of re-sorting them.
+fn ascending(num_clients: usize, ids: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let mut ids: Vec<usize> = ids.into_iter().filter(|&k| k < num_clients).collect();
+    ids.sort();
+    ids.dedup();
+    ids
+}
+
+/// The first `k` in `0..len` where `pred(k)` is false, for a `pred` that is
+/// true on a prefix of `0..len` and false after it.
+fn partition_point(len: usize, pred: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, len);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -133,6 +146,17 @@ mod tests {
         let pool = ClientPool::excluding(10, [2, 5]).without([5, 7, 42]);
         assert_eq!(dense(&pool, 10), vec![0, 1, 3, 4, 6, 8, 9]);
         assert_eq!(pool.len(), 7);
+    }
+
+    #[test]
+    fn unsorted_and_repeated_exclusions_match_the_dense_member_list() {
+        let pool = ClientPool::excluding(12, [9, 3, 3, 40, 0]).without([11, 2, 9, 5, 2]);
+        let members = vec![1, 4, 6, 7, 8, 10];
+        assert_eq!(dense(&pool, 12), members);
+        assert_eq!(pool.len(), members.len());
+        for (i, &id) in members.iter().enumerate() {
+            assert_eq!(pool.nth(i), id, "position {i}");
+        }
     }
 
     #[test]

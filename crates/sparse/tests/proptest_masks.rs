@@ -111,6 +111,20 @@ proptest! {
         prop_assert_eq!(small.intersect(&large), small.clone());
     }
 
+    /// The retained-parameter count, taken over the dropped units' ranges,
+    /// is the nonzero count of the expanded mask on every architecture
+    /// (the LSTM's ranges overlap), for any keep pattern.
+    #[test]
+    fn retained_params_counts_the_expanded_mask(kind in 0usize..3, width in 2usize..8,
+                                                 seed in 0u64..500) {
+        let model = arch_of(kind, width);
+        let layout = model.unit_layout();
+        let mut rng = rng_from_seed(seed);
+        let mask = UnitMask::from_keep((0..layout.total_units()).map(|_| rng.gen()).collect());
+        let nonzeros = mask.param_mask(layout).iter().filter(|&&m| m != 0.0).count();
+        prop_assert_eq!(mask.retained_params(layout), nonzeros);
+    }
+
     /// The realised ratio never falls below the requested ratio and never
     /// exceeds 1.
     #[test]

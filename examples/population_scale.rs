@@ -18,6 +18,8 @@
 //!   pool, so data stays `O(shards)` while client ids range over the million.
 //! * Every per-client store downstream — bandit arms, client states, cached
 //!   masks, selection stats — materializes lazily on first participation.
+//! * A client state holds its personal model on the packed submodel it
+//!   trained, so the states cost `O(kept)` floats each, not `O(model)`.
 //! * `eval_every: 0` disables whole-federation evaluation, the one operation
 //!   that is intrinsically `O(population)`.
 //!
@@ -95,8 +97,14 @@ fn main() {
         "  client training states:    {:>6} of {POPULATION}",
         fedlps.materialized_clients()
     );
+    let full_models = fedlps.materialized_clients() * sim.env().arch.param_count();
+    println!(
+        "  personal-model floats:     {:>6} of {full_models} at full length",
+        fedlps.personal_model_floats()
+    );
 
     assert!(sim.env().fleet.materialized_profiles() <= active_bound);
     assert!(fedlps.materialized_clients() <= active_bound);
+    assert!(fedlps.personal_model_floats() < full_models);
     println!("\nO(active) contract holds: the population never materialized.");
 }

@@ -113,10 +113,10 @@ fn personalized_models_specialise_to_their_clients() {
     let mut own = Vec::new();
     let mut other = Vec::new();
     for k in 0..env.num_clients() {
-        if let Some(personal) = &algo.client_state(k).personal_model {
-            own.push(env.arch.evaluate(personal, env.test_data(k)).accuracy);
+        if let Some(personal) = &algo.client_state(k).personal {
+            own.push(personal.evaluate(&*env.arch, env.test_data(k)).accuracy);
             let next = (k + 1) % env.num_clients();
-            other.push(env.arch.evaluate(personal, env.test_data(next)).accuracy);
+            other.push(personal.evaluate(&*env.arch, env.test_data(next)).accuracy);
         }
     }
     assert!(!own.is_empty());
@@ -163,6 +163,19 @@ fn million_client_registry_materializes_only_its_participants() {
         assert!(
             (1..=config.rounds * config.clients_per_round).contains(&count),
             "{name} materialized {count} entries: the population leaked into per-client state"
+        );
+    }
+    // The O(kept) law: every record stores its personal model on the packed
+    // submodel it trained, never at full length.
+    let params = sim.env().arch.param_count();
+    let records = algo.mask_cache().expect("FedLPS keeps records");
+    for (client, state) in records {
+        let plan = state.plan().expect("every MLP mask packs");
+        let stored = state.personal.as_ref().expect("trained").params().len();
+        assert_eq!(stored, plan.packed_len(), "client {client}");
+        assert!(
+            stored < params,
+            "client {client} stores {stored} of {params}"
         );
     }
 }
