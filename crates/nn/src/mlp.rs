@@ -111,6 +111,20 @@ impl Mlp {
         m
     }
 
+    /// [`weight_matrix`](Self::weight_matrix) transposed (`in × out`), the
+    /// right operand of the forward pass's `input · Wᵀ`.
+    fn weight_matrix_t(&self, params: &[f32], layer: usize, pool: &mut ScratchPool) -> Matrix {
+        let l = self.layers[layer];
+        let mut m = pool.take(l.in_dim, l.out_dim);
+        let w = &params[l.w_start..l.w_start + l.in_dim * l.out_dim];
+        for (r, w_row) in w.chunks_exact(l.in_dim).enumerate() {
+            for (c, &v) in w_row.iter().enumerate() {
+                m.set(c, r, v);
+            }
+        }
+        m
+    }
+
     fn bias<'p>(&self, params: &'p [f32], layer: usize) -> &'p [f32] {
         let l = self.layers[layer];
         &params[l.b_start..l.b_start + l.out_dim]
@@ -124,11 +138,13 @@ impl Mlp {
         // `batch` still feeds the layer (only pool buffers are recycled).
         let mut activ: Option<Matrix> = None;
         for (li, layer) in self.layers.iter().enumerate() {
-            let w = self.weight_matrix(params, li, pool);
+            let wt = self.weight_matrix_t(params, li, pool);
             let input = activ.as_ref().unwrap_or(batch);
+            // `z` is pool-zeroed, so each output is `+0.0` plus its `k`
+            // terms ascending: the `input · Wᵀ` dot product.
             let mut z = pool.take(input.rows(), layer.out_dim);
-            input.matmul_nt_into(&w, &mut z);
-            pool.recycle(w);
+            input.matmul_into(&wt, &mut z);
+            pool.recycle(wt);
             let b = self.bias(params, li);
             for r in 0..z.rows() {
                 let row = z.row_mut(r);

@@ -74,11 +74,13 @@ proptest! {
         }
     }
 
-    /// Every pattern strategy retains exactly ⌈s·J_l⌉ units per layer (≥ 1).
+    /// Every pattern strategy retains exactly ⌈s·J_l⌉ units per layer (≥ 1),
+    /// and its mask packs, on every architecture: the packed FedLPS paths
+    /// fall back to masked-dense only for a mask that does not compile.
     #[test]
-    fn strategies_hit_the_layerwise_budget(h0 in 2usize..16, h1 in 2usize..12,
+    fn strategies_hit_the_layerwise_budget(kind in 0usize..3, width in 2usize..16,
                                             ratio in 0.01f64..1.0, seed in 0u64..500) {
-        let model = mlp(h0, h1);
+        let model = arch_of(kind, width);
         let layout = model.unit_layout();
         let mut rng = rng_from_seed(seed);
         let params = model.init_params(&mut rng);
@@ -92,6 +94,10 @@ proptest! {
         ] {
             let mask = strategy.build_mask(layout, &params, Some(&scores), ratio, seed as usize, &mut rng);
             prop_assert_eq!(mask.retained_per_layer(layout), retained_per_layer(&layout.units_per_layer(), ratio));
+            prop_assert!(
+                SubmodelPlan::from_mask(layout, &mask).compile(&*model).is_some(),
+                "{:?} mask does not pack on architecture {}", strategy, kind
+            );
         }
     }
 

@@ -3,53 +3,50 @@
 //!
 //! # Kernel architecture
 //!
-//! Every kernel here is a register-blocked rewrite of the reference scalar
-//! triple loops retained in `matrix.rs` (`matmul_into_reference` and
-//! friends), subject to one non-negotiable rule: **the accumulation order of
-//! every output element is exactly the reference order** — `k` strictly
-//! ascending, products added one at a time, no reassociation, no FMA
-//! contraction, no horizontal sums. Blocking therefore only reshapes the
-//! *traversal* (which elements are in registers when), never the per-element
-//! arithmetic, so the blocked kernels are bit-identical to the reference and
-//! the packed==masked / serial==sharded contracts hold without golden
-//! updates. If a future kernel must reassociate (e.g. a true SIMD dot
-//! product), it cannot share these entry points: it needs its own opt-in
-//! call sites and re-pinned goldens, per the ROADMAP determinism note.
+//! Each multiply variant has exactly two implementations: the blocked dense
+//! kernel in this module and the zero-skipping reference walk retained in
+//! `matrix.rs` (`matmul_into_reference`, `matmul_tn_into_reference`). Both
+//! obey one non-negotiable rule: **the accumulation order of every output
+//! element is the same** — `k` strictly ascending, products added one at a
+//! time, no reassociation, no FMA contraction, no horizontal sums. Blocking
+//! therefore only reshapes the *traversal* (which elements are in registers
+//! when), never the per-element arithmetic, so the blocked kernels are
+//! bit-identical to the reference and the packed==masked / serial==sharded
+//! contracts hold without golden updates. If a future kernel must
+//! reassociate (e.g. a true SIMD dot product), it cannot share these entry
+//! points: it needs its own opt-in call sites and re-pinned goldens, per the
+//! ROADMAP determinism note.
 //!
-//! Shapes of the three kernels:
-//!
-//! - `matmul` / `matmul_tn` (accumulate into `out`): the output row is the
-//!   vectorization axis. A [`MR`]-row × [`BLK`]-column tile of `out` is held
-//!   in `[f32; BLK]` register accumulators, loaded from `out`'s prior
-//!   content, and the whole `k` loop streams over it — one load/store of the
-//!   output tile per full reduction instead of one per `k` step. Per output
-//!   element the terms still arrive in ascending `k`; vectorization is
-//!   *across* independent output columns, which commutes with nothing.
-//! - `matmul_nt` (overwrite `out`): the reduction axis is contiguous in both
-//!   operands, so the kernel runs [`NT_JB`] independent dot-product chains
-//!   (one per output column) in parallel registers. Each chain is a strictly
-//!   serial `acc += a * b` walk — the per-chain order is untouched; the win
-//!   is instruction-level parallelism across chains plus one zero-test per
-//!   `a` element serving all [`NT_JB`] outputs instead of one per output.
+//! `matmul` and `matmul_tn` accumulate into `out`, and the output row is the
+//! vectorization axis. A [`MR`]-row × [`BLK`]-column tile of `out` is held in
+//! `[f32; BLK]` register accumulators, loaded from `out`'s prior content, and
+//! the whole `k` loop streams over it — one load/store of the output tile per
+//! full reduction instead of one per `k` step. Per output element the terms
+//! still arrive in ascending `k`; vectorization is *across* independent
+//! output columns, which commutes with nothing. The two variants share the
+//! micro-kernel and differ only in how they pack the `a` panel. `A·Bᵀ` has
+//! no kernel of its own: `Matrix::matmul_nt_into_with` transposes `B` and
+//! runs `matmul` on a zeroed output, which sums the same terms in the same
+//! order as a dot product starting from `+0.0`.
 //!
 //! Tails (output columns beyond the last full lane block, rows beyond the
 //! last row block) fall through to loops with the same per-element order.
 //!
 //! # Zero-skipping and the density probe
 //!
-//! The reference kernels skip `a == 0.0` operands so masked-dense sparse
-//! training gets cheaper with sparsity. On fully dense operands that branch
-//! is pure overhead, so each kernel is compiled in two const-generic
-//! flavours — `SKIP = true` (elide zero terms, the reference semantics) and
-//! `SKIP = false` (branch-free) — and [`Density`] selects between them,
-//! by default via a cheap strided [`probe`] of the left operand.
+//! The reference walks skip `a == 0.0` operands, so masked-dense sparse
+//! training gets cheaper with sparsity: one branch elides a whole contiguous
+//! `n`-wide row update, which a register tile cannot match. On fully dense
+//! operands that branch is pure overhead, so the blocked kernels never test
+//! for zero, and [`Density`] selects between the two implementations, by
+//! default via a cheap strided [`probe`] of the left operand.
 //!
-//! The two flavours are bit-identical whenever the elided terms only ever
-//! add `±0.0` onto an accumulator that is not `-0.0`: all operands finite,
-//! and the prior content of `out` free of `-0.0` (the pool hands out
-//! `+0.0`-filled buffers, and an accumulator that starts at `+0.0` can never
-//! reach `-0.0` under IEEE-754 addition, so both conditions hold on every
-//! in-repo call path). The probe can therefore pick either flavour without
+//! The two are bit-identical whenever the elided terms only ever add `±0.0`
+//! onto an accumulator that is not `-0.0`: all operands finite, and the
+//! prior content of `out` free of `-0.0` (the pool hands out `+0.0`-filled
+//! buffers, and an accumulator that starts at `+0.0` can never reach `-0.0`
+//! under IEEE-754 addition, so both conditions hold on every in-repo call
+//! path). The probe can therefore pick either implementation without
 //! observable effect; `proptest_kernels.rs` and the unit tests below pin
 //! this.
 
@@ -62,15 +59,15 @@ pub const LANE: usize = 8;
 pub const BLK: usize = LANE;
 /// Output rows blocked together by the accumulate kernels.
 pub const MR: usize = 4;
-/// Independent dot-product chains run in parallel by the NT kernel.
-pub const NT_JB: usize = LANE;
 
 /// How a multiply should treat the left operand's exact zeros.
 ///
 /// Both choices produce bit-identical results (see the module docs for the
 /// precondition); the hint only moves wall-clock. `Auto` runs a strided
-/// [`probe`] over the left operand; packed-execution call sites, whose
-/// operands are dense by construction, pass `Dense` to skip even the probe.
+/// [`probe`] over the left operand. Every library call site, packed
+/// execution included, goes through the hint-free `matmul*_into` entry
+/// points and so uses `Auto`; `Dense` and `Sparse` pin one implementation
+/// for property tests and kernel micro-benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Density {
     /// Probe the left operand and pick a flavour (the default).
@@ -88,7 +85,7 @@ const PROBE_SAMPLES: usize = 64;
 /// the zero-skipping flavour.
 const PROBE_ZERO_DEN: usize = 8;
 
-/// Strided density probe: `true` means "dense enough for the branch-free
+/// Strided density probe: `true` means "dense enough for the blocked
 /// kernel". Deterministic (fixed sample positions, no randomness).
 pub fn probe(a: &[f32]) -> bool {
     if a.is_empty() {
@@ -127,22 +124,13 @@ pub const KC: usize = 256;
 /// Terms are added in ascending panel order — the caller feeds panels in
 /// ascending `k`, so every output element sees the reference order.
 #[inline(always)]
-fn accumulate_tile<const SKIP: bool>(
-    apanel: &[f32],
-    b: &[f32],
-    b_off: usize,
-    n: usize,
-    acc: &mut [[f32; BLK]; MR],
-) {
+fn accumulate_tile(apanel: &[f32], b: &[f32], b_off: usize, n: usize, acc: &mut [[f32; BLK]; MR]) {
     for (kk, a_step) in apanel.chunks_exact(MR).enumerate() {
         let bv: &[f32; BLK] = b[b_off + kk * n..b_off + kk * n + BLK]
             .try_into()
             .expect("lane");
         for (r, acc_r) in acc.iter_mut().enumerate() {
             let av = a_step[r];
-            if SKIP && av == 0.0 {
-                continue;
-            }
             for (o, &bl) in acc_r.iter_mut().zip(bv.iter()) {
                 *o += av * bl;
             }
@@ -152,7 +140,7 @@ fn accumulate_tile<const SKIP: bool>(
 
 /// Column-tail companion of [`accumulate_tile`]: the same panel walk for the
 /// `< BLK` trailing output columns, scalar, same per-element order.
-fn accumulate_tail<const SKIP: bool>(
+fn accumulate_tail(
     apanel: &[f32],
     b: &[f32],
     k0: usize,
@@ -164,9 +152,6 @@ fn accumulate_tail<const SKIP: bool>(
     for (kk, a_step) in apanel.chunks_exact(MR).enumerate() {
         let b_row = &b[(k0 + kk) * n..(k0 + kk + 1) * n];
         for (r, &av) in a_step.iter().enumerate() {
-            if SKIP && av == 0.0 {
-                continue;
-            }
             let out_row = &mut out[(i + r) * n..(i + r + 1) * n];
             for c in j..n {
                 out_row[c] += av * b_row[c];
@@ -176,35 +161,7 @@ fn accumulate_tail<const SKIP: bool>(
 }
 
 /// `out[m×n] += a[m×k] · b[k×n]`, blocked, reference accumulation order.
-pub(crate) fn matmul<const SKIP: bool>(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    kdim: usize,
-    n: usize,
-) {
-    if SKIP {
-        // Sparse flavour = the reference row-walk. A register tile can elide
-        // at most BLK terms per zero test, while this walk's single branch
-        // elides an entire contiguous n-wide row update (and its dense inner
-        // loop auto-vectorizes), so on genuinely sparse left operands the
-        // unblocked walk is the faster kernel. Same per-element order.
-        for i in 0..m {
-            let a_row = &a[i * kdim..(i + 1) * kdim];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (k, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = &b[k * n..(k + 1) * n];
-                for (o, &bl) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += av * bl;
-                }
-            }
-        }
-        return;
-    }
+pub(crate) fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, kdim: usize, n: usize) {
     let mut apanel = [0.0f32; MR * KC];
     let mut i = 0;
     while i + MR <= m {
@@ -226,27 +183,24 @@ pub(crate) fn matmul<const SKIP: bool>(
                 for (r, acc_r) in acc.iter_mut().enumerate() {
                     acc_r.copy_from_slice(&out[(i + r) * n + j..(i + r) * n + j + BLK]);
                 }
-                accumulate_tile::<SKIP>(panel, b, k0 * n + j, n, &mut acc);
+                accumulate_tile(panel, b, k0 * n + j, n, &mut acc);
                 for (r, acc_r) in acc.iter().enumerate() {
                     out[(i + r) * n + j..(i + r) * n + j + BLK].copy_from_slice(acc_r);
                 }
                 j += BLK;
             }
             if j < n {
-                accumulate_tail::<SKIP>(panel, b, k0, n, j, out, i);
+                accumulate_tail(panel, b, k0, n, j, out, i);
             }
             k0 += kc;
         }
         i += MR;
     }
-    // Row tail: reference i-k-j walk.
+    // Row tail: the i-k-j walk.
     for i in i..m {
         let a_row = &a[i * kdim..(i + 1) * kdim];
         let out_row = &mut out[i * n..(i + 1) * n];
         for (k, &av) in a_row.iter().enumerate() {
-            if SKIP && av == 0.0 {
-                continue;
-            }
             let b_row = &b[k * n..(k + 1) * n];
             for (o, &bl) in out_row.iter_mut().zip(b_row.iter()) {
                 *o += av * bl;
@@ -256,35 +210,10 @@ pub(crate) fn matmul<const SKIP: bool>(
 }
 
 /// `out[m×n] += aᵀ · b` with `a` stored `r×m`, `b` stored `r×n` — blocked,
-/// reference accumulation order (the zero skip tests `a[k][i]`, matching the
-/// reference kernel's per-`(k, i)` skip). Shares [`accumulate_tile`] with
-/// [`matmul`]; only the panel packing differs (`a`'s rows are the reduction
-/// axis, so packing de-strides the column loads).
-pub(crate) fn matmul_tn<const SKIP: bool>(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    r: usize,
-    m: usize,
-    n: usize,
-) {
-    if SKIP {
-        // Sparse flavour = the reference k-i-j walk, for the same reason as
-        // [`matmul`]: one branch per `a[k][i]` elides a whole n-wide update.
-        for k in 0..r {
-            let b_row = &b[k * n..(k + 1) * n];
-            for (i, &av) in a[k * m..(k + 1) * m].iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for (o, &bl) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += av * bl;
-                }
-            }
-        }
-        return;
-    }
+/// reference accumulation order. Shares [`accumulate_tile`] with [`matmul`];
+/// only the panel packing differs (`a`'s rows are the reduction axis, so
+/// packing de-strides the column loads).
+pub(crate) fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], r: usize, m: usize, n: usize) {
     let mut apanel = [0.0f32; MR * KC];
     let mut i = 0;
     while i + MR <= m {
@@ -302,14 +231,14 @@ pub(crate) fn matmul_tn<const SKIP: bool>(
                 for (rr, acc_r) in acc.iter_mut().enumerate() {
                     acc_r.copy_from_slice(&out[(i + rr) * n + j..(i + rr) * n + j + BLK]);
                 }
-                accumulate_tile::<SKIP>(panel, b, k0 * n + j, n, &mut acc);
+                accumulate_tile(panel, b, k0 * n + j, n, &mut acc);
                 for (rr, acc_r) in acc.iter().enumerate() {
                     out[(i + rr) * n + j..(i + rr) * n + j + BLK].copy_from_slice(acc_r);
                 }
                 j += BLK;
             }
             if j < n {
-                accumulate_tail::<SKIP>(panel, b, k0, n, j, out, i);
+                accumulate_tail(panel, b, k0, n, j, out, i);
             }
             k0 += kc;
         }
@@ -318,57 +247,11 @@ pub(crate) fn matmul_tn<const SKIP: bool>(
     for i in i..m {
         for k in 0..r {
             let av = a[k * m + i];
-            if SKIP && av == 0.0 {
-                continue;
-            }
             let b_row = &b[k * n..(k + 1) * n];
             let out_row = &mut out[i * n..(i + 1) * n];
             for (o, &bl) in out_row.iter_mut().zip(b_row.iter()) {
                 *o += av * bl;
             }
-        }
-    }
-}
-
-/// `out[m×r] = a[m×k] · bᵀ` with `b` stored `r×k` — overwrites `out`.
-/// Each output element is a strictly serial ascending-`k` dot product
-/// starting from `0.0`; [`NT_JB`] such chains run in parallel registers.
-pub(crate) fn matmul_nt<const SKIP: bool>(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    kdim: usize,
-    r: usize,
-) {
-    for i in 0..m {
-        let a_row = &a[i * kdim..(i + 1) * kdim];
-        let mut j = 0;
-        while j + NT_JB <= r {
-            let b_rows: [&[f32]; NT_JB] =
-                core::array::from_fn(|t| &b[(j + t) * kdim..(j + t + 1) * kdim]);
-            let mut acc = [0.0f32; NT_JB];
-            for (k, &av) in a_row.iter().enumerate() {
-                if SKIP && av == 0.0 {
-                    continue;
-                }
-                for (o, b_row) in acc.iter_mut().zip(b_rows.iter()) {
-                    *o += av * b_row[k];
-                }
-            }
-            out[i * r + j..i * r + j + NT_JB].copy_from_slice(&acc);
-            j += NT_JB;
-        }
-        for j in j..r {
-            let b_row = &b[j * kdim..(j + 1) * kdim];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
-                if SKIP && av == 0.0 {
-                    continue;
-                }
-                acc += av * bv;
-            }
-            out[i * r + j] = acc;
         }
     }
 }

@@ -136,11 +136,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copies column `c` into a new vector.
-    pub fn col(&self, c: usize) -> Vec<f32> {
-        (0..self.rows).map(|r| self.get(r, c)).collect()
-    }
-
     /// `self * other` using a cache-friendly i-k-j loop ordering.
     ///
     /// # Panics
@@ -152,9 +147,11 @@ impl Matrix {
     }
 
     /// [`matmul`](Self::matmul) writing into a caller-provided zeroed output
-    /// (accumulates on top of whatever `out` holds). Runs the blocked kernel
-    /// of [`crate::kernels`] with an [`Density::Auto`] density hint;
-    /// bit-identical to [`matmul_into_reference`](Self::matmul_into_reference).
+    /// (accumulates on top of whatever `out` holds), with an
+    /// [`Density::Auto`] density hint: the blocked kernel of
+    /// [`crate::kernels`] on a dense `self`, else
+    /// [`matmul_into_reference`](Self::matmul_into_reference), bit-identical
+    /// either way.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         self.matmul_into_with(other, out, Density::Auto);
     }
@@ -170,7 +167,7 @@ impl Matrix {
         );
         assert_eq!((out.rows, out.cols), (self.rows, other.cols));
         if kernels::resolve(density, &self.data) {
-            kernels::matmul::<false>(
+            kernels::matmul(
                 &self.data,
                 &other.data,
                 &mut out.data,
@@ -179,19 +176,12 @@ impl Matrix {
                 other.cols,
             );
         } else {
-            kernels::matmul::<true>(
-                &self.data,
-                &other.data,
-                &mut out.data,
-                self.rows,
-                self.cols,
-                other.cols,
-            );
+            self.matmul_into_reference(other, out);
         }
     }
 
-    /// The pre-blocking scalar i-k-j kernel, retained as the bit-identity
-    /// reference for property tests.
+    /// The zero-skipping scalar i-k-j walk: the bit-identity reference of
+    /// the blocked kernel, and the implementation a sparse `self` runs.
     pub fn matmul_into_reference(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
@@ -222,9 +212,10 @@ impl Matrix {
     }
 
     /// [`matmul_tn`](Self::matmul_tn) writing into a caller-provided zeroed
-    /// output (accumulates on top of whatever `out` holds). Blocked kernel,
-    /// [`Density::Auto`] hint, bit-identical to
-    /// [`matmul_tn_into_reference`](Self::matmul_tn_into_reference).
+    /// output (accumulates on top of whatever `out` holds), with an
+    /// [`Density::Auto`] hint: the blocked kernel on a dense `self`, else
+    /// [`matmul_tn_into_reference`](Self::matmul_tn_into_reference),
+    /// bit-identical either way.
     pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
         self.matmul_tn_into_with(other, out, Density::Auto);
     }
@@ -235,7 +226,7 @@ impl Matrix {
         assert_eq!(self.rows, other.rows, "matmul_tn dimension mismatch");
         assert_eq!((out.rows, out.cols), (self.cols, other.cols));
         if kernels::resolve(density, &self.data) {
-            kernels::matmul_tn::<false>(
+            kernels::matmul_tn(
                 &self.data,
                 &other.data,
                 &mut out.data,
@@ -244,19 +235,12 @@ impl Matrix {
                 other.cols,
             );
         } else {
-            kernels::matmul_tn::<true>(
-                &self.data,
-                &other.data,
-                &mut out.data,
-                self.rows,
-                self.cols,
-                other.cols,
-            );
+            self.matmul_tn_into_reference(other, out);
         }
     }
 
-    /// The pre-blocking scalar k-i-j kernel, retained as the bit-identity
-    /// reference.
+    /// The zero-skipping scalar k-i-j walk: the bit-identity reference of
+    /// the blocked kernel, and the implementation a sparse `self` runs.
     pub fn matmul_tn_into_reference(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_tn dimension mismatch");
         assert_eq!((out.rows, out.cols), (self.cols, other.cols));
@@ -275,58 +259,32 @@ impl Matrix {
         }
     }
 
-    /// `self * other^T`.
-    ///
-    /// Skips `a == 0.0` operands like [`matmul`](Self::matmul) and
-    /// [`matmul_tn`](Self::matmul_tn) do: masked-out activations contribute
-    /// nothing, so sparse inputs get cheaper instead of burning multiply-adds
-    /// on exact zeros. The packed-submodel execution path relies on all three
-    /// variants accumulating only the nonzero terms, in ascending-index
-    /// order, to stay bit-identical with the masked-dense path.
+    /// `self * other^T`, through
+    /// [`matmul_nt_into_with`](Self::matmul_nt_into_with) with a
+    /// [`Density::Auto`] hint.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_nt dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.rows);
-        self.matmul_nt_into(other, &mut out);
+        self.matmul_nt_into_with(other, &mut out, Density::Auto);
         out
     }
 
     /// [`matmul_nt`](Self::matmul_nt) writing into a caller-provided output
-    /// (overwritten), so hot loops can reuse a [`ScratchPool`](crate::scratch::ScratchPool)
-    /// buffer instead of allocating per call. Blocked kernel,
-    /// [`Density::Auto`] hint, bit-identical to
+    /// (overwritten), with an explicit [`Density`] hint for `self`'s
+    /// exact-zero content. There is no `A·Bᵀ` kernel: this zeroes `out`,
+    /// transposes `other` into a fresh matrix and runs the
+    /// [`matmul_into_with`](Self::matmul_into_with) dispatch, so each output
+    /// is `+0.0` plus its `k` terms ascending — bit-identical to
     /// [`matmul_nt_into_reference`](Self::matmul_nt_into_reference).
-    pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_nt_into_with(other, out, Density::Auto);
-    }
-
-    /// [`matmul_nt_into`](Self::matmul_nt_into) with an explicit [`Density`]
-    /// hint for `self`'s exact-zero content.
     pub fn matmul_nt_into_with(&self, other: &Matrix, out: &mut Matrix, density: Density) {
         assert_eq!(self.cols, other.cols, "matmul_nt dimension mismatch");
         assert_eq!((out.rows, out.cols), (self.rows, other.rows));
-        if kernels::resolve(density, &self.data) {
-            kernels::matmul_nt::<false>(
-                &self.data,
-                &other.data,
-                &mut out.data,
-                self.rows,
-                self.cols,
-                other.rows,
-            );
-        } else {
-            kernels::matmul_nt::<true>(
-                &self.data,
-                &other.data,
-                &mut out.data,
-                self.rows,
-                self.cols,
-                other.rows,
-            );
-        }
+        out.data.fill(0.0);
+        self.matmul_into_with(&other.transpose(), out, density);
     }
 
-    /// The pre-blocking scalar i-j-k kernel, retained as the bit-identity
-    /// reference.
+    /// The scalar i-j-k dot-product walk (zero-skipping, each output from
+    /// `+0.0`), retained as the bit-identity reference of
+    /// [`matmul_nt_into_with`](Self::matmul_nt_into_with).
     pub fn matmul_nt_into_reference(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_nt dimension mismatch");
         assert_eq!((out.rows, out.cols), (self.rows, other.rows));
@@ -346,84 +304,6 @@ impl Matrix {
         }
     }
 
-    /// Rows of `self` selected by `rows`, in the given order, as a new matrix.
-    ///
-    /// # Panics
-    /// Panics if any index is out of range.
-    pub fn gather_rows(&self, rows: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(rows.len() * self.cols);
-        for &r in rows {
-            data.extend_from_slice(self.row(r));
-        }
-        Matrix::from_vec(rows.len(), self.cols, data)
-    }
-
-    /// Columns of `self` selected by `cols`, in the given order, as a new
-    /// matrix.
-    ///
-    /// # Panics
-    /// Panics if any index is out of range.
-    pub fn gather_cols(&self, cols: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(self.rows * cols.len());
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for &c in cols {
-                assert!(c < self.cols, "gather_cols index {c} out of range");
-                data.push(row[c]);
-            }
-        }
-        Matrix::from_vec(self.rows, cols.len(), data)
-    }
-
-    /// The `rows × cols` sub-block of `self` in one fused pass — equivalent
-    /// to `self.gather_rows(rows).gather_cols(cols)` without materializing
-    /// the intermediate row-gathered matrix.
-    ///
-    /// # Panics
-    /// Panics if any index is out of range.
-    pub fn gather_rows_cols(&self, rows: &[usize], cols: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(rows.len(), cols.len());
-        self.gather_rows_cols_into(rows, cols, &mut out);
-        out
-    }
-
-    /// [`gather_rows_cols`](Self::gather_rows_cols) writing into a
-    /// caller-provided matrix (overwritten), so packed hot loops can reuse a
-    /// pooled buffer.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch or out-of-range indices.
-    pub fn gather_rows_cols_into(&self, rows: &[usize], cols: &[usize], out: &mut Matrix) {
-        assert_eq!(
-            (out.rows, out.cols),
-            (rows.len(), cols.len()),
-            "gather_rows_cols_into shape mismatch"
-        );
-        for (i, &r) in rows.iter().enumerate() {
-            let src = self.row(r);
-            let dst = &mut out.data[i * cols.len()..(i + 1) * cols.len()];
-            for (d, &c) in dst.iter_mut().zip(cols.iter()) {
-                *d = src[c];
-            }
-        }
-    }
-
-    /// Adds each row of `src` into the row of `self` named by `rows`
-    /// (the inverse of [`gather_rows`](Self::gather_rows), accumulating): the
-    /// scatter half of the packed-submodel gather/scatter pair.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch or out-of-range indices.
-    pub fn scatter_add_rows(&mut self, rows: &[usize], src: &Matrix) {
-        assert_eq!(rows.len(), src.rows, "scatter_add_rows row-count mismatch");
-        assert_eq!(self.cols, src.cols, "scatter_add_rows column mismatch");
-        for (i, &r) in rows.iter().enumerate() {
-            for (dst, &v) in self.row_mut(r).iter_mut().zip(src.row(i).iter()) {
-                *dst += v;
-            }
-        }
-    }
-
     /// Transposed copy of the matrix.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
@@ -433,15 +313,6 @@ impl Matrix {
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         for v in &mut self.data {
             *v = f(*v);
-        }
-    }
-
-    /// Element-wise map into a new matrix.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| f(v)).collect(),
         }
     }
 
@@ -561,44 +432,8 @@ mod tests {
         a.matmul_tn_into(&a, &mut out_tn);
         assert_eq!(out_tn, a.matmul_tn(&a));
         let mut out_nt = Matrix::zeros(3, 2);
-        a.matmul_nt_into(&bt, &mut out_nt);
+        a.matmul_nt_into_with(&bt, &mut out_nt, Density::Auto);
         assert_eq!(out_nt, a.matmul_nt(&bt));
-    }
-
-    #[test]
-    fn gather_rows_and_cols_select_in_order() {
-        let m = Matrix::from_fn(4, 3, |r, c| (r * 10 + c) as f32);
-        let rows = m.gather_rows(&[2, 0]);
-        assert_eq!(rows.as_slice(), &[20.0, 21.0, 22.0, 0.0, 1.0, 2.0]);
-        let cols = m.gather_cols(&[2, 1]);
-        assert_eq!(cols.rows(), 4);
-        assert_eq!(cols.row(1), &[12.0, 11.0]);
-        // Composition extracts the packed submodel block.
-        let block = m.gather_rows(&[1, 3]).gather_cols(&[0, 2]);
-        assert_eq!(block.as_slice(), &[10.0, 12.0, 30.0, 32.0]);
-        // The fused single-pass gather produces the same block.
-        assert_eq!(m.gather_rows_cols(&[1, 3], &[0, 2]), block);
-    }
-
-    #[test]
-    fn scatter_add_rows_inverts_gather_rows() {
-        let m = Matrix::from_fn(4, 3, |r, c| (r + c) as f32);
-        let picked = [3, 1];
-        let sub = m.gather_rows(&picked);
-        let mut acc = Matrix::zeros(4, 3);
-        acc.scatter_add_rows(&picked, &sub);
-        for &r in &picked {
-            assert_eq!(acc.row(r), m.row(r));
-        }
-        assert_eq!(acc.row(0), &[0.0; 3]);
-        acc.scatter_add_rows(&picked, &sub);
-        assert_eq!(acc.row(1), &[2.0, 4.0, 6.0], "scatter accumulates");
-    }
-
-    #[test]
-    #[should_panic]
-    fn gather_rows_out_of_range_panics() {
-        Matrix::zeros(2, 2).gather_rows(&[2]);
     }
 
     #[test]

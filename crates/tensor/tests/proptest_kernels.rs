@@ -1,12 +1,14 @@
-//! Property-based bit-identity pins for the blocked matmul kernels.
+//! Property-based bit-identity pins for the matmul dispatch.
 //!
-//! The blocked, lane-vectorized kernels behind `matmul_into`,
-//! `matmul_tn_into` and `matmul_nt_into` must be *bit-identical* to the
+//! `matmul_into` and `matmul_tn_into` run the blocked, lane-vectorized tile
+//! kernel on a dense left operand and the zero-skipping reference walk on a
+//! sparse one; `matmul_nt_into_with` transposes its right operand and runs
+//! the same dispatch, so its property pins `A·(Bᵀ)` on the shared tile
+//! against the dot-product reference. Each must be *bit-identical* to the
 //! retained reference scalar kernels for every shape (including the
 //! lane-tail widths 1, 7, 9, 17 the blocking has to handle as partial
 //! tiles), every operand zero density, and every [`Density`] hint — the
-//! packed==masked and serial==sharded contracts ride on it. These tests pin
-//! that, plus the gather/scatter fusion equalities.
+//! packed==masked and serial==sharded contracts ride on it.
 
 use fedlps_tensor::{rng_from_seed, Density, Matrix};
 use proptest::prelude::*;
@@ -68,7 +70,8 @@ proptest! {
         }
     }
 
-    /// Blocked `matmul_nt_into` == reference, all hints, any density.
+    /// `matmul_nt_into_with` (transpose + tile) == reference, all hints, any
+    /// density.
     #[test]
     fn matmul_nt_blocked_matches_reference(mi in 0usize..DIMS.len(), ki in 0usize..DIMS.len(),
                                            ri in 0usize..DIMS.len(), density in 0.0f64..1.0,
@@ -112,38 +115,5 @@ proptest! {
         let mut out_tn = prior.clone();
         at.matmul_tn_into(&b, &mut out_tn);
         prop_assert_eq!(bits(&out_tn), bits(&ref_tn));
-    }
-
-    /// Fused `gather_rows_cols` == the composed two-pass gather, and the
-    /// gather/scatter pair round-trips exactly.
-    #[test]
-    fn gather_scatter_fusion_round_trips(rows in 1usize..12, cols in 1usize..12,
-                                         seed in 0u64..1_000_000) {
-        let m = sparse_matrix(rows, cols, 0.1, seed);
-        let mut rng = rng_from_seed(seed ^ 0x6A7);
-        let picked_rows: Vec<usize> =
-            (0..rows).filter(|_| rng.gen_range(0u32..2) == 1).collect();
-        let picked_cols: Vec<usize> =
-            (0..cols).filter(|_| rng.gen_range(0u32..2) == 1).collect();
-
-        let fused = m.gather_rows_cols(&picked_rows, &picked_cols);
-        let composed = m.gather_rows(&picked_rows).gather_cols(&picked_cols);
-        prop_assert_eq!(&fused, &composed);
-        let mut into = Matrix::zeros(picked_rows.len(), picked_cols.len());
-        m.gather_rows_cols_into(&picked_rows, &picked_cols, &mut into);
-        prop_assert_eq!(&into, &fused);
-
-        // Scatter the gathered rows back into a zero matrix: the selected
-        // rows reappear exactly, the rest stay zero.
-        let sub = m.gather_rows(&picked_rows);
-        let mut acc = Matrix::zeros(rows, cols);
-        acc.scatter_add_rows(&picked_rows, &sub);
-        for r in 0..rows {
-            if picked_rows.contains(&r) {
-                prop_assert_eq!(acc.row(r), m.row(r));
-            } else {
-                prop_assert!(acc.row(r).iter().all(|&v| v == 0.0));
-            }
-        }
     }
 }
