@@ -14,40 +14,37 @@ use serde::{Deserialize, Serialize};
 use crate::partition::PartitionSet;
 use crate::reward::reward;
 
-/// Hyper-parameters of a P-UCBV agent.
+/// Number of initial partitions `I_0` of the feasible ratio space.
+const INITIAL_PARTITIONS: usize = 4;
+/// Exploration constant `ρ` of Eq. (17).
+const RHO: f64 = 1.0;
+/// Differential accuracy threshold `Δ`: if `a^r − a^{r−1} < Δ` the lower
+/// sub-partition is eliminated.
+const ACCURACY_THRESHOLD: f64 = -0.02;
+/// Smallest ratio an agent ever proposes (avoids degenerate empty submodels;
+/// the paper's arm space is `[0, 1)`).
+const RATIO_FLOOR: f64 = 0.05;
+/// Minimum partition width below which splits stop.
+const MIN_PARTITION_WIDTH: f64 = 0.02;
+
+/// The federation-dependent hyper-parameters of a P-UCBV agent, the two
+/// inputs of `ξ = R / (K·ϵ)`; `I_0 = 4`, `ρ = 1` and `Δ = −0.02` are fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PUcbvConfig {
-    /// Number of initial partitions `I_0` of the feasible ratio space.
-    pub initial_partitions: usize,
-    /// Exploration constant `ρ` of Eq. (17).
-    pub rho: f64,
-    /// Differential accuracy threshold `Δ`: if `a^r − a^{r−1} < Δ` the lower
-    /// sub-partition is eliminated.
-    pub accuracy_threshold: f64,
-    /// Total number of communication rounds `R` (enters `ξ = R / (K·ϵ)`).
+    /// Total number of communication rounds `R`.
     pub total_rounds: usize,
     /// The denominator `K·ϵ` of `ξ`: `K` clients times the selection
     /// fraction `ϵ`, i.e. the clients selected per round:
     /// `FedLpsConfig::for_federation(rounds, clients_per_round)` passes its
     /// second argument.
     pub expected_selections: f64,
-    /// Smallest ratio the agent will ever propose (avoids degenerate empty
-    /// submodels; the paper's arm space is `[0, 1)`).
-    pub ratio_floor: f64,
-    /// Minimum partition width below which splits stop.
-    pub min_partition_width: f64,
 }
 
 impl Default for PUcbvConfig {
     fn default() -> Self {
         Self {
-            initial_partitions: 4,
-            rho: 1.0,
-            accuracy_threshold: -0.02,
             total_rounds: 100,
             expected_selections: 10.0,
-            ratio_floor: 0.05,
-            min_partition_width: 0.02,
         }
     }
 }
@@ -90,16 +87,12 @@ pub struct PUcbv {
 }
 
 impl PUcbv {
-    /// Creates an agent whose feasible ratio space is `[ratio_floor, max_ratio)`
-    /// — `max_ratio` is the client's capability cap `z_k`.
+    /// Creates an agent whose feasible ratio space is `[0.05, max_ratio)` —
+    /// `max_ratio` is the client's capability cap `z_k`.
     pub fn new(config: PUcbvConfig, max_ratio: f64, initial_accuracy: f64) -> Self {
-        let ceil = max_ratio.clamp(config.ratio_floor + config.min_partition_width, 1.0);
-        let partitions = PartitionSet::uniform(
-            config.ratio_floor,
-            ceil,
-            config.initial_partitions,
-            config.min_partition_width,
-        );
+        let ceil = max_ratio.clamp(RATIO_FLOOR + MIN_PARTITION_WIDTH, 1.0);
+        let partitions =
+            PartitionSet::uniform(RATIO_FLOOR, ceil, INITIAL_PARTITIONS, MIN_PARTITION_WIDTH);
         let xi = config.total_rounds as f64 / config.expected_selections.max(1e-9);
         Self {
             config,
@@ -203,9 +196,7 @@ impl PUcbv {
         // The log argument shrinks as ε halves; clamp at e so the bonus stays
         // real and non-negative (the theoretical analysis assumes large R).
         let log_term = (self.xi * psi * epsilon_next).max(std::f64::consts::E).ln();
-        let bonus = (self.config.rho * (p.reward_variance() + 2.0) * log_term
-            / (4.0 * (pulls + 1.0)))
-            .sqrt();
+        let bonus = (RHO * (p.reward_variance() + 2.0) * log_term / (4.0 * (pulls + 1.0))).sqrt();
         p.mean_reward() + bonus
     }
 
@@ -227,7 +218,7 @@ impl PUcbv {
         let mut upper_idx = split.map(|(_, u)| u);
         if let Some((lower, upper)) = split {
             if lower != upper
-                && accuracy - self.prev_accuracy < self.config.accuracy_threshold
+                && accuracy - self.prev_accuracy < ACCURACY_THRESHOLD
                 && self.partitions.eliminate(lower)
             {
                 upper_idx = Some(upper - 1);
@@ -337,11 +328,7 @@ mod tests {
 
     #[test]
     fn accuracy_drop_triggers_elimination() {
-        let cfg = PUcbvConfig {
-            accuracy_threshold: 0.0,
-            ..PUcbvConfig::default()
-        };
-        let mut a = PUcbv::new(cfg, 1.0, 0.5);
+        let mut a = PUcbv::new(PUcbvConfig::default(), 1.0, 0.5);
         let mut rng = rng_from_seed(4);
         let before = a.num_partitions();
         // Feedback with a big accuracy drop: the split's lower half must go.
@@ -360,11 +347,7 @@ mod tests {
 
     #[test]
     fn improving_accuracy_keeps_both_halves() {
-        let cfg = PUcbvConfig {
-            accuracy_threshold: -0.5,
-            ..PUcbvConfig::default()
-        };
-        let mut a = PUcbv::new(cfg, 1.0, 0.1);
+        let mut a = PUcbv::new(PUcbvConfig::default(), 1.0, 0.1);
         let mut rng = rng_from_seed(5);
         let before = a.num_partitions();
         a.update(
@@ -458,14 +441,7 @@ mod tests {
         // Synthetic environment: accuracy gain is flat in the ratio, but cost
         // grows with the ratio, so low ratios earn strictly higher rewards.
         // After enough rounds the agent should propose mostly low ratios.
-        let mut a = PUcbv::new(
-            PUcbvConfig {
-                accuracy_threshold: -1.0,
-                ..PUcbvConfig::default()
-            },
-            1.0,
-            0.0,
-        );
+        let mut a = PUcbv::new(PUcbvConfig::default(), 1.0, 0.0);
         let mut rng = rng_from_seed(6);
         let mut ratio = a.initial_ratio(&mut rng);
         let mut acc = 0.0f64;

@@ -12,13 +12,16 @@ use fedlps_sim::env::FlEnv;
 use fedlps_tensor::rng::{sample_weighted, sample_without_replacement};
 use rand::rngs::StdRng;
 
+/// FedProx's proximal weight `μ`.
+const FEDPROX_MU: f32 = 0.1;
+
 /// Which conventional baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DenseVariant {
     /// Plain FedAvg (McMahan et al.).
     FedAvg,
-    /// FedProx with proximal weight `mu`.
-    FedProx { mu: f32 },
+    /// FedProx with proximal weight `μ = 0.1`.
+    FedProx,
     /// Oort: utility-guided client selection (statistical utility × speed).
     /// The rule picks each round's opening cohort only; deadline
     /// over-selection and async refills follow the run-level policy, so an
@@ -35,7 +38,7 @@ impl DenseVariant {
     fn label(&self) -> &'static str {
         match self {
             DenseVariant::FedAvg => "FedAvg",
-            DenseVariant::FedProx { .. } => "FedProx",
+            DenseVariant::FedProx => "FedProx",
             DenseVariant::Oort => "Oort",
             DenseVariant::Refl => "REFL",
         }
@@ -89,7 +92,7 @@ impl Family for DenseFl {
     ) -> Option<Vec<usize>> {
         let c = env.config.clients_per_round.min(env.num_clients()).max(1);
         match self.variant {
-            DenseVariant::FedAvg | DenseVariant::FedProx { .. } => None,
+            DenseVariant::FedAvg | DenseVariant::FedProx => None,
             DenseVariant::Oort => {
                 // Sample proportionally to utility (loss-based utility divided
                 // by expected round time), which is Oort's exploit phase with
@@ -144,10 +147,10 @@ impl Family for DenseFl {
     fn train(&self, step: &Step<'_>, rng: &mut StdRng) -> (ClientReport, ContribParams, f64) {
         let mut params = (**step.global).clone();
         let prox = match self.variant {
-            DenseVariant::FedProx { mu } => Some((mu, step.global.as_slice())),
+            DenseVariant::FedProx => Some((FEDPROX_MU, step.global.as_slice())),
             _ => None,
         };
-        let (report, summary) = step.train(&mut params, None, prox, None, 1.0, rng);
+        let (report, summary) = step.train(&mut params, prox, None, rng);
         // Oort statistical utility: |D_k| * sqrt(mean loss).
         let utility = step.env.train_size(step.client) * summary.mean_loss.max(1e-6).sqrt();
         let update = ContribParams::Dense {
@@ -185,7 +188,7 @@ mod tests {
     fn all_variants_run() {
         for variant in [
             DenseVariant::FedAvg,
-            DenseVariant::FedProx { mu: 0.1 },
+            DenseVariant::FedProx,
             DenseVariant::Oort,
             DenseVariant::Refl,
         ] {

@@ -21,28 +21,26 @@ use fedlps_sparse::mask::UnitMask;
 use fedlps_sparse::pattern::PatternStrategy;
 use rand::rngs::StdRng;
 
+/// The shared sparse ratio both methods use in the paper's comparison.
+const SHARED_RATIO: f64 = 0.5;
+
+/// PruneFL's re-pruning period in rounds.
+const PRUNEFL_REPRUNE_EVERY: usize = 5;
+
 /// Which globally sparse baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GlobalSparseVariant {
-    /// PruneFL with the given shared sparse ratio and re-pruning period.
-    PruneFl { ratio: f64, reprune_every: usize },
-    /// Complement sparsification with the given shared ratio.
-    Cs { ratio: f64 },
+    /// PruneFL: shared ratio 0.5, re-pruned every 5 rounds.
+    PruneFl,
+    /// Complement sparsification at the shared ratio 0.5.
+    Cs,
 }
 
 impl GlobalSparseVariant {
     fn label(&self) -> &'static str {
         match self {
-            GlobalSparseVariant::PruneFl { .. } => "PruneFL",
-            GlobalSparseVariant::Cs { .. } => "CS",
-        }
-    }
-
-    fn ratio(&self) -> f64 {
-        match self {
-            GlobalSparseVariant::PruneFl { ratio, .. } | GlobalSparseVariant::Cs { ratio } => {
-                *ratio
-            }
+            GlobalSparseVariant::PruneFl => "PruneFL",
+            GlobalSparseVariant::Cs => "CS",
         }
     }
 }
@@ -64,26 +62,12 @@ impl GlobalSparse {
         }
     }
 
-    /// PruneFL with the paper-style defaults (shared ratio 0.5, re-prune every
-    /// 5 rounds).
-    pub fn prunefl() -> Self {
-        Self::new(GlobalSparseVariant::PruneFl {
-            ratio: 0.5,
-            reprune_every: 5,
-        })
-    }
-
-    /// CS with the shared ratio 0.5 the paper uses in its comparison.
-    pub fn cs() -> Self {
-        Self::new(GlobalSparseVariant::Cs { ratio: 0.5 })
-    }
-
     fn recompute_mask(&mut self, env: &FlEnv, global: &[f32], rng: &mut StdRng) {
         let mask = PatternStrategy::Magnitude.build_mask(
             env.arch.unit_layout(),
             global,
             None,
-            self.variant.ratio(),
+            SHARED_RATIO,
             0,
             rng,
         );
@@ -114,9 +98,9 @@ impl Family for GlobalSparse {
         // Round-level shared state belongs here, not in the (parallel,
         // immutable) client steps.
         match self.variant {
-            GlobalSparseVariant::Cs { .. } => self.recompute_mask(env, global, rng),
-            GlobalSparseVariant::PruneFl { reprune_every, .. } => {
-                if reprune_every > 0 && round % reprune_every == 0 {
+            GlobalSparseVariant::Cs => self.recompute_mask(env, global, rng),
+            GlobalSparseVariant::PruneFl => {
+                if round % PRUNEFL_REPRUNE_EVERY == 0 {
                     self.recompute_mask(env, global, rng);
                 }
             }
@@ -125,7 +109,7 @@ impl Family for GlobalSparse {
 
     fn train(&self, step: &Step<'_>, rng: &mut StdRng) -> (ClientReport, ContribParams, ()) {
         let (report, _, update) =
-            step.train_submodel(self.mask().clone(), self.variant.ratio(), rng);
+            step.train_submodel(step.global, self.mask().clone(), SHARED_RATIO, rng);
         (report, update, ())
     }
 
@@ -160,9 +144,9 @@ mod tests {
 
     #[test]
     fn both_variants_run_at_half_ratio() {
-        for mk in [GlobalSparse::prunefl, GlobalSparse::cs] {
+        for variant in [GlobalSparseVariant::PruneFl, GlobalSparseVariant::Cs] {
             let s = sim();
-            let mut algo = Server::from(mk());
+            let mut algo = Server::from(GlobalSparse::new(variant));
             let result = s.run(&mut algo);
             assert!(result.rounds.len() == FlConfig::tiny().rounds);
             assert!(
@@ -176,7 +160,7 @@ mod tests {
     #[test]
     fn shared_mask_is_used_for_every_client() {
         let s = sim();
-        let mut algo = Server::from(GlobalSparse::prunefl());
+        let mut algo = Server::from(GlobalSparse::new(GlobalSparseVariant::PruneFl));
         algo.setup(s.env());
         let mask = algo.family().mask().clone();
         assert!(mask.retained_units() < s.env().arch.unit_layout().total_units());
@@ -188,7 +172,7 @@ mod tests {
     #[test]
     fn sparse_flops_are_cheaper_than_fedavg() {
         let s = sim();
-        let mut sparse = Server::from(GlobalSparse::cs());
+        let mut sparse = Server::from(GlobalSparse::new(GlobalSparseVariant::Cs));
         let sparse_result = s.run(&mut sparse);
         let s2 = sim();
         let mut dense = Server::from(DenseFl::new(DenseVariant::FedAvg));

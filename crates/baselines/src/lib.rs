@@ -16,6 +16,13 @@
 //! | Personalized dense FL | [`personalized`] | Ditto, FedPer, FedRep, Per-FedAvg |
 //! | Personalized sparse FL | [`sparse_personalized`] | LotteryFL, Hermes, FedSpa, FedP3 |
 //!
+//! Every sparse method trains through one masked entry,
+//! [`Step::train_submodel`](fedlps_core::server::Step::train_submodel): the
+//! packed submodel where the mask compiles, masked-dense training otherwise,
+//! bit-identical either way. Each method runs at one published setting, so
+//! its hyper-parameters are private constants of its family, not variant
+//! fields.
+//!
 //! [`common`] holds the head/body helpers of the personalized families, and
 //! [`registry`] exposes every baseline by the name used in the paper's tables
 //! so the benchmark harness can sweep the full comparison.

@@ -21,27 +21,33 @@ use rand::rngs::StdRng;
 
 use crate::common::{body_indicator, copy_head, head_indicator};
 
+/// Ditto's personal-model proximal weight `λ`.
+const DITTO_LAMBDA: f32 = 1.0;
+
+/// Per-FedAvg's local adaptation steps at deployment (the first-order
+/// variant).
+const PER_FEDAVG_ADAPTATION_STEPS: usize = 1;
+
 /// Which personalized dense baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PersonalizedVariant {
-    /// Ditto with personal-model proximal weight `lambda`.
-    Ditto { lambda: f32 },
+    /// Ditto with personal-model proximal weight `λ = 1`.
+    Ditto,
     /// FedPer: personal classifier head, shared body.
     FedPer,
     /// FedRep: alternating head / body optimisation, personal head.
     FedRep,
-    /// Per-FedAvg with the given number of local adaptation steps at
-    /// deployment time.
-    PerFedAvg { adaptation_steps: usize },
+    /// Per-FedAvg with one local adaptation step at deployment time.
+    PerFedAvg,
 }
 
 impl PersonalizedVariant {
     fn label(&self) -> &'static str {
         match self {
-            PersonalizedVariant::Ditto { .. } => "Ditto",
+            PersonalizedVariant::Ditto => "Ditto",
             PersonalizedVariant::FedPer => "FedPer",
             PersonalizedVariant::FedRep => "FedRep",
-            PersonalizedVariant::PerFedAvg { .. } => "Per-FedAvg",
+            PersonalizedVariant::PerFedAvg => "Per-FedAvg",
         }
     }
 }
@@ -68,18 +74,6 @@ impl PersonalizedFl {
             head: Vec::new(),
             body: Vec::new(),
         }
-    }
-
-    /// Ditto with the commonly used `λ = 1`.
-    pub fn ditto() -> Self {
-        Self::new(PersonalizedVariant::Ditto { lambda: 1.0 })
-    }
-
-    /// Per-FedAvg with one adaptation step, matching the first-order variant.
-    pub fn per_fedavg() -> Self {
-        Self::new(PersonalizedVariant::PerFedAvg {
-            adaptation_steps: 1,
-        })
     }
 }
 
@@ -124,12 +118,12 @@ impl Family for PersonalizedFl {
             frozen = Some(self.head.as_slice());
         }
         // The shared-model update: a plain FedAvg step for Ditto / Per-FedAvg.
-        let (mut report, _) = step.train(&mut params, None, None, frozen, 1.0, rng);
+        let (mut report, _) = step.train(&mut params, None, frozen, rng);
         let (param_mask, personal) = match self.variant {
-            PersonalizedVariant::Ditto { lambda } => {
+            PersonalizedVariant::Ditto => {
                 // Personal model trained with a pull towards the global model.
                 let mut personal = stored.unwrap_or(step.global).clone();
-                step.fit(&mut personal, Some((lambda, step.global)), None, rng);
+                step.fit(&mut personal, Some((DITTO_LAMBDA, step.global)), None, rng);
                 // Ditto's extra personal pass doubles the local compute, which
                 // is exactly why the paper reports it as the most expensive
                 // personalized baseline.
@@ -141,7 +135,7 @@ impl Family for PersonalizedFl {
             PersonalizedVariant::FedPer | PersonalizedVariant::FedRep => {
                 (Some(self.body.clone()), Some(params.clone()))
             }
-            PersonalizedVariant::PerFedAvg { .. } => (None, None),
+            PersonalizedVariant::PerFedAvg => (None, None),
         };
         (
             report,
@@ -159,7 +153,7 @@ impl Family for PersonalizedFl {
     fn deployed(&self, env: &FlEnv, global: &[f32], client: usize) -> EvalStats {
         let stored = self.personal[client].as_deref();
         match self.variant {
-            PersonalizedVariant::Ditto { .. } => env
+            PersonalizedVariant::Ditto => env
                 .arch
                 .evaluate(stored.unwrap_or(global), env.test_data(client)),
             PersonalizedVariant::FedPer | PersonalizedVariant::FedRep => {
@@ -169,7 +163,7 @@ impl Family for PersonalizedFl {
                 }
                 env.arch.evaluate(&deployed, env.test_data(client))
             }
-            PersonalizedVariant::PerFedAvg { adaptation_steps } => {
+            PersonalizedVariant::PerFedAvg => {
                 // Deploy the meta-model after a brief local adaptation on the
                 // client's training data (first-order Per-FedAvg).
                 let mut adapted = global.to_vec();
@@ -178,7 +172,7 @@ impl Family for PersonalizedFl {
                     0xADA7 ^ client as u64,
                 ));
                 let options = LocalTrainOptions {
-                    iterations: adaptation_steps,
+                    iterations: PER_FEDAVG_ADAPTATION_STEPS,
                     ..train_options(env)
                 };
                 local_sgd(
@@ -196,7 +190,7 @@ impl Family for PersonalizedFl {
     /// Only Ditto's personal model stands alone: FedPer / FedRep splice the
     /// global body under their head, and Per-FedAvg adapts the global model.
     fn deploys_own_record(&self, client: usize) -> bool {
-        matches!(self.variant, PersonalizedVariant::Ditto { .. }) && self.personal[client].is_some()
+        matches!(self.variant, PersonalizedVariant::Ditto) && self.personal[client].is_some()
     }
 }
 
@@ -223,12 +217,10 @@ mod tests {
     #[test]
     fn all_variants_run() {
         for variant in [
-            PersonalizedVariant::Ditto { lambda: 1.0 },
+            PersonalizedVariant::Ditto,
             PersonalizedVariant::FedPer,
             PersonalizedVariant::FedRep,
-            PersonalizedVariant::PerFedAvg {
-                adaptation_steps: 1,
-            },
+            PersonalizedVariant::PerFedAvg,
         ] {
             let s = sim();
             let mut algo = Server::from(PersonalizedFl::new(variant));
@@ -246,7 +238,9 @@ mod tests {
     #[test]
     fn ditto_costs_more_flops_than_fedavg() {
         let s = sim();
-        let ditto_result = s.run(&mut Server::from(PersonalizedFl::ditto()));
+        let ditto_result = s.run(&mut Server::from(PersonalizedFl::new(
+            PersonalizedVariant::Ditto,
+        )));
         let s2 = sim();
         let fedavg_result = s2.run(&mut Server::from(DenseFl::new(DenseVariant::FedAvg)));
         assert!(ditto_result.total_flops > fedavg_result.total_flops * 1.5);

@@ -5,9 +5,9 @@ use fedlps_core::server::{Family, Server};
 use fedlps_sim::algorithm::FlAlgorithm;
 
 use crate::dense::{DenseFl, DenseVariant};
-use crate::global_sparse::GlobalSparse;
+use crate::global_sparse::{GlobalSparse, GlobalSparseVariant};
 use crate::personalized::{PersonalizedFl, PersonalizedVariant};
-use crate::sparse_personalized::SparsePersonalized;
+use crate::sparse_personalized::{SparsePersonalized, SparsePersonalizedVariant};
 use crate::width::{WidthScaling, WidthVariant};
 
 /// Builds one baseline.
@@ -20,30 +20,44 @@ fn on<F: Family + 'static>(family: F) -> Box<dyn FlAlgorithm> {
 /// Every baseline by its Table-I name, in the order of the paper's Table I.
 const BASELINES: [(&str, Constructor); 19] = [
     ("FedAvg", || on(DenseFl::new(DenseVariant::FedAvg))),
-    ("FedProx", || {
-        on(DenseFl::new(DenseVariant::FedProx { mu: 0.1 }))
-    }),
+    ("FedProx", || on(DenseFl::new(DenseVariant::FedProx))),
     ("Oort", || on(DenseFl::new(DenseVariant::Oort))),
     ("REFL", || on(DenseFl::new(DenseVariant::Refl))),
-    ("PruneFL", || on(GlobalSparse::prunefl())),
-    ("CS", || on(GlobalSparse::cs())),
+    ("PruneFL", || {
+        on(GlobalSparse::new(GlobalSparseVariant::PruneFl))
+    }),
+    ("CS", || on(GlobalSparse::new(GlobalSparseVariant::Cs))),
     ("Fjord", || on(WidthScaling::new(WidthVariant::Fjord))),
     ("HeteroFL", || on(WidthScaling::new(WidthVariant::HeteroFl))),
     ("FedRolex", || on(WidthScaling::new(WidthVariant::FedRolex))),
     ("FedMP", || on(WidthScaling::new(WidthVariant::FedMp))),
     ("DepthFL", || on(WidthScaling::new(WidthVariant::DepthFl))),
-    ("Ditto", || on(PersonalizedFl::ditto())),
+    ("Ditto", || {
+        on(PersonalizedFl::new(PersonalizedVariant::Ditto))
+    }),
     ("FedPer", || {
         on(PersonalizedFl::new(PersonalizedVariant::FedPer))
     }),
     ("FedRep", || {
         on(PersonalizedFl::new(PersonalizedVariant::FedRep))
     }),
-    ("Per-FedAvg", || on(PersonalizedFl::per_fedavg())),
-    ("LotteryFL", || on(SparsePersonalized::lotteryfl())),
-    ("Hermes", || on(SparsePersonalized::hermes())),
-    ("FedSpa", || on(SparsePersonalized::fedspa())),
-    ("FedP3", || on(SparsePersonalized::fedp3())),
+    ("Per-FedAvg", || {
+        on(PersonalizedFl::new(PersonalizedVariant::PerFedAvg))
+    }),
+    ("LotteryFL", || {
+        on(SparsePersonalized::new(
+            SparsePersonalizedVariant::LotteryFl,
+        ))
+    }),
+    ("Hermes", || {
+        on(SparsePersonalized::new(SparsePersonalizedVariant::Hermes))
+    }),
+    ("FedSpa", || {
+        on(SparsePersonalized::new(SparsePersonalizedVariant::FedSpa))
+    }),
+    ("FedP3", || {
+        on(SparsePersonalized::new(SparsePersonalizedVariant::FedP3))
+    }),
 ];
 
 /// The baseline names in the order of the paper's Table I.

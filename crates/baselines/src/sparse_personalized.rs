@@ -17,6 +17,8 @@
 //! * **FedP3** — resource-based ratios (ordered pattern capped at the client's
 //!   capability) combined with a personal classifier head.
 
+use std::sync::Arc;
+
 use fedlps_core::server::{ContribParams, Contribution, Family, Step};
 use fedlps_nn::model::EvalStats;
 use fedlps_sim::algorithm::ClientReport;
@@ -29,19 +31,29 @@ use rand::Rng;
 
 use crate::common::{body_indicator, copy_head};
 
+// The LotteryFL / Hermes schedule: a client whose training accuracy reaches
+// `PRUNE_ACCURACY_THRESHOLD` prunes `PRUNE_STEP` more of the model, never
+// below `PRUNE_FLOOR_RATIO`.
+const PRUNE_STEP: f64 = 0.1;
+const PRUNE_ACCURACY_THRESHOLD: f64 = 0.5;
+const PRUNE_FLOOR_RATIO: f64 = 0.3;
+
+/// FedSpa's uniform constant ratio.
+const FEDSPA_RATIO: f64 = 0.5;
+/// The fraction of FedSpa's retained units swapped for dropped ones each
+/// round.
+const FEDSPA_REGROW_FRACTION: f64 = 0.2;
+
 /// Which personalized sparse baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SparsePersonalizedVariant {
-    /// LotteryFL / Hermes: prune by `prune_step` whenever training accuracy
-    /// exceeds `accuracy_threshold`, never below `floor_ratio`.
-    PruneSchedule {
-        label: &'static str,
-        prune_step: f64,
-        accuracy_threshold: f64,
-        floor_ratio: f64,
-    },
-    /// FedSpa with a constant uniform ratio and per-round prune-and-regrow.
-    FedSpa { ratio: f64, regrow_fraction: f64 },
+    /// LotteryFL: prune by 0.1 whenever training accuracy reaches 0.5, never
+    /// below ratio 0.3.
+    LotteryFl,
+    /// Hermes: LotteryFL's schedule under its own label.
+    Hermes,
+    /// FedSpa: constant uniform ratio 0.5 with per-round prune-and-regrow.
+    FedSpa,
     /// FedP3: capability-capped ordered submodels plus a personal head.
     FedP3,
 }
@@ -49,8 +61,9 @@ pub enum SparsePersonalizedVariant {
 impl SparsePersonalizedVariant {
     fn label(&self) -> &'static str {
         match self {
-            SparsePersonalizedVariant::PruneSchedule { label, .. } => label,
-            SparsePersonalizedVariant::FedSpa { .. } => "FedSpa",
+            SparsePersonalizedVariant::LotteryFl => "LotteryFL",
+            SparsePersonalizedVariant::Hermes => "Hermes",
+            SparsePersonalizedVariant::FedSpa => "FedSpa",
             SparsePersonalizedVariant::FedP3 => "FedP3",
         }
     }
@@ -83,40 +96,6 @@ impl SparsePersonalized {
         }
     }
 
-    /// The published dense-to-sparse schedule (prune 10% past 50% accuracy,
-    /// floor at 30% of the model) under the given Table-I label.
-    fn published_schedule(label: &'static str) -> Self {
-        Self::new(SparsePersonalizedVariant::PruneSchedule {
-            label,
-            prune_step: 0.1,
-            accuracy_threshold: 0.5,
-            floor_ratio: 0.3,
-        })
-    }
-
-    /// LotteryFL with its published schedule.
-    pub fn lotteryfl() -> Self {
-        Self::published_schedule("LotteryFL")
-    }
-
-    /// Hermes: the same schedule as LotteryFL.
-    pub fn hermes() -> Self {
-        Self::published_schedule("Hermes")
-    }
-
-    /// FedSpa at the paper's uniform 0.5 ratio.
-    pub fn fedspa() -> Self {
-        Self::new(SparsePersonalizedVariant::FedSpa {
-            ratio: 0.5,
-            regrow_fraction: 0.2,
-        })
-    }
-
-    /// FedP3.
-    pub fn fedp3() -> Self {
-        Self::new(SparsePersonalizedVariant::FedP3)
-    }
-
     /// Decides the client's ratio and pattern for this round, based on the
     /// variant's heuristic and the client's previous state.
     fn next_mask(&self, step: &Step<'_>, rng: &mut StdRng) -> (UnitMask, f64) {
@@ -127,28 +106,31 @@ impl SparsePersonalized {
             .map(|s| s.params.as_slice())
             .unwrap_or(step.global.as_slice());
         match self.variant {
-            SparsePersonalizedVariant::PruneSchedule { floor_ratio, .. } => {
+            SparsePersonalizedVariant::LotteryFl | SparsePersonalizedVariant::Hermes => {
                 // The ratio itself is adjusted in `train` (it depends
                 // on the achieved accuracy); here we only build the magnitude
                 // mask at the client's current ratio.
-                let ratio = prev.map(|s| s.ratio).unwrap_or(1.0).max(floor_ratio);
+                let ratio = prev.map(|s| s.ratio).unwrap_or(1.0).max(PRUNE_FLOOR_RATIO);
                 let mask = PatternStrategy::Magnitude
                     .build_mask(layout, reference, None, ratio, round, rng);
                 (mask, ratio)
             }
-            SparsePersonalizedVariant::FedSpa {
-                ratio,
-                regrow_fraction,
-            } => {
+            SparsePersonalizedVariant::FedSpa => {
                 // Prune-and-regrow: start from a magnitude mask and randomly
                 // swap a fraction of retained units for dropped ones.
-                let mut mask = PatternStrategy::Magnitude
-                    .build_mask(layout, reference, None, ratio, round, rng);
+                let mut mask = PatternStrategy::Magnitude.build_mask(
+                    layout,
+                    reference,
+                    None,
+                    FEDSPA_RATIO,
+                    round,
+                    rng,
+                );
                 let total = layout.total_units();
                 let mut keep: Vec<bool> = (0..total).map(|j| mask.is_kept(j)).collect();
                 let kept_idx: Vec<usize> = (0..total).filter(|&j| keep[j]).collect();
                 let dropped_idx: Vec<usize> = (0..total).filter(|&j| !keep[j]).collect();
-                let swaps = ((kept_idx.len() as f64) * regrow_fraction) as usize;
+                let swaps = ((kept_idx.len() as f64) * FEDSPA_REGROW_FRACTION) as usize;
                 for _ in 0..swaps.min(dropped_idx.len()) {
                     let from = kept_idx[rng.gen_range(0..kept_idx.len())];
                     let to = dropped_idx[rng.gen_range(0..dropped_idx.len())];
@@ -156,7 +138,7 @@ impl SparsePersonalized {
                     keep[to] = true;
                 }
                 mask = UnitMask::from_keep(keep);
-                (mask, ratio)
+                (mask, FEDSPA_RATIO)
             }
             SparsePersonalizedVariant::FedP3 => {
                 let ratio = env.fleet.static_profile(client).capability;
@@ -188,43 +170,47 @@ impl Family for SparsePersonalized {
         rng: &mut StdRng,
     ) -> (ClientReport, ContribParams, PersonalState) {
         let env = step.env;
-        let fedp3 = matches!(self.variant, SparsePersonalizedVariant::FedP3);
+        let layout = env.arch.unit_layout();
         let (mask, mut ratio) = self.next_mask(step, rng);
 
-        // Local model: start from the global body, but keep personal pieces
-        // where the method defines them.
-        let mut params = (**step.global).clone();
-        if let (true, Some(state)) = (fedp3, &self.states[step.client]) {
-            copy_head(env, &mut params, &state.params);
-        }
-
-        let (report, summary) = step.train(&mut params, Some(&mask), None, None, ratio, rng);
+        // FedP3 trains the global body under the client's personal head;
+        // everyone else trains the submodel of the global model itself.
+        let fedp3 = matches!(self.variant, SparsePersonalizedVariant::FedP3);
+        let personal_head = match (fedp3, &self.states[step.client]) {
+            (true, Some(state)) => {
+                let mut params = (**step.global).clone();
+                copy_head(env, &mut params, &state.params);
+                Some(Arc::new(params))
+            }
+            _ => None,
+        };
+        let base = personal_head.as_ref().unwrap_or(step.global);
+        let (report, summary, update) = step.train_submodel(base, mask.clone(), ratio, rng);
+        let params = update.trained_params(layout);
 
         // LotteryFL / Hermes dense-to-sparse schedule: prune further once the
         // local accuracy clears the threshold.
-        if let SparsePersonalizedVariant::PruneSchedule {
-            prune_step,
-            accuracy_threshold,
-            floor_ratio,
-            ..
-        } = self.variant
+        if matches!(
+            self.variant,
+            SparsePersonalizedVariant::LotteryFl | SparsePersonalizedVariant::Hermes
+        ) && summary.mean_accuracy >= PRUNE_ACCURACY_THRESHOLD
         {
-            if summary.mean_accuracy >= accuracy_threshold {
-                ratio = (ratio - prune_step).max(floor_ratio);
-            }
+            ratio = (ratio - PRUNE_STEP).max(PRUNE_FLOOR_RATIO);
         }
 
-        // The body (or the overlapping retained parameters) is shared; FedP3
-        // additionally withholds the head from aggregation.
-        let mut shared_mask = mask.param_mask(env.arch.unit_layout());
-        if fedp3 {
+        // The retained parameters are shared; FedP3 additionally withholds
+        // the head from aggregation.
+        let update = if fedp3 {
+            let mut shared_mask = mask.param_mask(layout);
             for (m, b) in shared_mask.iter_mut().zip(self.body.iter()) {
                 *m *= b;
             }
-        }
-        let update = ContribParams::Dense {
-            params: params.clone(),
-            param_mask: Some(shared_mask),
+            ContribParams::Dense {
+                params: params.clone(),
+                param_mask: Some(shared_mask),
+            }
+        } else {
+            update
         };
         (
             report,
@@ -265,12 +251,14 @@ impl Family for SparsePersonalized {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedlps_core::server::Server;
+    use fedlps_core::server::{train_options, Server};
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
     use fedlps_device::HeterogeneityLevel;
     use fedlps_sim::algorithm::FlAlgorithm;
     use fedlps_sim::config::FlConfig;
     use fedlps_sim::runner::Simulator;
+    use fedlps_sim::train::{local_sgd, LocalTrainOptions};
+    use fedlps_tensor::rng_from_seed;
 
     fn sim() -> Simulator {
         Simulator::new(FlEnv::from_scenario(
@@ -282,14 +270,14 @@ mod tests {
 
     #[test]
     fn all_variants_run() {
-        for mk in [
-            SparsePersonalized::lotteryfl,
-            SparsePersonalized::hermes,
-            SparsePersonalized::fedspa,
-            SparsePersonalized::fedp3,
+        for variant in [
+            SparsePersonalizedVariant::LotteryFl,
+            SparsePersonalizedVariant::Hermes,
+            SparsePersonalizedVariant::FedSpa,
+            SparsePersonalizedVariant::FedP3,
         ] {
             let s = sim();
-            let mut algo = Server::from(mk());
+            let mut algo = Server::from(SparsePersonalized::new(variant));
             let result = s.run(&mut algo);
             assert_eq!(
                 result.rounds.len(),
@@ -304,7 +292,7 @@ mod tests {
     #[test]
     fn fedspa_keeps_a_constant_ratio() {
         let s = sim();
-        let mut algo = Server::from(SparsePersonalized::fedspa());
+        let mut algo = Server::from(SparsePersonalized::new(SparsePersonalizedVariant::FedSpa));
         let result = s.run(&mut algo);
         for r in &result.rounds {
             assert!((r.mean_sparse_ratio - 0.5).abs() < 1e-9);
@@ -313,15 +301,11 @@ mod tests {
 
     #[test]
     fn lotteryfl_ratio_decays_once_accuracy_clears_threshold() {
-        // Use a threshold of zero so pruning triggers immediately.
+        // The published schedule: on this federation the clients' training
+        // accuracy clears the threshold within the run.
         let s = sim();
         let mut algo = Server::from(SparsePersonalized::new(
-            SparsePersonalizedVariant::PruneSchedule {
-                label: "LotteryFL",
-                prune_step: 0.2,
-                accuracy_threshold: 0.0,
-                floor_ratio: 0.3,
-            },
+            SparsePersonalizedVariant::LotteryFl,
         ));
         let result = s.run(&mut algo);
         let first = result.rounds.first().unwrap().mean_sparse_ratio;
@@ -329,7 +313,7 @@ mod tests {
         assert!(last < first, "ratio should decay: {first} -> {last}");
         // And never below the floor.
         for state in algo.family().states.iter().flatten() {
-            assert!(state.ratio >= 0.3 - 1e-9);
+            assert!(state.ratio >= PRUNE_FLOOR_RATIO - 1e-9);
         }
     }
 
@@ -337,7 +321,7 @@ mod tests {
     fn fedp3_submodels_track_capability() {
         let s = sim();
         let caps = s.env().capabilities();
-        let mut algo = Server::from(SparsePersonalized::fedp3());
+        let mut algo = Server::from(SparsePersonalized::new(SparsePersonalizedVariant::FedP3));
         let _ = s.run(&mut algo);
         for (k, state) in algo.family().states.iter().enumerate() {
             if let Some(state) = state {
@@ -349,7 +333,7 @@ mod tests {
     #[test]
     fn personalized_masks_differ_across_clients() {
         let s = sim();
-        let mut algo = Server::from(SparsePersonalized::hermes());
+        let mut algo = Server::from(SparsePersonalized::new(SparsePersonalizedVariant::Hermes));
         let _ = s.run(&mut algo);
         let masks: Vec<&UnitMask> = algo
             .family()
@@ -364,5 +348,53 @@ mod tests {
             !all_identical,
             "personalized patterns should differ across non-IID clients"
         );
+    }
+
+    #[test]
+    fn packed_personal_models_match_masked_dense_training() {
+        // One round of a packed LotteryFL / FedSpa client: its personal
+        // model is the masked-dense `local_sgd` run from the same global and
+        // seed, bit for bit.
+        let s = sim();
+        let env = s.env();
+        let global = Arc::new(env.initial_params());
+        let (client, round) = (0, 0);
+        for variant in [
+            SparsePersonalizedVariant::LotteryFl,
+            SparsePersonalizedVariant::FedSpa,
+        ] {
+            let mut family = SparsePersonalized::new(variant);
+            family.setup(env, &global);
+            let step = Step::new(env, round, client, &global);
+            let (_, update, state) = family.train(&step, &mut rng_from_seed(17));
+            assert!(
+                matches!(update, ContribParams::Packed { .. }),
+                "{variant:?}: the client trains packed"
+            );
+
+            let mut rng = rng_from_seed(17);
+            let (mask, _) = family.next_mask(&step, &mut rng);
+            assert_eq!(state.mask, mask);
+            let pmask = mask.param_mask(env.arch.unit_layout());
+            let mut params = (*global).clone();
+            local_sgd(
+                &*env.arch,
+                &mut params,
+                env.train_data(client),
+                &LocalTrainOptions {
+                    param_mask: Some(&pmask),
+                    ..train_options(env)
+                },
+                &mut rng,
+            );
+            assert!(
+                state
+                    .params
+                    .iter()
+                    .zip(&params)
+                    .all(|(p, d)| p.to_bits() == d.to_bits()),
+                "{variant:?}: personal model diverges from masked-dense training"
+            );
+        }
     }
 }

@@ -158,7 +158,7 @@ impl Family for WidthScaling {
         // The packed path trains the physically small submodel on values
         // gathered straight from the shared snapshot — no full-model clone,
         // no full-size mask expansion inside the parallel task.
-        let (report, summary, update) = step.train_submodel(mask, ratio, rng);
+        let (report, summary, update) = step.train_submodel(step.global, mask, ratio, rng);
         let feedback = RatioFeedback {
             ratio,
             local_cost: report.local_cost.total(),
@@ -254,7 +254,7 @@ mod tests {
             };
 
             let (report, _, update) =
-                step.train_submodel(mask.clone(), ratio, &mut rng_from_seed(11));
+                step.train_submodel(&global, mask.clone(), ratio, &mut rng_from_seed(11));
             assert!(
                 matches!(update, ContribParams::Packed { .. }),
                 "{variant:?}: the family's masks are packable"

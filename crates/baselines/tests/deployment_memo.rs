@@ -8,7 +8,7 @@
 //! latter, updates are absorbed between evaluations, mid-round).
 
 use fedlps_baselines::personalized::{PersonalizedFl, PersonalizedVariant};
-use fedlps_baselines::sparse_personalized::SparsePersonalized;
+use fedlps_baselines::sparse_personalized::{SparsePersonalized, SparsePersonalizedVariant};
 use fedlps_core::server::{Family, Server};
 use fedlps_core::FedLps;
 use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
@@ -129,14 +129,15 @@ fn check<F: Family>(family: Server<F>, mode: RoundMode, memoised: bool) {
 
 fn check_all(mode: RoundMode) {
     check(FedLps::for_env(&env(mode)), mode, true);
-    check(Server::from(PersonalizedFl::ditto()), mode, true);
-    for family in [
-        SparsePersonalized::lotteryfl(),
-        SparsePersonalized::hermes(),
-        SparsePersonalized::fedspa(),
-        SparsePersonalized::fedp3(),
+    let ditto = PersonalizedFl::new(PersonalizedVariant::Ditto);
+    check(Server::from(ditto), mode, true);
+    for variant in [
+        SparsePersonalizedVariant::LotteryFl,
+        SparsePersonalizedVariant::Hermes,
+        SparsePersonalizedVariant::FedSpa,
+        SparsePersonalizedVariant::FedP3,
     ] {
-        check(Server::from(family), mode, true);
+        check(Server::from(SparsePersonalized::new(variant)), mode, true);
     }
     let fedper = PersonalizedFl::new(PersonalizedVariant::FedPer);
     check(Server::from(fedper), mode, false);

@@ -55,7 +55,6 @@ impl FedLpsConfig {
             ratio_policy: RatioPolicy::PUcbv(PUcbvConfig {
                 total_rounds: rounds.max(1),
                 expected_selections: clients_per_round.max(1) as f64,
-                ..PUcbvConfig::default()
             }),
             ..Self::default()
         }

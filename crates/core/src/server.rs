@@ -121,6 +121,30 @@ pub enum ContribParams {
     },
 }
 
+impl ContribParams {
+    /// The full-length parameter vector this upload stands for: a dense
+    /// upload's `params`, or a packed upload's `base ⊙ mask` with the trained
+    /// values at their coordinates — bit for bit what masked-dense training
+    /// leaves in a copy of `base`.
+    pub fn trained_params(&self, layout: &UnitLayout) -> Vec<f32> {
+        match self {
+            ContribParams::Dense { params, .. } => params.clone(),
+            ContribParams::Packed {
+                base,
+                mask,
+                coords,
+                values,
+            } => {
+                let mut params = mask.apply(layout, base);
+                for (&i, &v) in coords.iter().zip(values) {
+                    params[i as usize] = v;
+                }
+                params
+            }
+        }
+    }
+}
+
 /// A staged baseline contribution: its aggregation weight and its trained
 /// parameters (dense or packed), folded in by per-parameter coverage.
 #[derive(Debug)]
@@ -465,98 +489,98 @@ impl<'a> Step<'a> {
         }
     }
 
-    /// Runs one (optionally masked / proximal / partly frozen) local training
-    /// pass over `params` and assembles its [`ClientReport`], so a family only
-    /// describes *what* it trains, not how the accounting works.
-    ///
-    /// When the mask and options qualify, the pass trains the physically
-    /// packed submodel and scatters the result back into `params` —
-    /// bit-identical to the masked-dense pass, minus the dense wall-clock.
+    /// Runs one unmasked (optionally proximal / partly frozen) local
+    /// training pass over `params` and assembles its dense [`ClientReport`],
+    /// so a family only describes *what* it trains, not how the accounting
+    /// works. Masked training goes through
+    /// [`train_submodel`](Self::train_submodel).
     pub fn train(
         &self,
         params: &mut [f32],
-        mask: Option<&UnitMask>,
         prox: Option<(f32, &[f32])>,
         frozen: Option<&[f32]>,
-        sparse_ratio: f64,
         rng: &mut StdRng,
     ) -> (ClientReport, LocalTrainSummary) {
-        let env = self.env;
-        let pmask = mask.map(|m| m.param_mask(env.arch.unit_layout()));
-        let options = LocalTrainOptions {
-            param_mask: pmask.as_deref(),
-            prox,
-            frozen,
-            ..train_options(env)
-        };
-        let data = env.train_data(self.client);
-        let summary = match mask.and_then(|m| compile_packed(&*env.arch, m, &options)) {
-            Some(packed) => local_sgd_packed(&packed, params, data, &options, rng),
-            None => local_sgd(&*env.arch, params, data, &options, rng),
-        };
-        let report = self.report(mask, sparse_ratio, summary.mean_accuracy, summary.mean_loss);
+        let summary = self.fit(params, prox, frozen, rng);
+        let report = self.report(None, 1.0, summary.mean_accuracy, summary.mean_loss);
         (report, summary)
     }
 
-    /// An extra unmasked local pass over `params` that the round's report
-    /// does not account for (Ditto's personal model, FedRep's head fit).
+    /// An unmasked local pass over `params` without a report: the pass
+    /// behind [`train`](Self::train), and the extra passes the round's
+    /// report does not account for (Ditto's personal model, FedRep's head
+    /// fit).
     pub fn fit(
         &self,
         params: &mut [f32],
         prox: Option<(f32, &[f32])>,
         frozen: Option<&[f32]>,
         rng: &mut StdRng,
-    ) {
+    ) -> LocalTrainSummary {
         let options = LocalTrainOptions {
             prox,
             frozen,
             ..train_options(self.env)
         };
         let data = self.env.train_data(self.client);
-        local_sgd(&*self.env.arch, params, data, &options, rng);
+        local_sgd(&*self.env.arch, params, data, &options, rng)
     }
 
-    /// Trains the submodel `mask` extracts from the shared snapshot without
-    /// cloning the full model: the packed path gathers the kept values
-    /// straight out of the `Arc`, trains the compact submodel and returns
-    /// them as a [`ContribParams::Packed`] upload. Falls back to one full
-    /// clone and [`train`](Self::train) when the mask is not packable —
+    /// Trains the submodel `mask` extracts from `base` — the comparison
+    /// layer's one masked training entry. The packed path gathers the kept
+    /// values straight out of the `Arc`, trains the compact submodel and
+    /// returns them as a [`ContribParams::Packed`] upload on `base`, with no
+    /// full-model clone. A mask that does not pack costs one full clone and
+    /// a masked-dense [`local_sgd`], uploaded as [`ContribParams::Dense`];
     /// either way the result aggregates bit-identically.
+    ///
+    /// Across the golden configurations of `tests/quickstart_goldens.rs` (59
+    /// files; Hermes replays LotteryFL's), the masked-dense fallback runs only
+    /// for DepthFL (`baseline_tiny_DepthFL_{sync,async}`, 15 and 18 calls in
+    /// the serial run): a low ratio empties its last layer, so the mask does
+    /// not compile.
     pub fn train_submodel(
         &self,
+        base: &Arc<Vec<f32>>,
         mask: UnitMask,
         sparse_ratio: f64,
         rng: &mut StdRng,
     ) -> (ClientReport, LocalTrainSummary, ContribParams) {
         let env = self.env;
+        let data = env.train_data(self.client);
         let options = train_options(env);
-        if let Some(packed) = compile_packed(&*env.arch, &mask, &options) {
-            // One exact-size flat allocation; it escapes into the upload, so
-            // it cannot come from the scratch pool.
-            let mut values = vec![0.0f32; packed.packed_len()];
-            packed.gather_params_into(self.global, &mut values);
-            let data = env.train_data(self.client);
-            let summary = local_sgd(packed.arch(), &mut values, data, &options, rng);
-            let report = self.report(
-                Some(&mask),
-                sparse_ratio,
-                summary.mean_accuracy,
-                summary.mean_loss,
-            );
-            let update = ContribParams::Packed {
-                base: Arc::clone(self.global),
-                coords: packed.gather_arc(),
-                values,
-                mask,
-            };
-            return (report, summary, update);
-        }
-        let mut params = (**self.global).clone();
-        let (report, summary) = self.train(&mut params, Some(&mask), None, None, sparse_ratio, rng);
-        let update = ContribParams::Dense {
-            params,
-            param_mask: Some(mask.param_mask(env.arch.unit_layout())),
+        let (summary, update) = match compile_packed(&*env.arch, &mask) {
+            Some(packed) => {
+                let (values, summary) = local_sgd_packed(&packed, base, data, &options, rng);
+                let update = ContribParams::Packed {
+                    base: Arc::clone(base),
+                    coords: packed.gather_arc(),
+                    values,
+                    mask: mask.clone(),
+                };
+                (summary, update)
+            }
+            None => {
+                let pmask = mask.param_mask(env.arch.unit_layout());
+                let mut params = (**base).clone();
+                let masked = LocalTrainOptions {
+                    param_mask: Some(&pmask),
+                    ..options
+                };
+                let summary = local_sgd(&*env.arch, &mut params, data, &masked, rng);
+                let update = ContribParams::Dense {
+                    params,
+                    param_mask: Some(pmask),
+                };
+                (summary, update)
+            }
         };
+        let report = self.report(
+            Some(&mask),
+            sparse_ratio,
+            summary.mean_accuracy,
+            summary.mean_loss,
+        );
         (report, summary, update)
     }
 
@@ -936,7 +960,7 @@ mod tests {
         let step = Step::new(&env, 0, 0, &global);
         let mut params = (*global).clone();
         let mut rng = fedlps_tensor::rng_from_seed(1);
-        let (report, summary) = step.train(&mut params, None, None, None, 1.0, &mut rng);
+        let (report, summary) = step.train(&mut params, None, None, &mut rng);
         assert_eq!(report.client_id, 0);
         assert!(report.flops > 0.0);
         assert!(report.local_cost.total() > 0.0);

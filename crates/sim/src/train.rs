@@ -7,11 +7,13 @@
 //! baseline implementations small and guarantees they all account FLOPs,
 //! bytes and costs identically.
 //!
-//! A sparse model runs on its physically packed submodel wherever that is
-//! bit-identical to the masked-dense reference: training through
-//! [`compile_packed`] and [`local_sgd_packed`], deployment through
-//! [`evaluate_masked`]. Masked-dense execution stays as the fallback and as
-//! the reference the equivalence tests compare against.
+//! A sparse model runs on its physically packed submodel wherever its mask
+//! compiles to one: training through [`compile_packed`] and
+//! [`local_sgd_packed`], deployment through [`evaluate_masked`]. Both are
+//! bit-identical to the masked-dense reference, which stays as the fallback
+//! for a mask that does not pack and as the oracle the equivalence tests
+//! compare against. Masked training takes no proximal term and no frozen
+//! set, so nothing else ever forces the masked-dense path.
 
 use fedlps_data::dataset::Dataset;
 use fedlps_device::cost::local_cost;
@@ -120,37 +122,10 @@ pub fn local_sgd(
     }
 }
 
-/// Whether a masked [`local_sgd`] call can run on the physically packed
-/// submodel instead and still be **bit-identical**.
-///
-/// The packed model carries only unit-owned parameters, so every full-vector
-/// term the optimiser could read must vanish outside the packed set: the
-/// proximal gradient `μ(ω − ω^r)` is nonzero on frozen coordinates, and a
-/// frozen-head mask cuts across unit boundaries — either forces the
-/// masked-dense path.
-///
-/// Across the golden configurations of `tests/quickstart_goldens.rs` (59
-/// files; Hermes replays LotteryFL's), masked-dense [`local_sgd`] with a
-/// `param_mask` runs only for DepthFL (`baseline_tiny_DepthFL_{sync,async}`,
-/// 15 and 18 calls in the serial run): a low ratio empties its last layer,
-/// so the mask does not compile. Every golden pass that sets prox or a
-/// frozen head trains unmasked, so this check never diverts a masked pass
-/// there.
-pub fn packed_eligible(options: &LocalTrainOptions<'_>) -> bool {
-    options.prox.is_none() && options.frozen.is_none()
-}
-
-/// Compiles a client's unit mask into a packed submodel, when the options
-/// qualify ([`packed_eligible`]) and the mask extracts a connected submodel.
-/// `None` falls back to masked-dense training.
-pub fn compile_packed(
-    arch: &dyn ModelArch,
-    mask: &UnitMask,
-    options: &LocalTrainOptions<'_>,
-) -> Option<PackedModel> {
-    if !packed_eligible(options) {
-        return None;
-    }
+/// Compiles a unit mask into its physically packed submodel; `None` when the
+/// mask does not extract a connected submodel (an emptied layer, or an
+/// architecture without packing).
+pub fn compile_packed(arch: &dyn ModelArch, mask: &UnitMask) -> Option<PackedModel> {
     SubmodelPlan::from_mask(arch.unit_layout(), mask).compile(arch)
 }
 
@@ -172,7 +147,7 @@ pub fn evaluate_masked(
     params: &[f32],
     data: &Dataset,
 ) -> EvalStats {
-    let Some(packed) = SubmodelPlan::from_mask(arch.unit_layout(), mask).compile(arch) else {
+    let Some(packed) = compile_packed(arch, mask) else {
         return arch.evaluate(&mask.apply(arch.unit_layout(), params), data);
     };
     // `p · 1.0 == p` bit for bit, so gathering the kept coordinates of the
@@ -185,54 +160,39 @@ pub fn evaluate_masked(
     stats
 }
 
-/// Runs [`local_sgd`] on the physically packed submodel: gather the kept
-/// parameters out of `params`, train the compact model, scatter the trained
-/// values back. `params` ends bit-identical to what masked-dense [`local_sgd`]
-/// would produce (dropped coordinates zeroed, frozen cross-connections
-/// untouched, kept coordinates trained), because the packed forward/backward
-/// accumulates exactly the same nonzero terms in the same order and the
-/// gradient outside the packed set is exactly zero — see the per-architecture
-/// equivalence tests in `fedlps-nn` and the property tests in this crate.
+/// Runs [`local_sgd`] on the physically packed submodel: gathers the kept
+/// parameters out of the full-length `base`, trains the compact model and
+/// returns its trained values (in gather-map order) with the summary.
+///
+/// Scattering the values into `mask.apply(layout, base)` gives, bit for bit,
+/// what masked-dense [`local_sgd`] leaves in a copy of `base` (dropped
+/// coordinates zeroed, frozen cross-connections untouched, kept coordinates
+/// trained): the packed forward/backward accumulates exactly the same
+/// nonzero terms in the same order and the gradient outside the packed set
+/// is exactly zero — see the per-architecture equivalence tests in
+/// `fedlps-nn` and the property tests in this crate. `options` must carry no
+/// full-length mask, proximal term or frozen set: the packed model has none
+/// of those coordinates.
 pub fn local_sgd_packed(
     packed: &PackedModel,
-    params: &mut [f32],
+    base: &[f32],
     data: &Dataset,
     options: &LocalTrainOptions<'_>,
     rng: &mut StdRng,
-) -> LocalTrainSummary {
-    debug_assert!(packed_eligible(options), "options disqualify packing");
-    if data.is_empty() || options.iterations == 0 {
-        return LocalTrainSummary {
-            mean_loss: 0.0,
-            mean_accuracy: 0.0,
-            iterations: 0,
-            samples: 0,
-        };
-    }
-    if let Some(mask) = options.param_mask {
-        // Mirror the masked-dense prologue exactly: the dropped coordinates
-        // of the caller's buffer are zeroed (they stay out of the packed
-        // model, but downstream consumers read the full vector).
-        for (p, m) in params.iter_mut().zip(mask.iter()) {
-            *p *= m;
-        }
-    }
-    // The packed model's parameters live in one flat pooled arena view for
-    // the whole local pass — gather in, train, scatter out, recycle.
-    let mut arena = Arena::from_pool(packed.packed_len());
-    let [pp] = arena.views([packed.packed_len()]);
-    packed.gather_params_into(params, pp);
-    // The gradient outside the packed set is exactly zero, so clipping the
-    // packed gradient computes the same norm the dense path clips, and a
-    // plain step equals the masked step on the kept coordinates.
-    let unmasked = LocalTrainOptions {
-        param_mask: None,
-        ..*options
-    };
-    let summary = local_sgd(packed.arch(), pp, data, &unmasked, rng);
-    packed.scatter_params(pp, params);
-    arena.release();
-    summary
+) -> (Vec<f32>, LocalTrainSummary) {
+    debug_assert!(
+        options.param_mask.is_none() && options.prox.is_none() && options.frozen.is_none(),
+        "full-length options do not apply to a packed model"
+    );
+    // One exact-size flat allocation; it escapes to the caller, so it cannot
+    // come from the scratch pool. The gradient outside the packed set is
+    // exactly zero, so clipping the packed gradient computes the same norm
+    // the dense path clips, and a plain step equals the masked step on the
+    // kept coordinates.
+    let mut values = vec![0.0f32; packed.packed_len()];
+    packed.gather_params_into(base, &mut values);
+    let summary = local_sgd(packed.arch(), &mut values, data, options, rng);
+    (values, summary)
 }
 
 /// Resource accounting for one client round.
@@ -452,8 +412,7 @@ mod tests {
                 prox: None,
                 frozen: None,
             };
-            assert!(packed_eligible(&options));
-            let packed = compile_packed(&*arch, &mask, &options).expect("tiny masks are packable");
+            let packed = compile_packed(&*arch, &mask).expect("tiny masks are packable");
 
             let mut dense_params = init.clone();
             let mut rng_dense = rng_from_seed(77);
@@ -465,15 +424,19 @@ mod tests {
                 &mut rng_dense,
             );
 
-            let mut packed_params = init.clone();
             let mut rng_packed = rng_from_seed(77);
-            let summary = local_sgd_packed(
+            let (values, summary) = local_sgd_packed(
                 &packed,
-                &mut packed_params,
+                &init,
                 client_data,
-                &options,
+                &LocalTrainOptions {
+                    param_mask: None,
+                    ..options
+                },
                 &mut rng_packed,
             );
+            let mut packed_params = mask.apply(arch.unit_layout(), &init);
+            packed.scatter_params(&values, &mut packed_params);
 
             assert_eq!(dense.mean_loss.to_bits(), summary.mean_loss.to_bits());
             assert_eq!(dense.mean_accuracy, summary.mean_accuracy);
@@ -485,29 +448,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn prox_and_frozen_head_disqualify_packing() {
-        let (mlp, _) = toy();
-        let global = vec![0.0f32; mlp.param_count()];
-        let base = LocalTrainOptions {
-            iterations: 1,
-            batch_size: 4,
-            sgd: SgdConfig::vision(),
-            param_mask: None,
-            prox: None,
-            frozen: None,
-        };
-        assert!(packed_eligible(&base));
-        assert!(!packed_eligible(&LocalTrainOptions {
-            prox: Some((0.5, &global)),
-            ..base
-        }));
-        assert!(!packed_eligible(&LocalTrainOptions {
-            frozen: Some(&global),
-            ..base
-        }));
     }
 
     #[test]

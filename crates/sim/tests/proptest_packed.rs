@@ -4,9 +4,9 @@
 //! same trained parameters, same loss/accuracy statistics — and so is
 //! evaluating a deployed sparse model on it.
 //!
-//! This is the property that lets every eligible client train packed with
-//! no run-level switch: masked-dense is the automatic fallback and the
-//! reference oracle, never a second result. It rests on three structural
+//! This is the property that lets every client whose mask packs train
+//! packed with no run-level switch: masked-dense is the automatic fallback
+//! and the reference oracle, never a second result. It rests on three structural
 //! facts pinned by unit tests in `fedlps-nn`: the matmul variants skip
 //! `a == 0.0` operands in ascending order, `relu'(0) = 0` severs dropped
 //! ReLU units, and LSTM cells own their outgoing connections.
@@ -22,7 +22,6 @@ use fedlps_sim::train::{
 };
 use fedlps_sparse::mask::UnitMask;
 use fedlps_sparse::pattern::PatternStrategy;
-use fedlps_sparse::plan::SubmodelPlan;
 use fedlps_tensor::{rng_from_seed, Matrix};
 use proptest::prelude::*;
 use rand::Rng;
@@ -123,16 +122,18 @@ proptest! {
             prox: None,
             frozen: None,
         };
-        let packed = compile_packed(&*arch, &mask, &options)
+        let packed = compile_packed(&*arch, &mask)
             .expect("every layer keeps >= 1 unit at these ratios");
 
         let mut dense_params = init.clone();
         let mut rng_dense = rng_from_seed(seed ^ 0x7E57);
         let dense = local_sgd(&*arch, &mut dense_params, &data, &options, &mut rng_dense);
 
-        let mut packed_params = init.clone();
         let mut rng_packed = rng_from_seed(seed ^ 0x7E57);
-        let summary = local_sgd_packed(&packed, &mut packed_params, &data, &options, &mut rng_packed);
+        let unmasked = LocalTrainOptions { param_mask: None, ..options };
+        let (values, summary) = local_sgd_packed(&packed, &init, &data, &unmasked, &mut rng_packed);
+        let mut packed_params = mask.apply(arch.unit_layout(), &init);
+        packed.scatter_params(&values, &mut packed_params);
 
         prop_assert_eq!(dense.mean_loss.to_bits(), summary.mean_loss.to_bits());
         prop_assert_eq!(dense.mean_accuracy.to_bits(), summary.mean_accuracy.to_bits());
@@ -192,10 +193,7 @@ proptest! {
         if !packs {
             mask = empty_one_layer(&*arch, &mask, layer_pick);
         }
-        prop_assert_eq!(
-            SubmodelPlan::from_mask(arch.unit_layout(), &mask).compile(&*arch).is_some(),
-            packs
-        );
+        prop_assert_eq!(compile_packed(&*arch, &mask).is_some(), packs);
 
         let dense = arch.evaluate(&mask.apply(arch.unit_layout(), &params), &data);
         let packed = evaluate_masked(&*arch, &mask, &params, &data);

@@ -46,15 +46,6 @@ pub fn quantile(values: &[f32], q: f64) -> f32 {
     sorted[lower] * (1.0 - frac) + sorted[upper] * frac
 }
 
-/// The k-th smallest value (0-based) via a full sort. Used when an exact count
-/// of retained units is required rather than an interpolated threshold.
-pub fn kth_smallest(values: &[f32], k: usize) -> f32 {
-    assert!(!values.is_empty(), "kth_smallest of empty slice");
-    let mut sorted: Vec<f32> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    sorted[k.min(sorted.len() - 1)]
-}
-
 /// Indices of the `k` largest values, ties broken by smaller index first.
 pub fn top_k_indices(values: &[f32], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..values.len()).collect();
@@ -141,14 +132,6 @@ mod tests {
         let v = [0.1f32, 0.9, 0.5, 0.9];
         assert_eq!(top_k_indices(&v, 2), vec![1, 3]);
         assert_eq!(top_k_indices(&v, 10), vec![1, 3, 2, 0]);
-    }
-
-    #[test]
-    fn kth_smallest_matches_sorted() {
-        let v = [5.0f32, 1.0, 3.0];
-        assert_eq!(kth_smallest(&v, 0), 1.0);
-        assert_eq!(kth_smallest(&v, 2), 5.0);
-        assert_eq!(kth_smallest(&v, 99), 5.0);
     }
 
     #[test]
