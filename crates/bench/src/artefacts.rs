@@ -1,7 +1,13 @@
 //! The one table of paper artefacts: every table and figure of the
-//! evaluation section is a row of [`ARTEFACTS`], run by name through the
-//! `paper` binary (`paper --list` prints this table) and iterated by
-//! `tests/paper_claims.rs`.
+//! evaluation section is printed by a row of [`ARTEFACTS`], run by name
+//! through the `paper` binary (`paper --list` prints this table) and
+//! iterated by `tests/paper_claims.rs`.
+//!
+//! Figures the paper plots from the same runs share one row, which trains
+//! each federation once and emits every figure's table from the same
+//! `RunResult`: Figures 3–4 (`fig3_4_convergence`), 7–8
+//! (`fig7_8_heterogeneity`) and 9a–9b (`fig9_ratio_sweep`, whose 9b rows
+//! are 9a's learnable-pattern runs). Table titles name the figure.
 
 use fedlps_core::{FedLps, FedLpsConfig};
 use fedlps_data::partition::PartitionStrategy;
@@ -13,9 +19,9 @@ use fedlps_sim::metrics::RunResult;
 use fedlps_sim::runner::Simulator;
 use fedlps_sparse::pattern::PatternStrategy;
 
-use crate::harness::{figure_methods, run_fedlps_with, run_method, ExperimentEnv};
+use crate::harness::{run_fedlps_with, run_method, ExperimentEnv};
 use crate::scale::Scale;
-use crate::table::{gflops, num, pct, secs, Cell, TableBuilder};
+use crate::table::{gflops, num, pct, secs, TableBuilder};
 
 /// What one invocation asks of an artefact. `methods` / `datasets` are
 /// `None` unless overridden on the command line; only the artefacts that
@@ -74,14 +80,9 @@ pub const ARTEFACTS: &[Artefact] = &[
         run: table2_ablation,
     },
     Artefact {
-        name: "fig3_accuracy_vs_flops",
-        about: "Figure 3: accuracy vs cumulative FLOPs",
-        run: fig3_accuracy_vs_flops,
-    },
-    Artefact {
-        name: "fig4_accuracy_vs_time",
-        about: "Figure 4: accuracy vs simulated running time",
-        run: fig4_accuracy_vs_time,
+        name: "fig3_4_convergence",
+        about: "Figures 3-4: accuracy vs cumulative FLOPs and vs simulated running time",
+        run: fig3_4_convergence,
     },
     Artefact {
         name: "fig5_tta",
@@ -94,24 +95,14 @@ pub const ARTEFACTS: &[Artefact] = &[
         run: fig6_noniid_levels,
     },
     Artefact {
-        name: "fig7_heterogeneity_accuracy",
-        about: "Figure 7: accuracy vs system heterogeneity",
-        run: fig7_heterogeneity_accuracy,
+        name: "fig7_8_heterogeneity",
+        about: "Figures 7-8: accuracy and running time vs system heterogeneity",
+        run: fig7_8_heterogeneity,
     },
     Artefact {
-        name: "fig8_heterogeneity_time",
-        about: "Figure 8: running time vs system heterogeneity",
-        run: fig8_heterogeneity_time,
-    },
-    Artefact {
-        name: "fig9a_pattern_sweep",
-        about: "Figure 9a: pattern strategies across fixed sparse ratios",
-        run: fig9a_pattern_sweep,
-    },
-    Artefact {
-        name: "fig9b_time_breakdown",
-        about: "Figure 9b: train / communication time vs sparse ratio",
-        run: fig9b_time_breakdown,
+        name: "fig9_ratio_sweep",
+        about: "Figure 9: pattern strategies (9a) and time breakdown (9b) vs fixed sparse ratio",
+        run: fig9_ratio_sweep,
     },
     Artefact {
         name: "fig10_availability",
@@ -145,6 +136,18 @@ const TABLE1_METHODS: [&str; 15] = [
     "Hermes",
     "FedSpa",
     "FedP3",
+    "FedLPS",
+];
+
+/// The methods of the Figure 3–4 convergence curves (`--methods` overrides
+/// it).
+const FIGURE_METHODS: [&str; 7] = [
+    "FedAvg",
+    "REFL",
+    "FedMP",
+    "Per-FedAvg",
+    "Hermes",
+    "FedSpa",
     "FedLPS",
 ];
 
@@ -215,53 +218,34 @@ fn table2_ablation(req: &Request, emit: Emit<'_>) {
     }
 }
 
-/// Figures 3–4: one convergence curve per method, against the x-axis
-/// `curve` extracts from the run.
-fn convergence_curves(
-    req: &Request,
-    emit: Emit<'_>,
-    title: &str,
-    x_header: &str,
-    curve: fn(&RunResult) -> Vec<(f64, f64)>,
-    x_cell: fn(f64) -> Cell,
-) {
-    let methods = req.methods_or(&figure_methods());
+/// Figures 3–4: one convergence curve per method, drawn from the same run
+/// against cumulative FLOPs (Figure 3) and simulated running time
+/// (Figure 4).
+fn fig3_4_convergence(req: &Request, emit: Emit<'_>) {
+    let methods = req.methods_or(&FIGURE_METHODS);
     for dataset in req.datasets_or(&[DatasetKind::MnistLike]) {
         let env = ExperimentEnv::paper_default(req.scale, dataset);
-        let mut table = TableBuilder::new(
-            &format!("{title} on {}", dataset.name()),
-            &["Method", x_header, "Acc (%)"],
+        let mut fig3 = TableBuilder::new(
+            &format!("Figure 3 — accuracy vs FLOPs on {}", dataset.name()),
+            &["Method", "FLOPs (1e9)", "Acc (%)"],
+        );
+        let mut fig4 = TableBuilder::new(
+            &format!("Figure 4 — accuracy vs running time on {}", dataset.name()),
+            &["Method", "Time (s)", "Acc (%)"],
         );
         for method in &methods {
             let result = run_method(method, &env);
-            for (x, acc) in curve(&result) {
-                table.row(vec![result.algorithm.clone().into(), x_cell(x), pct(acc)]);
+            let name = || result.algorithm.as_str().into();
+            for (flops, acc) in result.accuracy_vs_flops() {
+                fig3.row(vec![name(), gflops(flops), pct(acc)]);
+            }
+            for (time, acc) in result.accuracy_vs_time() {
+                fig4.row(vec![name(), secs(time), pct(acc)]);
             }
         }
-        emit(table);
+        emit(fig3);
+        emit(fig4);
     }
-}
-
-fn fig3_accuracy_vs_flops(req: &Request, emit: Emit<'_>) {
-    convergence_curves(
-        req,
-        emit,
-        "Figure 3 — accuracy vs FLOPs",
-        "FLOPs (1e9)",
-        RunResult::accuracy_vs_flops,
-        gflops,
-    );
-}
-
-fn fig4_accuracy_vs_time(req: &Request, emit: Emit<'_>) {
-    convergence_curves(
-        req,
-        emit,
-        "Figure 4 — accuracy vs running time",
-        "Time (s)",
-        RunResult::accuracy_vs_time,
-        secs,
-    );
 }
 
 /// Figure 5: Time-To-Accuracy on the CIFAR-10 / CIFAR-100 / Tiny-ImageNet
@@ -326,60 +310,50 @@ fn fig6_noniid_levels(req: &Request, emit: Emit<'_>) {
     emit(table);
 }
 
-/// Figures 7–8: four methods under low / median / high system
-/// heterogeneity, reporting the metric `cell` extracts from each run.
-fn heterogeneity_sweep(
-    req: &Request,
-    emit: Emit<'_>,
-    title: &str,
-    metric_header: &str,
-    cell: fn(&RunResult) -> Cell,
-) {
-    let mut table = TableBuilder::new(title, &["Dataset", "Level", "Method", metric_header]);
+/// Figures 7–8: the accuracy (Figure 7) and running time (Figure 8) of
+/// four methods under low / median / high system heterogeneity.
+fn fig7_8_heterogeneity(req: &Request, emit: Emit<'_>) {
+    let header = |metric| ["Dataset", "Level", "Method", metric];
+    let mut fig7 = TableBuilder::new(
+        "Figure 7 — accuracy vs system heterogeneity",
+        &header("Acc (%)"),
+    );
+    let mut fig8 = TableBuilder::new(
+        "Figure 8 — running time vs system heterogeneity",
+        &header("Time (s)"),
+    );
     for dataset in [DatasetKind::Cifar10Like, DatasetKind::TinyImagenetLike] {
         for level in HeterogeneityLevel::swept() {
             let mut env = ExperimentEnv::paper_default(req.scale, dataset);
             env.heterogeneity = level;
             for method in ["FedAvg", "FedMP", "FedSpa", "FedLPS"] {
                 let result = run_method(method, &env);
-                table.row(vec![
-                    dataset.name().into(),
-                    level.name().into(),
-                    result.algorithm.clone().into(),
-                    cell(&result),
-                ]);
+                let row = |metric| {
+                    vec![
+                        dataset.name().into(),
+                        level.name().into(),
+                        result.algorithm.as_str().into(),
+                        metric,
+                    ]
+                };
+                fig7.row(row(pct(result.final_accuracy)));
+                fig8.row(row(secs(result.total_time)));
             }
         }
     }
-    emit(table);
-}
-
-fn fig7_heterogeneity_accuracy(req: &Request, emit: Emit<'_>) {
-    heterogeneity_sweep(
-        req,
-        emit,
-        "Figure 7 — accuracy vs system heterogeneity",
-        "Acc (%)",
-        |r| pct(r.final_accuracy),
-    );
-}
-
-fn fig8_heterogeneity_time(req: &Request, emit: Emit<'_>) {
-    heterogeneity_sweep(
-        req,
-        emit,
-        "Figure 8 — running time vs system heterogeneity",
-        "Time (s)",
-        |r| secs(r.total_time),
-    );
+    emit(fig7);
+    emit(fig8);
 }
 
 /// The fixed sparse ratios Figure 9 sweeps.
 const FIG9_RATIOS: [f64; 4] = [0.2, 0.4, 0.6, 0.8];
 
-/// Figure 9a: accuracy of the different sparse-pattern strategies (random,
-/// ordered, magnitude, learnable) across fixed sparse ratios.
-fn fig9a_pattern_sweep(req: &Request, emit: Emit<'_>) {
+/// Figure 9: FedLPS at fixed sparse ratios. Figure 9a compares the
+/// accuracy of the sparse-pattern strategies (random, ordered, magnitude,
+/// learnable); Figure 9b splits the time of the learnable-pattern runs —
+/// FLST at that ratio, [`FedLpsConfig::flst`] — into training and
+/// communication.
+fn fig9_ratio_sweep(req: &Request, emit: Emit<'_>) {
     let strategies = [
         PatternStrategy::Random,
         PatternStrategy::Ordered,
@@ -388,52 +362,44 @@ fn fig9a_pattern_sweep(req: &Request, emit: Emit<'_>) {
     ];
     for dataset in [DatasetKind::MnistLike, DatasetKind::RedditLike] {
         let env = ExperimentEnv::paper_default(req.scale, dataset);
-        let mut table = TableBuilder::new(
+        let mut fig9a = TableBuilder::new(
             &format!("Figure 9a — pattern strategies on {}", dataset.name()),
             &["Sparse ratio", "Pattern", "Acc (%)"],
+        );
+        let mut fig9b = TableBuilder::new(
+            &format!("Figure 9b — per-round time breakdown on {}", dataset.name()),
+            &["Sparse ratio", "Train (s)", "Comm (s)", "Total (s)"],
         );
         for ratio in FIG9_RATIOS {
             for strategy in strategies {
                 let cfg = FedLpsConfig::with_pattern(strategy, ratio);
                 let result = run_fedlps_with(&env, cfg);
-                table.row(vec![
+                fig9a.row(vec![
                     num(ratio, 1),
                     strategy.name().into(),
                     pct(result.final_accuracy),
                 ]);
+                if strategy != PatternStrategy::Importance {
+                    continue;
+                }
+                // Recover the split from the recorded per-round totals:
+                // compute time scales with FLOPs, communication with
+                // uploaded bytes, converted back into seconds with the cost
+                // model's reference capacities (top-tier device).
+                let flops: f64 = result.rounds.iter().map(|r| r.round_flops).sum();
+                let bytes: f64 = result.rounds.iter().map(|r| r.round_upload_bytes).sum();
+                let train_s = flops / REFERENCE_GFLOPS;
+                let comm_s = bytes / REFERENCE_BANDWIDTH;
+                fig9b.row(vec![
+                    num(ratio, 1),
+                    secs(train_s),
+                    secs(comm_s),
+                    secs(result.total_time.max(train_s + comm_s)),
+                ]);
             }
         }
-        emit(table);
-    }
-}
-
-/// Figure 9b: training / communication / total time of FedLPS's learnable
-/// sparsification as the (fixed) sparse ratio grows.
-fn fig9b_time_breakdown(req: &Request, emit: Emit<'_>) {
-    for dataset in [DatasetKind::MnistLike, DatasetKind::RedditLike] {
-        let env = ExperimentEnv::paper_default(req.scale, dataset);
-        let mut table = TableBuilder::new(
-            &format!("Figure 9b — per-round time breakdown on {}", dataset.name()),
-            &["Sparse ratio", "Train (s)", "Comm (s)", "Total (s)"],
-        );
-        for ratio in FIG9_RATIOS {
-            let result = run_fedlps_with(&env, FedLpsConfig::flst(ratio));
-            // Recover the split from the recorded per-round totals: compute
-            // time scales with FLOPs, communication with uploaded bytes,
-            // converted back into seconds with the cost model's reference
-            // capacities (top-tier device).
-            let flops: f64 = result.rounds.iter().map(|r| r.round_flops).sum();
-            let bytes: f64 = result.rounds.iter().map(|r| r.round_upload_bytes).sum();
-            let train_s = flops / REFERENCE_GFLOPS;
-            let comm_s = bytes / REFERENCE_BANDWIDTH;
-            table.row(vec![
-                num(ratio, 1),
-                secs(train_s),
-                secs(comm_s),
-                secs(result.total_time.max(train_s + comm_s)),
-            ]);
-        }
-        emit(table);
+        emit(fig9a);
+        emit(fig9b);
     }
 }
 
@@ -620,8 +586,12 @@ mod tests {
     #[test]
     fn default_method_lists_are_runnable_by_name() {
         let known = crate::cli::method_names();
-        for m in TABLE1_METHODS.iter().chain(&PERSONALIZED_METHODS) {
-            assert!(known.contains(m), "{m}");
+        let lists = [&TABLE1_METHODS[..], &FIGURE_METHODS, &PERSONALIZED_METHODS];
+        for list in lists {
+            assert!(list.contains(&"FedLPS"));
+            for m in list {
+                assert!(known.contains(m), "{m}");
+            }
         }
     }
 }

@@ -150,7 +150,7 @@ mod tests {
             Some(vec![DatasetKind::Cifar10Like, DatasetKind::MnistLike])
         );
         assert!(matches!(parse_words(&["--list"]), Ok(Command::List)));
-        let Ok(Command::Run(_, defaults)) = parse_words(&["fig9b_time_breakdown"]) else {
+        let Ok(Command::Run(_, defaults)) = parse_words(&["fig9_ratio_sweep"]) else {
             panic!("flags are optional");
         };
         assert_eq!(defaults.scale, Scale::Quick);

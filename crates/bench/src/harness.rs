@@ -81,19 +81,6 @@ pub fn run_method(name: &str, env: &ExperimentEnv) -> RunResult {
     sim.run(&mut *algo)
 }
 
-/// The method subset used by the paper's Figure 3/4 convergence plots.
-pub fn figure_methods() -> Vec<&'static str> {
-    vec![
-        "FedAvg",
-        "REFL",
-        "FedMP",
-        "Per-FedAvg",
-        "Hermes",
-        "FedSpa",
-        "FedLPS",
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,19 +111,5 @@ mod tests {
     fn unknown_method_panics() {
         let env = ExperimentEnv::paper_default(Scale::Quick, DatasetKind::MnistLike);
         let _ = run_method("NotAMethod", &env);
-    }
-
-    #[test]
-    fn figure_method_list_contains_fedlps_and_is_runnable_by_name() {
-        let methods = figure_methods();
-        assert!(methods.contains(&"FedLPS"));
-        for m in &methods {
-            if *m != "FedLPS" {
-                assert!(
-                    fedlps_baselines::registry::baseline_by_name(m).is_some(),
-                    "{m}"
-                );
-            }
-        }
     }
 }

@@ -117,6 +117,12 @@ mod tests {
         ));
         let p = FedLpsConfig::with_pattern(PatternStrategy::Random, 0.4);
         assert_eq!(p.pattern, PatternStrategy::Random);
+        // The paper harness reads Figure 9b's FLST rows off Figure 9a's
+        // learnable-pattern runs.
+        assert_eq!(
+            FedLpsConfig::with_pattern(PatternStrategy::Importance, 0.4),
+            FedLpsConfig::flst(0.4)
+        );
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! (Eq. 8) is differentiated exactly. PAPER.md ("Substitutions") documents this
 //! substitution.
 
+use fedlps_nn::activation::sigmoid;
 use fedlps_nn::unit::{UnitLayout, UnitParams};
 use serde::{Deserialize, Serialize};
 
@@ -147,10 +148,6 @@ impl ImportanceIndicator {
             *q = q.clamp(-2.0, 2.0);
         }
     }
-}
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 #[cfg(test)]

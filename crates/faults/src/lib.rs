@@ -14,14 +14,16 @@
 //!   [`Burst`](AvailabilityModel::Burst) takes whole seeded zones (the
 //!   same [`zone_assignment`] the two-tier topology uses) offline in
 //!   correlated outage windows.
-//! * [`FaultConfig`] / [`FaultInjector`] — transient upload failures. Each
-//!   attempt's fate is a pure seeded function of
+//! * [`FaultConfig`] — transient upload failures. Like
+//!   [`AvailabilityModel::offline_until`], its draws take the run seed per
+//!   call: each attempt's fate is a pure function of
 //!   `(seed, client, tick, attempt)`, so retry schedules replay
 //!   bit-identically at every parallelism/topology setting.
-//! * [`FaultPlan`] — the closed-form outcome of one upload under the
-//!   injector (how many failures, whether it was ultimately delivered, and
-//!   the total backoff it paid), used by tests to cross-check the driver's
-//!   incremental event replay against the pure function.
+//! * [`FaultPlan`] — the closed-form outcome of one upload under a
+//!   [`FaultConfig`] (how many failures, whether it was ultimately
+//!   delivered, and the total backoff it paid), used by tests to
+//!   cross-check the driver's incremental event replay against the pure
+//!   function.
 //!
 //! Everything here is a pure function of the run seed: no wall clocks, no
 //! shared state, no thread-schedule dependence.
@@ -270,62 +272,58 @@ impl FaultConfig {
         }
         Ok(())
     }
-}
-
-/// The seeded oracle for transient upload faults.
-///
-/// Every attempt's fate is an independent pure draw keyed by
-/// `(seed, client, tick, attempt)` — `tick` is the driver's scheduling
-/// tick (round index for cohort modes, dispatch sequence for async), so
-/// one client's retries in different rounds are independent, and nothing
-/// depends on event interleaving.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultInjector {
-    seed: u64,
-    config: FaultConfig,
-}
-
-impl FaultInjector {
-    /// An injector for one run.
-    pub fn new(seed: u64, config: FaultConfig) -> Self {
-        Self { seed, config }
-    }
-
-    /// The configured knobs.
-    pub fn config(&self) -> FaultConfig {
-        self.config
-    }
 
     /// Whether attempt number `attempt` (0 = the initial transmission) of
-    /// the upload keyed by `(client, tick)` fails. Always `false` when
-    /// fault injection is disabled — no RNG is consumed.
-    pub fn upload_attempt_fails(&self, client: usize, tick: u64, attempt: u32) -> bool {
-        if !self.config.enabled() {
+    /// the upload keyed by `(client, tick)` fails in the run seeded by
+    /// `seed`. `tick` is the driver's scheduling tick (round index for
+    /// cohort modes, dispatch sequence for async), so every attempt is an
+    /// independent pure draw and nothing depends on event interleaving.
+    /// Always `false` when fault injection is disabled — no RNG is consumed.
+    pub fn upload_attempt_fails(&self, seed: u64, client: usize, tick: u64, attempt: u32) -> bool {
+        if !self.enabled() {
             return false;
         }
         let per_upload = split_seed(
-            split_seed(split_seed(self.seed, STREAM_UPLOAD_FAULT), client as u64),
+            split_seed(split_seed(seed, STREAM_UPLOAD_FAULT), client as u64),
             tick,
         );
         let mut rng = rng_from_seed(split_seed(per_upload, attempt as u64));
-        rng.gen::<f64>() < self.config.upload_failure_prob
+        rng.gen::<f64>() < self.upload_failure_prob
     }
 
     /// Backoff before retransmission `retry` (1-based):
     /// `retry_backoff × 2^(retry-1)`.
     pub fn backoff_delay(&self, retry: u32) -> f64 {
         debug_assert!(retry >= 1, "retransmissions are 1-based");
-        self.config.retry_backoff * 2f64.powi(retry as i32 - 1)
+        self.retry_backoff * 2f64.powi(retry as i32 - 1)
     }
 
-    /// The closed-form [`FaultPlan`] of the upload keyed by
-    /// `(client, tick)`.
-    pub fn plan(&self, client: usize, tick: u64) -> FaultPlan {
-        FaultPlan::for_upload(self, client, tick)
+    /// Replays the attempt sequence of the upload keyed by `(client, tick)`
+    /// to its closed-form [`FaultPlan`].
+    pub fn plan(&self, seed: u64, client: usize, tick: u64) -> FaultPlan {
+        let mut failures = 0u32;
+        while self.upload_attempt_fails(seed, client, tick, failures) {
+            failures += 1;
+            if failures > self.max_retries {
+                break;
+            }
+        }
+        let delivered = failures <= self.max_retries;
+        // A dropped upload stopped retransmitting at the cap.
+        let retransmissions = failures.min(self.max_retries);
+        let mut backoff_seconds = 0.0;
+        for r in 1..=retransmissions {
+            backoff_seconds += self.backoff_delay(r);
+        }
+        FaultPlan {
+            failures,
+            delivered,
+            backoff_seconds,
+        }
     }
 }
 
-/// The resolved outcome of one upload under a [`FaultInjector`]: what the
+/// The resolved outcome of one upload under a [`FaultConfig`]: what the
 /// driver's incremental `UploadRetry` replay converges to, as one pure
 /// function. Tests cross-check the event-driven path against this.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -339,31 +337,6 @@ pub struct FaultPlan {
     /// actually made (excludes retransmission airtime — that is the
     /// client's own comm cost, re-paid per attempt).
     pub backoff_seconds: f64,
-}
-
-impl FaultPlan {
-    /// Replays the attempt sequence of one upload to its conclusion.
-    pub fn for_upload(injector: &FaultInjector, client: usize, tick: u64) -> Self {
-        let max_retries = injector.config.max_retries;
-        let mut failures = 0u32;
-        while injector.upload_attempt_fails(client, tick, failures) {
-            failures += 1;
-            if failures > max_retries {
-                break;
-            }
-        }
-        let delivered = failures <= max_retries;
-        let retransmissions = if delivered { failures } else { max_retries };
-        let mut backoff_seconds = 0.0;
-        for r in 1..=retransmissions {
-            backoff_seconds += injector.backoff_delay(r);
-        }
-        Self {
-            failures,
-            delivered,
-            backoff_seconds,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -578,11 +551,11 @@ mod tests {
 
     #[test]
     fn disabled_injector_never_fails_an_attempt() {
-        let inj = FaultInjector::new(SEED, FaultConfig::none());
+        let faults = FaultConfig::none();
         for client in 0..64 {
-            assert!(!inj.upload_attempt_fails(client, 3, 0));
+            assert!(!faults.upload_attempt_fails(SEED, client, 3, 0));
         }
-        let plan = inj.plan(9, 1);
+        let plan = faults.plan(SEED, 9, 1);
         assert_eq!(
             plan,
             FaultPlan {
@@ -595,60 +568,51 @@ mod tests {
 
     #[test]
     fn attempt_fates_are_pure_and_attempt_indexed() {
-        let inj = FaultInjector::new(
-            SEED,
-            FaultConfig {
-                upload_failure_prob: 0.5,
-                ..FaultConfig::default()
-            },
-        );
+        let faults = FaultConfig {
+            upload_failure_prob: 0.5,
+            ..FaultConfig::default()
+        };
+        let fails_at =
+            |client, tick, attempt| faults.upload_attempt_fails(SEED, client, tick, attempt);
         let mut fails = 0;
         for client in 0..200 {
-            let a = inj.upload_attempt_fails(client, 7, 0);
-            assert_eq!(a, inj.upload_attempt_fails(client, 7, 0), "pure draw");
+            let a = fails_at(client, 7, 0);
+            assert_eq!(a, fails_at(client, 7, 0), "pure draw");
             fails += a as usize;
         }
         assert!((50..150).contains(&fails), "rate {fails}/200 far from 1/2");
         // Different attempts and ticks draw independent fates: over many
         // clients the pairs must disagree somewhere.
-        assert!((0..200)
-            .any(|k| inj.upload_attempt_fails(k, 7, 0) != inj.upload_attempt_fails(k, 7, 1)));
-        assert!((0..200)
-            .any(|k| inj.upload_attempt_fails(k, 7, 0) != inj.upload_attempt_fails(k, 8, 0)));
+        assert!((0..200).any(|k| fails_at(k, 7, 0) != fails_at(k, 7, 1)));
+        assert!((0..200).any(|k| fails_at(k, 7, 0) != fails_at(k, 8, 0)));
     }
 
     #[test]
     fn backoff_grows_exponentially() {
-        let inj = FaultInjector::new(
-            SEED,
-            FaultConfig {
-                upload_failure_prob: 0.5,
-                retry_backoff: 0.01,
-                max_retries: 3,
-            },
-        );
-        assert_eq!(inj.backoff_delay(1), 0.01);
-        assert_eq!(inj.backoff_delay(2), 0.02);
-        assert_eq!(inj.backoff_delay(3), 0.04);
+        let faults = FaultConfig {
+            upload_failure_prob: 0.5,
+            retry_backoff: 0.01,
+            max_retries: 3,
+        };
+        assert_eq!(faults.backoff_delay(1), 0.01);
+        assert_eq!(faults.backoff_delay(2), 0.02);
+        assert_eq!(faults.backoff_delay(3), 0.04);
     }
 
     #[test]
     fn plans_match_a_manual_attempt_replay() {
-        let inj = FaultInjector::new(
-            SEED,
-            FaultConfig {
-                upload_failure_prob: 0.45,
-                max_retries: 2,
-                retry_backoff: 0.01,
-            },
-        );
+        let faults = FaultConfig {
+            upload_failure_prob: 0.45,
+            max_retries: 2,
+            retry_backoff: 0.01,
+        };
         let mut saw_drop = false;
         let mut saw_retry_success = false;
         for client in 0..400 {
-            let plan = inj.plan(client, 11);
+            let plan = faults.plan(SEED, client, 11);
             // Manual replay of the driver's incremental logic.
             let mut failures = 0u32;
-            while failures <= 2 && inj.upload_attempt_fails(client, 11, failures) {
+            while failures <= 2 && faults.upload_attempt_fails(SEED, client, 11, failures) {
                 failures += 1;
             }
             let delivered = failures <= 2;

@@ -38,6 +38,34 @@ struct LayerOffsets {
     out_dim: usize,
 }
 
+impl LayerOffsets {
+    /// Appends this layer's section of a packed gather map: every kept row
+    /// restricted to the previous layer's kept columns (`None`: the input,
+    /// all columns), then the kept rows' biases.
+    fn push_packed(
+        &self,
+        map: &mut GatherMap,
+        rows: impl Iterator<Item = usize> + Clone,
+        cols: Option<&[usize]>,
+    ) {
+        for r in rows.clone() {
+            assert!(r < self.out_dim, "kept unit {r} out of range");
+            let row_start = self.w_start + r * self.in_dim;
+            match cols {
+                None => map.push_range(row_start, self.in_dim),
+                Some(cols) => {
+                    for &c in cols {
+                        map.push(row_start + c);
+                    }
+                }
+            }
+        }
+        for r in rows {
+            map.push(self.b_start + r);
+        }
+    }
+}
+
 /// A multi-layer perceptron.
 #[derive(Debug, Clone)]
 pub struct Mlp {
@@ -358,30 +386,18 @@ impl ModelArch for Mlp {
             hidden: kept.layers().map(<[usize]>::len).collect(),
             num_classes: self.config.num_classes,
         });
-        // Gather map in the packed layout's order: per layer, the kept rows
-        // restricted to the previous layer's kept columns, then the kept
-        // biases. The output layer keeps every row; the input keeps every
-        // column — both expressed as `KeptRange::All`, iterated in place.
+        // Gather map in the packed layout's order, layer by layer. The
+        // output layer keeps every row; the input keeps every column.
         // Section starts ascend with the layer offsets and rows/cols ascend
         // within, so the whole map is strictly ascending (checked by
         // `PackedModel::new`).
         let mut map = GatherMap::with_capacity(packed.param_count());
         for (li, layer) in self.layers.iter().enumerate() {
-            let rows = kept.layer_or_all(li, layer.out_dim);
-            for r in rows.iter() {
-                assert!(r < layer.out_dim, "kept unit {r} out of range");
-                let row_start = layer.w_start + r * layer.in_dim;
-                match li.checked_sub(1) {
-                    None => map.push_range(row_start, layer.in_dim),
-                    Some(p) => {
-                        for &c in kept.layer(p) {
-                            map.push(row_start + c);
-                        }
-                    }
-                }
-            }
-            for r in rows.iter() {
-                map.push(layer.b_start + r);
+            let cols = li.checked_sub(1).map(|p| kept.layer(p));
+            if li < kept.num_layers() {
+                layer.push_packed(&mut map, kept.layer(li).iter().copied(), cols);
+            } else {
+                layer.push_packed(&mut map, 0..layer.out_dim, cols);
             }
         }
         Some(PackedModel::new(
@@ -484,18 +500,22 @@ mod tests {
         assert_eq!(a.accuracy, b.accuracy);
     }
 
-    #[test]
-    fn packed_submodel_matches_masked_dense_bitwise() {
-        let mlp = toy_mlp();
-        let data = toy_dataset(14, 6, 3);
+    /// Packs `mlp` onto `kept` and checks the packed submodel against the
+    /// masked-dense model bit for bit; returns the packed parameter count.
+    fn assert_packed_matches_masked_dense(mlp: &Mlp, kept: &[Vec<usize>]) -> usize {
+        let data = toy_dataset(14, mlp.config.input_dim, mlp.config.num_classes);
         let mut rng = rng_from_seed(8);
         let params = mlp.init_params(&mut rng);
-        // Drop units 1,4,6 of hidden0 and 0,3 of hidden1.
-        let keep: Vec<bool> = (0..13).map(|j| ![1, 4, 6, 8, 11].contains(&j)).collect();
+        let keep: Vec<bool> = mlp
+            .config
+            .hidden
+            .iter()
+            .zip(kept)
+            .flat_map(|(&width, units)| (0..width).map(|u| units.contains(&u)))
+            .collect();
         let mask = mlp.unit_layout().expand_mask(&keep);
         let masked: Vec<f32> = params.iter().zip(mask.iter()).map(|(p, m)| p * m).collect();
-        let kept = KeptUnits::from_nested(&[vec![0usize, 2, 3, 5, 7], vec![1usize, 2, 4]]);
-        let packed = mlp.pack(&kept).expect("packable");
+        let packed = mlp.pack(&KeptUnits::from_nested(kept)).expect("packable");
         assert_eq!(packed.arch().param_count(), packed.packed_len());
 
         let indices: Vec<usize> = (0..10).collect();
@@ -521,6 +541,35 @@ mod tests {
         let packed_eval = packed.arch().evaluate(&pp, &data);
         assert_eq!(dense_eval.loss.to_bits(), packed_eval.loss.to_bits());
         assert_eq!(dense_eval.accuracy, packed_eval.accuracy);
+        packed.packed_len()
+    }
+
+    #[test]
+    fn packed_submodel_matches_masked_dense_bitwise() {
+        // Drop units 1,4,6 of hidden0 and 0,3 of hidden1.
+        let packed =
+            assert_packed_matches_masked_dense(&toy_mlp(), &[vec![0, 2, 3, 5, 7], vec![1, 2, 4]]);
+        assert_eq!(packed, 6 * 5 + 5 + 5 * 3 + 3 + 3 * 3 + 3);
+        // No hidden layer: the output layer keeps every row over the full
+        // input, so the packed model is the whole model.
+        let linear = Mlp::new(MlpConfig {
+            input_dim: 4,
+            hidden: vec![],
+            num_classes: 3,
+        });
+        assert_eq!(linear.param_count(), 15);
+        assert_eq!(assert_packed_matches_masked_dense(&linear, &[]), 15);
+        // One hidden layer keeping units {0, 2, 4} of 5.
+        let shallow = Mlp::new(MlpConfig {
+            input_dim: 4,
+            hidden: vec![5],
+            num_classes: 3,
+        });
+        assert_eq!(shallow.param_count(), 43);
+        assert_eq!(
+            assert_packed_matches_masked_dense(&shallow, &[vec![0, 2, 4]]),
+            27
+        );
     }
 
     #[test]

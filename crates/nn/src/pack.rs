@@ -82,17 +82,6 @@ impl KeptUnits {
         (0..self.num_layers()).map(move |i| self.layer(i))
     }
 
-    /// Layer `i`'s list when it exists, else the full `0..all` range —
-    /// how `pack` implementations address layers the mask never drops
-    /// (e.g. the classifier) without materializing `(0..all).collect()`.
-    pub fn layer_or_all(&self, i: usize, all: usize) -> KeptRange<'_> {
-        if i < self.num_layers() {
-            KeptRange::Listed(self.layer(i))
-        } else {
-            KeptRange::All(all)
-        }
-    }
-
     /// Number of retained units per layer.
     pub fn retained_per_layer(&self) -> Vec<usize> {
         self.offsets.windows(2).map(|w| w[1] - w[0]).collect()
@@ -102,46 +91,6 @@ impl KeptUnits {
     /// condition for a packed submodel to be a connected network.
     pub fn is_executable(&self) -> bool {
         self.offsets.windows(2).all(|w| w[1] > w[0])
-    }
-}
-
-/// One layer's kept units: an explicit ascending list, or the whole
-/// `0..len` range, iterated in place.
-#[derive(Debug, Clone, Copy)]
-pub enum KeptRange<'a> {
-    /// Explicit ascending kept-unit indices.
-    Listed(&'a [usize]),
-    /// All units of a layer of the given width.
-    All(usize),
-}
-
-impl KeptRange<'_> {
-    /// Number of selected units.
-    pub fn len(&self) -> usize {
-        match self {
-            KeptRange::Listed(s) => s.len(),
-            KeptRange::All(n) => *n,
-        }
-    }
-
-    /// Whether the selection is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `i`-th selected unit.
-    #[inline]
-    pub fn get(&self, i: usize) -> usize {
-        match self {
-            KeptRange::Listed(s) => s[i],
-            KeptRange::All(_) => i,
-        }
-    }
-
-    /// Iterates the selected units in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let this = *self;
-        (0..this.len()).map(move |i| this.get(i))
     }
 }
 

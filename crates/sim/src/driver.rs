@@ -34,7 +34,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use fedlps_faults::FaultInjector;
 use fedlps_runtime::{Event, EventKind, EventQueue, VirtualClock};
 use fedlps_select::{ClientPool, SelectionPolicy, SelectionTracker};
 use fedlps_tensor::{rng_from_seed, split_seed};
@@ -93,7 +92,6 @@ pub(crate) struct Driver<'a> {
     dispatch_seq: u64,
     mode: ModeState,
     topo: TopologyState,
-    injector: FaultInjector,
     /// Clients with a pending `UploadRetry` event, keyed by client id.
     retry: BTreeMap<usize, RetryState>,
 }
@@ -130,7 +128,6 @@ impl<'a> Driver<'a> {
             dispatch_seq: 0,
             mode,
             topo: TopologyState::new(env),
-            injector: FaultInjector::new(env.config.seed, env.config.faults),
             retry: BTreeMap::new(),
             env,
         }
@@ -334,7 +331,11 @@ impl<'a> Driver<'a> {
                 outcome.report.local_cost.comm_seconds += wait;
             }
             let arrival = event.time + wait + total + hop;
-            if self.injector.upload_attempt_fails(client, tick, 0) {
+            if env
+                .config
+                .faults
+                .upload_attempt_fails(env.config.seed, client, tick, 0)
+            {
                 self.retry.insert(
                     client,
                     RetryState {
@@ -424,7 +425,8 @@ impl<'a> Driver<'a> {
         // The failed attempt still burned its airtime: the bytes crossed the
         // uplink even though the server never saw a usable update.
         self.acc.metrics.round_upload_bytes += fl.report.upload_bytes;
-        if state.failures > self.injector.config().max_retries {
+        let (seed, faults) = (self.env.config.seed, self.env.config.faults);
+        if state.failures > faults.max_retries {
             // Retry budget exhausted: the update is permanently lost; its
             // spent FLOPs still count against the federation.
             let fl = self
@@ -444,14 +446,11 @@ impl<'a> Driver<'a> {
         }
         // Exponential backoff, then replay the wire legs. The extra latency
         // lands in the report so the selection tracker observes it.
-        let delay = self.injector.backoff_delay(state.failures);
+        let delay = faults.backoff_delay(state.failures);
         let arrival = event.time + delay + state.resend_seconds;
         fl.report.local_cost.comm_seconds += delay + state.resend_seconds;
         self.acc.metrics.retry_attempts += 1;
-        if self
-            .injector
-            .upload_attempt_fails(event.client, state.tick, state.failures)
-        {
+        if faults.upload_attempt_fails(seed, event.client, state.tick, state.failures) {
             self.retry
                 .get_mut(&event.client)
                 .expect("retry state present")

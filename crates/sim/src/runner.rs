@@ -525,12 +525,11 @@ mod tests {
 
     /// The driver's event-driven retry accounting agrees with the closed
     /// form: replaying every synchronous dispatch through
-    /// [`FaultInjector::plan`](fedlps_faults::FaultInjector::plan) predicts
+    /// [`FaultConfig::plan`](crate::config::FaultConfig::plan) predicts
     /// the run's retry and upload-failure totals exactly.
     #[test]
     fn retry_accounting_matches_the_fault_plan() {
         use crate::config::FaultConfig;
-        use fedlps_faults::FaultInjector;
         use std::sync::Mutex;
 
         /// `MiniFedAvg` that records every `(client, round)` it steps.
@@ -572,7 +571,6 @@ mod tests {
             ..FaultConfig::default()
         };
         let config = FlConfig::tiny().with_faults(faults);
-        let injector = FaultInjector::new(config.seed, faults);
         let mut algo = Recording {
             inner: MiniFedAvg::new(),
             steps: Mutex::new(Vec::new()),
@@ -585,7 +583,7 @@ mod tests {
             .into_inner()
             .unwrap()
             .into_iter()
-            .map(|(client, round)| injector.plan(client, round as u64))
+            .map(|(client, round)| faults.plan(config.seed, client, round as u64))
             .collect();
         assert_eq!(plans.len(), config.rounds * config.clients_per_round);
         let retries: u64 = plans

@@ -33,21 +33,12 @@ fn tables(name: &str) -> &'static [TableBuilder] {
 }
 
 /// The artefacts this file asserts orderings on.
-const CLAIMED: [&str; 4] = [
-    "table1",
-    "table2_ablation",
-    "fig9a_pattern_sweep",
-    "fig9b_time_breakdown",
-];
+const CLAIMED: [&str; 3] = ["table1", "table2_ablation", "fig9_ratio_sweep"];
 
 /// The artefacts held to no ordering here, and why.
-const PRINT_ONLY: [(&str, &str); 7] = [
+const PRINT_ONLY: [(&str, &str); 5] = [
     (
-        "fig3_accuracy_vs_flops",
-        "curves whose end points are Table I rows",
-    ),
-    (
-        "fig4_accuracy_vs_time",
+        "fig3_4_convergence",
         "curves whose end points are Table I rows",
     ),
     (
@@ -59,11 +50,7 @@ const PRINT_ONLY: [(&str, &str); 7] = [
         "FedLPS trails the personalized baselines at smoke scale (PAPER.md)",
     ),
     (
-        "fig7_heterogeneity_accuracy",
-        "16 s in the debug profile; the High column is Table I",
-    ),
-    (
-        "fig8_heterogeneity_time",
+        "fig7_8_heterogeneity",
         "16 s in the debug profile; the High column is Table I",
     ),
     (
@@ -171,13 +158,23 @@ fn table2_pucbv_buys_more_accuracy_per_flop_than_rcr_from_fewer_flops() {
     }
 }
 
+/// The tables of one panel of Figure 9, picked by title.
+fn fig9(panel: &str) -> Vec<&'static TableBuilder> {
+    let panels: Vec<_> = tables("fig9_ratio_sweep")
+        .iter()
+        .filter(|t| t.title().starts_with(panel))
+        .collect();
+    assert!(!panels.is_empty(), "Figure 9 has no {panel} table");
+    panels
+}
+
 #[test]
 fn fig9a_learnable_patterns_beat_random_ones_at_every_ratio_on_mnist_like() {
     // Learnable vs random: 58.59 vs 57.03, 64.06 vs 57.81, 71.88 vs 60.16,
     // 64.84 vs 57.03 — the narrowest margin is +1.56 points at ratio 0.2.
     // (reddit-like sits at chance level, ~7 %, for every pattern.)
-    let t = tables("fig9a_pattern_sweep")
-        .iter()
+    let t = fig9("Figure 9a")
+        .into_iter()
         .find(|t| t.title().contains("mnist-like"))
         .expect("Figure 9a sweeps mnist-like");
     for ratio in ["0.2", "0.4", "0.6", "0.8"] {
@@ -193,7 +190,7 @@ fn fig9a_learnable_patterns_beat_random_ones_at_every_ratio_on_mnist_like() {
 fn fig9b_train_and_communication_time_grow_with_the_sparse_ratio() {
     // mnist-like communication: 0.0208 → 0.0282 → 0.0318 → 0.0339 s, whose
     // last step (1.07x) is the narrowest of the four columns.
-    for t in tables("fig9b_time_breakdown") {
+    for t in fig9("Figure 9b") {
         for column in ["Train (s)", "Comm (s)"] {
             for pair in ["0.2", "0.4", "0.6", "0.8"].windows(2) {
                 assert!(
