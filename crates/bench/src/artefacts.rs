@@ -141,7 +141,7 @@ const TABLE1_METHODS: [&str; 15] = [
 
 /// The methods of the Figure 3–4 convergence curves (`--methods` overrides
 /// it).
-const FIGURE_METHODS: [&str; 7] = [
+pub(crate) const FIGURE_METHODS: [&str; 7] = [
     "FedAvg",
     "REFL",
     "FedMP",

@@ -112,4 +112,15 @@ mod tests {
         let env = ExperimentEnv::paper_default(Scale::Quick, DatasetKind::MnistLike);
         let _ = run_method("NotAMethod", &env);
     }
+
+    #[test]
+    fn figure_method_list_contains_fedlps_and_is_runnable_by_name() {
+        let methods = crate::artefacts::FIGURE_METHODS;
+        assert!(methods.contains(&"FedLPS"));
+        for m in &methods {
+            if *m != "FedLPS" {
+                assert!(baseline_by_name(m).is_some(), "{m}");
+            }
+        }
+    }
 }
