@@ -192,12 +192,16 @@ impl ClientTask<'_> {
     /// and the kept units only (the crate-private `packed_step` module holds
     /// the invariant and the per-sum exactness argument). Per iteration, only
     /// the ordered proximal-loss sum still visits the dropped units'
-    /// coordinates; per task, the prologue (local copy, parameter mask,
-    /// round-constant gradient and dropped-unit sums) is O(model), while the
-    /// epilogue writes the personal model and the residual on the packed
-    /// coordinates only. Without a plan (packing off or a
-    /// non-executable mask) every iteration walks the full model: that
-    /// masked-dense branch is the oracle the packed one matches bit for bit.
+    /// coordinates. Per task, the prologue copies `local` and `masked`
+    /// (O(model) copies) but walks the mask as its merged dropped runs
+    /// ([`UnitLayout::dropped_runs`](fedlps_nn::unit::UnitLayout::dropped_runs)):
+    /// the round-constant gradient, the `P`/`D` walk and the upload count
+    /// read the runs, and the dropped-unit sums read the dropped units'
+    /// ranges. The epilogue writes the personal model and the residual on
+    /// the packed coordinates only. Without a plan (packing off or a
+    /// non-executable mask) the task expands the full parameter mask and
+    /// every iteration walks the full model: that masked-dense branch is the
+    /// oracle the packed one matches bit for bit.
     pub fn run(&self, rng: &mut StdRng) -> ClientTaskOutput {
         let arch = self.arch;
         let options = &self.options;
@@ -230,13 +234,14 @@ impl ClientTask<'_> {
             Some(cached) => cached.clone(),
             None => build_mask(arch, &local, &indicator, options, rng),
         };
-        let pmask = mask.param_mask(layout);
+        // The coordinates the mask zeroes, as merged index runs.
+        let dropped = layout.dropped_runs(mask.keep_flags());
 
         // Compile (or reuse) the physically packed submodel of this round's
         // mask. The packed task pass is bit-identical to the masked-dense one,
         // so falling back (plan not executable, packing off) changes nothing
-        // but wall-clock.
-        let plan: Option<Arc<PackedModel>> = if self.packed_execution {
+        // but wall-clock. Only that fallback expands the parameter mask.
+        let plan = if self.packed_execution {
             self.cached_plan.clone().or_else(|| {
                 SubmodelPlan::from_mask(layout, &mask)
                     .compile(arch)
@@ -244,6 +249,10 @@ impl ClientTask<'_> {
             })
         } else {
             None
+        };
+        let execution = match plan {
+            Some(plan) => Execution::Packed(plan),
+            None => Execution::MaskedDense(mask.param_mask(layout)),
         };
         let data = self.data;
         if !data.is_empty() {
@@ -257,19 +266,22 @@ impl ClientTask<'_> {
             // views all live in a single pooled backing vector instead of
             // per-buffer (and previously per-iteration) `Vec` allocations.
             let n = arch.param_count();
-            let p = plan.as_deref().map_or(0, PackedModel::packed_len);
+            let p = match &execution {
+                Execution::Packed(plan) => plan.packed_len(),
+                Execution::MaskedDense(_) => 0,
+            };
             let mut arena = Arena::from_pool(2 * n + 2 * p);
             let views = arena.views([n, n, p, p]);
             let mut indices = Vec::with_capacity(batch);
-            match plan.as_deref() {
+            match &execution {
                 // Lines 18-21 at packed length: see `packed_step` for the
                 // invariant and the per-sum exactness argument.
-                Some(packed) => {
+                Execution::Packed(packed) => {
                     let mut step = PackedStep::new(
                         layout,
                         packed,
                         &mask,
-                        &pmask,
+                        &dropped,
                         global_params,
                         &local,
                         objective,
@@ -287,7 +299,7 @@ impl ClientTask<'_> {
                     }
                 }
                 // The masked-dense oracle: every pass over the full model.
-                None => {
+                Execution::MaskedDense(pmask) => {
                     let [masked, grad, _, _] = views;
                     for _ in 0..options.iterations {
                         for ((slot, &pv), &m) in
@@ -311,7 +323,7 @@ impl ClientTask<'_> {
                         // gradient buffer).
                         let q_grad = indicator.gradient(layout, &local, grad, options.lambda);
                         // Line 20: masked SGD step on the retained parameters only.
-                        options.sgd.step_masked(&mut local, grad, &pmask);
+                        options.sgd.step_masked(&mut local, grad, pmask);
                         indicator.step(&q_grad, options.importance_lr);
 
                         loss_sum += breakdown.total;
@@ -329,8 +341,8 @@ impl ClientTask<'_> {
         // `P` only: the personal model is `local[P]` (`p · 1.0 == p`), and
         // every other masked-in coordinate is frozen at the global value, so
         // its residual entry is an exact zero.
-        let (personal, residual) = match plan {
-            Some(plan) => {
+        let (personal, residual) = match execution {
+            Execution::Packed(plan) => {
                 let gather = plan.gather_map();
                 let params = gather.iter().map(|&i| local[i as usize]).collect();
                 let residual = Residual::Packed {
@@ -343,7 +355,7 @@ impl ClientTask<'_> {
                 };
                 (PersonalModel::Packed { plan, params }, residual)
             }
-            None => {
+            Execution::MaskedDense(pmask) => {
                 let personal = local.iter().zip(&pmask).map(|(p, m)| p * m).collect();
                 let residual = global_params
                     .iter()
@@ -354,10 +366,11 @@ impl ClientTask<'_> {
                 (PersonalModel::Dense(personal), Residual::Dense(residual))
             }
         };
-        let uploaded_params = mask.retained_params(layout);
+        let uploaded_params =
+            arch.param_count() - dropped.iter().map(ExactSizeIterator::len).sum::<usize>();
 
         let state = ClientState {
-            indicator: Some(indicator.scores().to_vec()),
+            indicator: Some(indicator.into_scores()),
             personal: Some(personal),
             last_mask: Some(mask.clone()),
             last_ratio: options.ratio,
@@ -382,6 +395,14 @@ impl ClientTask<'_> {
             state,
         }
     }
+}
+
+/// What a task's local iterations run on.
+enum Execution {
+    /// The compiled packed submodel of the round's mask.
+    Packed(Arc<PackedModel>),
+    /// The masked-dense oracle: the full model under this parameter mask.
+    MaskedDense(Vec<f32>),
 }
 
 fn build_mask(

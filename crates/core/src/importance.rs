@@ -84,6 +84,11 @@ impl ImportanceIndicator {
         &self.scores
     }
 
+    /// Consumes the indicator, returning its scores.
+    pub(crate) fn into_scores(self) -> Vec<f32> {
+        self.scores
+    }
+
     /// Number of units covered.
     pub fn len(&self) -> usize {
         self.scores.len()

@@ -5,14 +5,15 @@
 //! touches only the packed coordinates, the kept units' ranges and one
 //! ordered proximal pass.
 //!
-//! For one task on unit mask `m` (parameter mask `pmask`) and packed
-//! submodel with gather map `P` ([`PackedModel::gather_map`]):
+//! For one task on unit mask `m` and packed submodel with gather map `P`
+//! ([`PackedModel::gather_map`]):
 //!
-//! * `K` — the mask-kept coordinates (`pmask == 1`). `P ⊆ K` is asserted
-//!   once per task;
-//! * `D` — the coordinates of dropped units (`pmask == 0`). Unit ranges may
-//!   overlap (an LSTM cell owns columns inside the other cells' rows), so
-//!   `D` is read off `pmask`, never off the ranges;
+//! * `D` — the coordinates of dropped units, the zeros of the oracle's
+//!   parameter mask. Unit ranges may overlap (an LSTM cell owns columns
+//!   inside the other cells' rows), so `D` is read off the merged runs of
+//!   [`UnitLayout::dropped_runs`], never off the ranges one by one;
+//! * `K` — the mask-kept coordinates, the complement of `D`. `P ⊆ K` is
+//!   asserted once per task;
 //! * `F = K \ P` — mask-kept coordinates the packed model omits: a kept
 //!   unit's weights from dropped inputs, the classifier's columns of dropped
 //!   units.
@@ -27,13 +28,13 @@
 //! `D ∪ F`, the gradient `0.0 + μ·(masked − global)` is constant on `D`,
 //! and it is exactly `+0.0` on `F`.
 //!
-//! **Once per task** ([`PackedStep::new`]) one branch-free pass over the
-//! model writes `masked` and that constant gradient, a scan of `pmask`'s
-//! zero runs against the gather map records the ascending `P`/`D` run list
-//! and checks `P ⊆ K`, and one walk over the dropped units stores their
-//! magnitude and straight-through sums, which are round constants. (A single
-//! pass that also classified every coordinate was branchier and measured
-//! twice as slow.)
+//! **Once per task** ([`PackedStep::new`]) `masked` starts as a copy of
+//! `local`, one pass over the dropped runs writes `masked` and that
+//! constant gradient on `D` (the gradient on `F` is the arena's `+0.0`),
+//! a walk of the runs against the gather map records the ascending `P`/`D`
+//! run list and checks `P ⊆ K`, and one walk over the dropped units stores
+//! their magnitude and straight-through sums, which are round constants.
+//! No step of it visits the model coordinate by coordinate under a mask.
 //!
 //! **Per iteration** ([`PackedStep::iterate`]) `masked`, the packed
 //! parameters, the gradient, the clip scaling and the SGD update are written
@@ -105,8 +106,10 @@ pub(crate) struct PackedStep<'a> {
 }
 
 impl<'a> PackedStep<'a> {
-    /// The per-task prologue: one pass over the model, the run scan, then
-    /// one walk over the dropped units. `local` must still equal `global`.
+    /// The per-task prologue: a copy of `local`, one pass over the dropped
+    /// runs, the run walk, then one walk over the dropped units. `dropped`
+    /// is [`UnitLayout::dropped_runs`] of `mask`; `local` must still equal
+    /// `global`.
     #[expect(
         clippy::too_many_arguments,
         reason = "the prologue borrows every buffer the step keeps for its lifetime; bundling them would move the same list into a struct"
@@ -115,7 +118,7 @@ impl<'a> PackedStep<'a> {
         layout: &'a UnitLayout,
         packed: &'a PackedModel,
         mask: &UnitMask,
-        pmask: &[f32],
+        dropped: &[Range<usize>],
         global: &'a [f32],
         local: &[f32],
         objective: ImportanceLoss,
@@ -123,20 +126,23 @@ impl<'a> PackedStep<'a> {
         [masked, grad, packed_params, packed_grad]: [&'a mut [f32]; 4],
     ) -> Self {
         let mu = objective.mu;
-        // The oracle's masked copy `pv · m` and its gradient outside `P`: the
-        // zeroed buffer, the task's exact zero, then `+= μ·diff`. Written on
-        // `P` too, where every iteration overwrites it before it is read.
-        for ((((slot, g), &pv), &m), &gp) in masked
-            .iter_mut()
-            .zip(grad.iter_mut())
-            .zip(local.iter())
-            .zip(pmask.iter())
-            .zip(global.iter())
-        {
-            *slot = pv * m;
-            *g = 0.0 + mu * (*slot - gp);
+        // The oracle's masked copy `pv · m` is `pv` on `K` (on `P` every
+        // iteration overwrites it before it is read) and `pv · 0.0` on `D`.
+        // Its gradient outside `P` is the zeroed buffer, the task's exact
+        // zero, then `+= μ·diff`: on `F` that is the arena's `+0.0`, on `D`
+        // the round constant written here.
+        masked.copy_from_slice(local);
+        for run in dropped.iter().cloned() {
+            for ((slot, g), &gp) in masked[run.clone()]
+                .iter_mut()
+                .zip(&mut grad[run.clone()])
+                .zip(&global[run])
+            {
+                *slot *= 0.0;
+                *g = 0.0 + mu * (*slot - gp);
+            }
         }
-        let segments = segments(packed.gather_map(), pmask);
+        let segments = segments(packed.gather_map(), dropped);
         let units: Vec<(&UnitParams, bool)> = layout
             .layers()
             .iter()
@@ -270,37 +276,33 @@ impl<'a> PackedStep<'a> {
     }
 }
 
-/// The ascending `P`/`D` walk: `pmask`'s zero runs in order, each after
-/// the gather coordinates that precede it, then the remaining gather
-/// coordinates with an empty run.
+/// The ascending `P`/`D` walk: each dropped run after the gather
+/// coordinates that precede it, then the remaining gather coordinates with
+/// an empty run.
 ///
 /// # Panics
-/// Panics if a gather coordinate falls in a zero run, i.e. unless `P ⊆ K`.
-fn segments(gather: &[u32], pmask: &[f32]) -> Vec<Segment> {
-    let mut segments = Vec::new();
-    let (mut i, mut k) = (0, 0);
-    while let Some(offset) = pmask[i..].iter().position(|&m| m == 0.0) {
-        let start = i + offset;
-        let end = pmask[start..]
-            .iter()
-            .position(|&m| m != 0.0)
-            .map_or(pmask.len(), |len| start + len);
+/// Panics if a gather coordinate falls in a dropped run, i.e. unless
+/// `P ⊆ K`.
+fn segments(gather: &[u32], dropped: &[Range<usize>]) -> Vec<Segment> {
+    let mut segments = Vec::with_capacity(dropped.len() + 1);
+    let mut k = 0;
+    for run in dropped {
         let before = k;
-        while k < gather.len() && (gather[k] as usize) < start {
-            k += 1;
-        }
+        k += gather[k..].partition_point(|&c| (c as usize) < run.start);
         if let Some(&c) = gather.get(k) {
-            assert!(c as usize >= end, "packed coordinate {c} is not mask-kept");
+            assert!(
+                c as usize >= run.end,
+                "packed coordinate {c} is not mask-kept"
+            );
         }
         segments.push(Segment {
             packed: k - before,
-            dropped: start..end,
+            dropped: run.clone(),
         });
-        i = end;
     }
     segments.push(Segment {
         packed: gather.len() - k,
-        dropped: pmask.len()..pmask.len(),
+        dropped: 0..0,
     });
     segments
 }

@@ -8,6 +8,8 @@
 //! scaling granularity used by HeteroFL / Fjord / FedRolex and by FedLPS
 //! itself.
 
+use std::sync::OnceLock;
+
 use fedlps_data::dataset::Dataset;
 use fedlps_tensor::kernels::LANE;
 use fedlps_tensor::Initializer;
@@ -86,12 +88,14 @@ pub struct ConvNet {
     convs: Vec<ConvLayerMeta>,
     dense_hidden: DenseMeta,
     dense_out: DenseMeta,
-    layout: UnitLayout,
+    /// Built on the first [`ModelArch::unit_layout`] call.
+    layout: OnceLock<UnitLayout>,
     param_count: usize,
 }
 
 impl ConvNet {
-    /// Builds the architecture, computing spatial sizes and parameter offsets.
+    /// Builds the architecture, computing spatial sizes and parameter
+    /// offsets; its unit layout is built on first use.
     pub fn new(config: ConvNetConfig) -> Self {
         assert!(
             !config.channels.is_empty(),
@@ -142,11 +146,21 @@ impl ConvNet {
             out_dim: config.num_classes,
         };
         offset += config.num_classes * config.hidden + config.num_classes;
-        let param_count = offset;
+        Self {
+            config,
+            convs,
+            dense_hidden,
+            dense_out,
+            layout: OnceLock::new(),
+            param_count: offset,
+        }
+    }
 
-        // Unit layout: conv output channels + hidden dense neurons.
+    /// The unit layout: conv output channels + hidden dense neurons.
+    fn build_layout(&self) -> UnitLayout {
+        let dense_hidden = &self.dense_hidden;
         let mut unit_layers = Vec::new();
-        for (li, conv) in convs.iter().enumerate() {
+        for (li, conv) in self.convs.iter().enumerate() {
             let per_channel = conv.in_channels * KERNEL * KERNEL;
             let units = (0..conv.out_channels)
                 .map(|oc| UnitParams {
@@ -176,16 +190,7 @@ impl ConvNet {
             name: "dense_hidden".into(),
             units,
         });
-        let layout = UnitLayout::new(unit_layers, param_count);
-
-        Self {
-            config,
-            convs,
-            dense_hidden,
-            dense_out,
-            layout,
-            param_count,
-        }
+        UnitLayout::new(unit_layers, self.param_count)
     }
 
     /// Architecture configuration.
@@ -557,7 +562,7 @@ impl ModelArch for ConvNet {
     }
 
     fn unit_layout(&self) -> &UnitLayout {
-        &self.layout
+        self.layout.get_or_init(|| self.build_layout())
     }
 
     fn init_params(&self, rng: &mut StdRng) -> Vec<f32> {
@@ -1066,5 +1071,20 @@ mod tests {
         let back = avg_pool_backward(&pooled, 1, 4, 4);
         assert_eq!(back.len(), 16);
         assert!((back[0] - pooled[0] / 4.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn packed_submodel_builds_no_unit_layout() {
+        let fresh = ConvNet::new(ConvNetConfig {
+            channels: vec![2, 3],
+            hidden: 5,
+            ..toy_convnet().config().clone()
+        });
+        crate::pack::assert_packing_builds_no_layout(
+            &toy_convnet(),
+            &KeptUnits::from_nested(&[vec![1, 3], vec![0, 2, 5], vec![0, 1, 4, 6, 7]]),
+            &toy_image_dataset(4),
+            &fresh,
+        );
     }
 }

@@ -15,6 +15,8 @@
 //! submodel — the HeteroFL/FjORD convention — which is exactly what lets the
 //! packed execution path reproduce masked-dense training bit for bit.
 
+use std::sync::OnceLock;
+
 use fedlps_data::dataset::Dataset;
 use fedlps_tensor::Initializer;
 use rand::rngs::StdRng;
@@ -51,12 +53,13 @@ pub struct LstmLm {
     b_start: usize,
     w_out_start: usize,
     b_out_start: usize,
-    layout: UnitLayout,
+    /// Built on the first [`ModelArch::unit_layout`] call.
+    layout: OnceLock<UnitLayout>,
     param_count: usize,
 }
 
 impl LstmLm {
-    /// Builds the architecture and its unit layout.
+    /// Builds the architecture; its unit layout is built on first use.
     pub fn new(config: LstmLmConfig) -> Self {
         let (v, e, h, c) = (
             config.vocab,
@@ -73,6 +76,35 @@ impl LstmLm {
         let b_out_start = w_out_start + c * h;
         let param_count = b_out_start + c;
 
+        Self {
+            config,
+            embed_start,
+            w_ih_start,
+            w_hh_start,
+            b_start,
+            w_out_start,
+            b_out_start,
+            layout: OnceLock::new(),
+            param_count,
+        }
+    }
+
+    /// The unit layout: one layer of hidden cells, each owning its gate rows
+    /// and biases and its outgoing columns.
+    fn build_layout(&self) -> UnitLayout {
+        let Self {
+            w_ih_start,
+            w_hh_start,
+            b_start,
+            w_out_start,
+            param_count,
+            ..
+        } = *self;
+        let (e, h, c) = (
+            self.config.embed,
+            self.config.hidden,
+            self.config.num_classes,
+        );
         let units = (0..h)
             .map(|j| {
                 let mut ranges = Vec::with_capacity(12 + 4 * h.saturating_sub(1) + c);
@@ -98,25 +130,13 @@ impl LstmLm {
                 UnitParams { ranges }
             })
             .collect();
-        let layout = UnitLayout::new(
+        UnitLayout::new(
             vec![LayerUnits {
                 name: "lstm".into(),
                 units,
             }],
             param_count,
-        );
-
-        Self {
-            config,
-            embed_start,
-            w_ih_start,
-            w_hh_start,
-            b_start,
-            w_out_start,
-            b_out_start,
-            layout,
-            param_count,
-        }
+        )
     }
 
     /// Architecture configuration.
@@ -311,7 +331,7 @@ impl ModelArch for LstmLm {
     }
 
     fn unit_layout(&self) -> &UnitLayout {
-        &self.layout
+        self.layout.get_or_init(|| self.build_layout())
     }
 
     fn init_params(&self, rng: &mut StdRng) -> Vec<f32> {
@@ -674,5 +694,19 @@ mod tests {
         );
         let stats = m.evaluate(&params, &data);
         assert!(stats.loss.is_finite());
+    }
+
+    #[test]
+    fn packed_submodel_builds_no_unit_layout() {
+        let fresh = LstmLm::new(LstmLmConfig {
+            hidden: 3,
+            ..toy_lstm().config().clone()
+        });
+        crate::pack::assert_packing_builds_no_layout(
+            &toy_lstm(),
+            &KeptUnits::from_nested(&[vec![0, 2, 5]]),
+            &toy_text_dataset(4),
+            &fresh,
+        );
     }
 }

@@ -6,6 +6,8 @@
 //! neuron owns its incoming weight row and bias; masking a neuron therefore
 //! zeroes its pre-activation, which silences it for the rest of the network.
 
+use std::sync::OnceLock;
+
 use fedlps_data::dataset::Dataset;
 use fedlps_tensor::scratch::{with_pool, ScratchPool};
 use fedlps_tensor::{Initializer, Matrix};
@@ -71,12 +73,13 @@ impl LayerOffsets {
 pub struct Mlp {
     config: MlpConfig,
     layers: Vec<LayerOffsets>,
-    layout: UnitLayout,
+    /// Built on the first [`ModelArch::unit_layout`] call.
+    layout: OnceLock<UnitLayout>,
     param_count: usize,
 }
 
 impl Mlp {
-    /// Builds the architecture and its unit layout.
+    /// Builds the architecture; its unit layout is built on first use.
     pub fn new(config: MlpConfig) -> Self {
         assert!(config.input_dim > 0 && config.num_classes > 0);
         let mut widths = vec![config.input_dim];
@@ -95,10 +98,19 @@ impl Mlp {
             });
             offset += in_dim * out_dim + out_dim;
         }
-        let param_count = offset;
+        Self {
+            config,
+            layers,
+            layout: OnceLock::new(),
+            param_count: offset,
+        }
+    }
 
+    /// The unit layout.
+    fn build_layout(&self) -> UnitLayout {
         // Hidden neurons are the sparsifiable units; the output layer is never
         // sparsified (as in the paper, the classifier stays dense).
+        let layers = &self.layers;
         let mut unit_layers = Vec::new();
         for (li, layer) in layers.iter().enumerate().take(layers.len() - 1) {
             let units = (0..layer.out_dim)
@@ -114,14 +126,7 @@ impl Mlp {
                 units,
             });
         }
-        let layout = UnitLayout::new(unit_layers, param_count);
-
-        Self {
-            config,
-            layers,
-            layout,
-            param_count,
-        }
+        UnitLayout::new(unit_layers, self.param_count)
     }
 
     /// Architecture configuration.
@@ -217,7 +222,7 @@ impl ModelArch for Mlp {
     }
 
     fn unit_layout(&self) -> &UnitLayout {
-        &self.layout
+        self.layout.get_or_init(|| self.build_layout())
     }
 
     fn init_params(&self, rng: &mut StdRng) -> Vec<f32> {
@@ -632,5 +637,21 @@ mod tests {
         let params = mlp.init_params(&mut rng);
         let empty = Dataset::empty(3, InputKind::Vector { dim: 6 });
         assert_eq!(mlp.evaluate(&params, &empty).samples, 0);
+    }
+
+    #[test]
+    fn packed_submodel_builds_no_unit_layout() {
+        let mlp = toy_mlp();
+        let fresh = Mlp::new(MlpConfig {
+            input_dim: 6,
+            hidden: vec![3, 2],
+            num_classes: 3,
+        });
+        crate::pack::assert_packing_builds_no_layout(
+            &mlp,
+            &KeptUnits::from_nested(&[vec![0, 4, 7], vec![1, 3]]),
+            &toy_dataset(6, 6, 3),
+            &fresh,
+        );
     }
 }

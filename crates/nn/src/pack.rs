@@ -243,6 +243,36 @@ impl GatherMap {
     }
 }
 
+/// Packs `full` onto `kept`, then evaluates and trains the packed submodel
+/// on `data`, and checks that none of it built a unit layout; then that the
+/// packed model's layout, once asked for, equals `fresh`'s (the same packed
+/// shape built with `new`).
+#[cfg(test)]
+pub(crate) fn assert_packing_builds_no_layout(
+    full: &dyn ModelArch,
+    kept: &KeptUnits,
+    data: &fedlps_data::dataset::Dataset,
+    fresh: &dyn ModelArch,
+) {
+    let params = full.init_params(&mut fedlps_tensor::rng_from_seed(6));
+    let before = crate::unit::layouts_built();
+    let packed = full.pack(kept).expect("packable");
+    let mut packed_params = Vec::new();
+    packed.gather_params(&params, &mut packed_params);
+    let mut grad = vec![0.0f32; packed.packed_len()];
+    let indices: Vec<usize> = (0..data.len()).collect();
+    packed.arch().evaluate(&packed_params, data);
+    packed
+        .arch()
+        .loss_and_grad(&packed_params, data, &indices, &mut grad);
+    assert_eq!(
+        crate::unit::layouts_built(),
+        before,
+        "packing, evaluating or training a packed model built a unit layout"
+    );
+    assert_eq!(packed.arch().unit_layout(), fresh.unit_layout());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

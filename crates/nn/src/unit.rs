@@ -14,15 +14,31 @@
 //!   classifier (`LstmLm::new`) — so LSTM ranges overlap: a kept cell's gate
 //!   row contains the recurrent weights that a dropped cell owns.
 //!
-//! [`UnitLayout`] is produced once per architecture and consumed by
-//! `fedlps-sparse` (to expand unit masks into parameter masks and to compute
-//! per-unit magnitude sums `|ω|_J`) and by the FLOP model (retained units per
-//! layer determine the analytic cost).
+//! An architecture builds its [`UnitLayout`] on the first
+//! [`ModelArch::unit_layout`](crate::model::ModelArch::unit_layout) call and
+//! keeps it: a full model builds it once, and a packed submodel, whose
+//! layout nothing reads, never builds one. The layout is consumed by
+//! `fedlps-sparse` (to expand unit masks into parameter masks or dropped
+//! runs and to compute per-unit magnitude sums `|ω|_J`) and by the FLOP
+//! model (retained units per layer determine the analytic cost).
 
-use serde::{Deserialize, Serialize};
+use std::ops::Range;
+
+#[cfg(test)]
+thread_local! {
+    /// Layouts built on this thread, so a test can check that a code path
+    /// builds none.
+    static BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Number of [`UnitLayout`]s built on the calling thread so far.
+#[cfg(test)]
+pub(crate) fn layouts_built() -> usize {
+    BUILT.with(std::cell::Cell::get)
+}
 
 /// A contiguous `[start, start + len)` range of parameter indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParamRange {
     pub start: usize,
     pub len: usize,
@@ -41,7 +57,7 @@ impl ParamRange {
 }
 
 /// The parameter ranges owned by one sparsifiable unit.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UnitParams {
     pub ranges: Vec<ParamRange>,
 }
@@ -87,7 +103,7 @@ impl UnitParams {
 }
 
 /// All sparsifiable units of one layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerUnits {
     /// Human-readable layer name (e.g. `"hidden0"`, `"conv2"`, `"lstm"`).
     pub name: String,
@@ -110,7 +126,7 @@ impl LayerUnits {
 /// The full unit layout of a model: its sparsifiable layers plus the total
 /// parameter count (covering also non-sparsifiable parameters such as
 /// embeddings and the output layer, which are always retained).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnitLayout {
     layers: Vec<LayerUnits>,
     total_params: usize,
@@ -120,6 +136,8 @@ impl UnitLayout {
     /// Builds a layout, checking that all ranges stay inside the parameter
     /// vector.
     pub fn new(layers: Vec<LayerUnits>, total_params: usize) -> Self {
+        #[cfg(test)]
+        BUILT.with(|built| built.set(built.get() + 1));
         for layer in &layers {
             for unit in &layer.units {
                 for r in &unit.ranges {
@@ -238,30 +256,38 @@ impl UnitLayout {
     /// non-unit parameters too). This is the quantity behind the paper's
     /// communication-volume accounting: the nonzeros of
     /// [`expand_mask`](Self::expand_mask), counted as the model size minus
-    /// the union of the dropped units' ranges (which overlap on the LSTM)
-    /// without expanding the mask.
+    /// the lengths of the [`dropped_runs`](Self::dropped_runs).
     pub fn retained_params(&self, unit_keep: &[bool]) -> usize {
+        let dropped: usize = self.dropped_runs(unit_keep).iter().map(Range::len).sum();
+        self.total_params - dropped
+    }
+
+    /// The zero set of [`expand_mask`](Self::expand_mask) as ascending,
+    /// disjoint, non-adjacent index runs: the union of the dropped units'
+    /// ranges (which overlap on the LSTM), merged without expanding the mask.
+    pub fn dropped_runs(&self, unit_keep: &[bool]) -> Vec<Range<usize>> {
         assert_eq!(
             unit_keep.len(),
             self.total_units(),
             "unit mask length mismatch"
         );
         let units = self.layers.iter().flat_map(|layer| &layer.units);
-        let mut dropped: Vec<(usize, usize)> = units
+        let mut runs: Vec<Range<usize>> = units
             .zip(unit_keep)
             .filter(|&(_, &keep)| !keep)
-            .flat_map(|(unit, _)| unit.ranges.iter().map(|r| (r.start, r.end())))
+            .flat_map(|(unit, _)| unit.ranges.iter().map(|r| r.start..r.end()))
+            .filter(|run| !run.is_empty())
             .collect();
-        dropped.sort_unstable();
-        let (mut covered, mut reach) = (0, 0);
-        for (start, end) in dropped {
-            let start = start.max(reach);
-            if end > start {
-                covered += end - start;
-                reach = end;
+        runs.sort_unstable_by_key(|run| run.start);
+        // Fold each range into the run before it when they overlap or touch.
+        runs.dedup_by(|next, run| {
+            let touches = next.start <= run.end;
+            if touches {
+                run.end = run.end.max(next.end);
             }
-        }
-        self.total_params - covered
+            touches
+        });
+        runs
     }
 }
 
@@ -335,6 +361,13 @@ mod tests {
         let layout = toy_layout();
         let keep = [true, false, true, true, false];
         assert_eq!(layout.retained_per_layer(&keep), vec![1, 2]);
+        // Unit 1 owns 2..4 and 11..12, unit 4 owns 8..10; adjacent dropped
+        // ranges (units 1 and 2) merge into one run.
+        assert_eq!(layout.dropped_runs(&keep), vec![2..4, 8..10, 11..12]);
+        assert_eq!(
+            layout.dropped_runs(&[true, false, false, true, true]),
+            vec![2..6, 11..12]
+        );
         // 20 total - 3 (unit1) - 2 (unit4) = 15.
         assert_eq!(layout.retained_params(&keep), 15);
     }
@@ -364,6 +397,9 @@ mod tests {
             let expanded = layout.expand_mask(&keep);
             let nonzeros = expanded.iter().filter(|&&m| m != 0.0).count();
             assert_eq!(layout.retained_params(&keep), nonzeros, "keep {keep:?}");
+            let zeros: Vec<usize> = (0..20).filter(|&i| expanded[i] == 0.0).collect();
+            let runs: Vec<usize> = layout.dropped_runs(&keep).into_iter().flatten().collect();
+            assert_eq!(runs, zeros, "keep {keep:?}");
         }
     }
 

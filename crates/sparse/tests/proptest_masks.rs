@@ -117,18 +117,30 @@ proptest! {
         prop_assert_eq!(small.intersect(&large), small.clone());
     }
 
-    /// The retained-parameter count, taken over the dropped units' ranges,
-    /// is the nonzero count of the expanded mask on every architecture
-    /// (the LSTM's ranges overlap), for any keep pattern.
+    /// `dropped_runs` is the zero set of the expanded mask as ascending,
+    /// disjoint, non-adjacent runs on every architecture (the LSTM's ranges
+    /// overlap), for any keep pattern, and the retained-parameter count is
+    /// the model size minus their lengths: the expanded mask's nonzeros.
     #[test]
     fn retained_params_counts_the_expanded_mask(kind in 0usize..3, width in 2usize..8,
-                                                 seed in 0u64..500) {
+                                                 keep_prob in 0.0f64..1.0, seed in 0u64..500) {
         let model = arch_of(kind, width);
         let layout = model.unit_layout();
         let mut rng = rng_from_seed(seed);
-        let mask = UnitMask::from_keep((0..layout.total_units()).map(|_| rng.gen()).collect());
-        let nonzeros = mask.param_mask(layout).iter().filter(|&&m| m != 0.0).count();
-        prop_assert_eq!(mask.retained_params(layout), nonzeros);
+        let mask = UnitMask::from_keep((0..layout.total_units()).map(|_| rng.gen_bool(keep_prob)).collect());
+        let runs = layout.dropped_runs(mask.keep_flags());
+        for run in &runs {
+            prop_assert!(run.start < run.end, "empty run {:?}", run);
+        }
+        for pair in runs.windows(2) {
+            prop_assert!(pair[0].end < pair[1].start, "runs {:?} overlap or touch", pair);
+        }
+        let pmask = mask.param_mask(layout);
+        let zeros: Vec<usize> = (0..pmask.len()).filter(|&i| pmask[i] == 0.0).collect();
+        let covered: Vec<usize> = runs.iter().cloned().flatten().collect();
+        prop_assert_eq!(covered, zeros);
+        let dropped: usize = runs.iter().map(|run| run.len()).sum();
+        prop_assert_eq!(mask.retained_params(layout), layout.total_params() - dropped);
     }
 
     /// The realised ratio never falls below the requested ratio and never
