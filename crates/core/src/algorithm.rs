@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 
 use crate::client::{ClientState, ClientTask, ClientUpdateOptions};
 use crate::config::FedLpsConfig;
+use crate::importance::GlobalUnitSums;
 use crate::server::{Family, Residual, Server, StagedUpdate, Step};
 
 /// What a FedLPS client step hands to the serial absorb next to its staged
@@ -47,6 +48,9 @@ pub struct Lps {
     /// [`FedLps::client_state`] can hand out a reference).
     blank: ClientState,
     controller: Option<RatioController>,
+    /// The round the unit sums were built for, and the sums: every task of
+    /// that round reads them instead of walking the global itself.
+    round_sums: Option<(usize, GlobalUnitSums)>,
 }
 
 impl Server<Lps> {
@@ -57,6 +61,7 @@ impl Server<Lps> {
             clients: BTreeMap::new(),
             blank: ClientState::default(),
             controller: None,
+            round_sums: None,
         })
     }
 
@@ -206,6 +211,7 @@ impl Family for Lps {
 
     fn setup(&mut self, env: &FlEnv, global: &[f32]) {
         self.clients.clear();
+        self.round_sums = None;
         let units_per_layer = env.arch.unit_layout().units_per_layer();
         let policy = &self.config.ratio_policy;
         let mut controller = if env.fleet.is_lazy() {
@@ -242,8 +248,25 @@ impl Family for Lps {
         self.controller = Some(controller);
     }
 
+    /// Builds the round's `GlobalUnitSums`: one walk of the global that
+    /// every task of the round would otherwise repeat (a first
+    /// participation's indicator, the dropped units' sums).
+    fn begin_round(&mut self, env: &FlEnv, global: &[f32], round: usize, _rng: &mut StdRng) {
+        let sums = GlobalUnitSums::new(env.arch.unit_layout(), global, self.config.mu);
+        self.round_sums = Some((round, sums));
+    }
+
     fn train(&self, step: &Step<'_>, rng: &mut StdRng) -> (ClientReport, Residual, LpsSide) {
         let (env, client) = (step.env, step.client);
+        let (round, round_sums) = self
+            .round_sums
+            .as_ref()
+            .expect("begin_round builds the round's unit sums before any step");
+        assert_eq!(
+            *round, step.round,
+            "unit sums of round {round} read in round {}: begin_round did not run for this round",
+            step.round
+        );
         let ratio = self.round_ratio(&step.device, client);
 
         // The client's record reuses its last mask and plan while the ratio
@@ -269,7 +292,7 @@ impl Family for Lps {
             packed_execution: true,
             cached_plan: state.plan().filter(|_| hit).cloned(),
         };
-        let output = task.run(rng);
+        let output = task.run_with(rng, round_sums);
         let outcome = output.outcome;
         let mut report = step.report(
             Some(&outcome.mask),

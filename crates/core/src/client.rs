@@ -12,7 +12,7 @@ use fedlps_sparse::plan::SubmodelPlan;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::importance::ImportanceIndicator;
+use crate::importance::{GlobalUnitSums, ImportanceIndicator};
 use crate::loss::ImportanceLoss;
 use crate::packed_step::PackedStep;
 use crate::server::Residual;
@@ -196,13 +196,33 @@ impl ClientTask<'_> {
     /// (O(model) copies) but walks the mask as its merged dropped runs
     /// ([`UnitLayout::dropped_runs`](fedlps_nn::unit::UnitLayout::dropped_runs)):
     /// the round-constant gradient, the `P`/`D` walk and the upload count
-    /// read the runs, and the dropped-unit sums read the dropped units'
-    /// ranges. The epilogue writes the personal model and the residual on
-    /// the packed coordinates only. Without a plan (packing off or a
+    /// read the runs. The dropped units' sums and a first participation's
+    /// indicator `σ(|ω|_J)` depend only on `global`: they are read from the
+    /// round constants, every unit's sums over `global`, so no walk of the
+    /// task covers a dropped unit. This call builds those constants itself,
+    /// with one walk of the model; FedLPS's round loop builds them once per
+    /// round and hands them to every task of the round (the crate-private
+    /// `run_with`). The epilogue writes the personal model and the residual
+    /// on the packed coordinates only. Without a plan (packing off or a
     /// non-executable mask) the task expands the full parameter mask and
     /// every iteration walks the full model: that masked-dense branch is the
-    /// oracle the packed one matches bit for bit.
+    /// oracle the packed one matches bit for bit, and with packing off it
+    /// derives a first participation's indicator by its own walk
+    /// ([`ImportanceIndicator::from_params`]).
     pub fn run(&self, rng: &mut StdRng) -> ClientTaskOutput {
+        let round_sums = GlobalUnitSums::new(self.arch.unit_layout(), self.global, self.options.mu);
+        self.run_with(rng, &round_sums)
+    }
+
+    /// [`run`](Self::run) over round constants built by the caller:
+    /// `round_sums` must be [`GlobalUnitSums::new`] of `global` at
+    /// `options.mu` (FedLPS builds it once per round, in `begin_round`).
+    /// With packing off it is ignored.
+    pub(crate) fn run_with(
+        &self,
+        rng: &mut StdRng,
+        round_sums: &GlobalUnitSums,
+    ) -> ClientTaskOutput {
         let arch = self.arch;
         let options = &self.options;
         let global_params = self.global;
@@ -214,6 +234,7 @@ impl ClientTask<'_> {
         let mut local = global_params.to_vec();
         let mut indicator = match &self.state.indicator {
             Some(scores) => ImportanceIndicator::from_scores(scores.clone()),
+            None if self.packed_execution => ImportanceIndicator::from_global_sums(round_sums),
             None => ImportanceIndicator::from_params(layout, global_params),
         };
         let objective = ImportanceLoss::new(options.mu, options.lambda);
@@ -284,6 +305,7 @@ impl ClientTask<'_> {
                         &dropped,
                         global_params,
                         &local,
+                        round_sums,
                         objective,
                         options.sgd,
                         views,

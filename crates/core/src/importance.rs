@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 /// The three per-unit sums one indicator update reads, from one walk over
 /// the unit's ranges.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct UnitSums {
     /// `|ω|_j` of the masked parameters: the argument of the Eq. (8) loss
     /// value.
@@ -42,16 +42,84 @@ impl UnitSums {
     /// bit for bit whenever their inputs do.
     #[inline]
     pub(crate) fn walk(unit: &UnitParams, masked: &[f32], params: &[f32], grad: &[f32]) -> Self {
+        Self::walk_terms(unit, |i| [masked[i], params[i], grad[i]])
+    }
+
+    /// [`walk`](Self::walk) over coordinate values that `terms(i)` yields as
+    /// `[masked, param, grad]` instead of reading them from buffers.
+    #[inline]
+    fn walk_terms(unit: &UnitParams, mut terms: impl FnMut(usize) -> [f32; 3]) -> Self {
         let mut straight_through = 0.0f32;
         let [masked_magnitude, magnitude] = unit.range_sums(|i| {
-            straight_through += grad[i] * params[i];
-            [masked[i].abs(), params[i].abs()]
+            let [masked, param, grad] = terms(i);
+            straight_through += grad * param;
+            [masked.abs(), param.abs()]
         });
         Self {
             masked_magnitude,
             magnitude,
             straight_through,
         }
+    }
+}
+
+/// Every unit's [`UnitSums`] while the local model still equals the round's
+/// global `ω`, in layout order: the sums the packed client step's walk
+/// yields for a dropped unit over the whole round, which depend only on `ω`,
+/// the architecture and the proximal weight `μ`.
+///
+/// On a dropped unit's coordinates the packed step's masked copy is
+/// `ω · 0.0` and its gradient the round constant `0.0 + μ·(ω·0.0 − ω)`, and
+/// neither moves during the round (the `packed_step` module doc has the
+/// invariant). So a unit's entry is
+///
+/// * `masked_magnitude = Σ|ω · 0.0|`, which is `+0.0` for a finite `ω`;
+/// * `magnitude = Σ|ω|`, in [`UnitParams::range_sums`] order — the
+///   `|ω|_J` whose sigmoid is a first participation's indicator
+///   ([`ImportanceIndicator::from_params`]);
+/// * `straight_through = Σ (0.0 + μ·(ω·0.0 − ω))·ω`, in the same walk order,
+///
+/// each computed by [`UnitSums::walk`]'s own summation, so an entry is bit
+/// for bit what that walk returns over the packed step's buffers. FedLPS
+/// builds the table once per round, in `begin_round`, and every client task
+/// of the round reads it.
+#[derive(Debug, Clone)]
+pub(crate) struct GlobalUnitSums {
+    mu: f32,
+    sums: Vec<UnitSums>,
+}
+
+impl GlobalUnitSums {
+    /// Walks every unit of `layout` once over `global`.
+    pub(crate) fn new(layout: &UnitLayout, global: &[f32], mu: f32) -> Self {
+        assert_eq!(
+            global.len(),
+            layout.total_params(),
+            "parameter length mismatch"
+        );
+        let sums = layout
+            .layers()
+            .iter()
+            .flat_map(|layer| &layer.units)
+            .map(|unit| {
+                UnitSums::walk_terms(unit, |i| {
+                    let w = global[i];
+                    let masked = w * 0.0;
+                    [masked, w, 0.0 + mu * (masked - w)]
+                })
+            })
+            .collect();
+        Self { mu, sums }
+    }
+
+    /// The proximal weight `μ` the straight-through sums were built with.
+    pub(crate) fn mu(&self) -> f32 {
+        self.mu
+    }
+
+    /// The per-unit sums in layout order.
+    pub(crate) fn sums(&self) -> &[UnitSums] {
+        &self.sums
     }
 }
 
@@ -71,6 +139,13 @@ impl ImportanceIndicator {
             .into_iter()
             .map(sigmoid)
             .collect();
+        Self { scores }
+    }
+
+    /// [`from_params`](Self::from_params) of the global the table was built
+    /// from, read off its magnitudes instead of walking the model again.
+    pub(crate) fn from_global_sums(table: &GlobalUnitSums) -> Self {
+        let scores = table.sums.iter().map(|s| sigmoid(s.magnitude)).collect();
         Self { scores }
     }
 

@@ -10,8 +10,8 @@
 //!
 //! Two paths evaluate it. [`ImportanceLoss::evaluate`] is the masked-dense
 //! oracle: the full model's forward/backward, then full-length proximal and
-//! magnitude passes. The packed client step (`ClientTask::run` on a packed
-//! submodel) runs the task pass on the compact model, keeps the proximal
+//! magnitude passes. The packed client step (`ClientTask::run_with` on a
+//! packed submodel) runs the task pass on the compact model, keeps the proximal
 //! gradient on the packed coordinates and walks only the kept units per
 //! iteration; only its ordered proximal-loss sum still visits the dropped
 //! units' coordinates. Both paths end in the same importance sum and total

@@ -28,13 +28,20 @@
 //! `D ∪ F`, the gradient `0.0 + μ·(masked − global)` is constant on `D`,
 //! and it is exactly `+0.0` on `F`.
 //!
+//! **Once per round** FedLPS's `begin_round` builds [`GlobalUnitSums`] from
+//! the round's global: every unit's magnitude and straight-through sums
+//! while `local == global`. A dropped unit's coordinates lie in `D`, where
+//! `masked` and the gradient are the round constants above, so these are
+//! its sums for the whole round, whatever the mask; their magnitudes are
+//! also a first participation's indicator `σ(|ω|_J)`.
+//!
 //! **Once per task** ([`PackedStep::new`]) `masked` starts as a copy of
 //! `local`, one pass over the dropped runs writes `masked` and that
 //! constant gradient on `D` (the gradient on `F` is the arena's `+0.0`),
 //! a walk of the runs against the gather map records the ascending `P`/`D`
-//! run list and checks `P ⊆ K`, and one walk over the dropped units stores
-//! their magnitude and straight-through sums, which are round constants.
-//! No step of it visits the model coordinate by coordinate under a mask.
+//! run list and checks `P ⊆ K`, and the dropped units' sums are copied from
+//! the round's table: no walk covers a dropped unit. No step of it visits
+//! the model coordinate by coordinate under a mask.
 //!
 //! **Per iteration** ([`PackedStep::iterate`]) `masked`, the packed
 //! parameters, the gradient, the clip scaling and the SGD update are written
@@ -73,7 +80,7 @@ use fedlps_nn::unit::{UnitLayout, UnitParams};
 use fedlps_sparse::mask::UnitMask;
 use fedlps_tensor::ops::clip_factor;
 
-use crate::importance::{ImportanceIndicator, UnitSums};
+use crate::importance::{GlobalUnitSums, ImportanceIndicator, UnitSums};
 use crate::loss::{importance_term, ImportanceLoss, LossBreakdown};
 
 /// `packed` gather coordinates, then the dropped run `dropped`: one step of
@@ -95,8 +102,8 @@ pub(crate) struct PackedStep<'a> {
     units: Vec<(&'a UnitParams, bool)>,
     /// The ascending `P`/`D` walk.
     segments: Vec<Segment>,
-    /// Per-unit sums: constants for dropped units, rewritten per iteration
-    /// for kept ones.
+    /// Per-unit sums: the round's table entries for dropped units,
+    /// rewritten per iteration for kept ones.
     sums: Vec<UnitSums>,
     q_grad: Vec<f32>,
     masked: &'a mut [f32],
@@ -107,9 +114,10 @@ pub(crate) struct PackedStep<'a> {
 
 impl<'a> PackedStep<'a> {
     /// The per-task prologue: a copy of `local`, one pass over the dropped
-    /// runs, the run walk, then one walk over the dropped units. `dropped`
-    /// is [`UnitLayout::dropped_runs`] of `mask`; `local` must still equal
-    /// `global`.
+    /// runs, the run walk, then the dropped units' sums copied from
+    /// `round_sums`. `dropped` is [`UnitLayout::dropped_runs`] of `mask`;
+    /// `local` must still equal `global`, and `round_sums` must be
+    /// [`GlobalUnitSums::new`] of `global` at the objective's `μ`.
     #[expect(
         clippy::too_many_arguments,
         reason = "the prologue borrows every buffer the step keeps for its lifetime; bundling them would move the same list into a struct"
@@ -121,11 +129,17 @@ impl<'a> PackedStep<'a> {
         dropped: &[Range<usize>],
         global: &'a [f32],
         local: &[f32],
+        round_sums: &GlobalUnitSums,
         objective: ImportanceLoss,
         sgd: SgdConfig,
         [masked, grad, packed_params, packed_grad]: [&'a mut [f32]; 4],
     ) -> Self {
         let mu = objective.mu;
+        assert_eq!(
+            mu.to_bits(),
+            round_sums.mu().to_bits(),
+            "the round's unit sums were built at another proximal weight"
+        );
         // The oracle's masked copy `pv · m` is `pv` on `K` (on `P` every
         // iteration overwrites it before it is read) and `pv · 0.0` on `D`.
         // Its gradient outside `P` is the zeroed buffer, the task's exact
@@ -149,16 +163,11 @@ impl<'a> PackedStep<'a> {
             .flat_map(|layer| layer.units.iter())
             .zip(mask.keep_flags().iter().copied())
             .collect();
-        let sums = units
-            .iter()
-            .map(|&(unit, kept)| {
-                if kept {
-                    UnitSums::default()
-                } else {
-                    UnitSums::walk(unit, masked, local, grad)
-                }
-            })
-            .collect();
+        // A dropped unit's entry is its walk over `masked`, `local` and
+        // `grad` as just written; every iteration overwrites the kept units'
+        // entries before reading them.
+        assert_eq!(round_sums.sums().len(), units.len(), "unit count mismatch");
+        let sums = round_sums.sums().to_vec();
         Self {
             packed,
             global,
@@ -305,4 +314,136 @@ fn segments(gather: &[u32], dropped: &[Range<usize>]) -> Vec<Segment> {
         dropped: 0..0,
     });
     segments
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fedlps_nn::convnet::{ConvNet, ConvNetConfig};
+    use fedlps_nn::lstm::{LstmLm, LstmLmConfig};
+    use fedlps_nn::mlp::{Mlp, MlpConfig};
+    use fedlps_nn::model::ModelArch;
+    use fedlps_sparse::plan::SubmodelPlan;
+    use fedlps_tensor::rng_from_seed;
+    use rand::Rng;
+
+    /// An MLP, a ConvNet or an LSTM (whose unit ranges overlap).
+    fn arch_of(kind: usize) -> Box<dyn ModelArch> {
+        match kind {
+            0 => Box::new(Mlp::new(MlpConfig {
+                input_dim: 6,
+                hidden: vec![8, 5],
+                num_classes: 3,
+            })),
+            1 => Box::new(ConvNet::new(ConvNetConfig {
+                in_channels: 2,
+                height: 5,
+                width: 5,
+                channels: vec![4, 3],
+                hidden: 5,
+                num_classes: 3,
+            })),
+            _ => Box::new(LstmLm::new(LstmLmConfig {
+                vocab: 5,
+                seq_len: 4,
+                embed: 3,
+                hidden: 6,
+                num_classes: 5,
+            })),
+        }
+    }
+
+    fn assert_sums_bits_eq(table: &UnitSums, walked: &UnitSums, what: &str) {
+        assert_eq!(
+            table.masked_magnitude.to_bits(),
+            walked.masked_magnitude.to_bits(),
+            "{what}: masked magnitude"
+        );
+        assert_eq!(
+            table.magnitude.to_bits(),
+            walked.magnitude.to_bits(),
+            "{what}: magnitude"
+        );
+        assert_eq!(
+            table.straight_through.to_bits(),
+            walked.straight_through.to_bits(),
+            "{what}: straight-through sum"
+        );
+    }
+
+    /// The round's table against the walks it replaces: every dropped
+    /// unit's entry equals [`UnitSums::walk`] over the masked and gradient
+    /// buffers the task prologue writes, and its σ'd magnitudes equal
+    /// [`ImportanceIndicator::from_params`], bit for bit, for globals with
+    /// signed zeros, `μ` from `0` up and random masks.
+    #[test]
+    fn round_sums_equal_the_prologue_walks_bit_for_bit() {
+        for kind in 0..3 {
+            let arch = arch_of(kind);
+            let layout = arch.unit_layout();
+            for case in 0..24u64 {
+                let mut rng = rng_from_seed(case << 2 | kind as u64);
+                let mut global = arch.init_params(&mut rng);
+                for v in &mut global {
+                    match rng.gen_range(0..6) {
+                        0 => *v = 0.0,
+                        1 => *v = -0.0,
+                        _ => {}
+                    }
+                }
+                let mu = match case % 4 {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => rng.gen_range(0.0f32..2.0),
+                };
+                let table = GlobalUnitSums::new(layout, &global, mu);
+
+                let cold = ImportanceIndicator::from_global_sums(&table);
+                let oracle = ImportanceIndicator::from_params(layout, &global);
+                for (j, (c, o)) in cold.scores().iter().zip(oracle.scores()).enumerate() {
+                    assert_eq!(c.to_bits(), o.to_bits(), "indicator of unit {j}");
+                }
+
+                // A random keep pattern with one survivor per layer, so the
+                // mask packs.
+                let keep_prob = rng.gen_range(0.0f64..1.0);
+                let mut keep: Vec<bool> = (0..layout.total_units())
+                    .map(|_| rng.gen_bool(keep_prob))
+                    .collect();
+                let mut first = 0;
+                for layer in layout.layers() {
+                    keep[first + rng.gen_range(0..layer.len())] = true;
+                    first += layer.len();
+                }
+                let mask = UnitMask::from_keep(keep);
+                let packed = SubmodelPlan::from_mask(layout, &mask)
+                    .compile(&*arch)
+                    .expect("a mask with a survivor per layer packs");
+                let dropped = layout.dropped_runs(mask.keep_flags());
+                let (n, p) = (arch.param_count(), packed.packed_len());
+                let (mut masked, mut grad) = (vec![0.0; n], vec![0.0; n]);
+                let (mut packed_params, mut packed_grad) = (vec![0.0; p], vec![0.0; p]);
+                let step = PackedStep::new(
+                    layout,
+                    &packed,
+                    &mask,
+                    &dropped,
+                    &global,
+                    &global,
+                    &table,
+                    ImportanceLoss::new(mu, 1.0),
+                    SgdConfig::vision(),
+                    [&mut masked, &mut grad, &mut packed_params, &mut packed_grad],
+                );
+                let entries = step.units.iter().zip(&step.sums).enumerate();
+                for (j, ((unit, kept), sums)) in entries {
+                    if !kept {
+                        let walked = UnitSums::walk(unit, step.masked, &global, step.grad);
+                        let what = format!("arch {kind}, case {case}, unit {j}");
+                        assert_sums_bits_eq(sums, &walked, &what);
+                    }
+                }
+            }
+        }
+    }
 }

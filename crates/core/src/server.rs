@@ -407,7 +407,12 @@ pub trait Family: Send + Sync {
         None
     }
 
-    /// Round-level shared state refreshed before the client steps fan out.
+    /// Round-level shared state refreshed before the client steps fan out,
+    /// from the `global` those steps read. The skeleton fires it once per
+    /// round (once per server version in async mode), before any step of
+    /// that round, and `round` is the `Step::round` of those steps. CS
+    /// refreshes its shared mask here, PruneFL re-prunes, and FedLPS builds
+    /// the round's per-unit sums of the global.
     fn begin_round(&mut self, env: &FlEnv, global: &[f32], round: usize, rng: &mut StdRng) {
         let _ = (env, global, round, rng);
     }

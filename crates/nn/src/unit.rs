@@ -17,7 +17,10 @@
 //! An architecture builds its [`UnitLayout`] on the first
 //! [`ModelArch::unit_layout`](crate::model::ModelArch::unit_layout) call and
 //! keeps it: a full model builds it once, and a packed submodel, whose
-//! layout nothing reads, never builds one. The layout is consumed by
+//! layout nothing reads, never builds one. Building it also sorts every
+//! non-empty unit range by its start, once per architecture, so
+//! [`UnitLayout::dropped_runs`] merges a mask's dropped ranges in one walk of
+//! that index, without sorting them per call. The layout is consumed by
 //! `fedlps-sparse` (to expand unit masks into parameter masks or dropped
 //! runs and to compute per-unit magnitude sums `|ω|_J`) and by the FLOP
 //! model (retained units per layer determine the analytic cost).
@@ -130,6 +133,16 @@ impl LayerUnits {
 pub struct UnitLayout {
     layers: Vec<LayerUnits>,
     total_params: usize,
+    /// Every non-empty unit range with its global unit index, sorted by
+    /// start: the walk order of [`dropped_runs`](Self::dropped_runs).
+    by_start: Vec<IndexedRange>,
+}
+
+/// One entry of [`UnitLayout`]'s start-sorted range index.
+#[derive(Debug, Clone, PartialEq)]
+struct IndexedRange {
+    range: Range<usize>,
+    unit: usize,
 }
 
 impl UnitLayout {
@@ -150,9 +163,22 @@ impl UnitLayout {
                 }
             }
         }
+        let units = layers.iter().flat_map(|layer| &layer.units);
+        let mut by_start: Vec<IndexedRange> = units
+            .enumerate()
+            .flat_map(|(unit, params)| {
+                params.ranges.iter().map(move |r| IndexedRange {
+                    range: r.start..r.end(),
+                    unit,
+                })
+            })
+            .filter(|entry| !entry.range.is_empty())
+            .collect();
+        by_start.sort_unstable_by_key(|entry| entry.range.start);
         Self {
             layers,
             total_params,
+            by_start,
         }
     }
 
@@ -265,28 +291,24 @@ impl UnitLayout {
     /// The zero set of [`expand_mask`](Self::expand_mask) as ascending,
     /// disjoint, non-adjacent index runs: the union of the dropped units'
     /// ranges (which overlap on the LSTM), merged without expanding the mask.
+    /// One walk of the layout's start-sorted range index skips the kept
+    /// units' ranges and folds each dropped one into the run before it when
+    /// they overlap or touch.
     pub fn dropped_runs(&self, unit_keep: &[bool]) -> Vec<Range<usize>> {
         assert_eq!(
             unit_keep.len(),
             self.total_units(),
             "unit mask length mismatch"
         );
-        let units = self.layers.iter().flat_map(|layer| &layer.units);
-        let mut runs: Vec<Range<usize>> = units
-            .zip(unit_keep)
-            .filter(|&(_, &keep)| !keep)
-            .flat_map(|(unit, _)| unit.ranges.iter().map(|r| r.start..r.end()))
-            .filter(|run| !run.is_empty())
-            .collect();
-        runs.sort_unstable_by_key(|run| run.start);
-        // Fold each range into the run before it when they overlap or touch.
-        runs.dedup_by(|next, run| {
-            let touches = next.start <= run.end;
-            if touches {
-                run.end = run.end.max(next.end);
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for entry in self.by_start.iter().filter(|entry| !unit_keep[entry.unit]) {
+            match runs.last_mut() {
+                Some(run) if entry.range.start <= run.end => {
+                    run.end = run.end.max(entry.range.end);
+                }
+                _ => runs.push(entry.range.clone()),
             }
-            touches
-        });
+        }
         runs
     }
 }

@@ -1,10 +1,13 @@
 //! Property-based tests of the mask / pattern / ratio invariants that the
 //! whole sparsification pipeline rests on.
 
+use std::ops::Range;
+
 use fedlps_nn::convnet::{ConvNet, ConvNetConfig};
 use fedlps_nn::lstm::{LstmLm, LstmLmConfig};
 use fedlps_nn::mlp::{Mlp, MlpConfig};
 use fedlps_nn::model::ModelArch;
+use fedlps_nn::unit::UnitLayout;
 use fedlps_sparse::mask::UnitMask;
 use fedlps_sparse::pattern::{learnable_pattern, PatternStrategy};
 use fedlps_sparse::plan::SubmodelPlan;
@@ -41,6 +44,28 @@ fn arch_of(kind: usize, width: usize) -> Box<dyn ModelArch> {
             num_classes: 6,
         })),
     }
+}
+
+/// The reference merge `UnitLayout::dropped_runs` replaced: collect the
+/// dropped units' non-empty ranges, sort them by start, then fold each into
+/// the run before it when they overlap or touch.
+fn sorted_dropped_runs(layout: &UnitLayout, keep: &[bool]) -> Vec<Range<usize>> {
+    let units = layout.layers().iter().flat_map(|layer| &layer.units);
+    let mut runs: Vec<Range<usize>> = units
+        .zip(keep)
+        .filter(|&(_, &kept)| !kept)
+        .flat_map(|(unit, _)| unit.ranges.iter().map(|r| r.start..r.end()))
+        .filter(|run| !run.is_empty())
+        .collect();
+    runs.sort_unstable_by_key(|run| run.start);
+    runs.dedup_by(|next, run| {
+        let touches = next.start <= run.end;
+        if touches {
+            run.end = run.end.max(next.end);
+        }
+        touches
+    });
+    runs
 }
 
 proptest! {
@@ -119,8 +144,9 @@ proptest! {
 
     /// `dropped_runs` is the zero set of the expanded mask as ascending,
     /// disjoint, non-adjacent runs on every architecture (the LSTM's ranges
-    /// overlap), for any keep pattern, and the retained-parameter count is
-    /// the model size minus their lengths: the expanded mask's nonzeros.
+    /// overlap), for any keep pattern, equal to the collect-sort-merge
+    /// reference, and the retained-parameter count is the model size minus
+    /// their lengths: the expanded mask's nonzeros.
     #[test]
     fn retained_params_counts_the_expanded_mask(kind in 0usize..3, width in 2usize..8,
                                                  keep_prob in 0.0f64..1.0, seed in 0u64..500) {
@@ -135,6 +161,7 @@ proptest! {
         for pair in runs.windows(2) {
             prop_assert!(pair[0].end < pair[1].start, "runs {:?} overlap or touch", pair);
         }
+        prop_assert_eq!(&runs, &sorted_dropped_runs(layout, mask.keep_flags()));
         let pmask = mask.param_mask(layout);
         let zeros: Vec<usize> = (0..pmask.len()).filter(|&i| pmask[i] == 0.0).collect();
         let covered: Vec<usize> = runs.iter().cloned().flatten().collect();

@@ -64,14 +64,24 @@ impl ScratchPool {
         Matrix::from_vec(rows, cols, self.take_vec(rows * cols))
     }
 
-    /// A zero-filled buffer of `len` elements, reusing a pooled buffer.
+    /// A zero-filled buffer of `len` elements, reusing a pooled buffer
+    /// ([`take_empty`](Self::take_empty), then one zero fill).
+    pub fn take_vec(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.take_empty(len);
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    /// An empty buffer with capacity for at least `len` elements, reusing a
+    /// pooled buffer without writing to it, for a caller that fills the
+    /// buffer itself.
     ///
     /// The request's own class is tried first: its top buffer is reused when
     /// it is large enough (same-size take/recycle cycles always hit this
     /// cache-warm path). Otherwise the smallest non-empty larger class
     /// serves the request — every buffer there is guaranteed to fit — and
     /// only when all of those are empty is a fresh buffer allocated.
-    pub fn take_vec(&mut self, len: usize) -> Vec<f32> {
+    pub fn take_empty(&mut self, len: usize) -> Vec<f32> {
         let c = class_of(len.max(1));
         let fits = self.buckets[c]
             .last()
@@ -85,7 +95,7 @@ impl ScratchPool {
         };
         let mut buf = reused.unwrap_or_default();
         buf.clear();
-        buf.resize(len, 0.0);
+        buf.reserve(len);
         buf
     }
 
@@ -156,10 +166,11 @@ impl Arena {
     /// An arena whose backing buffer is drawn from this thread's pool, with
     /// at least `capacity` elements reserved so steady-state re-carving
     /// (e.g. one arena per client step) stops reallocating once the pool
-    /// holds a buffer of the working-set size.
+    /// holds a buffer of the working-set size. The buffer is taken unfilled:
+    /// [`views`](Self::views) zero-fills what it carves.
     pub fn from_pool(capacity: usize) -> Self {
         Self {
-            buf: with_pool(|pool| pool.take_vec(capacity)),
+            buf: with_pool(|pool| pool.take_empty(capacity)),
         }
     }
 
@@ -314,5 +325,35 @@ mod tests {
             let reclaimed = pool.take_vec(cap);
             assert_eq!(reclaimed, vec![0.0; cap]);
         });
+    }
+
+    #[test]
+    fn arena_views_of_a_dirty_pooled_buffer_are_positive_zero() {
+        // An odd length gives the dirty buffer a size class of its own on
+        // this thread's pool, so the arena takes exactly that buffer.
+        let len = 777;
+        let mut dirty = vec![f32::NAN; len];
+        dirty[..len / 2].fill(-0.0);
+        let ptr = dirty.as_ptr();
+        with_pool(|pool| pool.recycle_vec(dirty));
+        let mut arena = Arena::from_pool(len);
+        let [a, b, c] = arena.views([300, 0, len - 300]);
+        assert_eq!(a.as_ptr(), ptr, "the arena reuses the dirty buffer");
+        for v in a.iter().chain(b.iter()).chain(c.iter()) {
+            assert_eq!(v.to_bits(), 0.0f32.to_bits());
+        }
+        arena.release();
+    }
+
+    #[test]
+    fn take_empty_reuses_capacity_without_a_fill() {
+        let mut pool = ScratchPool::new();
+        let buf = pool.take_vec(100);
+        let ptr = buf.as_ptr();
+        pool.recycle_vec(buf);
+        let again = pool.take_empty(100);
+        assert!(again.is_empty());
+        assert!(again.capacity() >= 100);
+        assert_eq!(again.as_ptr(), ptr);
     }
 }
