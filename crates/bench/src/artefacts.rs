@@ -24,8 +24,10 @@ use crate::scale::Scale;
 use crate::table::{gflops, num, pct, secs, TableBuilder};
 
 /// What one invocation asks of an artefact. `methods` / `datasets` are
-/// `None` unless overridden on the command line; only the artefacts that
-/// sweep a method or dataset list (Table I, Figures 3–4) consult them.
+/// `None` unless overridden on the command line, which
+/// [`cli::parse`](crate::cli::parse) allows only for an artefact whose
+/// [`Artefact::overrides`] lists the flag: the ones that sweep a method or
+/// dataset list (Table I, Figures 3–4). Every other artefact ignores them.
 #[derive(Debug, Clone)]
 pub struct Request {
     pub scale: Scale,
@@ -52,6 +54,25 @@ impl Request {
     }
 }
 
+/// A command-line override of an artefact's default method or dataset list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Override {
+    /// `--methods`, into [`Request::methods`].
+    Methods,
+    /// `--datasets`, into [`Request::datasets`].
+    Datasets,
+}
+
+impl Override {
+    /// The command-line flag that sets it.
+    pub fn flag(self) -> &'static str {
+        match self {
+            Override::Methods => "--methods",
+            Override::Datasets => "--datasets",
+        }
+    }
+}
+
 /// Where an artefact hands each finished table: the binary prints it, the
 /// claims test keeps it.
 pub type Emit<'a> = &'a mut dyn FnMut(TableBuilder);
@@ -63,50 +84,63 @@ pub struct Artefact {
     pub name: &'static str,
     /// What the artefact shows, for `paper --list`.
     pub about: &'static str,
+    /// The overrides its `run` honours; `paper` rejects any other.
+    pub overrides: &'static [Override],
     /// Runs the experiment, emitting each table as it completes.
     pub run: fn(&Request, Emit<'_>),
 }
+
+/// The overrides of the artefacts that sweep a method and a dataset list.
+const SWEEPS: &[Override] = &[Override::Methods, Override::Datasets];
 
 /// Every artefact, in the paper's order.
 pub const ARTEFACTS: &[Artefact] = &[
     Artefact {
         name: "table1",
         about: "Table I: accuracy, FLOPs and time of every method per dataset",
+        overrides: SWEEPS,
         run: table1,
     },
     Artefact {
         name: "table2_ablation",
         about: "Table II: ablation (FLST / RCR / P-UCBV, fixed & dynamic capability)",
+        overrides: &[],
         run: table2_ablation,
     },
     Artefact {
         name: "fig3_4_convergence",
         about: "Figures 3-4: accuracy vs cumulative FLOPs and vs simulated running time",
+        overrides: SWEEPS,
         run: fig3_4_convergence,
     },
     Artefact {
         name: "fig5_tta",
         about: "Figure 5: time-to-accuracy on the CIFAR / Tiny-ImageNet analogues",
+        overrides: &[],
         run: fig5_tta,
     },
     Artefact {
         name: "fig6_noniid_levels",
         about: "Figure 6: accuracy vs non-IID level (mnist-like)",
+        overrides: &[],
         run: fig6_noniid_levels,
     },
     Artefact {
         name: "fig7_8_heterogeneity",
         about: "Figures 7-8: accuracy and running time vs system heterogeneity",
+        overrides: &[],
         run: fig7_8_heterogeneity,
     },
     Artefact {
         name: "fig9_ratio_sweep",
         about: "Figure 9: pattern strategies (9a) and time breakdown (9b) vs fixed sparse ratio",
+        overrides: &[],
         run: fig9_ratio_sweep,
     },
     Artefact {
         name: "fig10_availability",
         about: "Figure 10 (repro extension): round modes x selection under diurnal availability",
+        overrides: &[],
         run: fig10_availability,
     },
 ];

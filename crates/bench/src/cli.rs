@@ -10,7 +10,7 @@
 use fedlps_baselines::registry::baseline_names;
 use fedlps_data::scenario::DatasetKind;
 
-use crate::artefacts::{Artefact, Request, ARTEFACTS};
+use crate::artefacts::{Artefact, Override, Request, ARTEFACTS};
 use crate::scale::Scale;
 
 /// What a command line asks for.
@@ -52,8 +52,10 @@ fn parse_list<T>(
 }
 
 /// Parses the arguments after the program name (`--flag value` and
-/// `--flag=value` are both accepted). The error is the message to print
-/// before exiting with status 2.
+/// `--flag=value` are both accepted). `--methods` / `--datasets` are
+/// rejected for an artefact that does not honour them (see
+/// [`Artefact::overrides`]). The error is the message to print before
+/// exiting with status 2.
 pub fn parse(args: &[String]) -> Result<Command, String> {
     let artefact_names: Vec<&str> = ARTEFACTS.iter().map(|a| a.name).collect();
     let usage = format!(
@@ -117,10 +119,29 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             _ => return Err(format!("unknown flag '--{flag}'\n{usage}")),
         }
     }
-    match artefact {
-        Some(artefact) => Ok(Command::Run(artefact, request)),
-        None => Err(usage),
+    let Some(artefact) = artefact else {
+        return Err(usage);
+    };
+    let given = [
+        (Override::Methods, request.methods.is_some()),
+        (Override::Datasets, request.datasets.is_some()),
+    ];
+    for (flag, _) in given.into_iter().filter(|&(_, given)| given) {
+        if !artefact.overrides.contains(&flag) {
+            let honouring: Vec<&str> = ARTEFACTS
+                .iter()
+                .filter(|a| a.overrides.contains(&flag))
+                .map(|a| a.name)
+                .collect();
+            return Err(format!(
+                "{} ignores {}; only {} accept it",
+                artefact.name,
+                flag.flag(),
+                honouring.join(", ")
+            ));
+        }
     }
+    Ok(Command::Run(artefact, request))
 }
 
 #[cfg(test)]
@@ -173,6 +194,40 @@ mod tests {
     fn an_unknown_method_is_rejected_before_anything_runs() {
         let err = parse_words(&["table1", "--methods=FedAvg,FedSGD"]).unwrap_err();
         assert!(err.contains("'FedSGD'") && err.contains("Per-FedAvg") && err.contains("FedLPS"));
+    }
+
+    #[test]
+    fn an_override_the_artefact_ignores_is_rejected_with_the_artefacts_that_accept_it() {
+        for words in [
+            &["fig9_ratio_sweep", "--methods", "FedLPS"][..],
+            &["--datasets=mnist-like", "table2_ablation"],
+        ] {
+            let err = parse_words(words).unwrap_err();
+            let flag = if words.contains(&"--methods") {
+                "--methods"
+            } else {
+                "--datasets"
+            };
+            assert!(err.contains(flag), "{err}");
+            assert!(err.contains("table1, fig3_4_convergence"), "{err}");
+        }
+        for artefact in ARTEFACTS {
+            let honours = |flag| artefact.overrides.contains(&flag);
+            let with_methods = parse_words(&[artefact.name, "--methods", "FedLPS"]);
+            assert_eq!(
+                with_methods.is_ok(),
+                honours(Override::Methods),
+                "{}",
+                artefact.name
+            );
+            let with_datasets = parse_words(&[artefact.name, "--datasets", "mnist-like"]);
+            assert_eq!(
+                with_datasets.is_ok(),
+                honours(Override::Datasets),
+                "{}",
+                artefact.name
+            );
+        }
     }
 
     #[test]

@@ -7,6 +7,42 @@
 //! convolution and the neurons of the hidden dense layer — exactly the width
 //! scaling granularity used by HeteroFL / Fjord / FedRolex and by FedLPS
 //! itself.
+//!
+//! # Kernels
+//!
+//! The three convolution sums run on **tap lists**, built once per block by
+//! [`ConvNet::new`]: for each output pixel, its in-image 3x3 taps as
+//! `(offset, k)` pairs — `offset` the tapped input pixel in its `[y][x]`
+//! plane, `k = ky * 3 + kx` — ascending in `k`. A pixel has at most 9, every
+//! input channel shares the list, and an out-of-image tap is simply absent,
+//! so it is skipped rather than added as zero. Each sum keeps the terms and
+//! the order of the scalar loops that stay in the test module as oracles
+//! (`conv_forward_reference`, `conv_backward_reference`): one accumulator per
+//! output element, one product at a time, no reassociation, no FMA and no
+//! horizontal reduction. Only the traversal puts a [`LANE`] of independent
+//! sums side by side:
+//!
+//! * **Forward** (lanes over output channels): an output element starts at
+//!   its bias and takes `(ic, ky, kx)` ascending, because the walk is pixel →
+//!   input channel → tap list.
+//! * **Weight gradient** (lanes over output channels): weight `(oc, ic, k)`
+//!   receives one term per pixel whose output gradient is nonzero, pixels
+//!   ascending within a sample and samples in minibatch order, into a
+//!   lane-grouped copy of the block's gradient loaded once per
+//!   `loss_and_grad` call and stored back once. A lane whose output gradient
+//!   is zero keeps its accumulator through a select, never through `+ 0.0`,
+//!   so a `-0.0` already in the gradient survives and no `0 · inf` term
+//!   enters it.
+//! * **Bias gradient** (lanes over output channels): `d_bias` sums the
+//!   nonzero output gradients pixel by pixel from `+0.0`, then `grad[b] +=
+//!   d_bias` once per sample.
+//! * **Input gradient** (lanes over *input* channels, since its terms arrive
+//!   output-channel-major): the walk is output channel → pixel (skipped when
+//!   its gradient is zero) → tap list, so input element `(ic, iy, ix)` takes
+//!   its terms in `(oc, y, x)` order from `+0.0`.
+//!
+//! Training allocates per `loss_and_grad` call, not per sample: the forward
+//! caches and every backward buffer are sized once and reused.
 
 use std::sync::OnceLock;
 
@@ -16,13 +52,15 @@ use fedlps_tensor::Initializer;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-use crate::activation::{cross_entropy, relu, relu_grad, softmax_cross_entropy};
+use crate::activation::{cross_entropy, relu, relu_grad};
 use crate::flops::{conv_layer_flops, dense_layer_flops, TRAIN_FLOPS_MULTIPLIER};
 use crate::model::{EvalStats, ModelArch, TrainStats};
 use crate::pack::{GatherMap, KeptUnits, PackedModel};
 use crate::unit::{LayerUnits, ParamRange, UnitLayout, UnitParams};
 
 const KERNEL: usize = 3;
+/// Weights of one output channel per input channel, `[ky][kx]`.
+const TAPS: usize = KERNEL * KERNEL;
 
 /// Configuration of the convolutional backbone.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,7 +80,7 @@ pub struct ConvNetConfig {
     pub num_classes: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct ConvLayerMeta {
     w_start: usize,
     b_start: usize,
@@ -54,9 +92,21 @@ struct ConvLayerMeta {
     out_h: usize,
     out_w: usize,
     pooled: bool,
+    /// Each output pixel's in-image taps.
+    taps: TapLists,
 }
 
 impl ConvLayerMeta {
+    /// Pixels of one `[y][x]` plane, before pooling.
+    fn plane(&self) -> usize {
+        self.in_h * self.in_w
+    }
+
+    /// Weights of one output channel, `[ic][ky][kx]`.
+    fn per_channel(&self) -> usize {
+        self.in_channels * TAPS
+    }
+
     /// Length of the block's input, `[ic][y][x]`.
     fn in_len(&self) -> usize {
         self.in_channels * self.in_h * self.in_w
@@ -70,6 +120,48 @@ impl ConvLayerMeta {
     /// Length of the block's output, `[oc][y][x]` after pooling.
     fn out_len(&self) -> usize {
         self.out_channels * self.out_h * self.out_w
+    }
+}
+
+/// Each output pixel's in-image 3x3 taps under same padding, shared by every
+/// input channel: `(offset, k)` pairs, `offset` the tapped pixel's index in
+/// the input's `[y][x]` plane and `k = ky * 3 + kx`, ascending in `k`.
+/// Every packed submodel carries its own lists, so a tap takes four bytes.
+#[derive(Debug, Clone)]
+struct TapLists {
+    taps: Vec<(u16, u16)>,
+    /// Pixel `p`'s taps are `taps[starts[p]..starts[p + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl TapLists {
+    fn new(h: usize, w: usize) -> Self {
+        let mut taps = Vec::with_capacity(h * w * TAPS);
+        let mut starts = Vec::with_capacity(h * w + 1);
+        starts.push(0);
+        for y in 0..h {
+            for x in 0..w {
+                // Input row `y + ky - 1` and column `x + kx - 1`, shifted by
+                // one so that the bounds stay unsigned.
+                for ky in 0..KERNEL {
+                    for kx in 0..KERNEL {
+                        let (iy, ix) = (y + ky, x + kx);
+                        if (1..=h).contains(&iy) && (1..=w).contains(&ix) {
+                            let offset = u16::try_from((iy - 1) * w + ix - 1)
+                                .expect("an image plane has at most 65536 pixels");
+                            taps.push((offset, (ky * KERNEL + kx) as u16));
+                        }
+                    }
+                }
+                starts.push(taps.len());
+            }
+        }
+        Self { taps, starts }
+    }
+
+    /// Every pixel's taps, pixels ascending.
+    fn pixels(&self) -> impl Iterator<Item = &[(u16, u16)]> + '_ {
+        self.starts.windows(2).map(|s| &self.taps[s[0]..s[1]])
     }
 }
 
@@ -125,6 +217,7 @@ impl ConvNet {
                 out_h,
                 out_w,
                 pooled,
+                taps: TapLists::new(h, w),
             });
             offset += w_len + out_c;
             in_c = out_c;
@@ -199,48 +292,59 @@ impl ConvNet {
     }
 
     /// Training forward pass for one sample, through the same conv kernel as
-    /// [`evaluate`](ModelArch::evaluate). Returns the per-layer caches the
-    /// backward pass needs: the output of each conv block (the sample itself,
-    /// borrowed, is the first block's input), the pre-activation of each conv
-    /// block, the GAP feature vector, the hidden pre-activation and the logits.
-    fn forward_sample<'x>(
+    /// [`evaluate`](ModelArch::evaluate), into `cache`: the output of each
+    /// conv block (the sample itself, borrowed, is the first block's input),
+    /// the pre-activation of each conv block, the GAP feature vector, the
+    /// hidden pre-activation and activation, and the logits — everything the
+    /// backward pass reads.
+    fn forward_sample_into<'x>(
         &self,
         kernel: &ConvKernel,
         params: &[f32],
         x: &'x [f32],
-    ) -> SampleCache<'x> {
-        let mut acts: Vec<Vec<f32>> = Vec::with_capacity(self.convs.len());
-        let mut pres: Vec<Vec<f32>> = Vec::with_capacity(self.convs.len());
+        cache: &mut SampleCache<'x>,
+    ) {
+        cache.input = x;
         for (li, conv) in self.convs.iter().enumerate() {
-            let input = if li == 0 { x } else { &acts[li - 1] };
-            let mut pre = vec![0.0f32; conv.pre_len()];
-            kernel.conv_forward(li, conv, input, &mut pre);
+            let (earlier, acts) = cache.acts.split_at_mut(li);
+            let input = earlier.last().map_or(x, Vec::as_slice);
+            let pre = &mut cache.pres[li];
+            kernel.conv_forward(li, conv, input, pre);
             // ReLU then optional pooling.
-            let mut act: Vec<f32> = pre.iter().map(|&v| relu(v)).collect();
+            let act = &mut acts[0];
             if conv.pooled {
-                let mut pooled = vec![0.0f32; conv.out_len()];
-                avg_pool_into(&act, conv.out_channels, conv.in_h, conv.in_w, &mut pooled);
-                act = pooled;
+                let relu_out = &mut cache.relu[..conv.pre_len()];
+                for (r, &v) in relu_out.iter_mut().zip(pre.iter()) {
+                    *r = relu(v);
+                }
+                avg_pool_into(relu_out, conv.out_channels, conv.in_h, conv.in_w, act);
+            } else {
+                for (a, &v) in act.iter_mut().zip(pre.iter()) {
+                    *a = relu(v);
+                }
             }
-            pres.push(pre);
-            acts.push(act);
         }
-        let mut feat = vec![0.0f32; self.dense_hidden.in_dim];
-        self.global_avg_pool(acts.last().unwrap(), &mut feat);
-        let mut hidden_pre = vec![0.0f32; self.dense_hidden.out_dim];
-        dense_forward_into(params, &self.dense_hidden, &feat, &mut hidden_pre);
-        let hidden_act: Vec<f32> = hidden_pre.iter().map(|&v| relu(v)).collect();
-        let mut logits = vec![0.0f32; self.dense_out.out_dim];
-        dense_forward_into(params, &self.dense_out, &hidden_act, &mut logits);
-        SampleCache {
-            input: x,
-            acts,
-            pres,
-            feat,
-            hidden_pre,
-            hidden_act,
-            logits,
+        self.global_avg_pool(cache.acts.last().unwrap(), &mut cache.feat);
+        dense_forward_into(
+            params,
+            &self.dense_hidden,
+            &cache.feat,
+            &mut cache.hidden_pre,
+        );
+        for (a, &v) in cache.hidden_act.iter_mut().zip(&cache.hidden_pre) {
+            *a = relu(v);
         }
+        dense_forward_into(
+            params,
+            &self.dense_out,
+            &cache.hidden_act,
+            &mut cache.logits,
+        );
+    }
+
+    /// The longest pre-activation of any conv block.
+    fn widest_pre(&self) -> usize {
+        self.convs.iter().map(ConvLayerMeta::pre_len).max().unwrap()
     }
 
     /// Global average pooling of the last conv block's `[c][y][x]` output
@@ -257,75 +361,99 @@ impl ConvNet {
         }
     }
 
+    /// Backward pass for one sample from its forward `cache`: the dense
+    /// gradients go straight into `grad`, the conv gradients into
+    /// `backward.conv`'s lane-grouped copy. Returns the sample's loss and
+    /// whether its prediction was correct.
     fn backward_sample(
         &self,
         params: &[f32],
         cache: &SampleCache,
         label: usize,
         scale: f32,
+        backward: &mut Backward,
         grad: &mut [f32],
     ) -> (f32, bool) {
-        let (loss, probs) = softmax_cross_entropy(&cache.logits, label);
+        let Backward {
+            conv: conv_grads,
+            d_logits,
+            d_hidden,
+            d_feat,
+            d_act,
+            d_pre,
+        } = backward;
+        fedlps_tensor::ops::softmax_into(d_logits, &cache.logits);
+        let loss = cross_entropy(d_logits, label);
         let correct = fedlps_tensor::ops::argmax(&cache.logits) == label;
 
         // d loss / d logits.
-        let mut d_logits: Vec<f32> = probs;
         d_logits[label] -= 1.0;
-        for v in &mut d_logits {
+        for v in d_logits.iter_mut() {
             *v *= scale;
         }
 
         // Output dense layer.
-        let d_hidden_act =
-            dense_backward(params, &self.dense_out, &cache.hidden_act, &d_logits, grad);
+        dense_backward(
+            params,
+            &self.dense_out,
+            &cache.hidden_act,
+            d_logits,
+            grad,
+            d_hidden,
+        );
         // Hidden dense layer (through ReLU).
-        let mut d_hidden_pre = d_hidden_act;
-        for (d, &pre) in d_hidden_pre.iter_mut().zip(cache.hidden_pre.iter()) {
+        for (d, &pre) in d_hidden.iter_mut().zip(cache.hidden_pre.iter()) {
             *d *= relu_grad(pre);
         }
-        let d_feat = dense_backward(params, &self.dense_hidden, &cache.feat, &d_hidden_pre, grad);
+        dense_backward(
+            params,
+            &self.dense_hidden,
+            &cache.feat,
+            d_hidden,
+            grad,
+            d_feat,
+        );
 
         // Global average pooling backward.
         let last_conv = self.convs.last().unwrap();
         let spatial = last_conv.out_h * last_conv.out_w;
-        let mut d_act = vec![0.0f32; last_conv.out_channels * spatial];
-        for c in 0..last_conv.out_channels {
-            let g = d_feat[c] / spatial as f32;
-            for s in 0..spatial {
-                d_act[c * spatial + s] = g;
-            }
+        for (d_channel, &d) in d_act[..last_conv.out_len()]
+            .chunks_exact_mut(spatial)
+            .zip(d_feat.iter())
+        {
+            d_channel.fill(d / spatial as f32);
         }
 
         // Conv blocks in reverse.
         for (li, conv) in self.convs.iter().enumerate().rev() {
             // Un-pool if this block pooled.
-            let mut d_prepool = if conv.pooled {
-                avg_pool_backward(&d_act, conv.out_channels, conv.in_h, conv.in_w)
+            let d_out = &mut d_pre[..conv.pre_len()];
+            let d_pooled = &d_act[..conv.out_len()];
+            if conv.pooled {
+                avg_pool_backward(d_pooled, conv.out_channels, conv.in_h, conv.in_w, d_out);
             } else {
-                d_act.clone()
-            };
+                d_out.copy_from_slice(d_pooled);
+            }
             // Through the ReLU.
-            for (d, &pre) in d_prepool.iter_mut().zip(cache.pres[li].iter()) {
+            for (d, &pre) in d_out.iter_mut().zip(cache.pres[li].iter()) {
                 *d *= relu_grad(pre);
             }
-            let d_input = conv_backward(
-                params,
-                conv,
-                cache.block_input(li),
-                &d_prepool,
-                grad,
-                li > 0,
-            );
-            d_act = d_input;
+            let d_input = (li > 0).then(|| &mut d_act[..conv.in_len()]);
+            conv_grads.backward(li, conv, cache.block_input(li), d_out, d_input);
         }
         (loss, correct)
     }
 }
 
+/// One sample's forward caches, allocated once per
+/// [`loss_and_grad`](ModelArch::loss_and_grad) call and overwritten by each
+/// sample.
 struct SampleCache<'x> {
     input: &'x [f32],
     acts: Vec<Vec<f32>>,
     pres: Vec<Vec<f32>>,
+    /// A pooled block's ReLU output before pooling.
+    relu: Vec<f32>,
     feat: Vec<f32>,
     hidden_pre: Vec<f32>,
     hidden_act: Vec<f32>,
@@ -333,6 +461,19 @@ struct SampleCache<'x> {
 }
 
 impl SampleCache<'_> {
+    fn new(net: &ConvNet) -> Self {
+        Self {
+            input: &[],
+            acts: net.convs.iter().map(|c| vec![0.0; c.out_len()]).collect(),
+            pres: net.convs.iter().map(|c| vec![0.0; c.pre_len()]).collect(),
+            relu: vec![0.0; net.widest_pre()],
+            feat: vec![0.0; net.dense_hidden.in_dim],
+            hidden_pre: vec![0.0; net.dense_hidden.out_dim],
+            hidden_act: vec![0.0; net.dense_hidden.out_dim],
+            logits: vec![0.0; net.dense_out.out_dim],
+        }
+    }
+
     /// The input of conv block `li`: the sample, or the previous block's output.
     fn block_input(&self, li: usize) -> &[f32] {
         if li == 0 {
@@ -343,11 +484,64 @@ impl SampleCache<'_> {
     }
 }
 
+/// The backward pass's buffers, allocated once per
+/// [`loss_and_grad`](ModelArch::loss_and_grad) call and overwritten by each
+/// sample.
+struct Backward {
+    conv: ConvGrads,
+    d_logits: Vec<f32>,
+    d_hidden: Vec<f32>,
+    d_feat: Vec<f32>,
+    /// Gradient w.r.t. a block's (pooled) output, which is the next block's
+    /// input.
+    d_act: Vec<f32>,
+    /// Gradient w.r.t. a block's pre-activation.
+    d_pre: Vec<f32>,
+}
+
+impl Backward {
+    fn new(net: &ConvNet, params: &[f32], grad: &[f32]) -> Self {
+        Self {
+            conv: ConvGrads::new(&net.convs, params, grad),
+            d_logits: vec![0.0; net.dense_out.out_dim],
+            d_hidden: vec![0.0; net.dense_hidden.out_dim],
+            d_feat: vec![0.0; net.dense_hidden.in_dim],
+            d_act: vec![0.0; net.convs.iter().map(ConvLayerMeta::out_len).max().unwrap()],
+            d_pre: vec![0.0; net.widest_pre()],
+        }
+    }
+}
+
+/// Block `conv`'s `[oc][ic][ky][kx]` weights and `[oc]` biases in `values`
+/// (parameters or their gradients), with output channels innermost in
+/// [`LANE`]-wide groups: `[oc / LANE][ic][ky][kx][oc % LANE]`, each group
+/// closed by its `[oc % LANE]` biases, the last group's missing channels zero.
+fn lane_grouped(conv: &ConvLayerMeta, values: &[f32]) -> Vec<f32> {
+    let mut layout =
+        vec![0.0f32; conv.out_channels.div_ceil(LANE) * (conv.per_channel() + 1) * LANE];
+    for (at, slot) in lane_slots(conv) {
+        layout[slot] = values[at];
+    }
+    layout
+}
+
+/// Every weight and bias of block `conv`: its index in the parameter vector
+/// and its slot in the [`lane_grouped`] layout.
+fn lane_slots(conv: &ConvLayerMeta) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let per_channel = conv.per_channel();
+    (0..conv.out_channels).flat_map(move |oc| {
+        let slot = oc / LANE * (per_channel + 1) * LANE + oc % LANE;
+        let weights =
+            (0..per_channel).map(move |t| (conv.w_start + oc * per_channel + t, slot + t * LANE));
+        weights.chain(std::iter::once((
+            conv.b_start + oc,
+            slot + per_channel * LANE,
+        )))
+    })
+}
+
 /// The conv forward kernel's weights, laid out once per `evaluate` /
-/// `loss_and_grad` call. Block `li`'s `[oc][ic][ky][kx]` weights are
-/// transposed so that output channels are innermost, in [`LANE`]-wide
-/// groups: `[group][ic][ky][kx][lane]`, each group closed by its `[lane]`
-/// biases, with the last group's missing channels zero-padded.
+/// `loss_and_grad` call: each block's [`lane_grouped`] parameters.
 struct ConvKernel {
     blocks: Vec<Vec<f32>>,
 }
@@ -356,20 +550,7 @@ impl ConvKernel {
     fn new(convs: &[ConvLayerMeta], params: &[f32]) -> Self {
         let blocks = convs
             .iter()
-            .map(|conv| {
-                let taps = conv.in_channels * KERNEL * KERNEL;
-                let group_len = (taps + 1) * LANE;
-                let mut layout = vec![0.0f32; conv.out_channels.div_ceil(LANE) * group_len];
-                for oc in 0..conv.out_channels {
-                    let group = &mut layout[oc / LANE * group_len..(oc / LANE + 1) * group_len];
-                    let lane = oc % LANE;
-                    for t in 0..taps {
-                        group[t * LANE + lane] = params[conv.w_start + oc * taps + t];
-                    }
-                    group[taps * LANE + lane] = params[conv.b_start + oc];
-                }
-                layout
-            })
+            .map(|conv| lane_grouped(conv, params))
             .collect();
         Self { blocks }
     }
@@ -379,106 +560,206 @@ impl ConvKernel {
     ///
     /// Every output element accumulates exactly the terms of the scalar
     /// reference, in its order: the bias first, then `(ic, ky, kx)` ascending
-    /// over the in-image taps only — an out-of-image tap is skipped, never
-    /// added as zero — one product at a time. Only the traversal changed: a
-    /// [`LANE`] of output channels is held in a register accumulator while
-    /// the taps stream through it, so the arithmetic vectorizes across
-    /// channels.
+    /// over the in-image taps only — the walk is pixel → input channel → the
+    /// pixel's tap list, so an out-of-image tap is skipped, never added as
+    /// zero — one product at a time. Only the traversal differs: [`LANE`]
+    /// output channels are held in a register accumulator while the taps
+    /// stream through it, and two such groups share each walk of a tap list.
     fn conv_forward(&self, li: usize, conv: &ConvLayerMeta, input: &[f32], out: &mut [f32]) {
-        let (h, w) = (conv.in_h, conv.in_w);
-        let plane = h * w;
-        let taps = conv.in_channels * KERNEL * KERNEL;
-        let groups = self.blocks[li].chunks_exact((taps + 1) * LANE);
-        for (g, group) in groups.enumerate() {
-            let (weights, bias) = group.split_at(taps * LANE);
-            let lanes = LANE.min(conv.out_channels - g * LANE);
-            for y in 0..h {
-                // Kernel rows (columns) whose input row `y + ky - 1` (column
-                // `x + kx - 1`) lies inside the image.
-                let rows = usize::from(y == 0)..KERNEL.min(h + 1 - y);
-                for x in 0..w {
-                    let cols = usize::from(x == 0)..KERNEL.min(w + 1 - x);
-                    let mut acc = [0.0f32; LANE];
-                    acc.copy_from_slice(bias);
-                    for ic in 0..conv.in_channels {
-                        for ky in rows.clone() {
-                            let first = (ic * KERNEL + ky) * KERNEL;
-                            let at = ic * plane + (y + ky - 1) * w + x + cols.start - 1;
-                            let values = &input[at..at + cols.len()];
-                            let tap_rows =
-                                &weights[(first + cols.start) * LANE..(first + cols.end) * LANE];
-                            for (tap, &v) in tap_rows.chunks_exact(LANE).zip(values) {
-                                for (a, &wv) in acc.iter_mut().zip(tap) {
-                                    *a += wv * v;
-                                }
-                            }
-                        }
-                    }
-                    for (lane, &a) in acc[..lanes].iter().enumerate() {
-                        out[(g * LANE + lane) * plane + y * w + x] = a;
-                    }
+        let group_len = (conv.per_channel() + 1) * LANE;
+        let groups = conv.out_channels.div_ceil(LANE);
+        let block = &self.blocks[li];
+        for (p, taps) in conv.taps.pixels().enumerate() {
+            let mut g = 0;
+            while g < groups {
+                let paired = g + 1 < groups;
+                let span = &block[g * group_len..(g + 1 + usize::from(paired)) * group_len];
+                if paired {
+                    pixel_sums::<2>(conv, span, taps, input, g * LANE, p, out);
+                } else {
+                    pixel_sums::<1>(conv, span, taps, input, g * LANE, p, out);
                 }
+                g += 1 + usize::from(paired);
             }
         }
     }
 }
 
-/// Backward of the 3x3 same-padding convolution: accumulates weight/bias
-/// gradients and (optionally) returns the gradient w.r.t. the input.
-fn conv_backward(
-    params: &[f32],
+/// Pixel `p`'s pre-activations for the `G` lane groups in `groups` (whose
+/// first channel is `first`), over the pixel's `taps`, written into `out`.
+fn pixel_sums<const G: usize>(
     conv: &ConvLayerMeta,
+    groups: &[f32],
+    taps: &[(u16, u16)],
     input: &[f32],
-    d_out: &[f32],
-    grad: &mut [f32],
-    need_d_input: bool,
-) -> Vec<f32> {
-    let (h, w) = (conv.in_h, conv.in_w);
-    let per_channel = conv.in_channels * KERNEL * KERNEL;
-    let mut d_input = vec![
-        0.0f32;
-        if need_d_input {
-            conv.in_channels * h * w
-        } else {
-            0
+    first: usize,
+    p: usize,
+    out: &mut [f32],
+) {
+    let group_len = groups.len() / G;
+    let group: [&[f32]; G] = std::array::from_fn(|j| &groups[j * group_len..(j + 1) * group_len]);
+    let mut acc = [[0.0f32; LANE]; G];
+    for (a, weights) in acc.iter_mut().zip(&group) {
+        a.copy_from_slice(&weights[group_len - LANE..]);
+    }
+    let plane = conv.plane();
+    for (ic, values) in input[..conv.in_len()].chunks_exact(plane).enumerate() {
+        let rows: [&[f32]; G] =
+            std::array::from_fn(|j| &group[j][ic * TAPS * LANE..(ic + 1) * TAPS * LANE]);
+        for &(at, k) in taps {
+            let (at, k) = (usize::from(at), usize::from(k));
+            let v = values[at];
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                for (a, &wv) in a.iter_mut().zip(&row[k * LANE..(k + 1) * LANE]) {
+                    *a += wv * v;
+                }
+            }
         }
-    ];
-    for oc in 0..conv.out_channels {
-        let w_base = conv.w_start + oc * per_channel;
-        let mut d_bias = 0.0f32;
-        for y in 0..h {
-            for x in 0..w {
-                let g = d_out[oc * h * w + y * w + x];
-                if g == 0.0 {
+    }
+    let live = conv.out_channels - first;
+    for (oc, &a) in (first..).zip(acc.as_flattened().iter().take(live)) {
+        out[oc * plane + p] = a;
+    }
+}
+
+/// The conv backward kernel's state for one `loss_and_grad` call.
+struct ConvGrads {
+    /// Each block's weight and bias gradients, [`lane_grouped`]: loaded from
+    /// `grad` by [`new`](Self::new), written back by [`store`](Self::store).
+    lanes: Vec<Vec<f32>>,
+    /// Each block's weights as `[oc][ky][kx][ic]`, input channels innermost
+    /// and zero-padded to a [`LANE`] multiple; empty for block 0, whose
+    /// input gradient nothing reads.
+    transposed: Vec<Vec<f32>>,
+    /// An input gradient in the same channels-innermost `[y][x][ic]` layout.
+    d_input: Vec<f32>,
+}
+
+impl ConvGrads {
+    fn new(convs: &[ConvLayerMeta], params: &[f32], grad: &[f32]) -> Self {
+        let lanes = convs.iter().map(|conv| lane_grouped(conv, grad)).collect();
+        let transposed = convs
+            .iter()
+            .enumerate()
+            .map(|(li, conv)| {
+                if li == 0 {
+                    return Vec::new();
+                }
+                let padded = conv.in_channels.next_multiple_of(LANE);
+                let mut layout = vec![0.0f32; conv.out_channels * TAPS * padded];
+                for (at, &w) in params[conv.w_start..conv.b_start].iter().enumerate() {
+                    let (oc, ic, k) = (
+                        at / conv.per_channel(),
+                        at / TAPS % conv.in_channels,
+                        at % TAPS,
+                    );
+                    layout[(oc * TAPS + k) * padded + ic] = w;
+                }
+                layout
+            })
+            .collect();
+        let widest = convs
+            .iter()
+            .skip(1)
+            .map(|conv| conv.plane() * conv.in_channels.next_multiple_of(LANE))
+            .max()
+            .unwrap_or(0);
+        Self {
+            lanes,
+            transposed,
+            d_input: vec![0.0; widest],
+        }
+    }
+
+    /// Writes the accumulated weight and bias gradients back into `grad`.
+    fn store(&self, convs: &[ConvLayerMeta], grad: &mut [f32]) {
+        for (conv, layout) in convs.iter().zip(&self.lanes) {
+            for (at, slot) in lane_slots(conv) {
+                grad[at] = layout[slot];
+            }
+        }
+    }
+
+    /// Backward of block `li`'s 3x3 same-padding convolution for one sample:
+    /// accumulates the weight and bias gradients of `d_out` (`[oc][y][x]`)
+    /// and, when `d_input` is given, overwrites it with the gradient w.r.t.
+    /// the `[ic][y][x]` `input`.
+    ///
+    /// Every sum takes the terms of the scalar reference in its order (see
+    /// the module doc): a pixel whose output gradient is zero contributes to
+    /// none of them, and a weight or bias whose lane has a zero gradient
+    /// keeps its value through a select.
+    fn backward(
+        &mut self,
+        li: usize,
+        conv: &ConvLayerMeta,
+        input: &[f32],
+        d_out: &[f32],
+        d_input: Option<&mut [f32]>,
+    ) {
+        let plane = conv.plane();
+        let per_channel = conv.per_channel();
+        // Weight and bias gradients, LANE output channels at a time.
+        let groups = self.lanes[li].chunks_exact_mut((per_channel + 1) * LANE);
+        for (g, group) in groups.enumerate() {
+            let (weights, bias) = group.split_at_mut(per_channel * LANE);
+            let channels = g * LANE..conv.out_channels.min((g + 1) * LANE);
+            let mut d_bias = [0.0f32; LANE];
+            for (p, taps) in conv.taps.pixels().enumerate() {
+                let mut d = [0.0f32; LANE];
+                for (d, oc) in d.iter_mut().zip(channels.clone()) {
+                    *d = d_out[oc * plane + p];
+                }
+                if d.iter().all(|&d| d == 0.0) {
                     continue;
                 }
-                d_bias += g;
-                for ic in 0..conv.in_channels {
-                    let in_base = ic * h * w;
-                    let k_base = w_base + ic * KERNEL * KERNEL;
-                    for ky in 0..KERNEL {
-                        let iy = y as isize + ky as isize - 1;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..KERNEL {
-                            let ix = x as isize + kx as isize - 1;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let in_idx = in_base + iy as usize * w + ix as usize;
-                            grad[k_base + ky * KERNEL + kx] += g * input[in_idx];
-                            if need_d_input {
-                                d_input[in_idx] += g * params[k_base + ky * KERNEL + kx];
-                            }
+                for (b, &d) in d_bias.iter_mut().zip(&d) {
+                    *b = if d != 0.0 { *b + d } else { *b };
+                }
+                for (ic, values) in input[..conv.in_len()].chunks_exact(plane).enumerate() {
+                    let rows = &mut weights[ic * TAPS * LANE..(ic + 1) * TAPS * LANE];
+                    for &(at, k) in taps {
+                        let (at, k) = (usize::from(at), usize::from(k));
+                        let v = values[at];
+                        for (acc, &d) in rows[k * LANE..(k + 1) * LANE].iter_mut().zip(&d) {
+                            *acc = if d != 0.0 { *acc + d * v } else { *acc };
                         }
                     }
                 }
             }
+            for (b, d) in bias.iter_mut().zip(d_bias) {
+                *b += d;
+            }
         }
-        grad[conv.b_start + oc] += d_bias;
+
+        // Input gradient, input channels innermost.
+        let Some(d_input) = d_input else {
+            return;
+        };
+        let padded = conv.in_channels.next_multiple_of(LANE);
+        let lanes = &mut self.d_input[..plane * padded];
+        lanes.fill(0.0);
+        let weights = self.transposed[li].chunks_exact(TAPS * padded);
+        for (d_plane, w_oc) in d_out.chunks_exact(plane).zip(weights) {
+            for (taps, &d) in conv.taps.pixels().zip(d_plane) {
+                if d == 0.0 {
+                    continue;
+                }
+                for &(at, k) in taps {
+                    let (at, k) = (usize::from(at), usize::from(k));
+                    let acc = &mut lanes[at * padded..(at + 1) * padded];
+                    for (acc, &w) in acc.iter_mut().zip(&w_oc[k * padded..(k + 1) * padded]) {
+                        *acc += d * w;
+                    }
+                }
+            }
+        }
+        for (ic, d_plane) in d_input.chunks_exact_mut(plane).enumerate() {
+            for (d, pixel) in d_plane.iter_mut().zip(lanes.chunks_exact(padded)) {
+                *d = pixel[ic];
+            }
+        }
     }
-    d_input
 }
 
 /// 2x2 average pooling (stride 2, floor semantics) into `out`.
@@ -500,11 +781,12 @@ fn avg_pool_into(input: &[f32], channels: usize, h: usize, w: usize, out: &mut [
     }
 }
 
-/// Backward of 2x2 average pooling.
-fn avg_pool_backward(d_out: &[f32], channels: usize, h: usize, w: usize) -> Vec<f32> {
+/// Backward of 2x2 average pooling into `d_in`; a row or column that floor
+/// semantics left out of every window gets zero.
+fn avg_pool_backward(d_out: &[f32], channels: usize, h: usize, w: usize, d_in: &mut [f32]) {
     let oh = h / 2;
     let ow = w / 2;
-    let mut d_in = vec![0.0f32; channels * h * w];
+    d_in.fill(0.0);
     for c in 0..channels {
         for y in 0..oh {
             for x in 0..ow {
@@ -517,7 +799,6 @@ fn avg_pool_backward(d_out: &[f32], channels: usize, h: usize, w: usize) -> Vec<
             }
         }
     }
-    d_in
 }
 
 /// Dense forward `y = W x + b` for one sample, into `out`.
@@ -532,15 +813,17 @@ fn dense_forward_into(params: &[f32], meta: &DenseMeta, input: &[f32], out: &mut
     }
 }
 
-/// Dense backward: accumulates weight/bias gradients and returns `d input`.
+/// Dense backward: accumulates weight/bias gradients and overwrites `d_in`
+/// with the gradient w.r.t. `input`.
 fn dense_backward(
     params: &[f32],
     meta: &DenseMeta,
     input: &[f32],
     d_out: &[f32],
     grad: &mut [f32],
-) -> Vec<f32> {
-    let mut d_in = vec![0.0f32; meta.in_dim];
+    d_in: &mut [f32],
+) {
+    d_in.fill(0.0);
     for (j, &g) in d_out.iter().enumerate() {
         grad[meta.b_start + j] += g;
         let w_row = meta.w_start + j * meta.in_dim;
@@ -549,7 +832,6 @@ fn dense_backward(
             d_in[i] += g * params[w_row + i];
         }
     }
-    d_in
 }
 
 impl ModelArch for ConvNet {
@@ -597,17 +879,21 @@ impl ModelArch for ConvNet {
         assert!(!indices.is_empty(), "empty minibatch");
         let scale = 1.0 / indices.len() as f32;
         let kernel = ConvKernel::new(&self.convs, params);
+        let mut cache = SampleCache::new(self);
+        let mut backward = Backward::new(self, params, grad);
         let mut loss = 0.0f64;
         let mut correct = 0usize;
         for &idx in indices {
             let (x, label) = data.sample(idx);
-            let cache = self.forward_sample(&kernel, params, x);
-            let (sample_loss, ok) = self.backward_sample(params, &cache, label, scale, grad);
+            self.forward_sample_into(&kernel, params, x, &mut cache);
+            let (sample_loss, ok) =
+                self.backward_sample(params, &cache, label, scale, &mut backward, grad);
             loss += sample_loss as f64;
             if ok {
                 correct += 1;
             }
         }
+        backward.conv.store(&self.convs, grad);
         TrainStats {
             loss: loss / indices.len() as f64,
             accuracy: correct as f64 / indices.len() as f64,
@@ -622,12 +908,7 @@ impl ModelArch for ConvNet {
         // once per call. Each block convolves `cur` into `next`, applies the
         // ReLU in place and pools back into `cur` (or swaps the two).
         let kernel = ConvKernel::new(&self.convs, params);
-        let widest = self
-            .convs
-            .iter()
-            .map(ConvLayerMeta::pre_len)
-            .max()
-            .expect("at least one conv block");
+        let widest = self.widest_pre();
         let mut cur = vec![0.0f32; widest];
         let mut next = vec![0.0f32; widest];
         let mut feat = vec![0.0f32; self.dense_hidden.in_dim];
@@ -766,6 +1047,7 @@ impl ModelArch for ConvNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::softmax_cross_entropy;
     use crate::gradcheck::assert_gradients_close;
     use fedlps_data::dataset::InputKind;
     use fedlps_tensor::{rng_from_seed, Matrix};
@@ -809,6 +1091,80 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The scalar backward of the 3x3 same-padding convolution the kernel
+    /// replaced, kept as its oracle: accumulates the weight and bias
+    /// gradients of `d_out` into `grad` one output channel at a time and
+    /// returns the input gradient (empty unless `need_d_input`).
+    fn conv_backward_reference(
+        params: &[f32],
+        conv: &ConvLayerMeta,
+        input: &[f32],
+        d_out: &[f32],
+        grad: &mut [f32],
+        need_d_input: bool,
+    ) -> Vec<f32> {
+        let (h, w) = (conv.in_h, conv.in_w);
+        let per_channel = conv.in_channels * KERNEL * KERNEL;
+        let mut d_input = vec![
+            0.0f32;
+            if need_d_input {
+                conv.in_channels * h * w
+            } else {
+                0
+            }
+        ];
+        for oc in 0..conv.out_channels {
+            let w_base = conv.w_start + oc * per_channel;
+            let mut d_bias = 0.0f32;
+            for y in 0..h {
+                for x in 0..w {
+                    let g = d_out[oc * h * w + y * w + x];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    d_bias += g;
+                    for ic in 0..conv.in_channels {
+                        let in_base = ic * h * w;
+                        let k_base = w_base + ic * KERNEL * KERNEL;
+                        for ky in 0..KERNEL {
+                            let iy = y as isize + ky as isize - 1;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            for kx in 0..KERNEL {
+                                let ix = x as isize + kx as isize - 1;
+                                if ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                let in_idx = in_base + iy as usize * w + ix as usize;
+                                grad[k_base + ky * KERNEL + kx] += g * input[in_idx];
+                                if need_d_input {
+                                    d_input[in_idx] += g * params[k_base + ky * KERNEL + kx];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            grad[conv.b_start + oc] += d_bias;
+        }
+        d_input
+    }
+
+    impl ConvNet {
+        /// One sample's training forward pass into a fresh cache.
+        fn forward_sample<'x>(
+            &self,
+            kernel: &ConvKernel,
+            params: &[f32],
+            x: &'x [f32],
+        ) -> SampleCache<'x> {
+            let mut cache = SampleCache::new(self);
+            self.forward_sample_into(kernel, params, x, &mut cache);
+            cache
+        }
     }
 
     /// `v`, or `+0.0` / `-0.0` with probability `zeros / 2` each.
@@ -907,6 +1263,206 @@ mod tests {
             prop_assert_eq!(eval.loss.to_bits(), (loss / data.len() as f64).to_bits());
             prop_assert_eq!(eval.accuracy, correct as f64 / data.len() as f64);
             prop_assert_eq!(eval.samples, data.len());
+        }
+    }
+
+    /// `v`, or `±inf` with probability `infs / 2` each.
+    fn with_infinities(v: f32, infs: f64, rng: &mut StdRng) -> f32 {
+        let u = rng.gen_range(0.0f64..1.0);
+        if u < infs / 2.0 {
+            f32::INFINITY
+        } else if u < infs {
+            f32::NEG_INFINITY
+        } else {
+            v
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The lane-grouped backward equals `conv_backward_reference` bit for
+        /// bit: the weight and bias gradients accumulated over several
+        /// samples into a pre-seeded gradient (signed zeros among nonzero
+        /// values, so a `-0.0` that an untouched weight must keep is
+        /// present), and each sample's input gradient. Both blocks of a
+        /// two-block net run, so output- and input-channel lane tails are
+        /// covered; parameters carry signed zeros and masked units; output
+        /// gradients carry signed zeros, whole zero pixels and the whole
+        /// zero channels of masked units; inputs carry signed zeros and the
+        /// odd infinity, which a zero output gradient must not turn into a
+        /// NaN.
+        #[test]
+        fn backward_matches_scalar_reference_bitwise(
+            in_channels in 1usize..=5,
+            c0 in 1usize..=19,
+            c1 in 1usize..=19,
+            height in 3usize..=9,
+            width in 3usize..=9,
+            samples in 1usize..=3,
+            zeros in 0.0f64..0.6,
+            seed in 0u64..1_000_000,
+        ) {
+            let net = ConvNet::new(ConvNetConfig {
+                in_channels,
+                height,
+                width,
+                channels: vec![c0, c1],
+                hidden: 2,
+                num_classes: 2,
+            });
+            let mut rng = rng_from_seed(seed);
+            let mut params = net.init_params(&mut rng);
+            for p in params.iter_mut() {
+                *p = with_signed_zeros(*p, zeros, &mut rng);
+            }
+            let keep: Vec<bool> = (0..net.unit_layout().total_units())
+                .map(|_| rng.gen_range(0.0f64..1.0) >= 0.25)
+                .collect();
+            let mask = net.unit_layout().expand_mask(&keep);
+            for (p, m) in params.iter_mut().zip(mask.iter()) {
+                *p *= m;
+            }
+            let seeded: Vec<f32> = (0..net.param_count())
+                .map(|_| {
+                    let v = rng.gen_range(-1.0f32..1.0);
+                    with_signed_zeros(v, 0.5, &mut rng)
+                })
+                .collect();
+
+            let mut expected = seeded.clone();
+            let mut grads = ConvGrads::new(&net.convs, &params, &seeded);
+            for sample in 0..samples {
+                let mut first_unit = 0;
+                for (li, conv) in net.convs.iter().enumerate() {
+                    let input: Vec<f32> = (0..conv.in_len())
+                        .map(|_| {
+                            let v = rng.gen_range(-2.0f32..2.0);
+                            let v = with_signed_zeros(v, zeros, &mut rng);
+                            with_infinities(v, 0.02, &mut rng)
+                        })
+                        .collect();
+                    let plane = conv.plane();
+                    let dead_pixels: Vec<bool> =
+                        (0..plane).map(|_| rng.gen_range(0.0f64..1.0) < 0.2).collect();
+                    let mut d_out = vec![0.0f32; conv.pre_len()];
+                    for (at, d) in d_out.iter_mut().enumerate() {
+                        let v = rng.gen_range(-1.0f32..1.0);
+                        let v = with_signed_zeros(v, zeros, &mut rng);
+                        let live = keep[first_unit + at / plane] && !dead_pixels[at % plane];
+                        *d = if live { v } else { with_signed_zeros(v, 1.0, &mut rng) };
+                    }
+                    first_unit += conv.out_channels;
+
+                    let reference =
+                        conv_backward_reference(&params, conv, &input, &d_out, &mut expected, li > 0);
+                    let mut d_input = vec![f32::NAN; reference.len()];
+                    let wanted = (li > 0).then_some(&mut d_input[..]);
+                    grads.backward(li, conv, &input, &d_out, wanted);
+                    prop_assert_eq!(
+                        bits(&d_input),
+                        bits(&reference),
+                        "input gradient of block {} in sample {}",
+                        li,
+                        sample
+                    );
+                }
+            }
+            let mut got = seeded.clone();
+            grads.store(&net.convs, &mut got);
+            for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+                prop_assert_eq!(g.to_bits(), e.to_bits(), "gradient diverges at parameter {}", i);
+            }
+        }
+
+        /// Packed training and evaluation equal masked-dense bit for bit on
+        /// random shapes and keep sets down to one surviving unit per layer,
+        /// the regime of small sparse ratios where packed blocks hold a few
+        /// channels and every lane group is a tail: packed `loss_and_grad`,
+        /// scattered, equals the masked-dense gradient at every parameter,
+        /// with equal loss and accuracy, and packed `evaluate` equals
+        /// masked-dense `evaluate`. Parameters and inputs carry signed zeros.
+        #[test]
+        fn packed_submodel_matches_masked_dense_across_lane_tails(
+            in_channels in 1usize..=4,
+            blocks in 1usize..=3,
+            c0 in 1usize..=19,
+            c1 in 1usize..=19,
+            c2 in 1usize..=19,
+            height in 3usize..=8,
+            width in 3usize..=8,
+            hidden in 1usize..=9,
+            num_classes in 2usize..=4,
+            samples in 1usize..=5,
+            keep_rate in 0.05f64..1.0,
+            zeros in 0.0f64..0.3,
+            seed in 0u64..1_000_000,
+        ) {
+            let net = ConvNet::new(ConvNetConfig {
+                in_channels,
+                height,
+                width,
+                channels: [c0, c1, c2][..blocks].to_vec(),
+                hidden,
+                num_classes,
+            });
+            let mut rng = rng_from_seed(seed);
+            let mut params = net.init_params(&mut rng);
+            for p in params.iter_mut() {
+                *p = with_signed_zeros(*p, zeros, &mut rng);
+            }
+            let kept: Vec<Vec<usize>> = net
+                .unit_layout()
+                .units_per_layer()
+                .into_iter()
+                .map(|units| {
+                    let mut layer: Vec<usize> = (0..units)
+                        .filter(|_| rng.gen_range(0.0f64..1.0) < keep_rate)
+                        .collect();
+                    if layer.is_empty() {
+                        layer.push(rng.gen_range(0..units));
+                    }
+                    layer
+                })
+                .collect();
+            let mut keep = vec![false; net.unit_layout().total_units()];
+            let mut offset = 0;
+            for (units, layer) in net.unit_layout().units_per_layer().iter().zip(&kept) {
+                for &j in layer {
+                    keep[offset + j] = true;
+                }
+                offset += units;
+            }
+            let mask = net.unit_layout().expand_mask(&keep);
+            let masked: Vec<f32> = params.iter().zip(mask.iter()).map(|(p, m)| p * m).collect();
+            let packed = net.pack(&KeptUnits::from_nested(&kept)).expect("packable");
+            let features = Matrix::from_fn(samples, in_channels * height * width, |_, _| {
+                let v = rng.gen_range(-2.0f32..2.0);
+                with_signed_zeros(v, zeros, &mut rng)
+            });
+            let labels = (0..samples).map(|i| i % num_classes).collect();
+            let input = InputKind::Image { channels: in_channels, height, width };
+            let data = Dataset::new(features, labels, num_classes, input);
+            let indices: Vec<usize> = (0..samples).collect();
+
+            let mut dense_grad = vec![0.0f32; net.param_count()];
+            let dense_stats = net.loss_and_grad(&masked, &data, &indices, &mut dense_grad);
+            let mut pp = Vec::new();
+            packed.gather_params(&masked, &mut pp);
+            let mut pgrad = vec![0.0f32; packed.packed_len()];
+            let packed_stats = packed.arch().loss_and_grad(&pp, &data, &indices, &mut pgrad);
+            let mut scattered = vec![0.0f32; net.param_count()];
+            packed.scatter_add(&pgrad, &mut scattered);
+
+            prop_assert_eq!(dense_stats.loss.to_bits(), packed_stats.loss.to_bits());
+            prop_assert_eq!(dense_stats.accuracy, packed_stats.accuracy);
+            for (i, (d, p)) in dense_grad.iter().zip(scattered.iter()).enumerate() {
+                prop_assert_eq!(d.to_bits(), p.to_bits(), "grad diverges at parameter {}", i);
+            }
+            let dense_eval = net.evaluate(&masked, &data);
+            let packed_eval = packed.arch().evaluate(&pp, &data);
+            prop_assert_eq!(dense_eval.loss.to_bits(), packed_eval.loss.to_bits());
+            prop_assert_eq!(dense_eval.accuracy, packed_eval.accuracy);
         }
     }
 
@@ -1068,8 +1624,12 @@ mod tests {
         let mut pooled = vec![0.0f32; 4];
         avg_pool_into(&input, 1, 4, 4, &mut pooled);
         assert!((pooled[0] - (0.0 + 1.0 + 4.0 + 5.0) / 4.0).abs() < 1e-6);
-        let back = avg_pool_backward(&pooled, 1, 4, 4);
-        assert_eq!(back.len(), 16);
+        let mut back = vec![f32::NAN; 16];
+        avg_pool_backward(&pooled, 1, 4, 4, &mut back);
+        assert!(
+            back.iter().all(|v| v.is_finite()),
+            "every input gets a gradient"
+        );
         assert!((back[0] - pooled[0] / 4.0).abs() < 1e-6);
     }
 
