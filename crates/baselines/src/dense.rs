@@ -11,6 +11,7 @@ use fedlps_sim::algorithm::ClientReport;
 use fedlps_sim::env::FlEnv;
 use fedlps_tensor::rng::{sample_weighted, sample_without_replacement};
 use rand::rngs::StdRng;
+use std::collections::BTreeMap;
 
 /// FedProx's proximal weight `μ`.
 const FEDPROX_MU: f32 = 0.1;
@@ -49,10 +50,11 @@ impl DenseVariant {
 #[derive(Debug)]
 pub struct DenseFl {
     variant: DenseVariant,
-    /// Oort utility per client (statistical utility × system speed).
-    utilities: Vec<f64>,
-    /// Round at which each client last participated (REFL freshness).
-    last_selected: Vec<Option<usize>>,
+    /// Per absorbed client: its Oort utility (statistical utility × system
+    /// speed) and the round it last participated in (REFL freshness). A
+    /// client not in the map was never selected, and its utility reads as an
+    /// optimistic `f64::MAX / 1e6` so every client gets explored.
+    seen: BTreeMap<usize, (f64, usize)>,
 }
 
 impl DenseFl {
@@ -60,8 +62,7 @@ impl DenseFl {
     pub fn new(variant: DenseVariant) -> Self {
         Self {
             variant,
-            utilities: Vec::new(),
-            last_selected: Vec::new(),
+            seen: BTreeMap::new(),
         }
     }
 }
@@ -75,10 +76,8 @@ impl Family for DenseFl {
         self.variant.label().to_string()
     }
 
-    fn setup(&mut self, env: &FlEnv, _global: &[f32]) {
-        // Optimistic initial utility so every client gets explored.
-        self.utilities = vec![f64::MAX / 1e6; env.num_clients()];
-        self.last_selected = vec![None; env.num_clients()];
+    fn setup(&mut self, _env: &FlEnv, _global: &[f32]) {
+        self.seen.clear();
     }
 
     /// Oort and REFL carry their own selection rule (it *is* the method);
@@ -98,11 +97,11 @@ impl Family for DenseFl {
                 // by expected round time), which is Oort's exploit phase with
                 // softened exploration through the proportional sampling.
                 let mut chosen = Vec::with_capacity(c);
-                let mut weights: Vec<f64> = self
-                    .utilities
-                    .iter()
-                    .enumerate()
-                    .map(|(k, u)| u / (1.0 + 1.0 / env.capability(k)))
+                let mut weights: Vec<f64> = (0..env.num_clients())
+                    .map(|k| {
+                        let u = self.seen.get(&k).map_or(f64::MAX / 1e6, |&(u, _)| u);
+                        u / (1.0 + 1.0 / env.capability(k))
+                    })
                     .collect();
                 for _ in 0..c {
                     let pick = sample_weighted(&weights, rng);
@@ -130,9 +129,9 @@ impl Family for DenseFl {
                 // tie-breaking supplied by a small noise term.
                 let mut scored: Vec<(usize, f64)> = (0..env.num_clients())
                     .map(|k| {
-                        let staleness = match self.last_selected[k] {
+                        let staleness = match self.seen.get(&k) {
                             None => round as f64 + 1.0,
-                            Some(r) => (round - r) as f64,
+                            Some(&(_, r)) => (round - r) as f64,
                         };
                         let noise = fedlps_tensor::rng::sample_normal(rng) as f64 * 0.01;
                         (k, env.capability(k) + 0.1 * staleness + noise)
@@ -161,8 +160,7 @@ impl Family for DenseFl {
     }
 
     fn absorbed(&mut self, client: usize, round: usize, utility: f64) {
-        self.utilities[client] = utility;
-        self.last_selected[client] = Some(round);
+        self.seen.insert(client, (utility, round));
     }
 }
 

@@ -18,6 +18,7 @@ use fedlps_sim::env::FlEnv;
 use fedlps_sim::train::{local_sgd, LocalTrainOptions};
 use fedlps_tensor::split_seed;
 use rand::rngs::StdRng;
+use std::collections::BTreeMap;
 
 use crate::common::{body_indicator, copy_head, head_indicator};
 
@@ -57,8 +58,9 @@ impl PersonalizedVariant {
 pub struct PersonalizedFl {
     variant: PersonalizedVariant,
     /// Per-client personal state: Ditto's personal model or FedPer/FedRep's
-    /// personal head (stored as a full vector whose head block is meaningful).
-    personal: Vec<Option<Vec<f32>>>,
+    /// personal head (stored as a full vector whose head block is meaningful),
+    /// keyed by client; a client not in the map has none yet.
+    personal: BTreeMap<usize, Vec<f32>>,
     /// 0/1 indicators of the classifier head and of its complement, the
     /// shared body (FedPer / FedRep).
     head: Vec<f32>,
@@ -70,7 +72,7 @@ impl PersonalizedFl {
     pub fn new(variant: PersonalizedVariant) -> Self {
         Self {
             variant,
-            personal: Vec::new(),
+            personal: BTreeMap::new(),
             head: Vec::new(),
             body: Vec::new(),
         }
@@ -89,7 +91,7 @@ impl Family for PersonalizedFl {
     }
 
     fn setup(&mut self, env: &FlEnv, _global: &[f32]) {
-        self.personal = vec![None; env.num_clients()];
+        self.personal.clear();
         self.head = head_indicator(env);
         self.body = body_indicator(env);
     }
@@ -99,7 +101,7 @@ impl Family for PersonalizedFl {
         step: &Step<'_>,
         rng: &mut StdRng,
     ) -> (ClientReport, ContribParams, Option<Vec<f32>>) {
-        let stored = self.personal[step.client].as_ref();
+        let stored = self.personal.get(&step.client);
         let mut params = (**step.global).clone();
         let mut frozen = None;
         let keeps_head = matches!(
@@ -146,12 +148,12 @@ impl Family for PersonalizedFl {
 
     fn absorbed(&mut self, client: usize, _round: usize, personal: Option<Vec<f32>>) {
         if let Some(personal) = personal {
-            self.personal[client] = Some(personal);
+            self.personal.insert(client, personal);
         }
     }
 
     fn deployed(&self, env: &FlEnv, global: &[f32], client: usize) -> EvalStats {
-        let stored = self.personal[client].as_deref();
+        let stored = self.personal.get(&client).map(Vec::as_slice);
         match self.variant {
             PersonalizedVariant::Ditto => env
                 .arch
@@ -190,7 +192,7 @@ impl Family for PersonalizedFl {
     /// Only Ditto's personal model stands alone: FedPer / FedRep splice the
     /// global body under their head, and Per-FedAvg adapts the global model.
     fn deploys_own_record(&self, client: usize) -> bool {
-        matches!(self.variant, PersonalizedVariant::Ditto) && self.personal[client].is_some()
+        matches!(self.variant, PersonalizedVariant::Ditto) && self.personal.contains_key(&client)
     }
 }
 
@@ -247,6 +249,33 @@ mod tests {
     }
 
     #[test]
+    fn personal_store_holds_only_absorbed_clients() {
+        // Two rounds of three clients cannot cover the tiny federation's
+        // eight: the store is keyed by who trained, not sized by the fleet.
+        for variant in [
+            PersonalizedVariant::Ditto,
+            PersonalizedVariant::FedPer,
+            PersonalizedVariant::FedRep,
+            PersonalizedVariant::PerFedAvg,
+        ] {
+            let s = Simulator::new(FlEnv::from_scenario(
+                &ScenarioConfig::tiny(DatasetKind::MnistLike),
+                HeterogeneityLevel::Low,
+                FlConfig::tiny().with_rounds(2),
+            ));
+            let mut algo = Server::from(PersonalizedFl::new(variant));
+            let absorbed = s.run(&mut algo).total_first_time_participants() as usize;
+            assert!((1..s.env().num_clients()).contains(&absorbed));
+            // Per-FedAvg personalizes at deployment and stores nothing.
+            let expected = match variant {
+                PersonalizedVariant::PerFedAvg => 0,
+                _ => absorbed,
+            };
+            assert_eq!(algo.family().personal.len(), expected, "{variant:?}");
+        }
+    }
+
+    #[test]
     fn fedper_keeps_personal_heads_per_client() {
         let env = FlEnv::from_scenario(
             &ScenarioConfig::tiny(DatasetKind::MnistLike),
@@ -258,7 +287,7 @@ mod tests {
         let _ = sim.run(&mut algo);
         // At least two clients trained; their stored heads differ because
         // their local data differ (pathological non-IID).
-        let stored: Vec<&Vec<f32>> = algo.family().personal.iter().flatten().collect();
+        let stored: Vec<&Vec<f32>> = algo.family().personal.values().collect();
         assert!(stored.len() >= 2);
         let env = sim.env();
         let head_range = env.arch.classifier_params();

@@ -17,6 +17,7 @@
 //! * **FedP3** — resource-based ratios (ordered pattern capped at the client's
 //!   capability) combined with a personal classifier head.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fedlps_core::server::{ContribParams, Contribution, Family, Step};
@@ -81,7 +82,9 @@ pub struct PersonalState {
 #[derive(Debug)]
 pub struct SparsePersonalized {
     variant: SparsePersonalizedVariant,
-    states: Vec<Option<PersonalState>>,
+    /// Each trained client's personal state, keyed by client; a client not in
+    /// the map has never trained.
+    states: BTreeMap<usize, PersonalState>,
     /// 0/1 indicator of the shared body (FedP3 withholds the head).
     body: Vec<f32>,
 }
@@ -91,7 +94,7 @@ impl SparsePersonalized {
     pub fn new(variant: SparsePersonalizedVariant) -> Self {
         Self {
             variant,
-            states: Vec::new(),
+            states: BTreeMap::new(),
             body: Vec::new(),
         }
     }
@@ -101,7 +104,7 @@ impl SparsePersonalized {
     fn next_mask(&self, step: &Step<'_>, rng: &mut StdRng) -> (UnitMask, f64) {
         let (env, client, round) = (step.env, step.client, step.round);
         let layout = env.arch.unit_layout();
-        let prev = self.states[client].as_ref();
+        let prev = self.states.get(&client);
         let reference = prev
             .map(|s| s.params.as_slice())
             .unwrap_or(step.global.as_slice());
@@ -160,7 +163,7 @@ impl Family for SparsePersonalized {
     }
 
     fn setup(&mut self, env: &FlEnv, _global: &[f32]) {
-        self.states = vec![None; env.num_clients()];
+        self.states.clear();
         self.body = body_indicator(env);
     }
 
@@ -176,7 +179,7 @@ impl Family for SparsePersonalized {
         // FedP3 trains the global body under the client's personal head;
         // everyone else trains the submodel of the global model itself.
         let fedp3 = matches!(self.variant, SparsePersonalizedVariant::FedP3);
-        let personal_head = match (fedp3, &self.states[step.client]) {
+        let personal_head = match (fedp3, self.states.get(&step.client)) {
             (true, Some(state)) => {
                 let mut params = (**step.global).clone();
                 copy_head(env, &mut params, &state.params);
@@ -224,14 +227,14 @@ impl Family for SparsePersonalized {
     }
 
     fn absorbed(&mut self, client: usize, _round: usize, state: PersonalState) {
-        self.states[client] = Some(state);
+        self.states.insert(client, state);
     }
 
     /// The client's personal sparse model `params ⊙ mask`, evaluated on its
     /// packed submodel; a client that never trained gets the dense global
     /// model.
     fn deployed(&self, env: &FlEnv, global: &[f32], client: usize) -> EvalStats {
-        match &self.states[client] {
+        match self.states.get(&client) {
             Some(state) => evaluate_masked(
                 &*env.arch,
                 &state.mask,
@@ -244,7 +247,7 @@ impl Family for SparsePersonalized {
 
     /// A client that trained deploys its own personal state alone.
     fn deploys_own_record(&self, client: usize) -> bool {
-        self.states[client].is_some()
+        self.states.contains_key(&client)
     }
 }
 
@@ -290,6 +293,28 @@ mod tests {
     }
 
     #[test]
+    fn personal_store_holds_only_absorbed_clients() {
+        // Two rounds of three clients cannot cover the tiny federation's
+        // eight: the store is keyed by who trained, not sized by the fleet.
+        for variant in [
+            SparsePersonalizedVariant::LotteryFl,
+            SparsePersonalizedVariant::Hermes,
+            SparsePersonalizedVariant::FedSpa,
+            SparsePersonalizedVariant::FedP3,
+        ] {
+            let s = Simulator::new(FlEnv::from_scenario(
+                &ScenarioConfig::tiny(DatasetKind::MnistLike),
+                HeterogeneityLevel::High,
+                FlConfig::tiny().with_rounds(2),
+            ));
+            let mut algo = Server::from(SparsePersonalized::new(variant));
+            let absorbed = s.run(&mut algo).total_first_time_participants() as usize;
+            assert!((1..s.env().num_clients()).contains(&absorbed));
+            assert_eq!(algo.family().states.len(), absorbed, "{variant:?}");
+        }
+    }
+
+    #[test]
     fn fedspa_keeps_a_constant_ratio() {
         let s = sim();
         let mut algo = Server::from(SparsePersonalized::new(SparsePersonalizedVariant::FedSpa));
@@ -312,7 +337,7 @@ mod tests {
         let last = result.rounds.last().unwrap().mean_sparse_ratio;
         assert!(last < first, "ratio should decay: {first} -> {last}");
         // And never below the floor.
-        for state in algo.family().states.iter().flatten() {
+        for state in algo.family().states.values() {
             assert!(state.ratio >= PRUNE_FLOOR_RATIO - 1e-9);
         }
     }
@@ -320,13 +345,10 @@ mod tests {
     #[test]
     fn fedp3_submodels_track_capability() {
         let s = sim();
-        let caps = s.env().capabilities();
         let mut algo = Server::from(SparsePersonalized::new(SparsePersonalizedVariant::FedP3));
         let _ = s.run(&mut algo);
-        for (k, state) in algo.family().states.iter().enumerate() {
-            if let Some(state) = state {
-                assert!((state.ratio - caps[k]).abs() < 1e-9);
-            }
+        for (&k, state) in &algo.family().states {
+            assert!((state.ratio - s.env().capability(k)).abs() < 1e-9);
         }
     }
 
@@ -335,13 +357,7 @@ mod tests {
         let s = sim();
         let mut algo = Server::from(SparsePersonalized::new(SparsePersonalizedVariant::Hermes));
         let _ = s.run(&mut algo);
-        let masks: Vec<&UnitMask> = algo
-            .family()
-            .states
-            .iter()
-            .flatten()
-            .map(|s| &s.mask)
-            .collect();
+        let masks: Vec<&UnitMask> = algo.family().states.values().map(|s| &s.mask).collect();
         assert!(masks.len() >= 2);
         let all_identical = masks.windows(2).all(|w| w[0] == w[1]);
         assert!(

@@ -3,11 +3,13 @@
 //! DepthFL.
 //!
 //! All of them (i) pick a sparse ratio from the client's resources — the rigid
-//! RCR rule for Fjord / HeteroFL / FedRolex / DepthFL, a discrete UCB for
-//! FedMP — (ii) extract a submodel with a heuristic pattern (ordered prefix,
-//! rolling window, magnitude, or dropping the deepest layers), (iii) train the
-//! submodel locally and (iv) aggregate coverage-wise into the shared global
-//! model, which is what every client deploys for inference.
+//! RCR rule `s_k = z_k` for Fjord / HeteroFL / FedRolex / DepthFL, read
+//! straight from the client's capability with no per-client state, and a
+//! discrete UCB for FedMP — (ii) extract a submodel with a heuristic pattern
+//! (ordered prefix, rolling window, magnitude, or dropping the deepest
+//! layers), (iii) train the submodel locally and (iv) aggregate coverage-wise
+//! into the shared global model, which is what every client deploys for
+//! inference.
 
 use fedlps_bandit::ratio_policy::{RatioController, RatioFeedback, RatioPolicy};
 use fedlps_core::server::{ContribParams, Contribution, Family, Step};
@@ -55,19 +57,13 @@ impl WidthVariant {
             WidthVariant::DepthFl => PatternStrategy::Ordered,
         }
     }
-
-    fn ratio_policy(&self) -> RatioPolicy {
-        match self {
-            WidthVariant::FedMp => RatioPolicy::DiscreteUcb,
-            _ => RatioPolicy::ResourceControlled,
-        }
-    }
 }
 
 /// The width/depth-scaling family.
 #[derive(Debug)]
 pub struct WidthScaling {
     variant: WidthVariant,
+    /// FedMP's discrete-UCB agents; `None` for the RCR variants.
     controller: Option<RatioController>,
 }
 
@@ -118,14 +114,12 @@ impl Family for WidthScaling {
     }
 
     fn setup(&mut self, env: &FlEnv, _global: &[f32]) {
-        let capabilities = env.capabilities();
-        let initial_accuracy = vec![0.0; env.num_clients()];
-        self.controller = Some(RatioController::new(
-            self.variant.ratio_policy(),
-            &capabilities,
-            &initial_accuracy,
-            env.config.seed,
-        ));
+        // FedMP's agents share one stream in client order: all built up front.
+        self.controller = matches!(self.variant, WidthVariant::FedMp).then(|| {
+            let caps = env.capabilities();
+            let zeros = vec![0.0; caps.len()];
+            RatioController::new(RatioPolicy::DiscreteUcb, &caps, &zeros, env.config.seed)
+        });
     }
 
     fn train(
@@ -134,8 +128,10 @@ impl Family for WidthScaling {
         rng: &mut StdRng,
     ) -> (ClientReport, ContribParams, RatioFeedback) {
         let env = step.env;
-        let controller = self.controller.as_ref().expect("setup() not called");
-        let mut ratio = controller.ratio_for(step.client);
+        let mut ratio = match &self.controller {
+            Some(controller) => controller.ratio_for(step.client),
+            None => env.capability(step.client),
+        };
         if matches!(self.variant, WidthVariant::Fjord) {
             // Fjord samples the dropout rate uniformly up to the capability.
             ratio *= 0.5 + 0.5 * rand::Rng::gen::<f64>(rng);
@@ -313,14 +309,33 @@ mod tests {
 
     #[test]
     fn sparse_ratios_never_exceed_static_capability_for_rcr_variants() {
+        // Every client of the fleet: HeteroFL, FedRolex and DepthFL train at
+        // `z_k` itself, Fjord at a uniform draw in `[0.5, 1) × z_k`.
         let s = sim();
-        let caps = s.env().capabilities();
-        let mut algo = Server::from(WidthScaling::new(WidthVariant::HeteroFl));
-        let result = s.run(&mut algo);
-        // Every round's mean ratio must be below the best capability.
-        let max_cap = caps.iter().cloned().fold(0.0, f64::max);
-        for r in &result.rounds {
-            assert!(r.mean_sparse_ratio <= max_cap + 1e-9);
+        let env = s.env();
+        let global = Arc::new(env.initial_params());
+        for variant in [
+            WidthVariant::Fjord,
+            WidthVariant::HeteroFl,
+            WidthVariant::FedRolex,
+            WidthVariant::DepthFl,
+        ] {
+            let mut family = WidthScaling::new(variant);
+            family.setup(env, &global);
+            for client in 0..env.num_clients() {
+                let z = env.capability(client);
+                let step = Step::new(env, 0, client, &global);
+                let (report, _, _) = family.train(&step, &mut rng_from_seed(client as u64));
+                let ratio = report.sparse_ratio;
+                if variant == WidthVariant::Fjord {
+                    assert!(
+                        (0.5 * z..z).contains(&ratio),
+                        "Fjord client {client}: ratio {ratio}, capability {z}"
+                    );
+                } else {
+                    assert_eq!(ratio, z.clamp(0.05, 1.0), "{variant:?} client {client}");
+                }
+            }
         }
     }
 

@@ -137,7 +137,10 @@ impl FlEnv {
 
     /// Capability fractions `z_k` of every client (static tiers). Allocates
     /// `O(population)` — population-scale paths read
-    /// [`capability`](Self::capability) per participant instead.
+    /// [`capability`](Self::capability) per participant instead. The
+    /// library's remaining callers are the two ratio controllers built up
+    /// front on one shared stream: FedMP's setup and the dense branch of
+    /// FedLPS's setup.
     pub fn capabilities(&self) -> Vec<f64> {
         (0..self.num_clients())
             .map(|k| self.fleet.static_profile(k).capability)

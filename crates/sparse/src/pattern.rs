@@ -77,23 +77,16 @@ impl PatternStrategy {
         round: usize,
         rng: &mut impl Rng,
     ) -> UnitMask {
-        let magnitude;
-        let per_unit_scores: Option<&[f32]> = match self {
+        match self {
             PatternStrategy::Magnitude => {
-                magnitude = layout.magnitude_sums(params);
-                Some(&magnitude)
+                return learnable_pattern(layout, &layout.magnitude_sums(params), ratio)
             }
             PatternStrategy::Importance => {
-                let s = scores.expect("importance pattern requires scores");
-                assert_eq!(
-                    s.len(),
-                    layout.total_units(),
-                    "importance score length must equal the number of units"
-                );
-                Some(s)
+                let scores = scores.expect("importance pattern requires scores");
+                return learnable_pattern(layout, scores, ratio);
             }
-            _ => None,
-        };
+            _ => {}
+        }
 
         let mut keep = vec![false; layout.total_units()];
         let mut offset = 0;
@@ -119,12 +112,7 @@ impl PatternStrategy {
                         keep[offset + (start + i) % j] = true;
                     }
                 }
-                PatternStrategy::Magnitude | PatternStrategy::Importance => {
-                    let s = &per_unit_scores.unwrap()[offset..offset + j];
-                    for idx in fedlps_tensor::stats::top_k_indices(s, k) {
-                        keep[offset + idx] = true;
-                    }
-                }
+                PatternStrategy::Magnitude | PatternStrategy::Importance => unreachable!(),
             }
             offset += j;
         }
@@ -134,11 +122,12 @@ impl PatternStrategy {
 
 /// FedLPS Eq. (4): derives the learnable pattern by thresholding the
 /// importance indicator at the `(1 − s)`-quantile *within each layer* (the
-/// paper applies the same ratio layer-wise). Equivalent to the top-k selection
-/// of [`PatternStrategy::Importance`]; exposed separately so callers that
-/// already hold scores do not need an RNG or parameters.
+/// paper applies the same ratio layer-wise): the per-layer top-k behind
+/// [`PatternStrategy::Importance`] and, over magnitude sums,
+/// [`PatternStrategy::Magnitude`]. Callers that already hold scores call it
+/// directly, with no RNG or parameters.
 pub fn learnable_pattern(layout: &UnitLayout, scores: &[f32], ratio: f64) -> UnitMask {
-    assert_eq!(scores.len(), layout.total_units());
+    assert_eq!(scores.len(), layout.total_units(), "one score per unit");
     let mut keep = vec![false; layout.total_units()];
     let mut offset = 0;
     for layer in layout.layers() {

@@ -8,6 +8,7 @@
 use fedlps::baselines::registry::baseline_by_name;
 use fedlps::core::{FedLps, FedLpsConfig};
 use fedlps::prelude::*;
+use std::sync::Arc;
 
 fn tiny_env(kind: DatasetKind, level: HeterogeneityLevel, rounds: usize) -> FlEnv {
     let scenario = ScenarioConfig::tiny(kind);
@@ -177,5 +178,69 @@ fn million_client_registry_materializes_only_its_participants() {
             stored < params,
             "client {client} stores {stored} of {params}"
         );
+    }
+}
+
+/// The only tier-1 check of the O(active) law across the whole comparison
+/// layer: FedLPS and every baseline, synchronous and asynchronous.
+#[test]
+fn every_method_reads_only_its_participants_profiles() {
+    // A client's device profile materializes on its first read, so the
+    // fleet's count bounds every per-client store keyed by what the run
+    // touched. Sync rounds dispatch `rounds × cpr` clients; the async
+    // pipeline refills after every absorption or discard and ends with `cpr`
+    // dispatches in flight, one more cohort plus the discards.
+    const POPULATION: usize = 10_000;
+    // Methods whose rule reads every registered client. Each must exceed the
+    // bound, so fixing one fails this test until it leaves the list.
+    const WHOLE_REGISTRY: [(&str, &str); 3] = [
+        ("Oort", "samples over every client's utility"),
+        ("REFL", "ranks every client by capability and staleness"),
+        ("FedMP", "builds every agent up front on one stream"),
+    ];
+    let scenario = ScenarioConfig::tiny(DatasetKind::MnistLike);
+    let data = scenario.build();
+    let arch: Arc<dyn ModelArch> = ModelKind::for_dataset(scenario.kind)
+        .build(data.input, data.num_classes)
+        .into();
+    let methods = std::iter::once("FedLPS").chain(baseline_names());
+    for name in methods {
+        for mode in [RoundMode::Synchronous, RoundMode::asynchronous(3, 0.5)] {
+            let config = FlConfig {
+                rounds: 4,
+                clients_per_round: 8,
+                eval_every: 0,
+                ..FlConfig::tiny()
+            }
+            .with_round_mode(mode);
+            let fleet = DeviceFleet::lazy(POPULATION, HeterogeneityLevel::High, 7);
+            let sim = Simulator::new(FlEnv::new_tiled(data.clone(), fleet, arch.clone(), config));
+            let mut algo: Box<dyn FlAlgorithm> = match name {
+                "FedLPS" => Box::new(FedLps::for_env(sim.env())),
+                _ => baseline_by_name(name).expect("registered"),
+            };
+            let result = sim.run(&mut *algo);
+            let cpr = config.clients_per_round;
+            let bound = match mode {
+                RoundMode::Synchronous => config.rounds * cpr,
+                _ => (config.rounds + 1) * cpr + result.total_stale_discards() as usize,
+            };
+            let count = sim.env().fleet.materialized_profiles();
+            if let Some((_, reason)) = WHOLE_REGISTRY.iter().find(|(n, _)| *n == name) {
+                assert!(
+                    count > bound,
+                    "{name} ({}) read {count} profiles, within {bound}: drop it from \
+                     the exception list (it {reason})",
+                    mode.name()
+                );
+            } else {
+                assert!(
+                    (1..=bound).contains(&count),
+                    "{name} ({}) read {count} profiles, over {bound}: the population \
+                     leaked into per-client state",
+                    mode.name()
+                );
+            }
+        }
     }
 }
